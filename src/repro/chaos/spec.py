@@ -19,6 +19,8 @@ import itertools
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.ft import RECOVERY_POLICIES
+
 __all__ = [
     "Scenario",
     "CampaignSpec",
@@ -36,9 +38,6 @@ KILL_KINDS = ("task", "node")
 
 #: valid storage-tier faults; None means "storage stays healthy"
 STORAGE_FAULTS = ("server_kill", "image_corrupt")
-
-#: recovery strategies after a failure (see docs/RECOVERY.md)
-RECOVERY_POLICIES = ("restart", "spare", "shrink")
 
 #: the paper's channel(s) for each protocol implementation (see
 #: :func:`repro.harness.runner.default_channel`; Nemesis is the MPICH2

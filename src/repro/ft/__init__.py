@@ -1,4 +1,8 @@
-"""Fault tolerance: the paper's two coordinated checkpointing protocols.
+"""Fault tolerance: coordinated checkpointing protocols and rollback recovery.
+
+The protocols share one wave skeleton (:mod:`repro.ft.protocol`) and differ
+only in their quiesce strategy; :data:`PROTOCOLS` is the name -> class table
+everything else (deployment specs, CLIs, test builders) reads.
 
 * :class:`~repro.ft.vcl.VclProtocol` — non-blocking Chandy–Lamport snapshots
   with daemon-side message logging (MPICH-Vcl, Sec. 3/4.1).
@@ -9,13 +13,16 @@
   idiom; no logging, no delayed receives).
 * :class:`~repro.ft.server.CheckpointServer` — shared image storage machinery
   with per-image checksums, K-way replica assignment and quorum-aware commit.
-* :class:`~repro.ft.recovery.FTRun` — kill / rollback / restart orchestration,
-  replica-aware fetch retry/backoff (:class:`~repro.ft.recovery.FetchPolicy`)
-  and graceful degradation
-  (:class:`~repro.ft.recovery.StorageUnrecoverableError`).
+* :class:`~repro.ft.recovery.FTRun` — the recovery pipeline (detect, agree,
+  place, restore, relaunch) under the :data:`RECOVERY_POLICIES`.
+* :class:`~repro.ft.restore.ImageRestorer` — replica-aware image fetch with
+  retry/backoff (:class:`~repro.ft.restore.FetchPolicy`) and graceful
+  degradation (:class:`~repro.ft.restore.StorageUnrecoverableError`).
 * :class:`~repro.ft.failure.FailureInjector` — task, node and checkpoint-server
   failures plus silent image corruption.
 """
+
+from typing import Callable, Dict, Optional, Type
 
 from repro.ft.dcl import DclEndpoint, DclProtocol, DRAIN_BUDGET
 from repro.ft.failure import FailureInjector
@@ -24,22 +31,48 @@ from repro.ft.pcl import PclEndpoint, PclProtocol
 from repro.ft.protocol import (
     BaseEndpoint,
     BaseProtocol,
+    BlockingEndpoint,
     FTStats,
     LocalImageStore,
     SCHEDULER_ID,
 )
-from repro.ft.recovery import (
-    FetchPolicy,
-    FTRun,
-    InstantLauncher,
-    StorageUnrecoverableError,
-)
+from repro.ft.recovery import FTRun, InstantLauncher, RECOVERY_POLICIES
+from repro.ft.restore import FetchPolicy, ImageRestorer, StorageUnrecoverableError
 from repro.ft.server import CheckpointServer, assign_replicas, assign_servers
 from repro.ft.vcl import VclEndpoint, VclProtocol
+
+#: protocol name -> class: the one place a protocol family is registered
+PROTOCOLS: Dict[str, Type[BaseProtocol]] = {
+    "pcl": PclProtocol,
+    "vcl": VclProtocol,
+    "dcl": DclProtocol,
+}
+
+
+def protocol_factory(name: Optional[str], period: float, fork_latency: float,
+                     scheduler_node=None) -> Optional[Callable[[object, FTRun], BaseProtocol]]:
+    """The per-incarnation ``(job, run) -> protocol`` callable
+    :class:`FTRun` takes, for the protocol registered as ``name`` (None: no
+    checkpointing, no factory).  ``scheduler_node`` is the machine of a
+    protocol that ``needs_scheduler``."""
+    if name is None:
+        return None
+    cls = PROTOCOLS[name]
+    extra = {"scheduler_node": scheduler_node} if cls.needs_scheduler else {}
+
+    def factory(job, run):
+        return cls(job, server_map=run.server_map, period=period,
+                   stats=run.stats, local_images=run.local_images,
+                   fork_latency=fork_latency, replica_map=run.replica_map,
+                   **extra)
+
+    return factory
+
 
 __all__ = [
     "BaseEndpoint",
     "BaseProtocol",
+    "BlockingEndpoint",
     "CheckpointImage",
     "CheckpointServer",
     "DclEndpoint",
@@ -50,10 +83,13 @@ __all__ = [
     "FORK_LATENCY",
     "FTRun",
     "FTStats",
+    "ImageRestorer",
     "InstantLauncher",
     "LocalImageStore",
     "PclEndpoint",
     "PclProtocol",
+    "PROTOCOLS",
+    "RECOVERY_POLICIES",
     "RUNTIME_IMAGE_OVERHEAD_BYTES",
     "SCHEDULER_ID",
     "StorageUnrecoverableError",
@@ -61,4 +97,5 @@ __all__ = [
     "VclProtocol",
     "assign_replicas",
     "assign_servers",
+    "protocol_factory",
 ]

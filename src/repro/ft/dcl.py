@@ -31,20 +31,16 @@ monitor (:mod:`repro.verify.monitors`) checks precisely this, and the
 
 from __future__ import annotations
 
-from typing import Dict, Set, Tuple
+from typing import Dict, List, Tuple
 
-from repro.ft.image import CheckpointImage
-from repro.ft.protocol import BaseEndpoint, BaseProtocol
-from repro.mpi.channels.nemesis import NemesisChannel
+from repro.ft.image import CONTROL_BYTES
+from repro.ft.protocol import BaseProtocol, BlockingEndpoint
 from repro.mpi.message import (
-    CheckpointDonePacket,
     DrainCountPacket,
     DrainGoPacket,
     MarkerPacket,
-    MARKER_BYTES,
     Packet,
 )
-from repro.sim.process import Interrupt
 
 __all__ = ["DclProtocol", "DclEndpoint", "DRAIN_BUDGET"]
 
@@ -54,64 +50,39 @@ __all__ = ["DclProtocol", "DclEndpoint", "DRAIN_BUDGET"]
 #: the engine watchdog's budget) so the two never disagree.
 DRAIN_BUDGET = 30.0
 
-_COUNT_BYTES = 64.0
-_DONE_BYTES = 64.0
 
+class DclEndpoint(BlockingEndpoint):
+    """Rank-side quiesce strategy of the message-drain protocol: counter
+    reports until the initiator's go-order."""
 
-class DclEndpoint(BaseEndpoint):
-    """Rank-side state machine of the message-drain protocol."""
+    blocked_state = "draining"
 
     def __init__(self, protocol: "DclProtocol", rank: int) -> None:
         super().__init__(protocol, rank)
-        self.state = "normal"
-        self.wave = 0
         #: cumulative application sends committed to the wire (see
         #: :meth:`on_app_sent`: counted at the commit point, not at seq
         #: assignment — a packet parked at a closed gate was not sent)
         self.sent = 0
         #: cumulative application packets that arrived at the channel
         self.recvd = 0
-        self._entered_at = 0.0
         self._report_dirty = False
         self._reporting = False
         self._local_pending = False
 
     # ------------------------------------------------------------ drain entry
-    def enter_drain(self, wave: int) -> None:
-        if self.state == "draining" or wave <= self.wave:
-            return
-        self.state = "draining"
-        self.wave = wave
-        self._entered_at = self.sim.now
-        self.protocol.note_phase("enter", wave)
+    def _quiesce(self, wave: int, others: List[int]) -> None:
         if self.sim.trace.wants("ft.drain_open"):
             self.sim.trace.record(self.sim.now, "ft.drain_open",
                                   rank=self.rank, wave=wave,
                                   sent=self.sent, recvd=self.recvd)
-        others = [r for r in range(self.job.size) if r != self.rank]
         # Freeze new sends before anything else: a commit after the report
         # would make the reported send total stale (see on_app_sent).
         if self.protocol.drain_gating_enabled:
-            if isinstance(self.channel, NemesisChannel):
-                self.channel.enqueue_stopper()
-            else:
-                self.channel.close_send_gates(others)
+            self.channel.freeze_sends(others)
         if self.rank == 0 and others:
-            self._spawn(
-                self._broadcast(others, lambda dst: MarkerPacket(0, wave),
-                                MARKER_BYTES, count_markers=True),
-                f"dcl:drain-req:r{self.rank}")
+            # the drain request doubles as the wave marker
+            self._fan_out(others, MarkerPacket, wave)
         self._counters_changed()
-
-    def _broadcast(self, others, make_packet, nbytes, count_markers=False):
-        for dst in others:
-            try:
-                yield from self.channel.send_control(dst, make_packet(dst),
-                                                     nbytes)
-            except ConnectionError:
-                return  # mid-wave failure: recovery will discard this wave
-            if count_markers:
-                self.protocol.stats.markers_sent += 1
 
     # ------------------------------------------------------- counter reports
     def _counters_changed(self) -> None:
@@ -147,7 +118,7 @@ class DclEndpoint(BaseEndpoint):
             self._report_dirty = False
             packet = DrainCountPacket(self.rank, wave, self.sent, self.recvd)
             try:
-                yield from self.channel.send_control(0, packet, _COUNT_BYTES)
+                yield from self.channel.send_control(0, packet, CONTROL_BYTES)
             except ConnectionError:
                 break
             if not self._report_dirty:
@@ -164,77 +135,21 @@ class DclEndpoint(BaseEndpoint):
         self._counters_changed()
 
     def on_control(self, packet: Packet) -> None:
-        if isinstance(packet, MarkerPacket):
-            # the drain request doubles as the wave marker
-            self.enter_drain(packet.wave)
-            if packet.wave != self.wave:
-                return  # stale request from an aborted wave
-            if self.sim.trace.wants("ft.marker_recv"):
-                self.sim.trace.record(
-                    self.sim.now, "ft.marker_recv", rank=self.rank,
-                    src=packet.src, wave=packet.wave, protocol="dcl",
-                )
-        elif isinstance(packet, DrainCountPacket):
+        if isinstance(packet, DrainCountPacket):
             self.protocol.on_rank_count(packet.src, packet.wave,
                                         packet.sent, packet.recvd)
         elif isinstance(packet, DrainGoPacket):
             if packet.wave == self.wave and self.state == "draining":
-                self._take_checkpoint()
-        elif isinstance(packet, CheckpointDonePacket):
-            self.protocol.on_rank_done(packet.src, packet.wave)
-
-    # ------------------------------------------------------------ checkpoint
-    def _take_checkpoint(self) -> None:
-        # the network is empty: the local snapshot needs no channel state
-        self.protocol.note_phase("flushed", self.wave)
-        snapshot = self.context.take_snapshot(self.wave)
-        # fork() suspends the whole process briefly
-        self.context.add_stall(self.protocol.fork_latency)
-        self.sim.trace.record(
-            self.sim.now, "ft.local_checkpoint", rank=self.rank,
-            wave=self.wave, protocol="dcl",
-        )
-        self._spawn(self._resume(), f"dcl:resume:r{self.rank}")
-        self._spawn(self._store_and_notify(snapshot), f"dcl:store:r{self.rank}")
-
-    def _resume(self):
-        """After the fork pause, reopen the gates and resume computing."""
-        yield self.sim.timeout(self.protocol.fork_latency)
-        self.state = "normal"
-        if self.sim.trace.wants("ft.resume"):
-            self.sim.trace.record(self.sim.now, "ft.resume",
-                                  rank=self.rank, wave=self.wave)
-        if isinstance(self.channel, NemesisChannel):
-            self.channel.dequeue_stopper()
-        self.channel.open_send_gates()
-        blocked = self.sim.now - self._entered_at
-        self.protocol.stats.blocked_seconds += blocked
-        if self.sim.metrics is not None:
-            self.sim.metrics.observe("ft.rank_blocked_seconds", blocked,
-                                     protocol="dcl", rank=self.rank)
-
-    def _store_and_notify(self, snapshot):
-        image = CheckpointImage(self.rank, snapshot.wave, snapshot.image_bytes,
-                                snapshot)
-        try:
-            yield from self._store_image(image)
-        except ConnectionError:
-            return  # failure mid-transfer; the wave will never commit
-        if self.rank == 0:
-            self.protocol.on_rank_done(0, image.wave)
+                self._cut_complete()
         else:
-            try:
-                yield from self.channel.send_control(
-                    0, CheckpointDonePacket(self.rank, image.wave), _DONE_BYTES
-                )
-            except ConnectionError:
-                return
+            super().on_control(packet)
 
 
 class DclProtocol(BaseProtocol):
     """Coordinated message-drain checkpointing (counter quiescence)."""
 
     protocol_name = "dcl"
+    endpoint_cls = DclEndpoint
 
     #: the drain wave adds its own phase between the request broadcast and
     #: the channel-empty snapshot; see BaseProtocol._emit_phases
@@ -255,36 +170,12 @@ class DclProtocol(BaseProtocol):
         super().__init__(*args, **kwargs)
         #: rank -> (sent, recvd), the latest report of the open wave
         self._counts: Dict[int, Tuple[int, int]] = {}
-        self._done_from: Set[int] = set()
         self._quiesced = False
 
-    def install(self) -> None:
-        self.endpoints = [DclEndpoint(self, rank)
-                          for rank in range(self.job.size)]
-        for rank, endpoint in enumerate(self.endpoints):
-            self.job.channels[rank].protocol = endpoint
-        self._driver = self.sim.process(self._drive(), name="dcl:driver")
-
-    def _drive(self):
-        """Rank 0's wave initiation loop."""
-        wave = self.start_wave
-        while True:
-            try:
-                yield self._arm_timer()
-            except Interrupt:
-                return
-            if self.job.completed.triggered or self.job.killed:
-                return
-            committed = self._begin_wave(wave)
-            self._counts = {}
-            self._done_from = set()
-            self._quiesced = False
-            self.endpoints[0].enter_drain(wave)
-            try:
-                yield committed
-            except Interrupt:
-                return
-            wave += 1
+    def _open_wave(self, wave: int) -> None:
+        self._counts = {}
+        self._quiesced = False
+        super()._open_wave(wave)
 
     # ------------------------------------------------------------ quiescence
     def on_rank_count(self, rank: int, wave: int, sent: int, recvd: int) -> None:
@@ -309,22 +200,8 @@ class DclProtocol(BaseProtocol):
         if self.sim.metrics is not None:
             self.sim.metrics.observe("ft.drain_seconds", elapsed,
                                      protocol=self.protocol_name)
+        # the network is empty: order the checkpoint
         initiator = self.endpoints[0]
-        others = [r for r in range(self.job.size) if r != 0]
-        if others:
-            initiator._spawn(
-                initiator._broadcast(others, lambda dst: DrainGoPacket(0, wave),
-                                     MARKER_BYTES),
-                "dcl:go:r0")
-        initiator._take_checkpoint()
-
-    def on_rank_done(self, rank: int, wave: int) -> None:
-        """A rank's image is stored (message to rank 0)."""
-        if wave != self._current_wave or self.detached:
-            return
-        self._done_from.add(rank)
-        if len(self._done_from) == self.job.size:
-            self._commit_servers(wave)
-            self._record_wave(wave, self._wave_started_at)
-            if self._wave_committed is not None and not self._wave_committed.triggered:
-                self._wave_committed.succeed()
+        if self.job.size > 1:
+            initiator._fan_out(range(1, self.job.size), DrainGoPacket, wave)
+        initiator._cut_complete()

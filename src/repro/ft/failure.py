@@ -45,7 +45,8 @@ class KillRecord:
 
 
 class FailureInjector:
-    """Schedules and executes process/node failures."""
+    """Executes process, node and storage failures (scheduling them against
+    the live incarnation is :class:`~repro.ft.recovery.FTRun`'s job)."""
 
     def __init__(self, sim: "Simulator", net: "BaseNetwork",
                  local_images: Optional["LocalImageStore"] = None) -> None:
@@ -54,7 +55,6 @@ class FailureInjector:
         self.local_images = local_images
         self.kills: List[KillRecord] = []
 
-    # ------------------------------------------------------------ immediate
     def kill_task(self, job: "MPIJob", rank: int) -> None:
         """Kill one MPI process now.  Its sockets close; peers notice."""
         if job.killed or not (0 <= rank < job.size):
@@ -65,13 +65,7 @@ class FailureInjector:
         endpoint_protocol = channel.protocol
         channel.shutdown()  # breaks every socket of this task
         if endpoint_protocol is not None:
-            server_ends = getattr(endpoint_protocol, "_server_ends", None)
-            if server_ends is None:
-                server_end = getattr(endpoint_protocol, "_server_end", None)
-                server_ends = [server_end] if server_end is not None else []
-            for server_end in server_ends:
-                if server_end is not None:
-                    server_end.connection.break_()
+            endpoint_protocol.break_server_links()
             endpoint_protocol.detach()
         job.app_processes[rank].interrupt("task killed")
         # The runtime (dispatcher / process manager) holds a monitoring
@@ -147,16 +141,3 @@ class FailureInjector:
                               server=server.name, rank=rank, wave=wave)
         self.kills.append(
             KillRecord(self.sim.now, "corrupt", (server.name, rank, wave)))
-
-    # ------------------------------------------------------------- scheduled
-    def schedule_task_kill(self, job: "MPIJob", rank: int, at: float) -> None:
-        delay = at - self.sim.now
-        if delay < 0:
-            raise ValueError(f"kill time {at} is in the past")
-        self.sim.call_at(delay, self.kill_task, job, rank)
-
-    def schedule_node_kill(self, job: "MPIJob", rank: int, at: float) -> None:
-        delay = at - self.sim.now
-        if delay < 0:
-            raise ValueError(f"kill time {at} is in the past")
-        self.sim.call_at(delay, self.kill_node, job, rank)

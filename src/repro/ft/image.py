@@ -16,7 +16,12 @@ from typing import Any, List, Optional
 from repro.mpi.context import Snapshot
 from repro.mpi.message import AppPacket
 
-__all__ = ["CheckpointImage", "FORK_LATENCY", "RUNTIME_IMAGE_OVERHEAD_BYTES"]
+__all__ = ["CheckpointImage", "CONTROL_BYTES", "FORK_LATENCY",
+           "RUNTIME_IMAGE_OVERHEAD_BYTES"]
+
+#: wire size of every small fault-tolerance control record: done/count
+#: notifications between ranks, server acks, fetch requests
+CONTROL_BYTES = 64.0
 
 #: pause caused by fork() + copy-on-write page-table duplication (tens of
 #: milliseconds for a tens-of-MB image); charged to the application's

@@ -24,186 +24,54 @@ Wave life cycle, exactly as the paper describes it:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import List, Set
 
-from repro.ft.image import CheckpointImage
-from repro.ft.protocol import BaseEndpoint, BaseProtocol
-from repro.mpi.channels.nemesis import NemesisChannel
-from repro.mpi.message import (
-    CheckpointDonePacket,
-    MarkerPacket,
-    MARKER_BYTES,
-    Packet,
-)
-from repro.sim.process import Interrupt
+from repro.ft.protocol import BaseProtocol, BlockingEndpoint
+from repro.mpi.message import MarkerPacket
 
 __all__ = ["PclProtocol", "PclEndpoint"]
 
-_DONE_BYTES = 64.0
 
-
-class PclEndpoint(BaseEndpoint):
-    """Rank-side state machine of the blocking protocol."""
+class PclEndpoint(BlockingEndpoint):
+    """Rank-side quiesce strategy of the blocking protocol: marker flush."""
 
     def __init__(self, protocol: "PclProtocol", rank: int) -> None:
         super().__init__(protocol, rank)
-        self.state = "normal"
-        self.wave = 0
         self._markers_from: Set[int] = set()
-        self._entered_at = 0.0
 
-    # ------------------------------------------------------------ wave entry
-    def enter_wave(self, wave: int) -> None:
-        if self.state == "checkpointing" or wave <= self.wave:
-            return
-        self.state = "checkpointing"
-        self.wave = wave
+    def _quiesce(self, wave: int, others: List[int]) -> None:
         self._markers_from = set()
-        self._entered_at = self.sim.now
-        self.protocol.note_phase("enter", wave)
         if self.sim.trace.wants("ft.enter_wave"):
             self.sim.trace.record(self.sim.now, "ft.enter_wave",
                                   rank=self.rank, wave=wave)
-        others = [r for r in range(self.job.size) if r != self.rank]
         # Freeze sends *before* the markers go out: anything already queued
         # precedes the marker (FIFO); nothing may follow it.
         if self.protocol.channel_gating_enabled:
-            if isinstance(self.channel, NemesisChannel):
-                self.channel.enqueue_stopper()
-            else:
-                self.channel.close_send_gates(others)
+            self.channel.freeze_sends(others)
         if others:
-            self._spawn(self._send_markers(others, wave),
-                        f"pcl:markers:r{self.rank}")
+            self._fan_out(others, MarkerPacket, wave)
         else:
-            self._take_checkpoint()
+            self._cut_complete()
 
-    def _send_markers(self, others, wave: int):
-        for dst in others:
-            try:
-                yield from self.channel.send_control(
-                    dst, MarkerPacket(self.rank, wave), MARKER_BYTES
-                )
-            except ConnectionError:
-                return  # mid-wave failure: recovery will discard this wave
-            self.protocol.stats.markers_sent += 1
-
-    # ---------------------------------------------------------------- events
-    def on_control(self, packet: Packet) -> None:
-        if isinstance(packet, MarkerPacket):
-            self.enter_wave(packet.wave)
-            if packet.wave != self.wave:
-                return  # stale marker from an aborted wave
-            if self.sim.trace.wants("ft.marker_recv"):
-                self.sim.trace.record(
-                    self.sim.now, "ft.marker_recv", rank=self.rank,
-                    src=packet.src, wave=packet.wave, protocol="pcl",
-                )
-            if self.protocol.channel_gating_enabled:
-                self.channel.freeze_source(packet.src)
-            self._markers_from.add(packet.src)
-            if len(self._markers_from) == self.job.size - 1:
-                self._take_checkpoint()
-        elif isinstance(packet, CheckpointDonePacket):
-            self.protocol.on_rank_done(packet.src, packet.wave)
-
-    # ------------------------------------------------------------ checkpoint
-    def _take_checkpoint(self) -> None:
-        # this rank holds every marker: its channels are flushed
-        self.protocol.note_phase("flushed", self.wave)
-        snapshot = self.context.take_snapshot(self.wave)
-        # fork() suspends the whole process briefly
-        self.context.add_stall(self.protocol.fork_latency)
-        self.sim.trace.record(
-            self.sim.now, "ft.local_checkpoint", rank=self.rank,
-            wave=self.wave, protocol="pcl",
-        )
-        self._spawn(self._resume(), f"pcl:resume:r{self.rank}")
-        self._spawn(self._store_and_notify(snapshot), f"pcl:store:r{self.rank}")
-
-    def _resume(self):
-        """After the fork pause, unfreeze and deliver the delayed queue."""
-        yield self.sim.timeout(self.protocol.fork_latency)
-        self.state = "normal"
-        if self.sim.trace.wants("ft.resume"):
-            self.sim.trace.record(self.sim.now, "ft.resume",
-                                  rank=self.rank, wave=self.wave)
-        if isinstance(self.channel, NemesisChannel):
-            self.channel.dequeue_stopper()
-        self.channel.open_send_gates()
-        self.channel.thaw_sources()
-        blocked = self.sim.now - self._entered_at
-        self.protocol.stats.blocked_seconds += blocked
-        if self.sim.metrics is not None:
-            self.sim.metrics.observe("ft.rank_blocked_seconds", blocked,
-                                     protocol="pcl", rank=self.rank)
-
-    def _store_and_notify(self, snapshot):
-        image = CheckpointImage(self.rank, snapshot.wave, snapshot.image_bytes, snapshot)
-        try:
-            yield from self._store_image(image)
-        except ConnectionError:
-            return  # failure mid-transfer; the wave will never commit
-        if self.rank == 0:
-            self.protocol.on_rank_done(0, image.wave)
-        else:
-            try:
-                yield from self.channel.send_control(
-                    0, CheckpointDonePacket(self.rank, image.wave), _DONE_BYTES
-                )
-            except ConnectionError:
-                return
+    def on_marker(self, src: int) -> None:
+        # after a marker, receptions from that channel wait for the end of
+        # the local checkpoint (the delayed receive queue)
+        if self.protocol.channel_gating_enabled:
+            self.channel.freeze_source(src)
+        self._markers_from.add(src)
+        if len(self._markers_from) == self.job.size - 1:
+            # this rank holds every marker: its channels are flushed
+            self._cut_complete()
 
 
 class PclProtocol(BaseProtocol):
     """Blocking coordinated checkpointing inside MPICH2 (MPICH2-Pcl)."""
 
     protocol_name = "pcl"
+    endpoint_cls = PclEndpoint
 
     #: test-only knob for repro.verify: setting this False disables the
     #: send gates / Nemesis stopper and the receive freezing, which the
     #: pcl-flush monitor must catch as payload crossing a flushed channel
     #: (never disable outside tests)
     channel_gating_enabled = True
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        # wave-in-progress bookkeeping (_current_wave, _wave_committed)
-        # lives in BaseProtocol so detach() can record aborted waves
-        self._done_from: Set[int] = set()
-
-    def install(self) -> None:
-        self.endpoints = [PclEndpoint(self, rank) for rank in range(self.job.size)]
-        for rank, endpoint in enumerate(self.endpoints):
-            self.job.channels[rank].protocol = endpoint
-        self._driver = self.sim.process(self._drive(), name="pcl:driver")
-
-    def _drive(self):
-        """Rank 0's wave initiation loop."""
-        wave = self.start_wave
-        while True:
-            try:
-                yield self._arm_timer()
-            except Interrupt:
-                return
-            if self.job.completed.triggered or self.job.killed:
-                return
-            committed = self._begin_wave(wave)
-            self._done_from = set()
-            self.endpoints[0].enter_wave(wave)
-            try:
-                yield committed
-            except Interrupt:
-                return
-            wave += 1
-
-    def on_rank_done(self, rank: int, wave: int) -> None:
-        """A rank's image is stored (message to rank 0)."""
-        if wave != self._current_wave or self.detached:
-            return
-        self._done_from.add(rank)
-        if len(self._done_from) == self.job.size:
-            self._commit_servers(wave)
-            self._record_wave(wave, self._wave_started_at)
-            if self._wave_committed is not None and not self._wave_committed.triggered:
-                self._wave_committed.succeed()

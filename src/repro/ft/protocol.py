@@ -1,29 +1,69 @@
-"""Shared protocol machinery: stats, endpoints, image storage.
+"""The wave skeleton every protocol shares: driver, endpoints, image storage.
 
-Both protocols are built from the same pieces the paper's implementations
-share (Sec. 4): the abstract checkpointing mechanism (fork + pipelined
-local-disk write and network stream to the checkpoint server), the
-acknowledgement plumbing, and per-wave bookkeeping.  The subclasses
-(:mod:`repro.ft.pcl`, :mod:`repro.ft.vcl`) differ exactly where the paper's
-protocols differ: when the local snapshot is taken, whether communication is
-frozen, and whether in-transit messages are logged.
+All three protocols are built from the same pieces the paper's
+implementations share (Sec. 4): the wave life cycle (timer -> begin -> open
+-> commit once every rank reported), the control fan-out, the abstract
+checkpointing mechanism (fork + pipelined local-disk write and network
+stream to the checkpoint server), the acknowledgement plumbing, and per-wave
+bookkeeping.  The subclasses (:mod:`repro.ft.pcl`, :mod:`repro.ft.vcl`,
+:mod:`repro.ft.dcl`) state only their *quiesce strategy* — how the cut is
+made consistent: flush the channels with markers and freeze receives, log
+in-transit messages, or count the network empty — and declare the phase
+milestones that strategy passes (docs/PROTOCOLS.md, "Adding a protocol").
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.ft.image import CheckpointImage, FORK_LATENCY
+from repro.ft.image import CONTROL_BYTES, CheckpointImage, FORK_LATENCY
 from repro.ft.server import CheckpointServer
-from repro.mpi.context import Snapshot
-from repro.mpi.message import Packet
+from repro.mpi.message import (
+    CheckpointDonePacket,
+    MarkerPacket,
+    MARKER_BYTES,
+    Packet,
+)
+from repro.sim.process import Interrupt
 
-__all__ = ["FTStats", "BaseProtocol", "BaseEndpoint", "SCHEDULER_ID", "LocalImageStore"]
+__all__ = ["FTStats", "BaseProtocol", "BaseEndpoint", "BlockingEndpoint",
+           "SCHEDULER_ID", "LocalImageStore", "emit_phase_spans"]
 
 #: pseudo-rank of the Vcl checkpoint scheduler on rank channels
 SCHEDULER_ID = -100
 
-_CONTROL_BYTES = 64.0
+
+def emit_phase_spans(sim: "Simulator", category: str, milestones,
+                     marks: Dict[str, float], started_at: float,
+                     labels: Dict[str, object], **fields) -> None:
+    """Tile ``[started_at, now]`` into consecutive phases and publish them.
+
+    ``milestones`` is the ordered ``(phase, mark key)`` list; a key of None
+    runs the last phase up to ``now``.  The marks are clamped monotone into
+    the interval, so the spans tile it exactly whatever order the milestones
+    were reached in — a phase that was skipped (a degraded recovery, say)
+    comes out zero-length, not missing.  Emitted as ``category`` trace
+    records (timeline slices, carrying ``fields``) and as
+    ``<category>_seconds`` histograms (snapshot aggregation), both labelled
+    with ``labels``; with neither a live category nor a registry this
+    returns after two checks.
+    """
+    trace = sim.trace
+    metrics = sim.metrics
+    wants = trace.wants(category)
+    if not wants and metrics is None:
+        return
+    end = sim.now
+    prev = started_at
+    for phase, key in milestones:
+        at = end if key is None else min(max(marks.get(key, prev), prev), end)
+        if wants:
+            trace.record(end, category, **fields, phase=phase, start=prev,
+                         end=at, duration=at - prev, **labels)
+        if metrics is not None:
+            metrics.observe(f"{category}_seconds", at - prev,
+                            **labels, phase=phase)
+        prev = at
 
 
 class FTStats:
@@ -95,7 +135,10 @@ class LocalImageStore:
 
 
 class BaseEndpoint:
-    """Per-rank protocol endpoint: server connections, image storage.
+    """Per-rank protocol endpoint: control traffic, the local checkpoint,
+    server connections, image storage.  A strategy subclass defines
+    :meth:`enter_wave` and, as needed, :meth:`on_marker`, :meth:`_after_fork`
+    and :meth:`_after_store`; everything else is shared.
 
     With ``ckpt_replication == 1`` a rank talks to exactly one server and
     the code path is byte-for-byte the unreplicated protocol.  With K > 1
@@ -118,19 +161,15 @@ class BaseEndpoint:
         self.channel = self.job.channels[rank]
         self.context = self.job.contexts[rank]
         self.endpoint = self.job.endpoints[rank]
-        self.server: CheckpointServer = protocol.server_map[rank]
-        #: ordered replica servers; index 0 is the primary (== self.server)
+        #: ordered replica servers; index 0 is the primary
         self.replicas: List[CheckpointServer] = protocol.replica_map[rank]
+        #: newest wave this rank entered
+        self.wave = 0
         self._server_ends: List[Optional["ConnectionEnd"]] = [None] * len(self.replicas)
         self._ack_waiters: Dict[Tuple[int, str, int], "Event"] = {}
         #: wave -> replica indices whose image upload was acknowledged
         self._acked_replicas: Dict[int, set] = {}
         self._helpers: List["Process"] = []
-
-    @property
-    def _server_end(self):
-        """Primary-server connection end (back-compat accessor)."""
-        return self._server_ends[0]
 
     # ----------------------------------------------------------- plumbing
     def _spawn(self, generator, name: str) -> "Process":
@@ -138,6 +177,89 @@ class BaseEndpoint:
         self._helpers.append(process)
         return process
 
+    # ------------------------------------------------------ the wave, per rank
+    def enter_wave(self, wave: int) -> None:  # pragma: no cover - abstract
+        """This rank's first contact with ``wave`` (the initiator's call or
+        its first marker).  Idempotent; the quiesce strategy starts here."""
+        raise NotImplementedError
+
+    def on_marker(self, src: int) -> None:
+        """A marker of the current wave arrived from ``src``."""
+
+    def on_control(self, packet: Packet) -> None:
+        if isinstance(packet, MarkerPacket):
+            self.enter_wave(packet.wave)
+            if packet.wave != self.wave:
+                return  # stale marker from an aborted wave
+            if self.sim.trace.wants("ft.marker_recv"):
+                self.sim.trace.record(
+                    self.sim.now, "ft.marker_recv", rank=self.rank,
+                    src=packet.src, wave=packet.wave,
+                    protocol=self.protocol.protocol_name,
+                )
+            self.on_marker(packet.src)
+        elif isinstance(packet, CheckpointDonePacket):
+            self.protocol.on_rank_done(packet.src, packet.wave)
+
+    def _fan_out(self, dsts, packet_cls, wave: int) -> None:
+        """Send one ``packet_cls(self.rank, wave)`` control packet to every
+        rank in ``dsts``, in order, from a helper process."""
+        self._spawn(
+            self._send_each(dsts, packet_cls, wave),
+            f"{self.protocol.protocol_name}:{packet_cls.__name__}:r{self.rank}")
+
+    def _send_each(self, dsts, packet_cls, wave: int):
+        for dst in dsts:
+            try:
+                yield from self.channel.send_control(
+                    dst, packet_cls(self.rank, wave), MARKER_BYTES)
+            except ConnectionError:
+                return  # mid-wave failure: recovery will discard this wave
+            if packet_cls is MarkerPacket:
+                self.protocol.stats.markers_sent += 1
+
+    def _checkpoint(self) -> None:
+        """The local checkpoint, at the instant the strategy calls it: take
+        the snapshot, charge the fork pause, and let the clone stream the
+        image while the original computes on."""
+        name = self.protocol.protocol_name
+        snapshot = self.context.take_snapshot(self.wave)
+        # fork() suspends the whole process briefly
+        self.context.add_stall(self.protocol.fork_latency)
+        self.sim.trace.record(
+            self.sim.now, "ft.local_checkpoint", rank=self.rank,
+            wave=self.wave, protocol=name,
+        )
+        self._after_fork()
+        self._spawn(self._store_and_notify(snapshot),
+                    f"{name}:store:r{self.rank}")
+
+    def _after_fork(self) -> None:
+        """Strategy hook between the fork and the start of the image stream."""
+
+    def _store_and_notify(self, snapshot):
+        image = CheckpointImage(self.rank, snapshot.wave, snapshot.image_bytes,
+                                snapshot)
+        try:
+            yield from self._store_image(image)
+        except ConnectionError:
+            return  # failure mid-transfer; the wave will never commit
+        yield from self._after_store(image)
+
+    def _after_store(self, image: CheckpointImage):
+        """Generator: the image is stored.  By default that completes this
+        rank's wave, so report it to the initiator (rank 0)."""
+        if self.rank == 0:
+            self.protocol.on_rank_done(0, image.wave)
+        else:
+            try:
+                yield from self.channel.send_control(
+                    0, CheckpointDonePacket(self.rank, image.wave),
+                    CONTROL_BYTES)
+            except ConnectionError:
+                return
+
+    # ------------------------------------------------------ server plumbing
     def _server_connection(self, index: int = 0):
         if self._server_ends[index] is None:
             end = self.replicas[index].open_connection(self.endpoint)
@@ -286,6 +408,12 @@ class BaseEndpoint:
             self.channel.active_transfer_end = None
         yield disk_write
 
+    def break_server_links(self) -> None:
+        """The task died: its sockets to the checkpoint servers close."""
+        for end in self._server_ends:
+            if end is not None:
+                end.connection.break_()
+
     def detach(self) -> None:
         for helper in self._helpers:
             helper.interrupt("protocol detached")
@@ -297,9 +425,6 @@ class BaseEndpoint:
         self._ack_waiters.clear()
 
     # ------------------------------------------------- hooks for the channel
-    def on_control(self, packet: Packet) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
     def on_app_packet(self, packet) -> None:
         """Default: application packets need no protocol attention."""
 
@@ -309,11 +434,74 @@ class BaseEndpoint:
         committed sends here for counter quiescence."""
 
 
+class BlockingEndpoint(BaseEndpoint):
+    """The blocking family (Pcl, Dcl): application sends are frozen from wave
+    entry until the end of the fork pause.  The strategy's :meth:`_quiesce`
+    freezes the sends and starts whatever proves the channels empty, then
+    calls :meth:`_cut_complete`.  ``state`` is what ``mpi.send`` records
+    carry for the flush and drain monitors.
+    """
+
+    #: ``state`` while this rank is inside a wave's freeze window
+    blocked_state = "checkpointing"
+
+    def __init__(self, protocol: "BaseProtocol", rank: int) -> None:
+        super().__init__(protocol, rank)
+        self.state = "normal"
+        self._entered_at = 0.0
+
+    def enter_wave(self, wave: int) -> None:
+        if self.state != "normal" or wave <= self.wave:
+            return
+        self.state = self.blocked_state
+        self.wave = wave
+        self._entered_at = self.sim.now
+        self.protocol.note_phase("enter", wave)
+        self._quiesce(wave, [r for r in range(self.job.size) if r != self.rank])
+
+    def _quiesce(self, wave: int, others: List[int]) -> None:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def _cut_complete(self) -> None:
+        """This rank's channels are proven empty: the local snapshot needs
+        no channel state."""
+        self.protocol.note_phase("flushed", self.wave)
+        self._checkpoint()
+
+    def _after_fork(self) -> None:
+        self._spawn(self._resume(),
+                    f"{self.protocol.protocol_name}:resume:r{self.rank}")
+
+    def _resume(self):
+        """After the fork pause, reopen the sends and deliver what the
+        receive side delayed."""
+        yield self.sim.timeout(self.protocol.fork_latency)
+        self.state = "normal"
+        if self.sim.trace.wants("ft.resume"):
+            self.sim.trace.record(self.sim.now, "ft.resume",
+                                  rank=self.rank, wave=self.wave)
+        self.channel.resume_sends()
+        self.channel.thaw_sources()
+        blocked = self.sim.now - self._entered_at
+        self.protocol.stats.blocked_seconds += blocked
+        if self.sim.metrics is not None:
+            self.sim.metrics.observe("ft.rank_blocked_seconds", blocked,
+                                     protocol=self.protocol.protocol_name,
+                                     rank=self.rank)
+
+
 class BaseProtocol:
-    """One protocol instance per job incarnation."""
+    """One protocol instance per job incarnation: the wave driver."""
 
     #: human-readable protocol name for reports
     protocol_name = "base"
+    #: the strategy's per-rank endpoint class
+    endpoint_cls = BaseEndpoint
+    #: deployment facts: the launcher the implementation ships with ("ftpm"
+    #: for MPICH2, "dispatcher" for MPICH-V) and whether waves start from a
+    #: scheduler machine
+    default_launcher = "ftpm"
+    needs_scheduler = False
 
     #: ordered (phase name, milestone key) pairs that tile a committed wave
     #: between ``ft.wave_started`` and the commit; the trailing ``commit``
@@ -358,12 +546,14 @@ class BaseProtocol:
         self._connections: List["Connection"] = []
         self._driver: Optional["Process"] = None
         self._wave_trigger: Optional["Event"] = None
-        # Wave-in-progress bookkeeping shared by both drivers; the pending
+        # Wave-in-progress bookkeeping; the pending
         # ``_wave_committed`` event is what detach() inspects to tell an
         # aborted wave from a quiescent protocol.
         self._current_wave = 0
         self._wave_started_at = 0.0
         self._wave_committed: Optional["Event"] = None
+        #: ranks whose part of the open wave is complete
+        self._done_from: Set[int] = set()
         #: phase -> latest sim time any rank hit that milestone this wave
         #: (see :meth:`note_phase`); reset by :meth:`_begin_wave`
         self._phase_marks: Dict[str, float] = {}
@@ -398,8 +588,50 @@ class BaseProtocol:
                 seen.append(server)
         return seen
 
-    def install(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
+    # ------------------------------------------------------ the wave skeleton
+    def install(self) -> None:
+        self.endpoints = [self.endpoint_cls(self, rank)
+                          for rank in range(self.job.size)]
+        for rank, endpoint in enumerate(self.endpoints):
+            self.job.channels[rank].protocol = endpoint
+        self._connect_initiator()
+        self._driver = self.sim.process(
+            self._drive(), name=f"{self.protocol_name}:driver")
+
+    def _connect_initiator(self) -> None:
+        """Strategy hook: wiring the wave initiator needs before the first
+        timer (Vcl: the scheduler's links).  Rank 0 initiates by default."""
+
+    def _drive(self):
+        """The wave initiation loop: arm, begin, open, await the commit."""
+        wave = self.start_wave
+        try:
+            while True:
+                yield self._arm_timer()
+                if self.job.completed.triggered or self.job.killed:
+                    return
+                committed = self._begin_wave(wave)
+                self._open_wave(wave)
+                yield committed
+                wave += 1
+        except Interrupt:
+            return  # detached: the job died or completed
+
+    def _open_wave(self, wave: int) -> None:
+        """Start the strategy: by default rank 0 enters the wave."""
+        self.endpoints[0].enter_wave(wave)
+
+    def on_rank_done(self, rank: int, wave: int) -> None:
+        """A rank's part of the wave is complete (its message to the
+        initiator, or an in-process report); commit once every rank is in."""
+        if wave != self._current_wave or self.detached:
+            return
+        self._done_from.add(rank)
+        if len(self._done_from) == self.job.size:
+            self._commit_servers(wave)
+            self._record_wave(wave, self._wave_started_at)
+            if self._wave_committed is not None and not self._wave_committed.triggered:
+                self._wave_committed.succeed()
 
     def detach(self) -> None:
         """Stop drivers and endpoint helpers; break protocol connections.
@@ -432,15 +664,16 @@ class BaseProtocol:
         self._connections.clear()
 
     def _begin_wave(self, wave: int) -> "Event":
-        """Shared wave-start bookkeeping for both drivers.
+        """Wave-start bookkeeping.
 
-        Sets the in-progress state, clears the phase marks, creates the
-        commit event and emits ``ft.wave_started``; returns the commit
-        event for the driver to await.
+        Sets the in-progress state, clears the phase marks and the done
+        set, creates the commit event and emits ``ft.wave_started``;
+        returns the commit event for the driver to await.
         """
         self._current_wave = wave
         self._wave_started_at = self.sim.now
         self._phase_marks = {}
+        self._done_from = set()
         self._wave_committed = self.sim.event(
             name=f"{self.protocol_name}:wave{wave}")
         self.sim.trace.record(self.sim.now, "ft.wave_started",
@@ -488,33 +721,14 @@ class BaseProtocol:
         * ``commit``  — log shipping (vcl), done/ack collection and the
           server commit quorum.
 
-        Emitted as ``ft.wave_phase`` trace records (timeline slices) and as
-        ``ft.wave_phase_seconds`` histograms (snapshot aggregation); with
-        neither a live category nor a registry this returns after two
-        checks.
+        Published by :func:`emit_phase_spans` as ``ft.wave_phase`` records
+        and ``ft.wave_phase_seconds`` histograms.
         """
-        trace = self.sim.trace
-        metrics = self.sim.metrics
-        wants = trace.wants("ft.wave_phase")
-        if not wants and metrics is None:
-            return
-        end = self.sim.now
-        marks = self._phase_marks
-        spans = []
-        prev = started_at
-        for phase, milestone in self.wave_phase_milestones:
-            at = min(max(marks.get(milestone, prev), prev), end)
-            spans.append((phase, prev, at))
-            prev = at
-        spans.append(("commit", prev, end))
-        for phase, t0, t1 in spans:
-            if wants:
-                trace.record(end, "ft.wave_phase", wave=wave, phase=phase,
-                             start=t0, end=t1, duration=t1 - t0,
-                             protocol=self.protocol_name)
-            if metrics is not None:
-                metrics.observe("ft.wave_phase_seconds", t1 - t0,
-                                protocol=self.protocol_name, phase=phase)
+        emit_phase_spans(
+            self.sim, "ft.wave_phase",
+            (*self.wave_phase_milestones, ("commit", None)),
+            self._phase_marks, started_at,
+            {"protocol": self.protocol_name}, wave=wave)
 
     def _commit_servers(self, wave: int) -> None:
         for server in self.servers:

@@ -18,6 +18,10 @@ incarnations:
    the matching engine;
 6. a fresh protocol instance installs and the wave timer re-arms.
 
+That sequence is one pipeline, :meth:`FTRun._recover`: detect -> (agree) ->
+place -> restore -> relaunch; the survivor policies add the agreement round
+and their own *place* step.  Step 4 is :mod:`repro.ft.restore`'s job.
+
 The launcher is pluggable; :mod:`repro.runtime` provides the paper's two
 environments (the MPICH-V dispatcher and the MPICH2 FTPM) with their spawn
 costs and scalability limits.  The default :class:`InstantLauncher` starts
@@ -26,55 +30,23 @@ processes with no cost, for unit tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.ft.failure import FailureInjector
-from repro.ft.image import CheckpointImage
 from repro.ft.membership import MembershipTracker
-from repro.ft.protocol import FTStats, LocalImageStore
+from repro.ft.protocol import FTStats, LocalImageStore, emit_phase_spans
+from repro.ft.restore import FetchPolicy, ImageRestorer, StorageUnrecoverableError
 from repro.ft.server import CheckpointServer, assign_replicas, assign_servers
 from repro.mpi.job import MPIJob
 from repro.net.topology import BaseNetwork, Endpoint
 
-__all__ = ["FTRun", "InstantLauncher", "FetchPolicy", "StorageUnrecoverableError"]
-
-_CONTROL_BYTES = 64.0
+__all__ = ["FTRun", "InstantLauncher", "RECOVERY_POLICIES"]
 
 
-class StorageUnrecoverableError(RuntimeError):
-    """No complete replica set of any committed wave survives.
-
-    Raised by recovery when every restore candidate — the newest committed
-    wave and every older retained one — is missing at least one rank's
-    verifiable image on every surviving replica and on local disk.  The
-    chaos runner classifies it as the ``storage-unrecoverable`` verdict;
-    without it the run would wedge waiting for a fetch that can never
-    complete.
-    """
-
-
-@dataclass(frozen=True)
-class FetchPolicy:
-    """Retry policy for remote image fetches at restart.
-
-    A fetch sweeps the rank's replicas in assignment order; after a full
-    sweep fails, it backs off exponentially (``backoff_base *
-    backoff_factor**round``) with multiplicative jitter drawn from a
-    dedicated named RNG stream, so retry schedules are deterministic per
-    seed and never synchronize across ranks.  ``max_rounds`` sweeps total.
-    """
-
-    max_rounds: int = 3
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    jitter: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
-        if self.backoff_base < 0 or self.jitter < 0 or self.backoff_factor < 1:
-            raise ValueError("invalid backoff parameters")
+#: the (phase, mark) tiling of a survivor recovery; ``restore`` runs to the
+#: relaunch
+_RECOVERY_PHASES = (("detect", "detect"), ("agree", "agree"),
+                    ("promote", "promote"), ("restore", None))
 
 
 class InstantLauncher:
@@ -119,12 +91,10 @@ class FTRun:
         recovery_policy: str = "restart",
         spare_pool: Optional[Sequence] = None,
         malleable_app_factory: Optional[Callable[[int], Callable]] = None,
-        suspicion_window: Optional[float] = None,
-        membership_ballots: int = 4,
     ) -> None:
         if restart_policy not in ("same-node", "spare"):
             raise ValueError(f"unknown restart policy {restart_policy!r}")
-        if recovery_policy not in ("restart", "spare", "shrink"):
+        if recovery_policy not in self._POLICIES:
             raise ValueError(f"unknown recovery policy {recovery_policy!r}")
         self.sim = sim
         self.net = net
@@ -155,16 +125,15 @@ class FTRun:
         self.recovery_policy = recovery_policy
         self.spare_pool = list(spare_pool or [])
         self.malleable_app_factory = malleable_app_factory
-        self.suspicion_window = suspicion_window
-        self.membership_ballots = membership_ballots
 
         self.stats = FTStats()
         self.local_images = LocalImageStore()
         self.injector = FailureInjector(sim, net, self.local_images)
+        self.restorer = ImageRestorer(self)
         self.completed = sim.event(name=f"{name}:completed")
         self.job: Optional[MPIJob] = None
         self.protocol = None
-        self._incarnation = 0
+        self.incarnation = 0
         self._handling_failure = False
         self._started_at = 0.0
         #: live agreement round, set while a survivor recovery is deciding
@@ -189,13 +158,7 @@ class FTRun:
     # ------------------------------------------------------------- lifecycle
     def start(self) -> None:
         self.launcher.validate(len(self.endpoints))
-        if self.sim.trace.wants("runtime.validated"):
-            self.sim.trace.record(
-                self.sim.now, "runtime.validated",
-                n_ranks=len(self.endpoints),
-                launcher=type(self.launcher).__name__,
-                **self.launcher.fd_budget(),
-            )
+        self._announce_world()
         if self.sim.trace.wants("ft.storage_config"):
             self.sim.trace.record(
                 self.sim.now, "ft.storage_config",
@@ -205,17 +168,27 @@ class FTRun:
                 fetch_rounds=self.fetch_policy.max_rounds,
             )
         self._started_at = self.sim.now
-        self._launch(snapshots=None, logs=None, first=True)
+        self._launch()
 
-    def _launch(self, snapshots, logs, first: bool,
-                restored_wave: Optional[int] = None,
+    def _announce_world(self) -> None:
+        """World size for monitors keying coverage on ``n_ranks`` (at start,
+        and again when a shrink re-dimensions the stream)."""
+        if self.sim.trace.wants("runtime.validated"):
+            self.sim.trace.record(
+                self.sim.now, "runtime.validated",
+                n_ranks=len(self.endpoints),
+                launcher=type(self.launcher).__name__,
+                **self.launcher.fd_budget(),
+            )
+
+    def _launch(self, snapshots=None, logs=None, restored_wave: int = 0,
                 inherited_links=None,
                 start_delays: Optional[Sequence[float]] = None,
                 seed_state: Optional[Dict] = None) -> None:
-        self._incarnation += 1
+        self.incarnation += 1
         job = MPIJob(
             self.sim, self.net, self.endpoints, self.app_factory,
-            self.channel_cls, name=f"{self.name}#{self._incarnation}",
+            self.channel_cls, name=f"{self.name}#{self.incarnation}",
             image_bytes=self.image_bytes,
             inherited_links=inherited_links,
         )
@@ -243,12 +216,12 @@ class FTRun:
             # channel FIFO order.
             trace = self.sim.trace
             live = trace.wants("ft.replayed")
-            wave = restored_wave if restored_wave is not None else self.committed_wave()
             for rank, packets in logs.items():
                 for packet in packets:
                     if live:
                         trace.record(self.sim.now, "ft.replayed", rank=rank,
-                                     src=packet.src, seq=packet.seq, wave=wave)
+                                     src=packet.src, seq=packet.seq,
+                                     wave=restored_wave)
                     job.channels[rank].matching.deliver(packet)
 
     def _on_job_completed(self, event) -> None:
@@ -265,25 +238,37 @@ class FTRun:
         return max(server.committed_wave for server in self.servers)
 
     # --------------------------------------------------------------- failure
+    def _schedule_fault(self, what: str, at: float, callback, *args) -> None:
+        delay = at - self.sim.now
+        if delay < 0:
+            raise ValueError(
+                f"{self.name}: cannot schedule {what} at t={at:g}, "
+                f"the simulation is already at t={self.sim.now:g}")
+        self.sim.call_at(delay, callback, *args)
+
     def schedule_task_kill(self, rank: int, at: float) -> None:
         """Kill ``rank``'s task of whatever incarnation is live at ``at``."""
-        self.sim.call_at(at - self.sim.now, self._kill_now, rank, "task")
+        self._schedule_fault(f"task kill of rank {rank}", at,
+                             self._kill_now, rank, "task")
 
     def schedule_node_kill(self, rank: int, at: float) -> None:
-        self.sim.call_at(at - self.sim.now, self._kill_now, rank, "node")
+        self._schedule_fault(f"node kill of rank {rank}", at,
+                             self._kill_now, rank, "node")
 
     def schedule_server_kill(self, index: int, at: float) -> None:
         """Kill checkpoint server ``index`` (machine and all its replicas)
         at simulated time ``at``."""
-        self.sim.call_at(at - self.sim.now, self._server_kill_now, index)
+        self._schedule_fault(f"server kill of server {index}", at,
+                             self._server_kill_now, index)
 
     def schedule_image_corrupt(self, server_index: int, rank: int, at: float,
                                wave: Optional[int] = None) -> None:
         """Silently corrupt ``rank``'s stored image on server
         ``server_index`` at time ``at`` (newest committed wave by
         default)."""
-        self.sim.call_at(at - self.sim.now, self._corrupt_now,
-                         server_index, rank, wave)
+        self._schedule_fault(
+            f"image corruption of rank {rank} on server {server_index}", at,
+            self._corrupt_now, server_index, rank, wave)
 
     def _kill_now(self, rank: int, kind: str) -> None:
         if self.job is None or self.completed.triggered:
@@ -371,18 +356,13 @@ class FTRun:
         self._handling_failure = True
         self.stats.failures += 1
         self.sim.trace.record(self.sim.now, "ft.failure_detected",
-                              incarnation=self._incarnation)
-        if self.recovery_policy == "restart":
-            self.sim.process(self._recover(), name=f"{self.name}:recover")
-            return
-        self._membership = MembershipTracker(
-            self.sim, self.job, self._detect_latency(),
-            ballot_start=self._next_ballot,
-            max_ballots=self.membership_ballots,
-            suspicion_window=self.suspicion_window,
-        )
-        self._membership.observe(rank, peer)
-        self.sim.process(self._recover_survivor(), name=f"{self.name}:recover")
+                              incarnation=self.incarnation)
+        if self._POLICIES[self.recovery_policy][0] is not None:
+            self._membership = MembershipTracker(
+                self.sim, self.job, self._detect_latency(),
+                ballot_start=self._next_ballot)
+            self._membership.observe(rank, peer)
+        self.sim.process(self._recover(), name=f"{self.name}:recover")
 
     def _detect_latency(self) -> float:
         """Fabric latency used to time suspicion windows and ballots."""
@@ -391,148 +371,79 @@ class FTRun:
         return latency if latency is not None else 1e-4
 
     def _recover(self):
-        recovery_start = self.sim.now
-        if self.protocol is not None:
-            self.protocol.detach()
-        job = self.job
-        job.kill()
-
-        if self.stats.restarts >= self.max_restarts:
-            raise RuntimeError(f"{self.name}: exceeded {self.max_restarts} restarts")
-
-        committed = self.committed_wave()
-        yield self.sim.timeout(self.launcher.respawn_lead_time())
-        self._replace_dead_nodes()
-
-        snapshots, logs, restored_wave = \
-            yield from self._restore_images(committed)
-        if any(not ep.node.alive for ep in self.endpoints):
-            # a second kill landed while images were streaming back —
-            # re-place before relaunching onto a dead machine
-            self._replace_dead_nodes()
-        self.stats.restarts += 1
-        self.stats.recovery_seconds += self.sim.now - recovery_start
-        self.sim.trace.record(self.sim.now, "ft.restarted", wave=restored_wave,
-                              incarnation=self._incarnation)
-        if self.sim.metrics is not None:
-            self.sim.metrics.observe("ft.recovery_seconds",
-                                     self.sim.now - recovery_start,
-                                     wave=restored_wave)
-        self._launch(snapshots=snapshots, logs=logs, first=False,
-                     restored_wave=restored_wave)
-
-    def _restore_images(self, committed: int, via_map=None):
-        """Generator: load the newest fully-restorable committed wave.
-
-        Returns ``(snapshots, logs, restored_wave)`` — all None/0 when
-        nothing was ever committed.  Raises
-        :class:`StorageUnrecoverableError` when every candidate wave is
-        damaged beyond reconstruction.  ``via_map`` substitutes fetch
-        endpoints per rank (shrink: a survivor streams a dead rank's image).
-        """
-        snapshots: Optional[List] = None
-        logs: Optional[Dict[int, list]] = None
-        restored_wave = 0
-        if committed > 0:
-            images: Optional[List[CheckpointImage]] = None
-            for candidate in self._restorable_candidates(committed):
-                images = yield from self._fetch_wave(candidate, via_map=via_map)
-                if images is not None:
-                    restored_wave = candidate
-                    break
-                # Wave ``candidate`` is damaged beyond reconstruction —
-                # fall back to the next-newest retained commit.
-                self.stats.wave_fallbacks += 1
-                self.sim.trace.record(self.sim.now, "ft.wave_fallback",
-                                      wave=candidate,
-                                      incarnation=self._incarnation)
-            if images is None:
-                self.sim.trace.record(self.sim.now, "ft.storage_unrecoverable",
-                                      committed=committed,
-                                      incarnation=self._incarnation)
-                raise StorageUnrecoverableError(
-                    f"{self.name}: no complete replica set of any committed "
-                    f"wave <= {committed} survives")
-            snapshots = [image.snapshot for image in images]
-            logs = {
-                rank: image.logged_messages
-                for rank, image in enumerate(images)
-                if image.logged_messages
-            }
-        return snapshots, logs, restored_wave
-
-    # ------------------------------------------------- survivor-based recovery
-    def _recover_survivor(self):
-        """ULFM-style recovery: agree on the failed set, then apply the
-        spare/shrink policy; degrade to a full restart when the policy
-        cannot proceed (never hang)."""
+        """The recovery pipeline.  ``restart`` kills everything and goes
+        straight to the paper's full restart; a survivor policy first agrees
+        on the failed set (ULFM-style), then runs its place step, and
+        degrades to the same full restart when the step cannot proceed
+        (never hang)."""
         policy = self.recovery_policy
+        step, keeps_links = self._POLICIES[policy]
         started_at = self.sim.now
         marks: Dict[str, float] = {}
         if self.protocol is not None:
             self.protocol.detach()
-        job = self.job
-
         if self.stats.restarts >= self.max_restarts:
             raise RuntimeError(f"{self.name}: exceeded {self.max_restarts} restarts")
+        job = self.job
 
-        tracker = self._membership
-        failed, survivors, ballot = yield from tracker.agree()
-        self._membership = None
-        self._next_ballot = ballot + 1
-        marks["detect"] = tracker.window_closed_at
-        marks["agree"] = self.sim.now
-        committed = self.committed_wave()
-        self.sim.trace.record(
-            self.sim.now, "ft.recovery_begin", policy=policy, ballot=ballot,
-            failed=failed, n_ranks=len(self.endpoints), committed=committed,
-            incarnation=self._incarnation)
-
-        # Survivor sockets outlive the dying incarnation: detach them before
-        # the kill breaks everything, then drop whatever the dead epoch left
-        # on the wire.  (Shrink renumbers the ranks, which invalidates the
-        # cached pair addressing — it reconnects lazily instead.)
-        inherited = job.harvest_links(survivors) if policy == "spare" else {}
-        job.kill()
-        for end_lo, _end_hi in inherited.values():
-            end_lo.connection.flush()
-
-        if policy == "shrink":
-            reason = yield from self._shrink_restart(
-                failed, survivors, committed, marks, started_at)
+        if step is None:
+            job.kill()
+            committed = self.committed_wave()
         else:
-            reason = yield from self._spare_restart(
-                failed, committed, inherited, marks, started_at)
-        if reason is None:
-            return
+            tracker = self._membership
+            failed, survivors, ballot = yield from tracker.agree()
+            self._membership = None
+            self._next_ballot = ballot + 1
+            marks["detect"] = tracker.window_closed_at
+            marks["agree"] = self.sim.now
+            committed = self.committed_wave()
+            self.sim.trace.record(
+                self.sim.now, "ft.recovery_begin", policy=policy, ballot=ballot,
+                failed=failed, n_ranks=len(self.endpoints), committed=committed,
+                incarnation=self.incarnation)
 
-        # ---- graceful degradation: fall back to the paper's full restart
-        self.stats.policy_degradations += 1
-        self.sim.trace.record(self.sim.now, "ft.recovery_degraded",
-                              policy=policy, reason=reason,
-                              incarnation=self._incarnation)
-        for end_lo, _end_hi in inherited.values():
-            end_lo.connection.break_()
+            # Survivor sockets can outlive the dying incarnation: detach them
+            # before the kill breaks everything, then drop whatever the dead
+            # epoch left on the wire.
+            inherited = job.harvest_links(survivors) if keeps_links else {}
+            job.kill()
+            for end_lo, _end_hi in inherited.values():
+                end_lo.connection.flush()
+
+            reason = yield from step(self, failed, survivors, committed,
+                                     inherited, marks, started_at)
+            if reason is None:
+                return
+            self.stats.policy_degradations += 1
+            self.sim.trace.record(self.sim.now, "ft.recovery_degraded",
+                                  policy=policy, reason=reason,
+                                  incarnation=self.incarnation)
+            for end_lo, _end_hi in inherited.values():
+                end_lo.connection.break_()
+
+        # ---- the paper's full restart: the ``restart`` policy, and what
+        # every survivor policy degrades to
         yield self.sim.timeout(self.launcher.respawn_lead_time())
-        for endpoint in self.endpoints:
-            if not endpoint.node.alive:
-                endpoint.node.restore()  # reboot in place; images are gone
+        self._replace_dead_nodes()
         marks["promote"] = self.sim.now
         snapshots, logs, restored_wave = \
-            yield from self._restore_images(committed)
-        for endpoint in self.endpoints:
-            if not endpoint.node.alive:
-                endpoint.node.restore()  # casualty during the restore itself
-        self._finish_recovery(policy, restored_wave, snapshots, logs,
-                              marks, started_at)
+            yield from self.restorer.restore(committed)
+        # a second kill may have landed while images were streaming back —
+        # re-place before relaunching onto a dead machine
+        self._replace_dead_nodes()
+        self._finish_recovery(restored_wave, snapshots, logs, marks, started_at)
 
-    def _spare_restart(self, failed, committed, inherited, marks, started_at):
+    # ------------------------------------------------- survivor place steps
+    # Contract: a generator that either relaunches through _finish_recovery
+    # and returns None, or returns a degradation reason, relaunching nothing.
+
+    def _spare_restart(self, failed, survivors, committed, inherited, marks,
+                       started_at):
         """Generator: promote spares for dead machines, restore, relaunch.
 
-        Returns None on success, or a degradation reason.  Loops when a
-        cascading kill lands while images are streaming back — every loop
-        re-promotes for the new casualties, bounded so exhaustion or
-        relentless kills degrade instead of spinning.
+        Loops when a cascading kill lands while images are streaming back —
+        every loop re-promotes for the new casualties, bounded so exhaustion
+        or relentless kills degrade instead of spinning.
         """
         promoted: List[int] = []
         for _attempt in range(3):
@@ -543,7 +454,7 @@ class FTRun:
             marks["promote"] = self.sim.now
             try:
                 snapshots, logs, restored_wave = \
-                    yield from self._restore_images(committed)
+                    yield from self.restorer.restore(committed)
             except StorageUnrecoverableError:
                 if any(not ep.node.alive for ep in self.endpoints):
                     continue  # the fetcher died, not the storage: re-place
@@ -566,8 +477,8 @@ class FTRun:
                 for position, rank in enumerate(sorted(failed)):
                     if rank < len(delays):
                         delays[rank] = spawn[position]
-            self._finish_recovery("spare", restored_wave, snapshots, logs,
-                                  marks, started_at, delays=delays,
+            self._finish_recovery(restored_wave, snapshots, logs,
+                                  marks, started_at, start_delays=delays,
                                   inherited_links=links)
             return None
         return "cascading-failures"
@@ -592,14 +503,16 @@ class FTRun:
             self.stats.spares_promoted += 1
             self.sim.trace.record(self.sim.now, "ft.promoted", rank=index,
                                   node=node.name,
-                                  incarnation=self._incarnation)
+                                  incarnation=self.incarnation)
             promoted.append(index)
         return promoted, False
 
-    def _shrink_restart(self, failed, survivors, committed, marks, started_at):
+    def _shrink_restart(self, failed, survivors, committed, inherited, marks,
+                        started_at):
         """Generator: renumber the survivors and re-decompose the app.
 
-        Returns None on success, or a degradation reason.  The survivors
+        Renumbering invalidates the cached pair addressing, so shrink keeps
+        no survivor sockets — the new job reconnects lazily.  The survivors
         restart the (malleable) application over the shrunken communicator
         from the last iteration boundary every committed image had reached.
         """
@@ -617,7 +530,7 @@ class FTRun:
                    for i, rank in enumerate(dead_ranks)}
         try:
             snapshots, _logs, restored_wave = \
-                yield from self._restore_images(committed, via_map=via_map)
+                yield from self.restorer.restore(committed, via_map=via_map)
         except StorageUnrecoverableError:
             if any(not self.endpoints[r].node.alive for r in live):
                 return "casualty-during-restore"  # fetcher died, not storage
@@ -642,66 +555,43 @@ class FTRun:
         self.stats.shrinks += 1
         self.sim.trace.record(self.sim.now, "ft.shrunk", size=new_size,
                               dropped=dropped, resume_iteration=resume,
-                              incarnation=self._incarnation)
-        if self.sim.trace.wants("runtime.validated"):
-            # the rank count changed: re-announce the world size so monitors
-            # keying coverage on n_ranks treat the stream as re-dimensioned
-            self.sim.trace.record(self.sim.now, "runtime.validated",
-                                  n_ranks=new_size,
-                                  launcher=type(self.launcher).__name__,
-                                  **self.launcher.fd_budget())
-        self._finish_recovery("shrink", restored_wave, None, None,
-                              marks, started_at, delays=[0.0] * new_size,
+                              incarnation=self.incarnation)
+        self._announce_world()
+        self._finish_recovery(restored_wave, None, None,
+                              marks, started_at, start_delays=[0.0] * new_size,
                               seed_state={"resume_iteration": resume})
         return None
 
-    def _finish_recovery(self, policy, restored_wave, snapshots, logs,
-                         marks, started_at, delays=None, inherited_links=None,
-                         seed_state=None) -> None:
+    #: recovery policy -> (place step, whether survivors keep their sockets
+    #: across the relaunch).  ``restart`` kills everything, so it has no
+    #: agreement round and no step: it is the tail of :meth:`_recover`.  The
+    #: keys are the single source of the valid policy names.
+    _POLICIES = {
+        "restart": (None, False),
+        "spare": (_spare_restart, True),
+        "shrink": (_shrink_restart, False),
+    }
+
+    def _finish_recovery(self, restored_wave, snapshots, logs, marks,
+                         started_at, **relaunch) -> None:
+        """Account the recovery, then ``_launch(..., **relaunch)``."""
         now = self.sim.now
         self.stats.restarts += 1
         self.stats.recovery_seconds += now - started_at
         self.sim.trace.record(now, "ft.restarted", wave=restored_wave,
-                              incarnation=self._incarnation)
+                              incarnation=self.incarnation)
+        # the paper's restart has no survivor phases: its series stays
+        # unlabelled and it emits no ft.recovery_phase (pinned by the goldens)
+        policy = self.recovery_policy
+        survivor_policy = self._POLICIES[policy][0] is not None
         if self.sim.metrics is not None:
+            labels = {"policy": policy} if survivor_policy else {}
             self.sim.metrics.observe("ft.recovery_seconds", now - started_at,
-                                     wave=restored_wave, policy=policy)
-        self._emit_recovery_phases(policy, marks, started_at)
-        self._launch(snapshots=snapshots, logs=logs, first=False,
-                     restored_wave=restored_wave,
-                     inherited_links=inherited_links, start_delays=delays,
-                     seed_state=seed_state)
-
-    def _emit_recovery_phases(self, policy: str, marks: Dict[str, float],
-                              started_at: float) -> None:
-        """Emit the detect/agree/promote/restore spans tiling this recovery.
-
-        Mirrors the wave-phase emission: marks are clamped monotone so the
-        spans always tile ``[started_at, now]`` exactly, whatever order the
-        recovery actually visited them in (degraded paths may skip phases —
-        those come out zero-length, not missing).
-        """
-        trace = self.sim.trace
-        metrics = self.sim.metrics
-        wants = trace.wants("ft.recovery_phase")
-        if not wants and metrics is None:
-            return
-        end = self.sim.now
-        prev = started_at
-        spans = []
-        for phase in ("detect", "agree", "promote"):
-            at = min(max(marks.get(phase, prev), prev), end)
-            spans.append((phase, prev, at))
-            prev = at
-        spans.append(("restore", prev, end))
-        for phase, start, stop in spans:
-            if wants:
-                trace.record(end, "ft.recovery_phase", policy=policy,
-                             phase=phase, start=start, end=stop,
-                             duration=stop - start)
-            if metrics is not None:
-                metrics.observe("ft.recovery_phase_seconds", stop - start,
-                                policy=policy, phase=phase)
+                                     wave=restored_wave, **labels)
+        if survivor_policy:
+            emit_phase_spans(self.sim, "ft.recovery_phase", _RECOVERY_PHASES,
+                             marks, started_at, {"policy": policy})
+        self._launch(snapshots, logs, restored_wave=restored_wave, **relaunch)
 
     def _replace_dead_nodes(self) -> None:
         """Spare-node policy: move endpoints off dead machines."""
@@ -722,124 +612,6 @@ class FTRun:
                 raise RuntimeError("no spare nodes available for restart")
             self.endpoints[index] = Endpoint(spares.pop(0), 0)
 
-    def _restorable_candidates(self, committed: int) -> List[int]:
-        """Committed waves worth a restore attempt, newest first.
 
-        The newest commit is always tried; older retained commits (servers
-        with ``gc_keep > 1`` keep them) and waves still present as local
-        images are the fallbacks when the newest one is damaged.
-        """
-        candidates = {committed}
-        for server in self.servers:
-            if not server.node.alive:
-                continue
-            for wave in server.committed_waves:
-                if 0 < wave <= committed and wave in server.storage:
-                    candidates.add(wave)
-        for wave in self.local_images.waves():
-            if 0 < wave <= committed:
-                candidates.add(wave)
-        return sorted(candidates, reverse=True)
-
-    def _fetch_wave(self, wave: int, via_map=None):
-        """Generator: fetch every rank's image of ``wave``, concurrently.
-
-        All-or-nothing: returns the image list, or None when any rank's
-        image could not be recovered from any replica (the wave is not
-        fully restorable and a consistent rollback to it is impossible).
-        """
-        via_map = via_map or {}
-        fetchers = [
-            self.sim.process(self._fetch_image(rank, wave,
-                                               via=via_map.get(rank)),
-                             name=f"{self.name}:fetch:r{rank}")
-            for rank in range(len(self.endpoints))
-        ]
-        images = []
-        for fetcher in fetchers:
-            image = yield fetcher
-            images.append(image)
-        if any(image is None for image in images):
-            return None
-        return images
-
-    def _note_fetch_failure(self, rank: int, wave: int, index: int,
-                            reason: str) -> None:
-        self.stats.fetch_retries += 1
-        if self.sim.trace.wants("ft.fetch_failed"):
-            self.sim.trace.record(self.sim.now, "ft.fetch_failed", rank=rank,
-                                  wave=wave, replica=index, reason=reason)
-        if self.sim.metrics is not None:
-            self.sim.metrics.count("ft.fetch_failures", 1.0,
-                                   rank=rank, reason=reason)
-
-    def _fetch_image(self, rank: int, wave: int, via=None):
-        """Generator: load ``rank``'s image of ``wave``, or None.
-
-        Local disk first (same-machine restart); otherwise sweep the rank's
-        replicas in assignment order, verifying the checksum of whatever
-        comes back, with deterministic exponential backoff + jitter between
-        sweeps (:class:`FetchPolicy`).  Returns None once every sweep is
-        exhausted or every replica is dead.  ``via`` fetches through another
-        machine's endpoint (shrink: a survivor pulls a dead rank's image).
-        """
-        endpoint = self.endpoints[rank] if via is None else via
-        image = self.local_images.get(endpoint.node.name, rank, wave)
-        if image is not None:
-            yield endpoint.node.disk.read(image.nbytes)
-            self.sim.trace.count("ft.restore_local")
-            return image
-        replicas = self.replica_map.get(rank) or [self.server_map[rank]]
-        policy = self.fetch_policy
-        rng = None
-        for round_no in range(policy.max_rounds):
-            for index, server in enumerate(replicas):
-                if not server.node.alive:
-                    continue
-                try:
-                    connection = self.net.connect(endpoint, server.endpoint)
-                except ConnectionError:
-                    # the *fetching* side's machine is gone — a cascading
-                    # kill landed mid-recovery; the caller re-places and
-                    # retries instead of crashing the recovery process
-                    self._note_fetch_failure(rank, wave, index, "connection")
-                    continue
-                server.serve_connection(connection.end_b)
-                end = connection.end_a
-                end.send(("fetch", rank, wave), nbytes=_CONTROL_BYTES)
-                try:
-                    message = yield end.recv()
-                except ConnectionError:
-                    # replica died mid-fetch
-                    self._note_fetch_failure(rank, wave, index, "connection")
-                    continue
-                connection.break_()
-                _kind, image, status = message
-                if image is not None and image.verify():
-                    self.sim.trace.count("ft.restore_remote")
-                    if self.sim.trace.wants("ft.fetch_ok"):
-                        self.sim.trace.record(
-                            self.sim.now, "ft.fetch_ok", rank=rank, wave=wave,
-                            server=server.name, checksum=image.checksum)
-                    return image
-                self._note_fetch_failure(
-                    rank, wave, index, status if image is None else "corrupt")
-            if not any(server.node.alive for server in replicas):
-                break  # nobody left to answer; backing off cannot help
-            if round_no + 1 < policy.max_rounds:
-                if rng is None:
-                    rng = self.sim.rng.stream(f"{self.name}.fetch.r{rank}")
-                delay = (policy.backoff_base
-                         * policy.backoff_factor ** round_no
-                         * (1.0 + policy.jitter * float(rng.random())))
-                if self.sim.trace.wants("ft.fetch_backoff"):
-                    self.sim.trace.record(self.sim.now, "ft.fetch_backoff",
-                                          rank=rank, wave=wave, round=round_no,
-                                          delay=delay)
-                if self.sim.metrics is not None:
-                    self.sim.metrics.count("ft.fetch_backoff_rounds", 1.0,
-                                           rank=rank)
-                    self.sim.metrics.count("ft.fetch_backoff_seconds", delay,
-                                           rank=rank)
-                yield self.sim.timeout(delay)
-        return None
+#: valid ``recovery_policy`` names, for specs and CLIs
+RECOVERY_POLICIES = tuple(FTRun._POLICIES)

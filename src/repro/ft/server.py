@@ -37,14 +37,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.ft.image import CheckpointImage
+from repro.ft.image import CONTROL_BYTES, CheckpointImage
 from repro.net.topology import BaseNetwork, Endpoint
 from repro.sim.process import Interrupt
 
 __all__ = ["CheckpointServer", "assign_servers", "assign_replicas"]
-
-#: wire size of small control records on the server connection
-_CONTROL_BYTES = 64.0
 
 
 class CheckpointServer:
@@ -115,7 +112,7 @@ class CheckpointServer:
                     self._origin.pop((wave, rank), None)
                 else:
                     self._origin[(wave, rank)] = end
-                end.send(("ack", "image", rank, wave), nbytes=_CONTROL_BYTES)
+                end.send(("ack", "image", rank, wave), nbytes=CONTROL_BYTES)
             elif kind == "log":
                 _kind, rank, wave, packets, nbytes = message
                 image = self.storage.get(wave, {}).get(rank)
@@ -126,7 +123,7 @@ class CheckpointServer:
                     self._origin.pop((wave, rank), None)
                 self.bytes_received += nbytes
                 self._track_peak()
-                end.send(("ack", "log", rank, wave), nbytes=_CONTROL_BYTES)
+                end.send(("ack", "log", rank, wave), nbytes=CONTROL_BYTES)
             elif kind == "fetch":
                 _kind, rank, wave = message
                 image = self.storage.get(wave, {}).get(rank)
@@ -139,7 +136,7 @@ class CheckpointServer:
                 else:
                     payload, status = image, "ok"
                 end.send(("image_data", payload, status),
-                         nbytes=payload.nbytes if payload else _CONTROL_BYTES)
+                         nbytes=payload.nbytes if payload else CONTROL_BYTES)
             elif kind == "commit":
                 _kind, wave = message
                 self.commit(wave)

@@ -25,28 +25,24 @@ linear.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from repro.ft.image import CheckpointImage
 from repro.ft.protocol import BaseEndpoint, BaseProtocol, SCHEDULER_ID
 from repro.mpi.channels.ch_v import ChVChannel
 from repro.mpi.message import (
     AppPacket,
-    ControlPacket,
     MarkerPacket,
     MARKER_BYTES,
-    Packet,
 )
 from repro.net.topology import Endpoint
-from repro.sim.process import Interrupt
 
 __all__ = ["VclProtocol", "VclEndpoint"]
 
-_ACK_BYTES = 64.0
-
 
 class VclEndpoint(BaseEndpoint):
-    """Rank-side state machine of the non-blocking protocol."""
+    """Rank-side quiesce strategy of the non-blocking protocol: fork at
+    once, log every channel until its marker arrives."""
 
     #: the image message does not complete a Vcl upload — the channel-state
     #: log may still follow, so the server seals the record at log attach
@@ -55,7 +51,6 @@ class VclEndpoint(BaseEndpoint):
 
     def __init__(self, protocol: "VclProtocol", rank: int) -> None:
         super().__init__(protocol, rank)
-        self.wave = 0
         self._logging_from: Set[int] = set()
         self._log: List[AppPacket] = []
         self._log_bytes = 0.0
@@ -63,18 +58,16 @@ class VclEndpoint(BaseEndpoint):
         self._acked = False
 
     # ------------------------------------------------------------ wave entry
-    def start_wave(self, wave: int) -> None:
+    def enter_wave(self, wave: int) -> None:
         if wave <= self.wave:
             return
         self.wave = wave
         # 1. local checkpoint, immediately and atomically; the fork pause is
         # the protocol's only interruption of the computation
-        snapshot = self.context.take_snapshot(wave)
-        self.context.add_stall(self.protocol.fork_latency)
-        self.sim.trace.record(
-            self.sim.now, "ft.local_checkpoint", rank=self.rank,
-            wave=wave, protocol="vcl",
-        )
+        self._checkpoint()
+
+    def _after_fork(self) -> None:
+        wave = self.wave
         self.protocol.note_phase("enter", wave)
         # 2. open the logging window for every peer channel
         self._logging_from = {r for r in range(self.job.size) if r != self.rank}
@@ -89,54 +82,31 @@ class VclEndpoint(BaseEndpoint):
             )
         # 3. markers to everyone; image transfer in the background
         if self._logging_from:
-            self._spawn(self._send_markers(sorted(self._logging_from), wave),
-                        f"vcl:markers:r{self.rank}")
-        self._spawn(self._store(snapshot), f"vcl:store:r{self.rank}")
+            self._fan_out(sorted(self._logging_from), MarkerPacket, wave)
 
-    def _send_markers(self, others, wave: int):
-        for dst in others:
-            try:
-                yield from self.channel.send_control(
-                    dst, MarkerPacket(self.rank, wave), MARKER_BYTES
-                )
-            except ConnectionError:
-                return
-            self.protocol.stats.markers_sent += 1
-
-    def _store(self, snapshot):
-        image = CheckpointImage(self.rank, snapshot.wave, snapshot.image_bytes, snapshot)
-        try:
-            yield from self._store_image(image)
-        except ConnectionError:
-            return
+    def _after_store(self, image: CheckpointImage):
+        # the image alone does not finish a Vcl wave: the channel-state log
+        # ships (and reports the rank) once every peer's marker is in too
         self._image_stored = True
         self._image = image
         self._check_local_done()
+        return ()
 
     # ---------------------------------------------------------------- events
-    def on_control(self, packet: Packet) -> None:
-        if isinstance(packet, MarkerPacket):
-            self.start_wave(packet.wave)
-            if packet.wave != self.wave:
-                return
-            if self.sim.trace.wants("ft.marker_recv"):
-                self.sim.trace.record(
-                    self.sim.now, "ft.marker_recv", rank=self.rank,
-                    src=packet.src, wave=packet.wave, protocol="vcl",
-                )
-            if packet.src != SCHEDULER_ID and packet.src in self._logging_from:
-                self._logging_from.discard(packet.src)
-                if not self._logging_from:
-                    # every peer's marker has arrived: the Chandy–Lamport
-                    # cut is complete for this rank
-                    self.protocol.note_phase("flushed", self.wave)
-                    if self.sim.trace.wants("ft.logging_closed"):
-                        self.sim.trace.record(
-                            self.sim.now, "ft.logging_closed",
-                            rank=self.rank, wave=self.wave,
-                            messages=len(self._log), nbytes=self._log_bytes,
-                        )
-                self._check_local_done()
+    def on_marker(self, src: int) -> None:
+        if src in self._logging_from:  # never the scheduler's pseudo-rank
+            self._logging_from.discard(src)
+            if not self._logging_from:
+                # every peer's marker has arrived: the Chandy–Lamport
+                # cut is complete for this rank
+                self.protocol.note_phase("flushed", self.wave)
+                if self.sim.trace.wants("ft.logging_closed"):
+                    self.sim.trace.record(
+                        self.sim.now, "ft.logging_closed",
+                        rank=self.rank, wave=self.wave,
+                        messages=len(self._log), nbytes=self._log_bytes,
+                    )
+            self._check_local_done()
 
     def on_app_packet(self, packet: AppPacket) -> None:
         """Chandy–Lamport channel-state recording (the daemon's copy)."""
@@ -215,12 +185,14 @@ class VclEndpoint(BaseEndpoint):
         else:
             # No channel state this wave: nothing more will arrive, so the
             # stored replicas are complete — seal them in place (in-process,
-            # like the on_rank_ack notification below).
+            # like the on_rank_done notification below).
             for index in sorted(self._acked_replicas.get(wave, ())):
                 server = self.replicas[index]
                 if server.node.alive:
                     server.seal_record(wave, self.rank)
-        self.protocol.on_rank_ack(self.rank, wave)
+        # reported in-process: the ack message cost is modelled by the
+        # log/image acks that precede it
+        self.protocol.on_rank_done(self.rank, wave)
 
 
 class VclScheduler:
@@ -252,19 +224,22 @@ class VclScheduler:
                 end.send(MarkerPacket(SCHEDULER_ID, wave), nbytes=MARKER_BYTES)
 
     def _listen(self, rank: int, end: "ConnectionEnd"):
+        """Hold the scheduler's end of the link until it breaks (ranks
+        report their wave in-process, so nothing is expected back)."""
         while True:
             try:
-                message = yield end.recv()
+                yield end.recv()
             except ConnectionError:
                 return
-            if isinstance(message, ControlPacket) and message.kind == "vcl_ack":
-                self.protocol.on_rank_ack(message.src, message.payload)
 
 
 class VclProtocol(BaseProtocol):
     """Non-blocking coordinated checkpointing inside MPICH-1 (MPICH-Vcl)."""
 
     protocol_name = "vcl"
+    endpoint_cls = VclEndpoint
+    default_launcher = "dispatcher"
+    needs_scheduler = True
 
     #: test-only knob for repro.verify: setting this False disables the
     #: daemon's channel-state logging, which the vcl-logging monitor must
@@ -276,43 +251,9 @@ class VclProtocol(BaseProtocol):
         if scheduler_node is None:
             raise ValueError("VclProtocol needs a scheduler_node")
         self.scheduler = VclScheduler(self, scheduler_node)
-        # wave-in-progress bookkeeping (_current_wave, _wave_committed)
-        # lives in BaseProtocol so detach() can record aborted waves
-        self._acks_from: Set[int] = set()
 
-    def install(self) -> None:
-        self.endpoints = [VclEndpoint(self, rank) for rank in range(self.job.size)]
-        for rank, endpoint in enumerate(self.endpoints):
-            self.job.channels[rank].protocol = endpoint
+    def _connect_initiator(self) -> None:
         self.scheduler.connect_all()
-        self._driver = self.sim.process(self._drive(), name="vcl:scheduler")
 
-    def _drive(self):
-        wave = self.start_wave
-        while True:
-            try:
-                yield self._arm_timer()
-            except Interrupt:
-                return
-            if self.job.completed.triggered or self.job.killed:
-                return
-            committed = self._begin_wave(wave)
-            self._acks_from = set()
-            self.scheduler.broadcast_markers(wave)
-            try:
-                yield committed
-            except Interrupt:
-                return
-            wave += 1
-
-    def on_rank_ack(self, rank: int, wave: int) -> None:
-        """Endpoint-local wave done.  Rank endpoints report in-process (the
-        ack message cost is modelled by the log/image acks that precede it)."""
-        if wave != self._current_wave or self.detached:
-            return
-        self._acks_from.add(rank)
-        if len(self._acks_from) == self.job.size:
-            self._commit_servers(wave)
-            self._record_wave(wave, self._wave_started_at)
-            if self._wave_committed is not None and not self._wave_committed.triggered:
-                self._wave_committed.succeed()
+    def _open_wave(self, wave: int) -> None:
+        self.scheduler.broadcast_markers(wave)

@@ -15,6 +15,7 @@ import os
 import sys
 import time
 
+from repro.ft import RECOVERY_POLICIES
 from repro.harness.config import PROFILES, get_profile
 from repro.harness.figures import EXPERIMENT_IDS, get_experiment
 from repro.harness.report import render, save_json
@@ -45,7 +46,7 @@ def main(argv=None) -> int:
                              "sequential); results are identical either "
                              "way")
     parser.add_argument("--policy", default=None,
-                        choices=("restart", "spare", "shrink"),
+                        choices=RECOVERY_POLICIES,
                         help="restrict the 'recovery' figure to one "
                              "recovery policy series (other figures are "
                              "unaffected; see docs/RECOVERY.md)")

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Tuple
 
+from repro.ft import RECOVERY_POLICIES
+
 __all__ = ["Profile", "PROFILES", "get_profile"]
 
 
@@ -63,7 +65,7 @@ class Profile:
     # seconds and scaled by the figure so it always lands after a few
     # committed waves)
     recovery_procs: int = 8
-    recovery_policies: Tuple[str, ...] = ("restart", "spare", "shrink")
+    recovery_policies: Tuple[str, ...] = RECOVERY_POLICIES
     recovery_failures: Tuple[int, ...] = (1, 2, 4)
     recovery_period: float = 30.0
     recovery_spares: int = 4

@@ -96,11 +96,14 @@ class BaseChannel:
             self._send_gates[dst] = gate
         return gate
 
-    def close_send_gates(self, dsts) -> None:
+    def freeze_sends(self, dsts) -> None:
+        """Stop committing application sends to ``dsts`` (control packets
+        still pass) until :meth:`resume_sends`.  How is the device's
+        business: per-destination gates here, the stopper on Nemesis."""
         for dst in dsts:
             self.send_gate(dst).close()
 
-    def open_send_gates(self) -> None:
+    def resume_sends(self) -> None:
         for gate in self._send_gates.values():
             gate.open()
 

@@ -44,3 +44,10 @@ class NemesisChannel(BaseChannel):
     def dequeue_stopper(self) -> None:
         """Discard the stopper; queued sends resume."""
         self.global_send_gate.open()
+
+    def freeze_sends(self, dsts) -> None:
+        """One send queue: the stopper freezes every destination at once."""
+        self.enqueue_stopper()
+
+    def resume_sends(self) -> None:
+        self.dequeue_stopper()

@@ -86,6 +86,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
+    from repro.ft import PROTOCOLS
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
         description="Record, export and validate simulation timelines.",
@@ -97,7 +99,7 @@ def main(argv=None) -> int:
     record.add_argument("--bench", default="bt", help="benchmark (default: bt)")
     record.add_argument("--klass", default="B", help="NAS class (default: B)")
     record.add_argument("--protocol", default="pcl",
-                        choices=("pcl", "vcl", "dcl", "none"),
+                        choices=(*PROTOCOLS, "none"),
                         help="checkpoint protocol (default: pcl)")
     record.add_argument("-n", "--n-procs", type=int, default=9,
                         help="process count (BT needs a perfect square)")

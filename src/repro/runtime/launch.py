@@ -18,12 +18,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.ft import (
     CheckpointServer,
-    DclProtocol,
     FetchPolicy,
     FTRun,
     InstantLauncher,
-    PclProtocol,
-    VclProtocol,
+    PROTOCOLS,
+    RECOVERY_POLICIES,
+    protocol_factory,
 )
 from repro.ft.image import FORK_LATENCY
 from repro.mpi.channels import ChVChannel, FtSockChannel, NemesisChannel
@@ -54,7 +54,7 @@ class DeploymentSpec:
     """Everything needed to deploy one fault-tolerant MPI run."""
 
     n_procs: int
-    protocol: Optional[str] = "pcl"  # "pcl" | "vcl" | "dcl" | None (no ckpt)
+    protocol: Optional[str] = "pcl"  # a repro.ft.PROTOCOLS name | None (no ckpt)
     channel: str = "ft_sock"  # "ft_sock" | "ch_v" | "nemesis"
     network: str = "gige"  # "gige" | "myrinet" | "grid5000"
     n_servers: int = 1
@@ -83,7 +83,7 @@ class DeploymentSpec:
     fetch_jitter: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.protocol not in ("pcl", "vcl", "dcl", None):
+        if self.protocol is not None and self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.channel not in CHANNELS:
             raise ValueError(f"unknown channel {self.channel!r}")
@@ -99,7 +99,7 @@ class DeploymentSpec:
             raise ValueError("ckpt_gc_keep must be >= 1")
         if self.fetch_retries < 1:
             raise ValueError("fetch_retries must be >= 1")
-        if self.recovery_policy not in ("restart", "spare", "shrink"):
+        if self.recovery_policy not in RECOVERY_POLICIES:
             raise ValueError(
                 f"unknown recovery policy {self.recovery_policy!r}")
         if self.spares < 0:
@@ -118,12 +118,8 @@ def _fabric_for(spec: DeploymentSpec):
 def _make_launcher(spec: DeploymentSpec):
     choice = spec.launcher
     if choice == "auto":
-        if spec.protocol == "vcl":
-            choice = "dispatcher"
-        elif spec.protocol in ("pcl", "dcl"):
-            choice = "ftpm"
-        else:
-            choice = "instant"
+        choice = ("instant" if spec.protocol is None
+                  else PROTOCOLS[spec.protocol].default_launcher)
     return {
         "dispatcher": Dispatcher,
         "ftpm": FTPM,
@@ -166,16 +162,17 @@ def build_run(
     the smaller communicator instead of respawning the dead ranks.
     """
     fabric = _fabric_for(spec)
-    want_scheduler = spec.protocol == "vcl"
+    want_scheduler = (spec.protocol is not None
+                      and PROTOCOLS[spec.protocol].needs_scheduler)
+    n_service = spec.n_servers + (1 if want_scheduler else 0)
     spare_nodes = []
 
     if spec.network == "grid5000":
         net = grid5000(sim, intra_fabric=fabric)
-        all_nodes = net.all_nodes()
         # Spread the service machines over distinct sites.
         clusters = list(net.clusters.values())
         service_nodes = []
-        for i in range(spec.n_servers + (1 if want_scheduler else 0)):
+        for i in range(n_service):
             cluster = clusters[i % len(clusters)]
             node = next(n for n in cluster.nodes if not n.service)
             node.service = True
@@ -188,7 +185,6 @@ def build_run(
             n_compute = -(-spec.n_procs // per_node)
         else:
             n_compute = spec.n_procs
-        n_service = spec.n_servers + (1 if want_scheduler else 0)
         net = ClusterNetwork(
             sim, n_nodes=n_compute + spec.spares + n_service, fabric=fabric,
             name=name)
@@ -210,27 +206,11 @@ def build_run(
     ]
     scheduler_node = service_nodes[-1] if want_scheduler else None
 
-    protocol_factory = None
-    if spec.protocol is not None:
-
-        def protocol_factory(job, run):
-            kwargs = dict(
-                server_map=run.server_map,
-                period=spec.period,
-                stats=run.stats,
-                local_images=run.local_images,
-                fork_latency=spec.fork_latency,
-                replica_map=run.replica_map,
-            )
-            if spec.protocol == "pcl":
-                return PclProtocol(job, **kwargs)
-            if spec.protocol == "dcl":
-                return DclProtocol(job, **kwargs)
-            return VclProtocol(job, scheduler_node=scheduler_node, **kwargs)
-
     run = FTRun(
         sim, net, endpoints, app_factory, CHANNELS[spec.channel],
-        protocol_factory, servers, launcher=_make_launcher(spec),
+        protocol_factory(spec.protocol, spec.period, spec.fork_latency,
+                         scheduler_node),
+        servers, launcher=_make_launcher(spec),
         image_bytes=spec.image_bytes, name=name,
         restart_policy=spec.restart_policy,
         replication=spec.ckpt_replication,

@@ -5,7 +5,7 @@ import operator
 
 import pytest
 
-from repro.ft import DclProtocol, FTRun, PclProtocol, VclProtocol, CheckpointServer
+from repro.ft import PROTOCOLS, CheckpointServer, FTRun, protocol_factory
 from repro.mpi import FtSockChannel
 from repro.net import ClusterNetwork
 from repro.net.topology import Endpoint
@@ -42,7 +42,8 @@ def build_ft_run(
     compute nodes); ``spares`` pre-allocates a pool for the survivor-based
     recovery_policy="spare" (nodes marked service until promoted).
     """
-    extra = n_servers + (1 if protocol == "vcl" else 0)
+    needs_scheduler = protocol is not None and PROTOCOLS[protocol].needs_scheduler
+    extra = n_servers + (1 if needs_scheduler else 0)
     net = ClusterNetwork(sim, n_nodes=size + extra + spare_nodes + spares)
     compute_nodes = net.nodes[:size + spare_nodes]
     pool = net.nodes[size + spare_nodes:size + spare_nodes + spares]
@@ -55,26 +56,11 @@ def build_ft_run(
                          gc_keep=gc_keep)
         for i in range(n_servers)
     ]
-    scheduler_node = service_nodes[-1] if protocol == "vcl" else None
-
-    def protocol_factory(job, run):
-        kwargs = dict(
-            server_map=run.server_map,
-            period=period,
-            stats=run.stats,
-            local_images=run.local_images,
-            fork_latency=fork_latency,
-            replica_map=run.replica_map,
-        )
-        if protocol == "pcl":
-            return PclProtocol(job, **kwargs)
-        if protocol == "dcl":
-            return DclProtocol(job, **kwargs)
-        return VclProtocol(job, scheduler_node=scheduler_node, **kwargs)
+    scheduler_node = service_nodes[-1] if needs_scheduler else None
 
     run = FTRun(
         sim, net, endpoints, app_factory, channel_cls,
-        protocol_factory if protocol is not None else None,
+        protocol_factory(protocol, period, fork_latency, scheduler_node),
         servers, image_bytes=image_bytes, restart_policy=restart_policy,
         replication=replication, fetch_policy=fetch_policy,
         recovery_policy=recovery_policy, spare_pool=pool,

@@ -2,15 +2,15 @@
 
 import pytest
 
-from repro.sim import Simulator
+from repro.sim import Simulator, Tracer
 
 from tests.ft.conftest import assert_ring_result, build_ft_run, ring_app_factory
 
 
 def run_with_failure(protocol, kill_rank=2, kill_at=2.6, iters=30, work=0.2,
                      seed=7, size=4, kill_kind="task", restart_policy="same-node",
-                     spare_nodes=0, period=1.0, nbytes=1000):
-    sim = Simulator(seed=seed)
+                     spare_nodes=0, period=1.0, nbytes=1000, trace=None):
+    sim = Simulator(seed=seed, trace=trace)
     run, net = build_ft_run(
         sim, ring_app_factory(iters=iters, work=work, nbytes=nbytes), size=size,
         protocol=protocol, period=period, image_bytes=2e6,
@@ -45,16 +45,19 @@ def test_failure_costs_time(protocol):
 
 @pytest.mark.parametrize("protocol", ["pcl", "vcl"])
 def test_failure_before_first_wave_restarts_from_scratch(protocol):
-    sim, run, _ = run_with_failure(protocol, kill_at=0.4)
+    sim, run, _ = run_with_failure(
+        protocol, kill_at=0.4, trace=Tracer(categories=["ft.restarted"]))
     assert run.stats.restarts == 1
-    assert run.committed_wave() in (0, run.committed_wave())
+    # nothing was committed yet: the restart restored no wave
+    assert [r.get("wave") for r in sim.trace.select("ft.restarted")] == [0]
     assert_ring_result(run, iters=30)
 
 
 def test_restart_uses_local_images_on_task_kill():
     """Task kill leaves local disks intact: every rank restores locally."""
     sim, run, _ = run_with_failure("pcl")
-    assert run.sim.trace["ft.restore_local"] >= 1 or sim.trace["ft.restore_local"] >= 1
+    assert sim.trace["ft.restore_local"] >= run.job.size
+    assert sim.trace["ft.restore_remote"] == 0
 
 
 def test_node_failure_with_spare_recovery():
@@ -149,3 +152,24 @@ def test_determinism_across_identical_runs():
     t1 = run_with_failure("pcl", seed=11)[2]
     t2 = run_with_failure("pcl", seed=11)[2]
     assert t1 == t2
+
+
+@pytest.mark.parametrize("schedule, args, named", [
+    ("schedule_task_kill", (2,), "task kill of rank 2"),
+    ("schedule_node_kill", (1,), "node kill of rank 1"),
+    ("schedule_server_kill", (0,), "server kill of server 0"),
+    ("schedule_image_corrupt", (0, 3), "image corruption of rank 3 on server 0"),
+])
+def test_fault_scheduled_in_the_past_names_the_fault(schedule, args, named):
+    """A fault time before ``sim.now`` fails at the FTRun boundary with the
+    fault kind, its target and both times — not the kernel's generic
+    "cannot schedule into the past"."""
+    sim = Simulator(seed=7)
+    run, _ = build_ft_run(sim, ring_app_factory(iters=30, work=0.2), size=4,
+                          protocol="pcl", period=1.0, image_bytes=2e6)
+    run.start()
+    sim.run(until=1.5)
+    with pytest.raises(ValueError) as error:
+        getattr(run, schedule)(*args, at=1.0)
+    message = str(error.value)
+    assert named in message and "t=1" in message and "t=1.5" in message

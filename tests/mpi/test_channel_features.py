@@ -24,7 +24,7 @@ def test_send_gate_blocks_app_messages(sim):
     job, _ = make_job(sim, app, size=2)
     job.start()
     sim.call_at(0.2, job.channels[0].send_gate(1).close)
-    sim.call_at(2.0, job.channels[0].open_send_gates)
+    sim.call_at(2.0, job.channels[0].resume_sends)
     sim.run_until_complete(job.completed)
     times = dict(events)
     assert times["sent"] >= 2.0

@@ -34,7 +34,7 @@ def test_fast_send_respects_closed_gate(sim):
     assert channel.try_fast_send(1, 1, None, 8) is not None
     channel.send_gate(1).close()
     assert channel.try_fast_send(1, 1, None, 8) is None
-    channel.open_send_gates()
+    channel.resume_sends()
     channel.global_send_gate.close()
     assert channel.try_fast_send(1, 1, None, 8) is None
     sim.run()
