@@ -41,6 +41,7 @@ from repro.mpi.message import (
     MarkerPacket,
     Packet,
 )
+from repro.sim.trace import declare
 
 __all__ = ["DclProtocol", "DclEndpoint", "DRAIN_BUDGET"]
 
@@ -49,6 +50,11 @@ __all__ = ["DclProtocol", "DclEndpoint", "DRAIN_BUDGET"]
 #: Shared between the protocol docs and the monitor (the same pattern as
 #: the engine watchdog's budget) so the two never disagree.
 DRAIN_BUDGET = 30.0
+
+
+declare("ft.drain_open", __name__, rank=int, wave=int, sent=int, recvd=int)
+declare("ft.drain_quiesced", __name__, wave=int, sent=int, recvd=int,
+        elapsed=float, protocol=str)
 
 
 class DclEndpoint(BlockingEndpoint):

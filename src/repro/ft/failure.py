@@ -22,7 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional
 
+from repro.sim.trace import declare
+
 __all__ = ["FailureInjector", "KillRecord"]
+
+
+declare("ft.failure", __name__, kind=str, rank=Optional[int],
+        server=Optional[str], node=Optional[str])
+declare("ft.image_corrupted", __name__, server=str, rank=int, wave=int)
 
 
 @dataclass(frozen=True)

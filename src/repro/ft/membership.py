@@ -33,10 +33,18 @@ from __future__ import annotations
 
 from typing import List, Set, Tuple
 
+from repro.sim.trace import declare
+
 __all__ = ["MembershipTracker"]
 
 #: one propose + one acknowledge traversal per ballot
 _BALLOT_ROUND_TRIPS = 2.0
+
+
+declare("ft.suspect", __name__, rank=int, peer=int)
+declare("ft.membership_round", __name__, ballot=int, coordinator=int,
+        failed=tuple, survivors=int)
+declare("ft.membership_commit", __name__, rank=int, ballot=int, failed=tuple)
 
 
 class MembershipTracker:

@@ -28,8 +28,12 @@ from typing import List, Set
 
 from repro.ft.protocol import BaseProtocol, BlockingEndpoint
 from repro.mpi.message import MarkerPacket
+from repro.sim.trace import declare
 
 __all__ = ["PclProtocol", "PclEndpoint"]
+
+
+declare("ft.enter_wave", __name__, rank=int, wave=int)
 
 
 class PclEndpoint(BlockingEndpoint):

@@ -25,12 +25,25 @@ from repro.mpi.message import (
     Packet,
 )
 from repro.sim.process import Interrupt
+from repro.sim.trace import declare
 
 __all__ = ["FTStats", "BaseProtocol", "BaseEndpoint", "BlockingEndpoint",
            "SCHEDULER_ID", "LocalImageStore", "emit_phase_spans"]
 
 #: pseudo-rank of the Vcl checkpoint scheduler on rank channels
 SCHEDULER_ID = -100
+
+
+declare("ft.marker_recv", __name__, rank=int, src=int, wave=int, protocol=str)
+declare("ft.local_checkpoint", __name__, rank=int, wave=int, protocol=str)
+declare("ft.image_stored", __name__, rank=int, wave=int, nbytes=float)
+declare("ft.resume", __name__, rank=int, wave=int)
+declare("ft.wave_requested", __name__, protocol=str)
+declare("ft.wave_started", __name__, wave=int, protocol=str)
+declare("ft.wave_completed", __name__, wave=int, duration=float, protocol=str)
+declare("ft.wave_aborted", __name__, wave=int, protocol=str)
+declare("ft.wave_phase", __name__, wave=int, phase=str, start=float,
+        end=float, duration=float, protocol=str)
 
 
 def emit_phase_spans(sim: "Simulator", category: str, milestones,

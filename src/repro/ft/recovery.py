@@ -39,6 +39,7 @@ from repro.ft.restore import FetchPolicy, ImageRestorer, StorageUnrecoverableErr
 from repro.ft.server import CheckpointServer, assign_replicas, assign_servers
 from repro.mpi.job import MPIJob
 from repro.net.topology import BaseNetwork, Endpoint
+from repro.sim.trace import declare
 
 __all__ = ["FTRun", "InstantLauncher", "RECOVERY_POLICIES"]
 
@@ -47,6 +48,26 @@ __all__ = ["FTRun", "InstantLauncher", "RECOVERY_POLICIES"]
 #: relaunch
 _RECOVERY_PHASES = (("detect", "detect"), ("agree", "agree"),
                     ("promote", "promote"), ("restore", None))
+
+
+declare("ft.storage_config", __name__, replication=int, n_servers=int,
+        gc_keep=int, fetch_rounds=int)
+declare("runtime.validated", __name__, n_ranks=int, launcher=str,
+        fd_limit=Optional[int], sockets_per_process=Optional[int],
+        reserved_fds=Optional[int], max_processes=Optional[int])
+declare("ft.replayed", __name__, rank=int, src=int, seq=int, wave=int)
+declare("ft.failure_detected", __name__, incarnation=int)
+declare("ft.recovery_begin", __name__, policy=str, ballot=int, failed=tuple,
+        n_ranks=int, committed=int, incarnation=int)
+declare("ft.recovery_degraded", __name__, policy=str, reason=str,
+        incarnation=int)
+declare("ft.spare_restore", __name__, rank=int, wave=int, node=str)
+declare("ft.promoted", __name__, rank=int, node=str, incarnation=int)
+declare("ft.shrunk", __name__, size=int, dropped=tuple, resume_iteration=int,
+        incarnation=int)
+declare("ft.restarted", __name__, wave=int, incarnation=int)
+declare("ft.recovery_phase", __name__, phase=str, start=float, end=float,
+        duration=float, policy=str)
 
 
 class InstantLauncher:

@@ -13,8 +13,18 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.ft.image import CONTROL_BYTES, CheckpointImage
+from repro.sim.trace import declare
 
 __all__ = ["ImageRestorer", "FetchPolicy", "StorageUnrecoverableError"]
+
+
+declare("ft.wave_fallback", __name__, wave=int, incarnation=int)
+declare("ft.storage_unrecoverable", __name__, committed=int, incarnation=int)
+declare("ft.fetch_failed", __name__, rank=int, wave=int, replica=int,
+        reason=str)
+declare("ft.fetch_ok", __name__, rank=int, wave=int, server=str, checksum=int)
+declare("ft.fetch_backoff", __name__, rank=int, wave=int, round=int,
+        delay=float)
 
 
 class StorageUnrecoverableError(RuntimeError):

@@ -40,8 +40,15 @@ from typing import Dict, List, Optional, Tuple
 from repro.ft.image import CONTROL_BYTES, CheckpointImage
 from repro.net.topology import BaseNetwork, Endpoint
 from repro.sim.process import Interrupt
+from repro.sim.trace import declare
 
 __all__ = ["CheckpointServer", "assign_servers", "assign_replicas"]
+
+
+declare("ft.replica_stored", __name__, server=str, rank=int, wave=int,
+        checksum=int, nbytes=float)
+declare("ft.commit", __name__, server=str, wave=int, ranks=tuple)
+declare("ft.wave_gc", __name__, server=str, wave=int)
 
 
 class CheckpointServer:

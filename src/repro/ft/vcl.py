@@ -36,8 +36,16 @@ from repro.mpi.message import (
     MARKER_BYTES,
 )
 from repro.net.topology import Endpoint
+from repro.sim.trace import declare
 
 __all__ = ["VclProtocol", "VclEndpoint"]
+
+
+declare("ft.logging_open", __name__, rank=int, wave=int, peers=tuple)
+declare("ft.logging_closed", __name__, rank=int, wave=int, messages=int,
+        nbytes=float)
+declare("ft.logged", __name__, rank=int, src=int, seq=int, wave=int,
+        nbytes=float)
 
 
 class VclEndpoint(BaseEndpoint):

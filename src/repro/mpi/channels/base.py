@@ -29,11 +29,18 @@ from repro.mpi.matching import MatchingEngine
 from repro.mpi.message import AppPacket, MarkerPacket, Packet
 from repro.net.connection import BrokenConnectionError, ConnectionEnd
 from repro.sim.primitives import Gate
+from repro.sim.trace import declare
 
 __all__ = ["BaseChannel", "ChannelDownError"]
 
 #: envelope bytes added to every application payload on the wire
 HEADER_BYTES = 32.0
+
+
+declare("mpi.send", __name__, job=int, src=int, dst=int, seq=int,
+        nbytes=float, wave=int, state=str, protocol=Optional[str])
+declare("mpi.recv", __name__, job=int, rank=int, src=int, seq=int)
+declare("mpi.deliver", __name__, job=int, rank=int, src=int, seq=int)
 
 
 class ChannelDownError(ConnectionError):
@@ -139,8 +146,7 @@ class BaseChannel:
         sent = yield from self._send_packet(dst, packet, gated=True)
         self.sim.trace.count("mpi.messages")
         self.sim.trace.count("mpi.bytes", nbytes)
-        if self.sim.trace.wants("mpi.send"):
-            self._record_send(packet, dst)
+        self._trace_send(packet, dst)
         if self.sim.metrics is not None:
             self._metrics_sent(packet, dst)
         if self.protocol is not None:
@@ -212,31 +218,29 @@ class BaseChannel:
         packet = AppPacket(self.rank, tag, data, wire_bytes, self._next_seq())
         self.sim.trace.count("mpi.messages")
         self.sim.trace.count("mpi.bytes", nbytes)
-        if self.sim.trace.wants("mpi.send"):
-            self._record_send(packet, dst)
+        self._trace_send(packet, dst)
         if self.sim.metrics is not None:
             self._metrics_sent(packet, dst)
         if self.protocol is not None:
             self.protocol.on_app_sent(packet, dst)
         return end.send(packet, wire_bytes, extra_latency=overhead)
 
-    def _record_send(self, packet: AppPacket, dst: int) -> None:
-        """Emit the mpi.send record at the commit point (monitored runs).
+    def _trace_send(self, packet: AppPacket, dst: int) -> None:
+        """Emit mpi.send at the commit point (when the category is live).
 
         The record carries the sender's protocol view *at commit time* —
         its latest snapshot wave and blocking state — which is exactly what
         the orphan/flush invariants quantify over.
         """
-        endpoint = self.protocol
-        self.sim.trace.record(
-            self.sim.now, "mpi.send",
-            job=self.job.uid, src=self.rank, dst=dst, seq=packet.seq,
-            nbytes=packet.nbytes,
-            wave=getattr(endpoint, "wave", 0),
-            state=getattr(endpoint, "state", "normal"),
-            protocol=getattr(getattr(endpoint, "protocol", None),
-                             "protocol_name", None),
-        )
+        probe = self.sim.trace.probes.get("mpi.send")
+        if probe is not None:
+            endpoint = self.protocol
+            probe(self.sim.now, self.job.uid, self.rank, dst, packet.seq,
+                  packet.nbytes,
+                  getattr(endpoint, "wave", 0),
+                  getattr(endpoint, "state", "normal"),
+                  getattr(getattr(endpoint, "protocol", None),
+                          "protocol_name", None))
 
     def _metrics_sent(self, packet: AppPacket, dst: int) -> None:
         """Per-link wire accounting at the send commit point (metrics on).
@@ -295,10 +299,10 @@ class BaseChannel:
         if self.down:
             return
         if isinstance(packet, AppPacket):
-            trace = self.sim.trace
-            if trace.wants("mpi.recv"):
-                trace.record(self.sim.now, "mpi.recv", job=self.job.uid,
-                             rank=self.rank, src=packet.src, seq=packet.seq)
+            probe = self.sim.trace.probes.get("mpi.recv")
+            if probe is not None:
+                probe(self.sim.now, self.job.uid, self.rank, packet.src,
+                      packet.seq)
             metrics = self.sim.metrics
             if metrics is not None:
                 metrics.count("channel.messages_received", 1.0,
@@ -327,10 +331,10 @@ class BaseChannel:
                 self.job.on_unclaimed_control(self.rank, packet)
 
     def _deliver_app(self, packet: AppPacket) -> None:
-        trace = self.sim.trace
-        if trace.wants("mpi.deliver"):
-            trace.record(self.sim.now, "mpi.deliver", job=self.job.uid,
-                         rank=self.rank, src=packet.src, seq=packet.seq)
+        probe = self.sim.trace.probes.get("mpi.deliver")
+        if probe is not None:
+            probe(self.sim.now, self.job.uid, self.rank, packet.src,
+                  packet.seq)
         self.matching.deliver(packet)
 
     # -------------------------------------------------------------- shutdown

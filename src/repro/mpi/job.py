@@ -21,11 +21,17 @@ from repro.mpi.context import RankContext, Snapshot
 from repro.mpi.message import Packet
 from repro.net.topology import BaseNetwork, Endpoint
 from repro.sim.process import Interrupt
+from repro.sim.trace import declare
 
 __all__ = ["MPIJob"]
 
 #: TCP-style connection establishment: one round trip before data flows
 _HANDSHAKE_RTTS = 2.0
+
+
+declare("app.rank_done", __name__, job=str, rank=int)
+declare("job.killed", __name__, job=int, name=str)
+declare("job.socket_closed", __name__, job=str, rank=int, peer=Optional[int])
 
 
 class MPIJob:

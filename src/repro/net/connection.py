@@ -22,6 +22,7 @@ from repro.net.flows import FlowScheduler
 from repro.net.link import Link
 from repro.sim.events import Event
 from repro.sim.primitives import Store
+from repro.sim.trace import declare
 
 __all__ = ["BrokenConnectionError", "Connection", "ConnectionEnd"]
 
@@ -29,6 +30,10 @@ __all__ = ["BrokenConnectionError", "Connection", "ConnectionEnd"]
 #: links are idle: same timing as a fluid flow with no competitors, but
 #: without allocating one (latency-bound workloads send millions of these)
 _INLINE_BYTES = 2048.0
+
+
+declare("net.sent", __name__, pipe=str, msg=int, nbytes=float)
+declare("net.delivered", __name__, pipe=str, msg=int)
 
 
 class BrokenConnectionError(ConnectionError):
@@ -89,7 +94,7 @@ class _Pipe:
         #: the old generation and are discarded on arrival
         self._flush_gen = 0
         #: FIFO position of the last message accepted for sending; ids are
-        #: only assigned while a monitor subscribes to net.* (repro.verify)
+        #: only assigned while net.sent is live (a monitor, a storing tracer)
         self._msg_id = 0
         #: precomputed sent-event label (send() is hot; an f-string per
         #: message showed up in profiles)
@@ -102,12 +107,11 @@ class _Pipe:
         added to this message's delivery time (deferred host costs)."""
         if self.broken:
             raise BrokenConnectionError(f"send on broken pipe {self.name}")
-        trace = self.sim.trace
-        if trace.wants("net.sent"):
+        probe = self.sim.trace.probes.get("net.sent")
+        if probe is not None:
             self._msg_id += 1
             msg_id = self._msg_id
-            trace.record(self.sim.now, "net.sent", pipe=self.name,
-                         msg=msg_id, nbytes=nbytes)
+            probe(self.sim.now, self.name, msg_id, nbytes)
         else:
             msg_id = 0
         sent = self.sim.event(name=self._sent_name)
@@ -195,10 +199,9 @@ class _Pipe:
             return  # sent before a flush(); the epoch that wanted it is gone
         if not self.broken and not self.inbox.poisoned:
             if msg_id:
-                trace = self.sim.trace
-                if trace.wants("net.delivered"):
-                    trace.record(self.sim.now, "net.delivered",
-                                 pipe=self.name, msg=msg_id)
+                probe = self.sim.trace.probes.get("net.delivered")
+                if probe is not None:
+                    probe(self.sim.now, self.name, msg_id)
             self.inbox.put(payload)
 
     # ----------------------------------------------------------------- flush

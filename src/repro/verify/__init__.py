@@ -42,7 +42,8 @@ Attach all monitors to a simulator with::
 Offline checking of a dumped trace: ``python -m repro.verify trace.jsonl``.
 """
 
-from repro.verify.base import InvariantViolation, Monitor, MonitorBus
+from repro.verify.base import InvariantViolation, Monitor, on
+from repro.verify.bus import MonitorBus
 from repro.verify.monitors import (
     DclDrainLivenessMonitor,
     DclNetworkEmptyMonitor,

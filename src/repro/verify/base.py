@@ -1,11 +1,14 @@
-"""Monitor framework: the bus, the base class, the violation type.
+"""Monitor framework: the base class, the handler table, the violation type.
 
-A :class:`Monitor` is a small online state machine fed
-:class:`~repro.sim.trace.TraceRecord` entries in emission order.  The
-:class:`MonitorBus` owns the subscription to a simulator's tracer, routes
-records to the monitors interested in their category, and keeps a sliding
-window of recent records so a violation can point at the offending event
-context rather than just a message.
+A :class:`Monitor` is a small online state machine fed the trace stream in
+emission order.  It states its checks as *handlers*: one method per trace
+category, taking ``(time, *fields)`` in the category's declared order
+(:func:`repro.sim.trace.declare`) and marked with :func:`on`.  The handler is
+the single definition of the check; two adapters reach it — the
+:class:`~repro.verify.bus.MonitorBus` closures on the live path (values
+passed as they come, no record built) and :meth:`Monitor.on_record` for a
+materialised :class:`~repro.sim.trace.TraceRecord` (offline checking, unit
+tests).
 
 Monitors never mutate simulation state; they mirror just enough of it
 (per-rank wave counters, marker sets, frozen sources) to evaluate their
@@ -15,12 +18,14 @@ rollback-recovery runs stay checkable across incarnations.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.sim.trace import TraceRecord
+from repro.sim.trace import SCHEMAS, TraceRecord
 
-__all__ = ["InvariantViolation", "Monitor", "MonitorBus"]
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.verify.bus import MonitorBus
+
+__all__ = ["InvariantViolation", "Monitor", "on"]
 
 
 class InvariantViolation(AssertionError):
@@ -50,15 +55,43 @@ class InvariantViolation(AssertionError):
         super().__init__("\n".join(lines))
 
 
+def on(*categories: str) -> Callable:
+    """Mark a :class:`Monitor` method as the handler of ``categories``.
+
+    The method takes ``(self, time, *fields)`` with the fields named and
+    ordered as declared (a field a site may omit defaults to None), or
+    ``(self, time, *_, **__)`` when it serves several categories and reads
+    none of their fields.
+    """
+    def mark(method: Callable) -> Callable:
+        method.handles = categories
+        return method
+    return mark
+
+
 class Monitor:
     """Base class for one online invariant checker."""
 
     #: stable identifier used in verdicts and violation reports
     name = "monitor"
-    #: trace categories this monitor consumes; None subscribes to everything
+    #: category -> handler method name, collected from the :func:`on` marks
+    handlers: Dict[str, str] = {}
+    #: trace categories this monitor consumes — the handler table's keys
+    #: unless a subclass that overrides :meth:`on_record` wholesale says
+    #: otherwise; None subscribes to everything
     categories: Optional[Tuple[str, ...]] = None
     #: set True to also receive the engine's raw (time, priority, seq) pops
     wants_steps = False
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        handlers = dict(cls.handlers)
+        for name, member in vars(cls).items():
+            for category in getattr(member, "handles", ()):
+                handlers[category] = name
+        cls.handlers = handlers
+        if handlers and "categories" not in vars(cls):
+            cls.categories = tuple(handlers)
 
     def __init__(self) -> None:
         self.bus: Optional["MonitorBus"] = None
@@ -78,132 +111,17 @@ class Monitor:
 
     # ----------------------------------------------------------------- hooks
     def on_record(self, record: TraceRecord) -> None:
-        """Consume one trace record (categories filtered by the bus)."""
+        """Consume one materialised record: the generic adapter onto the
+        category's handler (a field the record lacks arrives as None)."""
+        name = self.handlers.get(record.category)
+        if name is None:
+            return
+        self.checked += 1
+        values = SCHEMAS[record.category].values(record.as_dict())
+        getattr(self, name)(record.time, *values)
 
     def on_step(self, time: float, priority: int, seq: int) -> None:
         """Consume one engine heap pop (only when ``wants_steps``)."""
 
     def finish(self) -> None:
         """End-of-run checks (completeness properties)."""
-
-
-class MonitorBus:
-    """Routes a tracer's record stream to a set of monitors.
-
-    Parameters
-    ----------
-    monitors:
-        Monitor instances; each is attached to this bus.
-    raise_on_violation:
-        When True (the default, used by tests) a violation raises
-        :class:`InvariantViolation` at the offending event.  When False
-        (harness mode) violations are collected and reported in
-        :meth:`verdicts`.
-    window:
-        Number of recent records retained as the violation's event window.
-    """
-
-    def __init__(
-        self,
-        monitors: Iterable[Monitor],
-        raise_on_violation: bool = True,
-        window: int = 24,
-    ) -> None:
-        self.monitors: List[Monitor] = list(monitors)
-        self.raise_on_violation = raise_on_violation
-        self.violations: List[InvariantViolation] = []
-        self._window: Deque[TraceRecord] = deque(maxlen=window)
-        #: bound once: dispatch runs per record, tens of thousands per run
-        self._window_append = self._window.append
-        self._by_category: Dict[str, List[Monitor]] = {}
-        self._wildcards: List[Monitor] = []
-        #: category -> flat [interested..., wildcards...] list, built lazily
-        self._route: Dict[str, List[Monitor]] = {}
-        self._steppers: List[Monitor] = []
-        self._tracer = None
-        self._step_callbacks: List = []
-        for monitor in self.monitors:
-            monitor.attach(self)
-            if monitor.categories is None:
-                self._wildcards.append(monitor)
-            else:
-                for category in monitor.categories:
-                    self._by_category.setdefault(category, []).append(monitor)
-            if monitor.wants_steps:
-                self._steppers.append(monitor)
-
-    # ---------------------------------------------------------- attachment
-    def categories(self) -> Optional[List[str]]:
-        """Union of monitor category interests (None = everything)."""
-        if self._wildcards:
-            return None
-        return sorted(self._by_category)
-
-    def attach(self, sim: "Simulator") -> None:
-        """Subscribe to ``sim``'s tracer (records and, if needed, steps)."""
-        if self._tracer is not None:
-            raise RuntimeError("MonitorBus is already attached")
-        self._tracer = sim.trace
-        self._tracer.subscribe(self.dispatch, self.categories())
-        if self._steppers:
-            # Register each stepper's bound method directly: the listener
-            # list fires once per heap pop, millions of times per run, and
-            # a fan-out trampoline here was a measurable slice of bt_wave.
-            self._step_callbacks = [m.on_step for m in self._steppers]
-            self._tracer.step_listeners.extend(self._step_callbacks)
-
-    def detach(self) -> None:
-        if self._tracer is None:
-            return
-        self._tracer.unsubscribe(self.dispatch)
-        for callback in self._step_callbacks:
-            if callback in self._tracer.step_listeners:
-                self._tracer.step_listeners.remove(callback)
-        self._step_callbacks = []
-        self._tracer = None
-
-    # ------------------------------------------------------------- dispatch
-    def dispatch(self, record: TraceRecord) -> None:
-        """Feed one record to every interested monitor (also the offline
-        entry point: the CLI calls this for each JSONL record)."""
-        self._window_append(record)
-        route = self._route.get(record.category)
-        if route is None:
-            route = self._by_category.get(record.category, []) + self._wildcards
-            self._route[record.category] = route
-        for monitor in route:
-            monitor.on_record(record)
-
-    # --------------------------------------------------------------- results
-    def report(self, monitor: Monitor, time: float, message: str) -> None:
-        violation = InvariantViolation(monitor.name, message, time,
-                                       window=self._window)
-        self.violations.append(violation)
-        if self.raise_on_violation:
-            raise violation
-
-    def finish(self) -> List[InvariantViolation]:
-        """Run end-of-stream checks; returns all collected violations."""
-        for monitor in self.monitors:
-            monitor.finish()
-        return self.violations
-
-    def verdicts(self) -> Dict[str, Dict]:
-        """Per-monitor verdict: ok flag, events checked, violation texts."""
-        by_monitor: Dict[str, List[str]] = {m.name: [] for m in self.monitors}
-        for violation in self.violations:
-            by_monitor.setdefault(violation.monitor, []).append(
-                violation.message
-            )
-        return {
-            monitor.name: {
-                "ok": not by_monitor.get(monitor.name),
-                "checked": monitor.checked,
-                "violations": by_monitor.get(monitor.name, []),
-            }
-            for monitor in self.monitors
-        }
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations

@@ -12,18 +12,28 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.sim.trace import load_jsonl
-from repro.verify.base import MonitorBus
+from repro.sim.trace import SCHEMAS, TraceFormatError, iter_jsonl
+from repro.verify.bus import MonitorBus
 from repro.verify.monitors import all_monitors
 
 __all__ = ["main"]
 
 
 def check_trace(path: str, stop_early: bool = True) -> MonitorBus:
-    """Run every monitor over the records of ``path``; returns the bus."""
+    """Run every monitor over the records of ``path``; returns the bus.
+
+    A record of a declared category must carry its declared fields with
+    their declared types: a malformed line raises
+    :class:`~repro.sim.trace.TraceFormatError` naming it, rather than
+    reaching a monitor as a None or a wrongly typed value.
+    """
     bus = MonitorBus(all_monitors(), raise_on_violation=False)
     stopped = False
-    for record in load_jsonl(path):
+    for number, record in iter_jsonl(path):
+        schema = SCHEMAS.get(record.category)
+        problem = schema and schema.problem(record.as_dict())
+        if problem:
+            raise TraceFormatError(f"{path}:{number}: {problem}")
         bus.dispatch(record)
         if stop_early and bus.violations:
             stopped = True
@@ -57,6 +67,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         except json.JSONDecodeError as err:
             print(f"{path}: error: not a JSONL trace dump ({err})",
                   file=sys.stderr)
+            return 2
+        except TraceFormatError as err:
+            print(err, file=sys.stderr)
             return 2
         if bus.ok:
             if not args.quiet:

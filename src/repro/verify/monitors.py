@@ -64,12 +64,12 @@ Provenance of each invariant:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.ft.dcl import DRAIN_BUDGET
 from repro.sim.engine import DEFAULT_MAX_SAME_TIME_EVENTS
 from repro.sim.trace import TraceRecord
-from repro.verify.base import Monitor
+from repro.verify.base import Monitor, on
 
 __all__ = [
     "MonotoneClockMonitor",
@@ -111,50 +111,53 @@ class MonotoneClockMonitor(Monitor):
     categories = None  # every record carries a timestamp to check
     wants_steps = True
 
+    #: record timestamps may trail the last one by float residue only
+    RECORD_SLACK = 1e-12
+
     def __init__(self) -> None:
         super().__init__()
-        self._time = -1.0
+        self.step_time = -1.0
         # Highest seq popped at the current timestamp, split by the engine's
         # two priority levels (URGENT=0, NORMAL=1).  Scalars, not a dict:
         # this method runs once per heap pop, millions of times per run.
-        self._max_urgent = -1
-        self._max_normal = -1
-        self._last_record_time = -1.0
+        self.max_urgent = -1
+        self.max_normal = -1
+        self.record_time = -1.0
 
     def on_step(self, time: float, priority: int, seq: int) -> None:
         self.checked += 1
-        if time != self._time:
-            if time < self._time:
+        if time != self.step_time:
+            if time < self.step_time:
                 self.violation(
                     time,
-                    f"event pop at t={time} after a pop at t={self._time} — "
-                    "the simulation clock ran backwards",
+                    f"event pop at t={time} after a pop at t={self.step_time} "
+                    "— the simulation clock ran backwards",
                 )
-            self._time = time
+            self.step_time = time
             if priority:
-                self._max_normal = seq
-                self._max_urgent = -1
+                self.max_normal = seq
+                self.max_urgent = -1
             else:
-                self._max_urgent = seq
-                self._max_normal = -1
+                self.max_urgent = seq
+                self.max_normal = -1
             return
         # A pop is dominated when an event popped earlier at this timestamp
         # had equal-or-lower urgency (priority >= ours) yet a higher seq
         # (pushed later): we were already pending and should have won.
         if priority:
-            if self._max_normal > seq:
+            if self.max_normal > seq:
                 self.violation(
                     time,
                     f"event (priority={priority}, seq={seq}) popped after "
-                    f"(priority=1, seq={self._max_normal}) at the same "
+                    f"(priority=1, seq={self.max_normal}) at the same "
                     f"t={time} although it was pushed earlier at equal or "
                     "higher urgency — deterministic total order broken",
                 )
             else:
-                self._max_normal = seq
+                self.max_normal = seq
         else:
-            worst = self._max_normal if self._max_normal > self._max_urgent \
-                else self._max_urgent
+            worst = self.max_normal if self.max_normal > self.max_urgent \
+                else self.max_urgent
             if worst > seq:
                 self.violation(
                     time,
@@ -163,27 +166,31 @@ class MonotoneClockMonitor(Monitor):
                     "pushed earlier at equal or higher urgency — "
                     "deterministic total order broken",
                 )
-            if seq > self._max_urgent:
-                self._max_urgent = seq
+            if seq > self.max_urgent:
+                self.max_urgent = seq
 
     def on_record(self, record: TraceRecord) -> None:
+        # The bus inlines this comparison into its per-category closures
+        # (one frame less per record); the report below is shared.
         self.checked += 1
-        if record.time < self._last_record_time - 1e-12:
-            self.violation(
-                record.time,
-                f"trace record {record.category!r} at t={record.time} emitted "
-                f"after a record at t={self._last_record_time} — simulation "
-                "clock ran backwards",
-            )
+        if record.time < self.record_time - self.RECORD_SLACK:
+            self.record_regressed(record.time, record.category)
         else:
-            self._last_record_time = record.time
+            self.record_time = record.time
+
+    def record_regressed(self, time: float, category: str) -> None:
+        self.violation(
+            time,
+            f"trace record {category!r} at t={time} emitted "
+            f"after a record at t={self.record_time} — simulation "
+            "clock ran backwards",
+        )
 
 
 class FifoDeliveryMonitor(Monitor):
     """Connections deliver FIFO: per pipe and per (receiver, source)."""
 
     name = "fifo-delivery"
-    categories = ("net.sent", "net.delivered", "mpi.recv", "mpi.deliver")
 
     def __init__(self) -> None:
         super().__init__()
@@ -194,56 +201,54 @@ class FifoDeliveryMonitor(Monitor):
         #: (job, rank, src) -> last seq handed to the matching engine
         self._deliveries: Dict[Tuple[str, int, int], int] = {}
 
-    def on_record(self, record: TraceRecord) -> None:
-        self.checked += 1
-        category = record.category
-        fields = dict(record.fields)  # one C-level build beats repeated get()
-        if category == "net.sent":
-            pipe = fields["pipe"]
-            sent, delivered = self._pipes.get(pipe, (0, 0))
-            self._pipes[pipe] = (max(sent, fields.get("msg", 0)), delivered)
-        elif category == "net.delivered":
-            pipe = fields["pipe"]
-            msg = fields.get("msg", 0)
-            sent, delivered = self._pipes.get(pipe, (0, 0))
-            if msg <= delivered:
-                self.violation(
-                    record.time,
-                    f"pipe {pipe}: message #{msg} delivered after #{delivered} "
-                    "— out-of-order (or duplicate) delivery on a FIFO pipe",
-                )
-            if msg > sent:
-                self.violation(
-                    record.time,
-                    f"pipe {pipe}: message #{msg} delivered but only #{sent} "
-                    "was ever sent",
-                )
-            self._pipes[pipe] = (sent, max(delivered, msg))
-        elif category == "mpi.recv":
-            key = (fields.get("job"), fields.get("rank"), fields.get("src"))
-            seq = fields.get("seq", 0)
-            last = self._arrivals.get(key, 0)
-            if seq <= last:
-                self.violation(
-                    record.time,
-                    f"rank {key[1]} received packet #{seq} from rank {key[2]} "
-                    f"after #{last} (job {key[0]}) — per-connection FIFO "
-                    "arrival order broken",
-                )
-            self._arrivals[key] = max(last, seq)
-        else:  # mpi.deliver
-            key = (fields.get("job"), fields.get("rank"), fields.get("src"))
-            seq = fields.get("seq", 0)
-            last = self._deliveries.get(key, 0)
-            if seq <= last:
-                self.violation(
-                    record.time,
-                    f"rank {key[1]} delivered packet #{seq} from rank {key[2]} "
-                    f"to matching after #{last} (job {key[0]}) — per-channel "
-                    "FIFO delivery order broken (delayed queue released out "
-                    "of order?)",
-                )
-            self._deliveries[key] = max(last, seq)
+    @on("net.sent")
+    def on_net_sent(self, time, pipe, msg, nbytes) -> None:
+        sent, delivered = self._pipes.get(pipe, (0, 0))
+        self._pipes[pipe] = (max(sent, msg), delivered)
+
+    @on("net.delivered")
+    def on_net_delivered(self, time, pipe, msg) -> None:
+        sent, delivered = self._pipes.get(pipe, (0, 0))
+        if msg <= delivered:
+            self.violation(
+                time,
+                f"pipe {pipe}: message #{msg} delivered after #{delivered} "
+                "— out-of-order (or duplicate) delivery on a FIFO pipe",
+            )
+        if msg > sent:
+            self.violation(
+                time,
+                f"pipe {pipe}: message #{msg} delivered but only #{sent} "
+                "was ever sent",
+            )
+        self._pipes[pipe] = (sent, max(delivered, msg))
+
+    @on("mpi.recv")
+    def on_mpi_recv(self, time, job, rank, src, seq) -> None:
+        key = (job, rank, src)
+        last = self._arrivals.get(key, 0)
+        if seq <= last:
+            self.violation(
+                time,
+                f"rank {rank} received packet #{seq} from rank {src} "
+                f"after #{last} (job {job}) — per-connection FIFO "
+                "arrival order broken",
+            )
+        self._arrivals[key] = max(last, seq)
+
+    @on("mpi.deliver")
+    def on_mpi_deliver(self, time, job, rank, src, seq) -> None:
+        key = (job, rank, src)
+        last = self._deliveries.get(key, 0)
+        if seq <= last:
+            self.violation(
+                time,
+                f"rank {rank} delivered packet #{seq} from rank {src} "
+                f"to matching after #{last} (job {job}) — per-channel "
+                "FIFO delivery order broken (delayed queue released out "
+                "of order?)",
+            )
+        self._deliveries[key] = max(last, seq)
 
 
 class VclNoOrphanMonitor(Monitor):
@@ -258,8 +263,6 @@ class VclNoOrphanMonitor(Monitor):
     """
 
     name = "vcl-no-orphan"
-    categories = ("mpi.send", "mpi.deliver", "ft.local_checkpoint",
-                  "ft.restarted", "job.killed")
 
     def __init__(self) -> None:
         super().__init__()
@@ -268,47 +271,47 @@ class VclNoOrphanMonitor(Monitor):
         #: rank -> latest Vcl snapshot wave
         self._rank_wave: Dict[int, int] = {}
 
-    def on_record(self, record: TraceRecord) -> None:
-        self.checked += 1
-        category = record.category
-        if category == "mpi.send":
-            if record.get("protocol") != "vcl":
-                return  # waves of other protocols are not Chandy–Lamport cuts
-            key = (record.get("job"), record.get("src"), record.get("seq"))
-            self._sends[key] = record.get("wave", 0)
-        elif category == "mpi.deliver":
-            key = (record.get("job"), record.get("src"), record.get("seq"))
-            send_wave = self._sends.pop(key, 0)
-            if not send_wave:
-                return
-            rank = record.get("rank")
-            rank_wave = self._rank_wave.get(rank, 0)
-            if send_wave > rank_wave:
-                self.violation(
-                    record.time,
-                    f"orphan message: rank {key[1]} sent packet #{key[2]} "
-                    f"after its wave-{send_wave} snapshot, but rank {rank} "
-                    f"received it before its own wave-{send_wave} snapshot "
-                    f"(receiver is still at wave {rank_wave}) — the cut "
-                    "records a receive without its send",
-                )
-        elif category == "ft.local_checkpoint":
-            if record.get("protocol") == "vcl":
-                rank = record.get("rank")
-                self._rank_wave[rank] = max(
-                    self._rank_wave.get(rank, 0), record.get("wave", 0)
-                )
-        elif category == "ft.restarted":
-            # Roll every mirror back to the restart wave: the new
-            # incarnation's endpoints restart their wave counters from it.
-            wave = record.get("wave", 0)
-            for rank in self._rank_wave:
-                self._rank_wave[rank] = wave
-            self._sends.clear()
-        else:  # job.killed — in-flight sends of that job will never deliver
-            job = record.get("job")
-            for key in [k for k in self._sends if k[0] == job]:
-                del self._sends[key]
+    @on("mpi.send")
+    def on_mpi_send(self, time, job, src, dst, seq, nbytes, wave, state,
+                    protocol) -> None:
+        if protocol != "vcl":
+            return  # waves of other protocols are not Chandy–Lamport cuts
+        self._sends[(job, src, seq)] = wave
+
+    @on("mpi.deliver")
+    def on_mpi_deliver(self, time, job, rank, src, seq) -> None:
+        send_wave = self._sends.pop((job, src, seq), 0)
+        if not send_wave:
+            return
+        rank_wave = self._rank_wave.get(rank, 0)
+        if send_wave > rank_wave:
+            self.violation(
+                time,
+                f"orphan message: rank {src} sent packet #{seq} "
+                f"after its wave-{send_wave} snapshot, but rank {rank} "
+                f"received it before its own wave-{send_wave} snapshot "
+                f"(receiver is still at wave {rank_wave}) — the cut "
+                "records a receive without its send",
+            )
+
+    @on("ft.local_checkpoint")
+    def on_ft_local_checkpoint(self, time, rank, wave, protocol) -> None:
+        if protocol == "vcl":
+            self._rank_wave[rank] = max(self._rank_wave.get(rank, 0), wave)
+
+    @on("ft.restarted")
+    def on_ft_restarted(self, time, wave, incarnation) -> None:
+        # Roll every mirror back to the restart wave: the new
+        # incarnation's endpoints restart their wave counters from it.
+        for rank in self._rank_wave:
+            self._rank_wave[rank] = wave
+        self._sends.clear()
+
+    @on("job.killed")
+    def on_job_killed(self, time, job, name) -> None:
+        # in-flight sends of that job will never deliver
+        for key in [k for k in self._sends if k[0] == job]:
+            del self._sends[key]
 
 
 class VclLoggingMonitor(Monitor):
@@ -322,9 +325,6 @@ class VclLoggingMonitor(Monitor):
     """
 
     name = "vcl-logging"
-    categories = ("ft.logging_open", "ft.marker_recv", "ft.logged",
-                  "mpi.deliver", "ft.replayed", "ft.restarted",
-                  "ft.failure_detected")
 
     def __init__(self) -> None:
         super().__init__()
@@ -338,93 +338,89 @@ class VclLoggingMonitor(Monitor):
         self._replay_wave: Optional[int] = None
         self._replayed: Dict[int, Set[Tuple[int, int]]] = {}
 
-    def on_record(self, record: TraceRecord) -> None:
-        self.checked += 1
-        category = record.category
-        if category == "ft.logging_open":
-            rank = record.get("rank")
-            self._window[rank] = set(record.get("peers", ()))
-            self._window_wave[rank] = record.get("wave", 0)
-        elif category == "ft.marker_recv":
-            if record.get("protocol") == "vcl":
-                src = record.get("src")
-                if not _is_pseudo(src):
-                    self._window.get(record.get("rank"), set()).discard(src)
-        elif category == "ft.logged":
-            rank = record.get("rank")
-            src = record.get("src")
-            wave = record.get("wave", 0)
-            if src not in self._window.get(rank, ()):
-                self.violation(
-                    record.time,
-                    f"rank {rank} logged packet #{record.get('seq')} from "
-                    f"rank {src} outside its wave-{wave} logging window — "
-                    "over-logging would replay a message whose send is "
-                    "already in the cut",
-                )
-            self._logged.setdefault((wave, rank), set()).add(
-                (src, record.get("seq"))
+    @on("ft.logging_open")
+    def on_ft_logging_open(self, time, rank, wave, peers) -> None:
+        self._window[rank] = set(peers)
+        self._window_wave[rank] = wave
+
+    @on("ft.marker_recv")
+    def on_ft_marker_recv(self, time, rank, src, wave, protocol) -> None:
+        if protocol == "vcl" and not _is_pseudo(src):
+            self._window.get(rank, set()).discard(src)
+
+    @on("ft.logged")
+    def on_ft_logged(self, time, rank, src, seq, wave, nbytes) -> None:
+        if src not in self._window.get(rank, ()):
+            self.violation(
+                time,
+                f"rank {rank} logged packet #{seq} from "
+                f"rank {src} outside its wave-{wave} logging window — "
+                "over-logging would replay a message whose send is "
+                "already in the cut",
             )
-        elif category == "mpi.deliver":
-            rank = record.get("rank")
-            src = record.get("src")
-            window = self._window.get(rank)
-            if window and src in window:
-                wave = self._window_wave.get(rank, 0)
-                entry = (src, record.get("seq"))
-                if entry not in self._logged.get((wave, rank), ()):
-                    self.violation(
-                        record.time,
-                        f"in-transit message crossing the wave-{wave} cut was "
-                        f"not logged: rank {rank} delivered packet "
-                        f"#{record.get('seq')} from rank {src} after its "
-                        "snapshot and before that channel's marker, but the "
-                        "daemon log has no copy — the channel state is "
-                        "incomplete and a rollback would lose this message",
-                    )
-        elif category == "ft.replayed":
-            rank = record.get("rank")
-            wave = record.get("wave", 0)
-            entry = (record.get("src"), record.get("seq"))
-            logged = self._logged.get((wave, rank), set())
-            if self._replay_wave != wave:
+        self._logged.setdefault((wave, rank), set()).add((src, seq))
+
+    @on("mpi.deliver")
+    def on_mpi_deliver(self, time, job, rank, src, seq) -> None:
+        window = self._window.get(rank)
+        if window and src in window:
+            wave = self._window_wave.get(rank, 0)
+            if (src, seq) not in self._logged.get((wave, rank), ()):
                 self.violation(
-                    record.time,
-                    f"rank {rank} replayed a wave-{wave} message but the "
-                    f"restart rolled back to wave {self._replay_wave}",
+                    time,
+                    f"in-transit message crossing the wave-{wave} cut was "
+                    f"not logged: rank {rank} delivered packet "
+                    f"#{seq} from rank {src} after its "
+                    "snapshot and before that channel's marker, but the "
+                    "daemon log has no copy — the channel state is "
+                    "incomplete and a rollback would lose this message",
                 )
-            if entry not in logged:
-                self.violation(
-                    record.time,
-                    f"rank {rank} replayed packet #{entry[1]} from rank "
-                    f"{entry[0]} that was never logged for wave {wave}",
-                )
-            replayed = self._replayed.setdefault(rank, set())
-            if entry in replayed:
-                self.violation(
-                    record.time,
-                    f"rank {rank} replayed packet #{entry[1]} from rank "
-                    f"{entry[0]} twice in one restart",
-                )
-            replayed.add(entry)
-        elif category == "ft.restarted":
-            self._close_replay_session(record.time)
-            wave = record.get("wave", 0)
-            self._replay_wave = wave
-            self._replayed = {}
-            # windows of the dead incarnation are gone, and so are the logs
-            # of every wave past the rollback point: those waves never
-            # committed, and the new incarnation's packet seq counters
-            # restart, so their (src, seq) entries must not linger
-            self._window.clear()
-            self._window_wave.clear()
-            self._logged = {
-                key: entries for key, entries in self._logged.items()
-                if key[0] <= wave
-            }
-        else:  # ft.failure_detected: logging windows die with the job
-            self._window.clear()
-            self._window_wave.clear()
+
+    @on("ft.replayed")
+    def on_ft_replayed(self, time, rank, src, seq, wave) -> None:
+        entry = (src, seq)
+        if self._replay_wave != wave:
+            self.violation(
+                time,
+                f"rank {rank} replayed a wave-{wave} message but the "
+                f"restart rolled back to wave {self._replay_wave}",
+            )
+        if entry not in self._logged.get((wave, rank), ()):
+            self.violation(
+                time,
+                f"rank {rank} replayed packet #{seq} from rank "
+                f"{src} that was never logged for wave {wave}",
+            )
+        replayed = self._replayed.setdefault(rank, set())
+        if entry in replayed:
+            self.violation(
+                time,
+                f"rank {rank} replayed packet #{seq} from rank "
+                f"{src} twice in one restart",
+            )
+        replayed.add(entry)
+
+    @on("ft.restarted")
+    def on_ft_restarted(self, time, wave, incarnation) -> None:
+        self._close_replay_session(time)
+        self._replay_wave = wave
+        self._replayed = {}
+        # windows of the dead incarnation are gone, and so are the logs
+        # of every wave past the rollback point: those waves never
+        # committed, and the new incarnation's packet seq counters
+        # restart, so their (src, seq) entries must not linger
+        self._window.clear()
+        self._window_wave.clear()
+        self._logged = {
+            key: entries for key, entries in self._logged.items()
+            if key[0] <= wave
+        }
+
+    @on("ft.failure_detected")
+    def on_ft_failure_detected(self, time, incarnation) -> None:
+        # logging windows die with the job
+        self._window.clear()
+        self._window_wave.clear()
 
     def _close_replay_session(self, time: float) -> None:
         if self._replay_wave is None:
@@ -461,9 +457,6 @@ class PclFlushMonitor(Monitor):
     """
 
     name = "pcl-flush"
-    categories = ("mpi.send", "mpi.deliver", "ft.enter_wave", "ft.resume",
-                  "ft.marker_recv", "ft.restarted", "ft.failure_detected",
-                  "job.killed")
 
     def __init__(self) -> None:
         super().__init__()
@@ -474,55 +467,54 @@ class PclFlushMonitor(Monitor):
         #: rank -> sources whose marker arrived (receptions must be delayed)
         self._frozen: Dict[int, Set[int]] = {}
 
-    def _reset(self) -> None:
+    @on("mpi.send")
+    def on_mpi_send(self, time, job, src, dst, seq, nbytes, wave, state,
+                    protocol) -> None:
+        if src in self._checkpointing:
+            self.violation(
+                time,
+                f"rank {src} put application packet #{seq} "
+                f"({nbytes or 0:.0f}B to rank "
+                f"{dst}) on the wire while checkpointing "
+                f"wave {self._wave.get(src)} — payload crossed the "
+                "channel between the marker and the local checkpoint "
+                "(send gates / Nemesis stopper bypassed)",
+            )
+
+    @on("mpi.deliver")
+    def on_mpi_deliver(self, time, job, rank, src, seq) -> None:
+        if rank in self._checkpointing and src in self._frozen.get(rank, ()):
+            self.violation(
+                time,
+                f"rank {rank} delivered packet #{seq} from "
+                f"rank {src} to matching while checkpointing wave "
+                f"{self._wave.get(rank)} although rank {src}'s marker "
+                "had arrived — the reception must sit in the delayed "
+                "queue until the local checkpoint completes",
+            )
+
+    @on("ft.enter_wave")
+    def on_ft_enter_wave(self, time, rank, wave) -> None:
+        self._checkpointing.add(rank)
+        self._wave[rank] = wave
+        self._frozen[rank] = set()
+
+    @on("ft.resume")
+    def on_ft_resume(self, time, rank, wave) -> None:
+        self._checkpointing.discard(rank)
+        self._frozen.pop(rank, None)
+
+    @on("ft.marker_recv")
+    def on_ft_marker_recv(self, time, rank, src, wave, protocol) -> None:
+        if (protocol == "pcl" and rank in self._checkpointing
+                and wave == self._wave.get(rank)):
+            self._frozen.setdefault(rank, set()).add(src)
+
+    @on("ft.restarted", "ft.failure_detected", "job.killed")
+    def on_incarnation_end(self, time, *_, **__) -> None:
         self._checkpointing.clear()
         self._wave.clear()
         self._frozen.clear()
-
-    def on_record(self, record: TraceRecord) -> None:
-        self.checked += 1
-        category = record.category
-        if category == "mpi.send":
-            src = record.get("src")
-            if src in self._checkpointing:
-                self.violation(
-                    record.time,
-                    f"rank {src} put application packet #{record.get('seq')} "
-                    f"({record.get('nbytes', 0):.0f}B to rank "
-                    f"{record.get('dst')}) on the wire while checkpointing "
-                    f"wave {self._wave.get(src)} — payload crossed the "
-                    "channel between the marker and the local checkpoint "
-                    "(send gates / Nemesis stopper bypassed)",
-                )
-        elif category == "mpi.deliver":
-            rank = record.get("rank")
-            src = record.get("src")
-            if rank in self._checkpointing and src in self._frozen.get(rank, ()):
-                self.violation(
-                    record.time,
-                    f"rank {rank} delivered packet #{record.get('seq')} from "
-                    f"rank {src} to matching while checkpointing wave "
-                    f"{self._wave.get(rank)} although rank {src}'s marker "
-                    "had arrived — the reception must sit in the delayed "
-                    "queue until the local checkpoint completes",
-                )
-        elif category == "ft.enter_wave":
-            rank = record.get("rank")
-            self._checkpointing.add(rank)
-            self._wave[rank] = record.get("wave", 0)
-            self._frozen[rank] = set()
-        elif category == "ft.resume":
-            rank = record.get("rank")
-            self._checkpointing.discard(rank)
-            self._frozen.pop(rank, None)
-        elif category == "ft.marker_recv":
-            if record.get("protocol") == "pcl":
-                rank = record.get("rank")
-                if rank in self._checkpointing and \
-                        record.get("wave", 0) == self._wave.get(rank):
-                    self._frozen.setdefault(rank, set()).add(record.get("src"))
-        else:  # ft.restarted / ft.failure_detected / job.killed
-            self._reset()
 
 
 class DclNetworkEmptyMonitor(Monitor):
@@ -539,57 +531,57 @@ class DclNetworkEmptyMonitor(Monitor):
     """
 
     name = "dcl-network-empty"
-    categories = ("mpi.send", "mpi.deliver", "ft.local_checkpoint",
-                  "ft.restarted", "ft.failure_detected", "job.killed")
 
     def __init__(self) -> None:
         super().__init__()
         #: (job, src, seq) -> sender's wave when the dcl send committed
         self._outstanding: Dict[Tuple[str, int, int], int] = {}
 
-    def on_record(self, record: TraceRecord) -> None:
-        self.checked += 1
-        category = record.category
-        if category == "mpi.send":
-            if record.get("protocol") != "dcl":
-                return
-            if record.get("state") == "draining":
-                self.violation(
-                    record.time,
-                    f"rank {record.get('src')} committed application packet "
-                    f"#{record.get('seq')} ({record.get('nbytes', 0):.0f}B "
-                    f"to rank {record.get('dst')}) while draining wave "
-                    f"{record.get('wave')} — the drain request froze this "
-                    "rank's sends (send gates / Nemesis stopper bypassed)",
-                )
-            key = (record.get("job"), record.get("src"), record.get("seq"))
-            self._outstanding[key] = record.get("wave", 0)
-        elif category == "mpi.deliver":
-            self._outstanding.pop(
-                (record.get("job"), record.get("src"), record.get("seq")),
-                None)
-        elif category == "ft.local_checkpoint":
-            if record.get("protocol") != "dcl":
-                return
-            wave = record.get("wave", 0)
-            stale = [(key, w) for key, w in self._outstanding.items()
-                     if w < wave]
-            if stale:
-                (job, src, seq), send_wave = stale[0]
-                self.violation(
-                    record.time,
-                    f"rank {record.get('rank')} forked its wave-{wave} image "
-                    f"but packet #{seq} from rank {src} (sent at wave "
-                    f"{send_wave}, job {job}) is still in flight — counter "
-                    f"quiescence declared the network empty with "
-                    f"{len(stale)} undelivered pre-wave message(s)",
-                )
-        elif category == "job.killed":
-            job = record.get("job")
-            for key in [k for k in self._outstanding if k[0] == job]:
-                del self._outstanding[key]
-        else:  # ft.restarted / ft.failure_detected
-            self._outstanding.clear()
+    @on("mpi.send")
+    def on_mpi_send(self, time, job, src, dst, seq, nbytes, wave, state,
+                    protocol) -> None:
+        if protocol != "dcl":
+            return
+        if state == "draining":
+            self.violation(
+                time,
+                f"rank {src} committed application packet "
+                f"#{seq} ({nbytes or 0:.0f}B "
+                f"to rank {dst}) while draining wave "
+                f"{wave} — the drain request froze this "
+                "rank's sends (send gates / Nemesis stopper bypassed)",
+            )
+        self._outstanding[(job, src, seq)] = wave
+
+    @on("mpi.deliver")
+    def on_mpi_deliver(self, time, job, rank, src, seq) -> None:
+        self._outstanding.pop((job, src, seq), None)
+
+    @on("ft.local_checkpoint")
+    def on_ft_local_checkpoint(self, time, rank, wave, protocol) -> None:
+        if protocol != "dcl":
+            return
+        stale = [(key, w) for key, w in self._outstanding.items()
+                 if w < wave]
+        if stale:
+            (job, src, seq), send_wave = stale[0]
+            self.violation(
+                time,
+                f"rank {rank} forked its wave-{wave} image "
+                f"but packet #{seq} from rank {src} (sent at wave "
+                f"{send_wave}, job {job}) is still in flight — counter "
+                f"quiescence declared the network empty with "
+                f"{len(stale)} undelivered pre-wave message(s)",
+            )
+
+    @on("job.killed")
+    def on_job_killed(self, time, job, name) -> None:
+        for key in [k for k in self._outstanding if k[0] == job]:
+            del self._outstanding[key]
+
+    @on("ft.restarted", "ft.failure_detected")
+    def on_incarnation_end(self, time, *_, **__) -> None:
+        self._outstanding.clear()
 
 
 class DclDrainLivenessMonitor(Monitor):
@@ -604,9 +596,6 @@ class DclDrainLivenessMonitor(Monitor):
     """
 
     name = "dcl-drain-liveness"
-    categories = ("ft.wave_started", "ft.drain_quiesced",
-                  "ft.local_checkpoint", "ft.wave_completed",
-                  "ft.wave_aborted")
 
     def __init__(self, budget: Optional[float] = None) -> None:
         super().__init__()
@@ -615,54 +604,65 @@ class DclDrainLivenessMonitor(Monitor):
         self._open: Optional[Tuple[int, float]] = None
         self._quiesced = False
 
-    def on_record(self, record: TraceRecord) -> None:
-        self.checked += 1
-        category = record.category
-        if category != "ft.drain_quiesced" and record.get("protocol") != "dcl":
-            return
-        wave = record.get("wave", 0)
-        if category == "ft.wave_started":
-            self._open = (wave, record.time)
+    def _draining(self, wave: int) -> bool:
+        """Is ``wave`` the open dcl wave, still short of quiescence?"""
+        return (self._open is not None and self._open[0] == wave
+                and not self._quiesced)
+
+    @on("ft.wave_started")
+    def on_ft_wave_started(self, time, wave, protocol) -> None:
+        if protocol == "dcl":
+            self._open = (wave, time)
             self._quiesced = False
-        elif category == "ft.drain_quiesced":
-            if self._open is None or self._open[0] != wave:
-                self.violation(
-                    record.time,
-                    f"drain quiescence reported for wave {wave} but the open "
-                    f"dcl wave is "
-                    f"{self._open[0] if self._open else 'none'} — quiescence "
-                    "without a drain in progress",
-                )
-                return
-            elapsed = record.time - self._open[1]
-            if elapsed > self.budget:
-                self.violation(
-                    record.time,
-                    f"wave {wave} needed {elapsed:.3f}s to reach counter "
-                    f"quiescence, over the drain budget of {self.budget}s — "
-                    "the drain stalled (a counter report lost, or sends not "
-                    "actually frozen)",
-                )
-            self._quiesced = True
-        elif category == "ft.local_checkpoint":
-            if (self._open is not None and self._open[0] == wave
-                    and not self._quiesced):
-                self.violation(
-                    record.time,
-                    f"rank {record.get('rank')} forked its wave-{wave} image "
-                    "before the initiator declared counter quiescence — the "
-                    "checkpoint order outran the drain",
-                )
-        elif category == "ft.wave_completed":
-            if self._open is not None and self._open[0] == wave \
-                    and not self._quiesced:
-                self.violation(
-                    record.time,
-                    f"dcl wave {wave} committed without ever reaching "
-                    "counter quiescence",
-                )
-            self._open = None
-        else:  # ft.wave_aborted — a mid-drain death legally closes the wave
+
+    @on("ft.drain_quiesced")
+    def on_ft_drain_quiesced(self, time, wave, sent, recvd, elapsed,
+                             protocol) -> None:
+        if self._open is None or self._open[0] != wave:
+            self.violation(
+                time,
+                f"drain quiescence reported for wave {wave} but the open "
+                f"dcl wave is "
+                f"{self._open[0] if self._open else 'none'} — quiescence "
+                "without a drain in progress",
+            )
+            return
+        elapsed = time - self._open[1]
+        if elapsed > self.budget:
+            self.violation(
+                time,
+                f"wave {wave} needed {elapsed:.3f}s to reach counter "
+                f"quiescence, over the drain budget of {self.budget}s — "
+                "the drain stalled (a counter report lost, or sends not "
+                "actually frozen)",
+            )
+        self._quiesced = True
+
+    @on("ft.local_checkpoint")
+    def on_ft_local_checkpoint(self, time, rank, wave, protocol) -> None:
+        if protocol == "dcl" and self._draining(wave):
+            self.violation(
+                time,
+                f"rank {rank} forked its wave-{wave} image "
+                "before the initiator declared counter quiescence — the "
+                "checkpoint order outran the drain",
+            )
+
+    @on("ft.wave_completed")
+    def on_ft_wave_completed(self, time, wave, duration, protocol) -> None:
+        if protocol != "dcl":
+            return
+        if self._draining(wave):
+            self.violation(
+                time,
+                f"dcl wave {wave} committed without ever reaching "
+                "counter quiescence",
+            )
+        self._open = None
+
+    @on("ft.wave_aborted")
+    def on_ft_wave_aborted(self, time, wave, protocol) -> None:
+        if protocol == "dcl":  # a mid-drain death legally closes the wave
             self._open = None
 
     def finish(self) -> None:
@@ -681,30 +681,28 @@ class FdBudgetMonitor(Monitor):
     """The dispatcher's select() budget: 3 sockets/process, 1024 fds."""
 
     name = "fd-budget"
-    categories = ("runtime.validated",)
 
-    def on_record(self, record: TraceRecord) -> None:
-        self.checked += 1
-        limit = record.get("fd_limit")
-        per_process = record.get("sockets_per_process")
-        if limit is None or per_process is None:
+    @on("runtime.validated")
+    def on_runtime_validated(self, time, n_ranks, launcher, fd_limit=None,
+                             sockets_per_process=None, reserved_fds=None,
+                             max_processes=None) -> None:
+        if fd_limit is None or sockets_per_process is None:
             return  # launcher without an fd budget (InstantLauncher, FTPM)
-        n_ranks = record.get("n_ranks", 0)
-        reserved = record.get("reserved_fds", 0)
-        fds = reserved + n_ranks * per_process
-        if fds > limit:
+        n_ranks = n_ranks or 0
+        reserved = reserved_fds or 0
+        fds = reserved + n_ranks * sockets_per_process
+        if fds > fd_limit:
             self.violation(
-                record.time,
-                f"{record.get('launcher')} launched {n_ranks} processes "
-                f"needing {fds} descriptors ({per_process}/process + "
+                time,
+                f"{launcher} launched {n_ranks} processes "
+                f"needing {fds} descriptors ({sockets_per_process}/process + "
                 f"{reserved} reserved), over the select() fd limit of "
-                f"{limit} — the run would fail on real MPICH-V hardware",
+                f"{fd_limit} — the run would fail on real MPICH-V hardware",
             )
-        max_processes = record.get("max_processes")
         if max_processes is not None and n_ranks > max_processes:
             self.violation(
-                record.time,
-                f"{record.get('launcher')} admitted {n_ranks} processes past "
+                time,
+                f"{launcher} admitted {n_ranks} processes past "
                 f"its modeled maximum of {max_processes}",
             )
 
@@ -731,23 +729,23 @@ class LivelockMonitor(Monitor):
             max_same_time_events if max_same_time_events is not None
             else DEFAULT_MAX_SAME_TIME_EVENTS
         )
-        self._time: Optional[float] = None
-        self._streak = 0
-        self._tripped = False
+        self.step_time: Optional[float] = None
+        self.streak = 0
+        self.tripped = False
 
     def on_step(self, time: float, priority: int, seq: int) -> None:
         self.checked += 1
-        if time != self._time:
-            self._time = time
-            self._streak = 0
-            self._tripped = False
+        if time != self.step_time:
+            self.step_time = time
+            self.streak = 0
+            self.tripped = False
             return
-        self._streak += 1
-        if self._streak >= self.max_same_time_events and not self._tripped:
-            self._tripped = True  # one report per cascade in collect mode
+        self.streak += 1
+        if self.streak >= self.max_same_time_events and not self.tripped:
+            self.tripped = True  # one report per cascade in collect mode
             self.violation(
                 time,
-                f"livelock: {self._streak + 1} consecutive event pops at "
+                f"livelock: {self.streak + 1} consecutive event pops at "
                 f"t={time!r} without the simulation clock advancing "
                 f"(budget {self.max_same_time_events}) — a zero-time event "
                 "cascade is spinning (arm the engine Watchdog for the "
@@ -767,37 +765,42 @@ class WaveLivenessMonitor(Monitor):
     """
 
     name = "wave-liveness"
-    categories = ("ft.wave_started", "ft.wave_completed", "ft.wave_aborted")
 
     def __init__(self) -> None:
         super().__init__()
         #: protocol name -> (open wave number, start time)
         self._open: Dict[str, Tuple[int, float]] = {}
 
-    def on_record(self, record: TraceRecord) -> None:
-        self.checked += 1
-        protocol = record.get("protocol", "?")
-        wave = record.get("wave", 0)
-        if record.category == "ft.wave_started":
-            stale = self._open.get(protocol)
-            if stale is not None:
-                self.violation(
-                    record.time,
-                    f"{protocol} started wave {wave} while wave {stale[0]} "
-                    f"(started at t={stale[1]}) is still open — the previous "
-                    "wave neither completed nor aborted",
-                )
-            self._open[protocol] = (wave, record.time)
-        else:  # ft.wave_completed / ft.wave_aborted
-            stale = self._open.pop(protocol, None)
-            if stale is None or stale[0] != wave:
-                closing = record.category.rsplit("_", 1)[1]
-                self.violation(
-                    record.time,
-                    f"{protocol} wave {wave} {closing} but the open wave is "
-                    f"{stale[0] if stale else 'none'} — wave ledger out of "
-                    "sync",
-                )
+    @on("ft.wave_started")
+    def on_ft_wave_started(self, time, wave, protocol) -> None:
+        stale = self._open.get(protocol)
+        if stale is not None:
+            self.violation(
+                time,
+                f"{protocol} started wave {wave} while wave {stale[0]} "
+                f"(started at t={stale[1]}) is still open — the previous "
+                "wave neither completed nor aborted",
+            )
+        self._open[protocol] = (wave, time)
+
+    @on("ft.wave_completed")
+    def on_ft_wave_completed(self, time, wave, duration, protocol) -> None:
+        self._close(time, wave, protocol, "completed")
+
+    @on("ft.wave_aborted")
+    def on_ft_wave_aborted(self, time, wave, protocol) -> None:
+        self._close(time, wave, protocol, "aborted")
+
+    def _close(self, time: float, wave: int, protocol: str,
+               closing: str) -> None:
+        stale = self._open.pop(protocol, None)
+        if stale is None or stale[0] != wave:
+            self.violation(
+                time,
+                f"{protocol} wave {wave} {closing} but the open wave is "
+                f"{stale[0] if stale else 'none'} — wave ledger out of "
+                "sync",
+            )
 
     def finish(self) -> None:
         for protocol, (wave, started_at) in sorted(self._open.items()):
@@ -837,10 +840,6 @@ class StorageDurabilityMonitor(Monitor):
     """
 
     name = "storage-durability"
-    categories = ("ft.storage_config", "runtime.validated",
-                  "ft.replica_stored", "ft.commit", "ft.wave_gc",
-                  "ft.failure", "ft.image_corrupted", "ft.fetch_ok",
-                  "ft.storage_unrecoverable", "ft.restarted")
 
     def __init__(self) -> None:
         super().__init__()
@@ -867,130 +866,142 @@ class StorageDurabilityMonitor(Monitor):
             return True
         return False
 
-    def on_record(self, record: TraceRecord) -> None:
-        self.checked += 1
-        category = record.category
-        if category == "ft.replica_stored":
-            key = (record.get("wave", 0), record.get("rank", 0))
-            server = record.get("server")
-            self._replicas.setdefault(key, {})[server] = record.get("checksum")
-            # a fresh upload replaces any corrupted copy
-            self._corrupt.discard((server, key[0], key[1]))
-        elif category == "ft.commit":
-            wave = record.get("wave", 0)
-            self._committed.setdefault(wave, set()).add(record.get("server"))
-            if self._n_ranks is None:
-                return
-            for rank in range(self._n_ranks):
-                if not self._covered(wave, rank):
-                    self.violation(
-                        record.time,
-                        f"wave {wave} committed but rank {rank} has no "
-                        "sealed, intact replica on a live server — the "
-                        "commit is not durable",
-                    )
-        elif category == "ft.wave_gc":
-            wave = record.get("wave", 0)
-            server = record.get("server")
-            servers = self._committed.get(wave)
-            if servers is not None:
-                servers.discard(server)
-                if not servers:
-                    del self._committed[wave]
-            for (w, rank) in [k for k in self._replicas if k[0] == wave]:
-                self._replicas[(w, rank)].pop(server, None)
-                if not self._replicas[(w, rank)]:
-                    del self._replicas[(w, rank)]
-                self._corrupt.discard((server, w, rank))
-        elif category == "ft.failure":
-            if record.get("kind") != "server":
-                return
-            self._dead.add(record.get("server"))
-            if (self._replication < 2 or len(self._dead) != 1
-                    or self._n_ranks is None or not self._committed):
-                return
-            newest = max(self._committed)
-            for rank in range(self._n_ranks):
-                if not self._covered(newest, rank):
-                    self.violation(
-                        record.time,
-                        f"first server death ({record.get('server')}) lost "
-                        f"rank {rank} of committed wave {newest} although "
-                        f"replication is {self._replication} — K-way "
-                        "replication must survive one server loss",
-                    )
-        elif category == "ft.image_corrupted":
-            self._corrupt.add((record.get("server"), record.get("wave", 0),
-                               record.get("rank", 0)))
-        elif category == "ft.fetch_ok":
-            wave = record.get("wave", 0)
-            rank = record.get("rank", 0)
-            server = record.get("server")
-            if server in self._dead:
+    @on("ft.replica_stored")
+    def on_ft_replica_stored(self, time, server, rank, wave, checksum,
+                             nbytes) -> None:
+        self._replicas.setdefault((wave, rank), {})[server] = checksum
+        # a fresh upload replaces any corrupted copy
+        self._corrupt.discard((server, wave, rank))
+
+    @on("ft.commit")
+    def on_ft_commit(self, time, server, wave, ranks) -> None:
+        self._committed.setdefault(wave, set()).add(server)
+        if self._n_ranks is None:
+            return
+        for rank in range(self._n_ranks):
+            if not self._covered(wave, rank):
                 self.violation(
-                    record.time,
-                    f"rank {rank} fetched wave {wave} from {server}, a "
-                    "server that already died",
+                    time,
+                    f"wave {wave} committed but rank {rank} has no "
+                    "sealed, intact replica on a live server — the "
+                    "commit is not durable",
                 )
-            if (server, wave, rank) in self._corrupt:
+
+    @on("ft.wave_gc")
+    def on_ft_wave_gc(self, time, server, wave) -> None:
+        servers = self._committed.get(wave)
+        if servers is not None:
+            servers.discard(server)
+            if not servers:
+                del self._committed[wave]
+        for (w, rank) in [k for k in self._replicas if k[0] == wave]:
+            self._replicas[(w, rank)].pop(server, None)
+            if not self._replicas[(w, rank)]:
+                del self._replicas[(w, rank)]
+            self._corrupt.discard((server, w, rank))
+
+    @on("ft.failure")
+    def on_ft_failure(self, time, kind, rank=None, server=None,
+                      node=None) -> None:
+        if kind != "server":
+            return
+        self._dead.add(server)
+        if (self._replication < 2 or len(self._dead) != 1
+                or self._n_ranks is None or not self._committed):
+            return
+        newest = max(self._committed)
+        for rank in range(self._n_ranks):
+            if not self._covered(newest, rank):
                 self.violation(
-                    record.time,
-                    f"rank {rank} fetched wave {wave} from {server} whose "
-                    "replica was corrupted — the checksum verification "
-                    "accepted a bad copy",
+                    time,
+                    f"first server death ({server}) lost "
+                    f"rank {rank} of committed wave {newest} although "
+                    f"replication is {self._replication} — K-way "
+                    "replication must survive one server loss",
                 )
-            sealed = self._replicas.get((wave, rank), {}).get(server)
-            if sealed is None:
+
+    @on("ft.image_corrupted")
+    def on_ft_image_corrupted(self, time, server, rank, wave) -> None:
+        self._corrupt.add((server, wave, rank))
+
+    @on("ft.fetch_ok")
+    def on_ft_fetch_ok(self, time, rank, wave, server, checksum) -> None:
+        if server in self._dead:
+            self.violation(
+                time,
+                f"rank {rank} fetched wave {wave} from {server}, a "
+                "server that already died",
+            )
+        if (server, wave, rank) in self._corrupt:
+            self.violation(
+                time,
+                f"rank {rank} fetched wave {wave} from {server} whose "
+                "replica was corrupted — the checksum verification "
+                "accepted a bad copy",
+            )
+        sealed = self._replicas.get((wave, rank), {}).get(server)
+        if sealed is None:
+            self.violation(
+                time,
+                f"rank {rank} fetched wave {wave} from {server} but "
+                "that server never sealed such a replica (or it was "
+                "garbage-collected)",
+            )
+        elif checksum != sealed:
+            self.violation(
+                time,
+                f"rank {rank} fetched wave {wave} from {server} with "
+                f"checksum {checksum} but the sealed "
+                f"replica recorded {sealed}",
+            )
+
+    @on("ft.storage_unrecoverable")
+    def on_ft_storage_unrecoverable(self, time, committed,
+                                    incarnation) -> None:
+        if self._n_ranks is None:
+            return
+        for wave in sorted(self._committed, reverse=True):
+            if wave <= 0:
+                continue
+            if all(self._covered(wave, rank)
+                   for rank in range(self._n_ranks)):
                 self.violation(
-                    record.time,
-                    f"rank {rank} fetched wave {wave} from {server} but "
-                    "that server never sealed such a replica (or it was "
-                    "garbage-collected)",
+                    time,
+                    f"run declared storage-unrecoverable although "
+                    f"committed wave {wave} is fully covered by live, "
+                    "intact replicas — the fetch/fallback path gave up "
+                    "too early",
                 )
-            elif record.get("checksum") != sealed:
-                self.violation(
-                    record.time,
-                    f"rank {rank} fetched wave {wave} from {server} with "
-                    f"checksum {record.get('checksum')} but the sealed "
-                    f"replica recorded {sealed}",
-                )
-        elif category == "ft.storage_unrecoverable":
-            if self._n_ranks is None:
                 return
-            for wave in sorted(self._committed, reverse=True):
-                if wave <= 0:
-                    continue
-                if all(self._covered(wave, rank)
-                       for rank in range(self._n_ranks)):
-                    self.violation(
-                        record.time,
-                        f"run declared storage-unrecoverable although "
-                        f"committed wave {wave} is fully covered by live, "
-                        "intact replicas — the fetch/fallback path gave up "
-                        "too early",
-                    )
-                    return
-        elif category == "ft.restarted":
-            wave = record.get("wave") or 0
-            if wave > 0 and self._committed and wave not in self._committed:
-                self.violation(
-                    record.time,
-                    f"restart restored wave {wave}, which no checkpoint "
-                    "server ever committed",
-                )
-        elif category == "ft.storage_config":
-            self._replication = record.get("replication", 1)
-        else:  # runtime.validated
-            n_ranks = record.get("n_ranks")
-            if n_ranks is None or self._ambiguous:
-                return
-            if self._n_ranks is None:
-                self._n_ranks = n_ranks
-            elif self._n_ranks != n_ranks:
-                # several jobs of different sizes share this simulator —
-                # job-wide coverage is no longer well-defined
-                self._n_ranks = None
-                self._ambiguous = True
+
+    @on("ft.restarted")
+    def on_ft_restarted(self, time, wave, incarnation) -> None:
+        wave = wave or 0
+        if wave > 0 and self._committed and wave not in self._committed:
+            self.violation(
+                time,
+                f"restart restored wave {wave}, which no checkpoint "
+                "server ever committed",
+            )
+
+    @on("ft.storage_config")
+    def on_ft_storage_config(self, time, replication, n_servers, gc_keep,
+                             fetch_rounds) -> None:
+        self._replication = replication
+
+    @on("runtime.validated")
+    def on_runtime_validated(self, time, n_ranks, launcher, fd_limit=None,
+                             sockets_per_process=None, reserved_fds=None,
+                             max_processes=None) -> None:
+        if n_ranks is None or self._ambiguous:
+            return
+        if self._n_ranks is None:
+            self._n_ranks = n_ranks
+        elif self._n_ranks != n_ranks:
+            # several jobs of different sizes share this simulator —
+            # job-wide coverage is no longer well-defined
+            self._n_ranks = None
+            self._ambiguous = True
 
 
 class MembershipAgreementMonitor(Monitor):
@@ -1011,8 +1022,6 @@ class MembershipAgreementMonitor(Monitor):
     """
 
     name = "membership-agreement"
-    categories = ("ft.membership_round", "ft.membership_commit",
-                  "ft.recovery_begin")
 
     def __init__(self) -> None:
         super().__init__()
@@ -1022,59 +1031,59 @@ class MembershipAgreementMonitor(Monitor):
         #: ballot -> ranks that committed it
         self._committers: Dict[int, Set[int]] = {}
 
-    def on_record(self, record: TraceRecord) -> None:
-        self.checked += 1
-        category = record.category
-        ballot = record.get("ballot", 0)
-        if category == "ft.membership_round":
-            self._proposals[ballot] = tuple(record.get("failed", ()))
-        elif category == "ft.membership_commit":
-            rank = record.get("rank", 0)
-            failed = tuple(record.get("failed", ()))
-            proposed = self._proposals.get(ballot)
-            if proposed is None:
-                self.violation(
-                    record.time,
-                    f"rank {rank} committed ballot {ballot} which was never "
-                    "proposed — commit without an agreement round",
-                )
-            elif failed != proposed:
-                self.violation(
-                    record.time,
-                    f"rank {rank} committed failed set {failed} for ballot "
-                    f"{ballot} but the proposal was {proposed} — survivors "
-                    "disagree on who failed",
-                )
-            if rank in failed:
-                self.violation(
-                    record.time,
-                    f"rank {rank} committed ballot {ballot} although it is "
-                    "in the failed set — the dead don't vote",
-                )
-            committers = self._committers.setdefault(ballot, set())
-            if rank in committers:
-                self.violation(
-                    record.time,
-                    f"rank {rank} committed ballot {ballot} twice",
-                )
-            committers.add(rank)
-        else:  # ft.recovery_begin
-            failed = set(record.get("failed", ()))
-            n_ranks = record.get("n_ranks", 0)
-            expected = set(range(n_ranks)) - failed
-            committed = self._committers.get(ballot, set())
-            if committed != expected:
-                missing = sorted(expected - committed)
-                extra = sorted(committed - expected)
-                self.violation(
-                    record.time,
-                    f"recovery began on ballot {ballot} but its committers "
-                    f"are not exactly the survivors — missing {missing}, "
-                    f"unexpected {extra}",
-                )
-            # the ballot is consumed; later recoveries use fresh ballots
-            self._proposals.pop(ballot, None)
-            self._committers.pop(ballot, None)
+    @on("ft.membership_round")
+    def on_ft_membership_round(self, time, ballot, coordinator, failed,
+                               survivors) -> None:
+        self._proposals[ballot] = tuple(failed)
+
+    @on("ft.membership_commit")
+    def on_ft_membership_commit(self, time, rank, ballot, failed) -> None:
+        failed = tuple(failed)
+        proposed = self._proposals.get(ballot)
+        if proposed is None:
+            self.violation(
+                time,
+                f"rank {rank} committed ballot {ballot} which was never "
+                "proposed — commit without an agreement round",
+            )
+        elif failed != proposed:
+            self.violation(
+                time,
+                f"rank {rank} committed failed set {failed} for ballot "
+                f"{ballot} but the proposal was {proposed} — survivors "
+                "disagree on who failed",
+            )
+        if rank in failed:
+            self.violation(
+                time,
+                f"rank {rank} committed ballot {ballot} although it is "
+                "in the failed set — the dead don't vote",
+            )
+        committers = self._committers.setdefault(ballot, set())
+        if rank in committers:
+            self.violation(
+                time,
+                f"rank {rank} committed ballot {ballot} twice",
+            )
+        committers.add(rank)
+
+    @on("ft.recovery_begin")
+    def on_ft_recovery_begin(self, time, policy, ballot, failed, n_ranks,
+                             committed, incarnation) -> None:
+        expected = set(range(n_ranks)) - set(failed)
+        committers = self._committers.get(ballot, set())
+        if committers != expected:
+            missing = sorted(expected - committers)
+            extra = sorted(committers - expected)
+            self.violation(
+                time,
+                f"recovery began on ballot {ballot} but its committers "
+                f"are not exactly the survivors — missing {missing}, "
+                f"unexpected {extra}",
+            )
+        # the ballot is consumed; later recoveries use fresh ballots
+        self._proposals.pop(ballot, None)
+        self._committers.pop(ballot, None)
 
 
 class SpareConsistencyMonitor(Monitor):
@@ -1097,11 +1106,12 @@ class SpareConsistencyMonitor(Monitor):
     """
 
     name = "spare-consistency"
-    categories = ("ft.recovery_begin", "ft.promoted", "ft.spare_restore",
-                  "ft.wave_fallback", "ft.restarted", "ft.failure")
 
     def __init__(self) -> None:
         super().__init__()
+        self._close()
+
+    def _close(self) -> None:
         self._open = False
         #: failed set of the open spare recovery
         self._failed: Set[int] = set()
@@ -1112,66 +1122,63 @@ class SpareConsistencyMonitor(Monitor):
         #: promotion is legitimate until the recovery closes
         self._cascading = False
 
-    def on_record(self, record: TraceRecord) -> None:
-        self.checked += 1
-        category = record.category
-        if category == "ft.recovery_begin":
-            if record.get("policy") != "spare":
-                self._open = False
-                self._failed = set()
-                self._expected = None
-                self._cascading = False
-                return
+    @on("ft.recovery_begin")
+    def on_ft_recovery_begin(self, time, policy, ballot, failed, n_ranks,
+                             committed, incarnation) -> None:
+        self._close()
+        if policy == "spare":
             self._open = True
-            self._failed = set(record.get("failed", ()))
-            committed = record.get("committed", 0)
+            self._failed = set(failed)
             self._expected = committed if committed > 0 else None
-            self._cascading = False
-        elif category == "ft.failure":
-            if not self._open:
-                return
-            kind = record.get("kind")
-            rank = record.get("rank")
-            if kind == "task" and rank is not None:
-                self._failed.add(rank)
-            elif kind == "node":
-                self._cascading = True
-        elif category == "ft.promoted":
-            if not self._open or self._cascading:
-                return  # degraded/restart paths and cascading casualties
-            rank = record.get("rank", 0)
-            if rank not in self._failed:
-                self.violation(
-                    record.time,
-                    f"rank {rank} was promoted onto a spare although the "
-                    f"agreed failed set is {sorted(self._failed)} — a "
-                    "surviving rank lost its engine",
-                )
-        elif category == "ft.spare_restore":
-            wave = record.get("wave", 0)
-            if not self._open:
-                self.violation(
-                    record.time,
-                    f"spare restore of wave {wave} outside an open spare "
-                    "recovery",
-                )
-            elif self._expected is not None and wave != self._expected:
-                self.violation(
-                    record.time,
-                    f"promoted spare restored wave {wave} but the newest "
-                    f"committed wave at agreement was {self._expected} — "
-                    "a spare must restore the newest committed image",
-                )
-        elif category == "ft.wave_fallback":
-            self._expected = None
-        else:  # ft.restarted
-            self._open = False
-            self._failed = set()
-            self._expected = None
-            self._cascading = False
+
+    @on("ft.failure")
+    def on_ft_failure(self, time, kind, rank=None, server=None,
+                      node=None) -> None:
+        if not self._open:
+            return
+        if kind == "task" and rank is not None:
+            self._failed.add(rank)
+        elif kind == "node":
+            self._cascading = True
+
+    @on("ft.promoted")
+    def on_ft_promoted(self, time, rank, node, incarnation) -> None:
+        if not self._open or self._cascading:
+            return  # degraded/restart paths and cascading casualties
+        if rank not in self._failed:
+            self.violation(
+                time,
+                f"rank {rank} was promoted onto a spare although the "
+                f"agreed failed set is {sorted(self._failed)} — a "
+                "surviving rank lost its engine",
+            )
+
+    @on("ft.spare_restore")
+    def on_ft_spare_restore(self, time, rank, wave, node) -> None:
+        if not self._open:
+            self.violation(
+                time,
+                f"spare restore of wave {wave} outside an open spare "
+                "recovery",
+            )
+        elif self._expected is not None and wave != self._expected:
+            self.violation(
+                time,
+                f"promoted spare restored wave {wave} but the newest "
+                f"committed wave at agreement was {self._expected} — "
+                "a spare must restore the newest committed image",
+            )
+
+    @on("ft.wave_fallback")
+    def on_ft_wave_fallback(self, time, wave, incarnation) -> None:
+        self._expected = None
+
+    @on("ft.restarted")
+    def on_ft_restarted(self, time, wave, incarnation) -> None:
+        self._close()
 
 
-def all_monitors() -> list:
+def all_monitors() -> List[Monitor]:
     """Fresh instances of every shipped monitor."""
     return [
         MonotoneClockMonitor(),

@@ -18,8 +18,9 @@ monitor ships without a negative here.
 import pytest
 
 from repro.ft.dcl import DRAIN_BUDGET
-from repro.sim.trace import TraceRecord
-from repro.verify import InvariantViolation, all_monitors
+from repro.sim import Simulator
+from repro.sim.trace import SCHEMAS, TraceRecord
+from repro.verify import InvariantViolation, MonitorBus, all_monitors
 from repro.verify.monitors import (
     DclDrainLivenessMonitor,
     DclNetworkEmptyMonitor,
@@ -43,13 +44,37 @@ def rec(time, category, **fields):
     return TraceRecord(time, category, tuple(fields.items()))
 
 
-def feed(monitor, records=(), steps=(), finish=False):
+#: the two entry points onto a monitor's handlers: ``on_record`` with a
+#: materialised record (offline CLI, unit tests), and the live route — a
+#: real tracer's positional plan into the bus closure, with the two
+#: pop-stream monitors attached beside it as in every monitored run
+TRANSPORTS = ("on_record", "positional")
+
+
+def feed(monitor, records=(), steps=(), finish=False, transport="on_record"):
+    if transport == "on_record":
+        for step in steps:
+            monitor.on_step(*step)
+        for record in records:
+            monitor.on_record(record)
+        if finish:
+            monitor.finish()
+        return
+    monitors = [monitor if type(m) is type(monitor) else m
+                for m in (MonotoneClockMonitor(), LivelockMonitor())]
+    if monitor not in monitors:
+        monitors.append(monitor)
+    sim = Simulator()
+    bus = MonitorBus(monitors)
+    bus.attach(sim)
     for step in steps:
-        monitor.on_step(*step)
+        for listener in sim.trace.step_listeners:
+            listener(*step)
     for record in records:
-        monitor.on_record(record)
+        values = SCHEMAS[record.category].values(record.as_dict())
+        sim.trace.probes[record.category](record.time, *values)
     if finish:
-        monitor.finish()
+        bus.finish()
 
 
 # --------------------------------------------------------------- case table
@@ -452,8 +477,14 @@ _MONITOR_CLASSES = {
     "spare-consistency": SpareConsistencyMonitor,
 }
 
+# every case through every transport; the on_record ids are the bare case
+# labels (what they were before the live route was added to the table)
 _ALL_CASES = [
-    (name, case) for name, cases in CASES.items() for case in cases
+    pytest.param(name, case, transport,
+                 id=f"{name}-{case['label']}"
+                    + ("" if transport == "on_record" else f"-{transport}"))
+    for name, cases in CASES.items() for case in cases
+    for transport in TRANSPORTS
 ]
 
 
@@ -464,25 +495,21 @@ def _make(name, case):
     return monitor
 
 
-@pytest.mark.parametrize(
-    "name,case", _ALL_CASES,
-    ids=[f"{name}-{case['label']}" for name, case in _ALL_CASES])
-def test_clean_stream_passes(name, case):
+@pytest.mark.parametrize("name,case,transport", _ALL_CASES)
+def test_clean_stream_passes(name, case, transport):
     """The uncorrupted twin of each negative is accepted (minimality)."""
     monitor = _make(name, case)
     clean = dict(case["clean"])
     clean.setdefault("finish", True)
-    feed(monitor, **clean)  # must not raise
+    feed(monitor, **clean, transport=transport)  # must not raise
     assert monitor.checked > 0
 
 
-@pytest.mark.parametrize(
-    "name,case", _ALL_CASES,
-    ids=[f"{name}-{case['label']}" for name, case in _ALL_CASES])
-def test_corrupted_stream_fires(name, case):
+@pytest.mark.parametrize("name,case,transport", _ALL_CASES)
+def test_corrupted_stream_fires(name, case, transport):
     monitor = _make(name, case)
     with pytest.raises(InvariantViolation, match=case["match"]) as err:
-        feed(monitor, **case["corrupt"])
+        feed(monitor, **case["corrupt"], transport=transport)
     assert err.value.monitor == name
 
 
