@@ -18,7 +18,7 @@ from repro.harness.config import Profile
 from repro.obs import attach_metrics
 from repro.runtime import DeploymentSpec, build_run
 from repro.sim import Simulator, Tracer, Watchdog, make_simulator
-from repro.verify import MonitorBus, all_monitors
+from repro.verify import MonitorBus, monitors_for
 
 __all__ = [
     "RunResult",
@@ -175,10 +175,14 @@ def execute(
     ``period`` is in *paper* seconds; it is scaled by the profile here, as
     is the checkpoint image size (see :mod:`repro.harness.config`).
 
-    With ``monitors`` on (the default), every protocol invariant monitor of
-    :mod:`repro.verify` rides along and its verdicts land in
-    ``RunResult.meta["monitors"]`` — violations are collected rather than
-    raised so a broken run still yields a diagnosable result row.
+    With ``monitors`` on (the default), the invariant monitors of
+    :mod:`repro.verify` that can fire on this deployment ride along
+    (:func:`repro.verify.monitors_for`: the engine, FIFO and fd-budget
+    monitors always, a protocol's own monitors only under that protocol,
+    the membership/spare monitors only under a survivor recovery policy)
+    and their verdicts land in ``RunResult.meta["monitors"]`` — violations
+    are collected rather than raised so a broken run still yields a
+    diagnosable result row.
 
     ``kills`` injects failures: ``("task" | "node", rank, at)`` triples,
     with ``at`` in *simulated* seconds (failure injection targets a point
@@ -227,10 +231,6 @@ def execute(
     if metrics is None:
         metrics = metrics_enabled()
     registry = attach_metrics(sim) if metrics else None
-    bus = None
-    if monitors:
-        bus = MonitorBus(all_monitors(), raise_on_violation=False)
-        bus.attach(sim)
     spec = DeploymentSpec(
         n_procs=n_procs,
         protocol=protocol,
@@ -250,6 +250,10 @@ def execute(
         recovery_policy=policy,
         spares=spares,
     )
+    bus = None
+    if monitors:
+        bus = MonitorBus(monitors_for(spec), raise_on_violation=False)
+        bus.attach(sim)
     malleable_factory = (
         bench.make_app
         if policy == "shrink" and getattr(bench, "malleable", False)

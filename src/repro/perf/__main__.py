@@ -64,8 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "instead of failures; the deterministic "
                              "events/pops count check still gates")
     parser.add_argument("--update", action="store_true",
-                        help="rewrite the baseline with this run "
-                             "(preserves the recorded kernel_before)")
+                        help="rewrite the baseline with this run")
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="also write the report JSON here")
     return parser
@@ -83,9 +82,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         progress=progress)
 
     baseline = load_baseline(args.baseline)
-    kernel_before = (baseline or {}).get("kernel_before")
-    report = suite_report(results, args.suite, args.repeat,
-                          kernel_before=kernel_before)
+    report = suite_report(results, args.suite, args.repeat)
 
     if args.json:
         with open(args.json, "w") as handle:

@@ -4,9 +4,6 @@ The contract of ``BENCH_engine.json`` (repo root):
 
 * ``workloads`` — one entry per workload: useful-event count, engine pops,
   best-of-N wall seconds, and ``events_per_sec`` (the regression metric);
-* ``kernel_before`` — the same measurements taken on the pre-overhaul
-  kernel (generation-checked flow timers, linear tracer scan), kept so the
-  speedup claim stays auditable;
 * ``meta`` — suite name, repeat count, schema tag.
 
 Regression policy is two independent checks:
@@ -140,24 +137,15 @@ def run_suite(suite: str = "smoke", repeat: int = 3,
     return results
 
 
-def suite_report(results: Dict[str, BenchResult], suite: str, repeat: int,
-                 kernel_before: Optional[Dict[str, Any]] = None,
-                 ) -> Dict[str, Any]:
+def suite_report(results: Dict[str, BenchResult], suite: str,
+                 repeat: int) -> Dict[str, Any]:
     """The JSON document written to ``BENCH_engine.json``."""
-    report: Dict[str, Any] = {
+    return {
         "schema": "repro.perf/1",
         "meta": {"suite": suite, "repeat": repeat,
                  "metric": "events_per_sec (fixed work / wall seconds)"},
         "workloads": {name: r.to_dict() for name, r in results.items()},
     }
-    if kernel_before:
-        report["kernel_before"] = kernel_before
-        before = kernel_before.get("flow_churn", {}).get("events_per_sec")
-        after = results.get("flow_churn")
-        if before and after:
-            report["meta"]["flow_churn_speedup_vs_before"] = round(
-                after.events_per_sec / before, 2)
-    return report
 
 
 def load_baseline(path: str = DEFAULT_BASELINE) -> Optional[Dict[str, Any]]:

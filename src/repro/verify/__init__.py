@@ -39,7 +39,16 @@ Attach all monitors to a simulator with::
     ...  # run; InvariantViolation raises at the offending event
     bus.finish()
 
-Offline checking of a dumped trace: ``python -m repro.verify trace.jsonl``.
+or, as :func:`repro.harness.runner.execute` does, only those that can fire
+on a given deployment: ``MonitorBus(monitors_for(spec))``.
+
+A monitor states each check once, as a handler of one trace category
+taking the category's declared fields positionally (``@on("net.sent")``).
+On the live path the bus compiles one closure per category and the emitting
+site calls it directly — no record is built; ``Monitor.on_record`` and
+``MonitorBus.dispatch`` adapt a materialised record onto the same handlers,
+which is how a dumped trace is checked offline:
+``python -m repro.verify trace.jsonl``.
 """
 
 from repro.verify.base import InvariantViolation, Monitor, on
@@ -59,6 +68,7 @@ from repro.verify.monitors import (
     VclNoOrphanMonitor,
     WaveLivenessMonitor,
     all_monitors,
+    monitors_for,
 )
 
 __all__ = [
@@ -79,4 +89,5 @@ __all__ = [
     "MembershipAgreementMonitor",
     "SpareConsistencyMonitor",
     "all_monitors",
+    "monitors_for",
 ]

@@ -185,29 +185,21 @@ class MonitorBus:
         route = self._routed(category)
         if not route:
             return None
-        clock = self._first(MonotoneClockMonitor, route[-1:])
-        handled = route if clock is None else route[:-1]
-        if any(category not in monitor.handlers for monitor in handled):
-            # a monitor that consumes records wholesale (on_record
-            # overridden): materialise once, deliver generically
+        *handled, clock = route
+        if (type(clock) is not MonotoneClockMonitor
+                or any(category not in m.handlers for m in handled)):
+            # a bus without the clock monitor last, or a monitor that
+            # consumes records wholesale (on_record overridden): only
+            # tests build those — materialise and deliver generically
             dispatch = self.dispatch
             return lambda time, *values, **named: dispatch(
                 make_record(time, category, values, named))
         pairs = tuple((monitor, getattr(monitor, monitor.handlers[category]))
                       for monitor in handled)
         window_append = self._window_append
-
-        if clock is None:
-            def deliver(time, *values, **named):
-                window_append((time, category, values, named))
-                for monitor, handler in pairs:
-                    monitor.checked += 1
-                    handler(time, *values, **named)
-            return deliver
-
         slack = clock.RECORD_SLACK
 
-        def deliver_clocked(time, *values, **named):
+        def deliver(time, *values, **named):
             window_append((time, category, values, named))
             for monitor, handler in pairs:
                 monitor.checked += 1
@@ -218,7 +210,7 @@ class MonitorBus:
                 clock.record_regressed(time, category)
             else:
                 clock.record_time = time
-        return deliver_clocked
+        return deliver
 
     # --------------------------------------------------------------- results
     def report(self, monitor: Monitor, time: float, message: str) -> None:

@@ -86,6 +86,7 @@ __all__ = [
     "MembershipAgreementMonitor",
     "SpareConsistencyMonitor",
     "all_monitors",
+    "monitors_for",
 ]
 
 #: sentinel ranks (the Vcl scheduler) that never appear in logging windows
@@ -1195,3 +1196,29 @@ def all_monitors() -> List[Monitor]:
         MembershipAgreementMonitor(),
         SpareConsistencyMonitor(),
     ]
+
+
+def monitors_for(spec: "DeploymentSpec") -> List[Monitor]:
+    """The monitors that can fire on a run deployed from ``spec``.
+
+    A protocol's monitors are armed only by records that protocol emits,
+    wave and storage records need a protocol at all, and the membership and
+    promotion records come from the survivor recovery policies — the rest
+    of :func:`all_monitors` would ride along with nothing to check
+    (``tests/verify/test_selection.py`` proves that, it is not assumed).
+    """
+    protocol = spec.protocol
+    survivors = spec.recovery_policy in ("spare", "shrink")
+    applies = {
+        VclNoOrphanMonitor: protocol == "vcl",
+        VclLoggingMonitor: protocol == "vcl",
+        PclFlushMonitor: protocol == "pcl",
+        DclNetworkEmptyMonitor: protocol == "dcl",
+        DclDrainLivenessMonitor: protocol == "dcl",
+        WaveLivenessMonitor: protocol is not None,
+        StorageDurabilityMonitor: protocol is not None,
+        MembershipAgreementMonitor: survivors,
+        SpareConsistencyMonitor: survivors,
+    }
+    return [monitor for monitor in all_monitors()
+            if applies.get(type(monitor), True)]

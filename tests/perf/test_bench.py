@@ -155,15 +155,13 @@ def test_compare_counts_ignores_missing_and_uncounted():
     assert compare_counts(_counted_results(legacy=(7, 7)), baseline) == []
 
 
-def test_suite_report_shape_and_speedup():
+def test_suite_report_shape():
     results = _results(flow_churn=2000.0)
-    report = suite_report(results, "smoke", 3,
-                          kernel_before={"flow_churn":
-                                         {"events_per_sec": 500.0}})
+    report = suite_report(results, "smoke", 3)
+    assert set(report) == {"schema", "meta", "workloads"}
     assert report["schema"] == "repro.perf/1"
+    assert report["meta"]["suite"] == "smoke" and report["meta"]["repeat"] == 3
     assert report["workloads"]["flow_churn"]["events_per_sec"] == 2000.0
-    assert report["meta"]["flow_churn_speedup_vs_before"] == 4.0
-    assert report["kernel_before"]["flow_churn"]["events_per_sec"] == 500.0
 
 
 def test_load_baseline_missing_returns_none(tmp_path):
