@@ -22,13 +22,12 @@ Channels never interpret payloads; everything above the envelope is opaque.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, Deque, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.mpi.matching import MatchingEngine
 from repro.mpi.message import AppPacket, MarkerPacket, Packet
 from repro.net.connection import BrokenConnectionError, ConnectionEnd
-from repro.sim.primitives import Gate
+from repro.sim.primitives import EMPTY, Gate
 from repro.sim.trace import declare
 
 __all__ = ["BaseChannel", "ChannelDownError"]
@@ -77,7 +76,9 @@ class BaseChannel:
         self._send_gates: Dict[int, Gate] = {}
         self.global_send_gate = Gate(self.sim, open=True, name=f"g:r{rank}")
         self._frozen_sources: set = set()
-        self.delayed_queue: Deque[AppPacket] = deque()
+        #: app packets from frozen sources, in arrival order; appended to
+        #: and handed over whole by thaw_sources(), so a list on demand
+        self.delayed_queue: Union[Tuple[()], List[AppPacket]] = EMPTY
         self.protocol: Optional[Any] = None
         self.down = False
         self._seq = 0
@@ -121,9 +122,9 @@ class BaseChannel:
     def thaw_sources(self) -> None:
         """Deliver the delayed receive queue in arrival order, then unfreeze."""
         self._frozen_sources.clear()
-        drained = len(self.delayed_queue)
-        while self.delayed_queue:
-            self._deliver_app(self.delayed_queue.popleft())
+        drained, self.delayed_queue = self.delayed_queue, EMPTY
+        for packet in drained:
+            self._deliver_app(packet)
         if drained and self.sim.metrics is not None:
             self.sim.metrics.set("channel.delayed_queue_depth", 0.0,
                                  rank=self.rank)
@@ -314,7 +315,10 @@ class BaseChannel:
             if self.protocol is not None:
                 self.protocol.on_app_packet(packet)
             if packet.src in self._frozen_sources:
-                self.delayed_queue.append(packet)
+                if self.delayed_queue is EMPTY:
+                    self.delayed_queue = [packet]
+                else:
+                    self.delayed_queue.append(packet)
                 self.sim.trace.count("channel.delayed_packets")
                 if metrics is not None:
                     # gauge (not counter): current depth of the Pcl
@@ -351,4 +355,4 @@ class BaseChannel:
         for receiver in self._receivers:
             receiver.interrupt(error)
         self._receivers.clear()
-        self.delayed_queue.clear()
+        self.delayed_queue = EMPTY

@@ -14,8 +14,7 @@ replay (see :mod:`repro.mpi.context`).
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.mpi.consts import ANY_SOURCE, ANY_TAG
 from repro.mpi.message import AppPacket
@@ -44,8 +43,11 @@ class MatchingEngine:
     def __init__(self, sim: "Simulator", rank: int) -> None:
         self.sim = sim
         self.rank = rank
-        self.posted: Deque[_PostedRecv] = deque()
-        self.unexpected: Deque[AppPacket] = deque()
+        # Both queues are scanned linearly and deleted from mid-sequence,
+        # which a list does as well as a deque at a fraction of the idle
+        # footprint (56 B against 760 B, one pair per rank).
+        self.posted: List[_PostedRecv] = []
+        self.unexpected: List[AppPacket] = []
 
     # ----------------------------------------------------------------- post
     def post_recv(self, source: int, tag: int) -> "Event":
@@ -61,7 +63,7 @@ class MatchingEngine:
 
     def cancel(self, event: "Event") -> None:
         """Withdraw a posted receive (used on teardown)."""
-        self.posted = deque(p for p in self.posted if p.event is not event)
+        self.posted = [p for p in self.posted if p.event is not event]
 
     # -------------------------------------------------------------- delivery
     def deliver(self, packet: AppPacket) -> None:
@@ -85,7 +87,7 @@ class MatchingEngine:
     # --------------------------------------------------------------- failure
     def fail_all(self, error: BaseException) -> None:
         """Fail every posted receive (process/job teardown)."""
-        posted, self.posted = self.posted, deque()
+        posted, self.posted = self.posted, []
         for recv in posted:
             if not recv.event.triggered:
                 recv.event.defused = True
@@ -100,7 +102,7 @@ class MatchingEngine:
         """Reload the unexpected queue from a checkpoint image."""
         if self.posted:
             raise RuntimeError("restore() with receives posted")
-        self.unexpected = deque(packets)
+        self.unexpected = list(packets)
 
     @property
     def unexpected_bytes(self) -> float:

@@ -16,12 +16,12 @@ semantics of the paper's runtimes.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional, Sequence, Tuple
+from typing import Any, Deque, Optional, Sequence, Tuple, Union
 
 from repro.net.flows import FlowScheduler
 from repro.net.link import Link
-from repro.sim.events import Event
-from repro.sim.primitives import Store
+from repro.sim.events import URGENT, Event
+from repro.sim.primitives import EMPTY, Store
 from repro.sim.trace import declare
 
 __all__ = ["BrokenConnectionError", "Connection", "ConnectionEnd"]
@@ -36,12 +36,37 @@ declare("net.sent", __name__, pipe=str, msg=int, nbytes=float)
 declare("net.delivered", __name__, pipe=str, msg=int)
 
 
+#: one queued or in-flight message:
+#: ``(payload, nbytes, sent, extra_latency, msg_id)``
+_Message = Tuple[Any, float, Event, float, int]
+
+
 class BrokenConnectionError(ConnectionError):
     """Raised to readers/writers of a connection whose peer vanished."""
 
 
 class _Pipe:
-    """One direction of a connection."""
+    """One direction of a connection.
+
+    An idle pipe owns no container and a busy one owns no process.
+    ``egress`` is the shared :data:`~repro.sim.primitives.EMPTY` until a
+    message has to queue and is handed back when the pump goes idle; the
+    inbox allocates on demand the same way (see
+    :class:`~repro.sim.primitives.Store`).
+
+    The *pump* that serializes queued messages is two plain callbacks, not
+    a process.  ``send()`` on an idle pipe pushes one URGENT kick event
+    (``pump:<pipe>``) whose callback :meth:`_start_next` takes the oldest
+    queued message and starts its flow; :meth:`_flow_done`, a callback on
+    ``flow.done``, settles that message and starts the next one in the same
+    step.  Both hops are deliberate.  The kick defers the flow start past
+    everything already scheduled for this instant at URGENT priority, and
+    until it fires the links still look idle — so a same-step small send
+    on a pipe sharing the NIC takes the inline path.  Starting the flow
+    inside ``send()`` would flip that decision and move simulated times
+    (``tests/net/test_pump_reference.py`` pins this against a generator
+    reference pump).
+    """
 
     __slots__ = (
         "sim",
@@ -58,6 +83,7 @@ class _Pipe:
         "messages_sent",
         "name",
         "_current_flow",
+        "_in_flight",
         "_last_delivery",
         "_msg_id",
         "_flush_gen",
@@ -82,13 +108,17 @@ class _Pipe:
         # per-link seconds of extra delay contributed by each competing flow
         self.queue_unit = tuple(queue_bytes / link.capacity for link in links)
         self.inbox = Store(sim, name=f"inbox:{name}")
-        self.egress: Deque[Tuple[Any, float, Event]] = deque()
+        #: messages waiting for the wire, oldest first
+        self.egress: Union[Tuple[()], Deque[_Message]] = EMPTY
+        #: True from the kick until the pump finds ``egress`` empty
         self.pumping = False
         self.broken = False
         self.bytes_sent = 0.0
         self.messages_sent = 0
         self.name = name
         self._current_flow = None
+        #: the message ``_current_flow`` carries, plus its queueing penalty
+        self._in_flight: Optional[Tuple[_Message, float]] = None
         self._last_delivery = 0.0
         #: bumped by flush(); scheduled deliveries from before a flush carry
         #: the old generation and are discarded on arrival
@@ -144,39 +174,51 @@ class _Pipe:
             self.sim.call_at(delivery - self.sim.now, self._deliver, payload,
                              msg_id, self._flush_gen)
             return sent
-        self.egress.append((payload, nbytes, sent, extra_latency, msg_id))
+        message = (payload, nbytes, sent, extra_latency, msg_id)
+        if self.egress is EMPTY:
+            self.egress = deque((message,))
+        else:
+            self.egress.append(message)
         if not self.pumping:
             self.pumping = True
-            self.sim.process(self._pump(), name=f"pump:{self.name}")
+            self._kick()
         return sent
 
-    def _pump(self):
-        while self.egress and not self.broken:
-            payload, nbytes, sent, extra_latency, msg_id = self.egress.popleft()
-            # Queueing penalty: packets of competing flows sit ahead of ours
-            # in the NIC queues along the path.
-            queueing = 0.0
-            for link, unit in zip(self.links, self.queue_unit):
-                competitors = len(link.flows)
-                if competitors:
-                    queueing += competitors * unit
-            flow = self.scheduler.start(self.links, nbytes, cap=self.cap)
-            self._current_flow = flow
-            try:
-                yield flow.done
-            except ConnectionError:
-                if self.broken:
-                    # Cancelled by break_(); queued messages already dropped.
-                    break
-                # Cancelled by flush(): this message is dropped, but the pipe
-                # lives on — keep draining whatever was enqueued since.
-                if not sent.triggered:
-                    sent.defused = True
-                    sent.fail(BrokenConnectionError(
-                        f"pipe {self.name} flushed"))
-                continue
-            finally:
-                self._current_flow = None
+    # ------------------------------------------------------------------ pump
+    def _kick(self) -> None:
+        """Schedule the pump's first step for this instant, after whatever
+        is already queued at URGENT priority.  (The seam the reference and
+        negative pumps in ``tests/net/test_pump_reference.py`` replace.)"""
+        kick = Event(self.sim, name=f"pump:{self.name}")
+        kick.callbacks.append(self._start_next)
+        kick.succeed(priority=URGENT)
+
+    def _start_next(self, _event: Optional[Event] = None) -> None:
+        """Put the oldest queued message on the wire, or go idle."""
+        if self.broken or not self.egress:
+            self.pumping = False
+            self.egress = EMPTY
+            return
+        message = self.egress.popleft()
+        # Queueing penalty: packets of competing flows sit ahead of ours
+        # in the NIC queues along the path.
+        queueing = 0.0
+        for link, unit in zip(self.links, self.queue_unit):
+            competitors = len(link.flows)
+            if competitors:
+                queueing += competitors * unit
+        flow = self.scheduler.start(self.links, message[1], cap=self.cap)
+        self._current_flow = flow
+        self._in_flight = (message, queueing)
+        flow.done.callbacks.append(self._flow_done)
+
+    def _flow_done(self, done: Event) -> None:
+        """The in-flight message's last byte left (or its flow was
+        cancelled): settle it, then start the next one."""
+        (payload, nbytes, sent, extra_latency, msg_id), queueing = self._in_flight
+        self._current_flow = None
+        self._in_flight = None
+        if done.ok:
             self.bytes_sent += nbytes
             self.messages_sent += 1
             metrics = self.sim.metrics
@@ -192,7 +234,14 @@ class _Pipe:
             self._last_delivery = delivery
             self.sim.call_at(delivery - self.sim.now, self._deliver, payload,
                              msg_id, self._flush_gen)
-        self.pumping = False
+        elif not self.broken and not sent.triggered:
+            # Cancelled by flush(): this message is dropped, but the pipe
+            # lives on — keep draining whatever was enqueued since.  (After
+            # break_() the queued messages are already dropped and
+            # _start_next just goes idle.)
+            sent.defused = True
+            sent.fail(BrokenConnectionError(f"pipe {self.name} flushed"))
+        self._start_next()
 
     def _deliver(self, payload: Any, msg_id: int = 0, gen: int = 0) -> None:
         if gen != self._flush_gen:

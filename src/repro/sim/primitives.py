@@ -4,16 +4,29 @@
   workhorse behind sockets, progress-engine inboxes and server request queues.
 * :class:`Resource` — a counted resource with FIFO grant order; models bounded
   things such as the number of concurrent ssh connections or a disk.
+* :class:`Gate` — a reusable open/closed barrier.
+
+Queues are allocated on demand.  A 10,000-rank job holds ~100,000 of these
+objects and nearly all of them are idle at any instant, so every queue
+attribute starts as the shared immutable :data:`EMPTY` and becomes a real
+container on its first enqueue (one identity test per enqueue); an object
+that never queued anything owns no container.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Deque, List, Optional, Tuple, Union
 
 from repro.sim.events import Event
 
-__all__ = ["Store", "Resource", "Gate"]
+__all__ = ["EMPTY", "Store", "Resource", "Gate"]
+
+#: the one empty queue every idle holder shares: falsy, ``len() == 0``,
+#: iterable — everything the read paths need — and immutable, so a write
+#: that forgets the identity test fails loudly instead of leaking into
+#: every other holder
+EMPTY: Tuple[()] = ()
 
 
 class Store:
@@ -25,16 +38,27 @@ class Store:
 
     ``poison`` fails all current and future getters with the given exception —
     this is how broken connections propagate to blocked readers.
+
+    Footprint: the common shape is one reader parked on an empty store (a
+    connection's ``rx`` process), so the oldest waiter lives in the
+    ``_getter`` slot and costs no container; ``_more_getters`` (waiters
+    behind it) and ``_items`` stay :data:`EMPTY` until a second concurrent
+    waiter / a backlog actually appears.  A store that has held a backlog
+    keeps its deque (a receiver slower than its sender would otherwise
+    reallocate it per message); :meth:`drain` gives it back.
     """
 
-    __slots__ = ("sim", "name", "_items", "_getters", "_poison")
+    __slots__ = ("sim", "name", "_items", "_getter", "_more_getters",
+                 "_poison", "_get_name")
 
     def __init__(self, sim: "Simulator", name: Optional[str] = None) -> None:
         self.sim = sim
         self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
+        self._items: Union[Tuple[()], Deque[Any]] = EMPTY
+        self._getter: Optional[Event] = None
+        self._more_getters: Union[Tuple[()], Deque[Event]] = EMPTY
         self._poison: Optional[BaseException] = None
+        self._get_name = f"get:{name}"
 
     def __len__(self) -> int:
         return len(self._items)
@@ -46,24 +70,31 @@ class Store:
     def put(self, item: Any) -> None:
         if self._poison is not None:
             raise RuntimeError(f"put() on poisoned store {self.name!r}")
-        while self._getters:
-            getter = self._getters.popleft()
+        while (getter := self._getter) is not None:
+            more = self._more_getters
+            self._getter = more.popleft() if more else None
             # skip cancelled/interrupted waiters: triggered already, or
             # abandoned (the interrupted process removed its callback)
-            if getter.triggered or not getter.callbacks:
-                continue
-            getter.succeed(item)
-            return
-        self._items.append(item)
+            if not getter.triggered and getter.callbacks:
+                getter.succeed(item)
+                return
+        if self._items is EMPTY:
+            self._items = deque((item,))
+        else:
+            self._items.append(item)
 
     def get(self) -> Event:
-        event = self.sim.event(name=f"get:{self.name}")
+        event = self.sim.event(name=self._get_name)
         if self._items:
             event.succeed(self._items.popleft())
         elif self._poison is not None:
             event.fail(self._poison)
+        elif self._getter is None:
+            self._getter = event
+        elif self._more_getters is EMPTY:
+            self._more_getters = deque((event,))
         else:
-            self._getters.append(event)
+            self._more_getters.append(event)
         return event
 
     def try_get(self) -> Any:
@@ -80,14 +111,16 @@ class Store:
         if self._poison is not None:
             return
         self._poison = exception
-        while self._getters:
-            getter = self._getters.popleft()
-            if not getter.triggered:
-                getter.fail(exception)
+        getter, self._getter = self._getter, None
+        more, self._more_getters = self._more_getters, EMPTY
+        if getter is not None:
+            for waiter in (getter, *more):
+                if not waiter.triggered:
+                    waiter.fail(exception)
 
-    def drain(self) -> Deque[Any]:
+    def drain(self) -> Union[Tuple[()], Deque[Any]]:
         """Remove and return all queued items."""
-        items, self._items = self._items, deque()
+        items, self._items = self._items, EMPTY
         return items
 
 
@@ -100,7 +133,8 @@ class Resource:
     kernel-style use sites in this codebase.
     """
 
-    __slots__ = ("sim", "capacity", "_in_use", "_waiters", "name")
+    __slots__ = ("sim", "capacity", "_in_use", "_waiters", "name",
+                 "_acquire_name")
 
     def __init__(self, sim: "Simulator", capacity: int, name: Optional[str] = None) -> None:
         if capacity < 1:
@@ -109,7 +143,8 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._in_use = 0
-        self._waiters: Deque[Event] = deque()
+        self._waiters: Union[Tuple[()], Deque[Event]] = EMPTY
+        self._acquire_name = f"acquire:{name}"
 
     @property
     def in_use(self) -> int:
@@ -120,10 +155,12 @@ class Resource:
         return len(self._waiters)
 
     def acquire(self) -> Event:
-        event = self.sim.event(name=f"acquire:{self.name}")
+        event = self.sim.event(name=self._acquire_name)
         if self._in_use < self.capacity:
             self._in_use += 1
             event.succeed()
+        elif self._waiters is EMPTY:
+            self._waiters = deque((event,))
         else:
             self._waiters.append(event)
         return event
@@ -148,13 +185,15 @@ class Gate:
     sends/receives per channel during a checkpoint wave.
     """
 
-    __slots__ = ("sim", "name", "_open", "_waiters")
+    __slots__ = ("sim", "name", "_open", "_waiters", "_wait_name")
 
     def __init__(self, sim: "Simulator", open: bool = True, name: Optional[str] = None) -> None:
         self.sim = sim
         self.name = name
         self._open = open
-        self._waiters: Deque[Event] = deque()
+        #: appended to and handed over whole by open(): a list is enough
+        self._waiters: Union[Tuple[()], List[Event]] = EMPTY
+        self._wait_name = f"gate:{name}"
 
     @property
     def is_open(self) -> bool:
@@ -165,15 +204,17 @@ class Gate:
 
     def open(self) -> None:
         self._open = True
-        waiters, self._waiters = self._waiters, deque()
+        waiters, self._waiters = self._waiters, EMPTY
         for waiter in waiters:
             if not waiter.triggered and waiter.callbacks:
                 waiter.succeed()
 
     def wait(self) -> Event:
-        event = self.sim.event(name=f"gate:{self.name}")
+        event = self.sim.event(name=self._wait_name)
         if self._open:
             event.succeed()
+        elif self._waiters is EMPTY:
+            self._waiters = [event]
         else:
             self._waiters.append(event)
         return event

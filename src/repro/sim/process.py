@@ -91,13 +91,15 @@ class Process(Event):
 
     # -------------------------------------------------------------- internals
     def _resume(self, event: Event) -> None:
+        # Slot reads, not the .ok/.value/.processed properties: one
+        # descriptor call each per resume was a visible share of every run.
         self._target = None
         try:
-            if event.ok:
-                target = self.generator.send(event.value)
+            if event._ok:
+                target = self.generator.send(event._value)
             else:
                 event.defused = True
-                target = self.generator.throw(event.value)
+                target = self.generator.throw(event._value)
         except StopIteration as exc:
             self.succeed(getattr(exc, "value", None))
             return
@@ -124,16 +126,16 @@ class Process(Event):
             self.generator.close()
             self.fail(ValueError("yielded event belongs to another simulator"))
             return
-        if target.processed:
+        if target._state == Event.PROCESSED:
             # Already over: resume immediately (but via the heap to preserve
             # the cooperative-scheduling illusion and determinism).
             relay = Event(self.sim, name=f"relay:{self.name}")
             relay.callbacks.append(self._resume)
-            if target.ok:
-                relay.succeed(target.value, priority=URGENT)
+            if target._ok:
+                relay.succeed(target._value, priority=URGENT)
             else:
                 target.defused = True
-                relay.fail(target.value, priority=URGENT)
+                relay.fail(target._value, priority=URGENT)
             self._target = relay
         else:
             target.callbacks.append(self._resume)

@@ -73,6 +73,35 @@ def test_two_process_cycle_is_reported():
 
 
 @pytest.mark.unmonitored
+def test_cascade_through_a_pipe_names_the_pipe():
+    """The pipe pump is callbacks, not a process; a cascade that spins
+    through it must still say which pipe: the kick and ``flow.done`` events
+    resolve their ``_Pipe`` owner's name."""
+    from repro.net import ClusterNetwork
+
+    sim = Simulator(watchdog=Watchdog(max_same_time_events=200,
+                                      sample_window=16))
+    net = ClusterNetwork(sim, n_nodes=3)
+    a, b, c = net.place(3)
+    bulk, _ = net.connect(a, b).ends()
+    chatty, _ = net.connect(a, c).ends()
+    bulk.send("image", nbytes=1e9)  # a flow in flight keeps a's NIC busy,
+    # so even empty messages take the flow path: kick -> flow-done -> sent
+
+    def send_again(_event):
+        chatty.send("spin", nbytes=0.0).callbacks.append(send_again)
+
+    sim.call_at(1.0, send_again, None)
+    with pytest.raises(LivelockError) as exc_info:
+        sim.run(until=10.0)
+    error = exc_info.value
+    assert error.time == 1.0 and error.cycle_exact
+    assert set(error.cycle) == {
+        "sent:conn2.ab", "pump:conn2.ab -> conn2.ab", "flow-done -> conn2.ab"}
+    assert bulk.active_flow is not None and bulk.active_flow.active
+
+
+@pytest.mark.unmonitored
 def test_watchdog_reset_forgets_streak():
     watchdog = Watchdog(max_same_time_events=50)
     sim = Simulator(watchdog=watchdog)
