@@ -60,6 +60,7 @@ from repro.chaos.runner import (
     run_scenario,
 )
 from repro.chaos.spec import (
+    CAMPAIGNS,
     RECOVERY_POLICIES,
     STORAGE_FAULTS,
     CampaignSpec,
@@ -72,6 +73,7 @@ from repro.chaos.spec import (
 
 __all__ = [
     "BAD_VERDICTS",
+    "CAMPAIGNS",
     "CampaignResult",
     "CampaignSpec",
     "OK_VERDICTS",

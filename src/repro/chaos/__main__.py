@@ -4,11 +4,12 @@ Standard CI smoke sweep (48 scenarios, exits 1 on any bad verdict)::
 
     python -m repro.chaos --smoke --out results/chaos
 
-``--storage`` runs only the 12 storage-resilience scenarios (replicated
-servers, server kills, image corruption); ``--dcl`` runs only the 12
-message-drain (Dcl) scenarios; ``--list`` prints the scenario labels
-without running anything; ``--filter`` restricts the campaign to labels
-containing a substring.
+One flag per entry of :data:`repro.chaos.spec.CAMPAIGNS` (``--smoke`` is
+the default): ``--storage`` runs only the 12 storage-resilience scenarios
+(replicated servers, server kills, image corruption), ``--dcl`` the 12
+message-drain (Dcl) scenarios, ``--recovery`` the 30 cascading-failure
+ones; ``--list`` prints the scenario labels without running anything;
+``--filter`` restricts the campaign to labels containing a substring.
 """
 
 from __future__ import annotations
@@ -20,13 +21,7 @@ from typing import List, Optional
 
 from repro.chaos.report import write_report
 from repro.chaos.runner import run_campaign
-from repro.chaos.spec import (
-    RECOVERY_POLICIES,
-    dcl_campaign,
-    recovery_campaign,
-    smoke_campaign,
-    storage_campaign,
-)
+from repro.chaos.spec import CAMPAIGNS, RECOVERY_POLICIES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,20 +33,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "livelock/hang/crash/storage-unrecoverable fail, "
                     "unless the scenario expects them).",
     )
-    parser.add_argument("--smoke", action="store_true",
-                        help="run the standard 48-scenario smoke campaign "
-                             "(the default when no campaign is selected)")
-    parser.add_argument("--storage", action="store_true",
-                        help="run only the 12 storage-resilience scenarios "
-                             "(replication, server kills, corruption)")
-    parser.add_argument("--dcl", action="store_true",
-                        help="run only the 12 message-drain (Dcl) "
-                             "scenarios")
-    parser.add_argument("--recovery", action="store_true",
-                        help="run only the 30 cascading-failure recovery "
-                             "scenarios (double faults, kills inside a "
-                             "recovery, spare exhaustion; see "
-                             "docs/RECOVERY.md)")
+    selection = parser.add_mutually_exclusive_group()
+    default = next(iter(CAMPAIGNS))
+    for name, build in CAMPAIGNS.items():
+        selection.add_argument(
+            f"--{name}", dest="campaign", action="store_const", const=name,
+            help=build.__doc__.splitlines()[0]
+            + (" (the default)" if name == default else ""))
+    parser.set_defaults(campaign=default)
     parser.add_argument("--policy", default=None, choices=RECOVERY_POLICIES,
                         help="only run scenarios using this recovery "
                              "policy (restart scenarios carry no label "
@@ -78,14 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.storage:
-        campaign = storage_campaign(seed=args.seed)
-    elif args.dcl:
-        campaign = dcl_campaign(seed=args.seed)
-    elif args.recovery:
-        campaign = recovery_campaign(seed=args.seed)
-    else:
-        campaign = smoke_campaign(seed=args.seed)  # --smoke is the default
+    campaign = CAMPAIGNS[args.campaign](args.seed)
     if args.filter:
         campaign = campaign.filtered(args.filter)
     if args.policy:

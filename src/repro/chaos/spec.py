@@ -17,13 +17,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from repro.ft import RECOVERY_POLICIES
+from repro.harness.config import PROTOCOL_CHANNELS, default_channel
 
 __all__ = [
     "Scenario",
     "CampaignSpec",
+    "CAMPAIGNS",
     "smoke_campaign",
     "storage_campaign",
     "dcl_campaign",
@@ -39,14 +42,16 @@ KILL_KINDS = ("task", "node")
 #: valid storage-tier faults; None means "storage stays healthy"
 STORAGE_FAULTS = ("server_kill", "image_corrupt")
 
-#: the paper's channel(s) for each protocol implementation (see
-#: :func:`repro.harness.runner.default_channel`; Nemesis is the MPICH2
-#: shared-memory/Myrinet device, the procs_per_node=2 regime of Fig. 7)
-PROTOCOL_CHANNELS = (
-    ("pcl", "ft_sock"),
-    ("pcl", "nemesis"),
-    ("vcl", "ch_v"),
-)
+#: the paper's two implementations: the kill grid sweeps them on every
+#: channel at both packings; a later family gets :func:`_family_sweep`
+_PAPER = ("pcl", "vcl")
+
+
+def _combos(*protocols: str) -> Tuple[Tuple[str, str], ...]:
+    """Every (protocol, channel) pairing of ``protocols`` in
+    :data:`repro.harness.config.PROTOCOL_CHANNELS`."""
+    return tuple((protocol, channel) for protocol in protocols
+                 for channel in PROTOCOL_CHANNELS[protocol])
 
 
 @dataclass(frozen=True)
@@ -193,29 +198,28 @@ class CampaignSpec:
     def __len__(self) -> int:
         return len(self.scenarios)
 
-    def filtered(self, substring: str) -> "CampaignSpec":
-        """Sub-campaign of the scenarios whose label contains ``substring``."""
+    def _subset(self, keep: Callable[[Scenario], bool]) -> "CampaignSpec":
         return CampaignSpec(
-            scenarios=[s for s in self.scenarios if substring in s.label],
+            scenarios=[s for s in self.scenarios if keep(s)],
             name=self.name,
             time_limit_factor=self.time_limit_factor,
         )
+
+    def filtered(self, substring: str) -> "CampaignSpec":
+        """Sub-campaign of the scenarios whose label contains ``substring``."""
+        return self._subset(lambda s: substring in s.label)
 
     def with_policy(self, policy: str) -> "CampaignSpec":
         """Sub-campaign of the scenarios using one recovery ``policy``."""
         if policy not in RECOVERY_POLICIES:
             raise ValueError(f"unknown recovery policy {policy!r} "
                              f"(expected one of {RECOVERY_POLICIES})")
-        return CampaignSpec(
-            scenarios=[s for s in self.scenarios if s.policy == policy],
-            name=self.name,
-            time_limit_factor=self.time_limit_factor,
-        )
+        return self._subset(lambda s: s.policy == policy)
 
     @classmethod
     def grid(
         cls,
-        combos: Sequence[Tuple[str, str]] = PROTOCOL_CHANNELS,
+        combos: Sequence[Tuple[str, str]] = _combos(*_PAPER),
         procs_per_node: Iterable[int] = (1, 2),
         kills: Iterable[Optional[str]] = KILL_KINDS,
         kill_times: Iterable[float] = (1.7,),
@@ -228,6 +232,8 @@ class CampaignSpec:
 
         ``kills`` may include ``None`` for failure-free control scenarios
         (those collapse the kill-time/victim axes to a single entry).
+        ``combos`` defaults to the paper's two implementations on every
+        channel they run on.
         """
         scenarios = []
         for (protocol, channel), ppn, kill, seed in itertools.product(
@@ -245,15 +251,44 @@ class CampaignSpec:
         return cls(scenarios=scenarios, name=name)
 
 
+def _fault_rows(name: str, seed: int, protocols: Iterable[str],
+                base: Dict, rows: Sequence[Dict]) -> CampaignSpec:
+    """``rows`` — :class:`Scenario` fields overriding the ``base`` fault —
+    for each of ``protocols`` on its default channel."""
+    return CampaignSpec(name=name, scenarios=[
+        Scenario(protocol=protocol, channel=default_channel(protocol),
+                 seed=seed, **{**base, **row})
+        for protocol in protocols for row in rows
+    ])
+
+
+#: the base fault of the storage and recovery slices: rank 1's node dies
+#: after wave 1 commits and before wave 2 starts
+_NODE_KILL = dict(kill="node", victim=1, kill_time=2.8)
+
+_K2 = dict(n_servers=2, replication=2)
+_UNRECOVERABLE = dict(expect=("storage-unrecoverable",))
+_STORAGE_ROWS = (
+    dict(_K2, storage_fault="server_kill", storage_time=2.4),
+    dict(_K2, storage_fault="server_kill", storage_time=1.7),
+    dict(_K2, storage_fault="image_corrupt", storage_time=2.4),
+    dict(kill_time=4.6, gc_keep=2,
+         storage_fault="image_corrupt", storage_time=4.45),
+    dict(_UNRECOVERABLE, storage_fault="server_kill", storage_time=2.4),
+    dict(_UNRECOVERABLE, storage_fault="image_corrupt", storage_time=2.4),
+)
+
+
 def storage_campaign(seed: int = 0) -> CampaignSpec:
     """Checkpoint-*storage* resilience sweep: 12 scenarios.
 
-    Every scenario pairs a storage-tier fault with a node kill (a server
-    death alone never takes the job down — ranks only notice at restart
-    time), over both TCP implementations.  At the smoke scale wave 1 spans
-    ~1.5–2.1 simulated seconds and commits at ~2.1; wave 2 commits at ~4.2.
+    Every scenario pairs a storage-tier fault on server 0 with a node kill
+    (a server death alone never takes the job down — ranks only notice at
+    restart time), over both TCP implementations.  At the smoke scale wave
+    1 spans ~1.5–2.1 simulated seconds and commits at ~2.1; wave 2 commits
+    at ~4.2.
 
-    Per protocol/channel combo:
+    Per protocol (``_STORAGE_ROWS``, in order):
 
     * K=2 server kill after wave 1 commits (t=2.4) — restart must fetch the
       victim's image from the surviving replica;
@@ -267,35 +302,21 @@ def storage_campaign(seed: int = 0) -> CampaignSpec:
       clean classified ``storage-unrecoverable``, not a hang;
     * K=1 corruption of the victim's sole replica — likewise unrecoverable.
     """
-    scenarios = []
-    for protocol, channel in (("pcl", "ft_sock"), ("vcl", "ch_v")):
-        common = dict(protocol=protocol, channel=channel, seed=seed)
-        scenarios += [
-            Scenario(kill="node", victim=1, kill_time=2.8,
-                     n_servers=2, replication=2,
-                     storage_fault="server_kill", storage_victim=0,
-                     storage_time=2.4, **common),
-            Scenario(kill="node", victim=1, kill_time=2.8,
-                     n_servers=2, replication=2,
-                     storage_fault="server_kill", storage_victim=0,
-                     storage_time=1.7, **common),
-            Scenario(kill="node", victim=1, kill_time=2.8,
-                     n_servers=2, replication=2,
-                     storage_fault="image_corrupt", storage_victim=0,
-                     storage_time=2.4, **common),
-            Scenario(kill="node", victim=1, kill_time=4.6, gc_keep=2,
-                     storage_fault="image_corrupt", storage_victim=0,
-                     storage_time=4.45, **common),
-            Scenario(kill="node", victim=1, kill_time=2.8,
-                     storage_fault="server_kill", storage_victim=0,
-                     storage_time=2.4,
-                     expect=("storage-unrecoverable",), **common),
-            Scenario(kill="node", victim=1, kill_time=2.8,
-                     storage_fault="image_corrupt", storage_victim=0,
-                     storage_time=2.4,
-                     expect=("storage-unrecoverable",), **common),
-        ]
-    return CampaignSpec(scenarios=scenarios, name="storage")
+    return _fault_rows("storage", seed, _PAPER, _NODE_KILL, _STORAGE_ROWS)
+
+
+def _family_sweep(protocol: str, seed: int) -> CampaignSpec:
+    """A later protocol family's kill grid: its default channel at 1 and 2
+    processes per node, its other devices only at 2 per node — where the
+    shared-memory intra-node paths make them differ."""
+    sweep = CampaignSpec.grid(
+        combos=_combos(protocol),
+        kill_times=(1.7, 2.8),
+        seeds=(seed,),
+        name=protocol,
+    )
+    return sweep._subset(lambda s: s.channel == default_channel(protocol)
+                         or s.procs_per_node == 2)
 
 
 def dcl_campaign(seed: int = 0) -> CampaignSpec:
@@ -309,28 +330,40 @@ def dcl_campaign(seed: int = 0) -> CampaignSpec:
     (2 ppn × 2 kill kinds × 2 kill times = 8) plus Nemesis at 2 per node
     (shared-memory intra-node paths under the drain stopper; 4 more).
     """
-    sweep = CampaignSpec.grid(
-        combos=(("dcl", "ft_sock"),),
-        procs_per_node=(1, 2),
-        kill_times=(1.7, 2.8),
-        seeds=(seed,),
-        name="dcl",
-    )
-    nemesis = CampaignSpec.grid(
-        combos=(("dcl", "nemesis"),),
-        procs_per_node=(2,),
-        kill_times=(1.7, 2.8),
-        seeds=(seed,),
-    )
-    sweep.scenarios.extend(nemesis.scenarios)
-    return sweep
+    return _family_sweep("dcl", seed)
+
+
+_SPARES = dict(policy="spare", spares=2)
+_STENCIL = dict(bench="stencil", klass="A", policy="shrink")
+_DEGRADED = dict(expect=("recovered-degraded",))
+_RECOVERY_ROWS = (
+    # double task fault, coalesced into one agreement round
+    dict(_SPARES, kill="task", extra_kills=(("task", 2, 2.8001),)),
+    # correlated double node fault onto the spare pool
+    dict(_SPARES, extra_kills=(("node", 2, 2.8001),)),
+    # node kill inside the in-progress recovery (restore midpoint)
+    dict(_SPARES, extra_kills=(("node", 2, 2.85),)),
+    # task kill inside the in-progress recovery
+    dict(_SPARES, extra_kills=(("task", 2, 2.85),)),
+    # back-to-back failures: the second hits the fresh incarnation
+    dict(_SPARES, extra_kills=(("node", 2, 3.4),)),
+    # spare-pool exhaustion must degrade to full restart, not hang
+    dict(_DEGRADED, policy="spare", spares=1,
+         extra_kills=(("node", 2, 2.8001),)),
+    # shrink: survivors re-decompose the malleable stencil
+    dict(_STENCIL),
+    dict(_STENCIL, extra_kills=(("node", 2, 2.8001),)),
+    # shrinking a non-malleable benchmark degrades to full restart
+    dict(_DEGRADED, policy="shrink"),
+    # kill inside the baseline full restart's own recovery
+    dict(extra_kills=(("node", 2, 2.85),)),
+)
 
 
 def recovery_campaign(seed: int = 0) -> CampaignSpec:
-    """Survivor-recovery chaos: cascading and correlated failures, 30
-    scenarios (10 per protocol family).
+    """Survivor-recovery chaos under cascading failures: 30 scenarios.
 
-    Exercises every recovery policy under the failure shapes that a single
+    Ten per protocol family (``_RECOVERY_ROWS``, in order).  Exercises every recovery policy under the failure shapes that a single
     kill never produces: double faults coalescing into one membership
     agreement round, kills landing *inside* an in-progress recovery (at
     the restore midpoint), back-to-back failures hitting the freshly
@@ -339,52 +372,8 @@ def recovery_campaign(seed: int = 0) -> CampaignSpec:
     hang.  Shrink scenarios run the malleable stencil; the shrink of a
     non-malleable benchmark is *expected* to degrade.
     """
-    combos = (("pcl", "ft_sock"), ("vcl", "ch_v"), ("dcl", "ft_sock"))
-    scenarios = []
-    for protocol, channel in combos:
-        common = dict(protocol=protocol, channel=channel, seed=seed)
-        stencil = dict(bench="stencil", klass="A", **common)
-        scenarios += [
-            # double task fault, coalesced into one agreement round
-            Scenario(kill="task", victim=1, kill_time=2.8,
-                     extra_kills=(("task", 2, 2.8001),),
-                     policy="spare", spares=2, **common),
-            # correlated double node fault onto the spare pool
-            Scenario(kill="node", victim=1, kill_time=2.8,
-                     extra_kills=(("node", 2, 2.8001),),
-                     policy="spare", spares=2, **common),
-            # node kill inside the in-progress recovery (restore midpoint)
-            Scenario(kill="node", victim=1, kill_time=2.8,
-                     extra_kills=(("node", 2, 2.85),),
-                     policy="spare", spares=2, **common),
-            # task kill inside the in-progress recovery
-            Scenario(kill="node", victim=1, kill_time=2.8,
-                     extra_kills=(("task", 2, 2.85),),
-                     policy="spare", spares=2, **common),
-            # back-to-back failures: the second hits the fresh incarnation
-            Scenario(kill="node", victim=1, kill_time=2.8,
-                     extra_kills=(("node", 2, 3.4),),
-                     policy="spare", spares=2, **common),
-            # spare-pool exhaustion must degrade to full restart, not hang
-            Scenario(kill="node", victim=1, kill_time=2.8,
-                     extra_kills=(("node", 2, 2.8001),),
-                     policy="spare", spares=1,
-                     expect=("recovered-degraded",), **common),
-            # shrink: survivors re-decompose the malleable stencil
-            Scenario(kill="node", victim=1, kill_time=2.8,
-                     policy="shrink", **stencil),
-            Scenario(kill="node", victim=1, kill_time=2.8,
-                     extra_kills=(("node", 2, 2.8001),),
-                     policy="shrink", **stencil),
-            # shrinking a non-malleable benchmark degrades to full restart
-            Scenario(kill="node", victim=1, kill_time=2.8,
-                     policy="shrink",
-                     expect=("recovered-degraded",), **common),
-            # kill inside the baseline full restart's own recovery
-            Scenario(kill="node", victim=1, kill_time=2.8,
-                     extra_kills=(("node", 2, 2.85),), **common),
-        ]
-    return CampaignSpec(scenarios=scenarios, name="recovery")
+    return _fault_rows("recovery", seed, PROTOCOL_CHANNELS, _NODE_KILL,
+                       _RECOVERY_ROWS)
 
 
 def smoke_campaign(seed: int = 0) -> CampaignSpec:
@@ -397,13 +386,26 @@ def smoke_campaign(seed: int = 0) -> CampaignSpec:
     starts at ~3.6).  3 Pcl/Vcl combos × 2 ppn × 2 kill kinds × 2 kill
     times = 24, plus the 12 storage-resilience scenarios of
     :func:`storage_campaign`, plus the 12 message-drain scenarios of
-    :func:`dcl_campaign`.
+    :func:`dcl_campaign` — every family of ``PROTOCOL_CHANNELS`` beyond
+    the paper's two contributes its :func:`_family_sweep`.
     """
     grid = CampaignSpec.grid(
         kill_times=(1.7, 2.8),
         seeds=(seed,),
         name="smoke",
     )
-    grid.scenarios.extend(storage_campaign(seed).scenarios)
-    grid.scenarios.extend(dcl_campaign(seed).scenarios)
+    grid.scenarios += storage_campaign(seed).scenarios
+    for protocol in PROTOCOL_CHANNELS:
+        if protocol not in _PAPER:
+            grid.scenarios += _family_sweep(protocol, seed).scenarios
     return grid
+
+
+#: CLI flag -> builder (``seed -> CampaignSpec``), default first; the CLI
+#: derives its flags, their help (the builder's summary line) and dispatch
+CAMPAIGNS: Dict[str, Callable[[int], CampaignSpec]] = {
+    "smoke": smoke_campaign,
+    "storage": storage_campaign,
+    "dcl": dcl_campaign,
+    "recovery": recovery_campaign,
+}

@@ -56,6 +56,10 @@ def main(argv=None) -> int:
                              "(figures are identical either way; see "
                              "docs/OBSERVABILITY.md)")
     args = parser.parse_args(argv)
+    unknown = sorted(set(args.experiments) - {"all", *EXPERIMENT_IDS})
+    if unknown:
+        parser.error(f"unknown experiment id(s) {', '.join(unknown)}; "
+                     f"valid: {', '.join(EXPERIMENT_IDS)} or 'all'")
     if args.jobs is not None:
         # Figure modules read REPRO_JOBS through execute_grid, so the flag
         # needs no per-figure plumbing.
@@ -72,14 +76,15 @@ def main(argv=None) -> int:
     requested = list(EXPERIMENT_IDS) if "all" in args.experiments \
         else args.experiments
     profile = get_profile(args.profile, seed=args.seed)
-    if args.policy:
-        from dataclasses import replace
-        profile = replace(profile, recovery_policies=(args.policy,))
+    # --policy overrides one entry of the recovery figure's PARAMS
+    overrides = {"recovery": {"policies": (args.policy,)}} if args.policy \
+        else {}
 
     failures = 0
     for experiment_id in requested:
         started = time.time()
-        result = get_experiment(experiment_id)(profile)
+        result = get_experiment(experiment_id)(
+            profile, **overrides.get(experiment_id, {}))
         elapsed = time.time() - started
         print(render(result))
         print(f"[{experiment_id}] regenerated in {elapsed:.1f}s wall time")

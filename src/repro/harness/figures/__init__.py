@@ -1,8 +1,10 @@
 """Per-figure reproduction scripts.
 
-Each module exposes ``run(profile) -> FigureResult``; :func:`get_experiment`
-resolves an experiment id lazily so importing one figure never pays for the
-others.
+Each module exposes ``run(profile) -> FigureResult``, states what it sweeps
+as a ``PARAMS`` table (:func:`repro.harness.config.figure_params`) and its
+grid as a :class:`~repro.harness.table.RunTable`; :func:`get_experiment`
+resolves an experiment id lazily so importing one figure never pays for
+the others.
 """
 
 from importlib import import_module
@@ -33,6 +35,8 @@ def get_experiment(experiment_id: str) -> Callable:
     :func:`repro.harness.runner.execute` call records them) into the
     figure's result and adds a blanket "monitors clean" shape check, so a
     protocol-invariant violation fails the figure like any paper claim.
+    Keyword ``overrides`` replace entries of the figure's ``PARAMS`` (only
+    figures that take them: ``recovery``'s ``policies``).
     """
     if experiment_id not in EXPERIMENT_IDS:
         raise KeyError(
@@ -40,11 +44,11 @@ def get_experiment(experiment_id: str) -> Callable:
         )
     module = import_module(f"repro.harness.figures.{experiment_id}")
 
-    def run_with_monitors(profile):
+    def run_with_monitors(profile, **overrides):
         from repro.harness.runner import monitor_ledger
 
         with monitor_ledger() as ledger:
-            result = module.run(profile)
+            result = module.run(profile, **overrides)
         verdicts = ledger.verdicts
         result.monitors = verdicts
         result.metrics = ledger.metrics

@@ -22,27 +22,23 @@ from typing import Dict, List
 
 from repro.apps import CG
 from repro.apps.synthetic import burst
-from repro.harness.config import Profile
+from repro.harness.config import Profile, default_channel
 from repro.harness.report import FigureResult, Series
-from repro.harness.runner import execute
-from repro.runtime import DeploymentSpec, build_run
-from repro.sim import Simulator
+from repro.harness.runner import bare_run
+from repro.harness.table import Row, RunTable
+from repro.runtime import DeploymentSpec
 
 __all__ = ["run"]
 
 
-def _ft_run(profile: Profile, app, n_procs, protocol, channel, period,
-            image_bytes, fork_latency, name, network="gige", n_servers=2):
-    sim = Simulator(seed=profile.seed)
+def _ft_run(profile: Profile, app, n_procs, protocol, period, image_bytes,
+            fork_latency, name):
     spec = DeploymentSpec(
-        n_procs=n_procs, protocol=protocol, channel=channel, network=network,
-        n_servers=n_servers, period=period, image_bytes=image_bytes,
+        n_procs=n_procs, protocol=protocol, channel=default_channel(protocol),
+        network="gige", n_servers=2, period=period, image_bytes=image_bytes,
         procs_per_node=1, fork_latency=fork_latency, launcher="instant",
     )
-    run = build_run(sim, spec, app, name=name)
-    run.start()
-    completion = sim.run_until_complete(run.completed, limit=1e8)
-    return completion, run
+    return bare_run(spec, app, profile.seed, name=name)
 
 
 def run(profile: Profile) -> FigureResult:
@@ -51,13 +47,23 @@ def run(profile: Profile) -> FigureResult:
     checks: Dict[str, bool] = {}
     notes: List[str] = []
 
+    p = 16
     # 1. daemon hops: the pure channel cost on a latency-bound workload
     cg_small = CG(klass="A", scale=min(1.0, scale * 4))
-    p = 16
-    daemon = execute(cg_small, p, None, profile, network="myrinet",
-                     channel="ch_v", name="abl-daemon-chv", n_servers=1)
-    direct = execute(cg_small, p, None, profile, network="myrinet",
-                     channel="ft_sock", name="abl-daemon-ftsock", n_servers=1)
+    daemon_hops = dict(bench=cg_small, network="myrinet", n_servers=1)
+    # 2. gating granularity on one fabric (GigE): ft-sock gates vs stopper
+    cg = CG(klass="B", scale=scale)
+    gating = dict(bench=cg, protocol="pcl", network="gige", period=20.0,
+                  n_servers=2)
+    table = RunTable(n_procs=p, protocol=None, profile=profile).add(variant=[
+        Row("daemon", channel="ch_v", name="abl-daemon-chv", **daemon_hops),
+        Row("direct", channel="ft_sock", name="abl-daemon-ftsock",
+            **daemon_hops),
+        Row("gates", channel="ft_sock", name="abl-gates", **gating),
+        Row("stopper", channel="nemesis", name="abl-stopper", **gating),
+    ]).run()
+
+    daemon, direct = table["daemon"], table["direct"]
     daemon_cost = daemon.completion / direct.completion - 1.0
     series.append(Series("daemon-hops [s]", [0.0, 1.0],
                          [direct.completion, daemon.completion],
@@ -65,13 +71,7 @@ def run(profile: Profile) -> FigureResult:
     checks["ch_v daemon hops cost >5% on a latency-bound run"] = daemon_cost > 0.05
     notes.append(f"daemon-hops: +{100 * daemon_cost:.1f}% completion time")
 
-    # 2. gating granularity on one fabric (GigE): ft-sock gates vs stopper
-    cg = CG(klass="B", scale=scale)
-    period = 20.0
-    gates = execute(cg, p, "pcl", profile, network="gige", channel="ft_sock",
-                    period=period, n_servers=2, name="abl-gates")
-    stopper = execute(cg, p, "pcl", profile, network="gige", channel="nemesis",
-                      period=period, n_servers=2, name="abl-stopper")
+    gates, stopper = table["gates"], table["stopper"]
     gap = abs(stopper.completion - gates.completion) / gates.completion
     series.append(Series("gating [s]", [0.0, 1.0],
                          [gates.completion, stopper.completion],
@@ -83,15 +83,15 @@ def run(profile: Profile) -> FigureResult:
     image = 64e6
     scaled_period = profile.scaled_period(10.0)
     app = cg.make_app(p)
-    fork_time, fork_run = _ft_run(profile, app, p, "pcl", "ft_sock",
-                                  scaled_period, image, 0.02, "abl-fork")
+    fork_time, fork_run = _ft_run(profile, app, p, "pcl", scaled_period,
+                                  image, 0.02, "abl-fork")
     freeze = image / 55e6  # the local image write with the process stopped
-    sc_time, sc_run = _ft_run(profile, app, p, "pcl", "ft_sock",
-                              scaled_period, image, freeze, "abl-stopcopy")
+    sc_time, sc_run = _ft_run(profile, app, p, "pcl", scaled_period, image,
+                              freeze, "abl-stopcopy")
     fork_waves = max(1, fork_run.stats.waves_completed)
     sc_waves = max(1, sc_run.stats.waves_completed)
-    base_time, _ = _ft_run(profile, app, p, None, "ft_sock", 1.0, image,
-                           0.02, "abl-base")
+    base_time, _ = _ft_run(profile, app, p, None, 1.0, image, 0.02,
+                           "abl-base")
     fork_per_wave = (fork_time - base_time) / fork_waves
     sc_per_wave = (sc_time - base_time) / sc_waves
     series.append(Series("fork vs stop-and-copy [s/wave]", [0.0, 1.0],
@@ -112,7 +112,7 @@ def run(profile: Profile) -> FigureResult:
     wave_counts: List[float] = []
     freq_periods = [5.0, 20.0, 80.0]
     for pp in freq_periods:
-        _t, log_run = _ft_run(profile, traffic, 8, "vcl", "ch_v",
+        _t, log_run = _ft_run(profile, traffic, 8, "vcl",
                               profile.scaled_period(pp), 8e6, 0.02,
                               f"abl-log-{pp:g}")
         logged.append(log_run.stats.logged_bytes / 1e3)

@@ -12,34 +12,35 @@ checkpointed run time for more waves, whose linear cost widens the gap.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.apps import BT
-from repro.harness.config import Profile
+from repro.harness.config import Profile, figure_params
 from repro.harness.report import FigureResult, Series
-from repro.harness.runner import execute
+from repro.harness.table import Row, RunTable
 
-__all__ = ["run"]
+__all__ = ["run", "PARAMS"]
+
+PARAMS = {
+    "paper": dict(sizes=(100, 225, 400, 529), period=60.0, servers=4),
+    "quick": dict(sizes=(64, 100, 144)),
+    "smoke": dict(sizes=(16, 36)),
+}
 
 
 def run(profile: Profile) -> FigureResult:
-    bench = BT(klass="B", scale=profile.time_scale)
-    sizes = list(profile.fig10_sizes)
-
-    base_times: List[float] = []
-    ckpt_times: List[float] = []
-    waves: List[float] = []
-    for p in sizes:
-        baseline = execute(bench, p, None, profile, network="grid5000",
-                           n_servers=profile.fig10_servers,
-                           name=f"fig10-base-p{p}")
-        result = execute(bench, p, "pcl", profile, network="grid5000",
-                         n_servers=profile.fig10_servers,
-                         period=profile.fig10_period,
-                         name=f"fig10-ckpt-p{p}")
-        base_times.append(baseline.completion)
-        ckpt_times.append(result.completion)
-        waves.append(float(result.waves))
+    par = figure_params(PARAMS, profile)
+    sizes = list(par.sizes)
+    table = RunTable(
+        bench=BT(klass="B", scale=profile.time_scale), profile=profile,
+        network="grid5000", n_servers=par.servers,
+    ).add(
+        n_procs=sizes,
+        kind=[Row("base", protocol=None, name="fig10-base-p{n_procs}"),
+              Row("ckpt", protocol="pcl", period=par.period,
+                  name="fig10-ckpt-p{n_procs}")],
+    ).run()
+    base_times = [r.completion for r in table.select(kind="base")]
+    ckpt_times = [r.completion for r in table.select(kind="ckpt")]
+    waves = [float(r.waves) for r in table.select(kind="ckpt")]
 
     largest = len(sizes) - 1
     checks = {
@@ -61,12 +62,12 @@ def run(profile: Profile) -> FigureResult:
     return FigureResult(
         figure_id="fig10",
         title="Large-scale blocking checkpointing (BT.B on Grid'5000, "
-              f"period {profile.fig10_period:g}s vs none)",
+              f"period {par.period:g}s vs none)",
         x_label="processes",
         y_label="completion time [s] / waves",
         series=[
             Series("no-ckpt [s]", sizes, base_times),
-            Series(f"pcl@{profile.fig10_period:g}s [s]", sizes, ckpt_times),
+            Series(f"pcl@{par.period:g}s [s]", sizes, ckpt_times),
             Series("waves", sizes, waves),
         ],
         checks=checks,

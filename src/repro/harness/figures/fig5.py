@@ -18,38 +18,33 @@ Expected shape (Sec. 5.2):
 from __future__ import annotations
 
 from repro.apps import BT
-from repro.harness.config import Profile
-from repro.harness.parallel import execute_grid
+from repro.harness.config import Profile, figure_params
 from repro.harness.report import FigureResult, Series
+from repro.harness.table import RunTable
 
-__all__ = ["run"]
+__all__ = ["run", "PARAMS"]
+
+PARAMS = {
+    "paper": dict(procs=64, servers=(1, 2, 4, 8), period=30.0),
+    "smoke": dict(servers=(1, 4)),
+}
 
 
 def run(profile: Profile) -> FigureResult:
-    bench = BT(klass="B", scale=profile.time_scale)
-    p = profile.fig5_procs
-    tasks = [
-        dict(bench=bench, n_procs=p, protocol=protocol, profile=profile,
-             n_servers=n_servers,
-             period=profile.fig5_period,
-             procs_per_node=2,
-             name=f"fig5-{protocol}-s{n_servers}")
-        for protocol in ("pcl", "vcl")
-        for n_servers in profile.fig5_servers
-    ]
-    grid = execute_grid(tasks)
-    per_protocol = len(profile.fig5_servers)
-    results = {"pcl": grid[:per_protocol], "vcl": grid[per_protocol:]}
+    par = figure_params(PARAMS, profile)
+    p = par.procs
+    table = RunTable(
+        bench=BT(klass="B", scale=profile.time_scale), n_procs=p,
+        profile=profile, period=par.period, procs_per_node=2,
+        name="fig5-{protocol}-s{n_servers}",
+    ).add(protocol=("pcl", "vcl"), n_servers=par.servers).run()
+    pcl, vcl = table.select(protocol="pcl"), table.select(protocol="vcl")
 
-    servers = list(profile.fig5_servers)
-    pcl_times = [r.completion for r in results["pcl"]]
-    vcl_times = [r.completion for r in results["vcl"]]
-    pcl_waves = [r.waves for r in results["pcl"]]
-    vcl_waves = [r.waves for r in results["vcl"]]
-
-    def mean_wave(result):
-        durations = result.stats.wave_durations()
-        return sum(durations) / len(durations) if durations else 0.0
+    servers = list(par.servers)
+    pcl_times = [r.completion for r in pcl]
+    vcl_times = [r.completion for r in vcl]
+    pcl_waves = [r.waves for r in pcl]
+    vcl_waves = [r.waves for r in vcl]
 
     vcl_band = (max(vcl_times) - min(vcl_times)) / min(vcl_times)
     checks = {
@@ -61,7 +56,7 @@ def run(profile: Profile) -> FigureResult:
         # more servers -> shorter transfers -> shorter waves, which is what
         # lets Vcl fit more waves into its constant completion time
         "vcl wave duration shrinks with more servers":
-            mean_wave(results["vcl"][-1]) < mean_wave(results["vcl"][0]),
+            vcl[-1].mean_wave < vcl[0].mean_wave,
         "vcl completes at least as many waves with more servers":
             vcl_waves[-1] >= vcl_waves[0],
         "every pcl run completed at least one wave":
@@ -70,7 +65,7 @@ def run(profile: Profile) -> FigureResult:
     return FigureResult(
         figure_id="fig5",
         title="Checkpoint servers vs completion time (BT.B, 64 procs, "
-              f"period {profile.fig5_period}s)",
+              f"period {par.period}s)",
         x_label="n_servers",
         y_label="completion time [s] / completed waves",
         series=[
@@ -82,7 +77,7 @@ def run(profile: Profile) -> FigureResult:
         checks=checks,
         notes=[
             "paper: Pcl decreases with servers; Vcl flat with more waves",
-            f"server:compute ratios 1:{p} .. 1:{p // max(profile.fig5_servers)}",
+            f"server:compute ratios 1:{p} .. 1:{p // max(par.servers)}",
         ],
         profile=profile.name,
     )

@@ -19,82 +19,82 @@ Expected shape (Sec. 5.2):
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.apps import BT
-from repro.harness.config import Profile
-from repro.harness.parallel import execute_grid
+from repro.harness.config import Profile, default_channel, figure_params
 from repro.harness.report import FigureResult, Series
+from repro.harness.table import Row, RunTable
 
-__all__ = ["run"]
+__all__ = ["run", "PARAMS"]
+
+PARAMS = {
+    "paper": dict(sizes=(16, 36, 64, 100, 144, 169, 196, 256),
+                  periods=(10.0, 30.0, 60.0, 120.0), nodes=150, servers=9),
+    "quick": dict(sizes=(16, 64, 144, 169), periods=(10.0, 60.0)),
+    "smoke": dict(sizes=(16, 64), periods=(10.0, 60.0)),
+}
 
 
-def _deployment(p: int, profile: Profile) -> Dict:
+def _deployment(p: int, nodes: int) -> Dict:
     """One process per node up to 144; dual-processor deployments beyond
     (the paper had 150 machines)."""
     if p > 144:
         return {"procs_per_node": 2, "n_compute_nodes": -(-p // 2)}
-    return {"procs_per_node": 1, "n_compute_nodes": min(p, profile.fig6_nodes)}
+    return {"procs_per_node": 1, "n_compute_nodes": min(p, nodes)}
 
 
 def run(profile: Profile) -> FigureResult:
-    bench = BT(klass="B", scale=profile.time_scale)
-    sizes = [p for p in profile.fig6_sizes]
+    par = figure_params(PARAMS, profile)
+    sizes = list(par.sizes)
+    periods = sorted(par.periods)
+    # rows: process counts; columns: two baselines, then protocol@period
+    columns = [
+        Row(f"base-{channel}", channel=channel,
+            name=f"fig6-base-{channel}-p{{p}}")
+        for channel in ("ft_sock", "ch_v")
+    ] + [
+        Row(f"{protocol}@{period:g}", protocol=protocol, period=period,
+            name=f"fig6-{protocol}-p{{p}}-t{period}")
+        for protocol in ("pcl", "vcl") for period in par.periods
+    ]
+    table = RunTable(
+        bench=BT(klass="B", scale=profile.time_scale), protocol=None,
+        profile=profile, n_servers=par.servers,
+    ).add(
+        p=[Row(p, n_procs=p, **_deployment(p, par.nodes)) for p in sizes],
+        column=columns,
+    ).run()
 
-    tasks = []
-    keys: List[Tuple[str, object, int]] = []
-    for p in sizes:
-        deploy = _deployment(p, profile)
-        for channel in ("ft_sock", "ch_v"):
-            tasks.append(dict(bench=bench, n_procs=p, protocol=None,
-                              profile=profile, channel=channel,
-                              n_servers=profile.fig6_servers,
-                              name=f"fig6-base-{channel}-p{p}", **deploy))
-            keys.append(("base", channel, p))
-        for protocol in ("pcl", "vcl"):
-            for period in profile.fig6_periods:
-                tasks.append(dict(bench=bench, n_procs=p, protocol=protocol,
-                                  profile=profile,
-                                  n_servers=profile.fig6_servers,
-                                  period=period,
-                                  name=f"fig6-{protocol}-p{p}-t{period}",
-                                  **deploy))
-                keys.append(("ckpt", (protocol, period), p))
-
-    baselines: Dict[str, List[float]] = {"ft_sock": [], "ch_v": []}
-    times: Dict[Tuple[str, float], List[float]] = {}
-    for (kind, key, _p), result in zip(keys, execute_grid(tasks)):
-        if kind == "base":
-            baselines[key].append(result.completion)
-        else:
-            times.setdefault(key, []).append(result.completion)
+    def times(column: str) -> List[float]:
+        return [r.completion for r in table.select(column=column)]
 
     series = [
-        Series("no-ckpt mpich2", sizes, baselines["ft_sock"]),
-        Series("no-ckpt mpich-v", sizes, baselines["ch_v"]),
+        Series("no-ckpt mpich2", sizes, times("base-ft_sock")),
+        Series("no-ckpt mpich-v", sizes, times("base-ch_v")),
+    ] + [
+        Series(f"{protocol}@{period:g}s", sizes,
+               times(f"{protocol}@{period:g}"))
+        for protocol in ("pcl", "vcl") for period in periods
     ]
-    for (protocol, period), ys in sorted(times.items()):
-        series.append(Series(f"{protocol}@{period:g}s", sizes, ys))
 
-    def overhead(protocol: str, period: float, index: int) -> float:
-        base_channel = "ft_sock" if protocol == "pcl" else "ch_v"
-        base = baselines[base_channel][index]
-        return (times[(protocol, period)][index] - base) / base
+    def overhead(protocol: str, period: float, p: int) -> float:
+        base = table[p, f"base-{default_channel(protocol)}"].completion
+        return (table[p, f"{protocol}@{period:g}"].completion - base) / base
 
-    shortest = min(profile.fig6_periods)
-    longest = max(profile.fig6_periods)
-    mid = sizes.index(64) if 64 in sizes else len(sizes) // 2
+    shortest, longest = periods[0], periods[-1]
+    mid = 64 if 64 in sizes else sizes[len(sizes) // 2]
 
     # overhead-vs-p flatness at the longest period: spread in percentage
     # points across sizes
     def spread(protocol: str) -> float:
-        values = [overhead(protocol, longest, i) for i in range(len(sizes))]
+        values = [overhead(protocol, longest, p) for p in sizes]
         return max(values) - min(values)
 
     checks = {
         "baselines similar (mpich2 within 10% of mpich-v)": all(
             ft <= chv * 1.10 for ft, chv in
-            zip(baselines["ft_sock"], baselines["ch_v"])
+            zip(times("base-ft_sock"), times("base-ch_v"))
         ),
         f"pcl overhead at {shortest:g}s exceeds pcl at {longest:g}s":
             overhead("pcl", shortest, mid) > overhead("pcl", longest, mid),
@@ -106,9 +106,9 @@ def run(profile: Profile) -> FigureResult:
         f"(spread < 15 points at {longest:g}s)": spread("vcl") < 0.15,
     }
     if 144 in sizes and 169 in sizes:
-        i144, i169 = sizes.index(144), sizes.index(169)
         checks["dip past 144 procs (NIC sharing): t(169) > t(144)"] = (
-            baselines["ft_sock"][i169] > baselines["ft_sock"][i144]
+            table[169, "base-ft_sock"].completion
+            > table[144, "base-ft_sock"].completion
         )
 
     return FigureResult(
@@ -121,7 +121,7 @@ def run(profile: Profile) -> FigureResult:
         checks=checks,
         notes=[
             "one process per node up to 144; two per node beyond (shared NIC)",
-            f"{profile.fig6_servers} checkpoint servers",
+            f"{par.servers} checkpoint servers",
         ],
         profile=profile.name,
     )

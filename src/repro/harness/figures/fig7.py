@@ -20,50 +20,55 @@ Expected shape (Sec. 5.3):
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
-
 from repro.apps import CG
-from repro.harness.config import Profile
+from repro.harness.config import PROTOCOL_CHANNELS, Profile, figure_params
 from repro.harness.report import FigureResult, Series
-from repro.harness.runner import execute
-from repro.tools import linear_fit
+from repro.harness.table import Row, RunTable, waves_fit
 
-__all__ = ["run", "IMPLEMENTATIONS"]
+__all__ = ["run", "PARAMS", "myrinet_table"]
 
-#: (label, protocol, channel) — fabric follows the channel on Myrinet
-IMPLEMENTATIONS = (
-    ("pcl-socket", "pcl", "ft_sock"),
-    ("pcl-nemesis", "pcl", "nemesis"),
-    ("vcl", "vcl", "ch_v"),
-)
+PARAMS = {
+    "paper": dict(procs=64, periods=(8.0, 15.0, 25.0, 40.0, 80.0), servers=2),
+    "quick": dict(periods=(8.0, 20.0, 50.0, 120.0)),
+    "smoke": dict(procs=16, periods=(10.0, 60.0)),
+}
+
+
+def myrinet_table(profile: Profile, par, name: str) -> RunTable:
+    """The figure's deployment (shared with ``protocol_race``): CG.C, two
+    processes per Myrinet node; checkpoint-free unless a row says so."""
+    return RunTable(
+        bench=CG(klass="C", scale=profile.time_scale), n_procs=par.procs,
+        protocol=None, profile=profile, network="myrinet", procs_per_node=2,
+        n_compute_nodes=-(-par.procs // 2), n_servers=par.servers, name=name)
 
 
 def run(profile: Profile) -> FigureResult:
-    bench = CG(klass="C", scale=profile.time_scale)
-    p = profile.fig7_procs
-    deploy = dict(network="myrinet", procs_per_node=2,
-                  n_compute_nodes=-(-p // 2), n_servers=profile.fig7_servers)
-
-    points: Dict[str, List[Tuple[int, float]]] = {}
-    for label, protocol, channel in IMPLEMENTATIONS:
-        baseline = execute(bench, p, None, profile, channel=channel,
-                           name=f"fig7-{label}-base", **deploy)
-        points[label] = [(0, baseline.completion)]
-        for period in profile.fig7_periods:
-            result = execute(bench, p, protocol, profile, channel=channel,
-                             period=period, name=f"fig7-{label}-t{period}",
-                             **deploy)
-            points[label].append((result.waves, result.completion))
+    par = figure_params(PARAMS, profile)
+    p = par.procs
+    # every device of the paper's two implementations: pcl-socket,
+    # pcl-nemesis, vcl — fabric follows the channel on Myrinet
+    implementations = []
+    for protocol in ("pcl", "vcl"):
+        channels = PROTOCOL_CHANNELS[protocol]
+        implementations += [
+            Row(protocol if len(channels) == 1
+                else f"{protocol}-{channel.replace('ft_sock', 'socket')}",
+                protocol=protocol, channel=channel)
+            for channel in channels
+        ]
+    table = myrinet_table(profile, par, "fig7-{impl}-t{period}").add(
+        impl=implementations,
+        period=[Row("base", protocol=None, name="fig7-{impl}-base"),
+                *par.periods],
+    ).run()
 
     series = []
     fits = {}
-    for label, _protocol, _channel in IMPLEMENTATIONS:
-        pts = sorted(points[label])
-        xs = [float(w) for w, _t in pts]
-        ys = [t for _w, t in pts]
-        series.append(Series(label, xs, ys))
-        if len(set(xs)) >= 2:
-            fits[label] = linear_fit(xs, ys)
+    for impl in implementations:
+        baseline, *runs = table.select(impl=impl.label)
+        xs, ys, fits[impl.label] = waves_fit(baseline, runs)
+        series.append(Series(impl.label, xs, ys))
 
     nemesis = fits["pcl-nemesis"]
     socket = fits["pcl-socket"]

@@ -16,52 +16,47 @@ Expected shape (Sec. 5.3):
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
-
 from repro.apps import CG
-from repro.harness.config import Profile
-from repro.harness.parallel import execute_grid
+from repro.harness.config import Profile, figure_params
 from repro.harness.report import FigureResult, Series
-from repro.tools import linear_fit
+from repro.harness.table import Row, RunTable, waves_fit
 
-__all__ = ["run"]
+__all__ = ["run", "PARAMS"]
+
+PARAMS = {
+    "paper": dict(procs=(4, 8, 16, 32, 64), periods=(10.0, 25.0, 80.0),
+                  nodes=32),
+    "quick": dict(procs=(4, 16, 32, 64), periods=(10.0, 40.0)),
+    "smoke": dict(procs=(4, 16), periods=(10.0, 60.0)),
+}
+
+
+def _deployment(p: int, nodes: int) -> dict:
+    per_node = 2 if p > nodes else 1
+    return dict(procs_per_node=per_node,
+                n_compute_nodes=min(nodes, -(-p // per_node)))
 
 
 def run(profile: Profile) -> FigureResult:
-    bench = CG(klass="C", scale=profile.time_scale)
-    nodes = profile.fig8_nodes
+    par = figure_params(PARAMS, profile)
+    table = RunTable(
+        bench=CG(klass="C", scale=profile.time_scale), protocol="pcl",
+        profile=profile, network="myrinet", channel="nemesis", n_servers=2,
+        name="fig8-p{p}-t{period}",
+    ).add(
+        p=[Row(p, n_procs=p, **_deployment(p, par.nodes)) for p in par.procs],
+        period=[Row("base", protocol=None, name="fig8-p{p}-base"),
+                *par.periods],
+    ).run()
 
-    tasks = []
-    for p in profile.fig8_procs:
-        per_node = 2 if p > nodes else 1
-        deploy = dict(network="myrinet", channel="nemesis",
-                      procs_per_node=per_node,
-                      n_compute_nodes=min(nodes, -(-p // per_node)),
-                      n_servers=2)
-        tasks.append(dict(bench=bench, n_procs=p, protocol=None,
-                          profile=profile, name=f"fig8-p{p}-base", **deploy))
-        for period in profile.fig8_periods:
-            tasks.append(dict(bench=bench, n_procs=p, protocol="pcl",
-                              profile=profile, period=period,
-                              name=f"fig8-p{p}-t{period}", **deploy))
-    grid = iter(execute_grid(tasks))
-
-    series: List[Series] = []
+    series = []
     fits = {}
-    finals: Dict[int, float] = {}
-    for p in profile.fig8_procs:
-        baseline = next(grid)
-        pts: List[Tuple[int, float]] = [(0, baseline.completion)]
-        for _period in profile.fig8_periods:
-            result = next(grid)
-            pts.append((result.waves, result.completion))
-        pts.sort()
-        xs = [float(w) for w, _t in pts]
-        ys = [t for _w, t in pts]
+    for p in par.procs:
+        baseline, *runs = table.select(p=p)
+        xs, ys, fit = waves_fit(baseline, runs)
         series.append(Series(f"p={p}", xs, ys))
-        if len(set(xs)) >= 2:
-            fits[p] = linear_fit(xs, ys)
-        finals[p] = baseline.completion
+        if fit is not None:
+            fits[p] = fit
 
     slopes = [fit.slope for fit in fits.values()]
     checks = {
@@ -70,9 +65,10 @@ def run(profile: Profile) -> FigureResult:
         "slopes similar across sizes (max < 4x min)":
             max(slopes) < 4 * max(min(slopes), 1e-9),
     }
-    if 32 in finals and 64 in finals:
+    if 32 in par.procs and 64 in par.procs:
+        base32 = table[32, "base"].completion
         checks["32- and 64-process runs nearly coincide (shared NIC)"] = (
-            abs(finals[64] - finals[32]) / finals[32] < 0.35
+            abs(table[64, "base"].completion - base32) / base32 < 0.35
         )
     return FigureResult(
         figure_id="fig8",

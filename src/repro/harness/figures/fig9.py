@@ -13,36 +13,38 @@ checkpoint frequency (inverse of the period).
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 from repro.apps import BT
-from repro.harness.config import Profile
+from repro.harness.config import Profile, figure_params
 from repro.harness.report import FigureResult, Series
-from repro.harness.runner import execute
-from repro.tools import linear_fit
+from repro.harness.table import Row, RunTable, waves_fit
 
-__all__ = ["run"]
+__all__ = ["run", "PARAMS"]
+
+PARAMS = {
+    "paper": dict(procs=400, periods=(30.0, 60.0, 120.0, 240.0), servers=4),
+    "quick": dict(procs=144),
+    "smoke": dict(procs=36, periods=(60.0, 240.0)),
+}
 
 
 def run(profile: Profile) -> FigureResult:
-    bench = BT(klass="B", scale=profile.time_scale)
-    p = profile.fig9_procs
+    par = figure_params(PARAMS, profile)
+    p = par.procs
+    table = RunTable(
+        bench=BT(klass="B", scale=profile.time_scale), n_procs=p,
+        protocol="pcl", profile=profile, network="grid5000",
+        n_servers=par.servers, name="fig9-t{period}",
+    ).add(
+        period=[Row("base", protocol=None, name="fig9-base"), *par.periods],
+    ).run()
+    baseline, *runs = table.select()
 
-    baseline = execute(bench, p, None, profile, network="grid5000",
-                       n_servers=profile.fig9_servers, name="fig9-base")
-    rows: List[Tuple[float, int, float]] = []  # (period, waves, time)
-    for period in profile.fig9_periods:
-        result = execute(bench, p, "pcl", profile, network="grid5000",
-                         n_servers=profile.fig9_servers, period=period,
-                         name=f"fig9-t{period}")
-        rows.append((period, result.waves, result.completion))
-
-    periods = [row[0] for row in rows]
-    waves = [float(row[1]) for row in rows]
-    times = [row[2] for row in rows]
+    periods = list(par.periods)
+    waves = [float(r.waves) for r in runs]
+    times = [r.completion for r in runs]
 
     # right panel: time vs waves, with the checkpoint-free run at 0 waves
-    fit = linear_fit([0.0] + waves, [baseline.completion] + times)
+    _xs, _ys, fit = waves_fit(baseline, runs)
     # waves ~ 1/period: compare the wave count against frequency ordering
     frequency_sorted = sorted(zip(periods, waves))
     wave_monotone = all(
@@ -77,7 +79,7 @@ def run(profile: Profile) -> FigureResult:
             f"time-vs-waves fit: {fit.slope:.2f}s/wave from "
             f"{fit.intercept:.1f}s (r2={fit.r2:.3f})",
             "site-local checkpoint servers "
-            f"({profile.fig9_servers} across sites)",
+            f"({par.servers} across sites)",
         ],
         profile=profile.name,
     )

@@ -23,8 +23,8 @@ from repro.apps.synthetic import burst
 from repro.ft.interval import IntervalModel
 from repro.harness.config import Profile
 from repro.harness.report import FigureResult, Series
-from repro.runtime import DeploymentSpec, build_run
-from repro.sim import Simulator
+from repro.harness.runner import bare_run
+from repro.runtime import DeploymentSpec
 
 __all__ = ["run"]
 
@@ -39,7 +39,6 @@ _WORK_STEP = 0.25
 
 def _one_run(seed: int, period: Optional[float], mttf: Optional[float],
              probe_lead: Optional[float] = None):
-    sim = Simulator(seed=seed)
     app = burst(iters=_WORK_ITERS, nbytes=100_000, fan=3, compute=_WORK_STEP)
     spec = DeploymentSpec(
         n_procs=_N_PROCS, protocol="pcl" if period else None,
@@ -47,14 +46,15 @@ def _one_run(seed: int, period: Optional[float], mttf: Optional[float],
         period=period if period else 1.0, image_bytes=_IMAGE_BYTES,
         procs_per_node=1, fork_latency=0.02, launcher="instant",
     )
-    run = build_run(sim, spec, app, name=f"mttf-s{seed}-{period}")
-    run.max_restarts = 64
-    run.start()
-    if mttf is not None:
-        run.enable_random_failures(mttf, max_failures=40,
-                                   probe_lead=probe_lead)
-    completion = sim.run_until_complete(run.completed, limit=1e6)
-    return completion, run
+
+    def inject(run) -> None:
+        run.max_restarts = 64
+        if mttf is not None:
+            run.enable_random_failures(mttf, max_failures=40,
+                                       probe_lead=probe_lead)
+
+    return bare_run(spec, app, seed, name=f"mttf-s{seed}-{period}",
+                    time_limit=1e6, inject=inject)
 
 
 def run(profile: Profile) -> FigureResult:

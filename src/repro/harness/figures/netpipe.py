@@ -14,7 +14,7 @@ from repro.harness.config import Profile
 from repro.harness.report import FigureResult, Series
 from repro.net import grid5000
 from repro.net.topology import Endpoint
-from repro.sim import Simulator
+from repro.sim import make_simulator
 from repro.tools import run_netpipe, summarize
 
 __all__ = ["run"]
@@ -23,7 +23,7 @@ _SIZES = (8, 64, 1024, 16 * 1024, 256 * 1024, 1024 * 1024)
 
 
 def run(profile: Profile) -> FigureResult:
-    sim = Simulator(seed=profile.seed)
+    sim = make_simulator(seed=profile.seed)
     grid = grid5000(sim)
     orsay = grid.clusters["orsay"].nodes
     rennes = grid.clusters["rennes"].nodes

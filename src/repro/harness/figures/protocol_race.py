@@ -21,74 +21,45 @@ Expected shape:
   baseline — CG is latency-bound and every message pays the ch_v
   daemon's extra hops and copies.
 
-All runs go through :func:`repro.harness.parallel.execute_grid`, so
-``--jobs N`` (or ``REPRO_JOBS``) fans the grid out over a process pool
-with byte-identical results.
+One entry per row of :data:`repro.harness.config.PROTOCOL_CHANNELS`, each
+on its default channel: a new protocol family joins the race by being
+added to that table.  The deployment and the period sweep are Fig. 7's.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
-
-from repro.apps import CG
-from repro.harness.config import Profile
-from repro.harness.parallel import execute_grid
+from repro.harness.config import (PROTOCOL_CHANNELS, Profile,
+                                  default_channel, figure_params)
+from repro.harness.figures.fig7 import PARAMS, myrinet_table
 from repro.harness.report import FigureResult, Series
-from repro.tools import linear_fit
+from repro.harness.table import Row, waves_fit
 
-__all__ = ["run", "IMPLEMENTATIONS"]
-
-#: (label, protocol, channel) — one entry per protocol family
-IMPLEMENTATIONS = (
-    ("pcl", "pcl", "ft_sock"),
-    ("vcl", "vcl", "ch_v"),
-    ("dcl", "dcl", "ft_sock"),
-)
+__all__ = ["run"]
 
 
 def run(profile: Profile) -> FigureResult:
-    bench = CG(klass="C", scale=profile.time_scale)
-    p = profile.fig7_procs
-    deploy = dict(network="myrinet", procs_per_node=2,
-                  n_compute_nodes=-(-p // 2), n_servers=profile.fig7_servers)
-
-    # one checkpoint-free baseline per channel (Pcl and Dcl share ft-sock)
-    channels = []
-    for _label, _protocol, channel in IMPLEMENTATIONS:
-        if channel not in channels:
-            channels.append(channel)
-    tasks = [
-        dict(bench=bench, n_procs=p, protocol=None, profile=profile,
-             channel=channel, name=f"race-base-{channel}", **deploy)
-        for channel in channels
-    ]
-    for label, protocol, channel in IMPLEMENTATIONS:
-        tasks += [
-            dict(bench=bench, n_procs=p, protocol=protocol, profile=profile,
-                 channel=channel, period=period,
-                 name=f"race-{label}-t{period}", **deploy)
-            for period in profile.fig7_periods
-        ]
-    grid = execute_grid(tasks)
-
-    baselines = dict(zip(channels, grid[:len(channels)]))
-    per_impl = len(profile.fig7_periods)
-    points: Dict[str, List[Tuple[int, float]]] = {}
-    for index, (label, _protocol, channel) in enumerate(IMPLEMENTATIONS):
-        start = len(channels) + index * per_impl
-        runs = grid[start:start + per_impl]
-        points[label] = [(0, baselines[channel].completion)]
-        points[label] += [(r.waves, r.completion) for r in runs]
+    par = figure_params(PARAMS, profile)
+    p = par.procs
+    families = {protocol: default_channel(protocol)
+                for protocol in PROTOCOL_CHANNELS}
+    table = myrinet_table(profile, par, "race-{impl}-t{period}").add(
+        # one checkpoint-free baseline per channel (Pcl and Dcl share ft-sock)
+        channel=[Row(channel, channel=channel, name="race-base-{channel}")
+                 for channel in dict.fromkeys(families.values())],
+    ).add(
+        impl=[Row(protocol, protocol=protocol, channel=channel)
+              for protocol, channel in families.items()],
+        period=par.periods,
+    ).run()
 
     series = []
     fits = {}
-    for label, _protocol, _channel in IMPLEMENTATIONS:
-        pts = sorted(points[label])
-        xs = [float(w) for w, _t in pts]
-        ys = [t for _w, t in pts]
-        series.append(Series(label, xs, ys))
-        if len(set(xs)) >= 2:
-            fits[label] = linear_fit(xs, ys)
+    checkpointed_waves = []
+    for protocol, channel in families.items():
+        runs = table.select(impl=protocol)
+        xs, ys, fits[protocol] = waves_fit(table[channel], runs)
+        series.append(Series(protocol, xs, ys))
+        checkpointed_waves += [r.waves for r in runs]
 
     pcl, vcl, dcl = fits["pcl"], fits["vcl"], fits["dcl"]
     blocking_slope = min(pcl.slope, dcl.slope)
@@ -104,8 +75,7 @@ def run(profile: Profile) -> FigureResult:
         "vcl baseline above the blocking families (daemon latency)":
             vcl.intercept > max(pcl.intercept, dcl.intercept),
         "every checkpointed run completed at least one wave":
-            all(w >= 1 for label in points
-                for w, _t in points[label][1:]),
+            all(w >= 1 for w in checkpointed_waves),
     }
     notes = [
         "x = completed checkpoint waves (0 = checkpoint-free run)",

@@ -31,14 +31,21 @@ Expected shape:
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.apps import Stencil
-from repro.harness.config import Profile
-from repro.harness.parallel import execute_grid
+from repro.ft import RECOVERY_POLICIES
+from repro.harness.config import Profile, figure_params
 from repro.harness.report import FigureResult, Series
+from repro.harness.table import Row, RunTable
 
-__all__ = ["run"]
+__all__ = ["run", "PARAMS"]
+
+#: malleable stencil; ``kill_time`` is in paper seconds and scaled by the
+#: figure so it always lands after a few committed waves
+PARAMS = {
+    "paper": dict(procs=8, policies=RECOVERY_POLICIES, failures=(1, 2, 4),
+                  period=30.0, spares=4, kill_time=160.0, servers=2),
+    "smoke": dict(failures=(1, 2), spares=2),
+}
 
 #: spacing between the k near-simultaneous kills — inside the membership
 #: tracker's suspicion window, so one agreement round covers all of them
@@ -46,70 +53,59 @@ __all__ = ["run"]
 _KILL_SPACING = 1e-4
 
 
-def run(profile: Profile) -> FigureResult:
-    bench = Stencil(klass="B", scale=profile.time_scale)
-    p = profile.recovery_procs
-    policies = profile.recovery_policies
-    kill_at = profile.recovery_kill_time * profile.time_scale
+def run(profile: Profile, **overrides) -> FigureResult:
+    par = figure_params(PARAMS, profile, **overrides)
+    p = par.procs
+    policies = par.policies
+    failures = par.failures
+    kill_at = par.kill_time * profile.time_scale
 
-    tasks = []
-    for policy in policies:
-        for k in profile.recovery_failures:
-            kills = [("node", rank, kill_at + index * _KILL_SPACING)
-                     for index, rank in enumerate(range(1, 1 + k))]
-            tasks.append(dict(
-                bench=bench, n_procs=p, protocol="pcl", profile=profile,
-                period=profile.recovery_period,
-                n_servers=profile.recovery_servers,
-                policy=policy, spares=profile.recovery_spares,
-                kills=kills, launcher="ftpm",
-                name=f"recovery-{policy}-k{k}",
-            ))
-    grid = execute_grid(tasks)
+    table = RunTable(
+        bench=Stencil(klass="B", scale=profile.time_scale), n_procs=p,
+        protocol="pcl", profile=profile, period=par.period,
+        n_servers=par.servers, spares=par.spares, launcher="ftpm",
+        name="recovery-{policy}-k{k}",
+    ).add(
+        policy=policies,
+        k=[Row(k, kills=[("node", rank, kill_at + index * _KILL_SPACING)
+                         for index, rank in enumerate(range(1, 1 + k))])
+           for k in failures],
+    ).run()
+    results = {policy: table.select(policy=policy) for policy in policies}
+    recovery = {policy: [r.stats.recovery_seconds for r in runs]
+                for policy, runs in results.items()}
+    series = [Series(policy, [float(k) for k in failures], recovery[policy])
+              for policy in policies]
 
-    per_policy = len(profile.recovery_failures)
-    series: List[Series] = []
-    recovery = {}
-    results = {}
-    for index, policy in enumerate(policies):
-        runs = grid[index * per_policy:(index + 1) * per_policy]
-        xs = [float(k) for k in profile.recovery_failures]
-        ys = [r.stats.recovery_seconds for r in runs]
-        series.append(Series(policy, xs, ys))
-        recovery[policy] = ys
-        results[policy] = runs
-
-    max_k = max(profile.recovery_failures)
+    max_k = max(failures)
     checks = {
-        "every run completed": all(r.completion > 0 for r in grid),
+        "every run completed": all(r.completion > 0 for r in table.select()),
         "every failure burst coalesced into one recovery":
-            all(r.stats.restarts == 1 for r in grid),
+            all(r.stats.restarts == 1 for r in table.select()),
         "no policy degraded to a full restart":
-            all(r.stats.policy_degradations == 0 for r in grid),
+            all(r.stats.policy_degradations == 0 for r in table.select()),
     }
     if "spare" in results:
         checks["spare promoted exactly the failed ranks"] = all(
-            r.stats.spares_promoted == k for r, k in
-            zip(results["spare"], profile.recovery_failures))
+            r.stats.spares_promoted == k
+            for r, k in zip(results["spare"], failures))
     if "shrink" in results:
-        shrink_sizes = [len(r.meta["app_state"]) for r in results["shrink"]]
         checks["shrink re-decomposed over the survivors"] = all(
-            size == p - k for size, k in
-            zip(shrink_sizes, profile.recovery_failures))
+            len(r.meta["app_state"]) == p - k
+            for r, k in zip(results["shrink"], failures))
     survivor_policies = [pol for pol in policies if pol != "restart"]
     if "restart" in results and survivor_policies:
         checks["survivor policies recover faster than a full restart"] = all(
-            recovery[pol][i] < recovery["restart"][i]
-            for pol in survivor_policies for i in range(per_policy))
+            fast < slow for pol in survivor_policies
+            for fast, slow in zip(recovery[pol], recovery["restart"]))
     notes = [
         f"x = concurrent node failures (burst spacing {_KILL_SPACING}s), "
         f"y = measured time-to-recover",
-        f"stencil.B p={p}, period {profile.recovery_period}s, "
-        f"{profile.recovery_spares} spares, kill at t={kill_at:.1f}s",
+        f"stencil.B p={p}, period {par.period}s, "
+        f"{par.spares} spares, kill at t={kill_at:.1f}s",
     ] + [
         f"{policy}: " + ", ".join(
-            f"k={k}: {t:.3f}s" for k, t in
-            zip(profile.recovery_failures, recovery[policy]))
+            f"k={k}: {t:.3f}s" for k, t in zip(failures, recovery[policy]))
         for policy in policies
     ]
     return FigureResult(

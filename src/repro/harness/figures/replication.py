@@ -16,43 +16,39 @@ only changes where images land, not the protocol's cut.
 from __future__ import annotations
 
 from repro.apps import BT
-from repro.harness.config import Profile
+from repro.harness.config import Profile, figure_params
 from repro.harness.report import FigureResult, Series
-from repro.harness.runner import execute
+from repro.harness.table import RunTable
 
-__all__ = ["run"]
+__all__ = ["run", "PARAMS"]
+
+#: BT.B checkpoint time vs ranks at storage replication factors K, with a
+#: fixed server pool
+PARAMS = {
+    "paper": dict(procs=(16, 36, 64), factors=(1, 2, 3), servers=3,
+                  period=30.0),
+    "smoke": dict(procs=(4, 16)),
+}
 
 
 def run(profile: Profile) -> FigureResult:
-    bench = BT(klass="B", scale=profile.time_scale)
-    sizes = list(profile.repl_procs)
-    factors = list(profile.repl_factors)
-    results = {
-        k: [
-            execute(
-                bench, p, "pcl", profile,
-                n_servers=profile.repl_servers,
-                ckpt_replication=k,
-                period=profile.repl_period,
-                procs_per_node=2,
-                name=f"replication-K{k}-p{p}",
-            )
-            for p in sizes
-        ]
-        for k in factors
-    }
+    par = figure_params(PARAMS, profile)
+    sizes = list(par.procs)
+    factors = list(par.factors)
+    table = RunTable(
+        bench=BT(klass="B", scale=profile.time_scale), protocol="pcl",
+        profile=profile, n_servers=par.servers, period=par.period,
+        procs_per_node=2, name="replication-K{ckpt_replication}-p{n_procs}",
+    ).add(ckpt_replication=factors, n_procs=sizes).run()
+    results = {k: table.select(ckpt_replication=k) for k in factors}
 
-    def mean_wave(result):
-        durations = result.stats.wave_durations()
-        return sum(durations) / len(durations) if durations else 0.0
-
-    wave_times = {k: [mean_wave(r) for r in results[k]] for k in factors}
+    wave_times = {k: [r.mean_wave for r in results[k]] for k in factors}
     completions = {k: [r.completion for r in results[k]] for k in factors}
 
     base = factors[0]
     checks = {
         "every run completed at least one wave": all(
-            r.waves >= 1 for runs in results.values() for r in runs
+            r.waves >= 1 for r in table.select()
         ),
         # At tiny rank counts the K=1 round-robin and K>=2 ring placements
         # quantize the per-server load differently, so adjacent factors can
@@ -73,9 +69,9 @@ def run(profile: Profile) -> FigureResult:
             for i in range(len(sizes))
         ),
         "replication never changes the failure-free result": all(
-            results[k][i].meta["app_state"] == results[base][i].meta["app_state"]
+            table[k, p].meta["app_state"] == table[base, p].meta["app_state"]
             for k in factors[1:]
-            for i in range(len(sizes))
+            for p in sizes
         ),
     }
     series = [
@@ -86,8 +82,8 @@ def run(profile: Profile) -> FigureResult:
     return FigureResult(
         figure_id="replication",
         title="Checkpoint time vs ranks at replication K="
-              f"{factors} (BT.B, Pcl, {profile.repl_servers} servers, "
-              f"period {profile.repl_period}s)",
+              f"{factors} (BT.B, Pcl, {par.servers} servers, "
+              f"period {par.period}s)",
         x_label="n_procs",
         y_label="mean wave duration [s] / completion time [s]",
         series=series,
@@ -95,7 +91,7 @@ def run(profile: Profile) -> FigureResult:
         notes=[
             "each extra replica re-streams the image to another server: "
             "durability costs checkpoint bandwidth",
-            f"fixed pool of {profile.repl_servers} checkpoint servers; "
+            f"fixed pool of {par.servers} checkpoint servers; "
             "ring replica placement (assign_replicas)",
         ],
         profile=profile.name,

@@ -9,30 +9,35 @@ designed to scale to large platforms."
 This experiment sweeps process counts through both launchers' validators and
 runs a small end-to-end confirmation either side of the wall.
 
-Beyond the paper's sweep, non-smoke profiles extend the figure to the FTPM
-ceiling: the validator sweep continues through 10,000 processes and an
-actual 10,000-rank token-ring wave is launched and run end to end
-(``_extended_confirmation``).  The smoke profile keeps the original seven
-sizes so the committed ``results/scale_limit_smoke.json`` golden stays
-byte-identical.
+Beyond the paper's sweep, the ``extension`` parameter takes the figure to
+the FTPM ceiling: the validator sweep continues through 10,000 processes
+and an actual 10,000-rank token-ring wave is launched and run end to end
+(``_extended_confirmation``).  The smoke profile empties it and keeps the
+original seven sizes, so the committed ``results/scale_limit_smoke.json``
+golden stays byte-identical.
 """
 
 from __future__ import annotations
 
 from repro.apps import BT
-from repro.harness.config import Profile
+from repro.apps.synthetic import token_ring
+from repro.harness.config import Profile, figure_params
 from repro.harness.report import FigureResult, Series
-from repro.harness.runner import execute
-from repro.runtime import Dispatcher, FTPM, ScaleLimitError
+from repro.harness.runner import bare_run
+from repro.harness.table import RunTable
+from repro.runtime import DeploymentSpec, Dispatcher, FTPM, ScaleLimitError
 
-__all__ = ["run"]
+__all__ = ["run", "PARAMS"]
 
-_SIZES = (64, 144, 256, 324, 400, 529, 1024)
-
-#: the 10k-rank extension (non-smoke profiles): validator sweep up to and
-#: past the FTPM ceiling, plus one end-to-end run at the ceiling itself
-_EXTENDED_SIZES = (2048, 4096, 10_000, 10_001)
 _CEILING = 10_000
+
+#: ``extension`` is the 10k-rank extension: the validator sweep continues
+#: up to and past the FTPM ceiling, plus one end-to-end run at the ceiling
+PARAMS = {
+    "paper": dict(sizes=(64, 144, 256, 324, 400, 529, 1024),
+                  extension=(2048, 4096, _CEILING, _CEILING + 1)),
+    "smoke": dict(extension=()),
+}
 
 
 def _extended_confirmation() -> int:
@@ -43,23 +48,17 @@ def _extended_confirmation() -> int:
     runtime actually *runs* at the ceiling, not merely that the validator
     admits it.
     """
-    from repro.apps.synthetic import token_ring
-    from repro.runtime import DeploymentSpec, build_run
-    from repro.sim import make_simulator
-
-    sim = make_simulator(seed=13)
     spec = DeploymentSpec(n_procs=_CEILING, protocol=None, launcher="ftpm",
                           procs_per_node=2, n_compute_nodes=_CEILING // 2)
-    run = build_run(sim, spec, token_ring(rounds=1), name="scale-limit-10k")
-    run.start()
-    sim.run_until_complete(run.completed, limit=1e8)
-    return sim.events_processed
+    _completion, run = bare_run(spec, token_ring(rounds=1), seed=13,
+                                name="scale-limit-10k")
+    return run.sim.events_processed
 
 
 def run(profile: Profile) -> FigureResult:
+    par = figure_params(PARAMS, profile)
     dispatcher, ftpm = Dispatcher(), FTPM()
-    extended = profile.name != "smoke"
-    sizes = _SIZES + _EXTENDED_SIZES if extended else _SIZES
+    sizes = par.sizes + par.extension
 
     def admits(launcher, n: int) -> float:
         try:
@@ -76,9 +75,10 @@ def run(profile: Profile) -> FigureResult:
     beyond = next(n for n, ok in zip(sizes, vcl_ok) if not ok)
     bench = BT(klass="A", scale=min(profile.time_scale, 0.05))
     p = 361 if beyond <= 361 else beyond  # keep it a perfect square for BT
-    pcl_run = execute(bench, p, "pcl", profile, period=1e6,
-                      procs_per_node=2, launcher="ftpm",
-                      name="scale-limit-pcl")
+    pcl_run = RunTable(
+        bench=bench, protocol="pcl", profile=profile, period=1e6,
+        procs_per_node=2, launcher="ftpm", name="scale-limit-pcl",
+    ).add(n_procs=[p]).run()[p]
 
     checks = {
         "dispatcher admits the paper's <=256-process Vcl runs":
@@ -98,7 +98,7 @@ def run(profile: Profile) -> FigureResult:
         f"end-to-end Pcl run at {p} processes completed in "
         f"{pcl_run.completion:.1f}s",
     ]
-    if extended:
+    if par.extension:
         checks["ftpm admits every size up to its 10000 ceiling"] = \
             all(ok for n, ok in zip(sizes, pcl_ok) if n <= _CEILING)
         checks["ftpm refuses beyond the 10000 ceiling"] = \

@@ -23,7 +23,6 @@ thing parallelism changes is wall time.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import (
     Any,
     Callable,
@@ -36,12 +35,7 @@ from typing import (
     TypeVar,
 )
 
-from repro.harness.runner import (
-    RunResult,
-    execute,
-    record_monitor_verdict,
-    record_run_metrics,
-)
+from repro.harness.runner import RunResult, execute, record_run
 
 __all__ = ["resolve_jobs", "pool_imap", "pool_map", "execute_grid"]
 
@@ -82,6 +76,10 @@ def pool_imap(fn: Callable[[T], R], items: Iterable[T],
         for item in items:
             yield fn(item)
         return
+    # imported here: every figure reaches this module through its RunTable,
+    # and the sequential default should not pay for multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         yield from pool.map(fn, items)
 
@@ -102,19 +100,14 @@ def execute_grid(tasks: Sequence[Dict[str, Any]],
     """Run a grid of ``execute`` keyword dicts, results in ``tasks`` order.
 
     Worker processes have no access to the parent's monitor ledger, so each
-    result's verdict (carried in ``RunResult.meta``) is re-recorded here —
-    in grid order — making the figure wrappers' ledgers identical whether
-    the grid ran sequentially or in a pool.
+    result's verdict and metrics (carried in ``RunResult.meta``) are
+    re-recorded here — in grid order — making the figure wrappers' ledgers
+    identical whether the grid ran sequentially or in a pool.
     """
     jobs = resolve_jobs(jobs)
     if jobs <= 1:
         return [execute(**kwargs) for kwargs in tasks]
     results = pool_map(_execute_task, tasks, jobs=jobs)
     for result in results:
-        monitors = result.meta.get("monitors")
-        if monitors is not None:
-            record_monitor_verdict(result.meta["name"], monitors)
-        snapshot = result.meta.get("metrics")
-        if snapshot is not None:
-            record_run_metrics(result.meta["name"], snapshot)
+        record_run(result.meta)
     return results

@@ -1,8 +1,15 @@
 """One measured run: deploy, execute, collect.
 
-The figure scripts are thin loops over :func:`execute`; everything about
-deploying a benchmark under a protocol at a profile's scale lives here so
-every figure measures the same way.
+:func:`bare_run` is the only place outside :mod:`repro.runtime` that turns
+a :class:`~repro.runtime.DeploymentSpec` into a running job: simulator
+(through ``make_simulator``, so ``REPRO_KERNEL`` always applies),
+``build_run``, start, run to completion.  :func:`execute` wraps it with
+what a figure grid point adds — profile scaling of period and image size,
+invariant monitors, metrics, the watchdog, failure injection — so every
+figure measures the same way (figures reach it through a
+:class:`~repro.harness.table.RunTable`); the few studies that hand-build a
+spec (``mttf``, two ``ablations``, the 10,000-rank confirmations, the perf
+ring workloads) call :func:`bare_run` directly.
 """
 
 from __future__ import annotations
@@ -10,11 +17,13 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.apps.base import NASBenchmark
 from repro.ft.protocol import FTStats
-from repro.harness.config import Profile
+from repro.ft.recovery import FTRun
+from repro.harness.config import Profile, default_channel
 from repro.obs import attach_metrics
 from repro.runtime import DeploymentSpec, build_run
 from repro.sim import Simulator, Tracer, Watchdog, make_simulator
@@ -22,13 +31,12 @@ from repro.verify import MonitorBus, monitors_for
 
 __all__ = [
     "RunResult",
+    "bare_run",
     "execute",
-    "default_channel",
     "metrics_enabled",
     "MonitorLedger",
     "monitor_ledger",
-    "record_monitor_verdict",
-    "record_run_metrics",
+    "record_run",
 ]
 
 #: environment switch for metrics collection (``--metrics`` sets it); any
@@ -47,22 +55,15 @@ class MonitorLedger:
 
     :func:`execute` records each monitored run's verdict into the innermost
     active ledger (opened with :func:`monitor_ledger`) — and nowhere when
-    no ledger is open.  This replaces a module-global accumulator that
-    leaked verdicts across unrelated runs and could not work under
-    process-pool execution (workers re-record into the parent's ledger via
-    :func:`record_monitor_verdict`; see :mod:`repro.harness.parallel`).
+    no ledger is open, so verdicts cannot leak across unrelated runs; pool
+    workers' verdicts are re-recorded into the parent's ledger
+    (:func:`record_run`, see :mod:`repro.harness.parallel`).
     """
 
     def __init__(self) -> None:
         self.verdicts: Dict[str, Dict] = {}
         #: run name -> metrics snapshot, for runs executed with metrics on
         self.metrics: Dict[str, Dict] = {}
-
-    def record(self, name: str, verdict: Dict) -> None:
-        self.verdicts[name] = verdict
-
-    def record_metrics(self, name: str, snapshot: Dict) -> None:
-        self.metrics[name] = snapshot
 
 
 #: innermost-active-last stack of open ledgers (scoped, not leaked: each
@@ -81,32 +82,15 @@ def monitor_ledger() -> Iterator[MonitorLedger]:
         _ledger_stack.remove(ledger)
 
 
-def record_monitor_verdict(name: str, verdict: Dict) -> None:
-    """Record one run's monitor verdict into the active ledger (if any)."""
+def record_run(meta: Dict) -> None:
+    """Record one run's monitor verdict and metrics snapshot — whichever
+    its ``RunResult.meta`` carries — into the active ledger (if any)."""
     if _ledger_stack:
-        _ledger_stack[-1].record(name, verdict)
-
-
-def record_run_metrics(name: str, snapshot: Dict) -> None:
-    """Record one run's metrics snapshot into the active ledger (if any)."""
-    if _ledger_stack:
-        _ledger_stack[-1].record_metrics(name, snapshot)
-
-
-def default_channel(protocol: Optional[str], network: str) -> str:
-    """The paper's channel for each implementation:
-
-    * Pcl lives in MPICH2: ft-sock on TCP networks, Nemesis available on
-      Myrinet (callers pick explicitly for the Fig. 7 comparison);
-    * Dcl reuses the MPICH2 devices (same send-gate machinery as Pcl), so
-      it defaults to ft-sock too;
-    * Vcl lives in MPICH-1.2.7: always the ch_v daemon device;
-    * no-checkpoint baselines use the same channel as the implementation
-      they baseline (callers pass it explicitly), defaulting to ft-sock.
-    """
-    if protocol == "vcl":
-        return "ch_v"
-    return "ft_sock"
+        ledger = _ledger_stack[-1]
+        if "monitors" in meta:
+            ledger.verdicts[meta["name"]] = meta["monitors"]
+        if "metrics" in meta:
+            ledger.metrics[meta["name"]] = meta["metrics"]
 
 
 @dataclass
@@ -128,6 +112,12 @@ class RunResult:
         info = self.meta.get("monitors")
         return None if info is None else bool(info["ok"])
 
+    @property
+    def mean_wave(self) -> float:
+        """Mean duration of the completed checkpoint waves (0.0 if none)."""
+        durations = self.stats.wave_durations()
+        return sum(durations) / len(durations) if durations else 0.0
+
     def row(self) -> Dict:
         return {
             "protocol": self.protocol or "none",
@@ -139,6 +129,37 @@ class RunResult:
             "blocked": round(self.stats.blocked_seconds, 3),
             "logged_mb": round(self.stats.logged_bytes / 1e6, 3),
         }
+
+
+def bare_run(
+    spec: DeploymentSpec,
+    app: Callable,
+    seed: int,
+    name: str = "exp",
+    time_limit: float = 1e8,
+    instruments: Sequence[Callable[[Simulator], Any]] = (),
+    inject: Optional[Callable[[FTRun], Any]] = None,
+    malleable_app_factory: Optional[Callable[[int], Callable]] = None,
+    **sim_options: Any,
+) -> Tuple[float, FTRun]:
+    """Deploy ``app`` as ``spec`` says, run it to completion and return
+    ``(completion time, the finished FTRun)``.
+
+    ``sim_options`` (``trace``, ``watchdog``) go to
+    :func:`repro.sim.make_simulator`; each of ``instruments`` is called
+    with the simulator before anything is built on it (monitors, metrics),
+    ``inject(run)`` right after the job starts (kills, failure schedules,
+    restart budget).  Nothing is scaled and nothing rides along.
+    """
+    sim = make_simulator(seed=seed, **sim_options)
+    for attach in instruments:
+        attach(sim)
+    run = build_run(sim, spec, app, name=name,
+                    malleable_app_factory=malleable_app_factory)
+    run.start()
+    if inject is not None:
+        inject(run)
+    return sim.run_until_complete(run.completed, limit=time_limit), run
 
 
 def execute(
@@ -219,18 +240,13 @@ def execute(
     tracer.
     """
     bench.validate_procs(n_procs)
-    channel = channel or default_channel(protocol, network)
+    channel = channel or default_channel(protocol)
     if watchdog is True:
         watchdog = Watchdog()
     elif watchdog is False:
         watchdog = None
-    # make_simulator honours REPRO_KERNEL: the differential rig runs whole
-    # figure grid points on the naive reference kernel through this line.
-    sim = make_simulator(seed=profile.seed if seed is None else seed,
-                         trace=tracer, watchdog=watchdog)
     if metrics is None:
         metrics = metrics_enabled()
-    registry = attach_metrics(sim) if metrics else None
     spec = DeploymentSpec(
         n_procs=n_procs,
         protocol=protocol,
@@ -250,37 +266,43 @@ def execute(
         recovery_policy=policy,
         spares=spares,
     )
-    bus = None
-    if monitors:
-        bus = MonitorBus(monitors_for(spec), raise_on_violation=False)
-        bus.attach(sim)
-    malleable_factory = (
-        bench.make_app
-        if policy == "shrink" and getattr(bench, "malleable", False)
-        else None
-    )
-    run = build_run(sim, spec, bench.make_app(n_procs), name=name,
-                    malleable_app_factory=malleable_factory)
-    run.start()
-    for kind, rank, at in kills:
-        if kind == "task":
-            run.schedule_task_kill(rank, at)
-        elif kind == "node":
-            run.schedule_node_kill(rank, at)
-        else:
-            raise ValueError(f"unknown kill kind {kind!r} (task or node)")
-    for kind, server, rank, at in storage_faults:
-        if kind == "server_kill":
-            run.schedule_server_kill(server, at)
-        elif kind == "image_corrupt":
-            run.schedule_image_corrupt(server, rank, at)
-        else:
-            raise ValueError(f"unknown storage fault {kind!r} "
-                             f"(server_kill or image_corrupt)")
-    completion = sim.run_until_complete(run.completed, limit=time_limit)
+    bus = MonitorBus(monitors_for(spec), raise_on_violation=False) \
+        if monitors else None
+    instruments = ([attach_metrics] if metrics else []) \
+        + ([bus.attach] if bus is not None else [])
+
+    def inject(run: FTRun) -> None:
+        for kind, rank, at in kills:
+            if kind == "task":
+                run.schedule_task_kill(rank, at)
+            elif kind == "node":
+                run.schedule_node_kill(rank, at)
+            else:
+                raise ValueError(f"unknown kill kind {kind!r} (task or node)")
+        for kind, server, rank, at in storage_faults:
+            if kind == "server_kill":
+                run.schedule_server_kill(server, at)
+            elif kind == "image_corrupt":
+                run.schedule_image_corrupt(server, rank, at)
+            else:
+                raise ValueError(f"unknown storage fault {kind!r} "
+                                 f"(server_kill or image_corrupt)")
+
+    # bare_run's make_simulator honours REPRO_KERNEL: the differential rig
+    # runs whole figure grid points on the naive reference kernel this way.
+    completion, run = bare_run(
+        spec, bench.make_app(n_procs),
+        seed=profile.seed if seed is None else seed,
+        name=name, time_limit=time_limit,
+        instruments=instruments, inject=inject,
+        malleable_app_factory=(
+            bench.make_app
+            if policy == "shrink" and getattr(bench, "malleable", False)
+            else None),
+        trace=tracer, watchdog=watchdog)
     meta = {"name": name, "network": network, "n_servers": n_servers,
             "profile": profile.name, "bench": bench.describe(n_procs),
-            "events": sim.events_processed}
+            "events": run.sim.events_processed}
     # Final per-rank application state, for result-correctness checks (the
     # chaos campaign's wrong-result verdict compares this to the benchmark's
     # expected iteration count and residual).
@@ -298,10 +320,9 @@ def execute(
         bus.finish()
         bus.detach()
         meta["monitors"] = {"ok": bus.ok, "verdicts": bus.verdicts()}
-        record_monitor_verdict(name, meta["monitors"])
-    if registry is not None:
-        meta["metrics"] = registry.snapshot()
-        record_run_metrics(name, meta["metrics"])
+    if run.sim.metrics is not None:
+        meta["metrics"] = run.sim.metrics.snapshot()
+    record_run(meta)
     return RunResult(
         completion=completion,
         waves=run.stats.waves_completed,

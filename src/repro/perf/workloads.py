@@ -38,7 +38,8 @@ rather than rewarding a kernel for popping its own dead timers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Tuple
+from functools import partial
+from typing import Any, Callable, Dict
 
 __all__ = ["WorkloadRun", "WORKLOADS", "SUITES", "suite_params"]
 
@@ -134,17 +135,20 @@ def netpipe(repeats: int = 3) -> WorkloadRun:
     )
 
 
-# -------------------------------------------------------------------- bt wave
-def bt_wave(n_procs: int = 16, scale: float = 0.05) -> WorkloadRun:
-    """One figure-style grid point: BT under Pcl with checkpoint waves."""
+# ----------------------------------------------------------- protocol waves
+def _wave(protocol: str, name: str, n_procs: int = 16,
+          scale: float = 0.05) -> WorkloadRun:
+    """One figure-style grid point: BT under ``protocol`` with checkpoint
+    waves, monitors on (``bt_wave`` = Pcl; ``dcl_wave`` = the same point
+    under Dcl's drain-to-quiescence waves)."""
     from repro.apps import BT
     from repro.harness.config import get_profile
     from repro.harness.runner import execute
 
     profile = get_profile("smoke", seed=0)
     bench = BT(klass="B", scale=scale)
-    result = execute(bench, n_procs, "pcl", profile, period=30.0,
-                     procs_per_node=2, name="perf-bt-wave")
+    result = execute(bench, n_procs, protocol, profile, period=30.0,
+                     procs_per_node=2, name=name)
     pops = int(result.meta.get("events", 0))
     extra: Dict[str, Any] = {"completion": result.completion,
                              "waves": result.waves}
@@ -161,81 +165,42 @@ def bt_wave(n_procs: int = 16, scale: float = 0.05) -> WorkloadRun:
     return WorkloadRun(events=pops, pops=pops, extra=extra)
 
 
-# ------------------------------------------------------------------- dcl wave
-def dcl_wave(n_procs: int = 16, scale: float = 0.05) -> WorkloadRun:
-    """The ``bt_wave`` grid point under Dcl: drain-to-quiescence waves."""
-    from repro.apps import BT
-    from repro.harness.config import get_profile
-    from repro.harness.runner import execute
-
-    profile = get_profile("smoke", seed=0)
-    bench = BT(klass="B", scale=scale)
-    result = execute(bench, n_procs, "dcl", profile, period=30.0,
-                     procs_per_node=2, name="perf-dcl-wave")
-    pops = int(result.meta.get("events", 0))
-    extra: Dict[str, Any] = {"completion": result.completion,
-                             "waves": result.waves}
-    snapshot = result.meta.get("metrics")
-    if snapshot:
-        from repro.obs import phase_totals
-
-        extra["wave_phase_seconds"] = {
-            phase: round(seconds, 6)
-            for phase, seconds in sorted(phase_totals(snapshot).items())
-        }
-    return WorkloadRun(events=pops, pops=pops, extra=extra)
+bt_wave = partial(_wave, "pcl", "perf-bt-wave")
+dcl_wave = partial(_wave, "dcl", "perf-dcl-wave")
 
 
 # ---------------------------------------------------------------- scale point
-def scale_337(n_procs: int = 337, rounds: int = 2) -> WorkloadRun:
-    """FTPM launch at the select() wall: 337 processes, token ring.
+def _ring(seed: int, name: str, n_procs: int, rounds: int) -> WorkloadRun:
+    """FTPM launch of ``n_procs`` processes running a token ring.
 
-    The Vcl dispatcher refuses this count (1024-descriptor select() set,
-    3 sockets/process); FTPM admits it.  The cost is process spawn plus the
-    connection fan-out — the launch-layer hot path of the grid figures.
+    ``scale_337`` sits at the select() wall: the Vcl dispatcher refuses
+    this count (1024-descriptor select() set, 3 sockets/process); FTPM
+    admits it.  The cost is process spawn plus the connection fan-out — the
+    launch-layer hot path of the grid figures.
+
+    ``scale_10k`` is the identical machinery (spawn, connection fan-out,
+    ring messaging) at the FTPM ceiling, the scale the 10k-rank figures
+    need.  One round of the ring is ~30x the event count of the full
+    scale_337 run, so this is the suite's heavyweight: it exists to keep
+    per-rank constants linear, not to be fast.
     """
     from repro.apps.synthetic import token_ring
-    from repro.runtime import DeploymentSpec, build_run
-    from repro.sim import make_simulator
+    from repro.harness.runner import bare_run
+    from repro.runtime import DeploymentSpec
 
-    sim = make_simulator(seed=11)
     spec = DeploymentSpec(n_procs=n_procs, protocol=None, launcher="ftpm",
                           procs_per_node=2)
-    run = build_run(sim, spec, token_ring(rounds=rounds), name="perf-scale")
-    run.start()
-    sim.run_until_complete(run.completed, limit=1e8)
+    _completion, run = bare_run(spec, token_ring(rounds=rounds), seed,
+                                name=name)
     return WorkloadRun(
-        events=sim.events_processed,
-        pops=sim.events_processed,
+        events=run.sim.events_processed,
+        pops=run.sim.events_processed,
         extra={"n_procs": n_procs, "rounds": rounds},
     )
 
 
-def scale_10k(n_procs: int = 10_000, rounds: int = 1) -> WorkloadRun:
-    """FTPM launch at its ceiling: a 10,000-rank token-ring wave.
-
-    Identical machinery to ``scale_337`` (spawn, connection fan-out, ring
-    messaging), at the scale the 10k-rank figures need.  One round of the
-    ring is ~30x the event count of the full scale_337 run, so this is the
-    suite's heavyweight: it exists to keep per-rank constants linear, not
-    to be fast.
-    """
-    from repro.apps.synthetic import token_ring
-    from repro.runtime import DeploymentSpec, build_run
-    from repro.sim import make_simulator
-
-    sim = make_simulator(seed=13)
-    spec = DeploymentSpec(n_procs=n_procs, protocol=None, launcher="ftpm",
-                          procs_per_node=2,
-                          n_compute_nodes=(n_procs + 1) // 2)
-    run = build_run(sim, spec, token_ring(rounds=rounds), name="perf-scale10k")
-    run.start()
-    sim.run_until_complete(run.completed, limit=1e8)
-    return WorkloadRun(
-        events=sim.events_processed,
-        pops=sim.events_processed,
-        extra={"n_procs": n_procs, "rounds": rounds},
-    )
+scale_337 = partial(_ring, 11, "perf-scale", n_procs=337, rounds=2)
+scale_10k = partial(_ring, 13, "perf-scale10k", n_procs=10_000, rounds=1)
 
 
 # ------------------------------------------------------------------ chaos run

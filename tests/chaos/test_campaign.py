@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.chaos import (
+    CAMPAIGNS,
     CampaignSpec,
     OK_VERDICTS,
     Scenario,
@@ -36,6 +37,24 @@ def test_smoke_campaign_covers_acceptance_grid():
     # labels are unique: each scenario is addressable in reports and filters
     labels = [s.label for s in scenarios]
     assert len(set(labels)) == len(labels)
+
+
+def test_campaign_registry_drives_the_cli(capsys):
+    """``CAMPAIGNS`` is the one list of campaigns: every entry is a CLI
+    flag, ``--list`` prints exactly its scenarios, no flag means the first
+    entry, and two flags are refused."""
+    sizes = {}
+    for name, build in CAMPAIGNS.items():
+        labels = [s.label for s in build(0)]
+        assert len(set(labels)) == len(labels), name
+        assert chaos_main([f"--{name}", "--list"]) == 0
+        assert capsys.readouterr().out.splitlines() == labels
+        sizes[name] = len(labels)
+    assert sizes == {"smoke": 48, "storage": 12, "dcl": 12, "recovery": 30}
+    assert chaos_main(["--list"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == sizes["smoke"]
+    with pytest.raises(SystemExit):
+        chaos_main(["--storage", "--dcl", "--list"])
 
 
 def test_dcl_campaign_covers_the_drain_grid():

@@ -66,6 +66,32 @@ def test_every_experiment_has_a_benchmark_file():
         assert os.path.exists(path), f"missing benchmark for {experiment_id}"
 
 
+# --------------------------------------------------------------------- CLI
+def test_cli_rejects_unknown_experiment_before_running_anything(capsys):
+    """A bad id fails at the boundary (exit 2, names the id and the valid
+    ones) — not with a KeyError traceback after the good ids have run."""
+    from repro.harness.__main__ import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fig5", "figX", "--no-save"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "figX" in captured.err and "protocol_race" in captured.err
+    assert "fig5:" not in captured.out  # nothing ran
+
+
+@pytest.mark.parametrize("experiment_id", EXPERIMENT_IDS)
+def test_every_experiment_honours_repro_kernel(experiment_id, monkeypatch):
+    """Every simulator a figure builds comes from ``make_simulator`` (via
+    ``execute`` / ``bare_run``), so ``REPRO_KERNEL`` is never silently
+    ignored: an unknown kernel fails at the first construction."""
+    from repro.sim import SimulationError
+
+    monkeypatch.setenv("REPRO_KERNEL", "no-such-kernel")
+    with pytest.raises(SimulationError, match="no-such-kernel"):
+        get_experiment(experiment_id)(get_profile("smoke", seed=0))
+
+
 # ------------------------------------------------------------------ report
 def _result():
     return FigureResult(

@@ -114,12 +114,15 @@ def test_execute_grid_parallel_identical_for_dcl():
     assert _grid_fingerprint(seq) == _grid_fingerprint(par)
 
 
-def test_protocol_race_parallel_identical_to_sequential(monkeypatch):
-    """The three-way figure is grid-built, so --jobs fans it out; the
-    resulting document must be byte-identical to the sequential one."""
+@pytest.mark.parametrize("figure", ["protocol_race", "replication"])
+def test_figure_parallel_identical_to_sequential(figure, monkeypatch):
+    """Every figure runs its RunTable through execute_grid, so --jobs fans
+    it out — ``replication`` looped over ``execute`` (and ignored --jobs)
+    until the table; the resulting document must be byte-identical to the
+    sequential one."""
     from repro.harness import get_experiment
 
-    runner = get_experiment("protocol_race")
+    runner = get_experiment(figure)
     documents = []
     for jobs in ("1", "4"):
         monkeypatch.setenv(JOBS_ENV, jobs)
