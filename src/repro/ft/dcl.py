@@ -24,7 +24,7 @@ Vector Clock idiom (arXiv:2408.02218, arXiv:2212.05701).  Wave life cycle:
 
 Because no application message is in flight at fork time, the set of local
 images alone is a consistent global state — the ``dcl-network-empty``
-monitor (:mod:`repro.verify.monitors`) checks precisely this, and the
+monitor (:mod:`repro.verify.monitors.dcl`) checks precisely this, and the
 ``dcl-drain-liveness`` monitor checks that quiescence lands within
 :data:`DRAIN_BUDGET` of the wave start.
 """

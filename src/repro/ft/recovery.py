@@ -41,7 +41,7 @@ from repro.mpi.job import MPIJob
 from repro.net.topology import BaseNetwork, Endpoint
 from repro.sim.trace import declare
 
-__all__ = ["FTRun", "InstantLauncher", "RECOVERY_POLICIES"]
+__all__ = ["FTRun", "InstantLauncher", "RECOVERY_POLICIES", "SURVIVOR_POLICIES"]
 
 
 #: the (phase, mark) tiling of a survivor recovery; ``restore`` runs to the
@@ -378,7 +378,7 @@ class FTRun:
         self.stats.failures += 1
         self.sim.trace.record(self.sim.now, "ft.failure_detected",
                               incarnation=self.incarnation)
-        if self._POLICIES[self.recovery_policy][0] is not None:
+        if self.recovery_policy in SURVIVOR_POLICIES:
             self._membership = MembershipTracker(
                 self.sim, self.job, self._detect_latency(),
                 ballot_start=self._next_ballot)
@@ -604,7 +604,7 @@ class FTRun:
         # the paper's restart has no survivor phases: its series stays
         # unlabelled and it emits no ft.recovery_phase (pinned by the goldens)
         policy = self.recovery_policy
-        survivor_policy = self._POLICIES[policy][0] is not None
+        survivor_policy = policy in SURVIVOR_POLICIES
         if self.sim.metrics is not None:
             labels = {"policy": policy} if survivor_policy else {}
             self.sim.metrics.observe("ft.recovery_seconds", now - started_at,
@@ -636,3 +636,6 @@ class FTRun:
 
 #: valid ``recovery_policy`` names, for specs and CLIs
 RECOVERY_POLICIES = tuple(FTRun._POLICIES)
+#: those with a place step, hence an agreement round before it
+SURVIVOR_POLICIES = tuple(name for name, (step, _) in FTRun._POLICIES.items()
+                          if step is not None)

@@ -4,119 +4,21 @@ Usage::
 
     python -m repro.harness.experiments_md [--results results] [--out EXPERIMENTS.md]
 
-For every experiment it pairs the paper's claim (the static registry below)
-with the measured series and the PASS/FAIL state of each shape check, so the
-document is always regenerated from data rather than hand-edited.
+For every experiment it pairs the paper's claim (the figure module's
+``CLAIM``) with the measured series and the PASS/FAIL state of each shape
+check, so the document is always regenerated from data rather than
+hand-edited.
 """
 
 from __future__ import annotations
 
 import argparse
-import glob
-import json
-import os
-from typing import Dict, List
+from typing import List
 
-__all__ = ["PAPER_CLAIMS", "build_markdown", "main"]
+from repro.harness.figures import EXPERIMENT_IDS, figure_module
+from repro.tools.compare import load_results
 
-#: experiment id -> (paper reference, the paper's qualitative claim)
-PAPER_CLAIMS: Dict[str, tuple] = {
-    "fig5": (
-        "Fig. 5 (Sec. 5.2)",
-        "BT.B/64, 30s period, 1-8 checkpoint servers: Pcl's completion time "
-        "decreases as servers are added (checkpoint transfers compete with "
-        "the application for bandwidth); Vcl's stays almost constant while "
-        "its number of completed waves increases.",
-    ),
-    "fig6": (
-        "Fig. 6 (Sec. 5.2)",
-        "BT.B at 16-256 processes, periods 10-120s, 9 servers: at 10s the "
-        "blocking protocol degrades heavily; at longer periods both "
-        "protocols cost a small constant overhead; process count has no "
-        "measurable impact on the overhead; a dip appears past 144 "
-        "processes when two processes share a NIC.",
-    ),
-    "fig7": (
-        "Fig. 7 (Sec. 5.3)",
-        "CG.C/64 on Myrinet: both Pcl variants are linear in the number of "
-        "waves; Vcl is flat versus waves but starts much higher (daemon "
-        "latency on a latency-bound benchmark); Pcl/Nemesis is best and "
-        "Vcl only wins at very frequent waves (~every 15s).",
-    ),
-    "fig8": (
-        "Fig. 8 (Sec. 5.3)",
-        "CG.C at 4-64 processes, Pcl/Nemesis: every size slows down "
-        "proportionally to the wave count with approximately the same "
-        "slope; the 32- and 64-process runs coincide (NIC sharing).",
-    ),
-    "fig9": (
-        "Fig. 9 (Sec. 5.4)",
-        "BT.B/400 on Grid'5000: completion time is linear in the number of "
-        "completed waves; the wave count is proportional to the checkpoint "
-        "frequency.",
-    ),
-    "fig10": (
-        "Fig. 10 (Sec. 5.4)",
-        "BT.B on Grid'5000 at growing sizes, 60s period vs none: the "
-        "checkpoint-free run stops scaling at the largest size (remote "
-        "clusters join), giving the checkpointed run time for more waves.",
-    ),
-    "netpipe": (
-        "Sec. 5.4 (NetPIPE)",
-        "The intra-cluster network is up to 20x faster in bandwidth and "
-        "about two orders of magnitude lower latency than inter-cluster "
-        "links.",
-    ),
-    "scale_limit": (
-        "Sec. 5.4 (deployment)",
-        "Vcl's dispatcher multiplexes with select() (fd set of 1024, 3 "
-        "sockets per process) and cannot run beyond ~300 processes; Pcl's "
-        "FTPM was designed for large platforms (runs up to 1024).",
-    ),
-    "ablations": (
-        "Secs. 4.1/4.2/6 (design discussion)",
-        "The daemon architecture (not the protocol) carries Vcl's latency "
-        "cost; the Nemesis stopper request and per-channel gating are "
-        "equivalent blocking mechanisms; fork-based checkpointing beats "
-        "stop-and-copy; non-blocking waves pay with logged in-transit data.",
-    ),
-    "mttf": (
-        "Sec. 6 (conclusion, extension)",
-        "The best checkpoint frequency tracks the system MTTF "
-        "(Young/Daly), and probes that see failures coming should trigger "
-        "proactive waves.",
-    ),
-    "replication": (
-        "Sec. 5.2 (Fig. 5-style, extension)",
-        "Checkpoint transfers compete with the application for NIC "
-        "bandwidth, so replicating every image/log to K servers for "
-        "durability re-streams the same bytes K times: the blocking "
-        "protocol's wave duration and completion time grow with K at "
-        "every process count, while the failure-free application result "
-        "is unchanged.",
-    ),
-    "protocol_race": (
-        "Fig. 7 (Sec. 5.3, extension)",
-        "Re-asking the paper's question against a third family: a "
-        "message-drain protocol (Dcl) that blocks by counter-proven "
-        "network quiescence is linear in the number of waves like Pcl "
-        "(both blocking families share a failure-free baseline on the "
-        "same channel), while Vcl stays flat versus waves but starts "
-        "higher — the blocking/non-blocking trade-off is a property of "
-        "the family, not of the flush mechanism.",
-    ),
-    "recovery": (
-        "Secs. 2/5.4 (restart model, extension)",
-        "The paper's recovery model re-deploys every rank after any "
-        "failure, so recovery cost is the full job-launch path the "
-        "deployment section measured at hundreds of processes.  "
-        "ULFM-style survivor recovery changes that: promoting a warm "
-        "spare or shrinking to the survivors skips the respawn entirely, "
-        "only the replacement (or nobody) streams an image, and the "
-        "cost stays flat as concurrent failures grow because one "
-        "membership agreement round absorbs a whole failure burst.",
-    ),
-}
+__all__ = ["build_markdown", "main"]
 
 
 def _series_table(series: List[dict]) -> List[str]:
@@ -145,16 +47,7 @@ def _series_table(series: List[dict]) -> List[str]:
 
 
 def build_markdown(results_dir: str) -> str:
-    paths = sorted(glob.glob(os.path.join(results_dir, "*.json")))
-    by_id: Dict[str, dict] = {}
-    for path in paths:
-        with open(path) as handle:
-            data = json.load(handle)
-        # prefer quick over smoke, paper over quick
-        rank = {"smoke": 0, "quick": 1, "paper": 2}.get(data.get("profile"), 0)
-        current = by_id.get(data["figure"])
-        if current is None or rank >= current[0]:
-            by_id[data["figure"]] = (rank, data)
+    by_id = load_results(results_dir)
 
     lines: List[str] = []
     lines.append("# EXPERIMENTS — paper vs. measured")
@@ -190,18 +83,18 @@ def build_markdown(results_dir: str) -> str:
     lines.append("")
 
     total_checks = passed_checks = 0
-    for experiment_id, (reference, claim) in PAPER_CLAIMS.items():
+    for experiment_id in EXPERIMENT_IDS:
+        reference, claim = figure_module(experiment_id).CLAIM
         lines.append(f"## {experiment_id} — {reference}")
         lines.append("")
         lines.append(f"**Paper:** {claim}")
         lines.append("")
-        entry = by_id.get(experiment_id)
-        if entry is None:
+        data = by_id.get(experiment_id)
+        if data is None:
             lines.append("*(no saved results — run "
                          f"`python -m repro.harness {experiment_id}`)*")
             lines.append("")
             continue
-        _rank, data = entry
         lines.append(f"**Measured** (profile `{data['profile']}`): "
                      f"{data['title']}")
         lines.append("")

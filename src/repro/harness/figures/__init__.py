@@ -1,14 +1,15 @@
 """Per-figure reproduction scripts.
 
-Each module exposes ``run(profile) -> FigureResult``, states what it sweeps
-as a ``PARAMS`` table (:func:`repro.harness.config.figure_params`) and its
-grid as a :class:`~repro.harness.table.RunTable`; :func:`get_experiment`
-resolves an experiment id lazily so importing one figure never pays for
-the others.
+Each module exposes ``run(profile) -> FigureResult``, quotes the paper in
+``CLAIM = (reference, claim)``, states what it sweeps as a ``PARAMS`` table
+(:func:`repro.harness.config.figure_params`) and its grid as a
+:class:`~repro.harness.table.RunTable`; :func:`get_experiment` resolves an
+experiment id lazily so importing one figure never pays for the others.
 """
 
 from importlib import import_module
-from typing import Callable, List
+from types import ModuleType
+from typing import Callable
 
 EXPERIMENT_IDS = (
     "fig5",
@@ -27,28 +28,35 @@ EXPERIMENT_IDS = (
 )
 
 
-def get_experiment(experiment_id: str) -> Callable:
-    """Resolve an experiment id to its ``run(profile)`` callable.
-
-    The returned callable wraps the figure's ``run``: it collects the
-    per-experiment verdicts of the online invariant monitors (every
-    :func:`repro.harness.runner.execute` call records them) into the
-    figure's result and adds a blanket "monitors clean" shape check, so a
-    protocol-invariant violation fails the figure like any paper claim.
-    Keyword ``overrides`` replace entries of the figure's ``PARAMS`` (only
-    figures that take them: ``recovery``'s ``policies``).
-    """
+def figure_module(experiment_id: str) -> ModuleType:
+    """The module of experiment ``experiment_id`` (``run``, ``CLAIM``)."""
     if experiment_id not in EXPERIMENT_IDS:
         raise KeyError(
             f"unknown experiment {experiment_id!r}; have {EXPERIMENT_IDS}"
         )
-    module = import_module(f"repro.harness.figures.{experiment_id}")
+    return import_module(f"repro.harness.figures.{experiment_id}")
+
+
+def get_experiment(experiment_id: str) -> Callable:
+    """Resolve an experiment id to its ``run(profile)`` callable.
+
+    The returned callable wraps the figure's ``run``: it stamps the result
+    with the experiment id and the profile name, collects the
+    per-experiment verdicts of the online invariant monitors (every
+    :func:`repro.harness.runner.execute` call records them) into it and
+    adds a blanket "monitors clean" shape check, so a protocol-invariant
+    violation fails the figure like any paper claim.
+    Keyword ``overrides`` replace entries of the figure's ``PARAMS`` (only
+    figures that take them: ``recovery``'s ``policies``).
+    """
+    module = figure_module(experiment_id)
 
     def run_with_monitors(profile, **overrides):
         from repro.harness.runner import monitor_ledger
 
         with monitor_ledger() as ledger:
             result = module.run(profile, **overrides)
+        result.figure_id, result.profile = experiment_id, profile.name
         verdicts = ledger.verdicts
         result.monitors = verdicts
         result.metrics = ledger.metrics
@@ -65,4 +73,4 @@ def get_experiment(experiment_id: str) -> Callable:
     return run_with_monitors
 
 
-__all__ = ["EXPERIMENT_IDS", "get_experiment"]
+__all__ = ["EXPERIMENT_IDS", "figure_module", "get_experiment"]

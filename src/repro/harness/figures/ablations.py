@@ -28,7 +28,16 @@ from repro.harness.runner import bare_run
 from repro.harness.table import Row, RunTable
 from repro.runtime import DeploymentSpec
 
-__all__ = ["run"]
+__all__ = ["run", "CLAIM"]
+
+#: (paper reference, the paper's qualitative claim), quoted by EXPERIMENTS.md
+CLAIM = (
+    "Secs. 4.1/4.2/6 (design discussion)",
+    "The daemon architecture (not the protocol) carries Vcl's latency "
+    "cost; the Nemesis stopper request and per-channel gating are "
+    "equivalent blocking mechanisms; fork-based checkpointing beats "
+    "stop-and-copy; non-blocking waves pay with logged in-transit data.",
+)
 
 
 def _ft_run(profile: Profile, app, n_procs, protocol, period, image_bytes,
@@ -125,12 +134,10 @@ def run(profile: Profile) -> FigureResult:
     )
 
     return FigureResult(
-        figure_id="ablations",
         title="Design-choice ablations",
         x_label="variant",
         y_label="seconds / KB (per series)",
         series=series,
         checks=checks,
         notes=notes,
-        profile=profile.name,
     )

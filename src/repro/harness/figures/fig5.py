@@ -22,7 +22,16 @@ from repro.harness.config import Profile, figure_params
 from repro.harness.report import FigureResult, Series
 from repro.harness.table import RunTable
 
-__all__ = ["run", "PARAMS"]
+__all__ = ["run", "CLAIM", "PARAMS"]
+
+#: (paper reference, the paper's qualitative claim), quoted by EXPERIMENTS.md
+CLAIM = (
+    "Fig. 5 (Sec. 5.2)",
+    "BT.B/64, 30s period, 1-8 checkpoint servers: Pcl's completion time "
+    "decreases as servers are added (checkpoint transfers compete with "
+    "the application for bandwidth); Vcl's stays almost constant while "
+    "its number of completed waves increases.",
+)
 
 PARAMS = {
     "paper": dict(procs=64, servers=(1, 2, 4, 8), period=30.0),
@@ -63,7 +72,6 @@ def run(profile: Profile) -> FigureResult:
             all(w >= 1 for w in pcl_waves),
     }
     return FigureResult(
-        figure_id="fig5",
         title="Checkpoint servers vs completion time (BT.B, 64 procs, "
               f"period {par.period}s)",
         x_label="n_servers",
@@ -79,5 +87,4 @@ def run(profile: Profile) -> FigureResult:
             "paper: Pcl decreases with servers; Vcl flat with more waves",
             f"server:compute ratios 1:{p} .. 1:{p // max(par.servers)}",
         ],
-        profile=profile.name,
     )

@@ -25,7 +25,16 @@ from repro.harness.config import PROTOCOL_CHANNELS, Profile, figure_params
 from repro.harness.report import FigureResult, Series
 from repro.harness.table import Row, RunTable, waves_fit
 
-__all__ = ["run", "PARAMS", "myrinet_table"]
+__all__ = ["run", "CLAIM", "PARAMS", "myrinet_table"]
+
+#: (paper reference, the paper's qualitative claim), quoted by EXPERIMENTS.md
+CLAIM = (
+    "Fig. 7 (Sec. 5.3)",
+    "CG.C/64 on Myrinet: both Pcl variants are linear in the number of "
+    "waves; Vcl is flat versus waves but starts much higher (daemon "
+    "latency on a latency-bound benchmark); Pcl/Nemesis is best and "
+    "Vcl only wins at very frequent waves (~every 15s).",
+)
 
 PARAMS = {
     "paper": dict(procs=64, periods=(8.0, 15.0, 25.0, 40.0, 80.0), servers=2),
@@ -107,12 +116,10 @@ def run(profile: Profile) -> FigureResult:
             "(the paper: only at waves every ~15s or less)"
         )
     return FigureResult(
-        figure_id="fig7",
         title=f"Completion time vs checkpoint waves (CG.C, {p} procs, Myrinet)",
         x_label="completed waves",
         y_label="completion time [s]",
         series=series,
         checks=checks,
         notes=notes,
-        profile=profile.name,
     )

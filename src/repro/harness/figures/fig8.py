@@ -21,7 +21,15 @@ from repro.harness.config import Profile, figure_params
 from repro.harness.report import FigureResult, Series
 from repro.harness.table import Row, RunTable, waves_fit
 
-__all__ = ["run", "PARAMS"]
+__all__ = ["run", "CLAIM", "PARAMS"]
+
+#: (paper reference, the paper's qualitative claim), quoted by EXPERIMENTS.md
+CLAIM = (
+    "Fig. 8 (Sec. 5.3)",
+    "CG.C at 4-64 processes, Pcl/Nemesis: every size slows down "
+    "proportionally to the wave count with approximately the same "
+    "slope; the 32- and 64-process runs coincide (NIC sharing).",
+)
 
 PARAMS = {
     "paper": dict(procs=(4, 8, 16, 32, 64), periods=(10.0, 25.0, 80.0),
@@ -71,7 +79,6 @@ def run(profile: Profile) -> FigureResult:
             abs(table[64, "base"].completion - base32) / base32 < 0.35
         )
     return FigureResult(
-        figure_id="fig8",
         title="Pcl/Nemesis: completion time vs waves at several sizes "
               "(CG.C, Myrinet)",
         x_label="completed waves",
@@ -82,5 +89,4 @@ def run(profile: Profile) -> FigureResult:
             f"slopes [s/wave]: " + ", ".join(
                 f"p={p}: {fit.slope:.2f}" for p, fit in sorted(fits.items())),
         ],
-        profile=profile.name,
     )

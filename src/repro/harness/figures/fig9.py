@@ -18,7 +18,15 @@ from repro.harness.config import Profile, figure_params
 from repro.harness.report import FigureResult, Series
 from repro.harness.table import Row, RunTable, waves_fit
 
-__all__ = ["run", "PARAMS"]
+__all__ = ["run", "CLAIM", "PARAMS"]
+
+#: (paper reference, the paper's qualitative claim), quoted by EXPERIMENTS.md
+CLAIM = (
+    "Fig. 9 (Sec. 5.4)",
+    "BT.B/400 on Grid'5000: completion time is linear in the number of "
+    "completed waves; the wave count is proportional to the checkpoint "
+    "frequency.",
+)
 
 PARAMS = {
     "paper": dict(procs=400, periods=(30.0, 60.0, 120.0, 240.0), servers=4),
@@ -64,7 +72,6 @@ def run(profile: Profile) -> FigureResult:
             max(waves) == waves[periods.index(min(periods))],
     }
     return FigureResult(
-        figure_id="fig9",
         title=f"Checkpoint frequency at large scale (BT.B, {p} procs, "
               "Grid'5000)",
         x_label="period [s, paper scale]",
@@ -81,5 +88,4 @@ def run(profile: Profile) -> FigureResult:
             "site-local checkpoint servers "
             f"({par.servers} across sites)",
         ],
-        profile=profile.name,
     )

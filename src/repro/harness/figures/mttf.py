@@ -26,7 +26,15 @@ from repro.harness.report import FigureResult, Series
 from repro.harness.runner import bare_run
 from repro.runtime import DeploymentSpec
 
-__all__ = ["run"]
+__all__ = ["run", "CLAIM"]
+
+#: (paper reference, the paper's qualitative claim), quoted by EXPERIMENTS.md
+CLAIM = (
+    "Sec. 6 (conclusion, extension)",
+    "The best checkpoint frequency tracks the system MTTF "
+    "(Young/Daly), and probes that see failures coming should trigger "
+    "proactive waves.",
+)
 
 _N_PROCS = 8
 _MTTF = 12.0
@@ -108,7 +116,6 @@ def run(profile: Profile) -> FigureResult:
         ),
     }
     return FigureResult(
-        figure_id="mttf",
         title=f"Checkpoint period vs MTTF (Poisson failures, MTTF={_MTTF:g}s,"
               " blocking protocol, mean of 4 schedules)",
         x_label="period [s]",
@@ -128,5 +135,4 @@ def run(profile: Profile) -> FigureResult:
             f"{plain_long:.1f}s",
             f"failure-free baseline {base_time:.1f}s",
         ],
-        profile=profile.name,
     )

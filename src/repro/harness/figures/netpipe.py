@@ -17,7 +17,15 @@ from repro.net.topology import Endpoint
 from repro.sim import make_simulator
 from repro.tools import run_netpipe, summarize
 
-__all__ = ["run"]
+__all__ = ["run", "CLAIM"]
+
+#: (paper reference, the paper's qualitative claim), quoted by EXPERIMENTS.md
+CLAIM = (
+    "Sec. 5.4 (NetPIPE)",
+    "The intra-cluster network is up to 20x faster in bandwidth and "
+    "about two orders of magnitude lower latency than inter-cluster "
+    "links.",
+)
 
 _SIZES = (8, 64, 1024, 16 * 1024, 256 * 1024, 1024 * 1024)
 
@@ -48,7 +56,6 @@ def run(profile: Profile) -> FigureResult:
             and inter[-1].bandwidth > inter[0].bandwidth,
     }
     return FigureResult(
-        figure_id="netpipe",
         title="NetPIPE on the Grid'5000 model: intra- vs inter-cluster",
         x_label="message bytes",
         y_label="bandwidth [MB/s]",
@@ -67,5 +74,4 @@ def run(profile: Profile) -> FigureResult:
             f"bandwidth ratio {bandwidth_ratio:.1f}x, "
             f"latency ratio {latency_ratio:.0f}x",
         ],
-        profile=profile.name,
     )

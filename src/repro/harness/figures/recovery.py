@@ -37,7 +37,20 @@ from repro.harness.config import Profile, figure_params
 from repro.harness.report import FigureResult, Series
 from repro.harness.table import Row, RunTable
 
-__all__ = ["run", "PARAMS"]
+__all__ = ["run", "CLAIM", "PARAMS"]
+
+#: (paper reference, the paper's qualitative claim), quoted by EXPERIMENTS.md
+CLAIM = (
+    "Secs. 2/5.4 (restart model, extension)",
+    "The paper's recovery model re-deploys every rank after any "
+    "failure, so recovery cost is the full job-launch path the "
+    "deployment section measured at hundreds of processes.  "
+    "ULFM-style survivor recovery changes that: promoting a warm "
+    "spare or shrinking to the survivors skips the respawn entirely, "
+    "only the replacement (or nobody) streams an image, and the "
+    "cost stays flat as concurrent failures grow because one "
+    "membership agreement round absorbs a whole failure burst.",
+)
 
 #: malleable stencil; ``kill_time`` is in paper seconds and scaled by the
 #: figure so it always lands after a few committed waves
@@ -109,7 +122,6 @@ def run(profile: Profile, **overrides) -> FigureResult:
         for policy in policies
     ]
     return FigureResult(
-        figure_id="recovery",
         title=f"Survivor recovery: time-to-recover vs concurrent failures "
               f"(stencil.B, {p} procs, up to {max_k} failures)",
         x_label="concurrent node failures",
@@ -117,5 +129,4 @@ def run(profile: Profile, **overrides) -> FigureResult:
         series=series,
         checks=checks,
         notes=notes,
-        profile=profile.name,
     )

@@ -20,7 +20,18 @@ from repro.harness.config import Profile, figure_params
 from repro.harness.report import FigureResult, Series
 from repro.harness.table import RunTable
 
-__all__ = ["run", "PARAMS"]
+__all__ = ["run", "CLAIM", "PARAMS"]
+
+#: (paper reference, the paper's qualitative claim), quoted by EXPERIMENTS.md
+CLAIM = (
+    "Sec. 5.2 (Fig. 5-style, extension)",
+    "Checkpoint transfers compete with the application for NIC "
+    "bandwidth, so replicating every image/log to K servers for "
+    "durability re-streams the same bytes K times: the blocking "
+    "protocol's wave duration and completion time grow with K at "
+    "every process count, while the failure-free application result "
+    "is unchanged.",
+)
 
 #: BT.B checkpoint time vs ranks at storage replication factors K, with a
 #: fixed server pool
@@ -80,7 +91,6 @@ def run(profile: Profile) -> FigureResult:
         Series(f"K={k} completion [s]", sizes, completions[k]) for k in factors
     ]
     return FigureResult(
-        figure_id="replication",
         title="Checkpoint time vs ranks at replication K="
               f"{factors} (BT.B, Pcl, {par.servers} servers, "
               f"period {par.period}s)",
@@ -94,5 +104,4 @@ def run(profile: Profile) -> FigureResult:
             f"fixed pool of {par.servers} checkpoint servers; "
             "ring replica placement (assign_replicas)",
         ],
-        profile=profile.name,
     )

@@ -27,7 +27,15 @@ from repro.harness.runner import bare_run
 from repro.harness.table import RunTable
 from repro.runtime import DeploymentSpec, Dispatcher, FTPM, ScaleLimitError
 
-__all__ = ["run", "PARAMS"]
+__all__ = ["run", "CLAIM", "PARAMS"]
+
+#: (paper reference, the paper's qualitative claim), quoted by EXPERIMENTS.md
+CLAIM = (
+    "Sec. 5.4 (deployment)",
+    "Vcl's dispatcher multiplexes with select() (fd set of 1024, 3 "
+    "sockets per process) and cannot run beyond ~300 processes; Pcl's "
+    "FTPM was designed for large platforms (runs up to 1024).",
+)
 
 _CEILING = 10_000
 
@@ -111,7 +119,6 @@ def run(profile: Profile) -> FigureResult:
             f"{wave_events} events"
         )
     return FigureResult(
-        figure_id="scale_limit",
         title="Runtime scalability wall: MPICH-V dispatcher vs FTPM",
         x_label="processes",
         y_label="admitted (1) / refused (0)",
@@ -121,5 +128,4 @@ def run(profile: Profile) -> FigureResult:
         ],
         checks=checks,
         notes=notes,
-        profile=profile.name,
     )

@@ -28,7 +28,6 @@ class Series:
 class FigureResult:
     """Everything one reproduced table/figure produced."""
 
-    figure_id: str
     title: str
     x_label: str
     y_label: str
@@ -37,7 +36,10 @@ class FigureResult:
     #: claims, evaluated against this run's numbers)
     checks: Dict[str, bool] = field(default_factory=dict)
     notes: List[str] = field(default_factory=list)
-    profile: str = "quick"
+    #: experiment id and profile name: a figure's ``run`` leaves them blank,
+    #: :func:`repro.harness.figures.get_experiment`'s wrapper stamps both
+    figure_id: str = ""
+    profile: str = ""
     #: per-experiment verdicts of the online invariant monitors
     #: (:mod:`repro.verify`), filled in by the harness wrapper
     monitors: Dict[str, Any] = field(default_factory=dict)

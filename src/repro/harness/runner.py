@@ -181,9 +181,6 @@ def execute(
     kills: Sequence[Tuple[str, int, float]] = (),
     ckpt_replication: int = 1,
     ckpt_gc_keep: int = 1,
-    fetch_retries: int = 3,
-    fetch_backoff: float = 0.05,
-    fetch_jitter: float = 0.25,
     storage_faults: Sequence[Tuple[str, int, int, float]] = (),
     policy: str = "restart",
     spares: int = 0,
@@ -212,11 +209,10 @@ def execute(
 
     ``ckpt_replication`` streams each image/log to that many servers with a
     quorum commit; ``ckpt_gc_keep`` retains that many committed waves per
-    server; ``fetch_retries``/``fetch_backoff``/``fetch_jitter`` shape the
-    restart-time replica retry policy.  ``storage_faults`` injects
-    storage-tier failures: ``("server_kill" | "image_corrupt", server,
-    rank, at)`` quadruples (``rank`` is ignored by ``server_kill``), with
-    ``at`` in simulated seconds like ``kills``.
+    server.  ``storage_faults`` injects storage-tier failures:
+    ``("server_kill" | "image_corrupt", server, rank, at)`` quadruples
+    (``rank`` is ignored by ``server_kill``), with ``at`` in simulated
+    seconds like ``kills``.
 
     ``policy`` selects the recovery strategy after a failure: ``restart``
     (full-job rollback, the paper's behavior), ``spare`` (survivors keep
@@ -260,9 +256,6 @@ def execute(
         launcher=launcher,
         ckpt_replication=ckpt_replication,
         ckpt_gc_keep=ckpt_gc_keep,
-        fetch_retries=fetch_retries,
-        fetch_backoff=fetch_backoff,
-        fetch_jitter=fetch_jitter,
         recovery_policy=policy,
         spares=spares,
     )

@@ -1,36 +1,28 @@
-"""Performance as a measured subsystem.
+"""The exact event/pop count gate.
 
-The reproduction's performance claims follow the same discipline as its
-protocol claims: measured, committed, and regression-guarded.  This package
-owns the workload suite (:mod:`repro.perf.workloads`), the bench runner and
-baseline comparison (:mod:`repro.perf.bench`), and the
-``python -m repro.perf`` CLI that CI runs against the committed
-``BENCH_engine.json``.  See ``docs/PERF.md`` for the performance model and
-how to read the numbers.
+Seven deterministic workloads (:mod:`repro.perf.workloads`), one run each,
+every ``events``/``pops`` count compared exactly with the committed
+``BENCH_engine.json`` (:mod:`repro.perf.bench`, ``python -m repro.perf``).
+Wall time is measured elsewhere — ``bench/`` + ``BENCHMARK.json``; see
+``docs/PERF.md`` for both.
 """
 
 from repro.perf.bench import (
     DEFAULT_BASELINE,
-    DEFAULT_TOLERANCE,
-    BenchResult,
-    compare_to_baseline,
+    compare_counts,
     load_baseline,
     run_suite,
-    run_workload,
     suite_report,
 )
 from repro.perf.workloads import SUITES, WORKLOADS, WorkloadRun
 
 __all__ = [
-    "BenchResult",
     "WorkloadRun",
     "WORKLOADS",
     "SUITES",
     "DEFAULT_BASELINE",
-    "DEFAULT_TOLERANCE",
-    "run_workload",
     "run_suite",
     "suite_report",
     "load_baseline",
-    "compare_to_baseline",
+    "compare_counts",
 ]

@@ -1,38 +1,37 @@
-"""The measured workload suite behind ``python -m repro.perf``.
+"""The deterministic workload suite behind ``python -m repro.perf``.
 
-Each workload is a deterministic, self-contained simulation whose cost is
-dominated by one layer of the stack the figures depend on:
+Each workload is a self-contained simulation whose work is dominated by one
+layer of the stack the figures depend on:
 
 * ``flow_churn`` — the event kernel + fluid-flow scheduler under heavy
   neighbour churn: a pool of cap-bottlenecked background flows sharing a
   backbone link with a stream of short uncapped transfers (the Fig. 5
   regime: checkpoint image transfers crossing a contended NIC).  Every
-  start/finish re-rates the whole neighbourhood, so this is the microbench
-  that exposes the per-re-rate timer cost.
+  start/finish re-rates the whole neighbourhood.
 * ``netpipe`` — the ping-pong calibration sweep over the Grid'5000 model
   (message layer + WAN fabrics).
 * ``bt_wave`` — one harness-style run: BT under Pcl with checkpoint waves,
   monitors on, exactly like a figure grid point.
 * ``dcl_wave`` — the same grid point under the message-drain (Dcl)
   protocol: counter reports and quiescence detection replace the channel
-  flush, so this isolates the drain machinery's cost.  Non-gating until a
-  baseline refresh records it (``compare_to_baseline`` only judges
-  workloads present in the stored baseline).
+  flush, so this isolates the drain machinery.
 * ``scale_337`` — the paper's scale boundary: an FTPM launch of 337
   processes (the count the Vcl dispatcher refuses, see Sec. 5.4) running a
-  token ring, measuring the process/connection fan-out cost.
-* ``scale_10k`` — the same launch-and-wave at the FTPM ceiling: 10,000
-  ranks (``FTPM_MAX_PROCESSES``), one token-ring round.  This is the
-  figure scale the kernel optimisations target; it keeps the per-rank
-  constant factor of launch, connect and message dispatch honest where a
-  337-rank run would hide an O(n) term in the noise.
+  token ring: process spawn plus the connection fan-out.
+* ``scale_10k`` — the same launch at the FTPM ceiling: 10,000 ranks
+  (``FTPM_MAX_PROCESSES``).  It keeps the per-rank constant factor of
+  launch, connect and message dispatch honest where a 337-rank run would
+  hide an O(n) term; ``bench/`` times it (8 ring rounds) as its
+  ``scale_10k`` workload.
 * ``chaos_kill`` — one smoke-grid chaos scenario (node kill inside wave 1,
   rollback, restart) through :func:`repro.chaos.run_scenario`.
 
-Workloads report ``events`` — a *workload-defined* useful-event count
-(flow completions, messages, engine pops; fixed for fixed parameters) — so
-``events/sec`` ratios between two kernels equal their wall-time speedup
-rather than rewarding a kernel for popping its own dead timers.
+A workload reports ``events`` — a *workload-defined* useful-event count
+(flow completions, messages, engine pops) — and the engine's ``pops``.
+Both are functions of the parameters and the kernel's deterministic total
+event order, never of the host, which is what lets the gate compare them
+exactly.  Wall time is not measured here: ``bench/`` + ``BENCHMARK.json``
+own it.
 """
 
 from __future__ import annotations
@@ -46,13 +45,15 @@ __all__ = ["WorkloadRun", "WORKLOADS", "SUITES", "suite_params"]
 
 @dataclass
 class WorkloadRun:
-    """What one workload execution observed (wall time is measured outside)."""
+    """What one workload execution observed."""
 
     #: workload-defined useful events (fixed for fixed parameters)
     events: int
     #: engine heap pops, when a simulator was observable
     pops: int = 0
-    #: workload-specific scalars worth keeping in the bench JSON
+    #: what the simulation itself concluded (completion time, waves, the
+    #: chaos verdict): not part of the baseline, but the kernel differential
+    #: rig fingerprints it across kernels together with the two counts
     extra: Dict[str, Any] = field(default_factory=dict)
 
 
@@ -104,12 +105,7 @@ def flow_churn(churn: int = 400, persistent: int = 64,
 
     sim.run()
     assert not scheduler.active, "flow_churn must drain every flow"
-    return WorkloadRun(
-        events=completions,
-        pops=sim.events_processed,
-        extra={"churn": churn, "persistent": persistent,
-               "heap_peak_hint": len(sim._heap)},
-    )
+    return WorkloadRun(events=completions, pops=sim.events_processed)
 
 
 # -------------------------------------------------------------------- netpipe
@@ -124,15 +120,12 @@ def netpipe(repeats: int = 3) -> WorkloadRun:
     grid = grid5000(sim)
     orsay = grid.clusters["orsay"].nodes
     rennes = grid.clusters["rennes"].nodes
-    intra = run_netpipe(sim, grid, Endpoint(orsay[0], 0),
-                        Endpoint(orsay[1], 0), repeats=repeats)
-    inter = run_netpipe(sim, grid, Endpoint(orsay[2], 0),
-                        Endpoint(rennes[0], 0), repeats=repeats)
-    return WorkloadRun(
-        events=sim.events_processed,
-        pops=sim.events_processed,
-        extra={"samples": len(intra) + len(inter)},
-    )
+    run_netpipe(sim, grid, Endpoint(orsay[0], 0), Endpoint(orsay[1], 0),
+                repeats=repeats)
+    run_netpipe(sim, grid, Endpoint(orsay[2], 0), Endpoint(rennes[0], 0),
+                repeats=repeats)
+    return WorkloadRun(events=sim.events_processed,
+                       pops=sim.events_processed)
 
 
 # ----------------------------------------------------------- protocol waves
@@ -150,19 +143,9 @@ def _wave(protocol: str, name: str, n_procs: int = 16,
     result = execute(bench, n_procs, protocol, profile, period=30.0,
                      procs_per_node=2, name=name)
     pops = int(result.meta.get("events", 0))
-    extra: Dict[str, Any] = {"completion": result.completion,
-                             "waves": result.waves}
-    snapshot = result.meta.get("metrics")
-    if snapshot:
-        # metrics-on bench runs (REPRO_METRICS) surface the wave phase
-        # decomposition so an events/sec swing can be attributed
-        from repro.obs import phase_totals
-
-        extra["wave_phase_seconds"] = {
-            phase: round(seconds, 6)
-            for phase, seconds in sorted(phase_totals(snapshot).items())
-        }
-    return WorkloadRun(events=pops, pops=pops, extra=extra)
+    return WorkloadRun(events=pops, pops=pops,
+                       extra={"completion": result.completion,
+                              "waves": result.waves})
 
 
 bt_wave = partial(_wave, "pcl", "perf-bt-wave")
@@ -180,9 +163,9 @@ def _ring(seed: int, name: str, n_procs: int, rounds: int) -> WorkloadRun:
 
     ``scale_10k`` is the identical machinery (spawn, connection fan-out,
     ring messaging) at the FTPM ceiling, the scale the 10k-rank figures
-    need.  One round of the ring is ~30x the event count of the full
+    need.  One round of the ring is ~20x the event count of the full
     scale_337 run, so this is the suite's heavyweight: it exists to keep
-    per-rank constants linear, not to be fast.
+    per-rank constants linear.
     """
     from repro.apps.synthetic import token_ring
     from repro.harness.runner import bare_run
@@ -192,11 +175,8 @@ def _ring(seed: int, name: str, n_procs: int, rounds: int) -> WorkloadRun:
                           procs_per_node=2)
     _completion, run = bare_run(spec, token_ring(rounds=rounds), seed,
                                 name=name)
-    return WorkloadRun(
-        events=run.sim.events_processed,
-        pops=run.sim.events_processed,
-        extra={"n_procs": n_procs, "rounds": rounds},
-    )
+    return WorkloadRun(events=run.sim.events_processed,
+                       pops=run.sim.events_processed)
 
 
 scale_337 = partial(_ring, 11, "perf-scale", n_procs=337, rounds=2)
@@ -211,14 +191,9 @@ def chaos_kill() -> WorkloadRun:
     scenario = Scenario(protocol="pcl", channel="ft_sock", procs_per_node=2,
                         kill="node", victim=1, kill_time=1.7, seed=0)
     result = run_scenario(scenario)
-    # The scenario is fixed, so its verdict doubles as a sanity check.
-    ok = result.verdict in ("recovered", "completed")
-    return WorkloadRun(
-        events=result.events,
-        pops=result.events,
-        extra={"verdict": result.verdict, "ok": ok,
-               "completion": result.completion},
-    )
+    return WorkloadRun(events=result.events, pops=result.events,
+                       extra={"verdict": result.verdict,
+                              "completion": result.completion})
 
 
 #: name -> workload callable (keyword-parameterised by the suite)
@@ -232,7 +207,8 @@ WORKLOADS: Dict[str, Callable[..., WorkloadRun]] = {
     "chaos_kill": chaos_kill,
 }
 
-#: per-suite parameter overrides; ``smoke`` is CI-sized, ``full`` the default
+#: per-suite parameters: ``full`` is what ``BENCH_engine.json`` records,
+#: ``smoke`` the tier-1-sized points the kernel differential rig runs
 SUITES: Dict[str, Dict[str, Dict[str, Any]]] = {
     "smoke": {
         "flow_churn": {"churn": 200, "persistent": 48},

@@ -18,7 +18,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.ft import (
     CheckpointServer,
-    FetchPolicy,
     FTRun,
     InstantLauncher,
     PROTOCOLS,
@@ -73,14 +72,11 @@ class DeploymentSpec:
     #: machines pre-allocated (idle) for the "spare" recovery policy
     spares: int = 0
     #: checkpoint storage resilience: each rank streams its image to
-    #: ``ckpt_replication`` servers, servers retain the newest
-    #: ``ckpt_gc_keep`` committed waves, and restarts retry fetches
-    #: ``fetch_retries`` rounds with exponential backoff + jitter
+    #: ``ckpt_replication`` servers and servers retain the newest
+    #: ``ckpt_gc_keep`` committed waves (how restarts retry their fetches
+    #: is :class:`repro.ft.FetchPolicy`'s)
     ckpt_replication: int = 1
     ckpt_gc_keep: int = 1
-    fetch_retries: int = 3
-    fetch_backoff: float = 0.05
-    fetch_jitter: float = 0.25
 
     def __post_init__(self) -> None:
         if self.protocol is not None and self.protocol not in PROTOCOLS:
@@ -97,8 +93,6 @@ class DeploymentSpec:
                 f"({self.n_servers}), got {self.ckpt_replication}")
         if self.ckpt_gc_keep < 1:
             raise ValueError("ckpt_gc_keep must be >= 1")
-        if self.fetch_retries < 1:
-            raise ValueError("fetch_retries must be >= 1")
         if self.recovery_policy not in RECOVERY_POLICIES:
             raise ValueError(
                 f"unknown recovery policy {self.recovery_policy!r}")
@@ -214,9 +208,6 @@ def build_run(
         image_bytes=spec.image_bytes, name=name,
         restart_policy=spec.restart_policy,
         replication=spec.ckpt_replication,
-        fetch_policy=FetchPolicy(max_rounds=spec.fetch_retries,
-                                 backoff_base=spec.fetch_backoff,
-                                 jitter=spec.fetch_jitter),
         recovery_policy=spec.recovery_policy,
         spare_pool=spare_nodes,
         malleable_app_factory=malleable_app_factory,

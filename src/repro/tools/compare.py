@@ -41,7 +41,8 @@ class ExperimentDiff:
 
 
 def load_results(directory: str) -> Dict[str, dict]:
-    """Load the newest result per figure id from a directory of JSONs."""
+    """Load one result per figure id from a directory of harness JSONs:
+    the biggest profile's (paper over quick over smoke)."""
     by_id: Dict[str, dict] = {}
     rank = {"smoke": 0, "quick": 1, "paper": 2}
     for path in sorted(glob.glob(os.path.join(directory, "*.json"))):

@@ -31,6 +31,11 @@ packet level for every monitored run:
   spare always restores the failed rank's newest committed image
   (docs/RECOVERY.md).
 
+The classes live in :mod:`repro.verify.monitors`, one module per thing
+guarded (engine, transport, waves and storage, each protocol family,
+survivor recovery); its ``REGISTRY`` is the only enumeration of them, and
+each class docstring carries the provenance of its invariant.
+
 Attach all monitors to a simulator with::
 
     from repro.verify import MonitorBus, all_monitors
@@ -53,41 +58,14 @@ which is how a dumped trace is checked offline:
 
 from repro.verify.base import InvariantViolation, Monitor, on
 from repro.verify.bus import MonitorBus
-from repro.verify.monitors import (
-    DclDrainLivenessMonitor,
-    DclNetworkEmptyMonitor,
-    FdBudgetMonitor,
-    FifoDeliveryMonitor,
-    LivelockMonitor,
-    MembershipAgreementMonitor,
-    MonotoneClockMonitor,
-    PclFlushMonitor,
-    SpareConsistencyMonitor,
-    StorageDurabilityMonitor,
-    VclLoggingMonitor,
-    VclNoOrphanMonitor,
-    WaveLivenessMonitor,
-    all_monitors,
-    monitors_for,
-)
+from repro.verify.monitors import REGISTRY, all_monitors, monitors_for
 
 __all__ = [
     "InvariantViolation",
     "Monitor",
     "MonitorBus",
-    "MonotoneClockMonitor",
-    "FifoDeliveryMonitor",
-    "VclNoOrphanMonitor",
-    "VclLoggingMonitor",
-    "PclFlushMonitor",
-    "DclNetworkEmptyMonitor",
-    "DclDrainLivenessMonitor",
-    "FdBudgetMonitor",
-    "LivelockMonitor",
-    "WaveLivenessMonitor",
-    "StorageDurabilityMonitor",
-    "MembershipAgreementMonitor",
-    "SpareConsistencyMonitor",
+    "REGISTRY",
     "all_monitors",
     "monitors_for",
+    "on",
 ]

@@ -18,7 +18,8 @@ rollback-recovery runs stay checkable across incarnations.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Callable, Container, Dict, Iterable, List,
+                    Optional, Tuple)
 
 from repro.sim.trace import SCHEMAS, TraceRecord
 
@@ -82,6 +83,12 @@ class Monitor:
     categories: Optional[Tuple[str, ...]] = None
     #: set True to also receive the engine's raw (time, priority, seq) pops
     wants_steps = False
+    #: the guard: which deployments can emit what this monitor checks, as
+    #: the ``DeploymentSpec.protocol`` / ``.recovery_policy`` values that do
+    #: (None = any, a run without a protocol included); matched by
+    #: :func:`repro.verify.monitors_for`
+    protocols: Optional[Container[str]] = None
+    recovery_policies: Optional[Container[str]] = None
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)

@@ -23,7 +23,7 @@ from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.sim.trace import TraceRecord, make_record
 from repro.verify.base import InvariantViolation, Monitor
-from repro.verify.monitors import LivelockMonitor, MonotoneClockMonitor
+from repro.verify.monitors.engine import LivelockMonitor, MonotoneClockMonitor
 
 __all__ = ["MonitorBus", "fused_step"]
 

@@ -4,7 +4,8 @@ import pytest
 
 from repro.sim import LivelockError, Simulator, Watchdog
 from repro.sim.engine import DEFAULT_MAX_SAME_TIME_EVENTS
-from repro.verify import InvariantViolation, LivelockMonitor, MonitorBus
+from repro.verify import InvariantViolation, MonitorBus
+from repro.verify.monitors.engine import LivelockMonitor
 
 
 def _spinner(sim):

@@ -15,7 +15,8 @@ from repro.harness import (
     render,
     save_json,
 )
-from repro.harness.experiments_md import PAPER_CLAIMS, build_markdown
+from repro.harness.experiments_md import build_markdown
+from repro.harness.figures import figure_module
 from repro.tools.ascii_plot import ascii_plot
 
 
@@ -54,8 +55,21 @@ def test_unknown_experiment_rejected():
         get_experiment("fig99")
 
 
-def test_every_experiment_has_a_paper_claim():
-    assert set(PAPER_CLAIMS) == set(EXPERIMENT_IDS)
+def test_every_experiment_states_its_paper_claim():
+    """One registry per figure: the module says what the paper claims."""
+    for experiment_id in EXPERIMENT_IDS:
+        reference, claim = figure_module(experiment_id).CLAIM
+        assert reference and claim.endswith(".")
+    with pytest.raises(KeyError):
+        figure_module("fig99")
+
+
+def test_wrapper_stamps_figure_id_and_profile(tmp_path):
+    """A figure's ``run`` names neither itself nor the profile: the
+    ``get_experiment`` wrapper does, once, for all thirteen."""
+    result = get_experiment("netpipe")(get_profile("smoke", seed=0))
+    assert (result.figure_id, result.profile) == ("netpipe", "smoke")
+    assert save_json(result, str(tmp_path)).endswith("netpipe_smoke.json")
 
 
 def test_every_experiment_has_a_benchmark_file():
@@ -143,7 +157,7 @@ def test_build_markdown_from_results(tmp_path):
     assert "shape checks pass" in markdown
     # unknown figure id figX is not in the claims registry, so only the
     # claim sections appear; every known claim is present
-    for experiment_id in PAPER_CLAIMS:
+    for experiment_id in EXPERIMENT_IDS:
         assert f"## {experiment_id}" in markdown
 
 

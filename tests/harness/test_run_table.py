@@ -116,13 +116,13 @@ def toy_figure(profile):
           period=[Row("base", protocol=None, name="toy-{protocol}-base"),
                   30.0, 60.0]).run()
     return FigureResult(
-        "toy", "Toy", "period (0 = no checkpoints)", "seconds",
+        "Toy", "period (0 = no checkpoints)", "seconds",
         [Series(p, [0.0, 30.0, 60.0],
                 [r.completion for r in table.select(protocol=p)])
          for p in ("pcl", "vcl")],
         checks={"checkpointing costs time": all(
             table[p, 30.0].completion > table[p, "base"].completion
-            for p in ("pcl", "vcl"))}, profile=profile.name)
+            for p in ("pcl", "vcl"))})
 
 
 def test_toy_figure_renders_and_round_trips():

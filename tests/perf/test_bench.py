@@ -1,26 +1,29 @@
-"""The repro.perf subsystem: workloads, baseline policy, CLI.
+"""The repro.perf count gate: workloads, the exact comparison, the CLI.
 
-The perf suite is a *measured claim* like every figure: these tests pin
-that the workloads are deterministic in their work (events are exactly
-reproducible even though wall time is not), that the regression policy
-fires on real slowdowns and nothing else, and that the CLI exit codes are
-what CI keys on.
+The workloads are deterministic simulations, so the gate is exact and has
+one way to answer: these tests pin that the counts are reproducible, that a
+single event or pop of drift fails, and that no invocation can exit 0
+without having compared — a workload with no baseline row, a partial
+``--update`` and a missing baseline are all refused.
 """
 
 import json
+import shutil
 
 import pytest
 
 from repro.perf import (
+    DEFAULT_BASELINE,
     SUITES,
     WORKLOADS,
-    compare_to_baseline,
+    WorkloadRun,
+    compare_counts,
     load_baseline,
     run_suite,
-    run_workload,
     suite_report,
 )
-from repro.perf.bench import BenchResult, compare_counts
+from repro.perf import bench, workloads
+from repro.perf.__main__ import build_parser, main
 from repro.perf.workloads import flow_churn, scale_10k, suite_params
 
 
@@ -33,8 +36,7 @@ def test_workload_registry_matches_suites():
 
 
 def test_flow_churn_deterministic_work():
-    """Same parameters -> exactly the same useful events and engine pops
-    (the numerator of events/sec is wall-clock-free)."""
+    """Same parameters -> exactly the same useful events and engine pops."""
     a = flow_churn(churn=60, persistent=8, cancel_every=5)
     b = flow_churn(churn=60, persistent=8, cancel_every=5)
     assert a.events == b.events
@@ -45,123 +47,71 @@ def test_flow_churn_deterministic_work():
 def test_flow_churn_exercises_cancellation():
     run = flow_churn(churn=60, persistent=8, cancel_every=5)
     # every 5th churn flow is cancelled: completions < flows started
-    assert run.extra["churn"] == 60
     assert run.events < 60 + 8 + 1
 
 
 def test_every_baseline_workload_is_exercised_by_a_suite():
-    """Every workload recorded in the committed BENCH_engine.json is still
-    runnable via ``--suite smoke`` or ``--suite full`` — a renamed or
-    dropped workload must take its baseline entry with it, or the count
-    gate silently stops covering it."""
-    from repro.perf.bench import DEFAULT_BASELINE
-
+    """The committed BENCH_engine.json and the registry name the same
+    workloads, and both suites parameterise all of them — a renamed or
+    dropped workload must take its baseline row with it."""
     baseline = load_baseline(DEFAULT_BASELINE)
     assert baseline is not None, "committed baseline missing"
-    recorded = set(baseline.get("workloads", {}))
-    assert recorded, "committed baseline records no workloads"
-    for suite in ("smoke", "full"):
-        missing = recorded - set(suite_params(suite))
-        assert not missing, (
-            f"baseline workloads {sorted(missing)} not exercised by "
-            f"--suite {suite}"
-        )
-    # and the converse: the registry itself is fully suite-covered
+    assert set(baseline["workloads"]) == set(WORKLOADS)
+    assert baseline["meta"] == {"suite": "full"}
     for suite in ("smoke", "full"):
         assert set(suite_params(suite)) == set(WORKLOADS)
 
 
 def test_scale_10k_workload_deterministic_and_scaled_down_runnable():
     """The 10k-rank wave is parameterised, so tier-1 can pin its machinery
-    at a CI-friendly size; the bench suites run it at the full 10,000."""
+    at a CI-friendly size; the suites run it at the full 10,000."""
     a = scale_10k(n_procs=64, rounds=1)
     b = scale_10k(n_procs=64, rounds=1)
     assert a.events == b.events > 0
-    assert a.extra["n_procs"] == 64
     for suite in ("smoke", "full"):
         assert suite_params(suite)["scale_10k"]["n_procs"] == 10_000
 
 
-def test_run_workload_measures_and_keeps_best():
-    walls = iter([0.0, 5.0, 5.0, 7.0, 7.0, 8.0])  # 3 repeats: 5s, 2s, 1s
-    result = run_workload("flow_churn",
-                          {"churn": 10, "persistent": 2, "cancel_every": 3},
-                          repeat=3, clock=lambda: next(walls))
-    assert result.wall == 1.0
-    assert result.events_per_sec == pytest.approx(result.events / 1.0)
-
-
-# ------------------------------------------------------- regression policy
-def _results(**eps):
-    return {name: BenchResult(name=name, wall=1.0, events=int(v), pops=int(v),
-                              events_per_sec=float(v))
-            for name, v in eps.items()}
-
-
-def _baseline(**eps):
-    return {"workloads": {name: {"events_per_sec": float(v)}
-                          for name, v in eps.items()}}
-
-
-def test_compare_flags_regressions_beyond_tolerance():
-    baseline = _baseline(flow_churn=1000.0, netpipe=2000.0)
-    ok = compare_to_baseline(_results(flow_churn=800.0, netpipe=1500.0),
-                             baseline, tolerance=0.30)
-    assert ok == []
-    bad = compare_to_baseline(_results(flow_churn=600.0, netpipe=1500.0),
-                              baseline, tolerance=0.30)
-    assert len(bad) == 1 and "flow_churn" in bad[0]
-
-
-def test_compare_ignores_missing_and_extra_workloads():
-    baseline = _baseline(flow_churn=1000.0, ghost=9e9)
-    results = _results(flow_churn=950.0, newcomer=1.0)
-    assert compare_to_baseline(results, baseline) == []
-
-
-def _counted_results(**counts):
-    return {name: BenchResult(name=name, wall=1.0, events=ev, pops=pop,
-                              events_per_sec=float(ev))
+# ------------------------------------------------------- the exact judge
+def _runs(**counts):
+    return {name: WorkloadRun(events=ev, pops=pop)
             for name, (ev, pop) in counts.items()}
 
 
-def _counted_baseline(**counts):
-    return {"workloads": {name: {"events_per_sec": float(ev),
-                                 "events": ev, "pops": pop}
-                          for name, (ev, pop) in counts.items()},
-            "meta": {"suite": "full"}}
+def _baseline(**counts):
+    return suite_report(_runs(**counts), "full")
 
 
 def test_compare_counts_flags_any_deterministic_drift():
-    """The secondary gate is exact: a single event or pop of drift fails,
-    independent of wall time."""
-    baseline = _counted_baseline(bt_wave=(1000, 2000), netpipe=(50, 50))
-    assert compare_counts(
-        _counted_results(bt_wave=(1000, 2000), netpipe=(50, 50)),
-        baseline) == []
-    drifted = compare_counts(
-        _counted_results(bt_wave=(1001, 2000), netpipe=(50, 51)),
-        baseline)
+    """A single event or pop of drift fails."""
+    baseline = _baseline(bt_wave=(1000, 2000), netpipe=(50, 50))
+    assert compare_counts(_runs(bt_wave=(1000, 2000), netpipe=(50, 50)),
+                          baseline) == []
+    drifted = compare_counts(_runs(bt_wave=(1001, 2000), netpipe=(50, 51)),
+                             baseline)
     assert len(drifted) == 2
     assert any("bt_wave" in m and "1001 events" in m for m in drifted)
     assert any("netpipe" in m and "51 engine pops" in m for m in drifted)
 
 
-def test_compare_counts_ignores_missing_and_uncounted():
-    """Workloads absent from the run, and baseline entries predating the
-    count fields, are skipped — the gate never invents a failure."""
-    baseline = _counted_baseline(bt_wave=(1000, 2000))
-    baseline["workloads"]["legacy"] = {"events_per_sec": 1.0}
-    assert compare_counts(_counted_results(legacy=(7, 7)), baseline) == []
+def test_compare_counts_fails_a_workload_without_a_baseline_row():
+    """A workload that ran but has no row is named as a failure — it used
+    to pass silently until someone refreshed the baseline.  Rows of
+    workloads that did not run (``--only``) are not judged."""
+    baseline = _baseline(bt_wave=(1000, 2000), netpipe=(50, 50))
+    messages = compare_counts(
+        _runs(bt_wave=(1000, 2000), newcomer=(7, 7)), baseline)
+    assert len(messages) == 1
+    assert "newcomer" in messages[0] and "no row" in messages[0]
 
 
-def test_suite_report_shape():
-    results = _results(flow_churn=2000.0)
-    report = suite_report(results, "smoke", 3)
-    assert set(report) == {"schema", "meta", "workloads"}
-    assert report["schema"] == "repro.perf/1"
-    assert report["meta"]["suite"] == "smoke" and report["meta"]["repeat"] == 3
-    assert report["workloads"]["flow_churn"]["events_per_sec"] == 2000.0
+def test_suite_report_is_counts_and_suite_only():
+    report = suite_report(_runs(flow_churn=(407, 1328)), "full")
+    assert report == {
+        "schema": "repro.perf/1",
+        "meta": {"suite": "full"},
+        "workloads": {"flow_churn": {"events": 407, "pops": 1328}},
+    }
 
 
 def test_load_baseline_missing_returns_none(tmp_path):
@@ -171,76 +121,111 @@ def test_load_baseline_missing_returns_none(tmp_path):
     assert load_baseline(str(path)) == {"workloads": {}}
 
 
-# ------------------------------------------------------------------- CLI
-def test_cli_help_and_regression_exit_codes(tmp_path):
-    from repro.perf.__main__ import main
+def test_run_suite_runs_each_workload_once_in_declaration_order(monkeypatch):
+    calls = []
 
+    def fake(name):
+        def workload(**params):
+            calls.append((name, params))
+            return WorkloadRun(events=len(calls), pops=10 * len(calls))
+        return workload
+
+    monkeypatch.setattr(bench, "WORKLOADS", {n: fake(n) for n in WORKLOADS})
+    runs = run_suite("smoke")
+    assert list(runs) == list(WORKLOADS)
+    assert calls == [(n, suite_params("smoke")[n]) for n in WORKLOADS]
+    assert list(run_suite("smoke", only=["netpipe"])) == ["netpipe"]
+
+
+# ------------------------------------------------------------------- CLI
+@pytest.fixture
+def baseline_copy(tmp_path):
+    """The committed baseline, copied where a test may tamper with it."""
+    path = tmp_path / "bench.json"
+    shutil.copy(DEFAULT_BASELINE, path)
+    return path
+
+
+def _tamper(path, workload, key):
+    doc = json.loads(path.read_text())
+    doc["workloads"][workload][key] += 1
+    path.write_text(json.dumps(doc))
+
+
+def test_cli_has_three_flags():
+    flags = {option for action in build_parser()._actions
+             for option in action.option_strings} - {"-h", "--help"}
+    assert flags == {"--only", "--baseline", "--update"}
     with pytest.raises(SystemExit) as excinfo:
         main(["--help"])
     assert excinfo.value.code == 0
 
-    args = ["--only", "flow_churn", "--repeat", "1"]
-    baseline = tmp_path / "bench.json"
 
-    # no baseline: measure-only, exit 0
-    assert main(args + ["--baseline", str(baseline)]) == 0
-
-    # --update writes a baseline the same run then passes against
-    assert main(args + ["--baseline", str(baseline), "--update"]) == 0
-    assert baseline.exists()
-    assert main(args + ["--baseline", str(baseline)]) == 0
-
-    # an absurdly fast fake baseline must fail the check
-    doc = json.loads(baseline.read_text())
-    doc["workloads"]["flow_churn"]["events_per_sec"] = 1e12
-    baseline.write_text(json.dumps(doc))
-    assert main(args + ["--baseline", str(baseline)]) == 1
+@pytest.mark.parametrize("key", ["events", "pops"])
+def test_cli_fails_on_a_tampered_count(baseline_copy, capsys, key):
+    args = ["--only", "flow_churn", "--baseline", str(baseline_copy)]
+    assert main(args) == 0
+    assert "match" in capsys.readouterr().out
+    _tamper(baseline_copy, "flow_churn", key)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "REGRESSION flow_churn" in err and "changed behaviour" in err
 
 
-def test_cli_wall_advisory_demotes_timing_but_not_counts(tmp_path, capsys):
-    """``--wall-advisory``: wall-clock noise alone cannot fail the job,
-    but the deterministic events/pops gate still does."""
-    from repro.perf.__main__ import main
-
-    args = ["--suite", "smoke", "--only", "flow_churn", "--repeat", "1"]
-    baseline = tmp_path / "bench.json"
-    assert main(args + ["--baseline", str(baseline), "--update"]) == 0
-
-    # impossible wall baseline: plain run fails, advisory run passes
-    doc = json.loads(baseline.read_text())
-    doc["workloads"]["flow_churn"]["events_per_sec"] = 1e12
-    baseline.write_text(json.dumps(doc))
-    assert main(args + ["--baseline", str(baseline)]) == 1
-    assert main(args + ["--baseline", str(baseline),
-                        "--wall-advisory"]) == 0
-    assert "ADVISORY" in capsys.readouterr().err
-
-    # corrupt the *count*: even --wall-advisory must fail
-    doc["workloads"]["flow_churn"]["events"] += 1
-    baseline.write_text(json.dumps(doc))
-    result = main(args + ["--baseline", str(baseline), "--wall-advisory"])
+@pytest.mark.unmonitored  # the gate as CI runs it: execute() attaches its own
+def test_cli_default_invocation_compares_counts(baseline_copy, capsys):
+    """Plain ``python -m repro.perf`` runs the suite the baseline records,
+    so it cannot pass without comparing (it used to run the smoke suite
+    against the full baseline, print "counts not compared" and exit 0)."""
+    _tamper(baseline_copy, "chaos_kill", "pops")
+    assert main(["--baseline", str(baseline_copy)]) == 1
     captured = capsys.readouterr()
-    assert result == 1
-    assert "REGRESSION" in captured.err
-    assert "changed behaviour" in captured.err
+    assert "perf suite 'full'" in captured.out
+    assert captured.err.count("REGRESSION") == 1
+    assert "REGRESSION chaos_kill" in captured.err
 
 
-def test_cli_skips_count_gate_on_suite_mismatch(tmp_path, capsys):
-    """A smoke run judged against a full-suite baseline compares wall
-    throughput only — the counts differ by parameterisation, not drift."""
-    from repro.perf.__main__ import main
+def test_cli_fails_a_registered_workload_the_baseline_lacks(
+        baseline_copy, capsys):
+    doc = json.loads(baseline_copy.read_text())
+    del doc["workloads"]["flow_churn"]
+    baseline_copy.write_text(json.dumps(doc))
+    assert main(["--only", "flow_churn",
+                 "--baseline", str(baseline_copy)]) == 1
+    assert "flow_churn: no row in the baseline" in capsys.readouterr().err
 
-    args = ["--only", "flow_churn", "--repeat", "1"]
-    baseline = tmp_path / "bench.json"
-    assert main(args + ["--suite", "full", "--baseline", str(baseline),
-                        "--update"]) == 0
-    # the full baseline's counts are wrong for smoke, but must not gate...
-    assert main(args + ["--suite", "smoke",
-                        "--baseline", str(baseline)]) == 0
-    assert "counts not compared" in capsys.readouterr().out
-    # ...while the same baseline judged at its own suite does gate
-    doc = json.loads(baseline.read_text())
-    doc["workloads"]["flow_churn"]["pops"] += 1
-    baseline.write_text(json.dumps(doc))
-    assert main(args + ["--suite", "full",
-                        "--baseline", str(baseline)]) == 1
+
+def test_cli_refuses_a_partial_update(baseline_copy, capsys):
+    """``--only X --update`` used to rewrite the baseline with X alone,
+    dropping every other row."""
+    before = baseline_copy.read_text()
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--only", "flow_churn", "--update",
+              "--baseline", str(baseline_copy)])
+    assert excinfo.value.code == 2
+    assert "--only" in capsys.readouterr().err
+    assert baseline_copy.read_text() == before
+
+
+def test_cli_refuses_a_missing_baseline(tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--only", "flow_churn", "--baseline", str(tmp_path / "nope")])
+    assert excinfo.value.code == 2
+    assert "no baseline" in capsys.readouterr().err
+
+
+def test_cli_update_rewrites_every_row_at_the_recorded_suite(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(bench, "WORKLOADS", {
+        "tiny": lambda size: WorkloadRun(events=size, pops=2 * size)})
+    monkeypatch.setattr(workloads, "SUITES", {"small": {"tiny": {"size": 3}}})
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps({"meta": {"suite": "small"}, "workloads": {}}))
+    assert main(["--baseline", str(path)]) == 1  # tiny has no row yet
+    assert main(["--baseline", str(path), "--update"]) == 0
+    assert json.loads(path.read_text()) == {
+        "schema": "repro.perf/1",
+        "meta": {"suite": "small"},
+        "workloads": {"tiny": {"events": 3, "pops": 6}},
+    }
+    assert main(["--baseline", str(path)]) == 0

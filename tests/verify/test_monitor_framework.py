@@ -5,19 +5,12 @@ import pytest
 
 from repro.sim import Simulator
 from repro.sim.trace import TraceRecord, Tracer, dump_jsonl, load_jsonl
-from repro.verify import (
-    FdBudgetMonitor,
-    FifoDeliveryMonitor,
-    InvariantViolation,
-    Monitor,
-    MonitorBus,
-    MonotoneClockMonitor,
-    PclFlushMonitor,
-    VclLoggingMonitor,
-    VclNoOrphanMonitor,
-    all_monitors,
-)
+from repro.verify import InvariantViolation, Monitor, MonitorBus, all_monitors
 from repro.verify.cli import check_trace, main
+from repro.verify.monitors.engine import MonotoneClockMonitor
+from repro.verify.monitors.pcl import PclFlushMonitor
+from repro.verify.monitors.transport import FdBudgetMonitor, FifoDeliveryMonitor
+from repro.verify.monitors.vcl import VclLoggingMonitor, VclNoOrphanMonitor
 
 pytestmark = pytest.mark.unmonitored
 

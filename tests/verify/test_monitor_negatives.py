@@ -21,19 +21,20 @@ from repro.ft.dcl import DRAIN_BUDGET
 from repro.sim import Simulator
 from repro.sim.trace import SCHEMAS, TraceRecord
 from repro.verify import InvariantViolation, MonitorBus, all_monitors
-from repro.verify.monitors import (
+from repro.verify.monitors.dcl import (
     DclDrainLivenessMonitor,
     DclNetworkEmptyMonitor,
-    FdBudgetMonitor,
-    FifoDeliveryMonitor,
-    LivelockMonitor,
+)
+from repro.verify.monitors.engine import LivelockMonitor, MonotoneClockMonitor
+from repro.verify.monitors.pcl import PclFlushMonitor
+from repro.verify.monitors.survivors import (
     MembershipAgreementMonitor,
-    MonotoneClockMonitor,
-    PclFlushMonitor,
     SpareConsistencyMonitor,
+)
+from repro.verify.monitors.transport import FdBudgetMonitor, FifoDeliveryMonitor
+from repro.verify.monitors.vcl import VclLoggingMonitor, VclNoOrphanMonitor
+from repro.verify.monitors.waves import (
     StorageDurabilityMonitor,
-    VclLoggingMonitor,
-    VclNoOrphanMonitor,
     WaveLivenessMonitor,
 )
 

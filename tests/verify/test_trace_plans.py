@@ -23,14 +23,10 @@ from repro.harness.config import SMOKE
 from repro.harness.runner import execute
 from repro.sim import Simulator, Tracer
 from repro.sim.trace import SCHEMAS, TraceRecord, dump_jsonl
-from repro.verify import (
-    LivelockMonitor,
-    MonitorBus,
-    MonotoneClockMonitor,
-    all_monitors,
-)
+from repro.verify import MonitorBus, all_monitors
 from repro.verify.cli import check_trace, main
 from repro.verify.bus import fused_step
+from repro.verify.monitors.engine import LivelockMonitor, MonotoneClockMonitor
 
 pytestmark = pytest.mark.unmonitored  # every run here attaches its own bus
 
