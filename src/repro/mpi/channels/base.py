@@ -17,16 +17,26 @@ A channel is one rank's communication engine.  It owns:
   endpoint, and application packets are offered to it first (the Vcl
   protocol uses this to log in-transit messages).
 
+Reception is one progress engine per MPI process, as in ft-sock and Nemesis
+(Sec. 4.2): the channel registers itself as the *sink* of every connection
+end it attaches (:meth:`~repro.net.connection.ConnectionEnd.set_sink`) and
+the transport calls :meth:`BaseChannel.handle_packet` per delivery and
+:meth:`BaseChannel.socket_closed` per broken connection.  No connection end
+owns a process; :meth:`BaseChannel._start_receiving` (with its shutdown
+counterpart ``_stop_receiving``) is the one hook a device that really runs
+a receive loop — ch_v's daemon — overrides.
+
 Channels never interpret payloads; everything above the envelope is opaque.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from repro.mpi.matching import MatchingEngine
 from repro.mpi.message import AppPacket, MarkerPacket, Packet
 from repro.net.connection import BrokenConnectionError, ConnectionEnd
+from repro.sim.events import URGENT, Event
 from repro.sim.primitives import EMPTY, Gate
 from repro.sim.trace import declare
 
@@ -75,23 +85,22 @@ class BaseChannel:
         self.conns: Dict[int, ConnectionEnd] = {}
         self._send_gates: Dict[int, Gate] = {}
         self.global_send_gate = Gate(self.sim, open=True, name=f"g:r{rank}")
-        self._frozen_sources: set = set()
+        #: sources whose app packets are parked; a set on demand
+        self._frozen_sources: Union[Tuple[()], Set[int]] = EMPTY
         #: app packets from frozen sources, in arrival order; appended to
         #: and handed over whole by thaw_sources(), so a list on demand
         self.delayed_queue: Union[Tuple[()], List[AppPacket]] = EMPTY
         self.protocol: Optional[Any] = None
         self.down = False
         self._seq = 0
-        self._receivers: list = []
+        #: every end this channel sinks, including ends no longer (or, for
+        #: a self-connection's first end, never alone) in ``conns``
+        self._attached: List[ConnectionEnd] = []
         #: the connection end streaming this rank's checkpoint image, set by
         #: the protocol endpoint for the duration of the transfer
         self.active_transfer_end = None
 
     # ----------------------------------------------------------- cost model
-    def recv_overhead(self, nbytes: float) -> float:
-        """Per-message receive-side host cost (seconds); subclass hook."""
-        return 0.0
-
     def send_overhead(self, nbytes: float) -> float:
         """Per-message send-side host cost (seconds); subclass hook."""
         return 0.0
@@ -117,11 +126,14 @@ class BaseChannel:
 
     # --------------------------------------------------------------- freezing
     def freeze_source(self, src: int) -> None:
-        self._frozen_sources.add(src)
+        if self._frozen_sources is EMPTY:
+            self._frozen_sources = {src}
+        else:
+            self._frozen_sources.add(src)
 
     def thaw_sources(self) -> None:
         """Deliver the delayed receive queue in arrival order, then unfreeze."""
-        self._frozen_sources.clear()
+        self._frozen_sources = EMPTY
         drained, self.delayed_queue = self.delayed_queue, EMPTY
         for packet in drained:
             self._deliver_app(packet)
@@ -278,23 +290,36 @@ class BaseChannel:
     def attach(self, peer: int, end: ConnectionEnd) -> None:
         """Register a connection end for ``peer`` and start receiving."""
         self.conns[peer] = end
-        receiver = self.sim.process(
-            self._receiver(peer, end), name=f"rx:r{self.rank}<-r{peer}"
-        )
-        self._receivers.append(receiver)
+        self._start_receiving(peer, end)
 
-    def _receiver(self, peer: int, end: ConnectionEnd):
-        while True:
-            try:
-                packet = yield end.recv()
-            except ConnectionError:
-                if not self.down:
-                    self.job.notify_socket_closed(self.rank, peer)
-                return
-            overhead = self.recv_overhead(getattr(packet, "nbytes", HEADER_BYTES))
-            if overhead > 0.0:
-                yield from self._host_cost(overhead)
-            self.handle_packet(packet)
+    def _start_receiving(self, peer: int, end: ConnectionEnd) -> None:
+        """Become ``end``'s sink, one URGENT step from now.
+
+        The step is deliberate: reception starts behind whatever is already
+        queued for this instant at URGENT priority — where a receiver
+        process's bootstrap ran — so every later pop keeps its place.
+        """
+        self._attached.append(end)
+
+        def begin(_start: Event) -> None:
+            if end in self._attached:  # no shutdown() since attach()
+                end.set_sink(self, peer)
+
+        start = Event(self.sim, name="rx:start")
+        start.callbacks.append(begin)
+        start.succeed(priority=URGENT)
+
+    def _stop_receiving(self) -> None:
+        """Stop taking deliveries on every end ever attached (shutdown)."""
+        for end in self._attached:
+            end.clear_sink()
+        self._attached.clear()
+
+    def socket_closed(self, peer: int) -> None:
+        """The connection to ``peer`` broke under us: failure detection by
+        unexpected socket closure."""
+        if not self.down:
+            self.job.notify_socket_closed(self.rank, peer)
 
     def handle_packet(self, packet: Packet) -> None:
         if self.down:
@@ -352,7 +377,5 @@ class BaseChannel:
             end.connection.break_()
         self.conns.clear()
         self.matching.fail_all(error)
-        for receiver in self._receivers:
-            receiver.interrupt(error)
-        self._receivers.clear()
+        self._stop_receiving()
         self.delayed_queue = EMPTY

@@ -12,6 +12,12 @@ copies and a high latency overhead", Sec. 5.3), so the cost model here is
 the load-bearing part: a per-message daemon cost on each side, *serialized*
 through a single daemon resource per process, plus a per-byte copy charge.
 
+The daemon is a process in the paper and stays one here: ch_v is the one
+device that overrides :meth:`BaseChannel._start_receiving` with a receive
+loop of its own (one per connection end, parked on ``end.recv()``), because
+each packet queues for the daemon resource and sleeps a service time before
+it is handled.  The other devices take deliveries by callback.
+
 The daemon is also where Vcl logs in-transit messages during a checkpoint
 wave; the logging bookkeeping itself lives in the protocol
 (:mod:`repro.ft.vcl`) via the ``on_app_packet`` hook, but the channel exposes
@@ -20,7 +26,10 @@ the volatile log buffer accounting the daemon would hold.
 
 from __future__ import annotations
 
-from repro.mpi.channels.base import BaseChannel
+from typing import List
+
+from repro.mpi.channels.base import HEADER_BYTES, BaseChannel
+from repro.net.connection import ConnectionEnd
 from repro.sim.primitives import Resource
 
 __all__ = ["ChVChannel"]
@@ -55,6 +64,8 @@ class ChVChannel(BaseChannel):
         self._daemon = Resource(self.sim, capacity=1, name=f"vdaemon:r{rank}")
         #: bytes of in-transit messages currently held in daemon memory
         self.log_buffer_bytes = 0.0
+        #: the daemon's receive loops, one per attached connection end
+        self._receivers: List["Process"] = []
 
     def _scan_cost(self) -> float:
         # the daemon select()s over one socket per peer plus the servers
@@ -65,6 +76,26 @@ class ChVChannel(BaseChannel):
 
     def recv_overhead(self, nbytes: float) -> float:
         return UNIX_HOP_SECONDS + nbytes / COPY_BANDWIDTH + self._scan_cost()
+
+    def _start_receiving(self, peer: int, end: ConnectionEnd) -> None:
+        self._receivers.append(self.sim.process(
+            self._receiver(peer, end), name=f"rx:r{self.rank}<-r{peer}"))
+
+    def _receiver(self, peer: int, end: ConnectionEnd):
+        while True:
+            try:
+                packet = yield end.recv()
+            except ConnectionError:
+                self.socket_closed(peer)
+                return
+            yield from self._host_cost(
+                self.recv_overhead(getattr(packet, "nbytes", HEADER_BYTES)))
+            self.handle_packet(packet)
+
+    def _stop_receiving(self) -> None:
+        for receiver in self._receivers:
+            receiver.interrupt("channel shut down")
+        self._receivers.clear()
 
     def _host_cost(self, seconds: float):
         metrics = self.sim.metrics

@@ -44,12 +44,13 @@ snapshot exactly until the op consuming it has itself committed.)
 from __future__ import annotations
 
 import copy
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Set, Tuple, Union
 
 from repro.mpi import collectives as _collectives
 from repro.mpi.consts import ANY_SOURCE, ANY_TAG, COLLECTIVE_TAG_BASE
 from repro.mpi.request import Request
 from repro.mpi.status import Status
+from repro.sim.primitives import EMPTY
 
 __all__ = ["RankContext", "Snapshot", "SKIPPED", "CompletedSet"]
 
@@ -83,9 +84,13 @@ class CompletedSet:
 
     __slots__ = ("watermark", "extras")
 
-    def __init__(self, watermark: int = 0, extras: Optional[Set[int]] = None) -> None:
+    def __init__(self, watermark: int = 0,
+                 extras: Union[Tuple[()], Set[int]] = EMPTY) -> None:
         self.watermark = watermark
-        self.extras: Set[int] = set(extras) if extras else set()
+        #: a set on demand (one per rank, copied per snapshot, almost
+        #: always empty)
+        self.extras: Union[Tuple[()], Set[int]] = (
+            set(extras) if extras else EMPTY)
 
     def add(self, op_id: int) -> None:
         if op_id == self.watermark:
@@ -94,7 +99,10 @@ class CompletedSet:
                 self.extras.discard(self.watermark)
                 self.watermark += 1
         elif op_id > self.watermark:
-            self.extras.add(op_id)
+            if self.extras is EMPTY:
+                self.extras = {op_id}
+            else:
+                self.extras.add(op_id)
         # op_id < watermark: already recorded; idempotent
 
     def __contains__(self, op_id: int) -> bool:
@@ -104,7 +112,7 @@ class CompletedSet:
         return self.watermark + len(self.extras)
 
     def copy(self) -> "CompletedSet":
-        return CompletedSet(self.watermark, set(self.extras))
+        return CompletedSet(self.watermark, self.extras)
 
 
 class Snapshot:

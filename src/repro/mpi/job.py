@@ -202,9 +202,10 @@ class MPIJob:
 
         Popping the ends out of the channels' connection tables means the
         subsequent :meth:`kill` (whose shutdown breaks every *registered*
-        connection) leaves them untouched; the receiver processes are still
-        interrupted, so nothing reads from the harvested ends until the next
-        incarnation adopts them via ``inherited_links``.
+        connection) leaves them untouched; shutdown still stops reception on
+        every end a channel attached, so nothing takes deliveries from the
+        harvested ends until the next incarnation adopts them via
+        ``inherited_links``.
         """
         alive = set(survivors)
         links: Dict[Tuple[int, int], Tuple[Any, Any]] = {}

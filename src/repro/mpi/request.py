@@ -39,8 +39,8 @@ class Request:
 
     def test(self) -> bool:
         """Non-blocking completion check.  No progress is driven here: the
-        channel receiver loops advance communication independently, like a
-        progress thread."""
+        channel takes deliveries from the transport by callback and
+        advances communication independently, like a progress thread."""
         return self.complete
 
     def wait(self):

@@ -11,6 +11,13 @@ and in-flight messages, and poisons both receive queues with
 :class:`BrokenConnectionError`; blocked readers wake with the error
 immediately, which is the "failure detection by unexpected socket closure"
 semantics of the paper's runtimes.
+
+An end is consumed in one of two ways.  A consumer that *is* a process (the
+checkpoint server, the protocols' ack and fetch loops, the Vcl scheduler,
+the ch_v daemon) parks on :meth:`ConnectionEnd.recv`.  A consumer that is
+one progress engine over many connections (an MPI channel) registers itself
+as the end's *sink* with :meth:`ConnectionEnd.set_sink` and is called back
+per delivery, so a connection end owns no process.
 """
 
 from __future__ import annotations
@@ -40,6 +47,9 @@ declare("net.delivered", __name__, pipe=str, msg=int)
 #: ``(payload, nbytes, sent, extra_latency, msg_id)``
 _Message = Tuple[Any, float, Event, float, int]
 
+#: what the hand-over hop carries when it announces a broken pipe
+_CLOSED = object()
+
 
 class BrokenConnectionError(ConnectionError):
     """Raised to readers/writers of a connection whose peer vanished."""
@@ -66,6 +76,21 @@ class _Pipe:
     inside ``send()`` would flip that decision and move simulated times
     (``tests/net/test_pump_reference.py`` pins this against a generator
     reference pump).
+
+    Reception is a callback too.  With a *sink* registered
+    (:meth:`set_sink`) an arrival is not queued for a reader: ``_deliver``
+    pushes one NORMAL zero-delay hop (:meth:`_hop`) whose callback
+    :meth:`_hand_over` calls ``sink.handle_packet(payload)``.  At most one
+    hop is in flight per pipe; arrivals behind it wait in the inbox and the
+    next hop is pushed only after the sink returned, and ``break_()`` is
+    announced (``sink.socket_closed(tag)``) through the same kind of hop
+    after everything already delivered.  That is push for push what a
+    reader process parked on ``inbox.get()`` cost — the ``get`` event
+    succeeded by ``put`` (or failed by ``poison``), the next ``get()`` after
+    handling — minus the process: handling a packet inside ``_deliver``
+    would run it ahead of everything already queued for that instant
+    (``tests/mpi/test_rx_reference.py`` races the sink against the
+    generator receiver it replaced, and rejects a hop-less one).
     """
 
     __slots__ = (
@@ -88,6 +113,10 @@ class _Pipe:
         "_msg_id",
         "_flush_gen",
         "_sent_name",
+        "_sink",
+        "_sink_tag",
+        "_handing",
+        "_rx_gen",
     )
 
     def __init__(
@@ -129,6 +158,15 @@ class _Pipe:
         #: precomputed sent-event label (send() is hot; an f-string per
         #: message showed up in profiles)
         self._sent_name = f"sent:{name}"
+        #: who takes this pipe's deliveries by callback (None: a reader of
+        #: ``inbox`` does), and what it asked to be told on closure
+        self._sink: Any = None
+        self._sink_tag: Any = None
+        #: True while a hand-over hop is in flight; arrivals queue behind it
+        self._handing = False
+        #: bumped by clear_sink(); a hop from before carries the old
+        #: generation and hands nothing over when it pops
+        self._rx_gen = 0
 
     # ------------------------------------------------------------------ send
     def send(self, payload: Any, nbytes: float, extra_latency: float = 0.0) -> Event:
@@ -251,7 +289,56 @@ class _Pipe:
                 probe = self.sim.trace.probes.get("net.delivered")
                 if probe is not None:
                     probe(self.sim.now, self.name, msg_id)
-            self.inbox.put(payload)
+            if self._sink is None or self._handing:
+                # for a reader process, or behind the hop in flight
+                self.inbox.put(payload)
+            else:
+                self._hop(payload)
+
+    # --------------------------------------------------------------- receive
+    def set_sink(self, sink: Any, tag: Any) -> None:
+        if self._sink is not None:
+            raise RuntimeError(f"pipe {self.name} already delivers to a sink")
+        self._sink = sink
+        self._sink_tag = tag
+        self._feed()
+
+    def clear_sink(self) -> None:
+        self._sink = self._sink_tag = None
+        self._handing = False
+        self._rx_gen += 1
+
+    def _hop(self, payload: Any) -> None:
+        """Schedule the hand-over of ``payload`` for this instant, behind
+        whatever is already queued for it — where ``inbox.put`` succeeding
+        a parked ``get`` pushed that event.  (The seam the negative in
+        ``tests/mpi/test_rx_reference.py`` replaces.)"""
+        self._handing = True
+        self.sim.call_at(0.0, self._hand_over, payload, self._rx_gen)
+
+    def _hand_over(self, payload: Any, gen: int) -> None:
+        if gen != self._rx_gen:
+            return  # for a consumer that stopped receiving: lost with it
+        sink = self._sink
+        if payload is _CLOSED:
+            tag = self._sink_tag
+            self.clear_sink()  # nothing follows a closure
+            sink.socket_closed(tag)
+            return
+        sink.handle_packet(payload)
+        if gen == self._rx_gen:  # the sink may have stopped from inside
+            self._feed()
+
+    def _feed(self) -> None:
+        """Hop what the sink is owed next, in the order a reader's next
+        ``get()`` found it: the oldest arrival still queued, then the
+        closure of a broken pipe; otherwise wait for the next arrival."""
+        if len(self.inbox):
+            self._hop(self.inbox.try_get())
+        elif self.broken:
+            self._hop(_CLOSED)
+        else:
+            self._handing = False
 
     # ----------------------------------------------------------------- flush
     def flush(self) -> None:
@@ -294,6 +381,8 @@ class _Pipe:
                 sent.defused = True
                 sent.fail(error)
         self.inbox.poison(error)
+        if self._sink is not None and not self._handing:
+            self._hop(_CLOSED)
 
 
 class ConnectionEnd:
@@ -320,14 +409,41 @@ class ConnectionEnd:
 
     def recv(self) -> Event:
         """Event yielding the next in-order message from the peer."""
+        if self._in._sink is not None:
+            raise self._has_sink("recv")
         return self._in.inbox.get()
 
     def try_recv(self) -> Any:
         """Non-blocking receive; None when nothing is queued."""
+        if self._in._sink is not None:
+            raise self._has_sink("try_recv")
         return self._in.inbox.try_get()
 
+    def _has_sink(self, call: str) -> RuntimeError:
+        # two consumers of one stream would silently split it
+        return RuntimeError(
+            f"{call}() on pipe {self._in.name}, which delivers to a sink")
+
+    def set_sink(self, sink: Any, tag: Any = None) -> None:
+        """Hand this end's deliveries to ``sink`` instead of queueing them
+        for :meth:`recv`: ``sink.handle_packet(payload)`` per message, in
+        order, each one zero-delay step after it arrived and one at a time
+        (a same-instant burst is handed over packet by packet, other events
+        of that instant in between); ``sink.socket_closed(tag)`` once,
+        after everything delivered before it, if the connection breaks.
+        Messages already delivered and unread are handed over first.  One
+        object may sink many ends; ``tag`` tells it which one closed."""
+        self._in.set_sink(sink, tag)
+
+    def clear_sink(self) -> None:
+        """Stop handing deliveries to the sink (idempotent).  A hand-over
+        already scheduled is lost, as a message taken by a reader that was
+        interrupted before it ran is; later arrivals wait for :meth:`recv`
+        or the next sink."""
+        self._in.clear_sink()
+
     def pending(self) -> int:
-        """Number of delivered-but-unread messages."""
+        """Number of delivered messages not yet read or handed over."""
         return len(self._in.inbox)
 
     def close(self) -> None:

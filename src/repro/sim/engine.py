@@ -189,11 +189,16 @@ class TimerHandle:
 
     def describe(self) -> str:
         """Diagnostic label for watchdog reports; resolves the callback's
-        qualified name lazily so the hot scheduling path never pays for it."""
+        qualified name — and, for a bound method, its owner's ``name``
+        (``call:_Pipe._hand_over conn12.ab``) — lazily, so the hot
+        scheduling path never pays for it."""
         if self.name:
             return self.name
         target = getattr(self.callback, "__qualname__", None)
-        return f"call:{target}" if target else "timer"
+        if not target:
+            return "timer"
+        owner = getattr(getattr(self.callback, "__self__", None), "name", None)
+        return f"call:{target} {owner}" if owner else f"call:{target}"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"

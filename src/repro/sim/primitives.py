@@ -40,7 +40,7 @@ class Store:
     this is how broken connections propagate to blocked readers.
 
     Footprint: the common shape is one reader parked on an empty store (a
-    connection's ``rx`` process), so the oldest waiter lives in the
+    server's or daemon's receive loop), so the oldest waiter lives in the
     ``_getter`` slot and costs no container; ``_more_getters`` (waiters
     behind it) and ``_items`` stay :data:`EMPTY` until a second concurrent
     waiter / a backlog actually appears.  A store that has held a backlog

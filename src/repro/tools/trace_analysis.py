@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.ft.protocol import FTStats
 from repro.sim.trace import Tracer
 
@@ -45,6 +43,8 @@ def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
         raise ValueError("x/y length mismatch")
     if len(xs) < 2:
         raise ValueError("need at least two points")
+    import numpy as np  # here, not at import: see repro.sim.rng
+
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     slope, intercept = np.polyfit(x, y, 1)
@@ -57,6 +57,8 @@ def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
 
 def wave_summary(stats: FTStats) -> dict:
     """Waves completed, mean/max wave duration, blocked time."""
+    import numpy as np  # here, not at import: see repro.sim.rng
+
     durations = stats.wave_durations()
     return {
         "waves": stats.waves_completed,

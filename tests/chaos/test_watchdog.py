@@ -103,6 +103,32 @@ def test_cascade_through_a_pipe_names_the_pipe():
 
 
 @pytest.mark.unmonitored
+def test_waiting_report_names_the_pipe_of_a_pending_hand_over():
+    """Reception is callbacks too: a delivery waiting for its hand-over is
+    a bare timer on the heap, and the who-is-waiting report must still say
+    which pipe — what ``get:inbox:conn1.ab -> rx:r1<-r0`` said when a
+    process read the pipe."""
+    from repro.net import ClusterNetwork
+
+    class Sink:
+        def handle_packet(self, payload):
+            pass
+
+    sim = Simulator()
+    net = ClusterNetwork(sim, n_nodes=2)
+    a, b = net.place(2)
+    sender, receiver = net.connect(a, b).ends()
+    receiver.set_sink(Sink())
+    sender.send("packet", nbytes=10.0)
+    assert [entry.split(" ", 3)[3] for entry in Watchdog._waiting_report(sim)
+            ] == ["sent:conn1.ab", "call:_Pipe._deliver conn1.ab"]
+    sim.step()
+    sim.step()  # delivered: the hand-over hop is all that is left
+    (entry,) = Watchdog._waiting_report(sim)
+    assert entry.endswith(" prio=1 seq=3 call:_Pipe._hand_over conn1.ab")
+
+
+@pytest.mark.unmonitored
 def test_watchdog_reset_forgets_streak():
     watchdog = Watchdog(max_same_time_events=50)
     sim = Simulator(watchdog=watchdog)

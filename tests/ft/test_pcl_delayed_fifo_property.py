@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.mpi import FtSockChannel, NemesisChannel
 from repro.sim import Simulator
+from repro.sim.primitives import EMPTY
 
 from tests.ft.conftest import build_ft_run
 
@@ -56,9 +57,23 @@ def _run_stream(channel_cls, schedule, wave_times):
                           channel_cls=channel_cls, period=60.0,
                           image_bytes=2e5, fork_latency=0.002)
     run.start()
+    frozen = []
+
+    def sample():
+        # ``_frozen_sources`` is a set on demand: EMPTY whenever thawed
+        for channel in run.job.channels:
+            assert channel.frozen_sources == frozenset(channel._frozen_sources)
+            assert channel._frozen_sources is EMPTY or channel._frozen_sources
+            frozen.append(len(channel.frozen_sources))
+
     for at in wave_times:
         sim.call_at(at, lambda: run.protocol.request_wave())
+        for offset in (0.0, 0.0005, 0.002, 0.01):
+            sim.call_at(at + offset, sample)
     sim.run_until_complete(run.completed, limit=1e5)
+    sample()
+    assert frozen[-2:] == [0, 0]  # every wave thawed what it froze
+    run.frozen_samples = frozen
     return run
 
 
@@ -83,3 +98,4 @@ def test_waves_actually_interleave_with_the_stream():
     run = _run_stream(NemesisChannel, schedule, wave_times=[0.03])
     assert run.stats.waves_completed >= 1
     assert run.job.contexts[1].state["seen"] == list(range(8))
+    assert max(run.frozen_samples) == 1  # sampled while a source was frozen

@@ -194,3 +194,124 @@ def test_same_node_connection_uses_memory_link():
 
     t, _msg = sim.run_until_complete(sim.process(roundtrip()))
     assert t == pytest.approx(net.shm_fabric.latency)
+
+
+# ------------------------------------------------------------------ sinks
+class Sink:
+    """Records what a connection end hands over, with the instant."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.seen = []
+
+    def handle_packet(self, payload):
+        self.seen.append((self.sim.now, payload))
+
+    def socket_closed(self, tag):
+        self.seen.append((self.sim.now, "closed", tag))
+
+
+def test_sink_takes_deliveries_one_step_after_arrival():
+    sim, net = small_net()
+    a, b = net.place(2)
+    ea, eb = net.connect(a, b).ends()
+    sink = Sink(sim)
+    eb.set_sink(sink, tag="b")
+    ea.send("first", nbytes=100)
+    ea.send("second", nbytes=100)
+    order = []
+    arrival = net.fabric.latency + 100 / net.fabric.bandwidth
+    # scheduled before the message is even delivered, for the instant it
+    # arrives in: still runs first, because the hand-over is its own step
+    sim.call_at(arrival, lambda: order.append(list(sink.seen)))
+    sim.run()
+    assert [payload for _, payload in sink.seen] == ["first", "second"]
+    assert sink.seen[0][0] == arrival and order == [[]]
+    assert eb.pending() == 0
+
+
+def test_reading_an_end_that_has_a_sink_is_refused():
+    sim, net = small_net()
+    a, b = net.place(2)
+    ea, eb = net.connect(a, b).ends()
+    eb.set_sink(Sink(sim))
+    for read in (eb.recv, eb.try_recv):
+        with pytest.raises(RuntimeError, match=r"pipe conn1\.ab.*sink"):
+            read()
+    with pytest.raises(RuntimeError, match=r"pipe conn1\.ab already"):
+        eb.set_sink(Sink(sim))
+    ea.recv()  # the other direction has no sink: still a reader's
+    eb.clear_sink()
+    eb.recv()
+
+
+def test_sink_is_handed_what_was_already_delivered_and_pending_counts_it():
+    sim, net = small_net()
+    a, b = net.place(2)
+    ea, eb = net.connect(a, b).ends()
+    for i in range(3):
+        ea.send(i, nbytes=10)
+    sim.run()
+    assert eb.pending() == 3
+    sink = Sink(sim)
+    eb.set_sink(sink)
+    assert eb.pending() == 2  # one is on its hop, two wait behind it
+    sim.run()
+    assert [payload for _, payload in sink.seen] == [0, 1, 2]
+    assert eb.pending() == 0
+
+
+def test_closure_reaches_the_sink_after_everything_delivered():
+    sim, net = small_net()
+    a, b = net.place(2)
+    conn = net.connect(a, b)
+    ea, eb = conn.ends()
+    ea.send("in-flight", nbytes=10)
+    ea.send("behind", nbytes=10)
+    sim.run()
+    sink = Sink(sim)
+    eb.set_sink(sink, tag=7)
+    conn.break_()  # with one hand-over scheduled and one message behind it
+    ea_sink = Sink(sim)
+    ea.set_sink(ea_sink, tag=8)  # registering on a broken pipe: told at once
+    sim.run()
+    assert [entry[1:] for entry in sink.seen] == [
+        ("in-flight",), ("behind",), ("closed", 7)]
+    assert [entry[1:] for entry in ea_sink.seen] == [("closed", 8)]
+    eb.recv()  # a closure ends the registration
+
+
+def test_clear_sink_loses_the_scheduled_hand_over_and_keeps_the_rest():
+    sim, net = small_net()
+    a, b = net.place(2)
+    ea, eb = net.connect(a, b).ends()
+    for i in range(3):
+        ea.send(i, nbytes=10)
+    sim.run()
+    first, second = Sink(sim), Sink(sim)
+    eb.set_sink(first)
+    eb.clear_sink()  # message 0 was taken for `first`: lost with it
+    eb.set_sink(second)
+    sim.run()
+    assert first.seen == []
+    assert [payload for _, payload in second.seen] == [1, 2]
+
+
+def test_sink_may_stop_receiving_from_inside_a_hand_over():
+    sim, net = small_net()
+    a, b = net.place(2)
+    ea, eb = net.connect(a, b).ends()
+
+    class OneShot(Sink):
+        def handle_packet(self, payload):
+            super().handle_packet(payload)
+            eb.clear_sink()
+
+    for i in range(3):
+        ea.send(i, nbytes=10)
+    sim.run()
+    sink = OneShot(sim)
+    eb.set_sink(sink)
+    sim.run()
+    assert [payload for _, payload in sink.seen] == [0]
+    assert eb.pending() == 2 and eb.try_recv() == 1

@@ -11,31 +11,72 @@ and none after a ring round whose flow-sized token drove every pipe's
 The documented exceptions (a ``Store`` that has held a backlog, a
 ``Resource`` that has had waiters, keep their deque) do not occur on this
 workload, so the count is exact; docs/PERF.md "Transport fixed costs".
+
+The same ring pins what reception costs: no connection end owns a receive
+process (before: one parked generator + ``Process`` + ``get`` event per end,
+~0.8 KB, two per rank on a ring), and a rank owns no empty ``set`` (before:
+two, 216 B each).  A run that draws no random number must not import
+``numpy`` either (+16 MB resident); pytest itself imports it, so that one is
+checked in a fresh interpreter.
 """
 
 import collections
 import gc
+import os
+import subprocess
+import sys
+import types
 
 import pytest
 
+import repro
 from repro.apps.synthetic import token_ring
 from repro.net.connection import _INLINE_BYTES
 from repro.runtime import DeploymentSpec, build_run
 from repro.sim import make_simulator
+from repro.sim.process import Process
 
 N_RANKS = 1_000
+#: live ``Process`` objects that are not a rank's application process: the
+#: FTPM launcher's and the process manager's are done and unreferenced once
+#: the launch has drained, so none
+RUNTIME_PROCESSES = 0
 
 
-def _live_deques(known=frozenset()):
+def _live(kind, known=frozenset()):
     gc.collect()
     return [obj for obj in gc.get_objects()
-            if type(obj) is collections.deque and id(obj) not in known]
+            if type(obj) is kind and id(obj) not in known]
+
+
+def _receive_loops(generators):
+    """Generators whose code is a channel's per-connection receive loop."""
+    channels = os.path.join("repro", "mpi", "channels")
+    return [gen for gen in generators
+            if channels in gen.gi_code.co_filename
+            and "receiver" in gen.gi_code.co_name]
+
+
+def _empty_sets(job):
+    """Empty ``set``s held by a channel, its matching engine, a rank
+    context or its completed-op set."""
+    holders = []
+    for channel, context in zip(job.channels, job.contexts):
+        holders += [vars(channel), vars(channel.matching), vars(context),
+                    {slot: getattr(context._completed, slot)
+                     for slot in context._completed.__slots__}]
+    return [(name, value) for holder in holders
+            for name, value in holder.items()
+            if type(value) is set and not value]
 
 
 @pytest.mark.unmonitored  # the monitor bus keeps a record window: not transport
 def test_idle_and_drained_queues_own_no_deque():
     # deques of the interpreter, pytest and earlier tests are not ours
-    known = frozenset(id(obj) for obj in _live_deques())
+    known = frozenset(id(obj) for obj in _live(collections.deque))
+    known_processes = frozenset(id(obj) for obj in _live(Process))
+    known_generators = frozenset(
+        id(obj) for obj in _live(types.GeneratorType))
     sim = make_simulator(seed=3)
     go = sim.event(name="go")
     ring = token_ring(rounds=1, nbytes=4 * _INLINE_BYTES)
@@ -50,11 +91,53 @@ def test_idle_and_drained_queues_own_no_deque():
     run.start()
     sim.run()  # drains: every rank is launched and parked on `go`
     assert not run.completed.triggered
-    assert _live_deques(known) == []
+    assert _live(collections.deque, known) == []
+
+    def assert_no_receive_process():
+        assert _receive_loops(
+            _live(types.GeneratorType, known_generators)) == []
+        assert len(_live(Process, known_processes)) == \
+            N_RANKS + RUNTIME_PROCESSES
+        assert _empty_sets(run.job) == []
+
+    assert_no_receive_process()
 
     go.succeed()
     sim.run_until_complete(run.completed, limit=1e8)
     pipes = [pipe for conn in run.net.connections for pipe in conn.pipes]
     assert len(pipes) >= 2 * N_RANKS  # the ring really connected everyone
     assert sum(pipe.messages_sent for pipe in pipes) >= N_RANKS
-    assert _live_deques(known) == []
+    assert _live(collections.deque, known) == []
+    assert_no_receive_process()  # connected, and every end has received
+
+
+def test_receive_loop_detector_sees_the_one_device_that_has_one():
+    """ch_v's daemon is the receive loop left in ``src/``; the detector the
+    pin above relies on must see it."""
+    sim = make_simulator(seed=3)
+    spec = DeploymentSpec(n_procs=3, protocol=None, channel="ch_v")
+    run = build_run(sim, spec, token_ring(rounds=1), name="footprint-chv")
+    run.start()
+    sim.run_until_complete(run.completed, limit=1e8)
+    loops = _receive_loops(_live(types.GeneratorType))
+    assert len(loops) >= 3 * 2  # eager mesh: two ends per rank
+
+
+def test_a_run_that_draws_no_random_number_imports_no_numpy():
+    """``scale_337`` has no jitter, no failures, no launch skew drawn from a
+    stream: nothing in it may pull ``numpy`` in (``repro.sim.rng`` imports
+    it on the first ``stream()`` call).  In a child, because this
+    interpreter has it already."""
+    code = (
+        "import sys\n"
+        "from repro.perf.workloads import WORKLOADS, suite_params\n"
+        "run = WORKLOADS['scale_337'](**suite_params('smoke')['scale_337'])\n"
+        "assert run.events > 0\n"
+        "sys.exit('numpy' in sys.modules)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(repro.__file__)),
+         env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=300,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr[-2000:] or "numpy was imported"

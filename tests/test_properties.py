@@ -25,6 +25,7 @@ from repro.net import ClusterNetwork
 from repro.net.flows import FlowScheduler
 from repro.net.link import Link
 from repro.sim import Simulator
+from repro.sim.primitives import EMPTY
 
 
 # ------------------------------------------------------------ event order
@@ -158,12 +159,22 @@ def test_fluid_flows_conserve_bytes_and_respect_capacity(flows):
 def test_completed_set_equivalent_to_plain_set(ids):
     cs = CompletedSet()
     reference = set()
+    out_of_order = False
     for op_id in ids:
+        out_of_order = out_of_order or op_id > cs.watermark
         cs.add(op_id)
         reference.add(op_id)
         assert len(cs) == len(reference)
+        # ``extras`` is a set on demand: the shared EMPTY until the first
+        # out-of-order completion, and never an empty set in a copy
+        assert (cs.extras is EMPTY) == (not out_of_order)
+        snapshot = cs.copy()
+        assert snapshot.extras is EMPTY or snapshot.extras
+        assert snapshot.extras is EMPTY or snapshot.extras is not cs.extras
+        assert (snapshot.watermark, set(snapshot.extras), len(snapshot)) == \
+            (cs.watermark, set(cs.extras), len(cs))
     for probe in range(55):
-        assert (probe in cs) == (probe in reference)
+        assert (probe in cs) == (probe in reference) == (probe in cs.copy())
 
 
 # ----------------------------------------------- snapshot consistency
@@ -230,6 +241,15 @@ def test_snapshot_replay_equals_failure_free_execution(schedule, cut, size):
     # app processes frozen is not expressible here, so restrict to the
     # op-level cut the protocols provide: snapshot *between* deliveries).
     snapshots = [ctx.take_snapshot(wave=1) for ctx in job2.contexts]
+    for ctx, snapshot in zip(job2.contexts, snapshots):
+        # the isend completes after the recv posted behind it: ``extras``
+        # (a set on demand) is really in play, and is copied only when
+        # there is something in it
+        live, copied = ctx._completed, snapshot.completed
+        assert (copied.watermark, set(copied.extras)) == \
+            (live.watermark, set(live.extras))
+        assert copied.extras is EMPTY or (
+            copied.extras and copied.extras is not live.extras)
     in_flight = any(
         pipe.egress or pipe._current_flow is not None or len(pipe.inbox)
         for conn in net2.connections for pipe in conn.pipes
