@@ -338,7 +338,7 @@ class FTRun:
         """
         if mttf <= 0:
             raise ValueError("mttf must be positive")
-        rng = self.sim.rng.stream(f"{self.name}.{stream}")
+        rng = self.sim.rng.numpy_stream(f"{self.name}.{stream}")
         self.sim.process(
             self._poisson_failures(rng, mttf, max_failures, probe_lead),
             name=f"{self.name}:poisson",

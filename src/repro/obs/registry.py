@@ -255,8 +255,7 @@ def phase_totals(snapshot: Dict[str, Any]) -> Dict[str, float]:
 
     Sources the ``ft.wave_phase_seconds`` histograms the protocol layer
     feeds (one per ``(protocol, phase)`` label set) and folds them to a
-    ``phase -> total seconds`` map — the decomposition
-    :func:`repro.tools.trace_analysis.overhead_breakdown` reports.
+    ``phase -> total seconds`` map.
     """
     totals: Dict[str, float] = {}
     for labels, entry in metric_values(snapshot, "ft.wave_phase_seconds",

@@ -6,17 +6,27 @@ derived from the root seed and the stream name only, so adding a new consumer
 never perturbs the draws seen by existing components — a property the
 regression tests rely on.
 
-``numpy`` is imported by the first :meth:`RngRegistry.stream` call, not by
-this module: a run that draws no random number (the 10,000-rank launch)
-pays neither the import time nor its ~16 MB of resident memory.
+A stream is a pure-Python PCG64 (XSL-RR 128/64) seeded the way
+``numpy.random.SeedSequence([seed, crc32(name)])`` seeds one, and yields
+bit for bit what ``numpy.random.default_rng`` of that sequence yields for
+``random()`` and ``uniform(a, b)`` — the few hundred draws a figure makes do
+not pay numpy's import (~20 MB resident, 0.15-0.35 s).  ``numpy`` is the
+oracle the tests compare against (``tests/sim/test_rng_reference.py``) and,
+through :meth:`RngRegistry.numpy_stream`, the failure injector's source of
+real distributions; nothing else in ``src/`` imports it.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Dict
+from typing import Dict, List
 
-__all__ = ["RngRegistry"]
+__all__ = ["RngRegistry", "Stream"]
+
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _stable_hash(name: str) -> int:
@@ -24,26 +34,117 @@ def _stable_hash(name: str) -> int:
     return zlib.crc32(name.encode("utf-8"))
 
 
+def _hasher(constant: int, multiplier: int):
+    """SeedSequence's running hash: each call also advances its constant."""
+    def hashed(value: int) -> int:
+        nonlocal constant
+        value ^= constant
+        constant = constant * multiplier & _MASK32
+        value = value * constant & _MASK32
+        return value ^ value >> 16
+    return hashed
+
+
+def _mixed(x: int, y: int) -> int:
+    value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _seed_words(entropy: List[int]) -> List[int]:
+    """SeedSequence: hash ``entropy`` into a 4-word pool, draw 4 64-bit words."""
+    hashed = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashed(word) for word in (entropy + [0, 0, 0])[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mixed(pool[dst], hashed(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mixed(pool[dst], hashed(word))
+    hashed = _hasher(0x8B51F9DD, 0x58F38DED)
+    out = [hashed(pool[i % 4]) for i in range(8)]
+    return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+class Stream:
+    """The PCG64 stream ``name`` under root ``seed``: ``random()`` and
+    ``uniform(low, high)`` only."""
+
+    __slots__ = ("_state", "_increment")
+
+    def __init__(self, seed: int, name: str) -> None:
+        # [seed, crc32(name)] as SeedSequence's 32-bit words, low word first
+        entropy = [seed & _MASK32]
+        while seed := seed >> 32:
+            entropy.append(seed & _MASK32)
+        entropy.append(_stable_hash(name))
+        state_hi, state_lo, seq_hi, seq_lo = _seed_words(entropy)
+        self._seed(state_hi << 64 | state_lo, seq_hi << 64 | seq_lo)
+
+    def _seed(self, initstate: int, initseq: int) -> None:
+        """PCG's ``srandom``: step, add the state, step again."""
+        self._increment = (initseq << 1 | 1) & _MASK128
+        self._state = 0
+        self._step()
+        self._state = (self._state + initstate) & _MASK128
+        self._step()
+
+    def _step(self) -> None:
+        self._state = (self._state * _PCG_MULTIPLIER + self._increment) & _MASK128
+
+    def random_raw(self) -> int:
+        """The next 64 bits: xor the halves, rotate right by the top 6 bits."""
+        self._step()
+        state = self._state
+        value = (state >> 64 ^ state) & _MASK64
+        rotation = state >> 122
+        return (value >> rotation | value << (64 - rotation)) & _MASK64
+
+    def random(self) -> float:
+        """Uniform on [0, 1) with 53 random bits."""
+        return (self.random_raw() >> 11) * (1.0 / 9007199254740992.0)
+
+    def uniform(self, low: float, high: float) -> float:
+        """Uniform on [low, high)."""
+        return low + (high - low) * self.random()
+
+
 class RngRegistry:
-    """Factory and cache of named :class:`numpy.random.Generator` streams."""
+    """Factory and cache of named random streams."""
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
-        self._streams: Dict[str, "np.random.Generator"] = {}
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        self._streams: Dict[str, Stream] = {}
+        self._numpy_streams: Dict[str, "numpy.random.Generator"] = {}
 
-    def stream(self, name: str) -> "np.random.Generator":
-        """Return the generator for ``name``, creating it on first use."""
-        generator = self._streams.get(name)
+    def stream(self, name: str) -> Stream:
+        """Return the stream for ``name``, creating it on first use."""
+        stream = self._streams.get(name)
+        if stream is None:
+            stream = self._streams[name] = Stream(self.seed, name)
+        return stream
+
+    def numpy_stream(self, name: str) -> "numpy.random.Generator":
+        """The same stream as :meth:`stream`, as a ``numpy`` ``Generator``.
+
+        For the one consumer that needs a real distribution (the Poisson
+        failure injector: ``exponential`` + ``integers``).  numpy's
+        exponential is a ziggurat over 768 table constants of its own, which
+        are not ours to copy, so that caller pays the import instead; the
+        seeding is identical, hence so is every kill schedule.
+        """
+        generator = self._numpy_streams.get(name)
         if generator is None:
-            import numpy as np
+            import numpy
 
-            sequence = np.random.SeedSequence([self.seed, _stable_hash(name)])
-            generator = np.random.default_rng(sequence)
-            self._streams[name] = generator
+            sequence = numpy.random.SeedSequence([self.seed, _stable_hash(name)])
+            generator = self._numpy_streams[name] = numpy.random.default_rng(sequence)
         return generator
 
     def __contains__(self, name: str) -> bool:
-        return name in self._streams
+        return name in self._streams or name in self._numpy_streams
 
     def fork(self, salt: int) -> "RngRegistry":
         """Derive an independent registry (used for per-run sub-seeding)."""

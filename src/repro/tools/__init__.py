@@ -2,12 +2,7 @@
 
 from repro.tools.ascii_plot import ascii_plot
 from repro.tools.netpipe import DEFAULT_SIZES, NetpipeSample, run_netpipe, summarize
-from repro.tools.trace_analysis import (
-    LinearFit,
-    linear_fit,
-    overhead_breakdown,
-    wave_summary,
-)
+from repro.tools.trace_analysis import LinearFit, linear_fit
 
 __all__ = [
     "DEFAULT_SIZES",
@@ -15,8 +10,6 @@ __all__ = [
     "LinearFit",
     "NetpipeSample",
     "linear_fit",
-    "overhead_breakdown",
     "run_netpipe",
     "summarize",
-    "wave_summary",
 ]

@@ -6,8 +6,7 @@ from repro.apps.synthetic import burst, halo_2d, ping_pong, token_ring
 from repro.mpi import FtSockChannel, MPIJob
 from repro.net import ClusterNetwork, GridNetwork
 from repro.sim import Simulator
-from repro.tools import linear_fit, overhead_breakdown, run_netpipe, summarize, wave_summary
-from repro.ft.protocol import FTStats
+from repro.tools import linear_fit, run_netpipe, summarize
 
 
 def run_app(app, size, seed=1):
@@ -96,19 +95,5 @@ def test_linear_fit_validation():
         linear_fit([1], [1])
     with pytest.raises(ValueError):
         linear_fit([1, 2], [1])
-
-
-def test_wave_summary_and_breakdown():
-    stats = FTStats()
-    stats.waves_completed = 2
-    stats.wave_records = [(1, 0.0, 2.0), (2, 5.0, 6.0)]
-    stats.blocked_seconds = 0.5
-    summary = wave_summary(stats)
-    assert summary["waves"] == 2
-    assert summary["mean_wave_seconds"] == pytest.approx(1.5)
-    assert summary["max_wave_seconds"] == pytest.approx(2.0)
-
-    breakdown = overhead_breakdown(completion=110.0, baseline=100.0, stats=stats)
-    assert breakdown["overhead_seconds"] == pytest.approx(10.0)
-    assert breakdown["overhead_percent"] == pytest.approx(10.0)
-    assert breakdown["overhead_per_wave"] == pytest.approx(5.0)
+    with pytest.raises(ValueError, match="all have x = 3.0"):
+        linear_fit([3.0, 3.0, 3.0], [1.0, 2.0, 4.0])

@@ -15,9 +15,10 @@ workload, so the count is exact; docs/PERF.md "Transport fixed costs".
 The same ring pins what reception costs: no connection end owns a receive
 process (before: one parked generator + ``Process`` + ``get`` event per end,
 ~0.8 KB, two per rank on a ring), and a rank owns no empty ``set`` (before:
-two, 216 B each).  A run that draws no random number must not import
-``numpy`` either (+16 MB resident); pytest itself imports it, so that one is
-checked in a fresh interpreter.
+two, 216 B each).  No run but one that injects Poisson failures may import
+``numpy`` either (~20 MB resident) — not one that draws no random number,
+and not one that draws jitter, checkpoints, loses a node and fits a line;
+pytest itself imports it, so those are checked in a fresh interpreter.
 """
 
 import collections
@@ -123,21 +124,50 @@ def test_receive_loop_detector_sees_the_one_device_that_has_one():
     assert len(loops) >= 3 * 2  # eager mesh: two ends per rank
 
 
-def test_a_run_that_draws_no_random_number_imports_no_numpy():
-    """``scale_337`` has no jitter, no failures, no launch skew drawn from a
-    stream: nothing in it may pull ``numpy`` in (``repro.sim.rng`` imports
-    it on the first ``stream()`` call).  In a child, because this
-    interpreter has it already."""
-    code = (
-        "import sys\n"
-        "from repro.perf.workloads import WORKLOADS, suite_params\n"
-        "run = WORKLOADS['scale_337'](**suite_params('smoke')['scale_337'])\n"
-        "assert run.events > 0\n"
-        "sys.exit('numpy' in sys.modules)\n")
+def _child_imported_numpy(code):
+    """Run ``code`` in a fresh interpreter (this one has ``numpy`` already:
+    pytest's plugins and the oracle tests import it) and report whether it
+    ended with ``numpy`` loaded."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.dirname(os.path.dirname(repro.__file__)),
          env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
-    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=300,
-                          capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr[-2000:] or "numpy was imported"
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys\n" + code
+         + "sys.exit(10 + ('numpy' in sys.modules))\n"],
+        env=env, timeout=300, capture_output=True, text=True)
+    assert done.returncode in (10, 11), done.stderr[-2000:]
+    return done.returncode == 11
+
+
+def test_a_run_that_draws_no_random_number_imports_no_numpy():
+    """``scale_337`` has no jitter, no failures, no launch skew drawn from a
+    stream: nothing in it may pull ``numpy`` in."""
+    assert not _child_imported_numpy(
+        "from repro.perf.workloads import WORKLOADS, suite_params\n"
+        "run = WORKLOADS['scale_337'](**suite_params('smoke')['scale_337'])\n"
+        "assert run.events > 0\n")
+
+
+JITTERED_RUN = (
+    "from repro.perf.workloads import WORKLOADS\n"
+    "from repro.tools import linear_fit\n"
+    "assert WORKLOADS['chaos_kill']().extra['verdict'] == 'recovered'\n"
+    "assert linear_fit([0, 1, 2], [1.0, 2.0, 3.5]).slope == 1.25\n")
+
+
+def test_a_jittered_checkpointed_killed_run_imports_no_numpy():
+    """``chaos_kill`` draws its compute jitter from named streams, takes a
+    checkpoint wave, loses a node and recovers; a figure then fits a line.
+    The streams are pure Python (``repro.sim.rng``) and the fit a closed
+    form, so none of it may pull ``numpy`` in — only the Poisson failure
+    injector does, which is also the proof that the detector is live."""
+    assert not _child_imported_numpy(JITTERED_RUN)
+    assert _child_imported_numpy(
+        JITTERED_RUN
+        + "from repro.apps.synthetic import token_ring\n"
+        "from repro.runtime import DeploymentSpec, build_run\n"
+        "from repro.sim import make_simulator\n"
+        "run = build_run(make_simulator(seed=3), DeploymentSpec(n_procs=4,\n"
+        "                protocol='pcl'), token_ring(rounds=1), name='mttf')\n"
+        "run.enable_random_failures(mttf=5.0)\n")

@@ -1,81 +1,36 @@
-"""Unit tests for :func:`repro.tools.trace_analysis.overhead_breakdown`.
+"""``linear_fit`` against its oracle.
 
-The legacy ``stats=`` interface must keep working; the ``metrics=``
-interface must source waves and the per-phase decomposition from a
-:mod:`repro.obs` snapshot.
+The harness fits its time-vs-waves lines with a closed form so that no
+figure imports ``numpy``; ``numpy.polyfit`` — what it called before — is
+the reference the closed form must agree with.
 """
 
-import pytest
+import numpy as np
+from hypothesis import given, settings, strategies as st
 
-from repro.ft.protocol import FTStats
-from repro.obs import MetricsRegistry
-from repro.tools import overhead_breakdown
+from repro.tools import linear_fit
 
-
-def _snapshot(waves=4, phases=None):
-    registry = MetricsRegistry()
-    registry.count("ft.waves_completed", float(waves), protocol="pcl")
-    for phase, seconds in (phases or {}).items():
-        registry.observe("ft.wave_phase_seconds", seconds,
-                         protocol="pcl", phase=phase)
-    return registry.snapshot()
+#: wave counts against completion times on a millisecond grid
+points = st.lists(
+    st.tuples(st.integers(0, 300), st.integers(0, 10**7).map(lambda ms: ms / 1000)),
+    min_size=2, max_size=12,
+).filter(lambda pts: len({x for x, _y in pts}) >= 2)
 
 
-def test_breakdown_requires_a_source():
-    with pytest.raises(ValueError):
-        overhead_breakdown(110.0, 100.0)
+@settings(max_examples=300, deadline=None)
+@given(points)
+def test_linear_fit_is_numpy_polyfit(pts):
+    xs = [float(x) for x, _y in pts]
+    ys = [y for _x, y in pts]
+    fit = linear_fit(xs, ys)
+    slope, intercept = np.polyfit(xs, ys, 1)
+    x, y = np.asarray(xs), np.asarray(ys)
+    total = ((y - y.mean()) ** 2).sum()
+    r2 = 1.0 if total == 0.0 else 1.0 - ((y - (slope * x + intercept)) ** 2).sum() / total
 
-
-def test_breakdown_legacy_stats_interface():
-    stats = FTStats()
-    stats.waves_completed = 5
-    breakdown = overhead_breakdown(completion=110.0, baseline=100.0,
-                                   stats=stats)
-    assert breakdown["overhead_seconds"] == pytest.approx(10.0)
-    assert breakdown["overhead_percent"] == pytest.approx(10.0)
-    assert breakdown["overhead_per_wave"] == pytest.approx(2.0)
-    assert breakdown["waves"] == 5
-    assert "phase_seconds" not in breakdown
-
-
-def test_breakdown_from_metrics_snapshot():
-    snapshot = _snapshot(waves=4, phases={"markers": 1.0, "flush": 6.0,
-                                          "stream": 2.0, "commit": 1.0})
-    breakdown = overhead_breakdown(completion=110.0, baseline=100.0,
-                                   metrics=snapshot)
-    assert breakdown["waves"] == 4
-    assert breakdown["overhead_per_wave"] == pytest.approx(2.5)
-    assert breakdown["phase_seconds"] == pytest.approx(
-        {"markers": 1.0, "flush": 6.0, "stream": 2.0, "commit": 1.0})
-    assert breakdown["phase_share"]["flush"] == pytest.approx(0.6)
-    assert sum(breakdown["phase_share"].values()) == pytest.approx(1.0)
-
-
-def test_breakdown_metrics_folds_phase_labels_across_protocols():
-    registry = MetricsRegistry()
-    registry.count("ft.waves_completed", 2.0, protocol="pcl")
-    registry.count("ft.waves_completed", 3.0, protocol="vcl")
-    registry.observe("ft.wave_phase_seconds", 1.5, protocol="pcl",
-                     phase="flush")
-    registry.observe("ft.wave_phase_seconds", 0.5, protocol="vcl",
-                     phase="flush")
-    breakdown = overhead_breakdown(10.0, 5.0, metrics=registry.snapshot())
-    assert breakdown["waves"] == 5
-    assert breakdown["phase_seconds"]["flush"] == pytest.approx(2.0)
-
-
-def test_breakdown_stats_wave_count_wins_when_both_given():
-    stats = FTStats()
-    stats.waves_completed = 7
-    snapshot = _snapshot(waves=4, phases={"flush": 2.0})
-    breakdown = overhead_breakdown(110.0, 100.0, stats=stats,
-                                   metrics=snapshot)
-    assert breakdown["waves"] == 7
-    assert breakdown["phase_seconds"] == {"flush": 2.0}
-
-
-def test_breakdown_zero_baseline_and_zero_waves():
-    snapshot = _snapshot(waves=0)
-    breakdown = overhead_breakdown(5.0, 0.0, metrics=snapshot)
-    assert breakdown["overhead_percent"] == 0.0
-    assert breakdown["overhead_per_wave"] == 0.0
+    scale = 1e-12 * (max(ys) or 1.0)  # 1e-12 relative to the data
+    assert abs(fit.slope - slope) <= scale
+    assert abs(fit.intercept - intercept) <= scale * (1.0 + max(xs))
+    assert all(abs(fit.predict(v) - (slope * v + intercept)) <= scale for v in xs)
+    if len(set(ys)) > 1:  # r2 of a flat line is rounding noise over rounding noise
+        assert abs(fit.r2 - r2) <= 1e-9
