@@ -11,7 +11,7 @@ Run:  python examples/failure_recovery_demo.py
 
 import operator
 
-from repro.ft import CheckpointServer, FTRun, VclProtocol
+from repro.ft import CheckpointServer, FTRun, Fault, VclProtocol
 from repro.mpi import ChVChannel
 from repro.net import ClusterNetwork
 from repro.net.topology import Endpoint
@@ -55,7 +55,7 @@ def main() -> None:
     run = FTRun(sim, net, endpoints, ring_app, ChVChannel, protocol_factory,
                 [server], name="demo")
     run.start()
-    run.schedule_task_kill(rank=2, at=2.1)
+    run.schedule(Fault("task", 2, 2.1))
     completion = sim.run_until_complete(run.completed, limit=1e5)
 
     print("timeline:")

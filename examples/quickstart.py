@@ -15,6 +15,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro.apps import BT
+from repro.ft import Fault
 from repro.runtime import DeploymentSpec, build_run
 from repro.sim import Simulator
 
@@ -37,7 +38,7 @@ def main() -> None:
     )
     run = build_run(sim, spec, bench.make_app(n_procs), name="quickstart")
     run.start()
-    run.schedule_task_kill(rank=3, at=6.0)
+    run.schedule(Fault("task", 3, 6.0))
 
     completion = sim.run_until_complete(run.completed, limit=1e6)
 

@@ -3,8 +3,8 @@
 The chaos subsystem turns the one-off failure experiments of
 :mod:`repro.ft` into a swept, self-judging campaign: a
 :class:`~repro.chaos.spec.CampaignSpec` enumerates scenarios (protocol ×
-channel × processes-per-node × kill kind × kill time × seed), the runner
-executes each through :func:`repro.harness.runner.execute` with the engine
+channel × processes-per-node × faults × seed), the runner executes each
+through :func:`repro.harness.runner.execute` with the engine
 :class:`~repro.sim.Watchdog` armed and all :mod:`repro.verify` monitors
 riding along, and every run is classified into a verdict:
 
@@ -62,7 +62,6 @@ from repro.chaos.runner import (
 from repro.chaos.spec import (
     CAMPAIGNS,
     RECOVERY_POLICIES,
-    STORAGE_FAULTS,
     CampaignSpec,
     Scenario,
     dcl_campaign,
@@ -70,15 +69,17 @@ from repro.chaos.spec import (
     smoke_campaign,
     storage_campaign,
 )
+from repro.ft.failure import FAULTS, Fault
 
 __all__ = [
     "BAD_VERDICTS",
     "CAMPAIGNS",
     "CampaignResult",
     "CampaignSpec",
+    "FAULTS",
+    "Fault",
     "OK_VERDICTS",
     "RECOVERY_POLICIES",
-    "STORAGE_FAULTS",
     "Scenario",
     "ScenarioResult",
     "dcl_campaign",

@@ -22,6 +22,7 @@ from typing import List, Optional
 from repro.chaos.report import write_report
 from repro.chaos.runner import run_campaign
 from repro.chaos.spec import CAMPAIGNS, RECOVERY_POLICIES
+from repro.harness.config import cli_int
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="only run scenarios using this recovery "
                              "policy (restart scenarios carry no label "
                              "marker, so use this rather than --filter)")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=cli_int(0), default=0,
                         help="root seed for every scenario (default 0)")
     parser.add_argument("--out", default="results/chaos",
                         help="directory for the JSON + markdown report "
@@ -57,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-monitors", action="store_true",
                         help="skip the online invariant monitors "
                              "(faster, weaker wrong-result detection)")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
+    parser.add_argument("--jobs", type=cli_int(1), default=None, metavar="N",
                         help="run scenarios on an N-worker process pool "
                              "(default: the REPRO_JOBS environment "
                              "variable, else sequential); the report is "

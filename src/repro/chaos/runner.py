@@ -2,8 +2,8 @@
 
 The runner is a thin adapter: a :class:`~repro.chaos.spec.Scenario` becomes
 one :func:`repro.harness.runner.execute` call with the engine
-:class:`~repro.sim.Watchdog` armed and kills scheduled, and whatever comes
-back — completion, a wrong answer, a monitor violation, or one of the
+:class:`~repro.sim.Watchdog` armed and its faults scheduled, and whatever
+comes back — completion, a wrong answer, a monitor violation, or one of the
 engine's stall exceptions — is mapped onto the verdict taxonomy (see
 :mod:`repro.chaos`).
 """
@@ -147,18 +147,6 @@ def run_scenario(
     profile = replace(SMOKE, time_scale=scenario.scale, seed=scenario.seed)
     if time_limit is None:
         time_limit = time_limit_factor * bench.expected_time(scenario.n_procs)
-    kills = ([(scenario.kill, scenario.victim, scenario.kill_time)]
-             if scenario.kill is not None else [])
-    kills += [tuple(kill) for kill in scenario.extra_kills]
-    storage_faults = []
-    if scenario.storage_fault is not None:
-        # server_kill targets a server; image_corrupt additionally names
-        # the rank whose replica goes bad (the killed rank: its restart is
-        # the one that must survive the bad copy)
-        storage_faults.append((
-            scenario.storage_fault, scenario.storage_victim,
-            scenario.victim, scenario.storage_time,
-        ))
     try:
         result = execute(
             bench,
@@ -174,10 +162,9 @@ def run_scenario(
             time_limit=time_limit,
             name=scenario.label,
             monitors=monitors,
-            kills=kills,
+            faults=scenario.faults,
             ckpt_replication=scenario.replication,
             ckpt_gc_keep=scenario.gc_keep,
-            storage_faults=storage_faults,
             policy=scenario.policy,
             spares=scenario.spares,
             watchdog=True,

@@ -1,26 +1,26 @@
 """Scenario and campaign specifications.
 
 A :class:`Scenario` is one fully-determined run: which protocol and channel,
-how the ranks are packed onto nodes, what failure is injected and when, and
-the seed.  Everything is a plain value so scenarios round-trip through JSON
-and two runs of the same scenario are byte-identical (the determinism
-contract of :mod:`repro.sim`).
+how the ranks are packed onto nodes, which faults are injected and when
+(:class:`~repro.ft.failure.Fault` values), and the seed.  Everything is a
+plain value so scenarios round-trip through JSON and two runs of the same
+scenario are byte-identical (the determinism contract of :mod:`repro.sim`).
 
 Times follow the harness conventions: ``period`` is in *paper* seconds
 (scaled by the profile's ``time_scale``, like
-:func:`repro.harness.runner.execute`), while ``kill_time`` is in *simulated*
-seconds — a kill targets a point on the run's actual timeline, e.g. inside a
-specific checkpoint wave.
+:func:`repro.harness.runner.execute`), while a fault's ``at`` is in
+*simulated* seconds — a kill targets a point on the run's actual timeline,
+e.g. inside a specific checkpoint wave.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
-from repro.ft import RECOVERY_POLICIES
+from repro.ft import FAULTS, RECOVERY_POLICIES, Fault
 from repro.harness.config import PROTOCOL_CHANNELS, default_channel
 
 __all__ = [
@@ -31,16 +31,8 @@ __all__ = [
     "storage_campaign",
     "dcl_campaign",
     "recovery_campaign",
-    "KILL_KINDS",
-    "STORAGE_FAULTS",
     "RECOVERY_POLICIES",
 ]
-
-#: valid failure kinds; None in a scenario means "no failure injected"
-KILL_KINDS = ("task", "node")
-
-#: valid storage-tier faults; None means "storage stays healthy"
-STORAGE_FAULTS = ("server_kill", "image_corrupt")
 
 #: the paper's two implementations: the kill grid sweeps them on every
 #: channel at both packings; a later family gets :func:`_family_sweep`
@@ -61,12 +53,10 @@ class Scenario:
     protocol: str
     channel: str
     procs_per_node: int = 1
-    #: "task" (kill one MPI process), "node" (kill its machine), or None
-    kill: Optional[str] = None
-    #: rank whose task/node is killed
-    victim: int = 0
-    #: simulated seconds at which the kill fires
-    kill_time: float = 0.0
+    #: what fails and when, scheduled in order: rank faults (task/node
+    #: kills — cascading ones land inside an in-progress recovery) and
+    #: storage faults alike; empty for a failure-free control run
+    faults: Tuple[Fault, ...] = ()
     seed: int = 0
     n_procs: int = 4
     #: checkpoint period in paper seconds (profile-scaled at run time)
@@ -80,75 +70,50 @@ class Scenario:
     replication: int = 1
     #: committed waves each server retains (GC depth)
     gc_keep: int = 1
-    #: "server_kill", "image_corrupt", or None (healthy storage tier)
-    storage_fault: Optional[str] = None
-    #: index of the checkpoint server hit by the storage fault
-    storage_victim: int = 0
-    #: simulated seconds at which the storage fault fires
-    storage_time: float = 0.0
     #: recovery strategy: "restart" (the paper's full rollback), "spare"
     #: (promote pre-allocated spares) or "shrink" (survivors re-decompose)
     policy: str = "restart"
     #: pre-allocated spare nodes for the "spare" policy
     spares: int = 0
-    #: additional kills after the first: ("task" | "node", rank, at)
-    #: triples — cascading/correlated failures, including kills landing
-    #: inside an in-progress recovery
-    extra_kills: Tuple[Tuple[str, int, float], ...] = ()
     #: when non-empty, *these* verdicts count as ok instead of OK_VERDICTS —
     #: e.g. a K=1 server kill is expected to end "storage-unrecoverable"
     expect: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kill is not None and self.kill not in KILL_KINDS:
-            raise ValueError(f"unknown kill kind {self.kill!r} "
-                             f"(expected one of {KILL_KINDS} or None)")
-        if self.kill is not None and not 0 <= self.victim < self.n_procs:
-            raise ValueError(f"victim rank {self.victim} outside job of "
-                             f"{self.n_procs} processes")
-        if self.kill is not None and self.kill_time < 0:
-            raise ValueError("kill_time must be >= 0")
-        if self.storage_fault is not None:
-            if self.storage_fault not in STORAGE_FAULTS:
-                raise ValueError(
-                    f"unknown storage fault {self.storage_fault!r} "
-                    f"(expected one of {STORAGE_FAULTS} or None)")
-            if not 0 <= self.storage_victim < self.n_servers:
-                raise ValueError(
-                    f"storage victim {self.storage_victim} outside "
-                    f"{self.n_servers} server(s)")
-            if self.storage_time < 0:
-                raise ValueError("storage_time must be >= 0")
+        """Refuse a bad field here, naming it, rather than at run time."""
+        object.__setattr__(self, "faults", tuple(self.faults))
+        for knob in ("procs_per_node", "n_procs", "n_servers", "gc_keep"):
+            if getattr(self, knob) < 1:
+                raise ValueError(f"{knob} must be >= 1, got "
+                                 f"{getattr(self, knob)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for knob in ("period", "scale"):
+            if not getattr(self, knob) > 0:
+                raise ValueError(f"{knob} must be > 0, got "
+                                 f"{getattr(self, knob)}")
         if not 1 <= self.replication <= self.n_servers:
             raise ValueError(
                 f"replication must be between 1 and n_servers "
                 f"({self.n_servers}), got {self.replication}")
-        if self.gc_keep < 1:
-            raise ValueError("gc_keep must be >= 1")
         if self.policy not in RECOVERY_POLICIES:
             raise ValueError(f"unknown recovery policy {self.policy!r} "
                              f"(expected one of {RECOVERY_POLICIES})")
         if self.spares < 0:
-            raise ValueError("spares must be >= 0")
-        for kind, victim, at in self.extra_kills:
-            if kind not in KILL_KINDS:
-                raise ValueError(f"unknown extra kill kind {kind!r} "
-                                 f"(expected one of {KILL_KINDS})")
-            if not 0 <= victim < self.n_procs:
-                raise ValueError(f"extra kill victim {victim} outside job "
-                                 f"of {self.n_procs} processes")
-            if at < 0:
-                raise ValueError("extra kill time must be >= 0")
+            raise ValueError(f"spares must be >= 0, got {self.spares}")
+        for fault in self.faults:
+            if not isinstance(fault, Fault):
+                raise TypeError(f"faults must be Fault values, got {fault!r}")
+            fault.check(self.n_procs, self.n_servers)
+
+    def _labels(self, scope: str) -> List[str]:
+        return [fault.label for fault in self.faults
+                if FAULTS[fault.kind].scope == scope]
 
     @property
     def label(self) -> str:
         """Stable human-readable identifier, unique within a campaign."""
-        if self.kill is None:
-            fault = "nokill"
-        else:
-            fault = f"{self.kill}-r{self.victim}@{self.kill_time:g}"
-        for kind, victim, at in self.extra_kills:
-            fault += f"+{kind}-r{victim}@{at:g}"
+        fault = "+".join(self._labels("rank")) or "nokill"
         if self.policy != "restart":
             fault += f"-{self.policy}"
         if self.spares:
@@ -158,16 +123,16 @@ class Scenario:
             storage += f"-K{self.replication}"
         if self.gc_keep != 1:
             storage += f"-gc{self.gc_keep}"
-        if self.storage_fault is not None:
-            storage += (f"-{self.storage_fault}-cs{self.storage_victim}"
-                        f"@{self.storage_time:g}")
+        storage += "".join(f"-{label}" for label in self._labels("server"))
         bench = "" if self.bench == "bt" else f"-{self.bench}"
         return (f"{self.protocol}-{self.channel}{bench}"
                 f"-ppn{self.procs_per_node}"
                 f"-{fault}{storage}-s{self.seed}")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["faults"] = [fault.to_dict() for fault in self.faults]
+        return doc
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
@@ -175,10 +140,8 @@ class Scenario:
         # JSON round-trips tuples as lists
         if "expect" in data:
             data["expect"] = tuple(data["expect"])
-        if "extra_kills" in data:
-            data["extra_kills"] = tuple(
-                (kind, victim, at)
-                for kind, victim, at in data["extra_kills"])
+        data["faults"] = tuple(Fault(**fault)
+                               for fault in data.get("faults", ()))
         return cls(**data)
 
 
@@ -221,7 +184,7 @@ class CampaignSpec:
         cls,
         combos: Sequence[Tuple[str, str]] = _combos(*_PAPER),
         procs_per_node: Iterable[int] = (1, 2),
-        kills: Iterable[Optional[str]] = KILL_KINDS,
+        kills: Iterable[Optional[str]] = ("task", "node"),
         kill_times: Iterable[float] = (1.7,),
         victims: Iterable[int] = (1,),
         seeds: Iterable[int] = (0,),
@@ -230,23 +193,25 @@ class CampaignSpec:
     ) -> "CampaignSpec":
         """Cartesian sweep over the given axes.
 
-        ``kills`` may include ``None`` for failure-free control scenarios
-        (those collapse the kill-time/victim axes to a single entry).
+        ``kills`` are rank fault kinds (one ``Fault(kill, victim,
+        kill_time)`` per scenario) and may include ``None`` for failure-free
+        control scenarios (those collapse the kill-time/victim axes to a
+        single entry).
         ``combos`` defaults to the paper's two implementations on every
         channel they run on.
         """
         scenarios = []
         for (protocol, channel), ppn, kill, seed in itertools.product(
                 combos, procs_per_node, kills, seeds):
-            fault_axes = (
-                itertools.product(kill_times, victims) if kill is not None
-                else ((0.0, 0),)
+            faults = (
+                [(Fault(kill, victim, at),) for at, victim
+                 in itertools.product(kill_times, victims)]
+                if kill is not None else [()]
             )
-            for kill_time, victim in fault_axes:
+            for fault in faults:
                 scenarios.append(Scenario(
                     protocol=protocol, channel=channel, procs_per_node=ppn,
-                    kill=kill, victim=victim, kill_time=kill_time, seed=seed,
-                    **scenario_kwargs,
+                    faults=fault, seed=seed, **scenario_kwargs,
                 ))
         return cls(scenarios=scenarios, name=name)
 
@@ -264,18 +229,29 @@ def _fault_rows(name: str, seed: int, protocols: Iterable[str],
 
 #: the base fault of the storage and recovery slices: rank 1's node dies
 #: after wave 1 commits and before wave 2 starts
-_NODE_KILL = dict(kill="node", victim=1, kill_time=2.8)
+_NODE_KILL = Fault("node", 1, 2.8)
+
+
+def _after_node_kill(*faults: Fault) -> Dict:
+    """Row fields: the base node kill, then ``faults``."""
+    return dict(faults=(_NODE_KILL,) + faults)
+
+
+def _corrupt(at: float) -> Fault:
+    """Server 0's replica of the killed rank goes bad: its restart is the
+    one that must survive the bad copy."""
+    return Fault("image_corrupt", 0, at, rank=_NODE_KILL.target)
+
 
 _K2 = dict(n_servers=2, replication=2)
 _UNRECOVERABLE = dict(expect=("storage-unrecoverable",))
 _STORAGE_ROWS = (
-    dict(_K2, storage_fault="server_kill", storage_time=2.4),
-    dict(_K2, storage_fault="server_kill", storage_time=1.7),
-    dict(_K2, storage_fault="image_corrupt", storage_time=2.4),
-    dict(kill_time=4.6, gc_keep=2,
-         storage_fault="image_corrupt", storage_time=4.45),
-    dict(_UNRECOVERABLE, storage_fault="server_kill", storage_time=2.4),
-    dict(_UNRECOVERABLE, storage_fault="image_corrupt", storage_time=2.4),
+    dict(_K2, **_after_node_kill(Fault("server_kill", 0, 2.4))),
+    dict(_K2, **_after_node_kill(Fault("server_kill", 0, 1.7))),
+    dict(_K2, **_after_node_kill(_corrupt(2.4))),
+    dict(gc_keep=2, faults=(Fault("node", 1, 4.6), _corrupt(4.45))),
+    dict(_UNRECOVERABLE, **_after_node_kill(Fault("server_kill", 0, 2.4))),
+    dict(_UNRECOVERABLE, **_after_node_kill(_corrupt(2.4))),
 )
 
 
@@ -302,7 +278,8 @@ def storage_campaign(seed: int = 0) -> CampaignSpec:
       clean classified ``storage-unrecoverable``, not a hang;
     * K=1 corruption of the victim's sole replica — likewise unrecoverable.
     """
-    return _fault_rows("storage", seed, _PAPER, _NODE_KILL, _STORAGE_ROWS)
+    return _fault_rows("storage", seed, _PAPER, _after_node_kill(),
+                       _STORAGE_ROWS)
 
 
 def _family_sweep(protocol: str, seed: int) -> CampaignSpec:
@@ -338,25 +315,25 @@ _STENCIL = dict(bench="stencil", klass="A", policy="shrink")
 _DEGRADED = dict(expect=("recovered-degraded",))
 _RECOVERY_ROWS = (
     # double task fault, coalesced into one agreement round
-    dict(_SPARES, kill="task", extra_kills=(("task", 2, 2.8001),)),
+    dict(_SPARES, faults=(Fault("task", 1, 2.8), Fault("task", 2, 2.8001))),
     # correlated double node fault onto the spare pool
-    dict(_SPARES, extra_kills=(("node", 2, 2.8001),)),
+    dict(_SPARES, **_after_node_kill(Fault("node", 2, 2.8001))),
     # node kill inside the in-progress recovery (restore midpoint)
-    dict(_SPARES, extra_kills=(("node", 2, 2.85),)),
+    dict(_SPARES, **_after_node_kill(Fault("node", 2, 2.85))),
     # task kill inside the in-progress recovery
-    dict(_SPARES, extra_kills=(("task", 2, 2.85),)),
+    dict(_SPARES, **_after_node_kill(Fault("task", 2, 2.85))),
     # back-to-back failures: the second hits the fresh incarnation
-    dict(_SPARES, extra_kills=(("node", 2, 3.4),)),
+    dict(_SPARES, **_after_node_kill(Fault("node", 2, 3.4))),
     # spare-pool exhaustion must degrade to full restart, not hang
     dict(_DEGRADED, policy="spare", spares=1,
-         extra_kills=(("node", 2, 2.8001),)),
+         **_after_node_kill(Fault("node", 2, 2.8001))),
     # shrink: survivors re-decompose the malleable stencil
     dict(_STENCIL),
-    dict(_STENCIL, extra_kills=(("node", 2, 2.8001),)),
+    dict(_STENCIL, **_after_node_kill(Fault("node", 2, 2.8001))),
     # shrinking a non-malleable benchmark degrades to full restart
     dict(_DEGRADED, policy="shrink"),
     # kill inside the baseline full restart's own recovery
-    dict(extra_kills=(("node", 2, 2.85),)),
+    _after_node_kill(Fault("node", 2, 2.85)),
 )
 
 
@@ -372,8 +349,8 @@ def recovery_campaign(seed: int = 0) -> CampaignSpec:
     hang.  Shrink scenarios run the malleable stencil; the shrink of a
     non-malleable benchmark is *expected* to degrade.
     """
-    return _fault_rows("recovery", seed, PROTOCOL_CHANNELS, _NODE_KILL,
-                       _RECOVERY_ROWS)
+    return _fault_rows("recovery", seed, PROTOCOL_CHANNELS,
+                       _after_node_kill(), _RECOVERY_ROWS)
 
 
 def smoke_campaign(seed: int = 0) -> CampaignSpec:

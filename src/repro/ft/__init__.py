@@ -18,14 +18,16 @@ everything else (deployment specs, CLIs, test builders) reads.
 * :class:`~repro.ft.restore.ImageRestorer` — replica-aware image fetch with
   retry/backoff (:class:`~repro.ft.restore.FetchPolicy`) and graceful
   degradation (:class:`~repro.ft.restore.StorageUnrecoverableError`).
-* :class:`~repro.ft.failure.FailureInjector` — task, node and checkpoint-server
-  failures plus silent image corruption.
+* :class:`~repro.ft.failure.Fault` / :data:`~repro.ft.failure.FAULTS` — the
+  one fault vocabulary (task, node and checkpoint-server kills plus silent
+  image corruption), scheduled with :meth:`FTRun.schedule`; Poisson task
+  failures come from :func:`~repro.ft.failure.random_failures`.
 """
 
 from typing import Callable, Dict, Optional, Type
 
 from repro.ft.dcl import DclEndpoint, DclProtocol, DRAIN_BUDGET
-from repro.ft.failure import FailureInjector
+from repro.ft.failure import FAULTS, Fault, random_failures
 from repro.ft.image import CheckpointImage, FORK_LATENCY, RUNTIME_IMAGE_OVERHEAD_BYTES
 from repro.ft.pcl import PclEndpoint, PclProtocol
 from repro.ft.protocol import (
@@ -78,7 +80,8 @@ __all__ = [
     "DclEndpoint",
     "DclProtocol",
     "DRAIN_BUDGET",
-    "FailureInjector",
+    "FAULTS",
+    "Fault",
     "FetchPolicy",
     "FORK_LATENCY",
     "FTRun",
@@ -98,4 +101,5 @@ __all__ = [
     "assign_replicas",
     "assign_servers",
     "protocol_factory",
+    "random_failures",
 ]

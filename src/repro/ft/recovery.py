@@ -9,8 +9,8 @@ incarnations:
    listener fires);
 2. every process of the job is killed and the active (uncommitted) wave is
    abandoned;
-3. the launcher respawns the processes (ssh cost, spare-node placement when
-   a whole machine died);
+3. the launcher respawns the processes (ssh cost; a machine a node kill
+   took down reboots);
 4. each rank reloads the image of the last *committed* wave — from its local
    disk when it restarts on the same machine, otherwise streamed back from
    its checkpoint server;
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.ft.failure import FailureInjector
+from repro.ft.failure import FAULTS, Fault, KillRecord
 from repro.ft.membership import MembershipTracker
 from repro.ft.protocol import FTStats, LocalImageStore, emit_phase_spans
 from repro.ft.restore import FetchPolicy, ImageRestorer, StorageUnrecoverableError
@@ -105,7 +105,6 @@ class FTRun:
         launcher: Optional[InstantLauncher] = None,
         image_bytes: float = 0.0,
         name: str = "ftrun",
-        restart_policy: str = "same-node",
         max_restarts: int = 16,
         replication: int = 1,
         fetch_policy: Optional[FetchPolicy] = None,
@@ -113,8 +112,6 @@ class FTRun:
         spare_pool: Optional[Sequence] = None,
         malleable_app_factory: Optional[Callable[[int], Callable]] = None,
     ) -> None:
-        if restart_policy not in ("same-node", "spare"):
-            raise ValueError(f"unknown restart policy {restart_policy!r}")
         if recovery_policy not in self._POLICIES:
             raise ValueError(f"unknown recovery policy {recovery_policy!r}")
         self.sim = sim
@@ -137,7 +134,6 @@ class FTRun:
         self.launcher = launcher if launcher is not None else InstantLauncher()
         self.image_bytes = image_bytes
         self.name = name
-        self.restart_policy = restart_policy
         self.max_restarts = max_restarts
         #: survivor-recovery strategy: "restart" (kill everything, the
         #: paper's model), "spare" (promote pre-allocated spare machines,
@@ -149,7 +145,8 @@ class FTRun:
 
         self.stats = FTStats()
         self.local_images = LocalImageStore()
-        self.injector = FailureInjector(sim, net, self.local_images)
+        #: what the fault injectors actually did, in order
+        self.injected: List[KillRecord] = []
         self.restorer = ImageRestorer(self)
         self.completed = sim.event(name=f"{name}:completed")
         self.job: Optional[MPIJob] = None
@@ -259,106 +256,16 @@ class FTRun:
         return max(server.committed_wave for server in self.servers)
 
     # --------------------------------------------------------------- failure
-    def _schedule_fault(self, what: str, at: float, callback, *args) -> None:
-        delay = at - self.sim.now
+    def schedule(self, fault: Fault) -> None:
+        """Inject ``fault`` into whatever incarnation is live at
+        ``fault.at`` (:data:`~repro.ft.failure.FAULTS` says how)."""
+        fault.check(len(self.endpoints), len(self.servers))
+        delay = fault.at - self.sim.now
         if delay < 0:
             raise ValueError(
-                f"{self.name}: cannot schedule {what} at t={at:g}, "
+                f"{self.name}: cannot schedule {fault.label}, "
                 f"the simulation is already at t={self.sim.now:g}")
-        self.sim.call_at(delay, callback, *args)
-
-    def schedule_task_kill(self, rank: int, at: float) -> None:
-        """Kill ``rank``'s task of whatever incarnation is live at ``at``."""
-        self._schedule_fault(f"task kill of rank {rank}", at,
-                             self._kill_now, rank, "task")
-
-    def schedule_node_kill(self, rank: int, at: float) -> None:
-        self._schedule_fault(f"node kill of rank {rank}", at,
-                             self._kill_now, rank, "node")
-
-    def schedule_server_kill(self, index: int, at: float) -> None:
-        """Kill checkpoint server ``index`` (machine and all its replicas)
-        at simulated time ``at``."""
-        self._schedule_fault(f"server kill of server {index}", at,
-                             self._server_kill_now, index)
-
-    def schedule_image_corrupt(self, server_index: int, rank: int, at: float,
-                               wave: Optional[int] = None) -> None:
-        """Silently corrupt ``rank``'s stored image on server
-        ``server_index`` at time ``at`` (newest committed wave by
-        default)."""
-        self._schedule_fault(
-            f"image corruption of rank {rank} on server {server_index}", at,
-            self._corrupt_now, server_index, rank, wave)
-
-    def _kill_now(self, rank: int, kind: str) -> None:
-        if self.job is None or self.completed.triggered:
-            return
-        if kind == "task":
-            self.injector.kill_task(self.job, rank)
-        else:
-            if rank >= len(self.endpoints):
-                return  # the job shrank below the victim rank
-            # resolve the victim machine through the *current* placement —
-            # after a spare promotion the live job's rank may sit on a
-            # different node than the incarnation the kill was aimed at
-            self.injector.kill_node(self.job, rank,
-                                    node=self.endpoints[rank].node)
-
-    def _server_kill_now(self, index: int) -> None:
-        if self.completed.triggered or not self.servers:
-            return
-        self.injector.kill_server(self.servers[index % len(self.servers)])
-
-    def _corrupt_now(self, server_index: int, rank: int,
-                     wave: Optional[int]) -> None:
-        if self.completed.triggered or not self.servers:
-            return
-        server = self.servers[server_index % len(self.servers)]
-        self.injector.corrupt_image(server, rank, wave)
-
-    def enable_random_failures(
-        self,
-        mttf: float,
-        max_failures: int = 8,
-        probe_lead: Optional[float] = None,
-        stream: str = "failures",
-    ) -> None:
-        """Inject task failures as a Poisson process with the given MTTF.
-
-        Failure instants and victims come from a dedicated RNG stream, so two
-        runs of the same seed see the *same* failure schedule regardless of
-        checkpoint settings — which is what makes checkpoint-period sweeps
-        comparable (the MTTF experiment).
-
-        ``probe_lead`` models the paper's proposed proactive trigger: a
-        health probe (CPU temperature and the like) notices the impending
-        failure ``probe_lead`` seconds ahead and asks the protocol for an
-        immediate checkpoint wave.
-        """
-        if mttf <= 0:
-            raise ValueError("mttf must be positive")
-        rng = self.sim.rng.numpy_stream(f"{self.name}.{stream}")
-        self.sim.process(
-            self._poisson_failures(rng, mttf, max_failures, probe_lead),
-            name=f"{self.name}:poisson",
-        )
-
-    def _poisson_failures(self, rng, mttf, max_failures, probe_lead):
-        for _ in range(max_failures):
-            delay = float(rng.exponential(mttf))
-            victim = int(rng.integers(0, len(self.endpoints)))
-            if probe_lead is not None and delay > probe_lead:
-                self.sim.call_at(delay - probe_lead, self._proactive_trigger)
-            yield self.sim.timeout(delay)
-            if self.completed.triggered:
-                return
-            self._kill_now(victim, "task")
-
-    def _proactive_trigger(self) -> None:
-        if (self.protocol is not None and not self.protocol.detached
-                and not self.completed.triggered):
-            self.protocol.request_wave()
+        self.sim.call_at(delay, FAULTS[fault.kind].inject, self, fault)
 
     def _on_failure_signal(self, rank: int, peer: Optional[int]) -> None:
         """Unexpected socket closure observed; first signal wins.
@@ -445,13 +352,13 @@ class FTRun:
         # ---- the paper's full restart: the ``restart`` policy, and what
         # every survivor policy degrades to
         yield self.sim.timeout(self.launcher.respawn_lead_time())
-        self._replace_dead_nodes()
+        self._reboot_dead_nodes()
         marks["promote"] = self.sim.now
         snapshots, logs, restored_wave = \
             yield from self.restorer.restore(committed)
         # a second kill may have landed while images were streaming back —
-        # re-place before relaunching onto a dead machine
-        self._replace_dead_nodes()
+        # reboot before relaunching onto a dead machine
+        self._reboot_dead_nodes()
         self._finish_recovery(restored_wave, snapshots, logs, marks, started_at)
 
     # ------------------------------------------------- survivor place steps
@@ -614,25 +521,12 @@ class FTRun:
                              marks, started_at, {"policy": policy})
         self._launch(snapshots, logs, restored_wave=restored_wave, **relaunch)
 
-    def _replace_dead_nodes(self) -> None:
-        """Spare-node policy: move endpoints off dead machines."""
-        dead = [i for i, ep in enumerate(self.endpoints) if not ep.node.alive]
-        if not dead:
-            return
-        if self.restart_policy == "same-node":
-            # The task died but the machine is fine in the paper's setup; if
-            # the whole node was killed, model a reboot.
-            for index in dead:
-                self.endpoints[index].node.restore()
-            return
-        used = {ep.node for ep in self.endpoints}
-        spares = [n for n in self.net.all_nodes()
-                  if n.alive and not n.service and n not in used]
-        for index in dead:
-            if not spares:
-                raise RuntimeError("no spare nodes available for restart")
-            self.endpoints[index] = Endpoint(spares.pop(0), 0)
-
+    def _reboot_dead_nodes(self) -> None:
+        """The paper's restart reuses its machines: a node a kill took down
+        reboots (its local images stay lost)."""
+        for endpoint in self.endpoints:
+            if not endpoint.node.alive:
+                endpoint.node.restore()
 
 #: valid ``recovery_policy`` names, for specs and CLIs
 RECOVERY_POLICIES = tuple(FTRun._POLICIES)

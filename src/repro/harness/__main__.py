@@ -16,7 +16,7 @@ import sys
 import time
 
 from repro.ft import RECOVERY_POLICIES
-from repro.harness.config import PROFILES, get_profile
+from repro.harness.config import PROFILES, cli_int, get_profile
 from repro.harness.figures import EXPERIMENT_IDS, get_experiment
 from repro.harness.report import render, save_json
 
@@ -33,13 +33,13 @@ def main(argv=None) -> int:
                              "or 'all'")
     parser.add_argument("--profile", default="quick", choices=sorted(PROFILES),
                         help="experiment scale (default: quick)")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=cli_int(0), default=0)
     parser.add_argument("--save-dir", default="results",
                         help="where to write JSON results")
     parser.add_argument("--no-save", action="store_true")
     parser.add_argument("--list", action="store_true",
                         help="list experiment ids and exit")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
+    parser.add_argument("--jobs", type=cli_int(1), default=None, metavar="N",
                         help="run each figure's grid of independent runs "
                              "on an N-worker process pool (default: the "
                              "REPRO_JOBS environment variable, else "

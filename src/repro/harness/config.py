@@ -18,12 +18,13 @@ A profile is only a name, a scale and a seed: what a figure sweeps is the
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, Mapping, Optional
 
 __all__ = ["Profile", "PROFILES", "get_profile", "figure_params",
-           "PROTOCOL_CHANNELS", "default_channel"]
+           "PROTOCOL_CHANNELS", "default_channel", "cli_int"]
 
 
 @dataclass(frozen=True)
@@ -34,6 +35,10 @@ class Profile:
     #: multiplies NAS iteration counts, checkpoint periods and image sizes
     time_scale: float
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def scaled_period(self, period: float) -> float:
         return period * self.time_scale
@@ -91,3 +96,19 @@ def default_channel(protocol: Optional[str]) -> str:
     baselines use the channel of the implementation they baseline (callers
     pass it explicitly), defaulting to ft-sock."""
     return PROTOCOL_CHANNELS.get(protocol, ("ft_sock",))[0]
+
+
+def cli_int(minimum: int) -> Callable[[str], int]:
+    """An argparse ``type``: an integer of at least ``minimum``, so a bad
+    ``--seed`` or ``--jobs`` fails at the command line with argparse naming
+    the flag, not deep inside a run."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value" message
+    return parse

@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.apps.synthetic import burst
+from repro.ft.failure import random_failures
 from repro.ft.interval import IntervalModel
 from repro.harness.config import Profile
 from repro.harness.report import FigureResult, Series
@@ -58,8 +59,8 @@ def _one_run(seed: int, period: Optional[float], mttf: Optional[float],
     def inject(run) -> None:
         run.max_restarts = 64
         if mttf is not None:
-            run.enable_random_failures(mttf, max_failures=40,
-                                       probe_lead=probe_lead)
+            random_failures(run, mttf, max_failures=40,
+                            probe_lead=probe_lead)
 
     return bare_run(spec, app, seed, name=f"mttf-s{seed}-{period}",
                     time_limit=1e6, inject=inject)

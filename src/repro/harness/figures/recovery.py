@@ -32,7 +32,7 @@ Expected shape:
 from __future__ import annotations
 
 from repro.apps import Stencil
-from repro.ft import RECOVERY_POLICIES
+from repro.ft import RECOVERY_POLICIES, Fault
 from repro.harness.config import Profile, figure_params
 from repro.harness.report import FigureResult, Series
 from repro.harness.table import Row, RunTable
@@ -80,8 +80,8 @@ def run(profile: Profile, **overrides) -> FigureResult:
         name="recovery-{policy}-k{k}",
     ).add(
         policy=policies,
-        k=[Row(k, kills=[("node", rank, kill_at + index * _KILL_SPACING)
-                         for index, rank in enumerate(range(1, 1 + k))])
+        k=[Row(k, faults=[Fault("node", rank, kill_at + index * _KILL_SPACING)
+                          for index, rank in enumerate(range(1, 1 + k))])
            for k in failures],
     ).run()
     results = {policy: table.select(policy=policy) for policy in policies}

@@ -21,6 +21,7 @@ from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
 from repro.apps.base import NASBenchmark
+from repro.ft.failure import Fault
 from repro.ft.protocol import FTStats
 from repro.ft.recovery import FTRun
 from repro.harness.config import Profile, default_channel
@@ -178,10 +179,9 @@ def execute(
     time_limit: float = 1e8,
     name: str = "exp",
     monitors: bool = True,
-    kills: Sequence[Tuple[str, int, float]] = (),
+    faults: Sequence[Fault] = (),
     ckpt_replication: int = 1,
     ckpt_gc_keep: int = 1,
-    storage_faults: Sequence[Tuple[str, int, int, float]] = (),
     policy: str = "restart",
     spares: int = 0,
     watchdog: Union[bool, Watchdog] = True,
@@ -202,17 +202,14 @@ def execute(
     are collected rather than raised so a broken run still yields a
     diagnosable result row.
 
-    ``kills`` injects failures: ``("task" | "node", rank, at)`` triples,
-    with ``at`` in *simulated* seconds (failure injection targets a point
-    on the run's timeline, e.g. inside a specific checkpoint wave, so it is
-    deliberately not profile-scaled).  Requires a fault-tolerance protocol.
+    ``faults`` injects failures (:class:`~repro.ft.failure.Fault` values,
+    scheduled in order), with ``at`` in *simulated* seconds (failure
+    injection targets a point on the run's timeline, e.g. inside a specific
+    checkpoint wave, so it is deliberately not profile-scaled).
 
     ``ckpt_replication`` streams each image/log to that many servers with a
     quorum commit; ``ckpt_gc_keep`` retains that many committed waves per
-    server.  ``storage_faults`` injects storage-tier failures:
-    ``("server_kill" | "image_corrupt", server, rank, at)`` quadruples
-    (``rank`` is ignored by ``server_kill``), with ``at`` in simulated
-    seconds like ``kills``.
+    server.
 
     ``policy`` selects the recovery strategy after a failure: ``restart``
     (full-job rollback, the paper's behavior), ``spare`` (survivors keep
@@ -265,21 +262,8 @@ def execute(
         + ([bus.attach] if bus is not None else [])
 
     def inject(run: FTRun) -> None:
-        for kind, rank, at in kills:
-            if kind == "task":
-                run.schedule_task_kill(rank, at)
-            elif kind == "node":
-                run.schedule_node_kill(rank, at)
-            else:
-                raise ValueError(f"unknown kill kind {kind!r} (task or node)")
-        for kind, server, rank, at in storage_faults:
-            if kind == "server_kill":
-                run.schedule_server_kill(server, at)
-            elif kind == "image_corrupt":
-                run.schedule_image_corrupt(server, rank, at)
-            else:
-                raise ValueError(f"unknown storage fault {kind!r} "
-                                 f"(server_kill or image_corrupt)")
+        for fault in faults:
+            run.schedule(fault)
 
     # bare_run's make_simulator honours REPRO_KERNEL: the differential rig
     # runs whole figure grid points on the naive reference kernel this way.
@@ -300,15 +284,12 @@ def execute(
     # chaos campaign's wrong-result verdict compares this to the benchmark's
     # expected iteration count and residual).
     meta["app_state"] = [dict(ctx.state) for ctx in run.job.contexts]
-    if kills:
-        meta["kills"] = [list(k) for k in kills]
-    if storage_faults:
-        meta["storage_faults"] = [list(f) for f in storage_faults]
-    if kills or storage_faults:
-        # what the injector actually did, as typed records (a node kill
+    if faults:
+        meta["faults"] = [fault.to_dict() for fault in faults]
+        # what the injectors actually did, as typed records (a node kill
         # expands into per-task kills; a kill landing after completion or
         # on an already-dead machine records nothing)
-        meta["injected_kills"] = [k.as_dict() for k in run.injector.kills]
+        meta["injected_kills"] = [k.as_dict() for k in run.injected]
     if bus is not None:
         bus.finish()
         bus.detach()

@@ -87,6 +87,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     from repro.ft import PROTOCOLS
+    from repro.harness.config import cli_int
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
@@ -101,15 +102,15 @@ def main(argv=None) -> int:
     record.add_argument("--protocol", default="pcl",
                         choices=(*PROTOCOLS, "none"),
                         help="checkpoint protocol (default: pcl)")
-    record.add_argument("-n", "--n-procs", type=int, default=9,
+    record.add_argument("-n", "--n-procs", type=cli_int(1), default=9,
                         help="process count (BT needs a perfect square)")
     record.add_argument("--channel", default=None,
                         help="channel kind (default: the protocol's)")
     record.add_argument("--period", type=float, default=30.0,
                         help="checkpoint period, paper seconds")
-    record.add_argument("--procs-per-node", type=int, default=2)
+    record.add_argument("--procs-per-node", type=cli_int(1), default=2)
     record.add_argument("--profile", default="smoke")
-    record.add_argument("--seed", type=int, default=0)
+    record.add_argument("--seed", type=cli_int(0), default=0)
     record.add_argument("-o", "--out", default="run.jsonl",
                         help="trace output path (JSONL)")
     record.add_argument("--metrics-out", default=None,

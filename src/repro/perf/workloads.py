@@ -186,10 +186,10 @@ scale_10k = partial(_ring, 13, "perf-scale10k", n_procs=10_000, rounds=1)
 # ------------------------------------------------------------------ chaos run
 def chaos_kill() -> WorkloadRun:
     """One smoke-grid chaos scenario: node kill inside wave 1, recovery."""
-    from repro.chaos import Scenario, run_scenario
+    from repro.chaos import Fault, Scenario, run_scenario
 
     scenario = Scenario(protocol="pcl", channel="ft_sock", procs_per_node=2,
-                        kill="node", victim=1, kill_time=1.7, seed=0)
+                        faults=(Fault("node", 1, 1.7),), seed=0)
     result = run_scenario(scenario)
     return WorkloadRun(events=result.events, pops=result.events,
                        extra={"verdict": result.verdict,

@@ -47,6 +47,13 @@ CHANNELS = {
     "nemesis": NemesisChannel,
 }
 
+#: ``DeploymentSpec.launcher`` name -> class ("auto" picks the protocol's)
+LAUNCHERS = {
+    "dispatcher": Dispatcher,
+    "ftpm": FTPM,
+    "instant": InstantLauncher,
+}
+
 
 @dataclass
 class DeploymentSpec:
@@ -63,7 +70,6 @@ class DeploymentSpec:
     procs_per_node: Optional[int] = None
     fork_latency: float = FORK_LATENCY
     launcher: str = "auto"  # "auto" | "dispatcher" | "ftpm" | "instant"
-    restart_policy: str = "same-node"
     #: survivor-recovery strategy: "restart" kills and respawns every rank
     #: (the paper's model); "spare" keeps survivors alive and promotes
     #: machines from the pre-allocated spare pool; "shrink" renumbers the
@@ -79,28 +85,36 @@ class DeploymentSpec:
     ckpt_gc_keep: int = 1
 
     def __post_init__(self) -> None:
-        if self.protocol is not None and self.protocol not in PROTOCOLS:
-            raise ValueError(f"unknown protocol {self.protocol!r}")
-        if self.channel not in CHANNELS:
-            raise ValueError(f"unknown channel {self.channel!r}")
-        if self.network not in ("gige", "myrinet", "grid5000"):
-            raise ValueError(f"unknown network {self.network!r}")
-        if self.n_servers < 1:
-            raise ValueError("need at least one checkpoint server")
+        """Refuse a bad knob here, naming it, rather than deep inside a run."""
+        _one_of("protocol", self.protocol, tuple(PROTOCOLS) + (None,))
+        _one_of("channel", self.channel, tuple(CHANNELS))
+        _one_of("network", self.network, ("gige", "myrinet", "grid5000"))
+        _one_of("launcher", self.launcher, ("auto",) + tuple(LAUNCHERS))
+        _one_of("recovery_policy", self.recovery_policy, RECOVERY_POLICIES)
+        for knob in ("n_procs", "n_servers", "procs_per_node",
+                     "n_compute_nodes", "ckpt_gc_keep"):
+            value = getattr(self, knob)
+            if value is not None and value < 1:
+                raise ValueError(f"{knob} must be >= 1, got {value}")
+        if not self.period > 0:
+            raise ValueError(f"period must be > 0 seconds, got {self.period}")
+        if self.fork_latency < 0:
+            raise ValueError(
+                f"fork_latency must be >= 0 seconds, got {self.fork_latency}")
         if not 1 <= self.ckpt_replication <= self.n_servers:
             raise ValueError(
                 f"ckpt_replication must be between 1 and n_servers "
                 f"({self.n_servers}), got {self.ckpt_replication}")
-        if self.ckpt_gc_keep < 1:
-            raise ValueError("ckpt_gc_keep must be >= 1")
-        if self.recovery_policy not in RECOVERY_POLICIES:
-            raise ValueError(
-                f"unknown recovery policy {self.recovery_policy!r}")
         if self.spares < 0:
-            raise ValueError("spares must be >= 0")
+            raise ValueError(f"spares must be >= 0, got {self.spares}")
         if self.spares > 0 and self.network == "grid5000":
-            raise ValueError("spare pools are only modelled on cluster "
-                             "networks, not grid5000")
+            raise ValueError("spares: spare pools are only modelled on "
+                             "cluster networks, not grid5000")
+
+
+def _one_of(knob: str, value, allowed: Sequence) -> None:
+    if value not in allowed:
+        raise ValueError(f"{knob} must be one of {allowed}, got {value!r}")
 
 
 def _fabric_for(spec: DeploymentSpec):
@@ -114,11 +128,7 @@ def _make_launcher(spec: DeploymentSpec):
     if choice == "auto":
         choice = ("instant" if spec.protocol is None
                   else PROTOCOLS[spec.protocol].default_launcher)
-    return {
-        "dispatcher": Dispatcher,
-        "ftpm": FTPM,
-        "instant": InstantLauncher,
-    }[choice]()
+    return LAUNCHERS[choice]()
 
 
 def _assign_servers_by_site(endpoints: Sequence[Endpoint],
@@ -206,7 +216,6 @@ def build_run(
                          scheduler_node),
         servers, launcher=_make_launcher(spec),
         image_bytes=spec.image_bytes, name=name,
-        restart_policy=spec.restart_policy,
         replication=spec.ckpt_replication,
         recovery_policy=spec.recovery_policy,
         spare_pool=spare_nodes,

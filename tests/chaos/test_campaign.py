@@ -7,6 +7,7 @@ import pytest
 from repro.chaos import (
     CAMPAIGNS,
     CampaignSpec,
+    Fault,
     OK_VERDICTS,
     Scenario,
     dcl_campaign,
@@ -26,13 +27,15 @@ def test_smoke_campaign_covers_acceptance_grid():
     assert {s.protocol for s in scenarios} == {"pcl", "vcl", "dcl"}
     assert {s.channel for s in scenarios} == {"ft_sock", "nemesis", "ch_v"}
     assert {s.procs_per_node for s in scenarios} == {1, 2}
-    assert {s.kill for s in scenarios} == {"task", "node"}
-    assert len({s.kill_time for s in scenarios}) >= 2
+    faults = [fault for s in scenarios for fault in s.faults]
+    assert {f.kind for f in faults if f.kind in ("task", "node")} == \
+        {"task", "node"}
+    assert len({s.faults[0].at for s in scenarios}) >= 2
     # the storage-resilience slice rides along: replication, server kills,
     # corruption, and the expected-unrecoverable K=1 scenarios
     assert {s.replication for s in scenarios} == {1, 2}
-    assert {s.storage_fault for s in scenarios} == \
-        {None, "server_kill", "image_corrupt"}
+    assert {f.kind for f in faults} == \
+        {"task", "node", "server_kill", "image_corrupt"}
     assert any(s.expect == ("storage-unrecoverable",) for s in scenarios)
     # labels are unique: each scenario is addressable in reports and filters
     labels = [s.label for s in scenarios]
@@ -64,33 +67,39 @@ def test_dcl_campaign_covers_the_drain_grid():
     assert {s.channel for s in scenarios} == {"ft_sock", "nemesis"}
     assert {(s.channel, s.procs_per_node) for s in scenarios} == \
         {("ft_sock", 1), ("ft_sock", 2), ("nemesis", 2)}
-    assert {s.kill for s in scenarios} == {"task", "node"}
+    assert {s.faults[0].kind for s in scenarios} == {"task", "node"}
     # inside the first drain wave and between waves
-    assert {s.kill_time for s in scenarios} == {1.7, 2.8}
+    assert {s.faults[0].at for s in scenarios} == {1.7, 2.8}
+    assert all(len(s.faults) == 1 for s in scenarios)
     labels = [s.label for s in scenarios]
     assert len(set(labels)) == len(labels)
 
 
 def test_scenario_round_trips_through_dict():
     scenario = Scenario(protocol="vcl", channel="ch_v", procs_per_node=2,
-                        kill="node", victim=3, kill_time=2.5, seed=7)
+                        faults=(Fault("node", 3, 2.5),), seed=7)
     assert Scenario.from_dict(scenario.to_dict()) == scenario
+    assert scenario.to_dict()["faults"] == [
+        {"kind": "node", "target": 3, "at": 2.5}]
 
 
 def test_scenario_validation():
-    with pytest.raises(ValueError, match="kill kind"):
-        Scenario(protocol="pcl", channel="ft_sock", kill="meteor")
-    with pytest.raises(ValueError, match="victim"):
-        Scenario(protocol="pcl", channel="ft_sock", kill="task", victim=9)
+    with pytest.raises(ValueError, match="fault target 9 outside job of 4"):
+        Scenario(protocol="pcl", channel="ft_sock",
+                 faults=(Fault("task", 9, 1.0),))
+    with pytest.raises(TypeError, match="Fault values"):
+        Scenario(protocol="pcl", channel="ft_sock", faults=(("task", 1, 1.0),))
 
 
 def test_grid_includes_failure_free_controls():
     campaign = CampaignSpec.grid(kills=(None, "task"), kill_times=(1.7, 2.8))
-    nokill = [s for s in campaign if s.kill is None]
-    killed = [s for s in campaign if s.kill == "task"]
+    nokill = [s for s in campaign if not s.faults]
+    killed = [s for s in campaign if s.faults]
     # None collapses the kill-time axis; "task" sweeps it
     assert len(nokill) * 2 == len(killed)
-    assert all(s.kill_time == 0.0 for s in nokill)
+    assert {s.faults for s in killed} == {(Fault("task", 1, 1.7),),
+                                          (Fault("task", 1, 2.8),)}
+    assert all("nokill" in s.label for s in nokill)
 
 
 def test_filtered_subcampaign():
@@ -111,7 +120,7 @@ def test_failure_free_scenario_completes():
 
 def test_killed_scenario_recovers():
     result = run_scenario(Scenario(protocol="pcl", channel="ft_sock",
-                                   kill="task", victim=1, kill_time=1.7))
+                                   faults=(Fault("task", 1, 1.7),)))
     assert result.verdict == "recovered"
     assert result.restarts == 1
     assert all(state["iteration"] == 10 and state["norm"] == 4
@@ -122,7 +131,7 @@ def test_dcl_killed_scenario_recovers():
     # kill inside the first drain wave: send gates closed, counter reports
     # in flight — the wave must abort and the restart replay correctly
     result = run_scenario(Scenario(protocol="dcl", channel="ft_sock",
-                                   kill="task", victim=1, kill_time=1.7))
+                                   faults=(Fault("task", 1, 1.7),)))
     assert result.verdict == "recovered"
     assert result.restarts == 1
     assert result.monitors_ok is True
@@ -133,7 +142,7 @@ def test_kill_during_bootstrap_recovers():
     mesh builder must absorb the teardown instead of crashing the run
     (found by the Hypothesis chaos property)."""
     result = run_scenario(Scenario(protocol="vcl", channel="ch_v",
-                                   kill="task", victim=0, kill_time=0.0))
+                                   faults=(Fault("task", 0, 0.0),)))
     assert result.verdict == "recovered"
     assert result.restarts == 1
 

@@ -12,7 +12,7 @@ the property is simply: the verdict is always ``recovered`` or
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.chaos import OK_VERDICTS, Scenario, run_scenario
+from repro.chaos import OK_VERDICTS, Fault, Scenario, run_scenario
 
 # BT.B scale=0.05 on 4 procs completes around t≈96; sample the whole
 # timeline including "after the job finished" (kill is then a no-op).
@@ -44,9 +44,7 @@ def test_random_single_failure_never_hangs_or_corrupts(
         protocol=protocol,
         channel=channel,
         procs_per_node=procs_per_node,
-        kill=kill,
-        victim=victim,
-        kill_time=kill_time,
+        faults=(Fault(kill, victim, kill_time),),
         seed=1,
     )
     result = run_scenario(scenario)

@@ -13,6 +13,7 @@ that cannot proceed degrade to the paper's full restart
 from hypothesis import example, given, settings, strategies as st
 
 from repro.chaos import (
+    Fault,
     OK_VERDICTS,
     Scenario,
     run_scenario,
@@ -30,7 +31,7 @@ def test_recovery_campaign_shape():
     assert {s.policy for s in scenarios} == set(RECOVERY_POLICIES)
     # cascading slices: every non-restart scenario injects a node/task kill,
     # and the campaign exercises kills *inside* an in-progress recovery
-    assert any(len(s.extra_kills) == 1 for s in scenarios)
+    assert any(len(s.faults) == 2 for s in scenarios)
     # spare exhaustion and non-malleable shrink expect graceful degradation
     assert any(s.expect == ("recovered-degraded",) and s.policy == "spare"
                for s in scenarios)
@@ -41,9 +42,9 @@ def test_recovery_campaign_shape():
 
 
 def test_recovery_scenario_round_trips_through_dict():
-    scenario = Scenario(protocol="pcl", channel="ft_sock", kill="node",
-                        victim=1, kill_time=2.8, policy="spare", spares=2,
-                        extra_kills=(("node", 2, 2.85),))
+    scenario = Scenario(protocol="pcl", channel="ft_sock", policy="spare",
+                        spares=2, faults=(Fault("node", 1, 2.8),
+                                          Fault("node", 2, 2.85)))
     assert Scenario.from_dict(scenario.to_dict()) == scenario
 
 
@@ -54,9 +55,9 @@ def test_recovery_scenario_validation():
         Scenario(protocol="pcl", channel="ft_sock", policy="abandon-ship")
     with pytest.raises(ValueError, match="spares"):
         Scenario(protocol="pcl", channel="ft_sock", spares=-1)
-    with pytest.raises(ValueError, match="extra kill"):
+    with pytest.raises(ValueError, match="unknown fault kind 'meteor'"):
         Scenario(protocol="pcl", channel="ft_sock",
-                 extra_kills=(("meteor", 1, 2.0),))
+                 faults=(Fault("meteor", 1, 2.0),))
 
 
 def test_with_policy_filter():
@@ -68,9 +69,9 @@ def test_with_policy_filter():
 
 # ------------------------------------------------------------- the verdicts
 def test_kill_inside_spare_recovery_recovers_cleanly():
-    scenario = Scenario(protocol="pcl", channel="ft_sock", kill="node",
-                        victim=1, kill_time=2.8, policy="spare", spares=2,
-                        extra_kills=(("node", 2, 2.85),))
+    scenario = Scenario(protocol="pcl", channel="ft_sock", policy="spare",
+                        spares=2, faults=(Fault("node", 1, 2.8),
+                                          Fault("node", 2, 2.85)))
     result = run_scenario(scenario)
     assert result.verdict in OK_VERDICTS, result.detail
     assert result.monitors_ok is True
@@ -80,9 +81,9 @@ def test_kill_inside_spare_recovery_recovers_cleanly():
 
 
 def test_spare_exhaustion_is_degraded_not_dead():
-    scenario = Scenario(protocol="pcl", channel="ft_sock", kill="node",
-                        victim=1, kill_time=2.8, policy="spare", spares=1,
-                        extra_kills=(("node", 2, 2.8001),),
+    scenario = Scenario(protocol="pcl", channel="ft_sock", policy="spare",
+                        spares=1, faults=(Fault("node", 1, 2.8),
+                                          Fault("node", 2, 2.8001)),
                         expect=("recovered-degraded",))
     result = run_scenario(scenario)
     assert result.verdict == "recovered-degraded"
@@ -117,14 +118,10 @@ def test_random_kill_sequences_always_classify(
     exhaustion — always end in an OK verdict under every policy (the
     non-malleable default bench makes every shrink degrade, legally)."""
     protocol, channel = protocol_channel
-    first, rest = kills[0], kills[1:]
     scenario = Scenario(
         protocol=protocol,
         channel=channel,
-        kill=first[0],
-        victim=first[1],
-        kill_time=first[2],
-        extra_kills=tuple(rest),
+        faults=tuple(Fault(*kill) for kill in kills),
         policy=policy,
         spares=spares,
         seed=1,

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.chaos import (
     BAD_VERDICTS,
+    Fault,
     OK_VERDICTS,
     Scenario,
     run_scenario,
@@ -28,8 +29,12 @@ def test_storage_campaign_shape():
     scenarios = list(campaign)
     assert len(scenarios) == 12
     assert {s.protocol for s in scenarios} == {"pcl", "vcl"}
-    assert {s.storage_fault for s in scenarios} == \
+    assert {s.faults[-1].kind for s in scenarios} == \
         {"server_kill", "image_corrupt"}
+    # a corruption damages the killed rank's replica: the one its restart
+    # must get past
+    assert all(s.faults[-1].param("rank") == s.faults[0].target
+               for s in scenarios if s.faults[-1].kind == "image_corrupt")
     # replicated scenarios must pass outright; the K=1 ones expect the
     # classified unrecoverable verdict
     assert any(s.replication == 2 and not s.expect for s in scenarios)
@@ -43,30 +48,32 @@ def test_storage_campaign_shape():
 
 
 def test_storage_scenario_round_trips_through_dict():
-    scenario = Scenario(protocol="pcl", channel="ft_sock", kill="node",
-                        victim=1, kill_time=2.8, n_servers=2, replication=2,
-                        storage_fault="server_kill", storage_time=2.4,
-                        expect=("storage-unrecoverable",))
+    scenario = Scenario(protocol="pcl", channel="ft_sock", n_servers=2,
+                        replication=2, expect=("storage-unrecoverable",),
+                        faults=(Fault("node", 1, 2.8),
+                                Fault("image_corrupt", 1, 2.4, rank=1)))
     assert Scenario.from_dict(scenario.to_dict()) == scenario
 
 
 def test_storage_scenario_validation():
     import pytest
 
-    with pytest.raises(ValueError, match="storage fault"):
-        Scenario(protocol="pcl", channel="ft_sock", storage_fault="meteor")
-    with pytest.raises(ValueError, match="storage victim"):
+    with pytest.raises(ValueError, match="outside 1 checkpoint server"):
         Scenario(protocol="pcl", channel="ft_sock",
-                 storage_fault="server_kill", storage_victim=3)
+                 faults=(Fault("server_kill", 3, 2.4),))
+    with pytest.raises(ValueError, match="rank=7 outside job of 4"):
+        Scenario(protocol="pcl", channel="ft_sock",
+                 faults=(Fault("image_corrupt", 0, 2.4, rank=7),))
     with pytest.raises(ValueError, match="replication"):
         Scenario(protocol="pcl", channel="ft_sock", replication=2)
 
 
 # ------------------------------------------------------------- the verdicts
 def test_replicated_server_kill_scenario_passes():
-    scenario = Scenario(protocol="pcl", channel="ft_sock", kill="node",
-                        victim=1, kill_time=2.8, n_servers=2, replication=2,
-                        storage_fault="server_kill", storage_time=2.4)
+    scenario = Scenario(protocol="pcl", channel="ft_sock", n_servers=2,
+                        replication=2,
+                        faults=(Fault("node", 1, 2.8),
+                                Fault("server_kill", 0, 2.4)))
     result = run_scenario(scenario)
     assert result.verdict in OK_VERDICTS, result.detail
     assert result.ok
@@ -75,9 +82,9 @@ def test_replicated_server_kill_scenario_passes():
 
 
 def test_k1_server_kill_is_classified_unrecoverable_and_expected_ok():
-    scenario = Scenario(protocol="pcl", channel="ft_sock", kill="node",
-                        victim=1, kill_time=2.8,
-                        storage_fault="server_kill", storage_time=2.4,
+    scenario = Scenario(protocol="pcl", channel="ft_sock",
+                        faults=(Fault("node", 1, 2.8),
+                                Fault("server_kill", 0, 2.4)),
                         expect=("storage-unrecoverable",))
     result = run_scenario(scenario)
     assert result.verdict == "storage-unrecoverable"
@@ -100,7 +107,7 @@ def test_single_server_kill_at_k2_never_loses_a_committed_wave(
                           protocol="pcl", n_servers=3, period=0.6,
                           image_bytes=2e5, replication=2)
     run.start()
-    run.schedule_server_kill(victim, kill_time)
+    run.schedule(Fault("server_kill", victim, kill_time))
     sim.run_until_complete(run.completed, limit=1e5)
     live = [s for s in run.servers if s.node.alive]
     assert len(live) >= 2

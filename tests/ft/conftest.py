@@ -27,8 +27,6 @@ def build_ft_run(
     period=5.0,
     image_bytes=1e6,
     fork_latency=0.01,
-    restart_policy="same-node",
-    spare_nodes=0,
     replication=1,
     gc_keep=1,
     fetch_policy=None,
@@ -38,19 +36,17 @@ def build_ft_run(
 ):
     """Assemble network, servers and an FTRun; returns (run, net).
 
-    ``spare_nodes`` feeds the legacy restart_policy="spare" path (idle
-    compute nodes); ``spares`` pre-allocates a pool for the survivor-based
-    recovery_policy="spare" (nodes marked service until promoted).
+    ``spares`` pre-allocates a pool for recovery_policy="spare" (nodes
+    marked service until promoted).
     """
     needs_scheduler = protocol is not None and PROTOCOLS[protocol].needs_scheduler
     extra = n_servers + (1 if needs_scheduler else 0)
-    net = ClusterNetwork(sim, n_nodes=size + extra + spare_nodes + spares)
-    compute_nodes = net.nodes[:size + spare_nodes]
-    pool = net.nodes[size + spare_nodes:size + spare_nodes + spares]
+    net = ClusterNetwork(sim, n_nodes=size + extra + spares)
+    pool = net.nodes[size:size + spares]
     for node in pool:
         node.service = True
-    service_nodes = net.nodes[size + spare_nodes + spares:]
-    endpoints = [Endpoint(node, 0) for node in compute_nodes[:size]]
+    service_nodes = net.nodes[size + spares:]
+    endpoints = [Endpoint(node, 0) for node in net.nodes[:size]]
     servers = [
         CheckpointServer(sim, net, service_nodes[i], name=f"cs{i}",
                          gc_keep=gc_keep)
@@ -61,8 +57,7 @@ def build_ft_run(
     run = FTRun(
         sim, net, endpoints, app_factory, channel_cls,
         protocol_factory(protocol, period, fork_latency, scheduler_node),
-        servers, image_bytes=image_bytes, restart_policy=restart_policy,
-        replication=replication, fetch_policy=fetch_policy,
+        servers, image_bytes=image_bytes, replication=replication, fetch_policy=fetch_policy,
         recovery_policy=recovery_policy, spare_pool=pool,
         malleable_app_factory=malleable_app_factory,
     )

@@ -10,7 +10,7 @@ no delayed receive queue: the images alone are the consistent cut.
 
 import pytest
 
-from repro.ft import DclProtocol, DRAIN_BUDGET
+from repro.ft import DclProtocol, DRAIN_BUDGET, Fault
 from repro.mpi import NemesisChannel
 from repro.sim import Simulator, Tracer
 from repro.verify import InvariantViolation, MonitorBus, all_monitors
@@ -70,9 +70,9 @@ def test_dcl_recovers_from_kills(sim, kill, at):
                           protocol="dcl", period=0.8)
     run.start()
     if kill == "task":
-        run.schedule_task_kill(1, at=at)
+        run.schedule(Fault("task", 1, at))
     else:
-        run.schedule_node_kill(1, at=at)
+        run.schedule(Fault("node", 1, at))
     sim.run_until_complete(run.completed, limit=1e6)
     assert run.stats.restarts == 1
     assert_ring_result(run, 60)
@@ -84,7 +84,7 @@ def test_dcl_on_nemesis_recovers(sim):
                           protocol="dcl", channel_cls=NemesisChannel,
                           period=0.8)
     run.start()
-    run.schedule_task_kill(1, at=1.0)
+    run.schedule(Fault("task", 1, 1.0))
     sim.run_until_complete(run.completed, limit=1e6)
     assert run.stats.restarts == 1
     assert_ring_result(run, 60)
@@ -97,8 +97,8 @@ def test_dcl_with_replicated_storage(sim):
                           protocol="dcl", period=0.8, n_servers=2,
                           replication=2)
     run.start()
-    run.schedule_server_kill(0, at=1.3)
-    run.schedule_node_kill(1, at=1.6)
+    run.schedule(Fault("server_kill", 0, 1.3))
+    run.schedule(Fault("node", 1, 1.6))
     sim.run_until_complete(run.completed, limit=1e6)
     assert run.stats.restarts == 1
     assert_ring_result(run, 60)

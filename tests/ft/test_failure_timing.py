@@ -3,6 +3,7 @@ mid-image-transfer, right after a commit — must all recover correctly."""
 
 import pytest
 
+from repro.ft import Fault
 from repro.sim import Simulator
 
 from tests.ft.conftest import assert_ring_result, build_ft_run, ring_app_factory
@@ -21,7 +22,7 @@ def test_recovery_from_mid_wave_failures(protocol, kill_at):
         sim, ring_app_factory(iters=25, work=0.2, nbytes=20_000), size=4,
         protocol=protocol, period=1.0, image_bytes=4e6, fork_latency=0.02)
     run.start()
-    run.schedule_task_kill(2, kill_at)
+    run.schedule(Fault("task", 2, kill_at))
     sim.run_until_complete(run.completed, limit=10000)
     assert run.stats.failures == 1
     assert run.stats.restarts == 1
@@ -35,7 +36,7 @@ def test_kill_rank_zero(protocol):
     run, _ = build_ft_run(sim, ring_app_factory(iters=20, work=0.2), size=4,
                           protocol=protocol, period=1.0, image_bytes=2e6)
     run.start()
-    run.schedule_task_kill(0, 2.4)
+    run.schedule(Fault("task", 0, 2.4))
     sim.run_until_complete(run.completed, limit=10000)
     assert run.stats.restarts == 1
     assert_ring_result(run, iters=20)
@@ -48,7 +49,7 @@ def test_failure_in_every_rank_one_at_a_time():
                               size=4, protocol="pcl", period=1.0,
                               image_bytes=2e6)
         run.start()
-        run.schedule_task_kill(victim, 2.2)
+        run.schedule(Fault("task", victim, 2.2))
         sim.run_until_complete(run.completed, limit=10000)
         assert_ring_result(run, iters=15)
 
@@ -59,7 +60,7 @@ def test_waves_resume_after_restart():
     run, _ = build_ft_run(sim, ring_app_factory(iters=40, work=0.2), size=4,
                           protocol="pcl", period=1.0, image_bytes=2e6)
     run.start()
-    run.schedule_task_kill(1, 2.6)
+    run.schedule(Fault("task", 1, 2.6))
     sim.run_until_complete(run.completed, limit=10000)
     waves = [w for w, _s, _e in run.stats.wave_records]
     assert waves == sorted(waves)
@@ -75,7 +76,7 @@ def test_uncommitted_wave_discarded_on_failure():
                           protocol="pcl", period=1.0, image_bytes=50e6)
     run.start()
     # big images: wave 2's transfers take a while; kill in the middle
-    run.schedule_task_kill(3, 2.3)
+    run.schedule(Fault("task", 3, 2.3))
     sim.run_until_complete(run.completed, limit=10000)
     assert_ring_result(run, iters=30)
     committed = {w for w, _s, _e in run.stats.wave_records}
@@ -121,7 +122,7 @@ def test_node_kill_during_a_queued_burst(protocol, kill_at, monkeypatch):
     run, _ = build_ft_run(sim, burst_ring, size=4, protocol=protocol,
                           period=1.0, image_bytes=4e6, fork_latency=0.02)
     run.start()
-    run.schedule_node_kill(2, kill_at)
+    run.schedule(Fault("node", 2, kill_at))
     sim.run_until_complete(run.completed, limit=10000)
     assert any(queued and in_flight for queued, in_flight, _ in broken_busy)
     assert any(not queued and in_flight for queued, in_flight, _ in broken_busy)

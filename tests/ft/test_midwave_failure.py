@@ -8,6 +8,7 @@ guaranteed mid-wave regardless of timing drift, because the checkpoint
 image (1 MB) takes several milliseconds of fork plus transfer to complete.
 """
 
+from repro.ft import Fault
 from repro.mpi import SKIPPED
 from repro.sim import Simulator
 
@@ -39,7 +40,7 @@ class MidWaveKiller:
         self.fired = True
         self.committed_at_kill = self.run.committed_wave()
         victim = record.get("rank")
-        self.run.schedule_task_kill(victim, self.sim.now + self.delta)
+        self.run.schedule(Fault("task", victim, self.sim.now + self.delta))
 
 
 def test_pcl_kill_between_marker_and_image_completion():

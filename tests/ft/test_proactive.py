@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.ft import random_failures
 from repro.sim import Simulator
 
 from tests.ft.conftest import assert_ring_result, build_ft_run, ring_app_factory
@@ -13,7 +14,7 @@ def test_poisson_failures_and_recovery():
                           protocol="pcl", period=1.0, image_bytes=2e6)
     run.max_restarts = 32
     run.start()
-    run.enable_random_failures(mttf=3.0, max_failures=20)
+    random_failures(run, mttf=3.0, max_failures=20)
     sim.run_until_complete(run.completed, limit=1e5)
     assert run.stats.failures >= 1
     assert_ring_result(run, iters=25)
@@ -28,21 +29,21 @@ def test_poisson_schedule_deterministic_across_configs():
                               image_bytes=2e6)
         run.max_restarts = 32
         run.start()
-        run.enable_random_failures(mttf=4.0, max_failures=1)
+        random_failures(run, mttf=4.0, max_failures=1)
         sim.run_until_complete(run.completed, limit=1e5)
-        return run.injector.kills[0].time if run.injector.kills else None
+        return run.injected[0].time if run.injected else None
 
     t1 = first_failure_time(0.7)
     t2 = first_failure_time(3.0)
     assert t1 is not None and t1 == t2
 
 
-def test_enable_random_failures_validation():
+def test_random_failures_validation():
     sim = Simulator(seed=1)
     run, _ = build_ft_run(sim, ring_app_factory(iters=2), size=2,
                           protocol="pcl")
     with pytest.raises(ValueError):
-        run.enable_random_failures(mttf=0.0)
+        random_failures(run, mttf=0.0)
 
 
 def test_request_wave_triggers_early():
@@ -82,7 +83,7 @@ def test_proactive_probe_reduces_lost_work():
                               image_bytes=2e6)
         run.max_restarts = 32
         run.start()
-        run.enable_random_failures(mttf=2.5, max_failures=3,
+        random_failures(run, mttf=2.5, max_failures=3,
                                    probe_lead=probe_lead)
         elapsed = sim.run_until_complete(run.completed, limit=1e5)
         assert run.stats.failures >= 1

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps import BT
-from repro.chaos import OK_VERDICTS, Scenario, run_scenario
+from repro.chaos import OK_VERDICTS, Fault, Scenario, run_scenario
 from repro.harness.config import get_profile
 from repro.harness.runner import execute
 
@@ -74,9 +74,7 @@ def test_dcl_random_single_failure_recovers(channel_ppn, kill, victim,
         protocol="dcl",
         channel=channel,
         procs_per_node=procs_per_node,
-        kill=kill,
-        victim=victim,
-        kill_time=kill_time,
+        faults=(Fault(kill, victim, kill_time),),
         seed=1,
     )
     result = run_scenario(scenario)

@@ -2,24 +2,21 @@
 
 import pytest
 
+from repro.ft import Fault
 from repro.sim import Simulator, Tracer
 
 from tests.ft.conftest import assert_ring_result, build_ft_run, ring_app_factory
 
 
 def run_with_failure(protocol, kill_rank=2, kill_at=2.6, iters=30, work=0.2,
-                     seed=7, size=4, kill_kind="task", restart_policy="same-node",
-                     spare_nodes=0, period=1.0, nbytes=1000, trace=None):
+                     seed=7, size=4, kill_kind="task", period=1.0, nbytes=1000,
+                     trace=None, **policy):
     sim = Simulator(seed=seed, trace=trace)
     run, net = build_ft_run(
         sim, ring_app_factory(iters=iters, work=work, nbytes=nbytes), size=size,
-        protocol=protocol, period=period, image_bytes=2e6,
-        restart_policy=restart_policy, spare_nodes=spare_nodes)
+        protocol=protocol, period=period, image_bytes=2e6, **policy)
     run.start()
-    if kill_kind == "task":
-        run.schedule_task_kill(kill_rank, kill_at)
-    else:
-        run.schedule_node_kill(kill_rank, kill_at)
+    run.schedule(Fault(kill_kind, kill_rank, kill_at))
     elapsed = sim.run_until_complete(run.completed, limit=10000)
     return sim, run, elapsed
 
@@ -62,7 +59,7 @@ def test_restart_uses_local_images_on_task_kill():
 
 def test_node_failure_with_spare_recovery():
     sim, run, _ = run_with_failure(
-        "pcl", kill_kind="node", restart_policy="spare", spare_nodes=2)
+        "pcl", kill_kind="node", recovery_policy="spare", spares=2)
     assert run.stats.restarts == 1
     assert_ring_result(run, iters=30)
     # the dead machine is no longer hosting any endpoint
@@ -71,10 +68,15 @@ def test_node_failure_with_spare_recovery():
 
 
 def test_node_failure_same_node_policy_reboots():
-    sim, run, _ = run_with_failure("pcl", kill_kind="node",
-                                   restart_policy="same-node")
+    """The paper's restart keeps every rank on its machine: the dead node
+    reboots, without its local images."""
+    sim, run, _ = run_with_failure("pcl", kill_kind="node")
+    placement = [ep.node.name for ep in run.endpoints]
     assert run.stats.restarts == 1
     assert_ring_result(run, iters=30)
+    assert [ep.node.name for ep in run.endpoints] == placement
+    assert all(ep.node.alive for ep in run.endpoints)
+    assert sim.trace["ft.restore_remote"] >= 1
 
 
 def test_vcl_logged_messages_replayed():
@@ -94,8 +96,8 @@ def test_two_failures_two_recoveries():
     run, _ = build_ft_run(sim, ring_app_factory(iters=40, work=0.2), size=4,
                           protocol="pcl", period=1.0, image_bytes=2e6)
     run.start()
-    run.schedule_task_kill(1, 2.6)
-    run.schedule_task_kill(3, 6.3)
+    run.schedule(Fault("task", 1, 2.6))
+    run.schedule(Fault("task", 3, 6.3))
     sim.run_until_complete(run.completed, limit=10000)
     assert run.stats.failures == 2
     assert run.stats.restarts == 2
@@ -117,7 +119,7 @@ def test_recovery_rolls_back_to_committed_wave_only():
         observed["wave_at_kill"] = run.committed_wave()
 
     sim.process(spy())
-    run.schedule_task_kill(2, 2.6)
+    run.schedule(Fault("task", 2, 2.6))
     sim.run_until_complete(run.completed, limit=10000)
     assert observed["wave_at_kill"] >= 1
     # restart happened and the run completed correctly
@@ -136,16 +138,16 @@ def test_max_restarts_guard():
                           protocol="pcl", period=1.0, image_bytes=2e6)
     run.max_restarts = 0
     run.start()
-    run.schedule_task_kill(1, 1.0)
+    run.schedule(Fault("task", 1, 1.0))
     with pytest.raises(RuntimeError, match="restarts"):
         sim.run_until_complete(run.completed, limit=10000)
 
 
-def test_invalid_restart_policy():
+def test_invalid_recovery_policy():
     sim = Simulator()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="recovery policy 'bogus'"):
         build_ft_run(sim, ring_app_factory(), size=2, protocol="pcl",
-                     restart_policy="bogus")
+                     recovery_policy="bogus")
 
 
 def test_determinism_across_identical_runs():
@@ -154,13 +156,13 @@ def test_determinism_across_identical_runs():
     assert t1 == t2
 
 
-@pytest.mark.parametrize("schedule, args, named", [
-    ("schedule_task_kill", (2,), "task kill of rank 2"),
-    ("schedule_node_kill", (1,), "node kill of rank 1"),
-    ("schedule_server_kill", (0,), "server kill of server 0"),
-    ("schedule_image_corrupt", (0, 3), "image corruption of rank 3 on server 0"),
+@pytest.mark.parametrize("fault, named", [
+    (Fault("task", 2, 1.0), "task-r2@1"),
+    (Fault("node", 1, 1.0), "node-r1@1"),
+    (Fault("server_kill", 0, 1.0), "server_kill-cs0@1"),
+    (Fault("image_corrupt", 0, 1.0, rank=3), "image_corrupt-cs0@1"),
 ])
-def test_fault_scheduled_in_the_past_names_the_fault(schedule, args, named):
+def test_fault_scheduled_in_the_past_names_the_fault(fault, named):
     """A fault time before ``sim.now`` fails at the FTRun boundary with the
     fault kind, its target and both times — not the kernel's generic
     "cannot schedule into the past"."""
@@ -170,6 +172,22 @@ def test_fault_scheduled_in_the_past_names_the_fault(schedule, args, named):
     run.start()
     sim.run(until=1.5)
     with pytest.raises(ValueError) as error:
-        getattr(run, schedule)(*args, at=1.0)
+        run.schedule(fault)
     message = str(error.value)
-    assert named in message and "t=1" in message and "t=1.5" in message
+    assert named in message and "t=1.5" in message
+
+
+@pytest.mark.parametrize("fault, named", [
+    (Fault("task", 4, 2.0), "task fault target 4 outside job of 4"),
+    (Fault("node", 9, 2.0), "node fault target 9 outside job of 4"),
+    (Fault("server_kill", 1, 2.0), "server_kill fault target 1 outside 1"),
+    (Fault("image_corrupt", 0, 2.0, rank=4), "image_corrupt fault rank=4"),
+])
+def test_fault_outside_the_deployment_fails_at_schedule(fault, named):
+    """A victim the deployment does not have is refused when scheduled,
+    not silently skipped when it fires."""
+    sim = Simulator(seed=7)
+    run, _ = build_ft_run(sim, ring_app_factory(), size=4, protocol="pcl")
+    run.start()
+    with pytest.raises(ValueError, match=named):
+        run.schedule(fault)

@@ -7,7 +7,7 @@ t≈1.55 — kills are scheduled around those points.
 
 import pytest
 
-from repro.ft import FetchPolicy, StorageUnrecoverableError
+from repro.ft import Fault, FetchPolicy, StorageUnrecoverableError
 from repro.sim import Simulator
 
 from tests.ft.conftest import assert_ring_result, build_ft_run, ring_app_factory
@@ -49,8 +49,8 @@ def test_single_server_kill_with_replication_recovers(protocol):
     sim = Simulator(seed=7)
     run, _ = _build(sim, protocol=protocol, replication=2)
     run.start()
-    run.schedule_server_kill(0, 0.7)   # after wave 1 commits
-    run.schedule_node_kill(1, 0.8)     # victim's local images die with it
+    run.schedule(Fault("server_kill", 0, 0.7))   # after wave 1 commits
+    run.schedule(Fault("node", 1, 0.8))     # victim's local images die with it
     sim.run_until_complete(run.completed, limit=1e5)
     assert run.stats.restarts == 1
     assert run.stats.wave_fallbacks == 0
@@ -63,8 +63,8 @@ def test_corrupt_replica_falls_back_to_an_older_committed_wave():
     run.start()
     # wave 2 committed at ~1.24; its only copy of rank 1 goes bad before
     # the node kill forces rank 1 to restore remotely
-    run.schedule_image_corrupt(0, 1, at=1.3)
-    run.schedule_node_kill(1, 1.35)
+    run.schedule(Fault("image_corrupt", 0, 1.3, rank=1))
+    run.schedule(Fault("node", 1, 1.35))
     sim.run_until_complete(run.completed, limit=1e5)
     assert run.stats.restarts == 1
     assert run.stats.fetch_retries > 0
@@ -76,8 +76,8 @@ def test_sole_server_kill_raises_clean_unrecoverable():
     sim = Simulator(seed=7)
     run, _ = _build(sim, n_servers=1, replication=1)
     run.start()
-    run.schedule_server_kill(0, 0.7)
-    run.schedule_node_kill(1, 0.8)
+    run.schedule(Fault("server_kill", 0, 0.7))
+    run.schedule(Fault("node", 1, 0.8))
     with pytest.raises(StorageUnrecoverableError, match="no complete replica"):
         sim.run_until_complete(run.completed, limit=1e5)
 
@@ -86,8 +86,8 @@ def test_corrupt_sole_replica_raises_clean_unrecoverable():
     sim = Simulator(seed=7)
     run, _ = _build(sim, n_servers=1, replication=1)
     run.start()
-    run.schedule_image_corrupt(0, 1, at=0.7)
-    run.schedule_node_kill(1, 0.8)
+    run.schedule(Fault("image_corrupt", 0, 0.7, rank=1))
+    run.schedule(Fault("node", 1, 0.8))
     with pytest.raises(StorageUnrecoverableError, match="no complete replica"):
         sim.run_until_complete(run.completed, limit=1e5)
 
@@ -101,8 +101,8 @@ def test_fetch_retries_back_off_deterministically():
                         fetch_policy=FetchPolicy(max_rounds=3,
                                                  backoff_base=0.02))
         run.start()
-        run.schedule_image_corrupt(0, 1, at=0.7)
-        run.schedule_node_kill(1, 0.8)
+        run.schedule(Fault("image_corrupt", 0, 0.7, rank=1))
+        run.schedule(Fault("node", 1, 0.8))
         with pytest.raises(StorageUnrecoverableError):
             sim.run_until_complete(run.completed, limit=1e5)
         delays.append(run.stats.fetch_retries)

@@ -15,6 +15,7 @@ import operator
 
 import pytest
 
+from repro.ft import Fault
 from repro.sim import Simulator
 from repro.sim.trace import Tracer
 
@@ -66,9 +67,9 @@ def run_survivor(protocol="pcl", policy="spare", spares=2, kills=(),
     run.start()
     for kind, rank, at in kills:
         if kind == "node":
-            run.schedule_node_kill(rank, at)
+            run.schedule(Fault("node", rank, at))
         else:
-            run.schedule_task_kill(rank, at)
+            run.schedule(Fault("task", rank, at))
     elapsed = sim.run_until_complete(run.completed, limit=limit)
     return sim, run, elapsed
 
@@ -113,6 +114,21 @@ def test_spare_survives_kill_during_recovery():
         spares=3, kills=[("node", 1, 2.6), ("node", 2, 2.605)])
     assert run.stats.spares_promoted >= 2
     assert run.stats.policy_degradations == 0
+    assert_ring_result(run, iters=30)
+
+
+def test_node_kill_follows_a_promoted_rank_to_its_spare():
+    """A node fault resolves its machine through the *current* placement:
+    killing rank 1 again mid-restore takes down the spare it was just
+    promoted onto — not its already-dead first machine — and the recovery
+    loop promotes once more."""
+    sim, run, _ = run_survivor(spares=3, trace=True,
+                               kills=[("node", 1, 2.6), ("node", 1, 2.62)])
+    machines = [record.get("node") for record in sim.trace.select("ft.failure")
+                if record.get("kind") == "node"]
+    assert len(machines) == 2 and machines[0] != machines[1]
+    assert run.stats.spares_promoted == 2
+    assert run.stats.restarts == 1
     assert_ring_result(run, iters=30)
 
 

@@ -1,6 +1,7 @@
 """Vcl logged-message replay: FIFO per channel, no loss, no duplication,
 verified with sequence-stamped payloads across a forced rollback."""
 
+from repro.ft import Fault
 from repro.mpi import SKIPPED
 from repro.sim import Simulator
 
@@ -30,7 +31,7 @@ def test_vcl_replay_preserves_stream_order():
     run, _ = build_ft_run(sim, seq_stream_app(), size=2, protocol="vcl",
                           period=0.12, image_bytes=1e6, fork_latency=0.005)
     run.start()
-    run.schedule_task_kill(1, 0.43)  # after at least one committed wave
+    run.schedule(Fault("task", 1, 0.43))  # after at least one committed wave
     sim.run_until_complete(run.completed, limit=1e5)
     assert run.stats.restarts == 1
     seen = run.job.contexts[1].state["seen"]
@@ -51,7 +52,7 @@ def test_vcl_multiple_waves_then_failure_uses_newest_wave():
                           protocol="vcl", period=0.1, image_bytes=1e6,
                           fork_latency=0.005)
     run.start()
-    run.schedule_task_kill(0, 0.8)
+    run.schedule(Fault("task", 0, 0.8))
     sim.run_until_complete(run.completed, limit=1e5)
     # rolled back to a wave >= 2 (several waves committed before the kill)
     assert run.committed_wave() >= 2

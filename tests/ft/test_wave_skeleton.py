@@ -13,7 +13,7 @@ import inspect
 import pathlib
 
 import repro.ft
-from repro.ft import PROTOCOLS, BaseEndpoint, BaseProtocol
+from repro.ft import PROTOCOLS, BaseEndpoint, BaseProtocol, Fault
 from repro.mpi.message import MarkerPacket
 from repro.sim import Simulator, Tracer
 
@@ -78,7 +78,7 @@ def test_toy_strategy_commits_waves_and_survives_a_kill(monkeypatch):
     run, _ = build_ft_run(sim, silent_app, size=4, protocol="snap",
                           period=1.0, image_bytes=2e6)
     run.start()
-    run.schedule_task_kill(2, 2.6)
+    run.schedule(Fault("task", 2, 2.6))
     sim.run_until_complete(run.completed, limit=10000)
     assert run.stats.waves_completed >= 2
     assert run.stats.restarts == 1
@@ -96,7 +96,7 @@ def _restart_observed(policy):
                           protocol="pcl", period=1.0, image_bytes=2e6,
                           recovery_policy=policy)
     run.start()
-    run.schedule_task_kill(2, 2.6)
+    run.schedule(Fault("task", 2, 2.6))
     sim.run_until_complete(run.completed, limit=10000)
     assert_ring_result(run, iters=30)
     return sim, run

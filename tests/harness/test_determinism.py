@@ -17,6 +17,7 @@ import os
 import pytest
 
 from repro.apps import BT
+from repro.ft import Fault
 from repro.harness import get_experiment, get_profile
 from repro.harness.runner import execute, monitor_ledger
 from repro.mpi import FtSockChannel
@@ -93,7 +94,7 @@ def test_chaos_scenario_trace_twice_same_seed_is_byte_identical(tmp_path):
         )
         run = build_run(sim, spec, bench.make_app(4), name="chaos-probe")
         run.start()
-        run.schedule_task_kill(1, 1.7)
+        run.schedule(Fault("task", 1, 1.7))
         sim.run_until_complete(run.completed, limit=1e8)
         assert run.stats.restarts == 1
         path = str(tmp_path / f"chaos-{attempt}.jsonl")
@@ -110,7 +111,7 @@ def test_chaos_scenario_result_twice_is_identical():
     from repro.chaos import Scenario, run_scenario
 
     scenario = Scenario(protocol="vcl", channel="ch_v", procs_per_node=2,
-                        kill="node", victim=1, kill_time=1.7, seed=9)
+                        faults=(Fault("node", 1, 1.7),), seed=9)
     rows = [json.dumps(run_scenario(scenario).to_dict(), sort_keys=True)
             for _ in range(2)]
     assert rows[0] == rows[1]
@@ -129,7 +130,7 @@ def test_failure_recovery_trace_twice_same_seed_is_byte_identical(tmp_path):
                               protocol="vcl", period=0.12, image_bytes=1e6,
                               fork_latency=0.005)
         run.start()
-        run.schedule_task_kill(1, 0.43)
+        run.schedule(Fault("task", 1, 0.43))
         sim.run_until_complete(run.completed, limit=1e5)
         assert run.stats.restarts == 1
         path = str(tmp_path / f"recovery-{attempt}.jsonl")
@@ -157,8 +158,8 @@ def test_server_kill_replicated_restart_trace_is_byte_identical(tmp_path):
         )
         run = build_run(sim, spec, bench.make_app(4), name="storage-probe")
         run.start()
-        run.schedule_server_kill(0, 2.4)
-        run.schedule_node_kill(1, 2.8)
+        run.schedule(Fault("server_kill", 0, 2.4))
+        run.schedule(Fault("node", 1, 2.8))
         sim.run_until_complete(run.completed, limit=1e8)
         assert run.stats.restarts == 1
         path = str(tmp_path / f"storage-{attempt}.jsonl")

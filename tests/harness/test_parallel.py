@@ -134,15 +134,15 @@ def test_figure_parallel_identical_to_sequential(figure, monkeypatch):
 
 def test_campaign_parallel_identical_to_sequential():
     from repro.chaos.runner import run_campaign
-    from repro.chaos.spec import CampaignSpec, Scenario
+    from repro.chaos.spec import CampaignSpec, Fault, Scenario
 
     campaign = CampaignSpec(
         scenarios=[
             Scenario(protocol="pcl", channel="ft_sock", procs_per_node=2,
-                     kill="task", victim=1, kill_time=1.7, seed=0),
+                     faults=(Fault("task", 1, 1.7),), seed=0),
             Scenario(protocol="pcl", channel="ft_sock", seed=0),
             Scenario(protocol="dcl", channel="ft_sock", procs_per_node=2,
-                     kill="node", victim=1, kill_time=1.7, seed=0),
+                     faults=(Fault("node", 1, 1.7),), seed=0),
         ],
         name="mini",
     )

@@ -3,23 +3,25 @@
 import pytest
 
 from repro.apps import BT
+from repro.ft import Fault
 from repro.runtime import DeploymentSpec, build_run
 from repro.sim import Simulator
 
 
 def test_grid_recovery_with_remote_image_fetch():
-    """Kill a whole node on the grid with spare-node policy: its rank's
-    image must be fetched from the (possibly remote) checkpoint server."""
+    """Kill a whole node on the grid: it reboots without its local image,
+    so its rank's image must be fetched from the (possibly remote)
+    checkpoint server."""
     sim = Simulator(seed=17)
     bench = BT(klass="A", scale=0.08)
     spec = DeploymentSpec(
         n_procs=16, protocol="pcl", network="grid5000", n_servers=2,
         period=2.0, image_bytes=bench.image_bytes(16) * 0.08,
-        fork_latency=0.01, restart_policy="spare",
+        fork_latency=0.01,
     )
     run = build_run(sim, spec, bench.make_app(16), name="gridfail")
     run.start()
-    run.schedule_node_kill(5, 6.0)
+    run.schedule(Fault("node", 5, 6.0))
     sim.run_until_complete(run.completed, limit=1e6)
     assert run.stats.restarts == 1
     # the victim's machine lost its local image: at least one remote restore
@@ -38,7 +40,7 @@ def test_grid_task_kill_restores_locally():
     )
     run = build_run(sim, spec, bench.make_app(16), name="gridtask")
     run.start()
-    run.schedule_task_kill(3, 6.0)
+    run.schedule(Fault("task", 3, 6.0))
     sim.run_until_complete(run.completed, limit=1e6)
     assert run.stats.restarts == 1
     assert sim.trace["ft.restore_local"] >= 16  # every rank had a local copy

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from repro.apps import BT
+from repro.ft import Fault
 from repro.obs.timeline import (
     build_timeline,
     export_timeline,
@@ -97,7 +98,7 @@ def test_recovery_slices_and_agreement_instants():
     )
     run = build_run(sim, spec, bench.make_app(4), name="recovery-probe")
     run.start()
-    run.schedule_node_kill(1, 2.8)
+    run.schedule(Fault("node", 1, 2.8))
     sim.run_until_complete(run.completed, limit=1e8)
     doc = build_timeline(sim.trace.records)
     assert validate_trace_events(doc) == []

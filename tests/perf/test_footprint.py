@@ -166,8 +166,9 @@ def test_a_jittered_checkpointed_killed_run_imports_no_numpy():
     assert _child_imported_numpy(
         JITTERED_RUN
         + "from repro.apps.synthetic import token_ring\n"
+        "from repro.ft import random_failures\n"
         "from repro.runtime import DeploymentSpec, build_run\n"
         "from repro.sim import make_simulator\n"
         "run = build_run(make_simulator(seed=3), DeploymentSpec(n_procs=4,\n"
         "                protocol='pcl'), token_ring(rounds=1), name='mttf')\n"
-        "run.enable_random_failures(mttf=5.0)\n")
+        "random_failures(run, mttf=5.0)\n")

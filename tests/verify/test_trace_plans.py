@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.apps import BENCHMARKS
+from repro.ft import Fault
 from repro.harness.config import SMOKE
 from repro.harness.runner import execute
 from repro.sim import Simulator, Tracer
@@ -40,7 +41,7 @@ def run(protocol, policy="restart", kill=True, **kwargs):
     return execute(
         bench, 4, protocol, replace(SMOKE, time_scale=0.05, seed=0),
         period=30.0, seed=0, time_limit=8.0 * bench.expected_time(4),
-        kills=[("task", 1, 2.8)] if kill else (),
+        faults=[Fault("task", 1, 2.8)] if kill else (),
         policy=policy, spares=2 if policy == "spare" else 0, **kwargs)
 
 
