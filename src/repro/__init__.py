@@ -24,7 +24,7 @@ Subpackages
     MPICH-V dispatcher, FTPM, ssh spawning, machinefiles, one-call
     deployment (:func:`repro.runtime.build_run`).
 ``repro.apps``
-    NAS Parallel Benchmark skeletons (BT, CG, LU, MG, FT) and synthetic
+    NAS Parallel Benchmark skeletons (BT, CG) and synthetic
     kernels.
 ``repro.tools``
     NetPIPE probe and trace analysis.

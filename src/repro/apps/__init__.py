@@ -1,25 +1,19 @@
 """Application workloads: NAS Parallel Benchmark skeletons + synthetic kernels.
 
-``BENCHMARKS`` maps lowercase names to classes, mirroring NPB 2.3's kernels
-used by the paper (BT and CG carry the evaluation; LU, MG and FT are
-included for the extension studies).
+``BENCHMARKS`` maps lowercase names to classes: NPB 2.3's BT and CG, the
+two kernels the paper's evaluation uses, and the malleable stencil the
+shrink recovery policy re-decomposes.
 """
 
 from repro.apps.base import NASBenchmark, NASClassSpec, isqrt_exact
 from repro.apps.bt import BT
 from repro.apps.cg import CG
-from repro.apps.ftb import FTBench
-from repro.apps.lu import LU
-from repro.apps.mg import MG
 from repro.apps.stencil import Stencil
 from repro.apps.synthetic import burst, halo_2d, ping_pong, token_ring
 
 BENCHMARKS = {
     "bt": BT,
     "cg": CG,
-    "ft": FTBench,
-    "lu": LU,
-    "mg": MG,
     "stencil": Stencil,
 }
 
@@ -27,9 +21,6 @@ __all__ = [
     "BENCHMARKS",
     "BT",
     "CG",
-    "FTBench",
-    "LU",
-    "MG",
     "NASBenchmark",
     "NASClassSpec",
     "Stencil",

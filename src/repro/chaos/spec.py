@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, fields
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
+from repro.apps import BENCHMARKS
 from repro.ft import FAULTS, RECOVERY_POLICIES, Fault
 from repro.harness.config import PROTOCOL_CHANNELS, default_channel
 
@@ -96,6 +97,9 @@ class Scenario:
             raise ValueError(
                 f"replication must be between 1 and n_servers "
                 f"({self.n_servers}), got {self.replication}")
+        if self.bench not in BENCHMARKS:
+            raise ValueError(f"unknown bench {self.bench!r} "
+                             f"(expected one of {tuple(BENCHMARKS)})")
         if self.policy not in RECOVERY_POLICIES:
             raise ValueError(f"unknown recovery policy {self.policy!r} "
                              f"(expected one of {RECOVERY_POLICIES})")

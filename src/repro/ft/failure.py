@@ -253,9 +253,9 @@ def random_failures(run, mttf: float, max_failures: int = 8,
     Failure instants and victims come from a dedicated RNG stream, so two
     runs of the same seed see the *same* failure schedule regardless of
     checkpoint settings — which is what makes checkpoint-period sweeps
-    comparable (the MTTF experiment).  The stream is numpy's
-    (:meth:`~repro.sim.rng.RngRegistry.numpy_stream`): ``exponential``'s
-    ziggurat is built on numpy's own tables, which are not ours to copy.
+    comparable (the MTTF experiment).  Each failure takes an
+    ``exponential(mttf)`` delay and then an ``integers(n_procs)`` victim
+    from that :class:`~repro.sim.rng.Stream`.
 
     ``probe_lead`` models the paper's proposed proactive trigger: a health
     probe (CPU temperature and the like) notices the impending failure
@@ -264,7 +264,7 @@ def random_failures(run, mttf: float, max_failures: int = 8,
     """
     if mttf <= 0:
         raise ValueError("mttf must be positive")
-    rng = run.sim.rng.numpy_stream(f"{run.name}.{stream}")
+    rng = run.sim.rng.stream(f"{run.name}.{stream}")
     run.sim.process(_poisson(run, rng, mttf, max_failures, probe_lead),
                     name=f"{run.name}:poisson")
 
@@ -272,8 +272,8 @@ def random_failures(run, mttf: float, max_failures: int = 8,
 def _poisson(run, rng, mttf, max_failures, probe_lead):
     sim = run.sim
     for _ in range(max_failures):
-        delay = float(rng.exponential(mttf))
-        victim = int(rng.integers(0, len(run.endpoints)))
+        delay = rng.exponential(mttf)
+        victim = rng.integers(len(run.endpoints))
         if probe_lead is not None and delay > probe_lead:
             sim.call_at(delay - probe_lead, _probe, run)
         yield sim.timeout(delay)

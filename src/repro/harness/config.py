@@ -10,7 +10,7 @@ Every figure script runs under a *profile* that sets the experiment scale:
   is preserved while runs shrink ~7x.  Stall-type overheads (fork pauses,
   marker rounds) do *not* scale, so absolute overhead percentages read
   higher than the paper's; orderings and trends are unaffected.
-* ``smoke`` — minimum sizes for CI and pytest-benchmark runs.
+* ``smoke`` — minimum sizes for CI and the committed golden results.
 
 A profile is only a name, a scale and a seed: what a figure sweeps is the
 ``PARAMS`` table in its own module, resolved by :func:`figure_params`.

@@ -1,4 +1,5 @@
-"""Figure results: structure, ASCII rendering, JSON persistence."""
+"""Figure results: structure, ASCII rendering (a table, and a chart for
+multi-point series), JSON persistence."""
 
 from __future__ import annotations
 
@@ -72,6 +73,41 @@ def _format_value(value: float) -> str:
     return str(value)
 
 
+_MARKERS = "*o+x#@%&"
+
+
+def _ascii_plot(series: Sequence[Series], x_label: str, y_label: str) -> str:
+    """Scatter ``series`` (at least one point between them) on a 64 x 16
+    character grid, one marker per series; a later series' marker wins a
+    shared cell."""
+    width, height = 64, 16
+    points = [(x, y, index) for index, s in enumerate(series)
+              for x, y in zip(s.xs, s.ys)]
+    x_lo, x_hi = min(p[0] for p in points), max(p[0] for p in points)
+    y_lo, y_hi = min(p[1] for p in points), max(p[1] for p in points)
+    x_span = (x_hi - x_lo) or 1.0
+    y_span = (y_hi - y_lo) or 1.0
+
+    grid = [[" "] * width for _ in range(height)]
+    for x, y, index in points:
+        col = int(round((x - x_lo) / x_span * (width - 1)))
+        row = height - 1 - int(round((y - y_lo) / y_span * (height - 1)))
+        grid[row][col] = _MARKERS[index % len(_MARKERS)]
+
+    top_label, bottom_label = f"{y_hi:.3g}", f"{y_lo:.3g}"
+    margin = max(len(top_label), len(bottom_label)) + 1
+    prefixes = [top_label.rjust(margin)] + [" " * margin] * (height - 2) \
+        + [bottom_label.rjust(margin)]
+    lines = [f"{prefix}|" + "".join(row) for prefix, row in zip(prefixes, grid)]
+    lines.append(" " * margin + "+" + "-" * width)
+    x_axis = f"{x_lo:.3g}".ljust(width - 8) + f"{x_hi:.3g}".rjust(8)
+    lines.append(" " * (margin + 1) + x_axis)
+    legend = "   ".join(f"{_MARKERS[i % len(_MARKERS)]} {s.label}"
+                        for i, s in enumerate(series))
+    lines.append(f"{y_label} vs {x_label}:   {legend}")
+    return "\n".join(lines) + "\n"
+
+
 def render(result: FigureResult) -> str:
     """ASCII rendering: one table per figure with a column per series."""
     lines: List[str] = []
@@ -100,13 +136,8 @@ def render(result: FigureResult) -> str:
     lines.append("-" * sum(widths))
     numeric = [s for s in result.series if len(s.xs) >= 2]
     if len(xs) >= 3 and numeric:
-        from repro.tools.ascii_plot import ascii_plot
-
         lines.append("")
-        lines.append(ascii_plot(
-            [(s.label, s.xs, s.ys) for s in numeric],
-            x_label=result.x_label, y_label=result.y_label,
-        ))
+        lines.append(_ascii_plot(numeric, result.x_label, result.y_label))
     lines.append(f"y: {result.y_label}")
     for note in result.notes:
         lines.append(f"note: {note}")

@@ -86,6 +86,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
+    from repro.apps import BENCHMARKS
     from repro.ft import PROTOCOLS
     from repro.harness.config import cli_int
 
@@ -97,7 +98,8 @@ def main(argv=None) -> int:
 
     record = sub.add_parser(
         "record", help="run one configuration with tracing + metrics on")
-    record.add_argument("--bench", default="bt", help="benchmark (default: bt)")
+    record.add_argument("--bench", default="bt", choices=sorted(BENCHMARKS),
+                        help="benchmark (default: bt)")
     record.add_argument("--klass", default="B", help="NAS class (default: B)")
     record.add_argument("--protocol", default="pcl",
                         choices=(*PROTOCOLS, "none"),

@@ -10,14 +10,17 @@ A stream is a pure-Python PCG64 (XSL-RR 128/64) seeded the way
 ``numpy.random.SeedSequence([seed, crc32(name)])`` seeds one, and yields
 bit for bit what ``numpy.random.default_rng`` of that sequence yields for
 ``random()`` and ``uniform(a, b)`` — the few hundred draws a figure makes do
-not pay numpy's import (~20 MB resident, 0.15-0.35 s).  ``numpy`` is the
-oracle the tests compare against (``tests/sim/test_rng_reference.py``) and,
-through :meth:`RngRegistry.numpy_stream`, the failure injector's source of
-real distributions; nothing else in ``src/`` imports it.
+not pay numpy's import (~20 MB resident, 0.15-0.35 s).  The two
+distributions the Poisson failure injector needs, ``exponential(mean)`` (by
+inversion) and ``integers(n)`` (by rejection), are this module's own: they
+match numpy's in distribution, not bit for bit.  ``numpy`` is only the
+oracle the tests compare against (``tests/sim/test_rng_reference.py``);
+nothing in ``src/`` imports it.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
 from typing import Dict, List
 
@@ -67,8 +70,8 @@ def _seed_words(entropy: List[int]) -> List[int]:
 
 
 class Stream:
-    """The PCG64 stream ``name`` under root ``seed``: ``random()`` and
-    ``uniform(low, high)`` only."""
+    """The PCG64 stream ``name`` under root ``seed``: ``random()``,
+    ``uniform(low, high)``, ``exponential(mean)`` and ``integers(n)``."""
 
     __slots__ = ("_state", "_increment")
 
@@ -108,6 +111,23 @@ class Stream:
         """Uniform on [low, high)."""
         return low + (high - low) * self.random()
 
+    def exponential(self, mean: float) -> float:
+        """Exponential with the given mean, by inversion: one word per draw."""
+        if not mean > 0:
+            raise ValueError(f"mean must be positive, got {mean!r}")
+        return -mean * math.log1p(-self.random())
+
+    def integers(self, n: int) -> int:
+        """Uniform on ``range(n)``: redraw the top ``2**64 % n`` words, which
+        would favour the low residues, then reduce."""
+        if n <= 0:
+            raise ValueError(f"n must be positive, got {n!r}")
+        limit = (1 << 64) - (1 << 64) % n
+        raw = self.random_raw()
+        while raw >= limit:
+            raw = self.random_raw()
+        return raw % n
+
 
 class RngRegistry:
     """Factory and cache of named random streams."""
@@ -117,7 +137,6 @@ class RngRegistry:
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
         self._streams: Dict[str, Stream] = {}
-        self._numpy_streams: Dict[str, "numpy.random.Generator"] = {}
 
     def stream(self, name: str) -> Stream:
         """Return the stream for ``name``, creating it on first use."""
@@ -126,25 +145,8 @@ class RngRegistry:
             stream = self._streams[name] = Stream(self.seed, name)
         return stream
 
-    def numpy_stream(self, name: str) -> "numpy.random.Generator":
-        """The same stream as :meth:`stream`, as a ``numpy`` ``Generator``.
-
-        For the one consumer that needs a real distribution (the Poisson
-        failure injector: ``exponential`` + ``integers``).  numpy's
-        exponential is a ziggurat over 768 table constants of its own, which
-        are not ours to copy, so that caller pays the import instead; the
-        seeding is identical, hence so is every kill schedule.
-        """
-        generator = self._numpy_streams.get(name)
-        if generator is None:
-            import numpy
-
-            sequence = numpy.random.SeedSequence([self.seed, _stable_hash(name)])
-            generator = self._numpy_streams[name] = numpy.random.default_rng(sequence)
-        return generator
-
     def __contains__(self, name: str) -> bool:
-        return name in self._streams or name in self._numpy_streams
+        return name in self._streams
 
     def fork(self, salt: int) -> "RngRegistry":
         """Derive an independent registry (used for per-run sub-seeding)."""

@@ -89,6 +89,8 @@ def test_scenario_validation():
                  faults=(Fault("task", 9, 1.0),))
     with pytest.raises(TypeError, match="Fault values"):
         Scenario(protocol="pcl", channel="ft_sock", faults=(("task", 1, 1.0),))
+    with pytest.raises(ValueError, match="unknown bench 'nosuch'"):
+        Scenario(protocol="pcl", channel="ft_sock", bench="nosuch")
 
 
 def test_grid_includes_failure_free_controls():

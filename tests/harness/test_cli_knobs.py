@@ -19,6 +19,8 @@ from repro.obs.__main__ import main as obs_main
     (obs_main, ["record", "--procs-per-node", "0"],
      "--procs-per-node: must be >= 1"),
     (obs_main, ["record", "--seed", "-3"], "argument --seed: must be >= 0"),
+    (obs_main, ["record", "--bench", "nosuch"],
+     "argument --bench: invalid choice: 'nosuch'"),
 ])
 def test_cli_refuses_a_bad_knob_naming_the_flag(main, argv, named, capsys):
     with pytest.raises(SystemExit) as exit_info:

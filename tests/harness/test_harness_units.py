@@ -1,7 +1,6 @@
 """Unit tests for the harness plumbing: profiles, reports, CLI, tools."""
 
 import json
-import os
 
 import pytest
 
@@ -17,7 +16,6 @@ from repro.harness import (
 )
 from repro.harness.experiments_md import build_markdown
 from repro.harness.figures import figure_module
-from repro.tools.ascii_plot import ascii_plot
 
 
 # ---------------------------------------------------------------- profiles
@@ -70,14 +68,6 @@ def test_wrapper_stamps_figure_id_and_profile(tmp_path):
     result = get_experiment("netpipe")(get_profile("smoke", seed=0))
     assert (result.figure_id, result.profile) == ("netpipe", "smoke")
     assert save_json(result, str(tmp_path)).endswith("netpipe_smoke.json")
-
-
-def test_every_experiment_has_a_benchmark_file():
-    bench_dir = os.path.join(os.path.dirname(__file__), "..", "..",
-                             "benchmarks")
-    for experiment_id in EXPERIMENT_IDS:
-        path = os.path.join(bench_dir, f"test_{experiment_id}.py")
-        assert os.path.exists(path), f"missing benchmark for {experiment_id}"
 
 
 # --------------------------------------------------------------------- CLI
@@ -177,25 +167,33 @@ def test_build_markdown_prefers_larger_profile(tmp_path):
 
 
 # -------------------------------------------------------------- ascii plot
-def test_ascii_plot_renders_markers():
-    text = ascii_plot([("a", [0, 1, 2], [0.0, 1.0, 2.0]),
-                       ("b", [0, 1, 2], [2.0, 1.0, 0.0])])
-    assert "*" in text and "o" in text
-    assert "a" in text and "b" in text
+def _chart(*series):
+    result = FigureResult(title="t", x_label="period [s]", y_label="time [s]",
+                          series=list(series))
+    return render(result).split("\n\n")[1]
 
 
-def test_ascii_plot_flat_series():
-    text = ascii_plot([("flat", [0, 1], [5.0, 5.0])])
-    assert "flat" in text
+def test_render_charts_every_multi_point_series_with_its_marker():
+    chart = _chart(Series("a", [0, 1, 2], [0.0, 1.0, 2.0]),
+                   Series("b", [0, 1, 2], [2.0, 1.0, 0.0]),
+                   Series("single", [1], [7.0]))
+    rows = chart.splitlines()
+    assert rows[0] == " 2|o" + " " * 62 + "*"
+    assert rows[15] == " 0|*" + " " * 62 + "o"
+    assert rows[-1] == "time [s] vs period [s]:   * a   o b"
 
 
-def test_ascii_plot_empty():
-    assert ascii_plot([]) == "(no data)\n"
+def test_render_charts_a_flat_series_on_the_bottom_row():
+    chart = _chart(Series("flat", [0, 1, 2], [5.0, 5.0, 5.0]))
+    rows = chart.splitlines()
+    assert rows[15].startswith(" 5|*") and rows[0] == " 5|" + " " * 64
+    assert rows[-1].endswith("* flat")
 
 
-def test_ascii_plot_validates_size():
-    with pytest.raises(ValueError):
-        ascii_plot([("a", [0], [0])], width=4, height=2)
+def test_render_draws_no_chart_under_three_x_values():
+    text = render(FigureResult(title="t", x_label="x", y_label="y",
+                               series=[Series("a", [0, 1], [0.0, 1.0])]))
+    assert "|" not in text
 
 
 # -------------------------------------------- scale_limit 10k extension

@@ -15,10 +15,12 @@ workload, so the count is exact; docs/PERF.md "Transport fixed costs".
 The same ring pins what reception costs: no connection end owns a receive
 process (before: one parked generator + ``Process`` + ``get`` event per end,
 ~0.8 KB, two per rank on a ring), and a rank owns no empty ``set`` (before:
-two, 216 B each).  No run but one that injects Poisson failures may import
-``numpy`` either (~20 MB resident) — not one that draws no random number,
-and not one that draws jitter, checkpoints, loses a node and fits a line;
-pytest itself imports it, so those are checked in a fresh interpreter.
+two, 216 B each).  No run may import ``numpy`` either (~20 MB resident) —
+not one that draws no random number, and not one that draws jitter,
+checkpoints, loses a node, fits a line and injects Poisson failures; pytest
+itself imports it, so those are checked in a fresh interpreter, and the
+Poisson injector also runs through its kills with ``numpy`` made
+un-importable.
 """
 
 import collections
@@ -124,20 +126,29 @@ def test_receive_loop_detector_sees_the_one_device_that_has_one():
     assert len(loops) >= 3 * 2  # eager mesh: two ends per rank
 
 
-def _child_imported_numpy(code):
+def _child_imported_numpy(code, block_numpy=False):
     """Run ``code`` in a fresh interpreter (this one has ``numpy`` already:
     pytest's plugins and the oracle tests import it) and report whether it
-    ended with ``numpy`` loaded."""
+    ended with ``numpy`` loaded; ``block_numpy`` makes importing it fail."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.dirname(os.path.dirname(repro.__file__)),
          env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
+    prelude = "import sys\n"
+    if block_numpy:
+        prelude += "sys.modules['numpy'] = None\n"
     done = subprocess.run(
-        [sys.executable, "-c", "import sys\n" + code
-         + "sys.exit(10 + ('numpy' in sys.modules))\n"],
+        [sys.executable, "-c", prelude + code
+         + "sys.exit(10 + (sys.modules.get('numpy') is not None))\n"],
         env=env, timeout=300, capture_output=True, text=True)
     assert done.returncode in (10, 11), done.stderr[-2000:]
     return done.returncode == 11
+
+
+def test_the_detector_sees_an_explicit_numpy_import():
+    """The positive control: without it the negatives below prove nothing."""
+    pytest.importorskip("numpy")
+    assert _child_imported_numpy("import numpy\n")
 
 
 def test_a_run_that_draws_no_random_number_imports_no_numpy():
@@ -155,20 +166,32 @@ JITTERED_RUN = (
     "assert WORKLOADS['chaos_kill']().extra['verdict'] == 'recovered'\n"
     "assert linear_fit([0, 1, 2], [1.0, 2.0, 3.5]).slope == 1.25\n")
 
+#: the ``mttf`` figure's injector in miniature: four Poisson kills on a
+#: checkpointed four-rank job, each followed by a restart, then completion
+POISSON_RUN = (
+    "from repro.apps.synthetic import burst\n"
+    "from repro.ft import random_failures\n"
+    "from repro.harness.runner import bare_run\n"
+    "from repro.runtime import DeploymentSpec\n"
+    "def inject(run):\n"
+    "    run.max_restarts = 32\n"
+    "    random_failures(run, mttf=2.0, max_failures=4)\n"
+    "spec = DeploymentSpec(n_procs=4, protocol='pcl', period=1.0,\n"
+    "                      image_bytes=2e6, launcher='instant')\n"
+    "_, run = bare_run(spec, burst(iters=30, nbytes=1e4, fan=2, compute=0.2),\n"
+    "                  3, name='mttf', inject=inject)\n"
+    "assert run.completed.triggered\n"
+    "assert run.stats.failures == run.stats.restarts == len(run.injected) >= 3\n")
+
 
 def test_a_jittered_checkpointed_killed_run_imports_no_numpy():
     """``chaos_kill`` draws its compute jitter from named streams, takes a
-    checkpoint wave, loses a node and recovers; a figure then fits a line.
-    The streams are pure Python (``repro.sim.rng``) and the fit a closed
-    form, so none of it may pull ``numpy`` in — only the Poisson failure
-    injector does, which is also the proof that the detector is live."""
-    assert not _child_imported_numpy(JITTERED_RUN)
-    assert _child_imported_numpy(
-        JITTERED_RUN
-        + "from repro.apps.synthetic import token_ring\n"
-        "from repro.ft import random_failures\n"
-        "from repro.runtime import DeploymentSpec, build_run\n"
-        "from repro.sim import make_simulator\n"
-        "run = build_run(make_simulator(seed=3), DeploymentSpec(n_procs=4,\n"
-        "                protocol='pcl'), token_ring(rounds=1), name='mttf')\n"
-        "random_failures(run, mttf=5.0)\n")
+    checkpoint wave, loses a node and recovers; a figure then fits a line
+    and the Poisson injector kills ranks.  The streams and their
+    distributions are pure Python (``repro.sim.rng``) and the fit a closed
+    form, so none of it may pull ``numpy`` in."""
+    assert not _child_imported_numpy(JITTERED_RUN + POISSON_RUN)
+
+
+def test_the_poisson_injector_runs_to_recovery_without_numpy():
+    assert not _child_imported_numpy(POISSON_RUN, block_numpy=True)

@@ -6,11 +6,16 @@ float, what ``numpy.random.default_rng(SeedSequence([seed, crc32(name)]))``
 yielded before it — every golden result depends on that.  ``numpy`` is the
 executable spec here: random programs of interleaved draws must agree
 exactly, and three deliberately broken streams (each one plausible slip in
-transcribing PCG64) must each be rejected by the same comparison.
+transcribing PCG64) must each be rejected by the same comparison.  The two
+distributions the failure injector draws, ``exponential`` and ``integers``,
+are not numpy's algorithms, so they are held to numpy's *distribution*
+instead: a two-sample Kolmogorov-Smirnov test and a chi-square test, plus
+the rejection path of ``integers`` driven by a stub word stream.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
 
 import numpy as np
@@ -73,14 +78,94 @@ def test_negative_seed_is_refused_up_front_by_name(seed):
         RngRegistry(0).fork(seed)
 
 
-def test_numpy_stream_is_the_same_stream_with_distributions():
+# ------------------------------------------------ the injector's distributions
+def ks_statistic(xs, ys):
+    """Two-sample Kolmogorov-Smirnov D: the largest gap between the two
+    empirical CDFs, walked over the merged sorted samples."""
+    xs, ys = sorted(xs), sorted(ys)
+    i = j = 0
+    gap = 0.0
+    while i < len(xs) and j < len(ys):
+        at = min(xs[i], ys[j])
+        while i < len(xs) and xs[i] == at:
+            i += 1
+        while j < len(ys) and ys[j] == at:
+            j += 1
+        gap = max(gap, abs(i / len(xs) - j / len(ys)))
+    return gap
+
+
+def test_exponential_matches_numpy_in_distribution():
+    n = 10_000
+    stream = RngRegistry(7).stream("run.failures")
+    ours = [stream.exponential(3.0) for _ in range(n)]
+    theirs = np.random.default_rng(11).exponential(3.0, n).tolist()
+    # the two-sample critical value at alpha = 0.001: 1.949 * sqrt(2 / n)
+    assert ks_statistic(ours, theirs) < 1.949 * math.sqrt(2 / n)
+    assert abs(sum(ours) / n - 3.0) < 0.1
+    assert min(ours) >= 0.0
+
+
+def test_ks_statistic_sees_a_wrong_mean():
+    """The KS test above has the power to reject: a mean off by 10 %."""
+    n = 10_000
+    stream = RngRegistry(7).stream("run.failures")
+    ours = [stream.exponential(3.3) for _ in range(n)]
+    theirs = np.random.default_rng(11).exponential(3.0, n).tolist()
+    assert ks_statistic(ours, theirs) > 1.949 * math.sqrt(2 / n)
+
+
+def test_integers_is_uniform_by_chi_square():
+    n, per_bin = 7, 1_000
+    stream = RngRegistry(7).stream("run.failures")
+    counts = [0] * n
+    for _ in range(n * per_bin):
+        counts[stream.integers(n)] += 1
+    chi_square = sum((count - per_bin) ** 2 / per_bin for count in counts)
+    assert chi_square < 22.46  # 6 degrees of freedom, alpha = 0.001
+
+
+class StubWords(Stream):
+    """A stream whose 64-bit words are given, in order."""
+
+    def __init__(self, words):
+        super().__init__(0, "stub")
+        self._words = iter(words)
+
+    def random_raw(self):
+        return next(self._words)
+
+
+def test_integers_redraws_a_word_past_the_last_whole_cycle():
+    n = 7
+    limit = 2**64 - 2**64 % n
+    assert limit % n == 0
+    assert StubWords([limit, 12]).integers(n) == 5
+    assert StubWords([limit - 1]).integers(n) == (limit - 1) % n
+    assert StubWords([2**64 - 1, limit, 3]).integers(n) == 3
+
+
+def test_integers_of_one_is_always_zero():
+    stream = RngRegistry(3).stream("x")
+    assert {stream.integers(1) for _ in range(50)} == {0}
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_integers_refuses_an_empty_range_by_name(n):
+    with pytest.raises(ValueError, match="n must be positive"):
+        RngRegistry(0).stream("x").integers(n)
+
+
+@pytest.mark.parametrize("mean", [0.0, -1.0, float("nan")])
+def test_exponential_refuses_a_non_positive_mean_by_name(mean):
+    with pytest.raises(ValueError, match="mean must be positive"):
+        RngRegistry(0).stream("x").exponential(mean)
+
+
+def test_registry_caches_streams_by_name():
     registry = RngRegistry(7)
-    generator = registry.numpy_stream("run.failures")
-    assert isinstance(generator, np.random.Generator)
-    assert generator is registry.numpy_stream("run.failures")
+    assert registry.stream("run.failures") is registry.stream("run.failures")
     assert "run.failures" in registry and "other" not in registry
-    pure = RngRegistry(7).stream("run.failures")
-    assert [generator.random() for _ in range(5)] == [pure.random() for _ in range(5)]
 
 
 # ------------------------------------------------------- the rig's negatives
