@@ -277,9 +277,12 @@ class BaseChannel:
         if end is None or self.transfer_coupling <= 0.0:
             return 0.0
         flow = end.active_flow
-        if flow is None or not flow.active or flow.rate <= 0.0:
+        if flow is None or not flow.active:
             return 0.0
-        return self.transfer_coupling * self.TRANSFER_CHUNK_BYTES / flow.rate
+        rate = end.scheduler.rate(flow)
+        if rate <= 0.0:
+            return 0.0
+        return self.transfer_coupling * self.TRANSFER_CHUNK_BYTES / rate
 
     def _host_cost(self, seconds: float):
         """Model host CPU time for message processing; subclasses may

@@ -455,6 +455,12 @@ class ConnectionEnd:
         return self._out._current_flow
 
     @property
+    def scheduler(self) -> FlowScheduler:
+        """The flow scheduler this end's transfers run on; read a flow's
+        rate through its :meth:`~FlowScheduler.rate`."""
+        return self._out.scheduler
+
+    @property
     def bytes_sent(self) -> float:
         return self._out.bytes_sent
 

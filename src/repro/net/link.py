@@ -34,14 +34,5 @@ class Link:
         self.capacity = float(capacity)
         self.flows: Dict["Flow", None] = {}
 
-    @property
-    def n_flows(self) -> int:
-        return len(self.flows)
-
-    def fair_share(self) -> float:
-        """Capacity available to each flow currently on the link."""
-        n = len(self.flows)
-        return self.capacity if n <= 1 else self.capacity / n
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Link {self.name} cap={self.capacity:.3g}B/s flows={len(self.flows)}>"

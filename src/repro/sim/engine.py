@@ -42,6 +42,11 @@ never advancing the clock, never feeding the watchdog or step listeners —
 and the heap is compacted in place once garbage outnumbers live entries, so
 hot re-rate paths can cancel-and-reschedule without growing the heap.
 
+:meth:`Simulator.at_instant_end` is the one seam for work that must see a
+whole instant: its callbacks run once nothing live is left at the current
+time, before the clock moves (the flow scheduler settles and re-rates there
+once per instant).  They are not events, so they add no pop.
+
 The optional :class:`Watchdog` turns the two ways a discrete-event program
 can stall — a zero-time event cascade that never advances the clock, and a
 wall-clock stall at one simulated instant — into a :class:`LivelockError`
@@ -433,6 +438,10 @@ class Simulator:
         self._tombstones = 0
         self._tombstones_total = 0
         self._compactions = 0
+        #: callbacks to run once the current instant has no event left
+        #: (:meth:`at_instant_end`); the run loops bind this list, so it is
+        #: only ever mutated in place
+        self._instant_end: List[Callable[[], None]] = []
         self.rng = RngRegistry(seed)
         self.trace = trace if trace is not None else Tracer(enabled=False)
         self._watchdog = watchdog
@@ -526,6 +535,27 @@ class Simulator:
         heapq.heappush(self._heap, (handle.time, NORMAL, self._seq, handle))
         return handle
 
+    def at_instant_end(self, callback: Callable[[], None]) -> None:
+        """Run ``callback()`` once, after the last event due at the current
+        instant and before the clock moves.
+
+        Registration order is run order.  A callback is not an event: it
+        pops nothing, feeds neither the watchdog nor the step listeners,
+        and leaves ``events_processed`` alone.  Whatever it schedules for
+        the current instant still runs at this instant, and a callback
+        registered from there runs once that is done.  The callbacks also
+        run before :meth:`run` jumps the clock to ``until`` and before
+        :meth:`run_until_complete` declares a deadlock on a drained heap
+        (only :meth:`peek` never runs them).
+        """
+        self._instant_end.append(callback)
+
+    def _end_instant(self) -> None:
+        callbacks = list(self._instant_end)
+        self._instant_end.clear()
+        for callback in callbacks:
+            callback()
+
     # ----------------------------------------------------------------- queue
     def _push(self, event: Event, delay: float, priority: int = NORMAL) -> None:
         if delay < 0:
@@ -601,22 +631,31 @@ class Simulator:
             return (atime, priority, aseq, item)
         return None
 
-    def peek(self) -> float:
-        """Time of the next live event, or ``float('inf')`` when empty."""
-        entry = self._surface()
-        if entry is None:
-            return float("inf")
-        # _surface pops; restore the entry (now keyed authoritatively).
+    def _unpop(self, entry: Tuple[float, int, int, Any]) -> None:
+        """Put back an entry :meth:`_surface` popped (now keyed
+        authoritatively)."""
         item = entry[3]
         if isinstance(item, TimerHandle):
             item.heap_time = entry[0]
             item.heap_seq = entry[2]
         heapq.heappush(self._heap, entry)
+
+    def peek(self) -> float:
+        """Time of the next live event, or ``float('inf')`` when empty."""
+        entry = self._surface()
+        if entry is None:
+            return float("inf")
+        self._unpop(entry)
         return entry[0]
 
     def step(self) -> None:
         """Process exactly one live event (garbage is discarded)."""
         entry = self._surface()
+        while self._instant_end and (entry is None or entry[0] > self._now):
+            if entry is not None:
+                self._unpop(entry)
+            self._end_instant()
+            entry = self._surface()
         if entry is None:
             raise SimulationError("step() on an empty event heap")
         time, priority, seq, item = entry
@@ -647,18 +686,25 @@ class Simulator:
         """
         if until is not None and until < self._now:
             raise SimulationError(f"until={until!r} is in the past (now={self._now!r})")
-        # Hot loop: locals for the heap, the heap ops, the listener list
-        # (all mutated in place, so the bindings stay live) and the
-        # watchdog (fixed for a run: nothing arms or disarms one from a
-        # callback).  ``until`` becomes a float so the per-pop bound check
-        # is one comparison instead of an is-None test plus a comparison.
+        # Hot loop: locals for the heap, the heap ops, the listener list,
+        # the instant-end list (all mutated in place, so the bindings stay
+        # live) and the watchdog (fixed for a run: nothing arms or disarms
+        # one from a callback).  ``until`` becomes a float so the per-pop
+        # bound check is one comparison instead of an is-None test plus a
+        # comparison.
         heap = self._heap
         pop = heapq.heappop
         push = heapq.heappush
         listeners = self.trace.step_listeners
+        ending = self._instant_end
         watchdog = self._watchdog
         bound = _INF if until is None else until
-        while heap:
+        while heap or ending:
+            # No entry's key exceeds its item's authoritative one, so a
+            # later heap top means nothing live is left at this instant.
+            if ending and (not heap or heap[0][0] > self._now):
+                self._end_instant()
+                continue
             entry = pop(heap)
             time, priority, seq, item = entry
             if item.seq != seq or item.cancelled:
@@ -667,11 +713,12 @@ class Simulator:
                     self._tombstones -= 1
                     continue
                 time, seq = item.time, item.seq
-                if time > bound or (heap and heap[0][:3] < (time, priority, seq)):
+                if (time > bound or (ending and time > self._now)
+                        or (heap and heap[0][:3] < (time, priority, seq))):
                     item.heap_time = time
                     item.heap_seq = seq
                     push(heap, (time, priority, seq, item))
-                    if time > bound:
+                    if time > bound and not ending:
                         break
                     continue
             elif time > bound:
@@ -702,10 +749,14 @@ class Simulator:
         pop = heapq.heappop
         push = heapq.heappush
         listeners = self.trace.step_listeners
+        ending = self._instant_end
         watchdog = self._watchdog
         bound = _INF if limit is None else limit
         done = Event.PROCESSED
         while event._state != done:
+            if ending and (not heap or heap[0][0] > self._now):
+                self._end_instant()
+                continue
             if not heap:
                 raise DeadlockError(
                     f"deadlock: event heap drained before {event!r} completed"
@@ -717,11 +768,12 @@ class Simulator:
                     self._tombstones -= 1
                     continue
                 time, seq = item.time, item.seq
-                if time > bound or (heap and heap[0][:3] < (time, priority, seq)):
+                if (time > bound or (ending and time > self._now)
+                        or (heap and heap[0][:3] < (time, priority, seq))):
                     item.heap_time = time
                     item.heap_seq = seq
                     push(heap, (time, priority, seq, item))
-                    if time > bound:
+                    if time > bound and not ending:
                         raise TimeLimitError(
                             f"time limit {limit!r} reached before {event!r} "
                             "completed"

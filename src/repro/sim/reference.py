@@ -62,12 +62,14 @@ KERNEL_ENV = "REPRO_KERNEL"
 class ReferenceSimulator(Simulator):
     """Naive kernel: linear scan for the next live item, eager semantics.
 
-    Inherits the write side (``call_at``, ``_push``, timer slots) and every
-    factory from :class:`Simulator`; replaces the read side (``peek``,
-    ``step``, ``run``, ``run_until_complete``) with scan-based versions
-    that consult only *authoritative* positions.  The inherited ``_heap``
-    list is treated as a plain bag of entries — the reference kernel never
-    relies on the heap invariant, tombstone counts, or compaction (the
+    Inherits the write side (``call_at``, ``_push``, timer slots,
+    ``at_instant_end``) and every factory from :class:`Simulator`; replaces
+    the read side (``peek``, ``step``, ``run``, ``run_until_complete``)
+    with scan-based versions that consult only *authoritative* positions
+    and close an instant whenever the next live item is later (or there is
+    none).  The inherited ``_heap`` list is treated as a plain bag of
+    entries — the reference kernel never relies on the heap invariant,
+    tombstone counts, or compaction (the
     inherited compaction may still fire from the write side; it only
     shrinks the bag, which a scan is indifferent to).
     """
@@ -103,6 +105,18 @@ class ReferenceSimulator(Simulator):
             return None
         return best_index, (best_key[0], best_key[1], best_key[2], best_item)
 
+    def _scan_live(self) -> Optional[Tuple[int, Tuple[float, int, int, Any]]]:
+        """:meth:`_scan_next`, once the current instant is closed if nothing
+        live is left in it: the :meth:`~Simulator.at_instant_end` callbacks
+        run before the clock may move, and what they schedule is scanned
+        afresh."""
+        while True:
+            found = self._scan_next()
+            if not self._instant_end or (
+                    found is not None and found[1][0] <= self._now):
+                return found
+            self._end_instant()
+
     def _take(self, index: int) -> None:
         """Remove one entry from the bag (order is irrelevant to a scan)."""
         heap = self._heap
@@ -118,7 +132,7 @@ class ReferenceSimulator(Simulator):
         return found[1][0]
 
     def step(self) -> None:
-        found = self._scan_next()
+        found = self._scan_live()
         if found is None:
             raise SimulationError("step() on an empty event heap")
         index, (time, priority, seq, item) = found
@@ -143,7 +157,7 @@ class ReferenceSimulator(Simulator):
                 f"until={until!r} is in the past (now={self._now!r})"
             )
         while True:
-            found = self._scan_next()
+            found = self._scan_live()
             if found is None:
                 break
             index, (time, priority, seq, item) = found
@@ -156,7 +170,7 @@ class ReferenceSimulator(Simulator):
 
     def run_until_complete(self, event: Event, limit: Optional[float] = None) -> Any:
         while not event.processed:
-            found = self._scan_next()
+            found = self._scan_live()
             if found is None:
                 raise DeadlockError(
                     f"deadlock: event heap drained before {event!r} completed"

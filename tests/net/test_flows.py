@@ -148,7 +148,7 @@ def test_links_emptied_after_completion():
     sim, sched, link = make(100.0)
     sched.start([link], 100.0)
     sim.run()
-    assert link.n_flows == 0
+    assert not link.flows
     assert not sched.active
 
 
@@ -159,11 +159,6 @@ def test_many_flows_conserve_throughput():
     assert all(f.finished for f in flows)
     # 1000 bytes over a 100 B/s link: exactly 10 s regardless of sharing.
     assert sim.now == pytest.approx(10.0)
-
-
-def test_fair_share_helper():
-    link = Link("l", 100.0)
-    assert link.fair_share() == 100.0
 
 
 def test_link_capacity_validation():

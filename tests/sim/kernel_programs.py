@@ -2,7 +2,8 @@
 
 A *program* is a flat list of op tuples — schedule a timer, cancel one,
 re-arm one, fire a same-instant event burst, start or cancel a flow, spawn
-or kill a process, advance time — interpreted identically on any kernel.
+or kill a process, defer a callback to the end of the instant, advance
+time — interpreted identically on any kernel.
 :func:`run_program` executes a program on a named kernel and returns every
 observable the simulation produces:
 
@@ -18,8 +19,10 @@ int/float divergence cannot hide behind ``==``.
 The op vocabulary is deliberately aimed at the optimised kernel's sharp
 edges: ``rearm`` exercises lazy anchor moves, ``cancel`` the tombstone
 path, ``burst`` same-instant tie-breaks (both priorities), ``flow`` /
-``flow_cancel`` the inlined re-rate loop, ``spawn`` / ``kill`` the urgent
-interrupt machinery, and heavy churn drives compaction.
+``flow_cancel`` the inlined re-rate loop and its end-of-instant flush,
+``spawn`` / ``kill`` the urgent interrupt machinery, ``defer`` the
+end-of-instant callbacks (optionally scheduling more work at that
+instant), and heavy churn drives compaction.
 
 Used by ``test_kernel_differential.py`` (Hypothesis equivalence) and
 ``test_kernel_rig_negatives.py`` (deliberately broken kernels must be
@@ -28,6 +31,7 @@ caught by exactly this comparison).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, List, Tuple
 
 from hypothesis import strategies as st
@@ -59,6 +63,7 @@ OPS = st.one_of(
     st.tuples(st.just("flow_cancel"), st.integers(0, 63)),
     st.tuples(st.just("spawn"), DELAYS),
     st.tuples(st.just("kill"), st.integers(0, 63)),
+    st.tuples(st.just("defer"), st.booleans()),
 )
 
 PROGRAMS = st.lists(OPS, min_size=1, max_size=30)
@@ -88,6 +93,14 @@ def _driver(sim, scheduler, links, program: List[Tuple], log: List) -> Any:
             log.append(("child-done", sim.now))
         except Interrupt:
             log.append(("child-interrupted", sim.now))
+
+    def deferred(tag, extend):
+        # End of an instant; ``extend`` schedules more work *at* it, which
+        # runs before the clock moves, then closes the instant again.
+        log.append(("deferred", tag, sim.now))
+        if extend:
+            sim.call_at(0.0, timer_fired, next(tags))
+            sim.at_instant_end(partial(deferred, next(tags), False))
 
     for op in program:
         kind = op[0]
@@ -126,6 +139,8 @@ def _driver(sim, scheduler, links, program: List[Tuple], log: List) -> Any:
         elif kind == "kill":
             if procs:
                 procs[op[1] % len(procs)].interrupt()
+        elif kind == "defer":
+            sim.at_instant_end(partial(deferred, next(tags), op[1]))
         else:  # pragma: no cover - strategy and ops must stay in sync
             raise AssertionError(f"unknown op {op!r}")
 

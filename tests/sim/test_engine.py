@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.sim import Simulator
-from repro.sim.engine import SimulationError
+from repro.sim import Simulator, make_simulator
+from repro.sim.engine import DeadlockError, SimulationError
+from repro.sim.events import URGENT
 
 
 def test_clock_starts_at_zero():
@@ -146,3 +147,97 @@ def test_determinism_same_seed_same_trajectory():
 
     assert build_and_run(7) == build_and_run(7)
     assert build_and_run(7) != build_and_run(8)
+
+
+# ------------------------------------------------------- end of an instant
+# Both kernels implement the seam; every test runs on each.
+KERNELS = pytest.mark.parametrize("kernel", ["fast", "reference"])
+
+
+def _closing_log(sim, log, label):
+    return lambda: log.append((label, sim.now))
+
+
+@KERNELS
+def test_instant_end_runs_after_every_event_of_the_instant(kernel):
+    sim = make_simulator(kernel=kernel)
+    log = []
+    pops = []
+    sim.trace.step_listeners.append(lambda *pop: pops.append(pop))
+
+    def first():
+        log.append(("first", sim.now))
+        sim.at_instant_end(_closing_log(sim, log, "end"))
+        urgent = sim.event()
+        urgent.callbacks.append(lambda _e: log.append(("urgent", sim.now)))
+        urgent.succeed(priority=URGENT)
+
+    sim.call_at(1.0, first)
+    sim.call_at(1.0, lambda: log.append(("second", sim.now)))
+    sim.call_at(2.0, lambda: log.append(("later", sim.now)))
+    sim.run()
+    assert log == [("first", 1.0), ("urgent", 1.0), ("second", 1.0),
+                   ("end", 1.0), ("later", 2.0)]
+    # not an event: four pops, four listener calls
+    assert sim.events_processed == len(pops) == 4
+
+
+@KERNELS
+def test_instant_end_work_scheduled_at_the_instant_runs_before_the_clock_moves(kernel):
+    sim = make_simulator(kernel=kernel)
+    log = []
+
+    def close():
+        log.append(("end", sim.now))
+        sim.call_at(0.0, lambda: log.append(("more", sim.now)))
+        sim.at_instant_end(_closing_log(sim, log, "end-again"))
+
+    sim.call_at(1.0, sim.at_instant_end, close)
+    sim.call_at(3.0, lambda: log.append(("later", sim.now)))
+    sim.run()
+    assert log == [("end", 1.0), ("more", 1.0), ("end-again", 1.0),
+                   ("later", 3.0)]
+
+
+@KERNELS
+def test_instant_end_runs_before_run_until_jumps_the_clock(kernel):
+    sim = make_simulator(kernel=kernel)
+    log = []
+    sim.call_at(1.0, sim.at_instant_end, _closing_log(sim, log, "end"))
+    sim.call_at(9.0, lambda: log.append(("late", sim.now)))
+    sim.run(until=5.0)
+    assert log == [("end", 1.0)]
+    assert sim.now == 5.0
+    # with nothing scheduled at all, the clock still waits for the callback
+    sim.at_instant_end(_closing_log(sim, log, "idle-end"))
+    sim.run(until=6.0)
+    assert log == [("end", 1.0), ("idle-end", 5.0)]
+
+
+@KERNELS
+def test_instant_end_runs_before_a_drained_heap_deadlocks(kernel):
+    sim = make_simulator(kernel=kernel)
+    rescued, never = sim.event(), sim.event()
+    sim.call_at(2.0, sim.at_instant_end, lambda: rescued.succeed("ok"))
+    assert sim.run_until_complete(rescued) == "ok"
+    assert sim.now == 2.0
+    log = []
+    sim.at_instant_end(_closing_log(sim, log, "end"))
+    with pytest.raises(DeadlockError):
+        sim.run_until_complete(never)
+    assert log == [("end", 2.0)]
+
+
+@KERNELS
+def test_step_closes_the_instant_before_advancing(kernel):
+    sim = make_simulator(kernel=kernel)
+    log = []
+    sim.call_at(1.0, lambda: log.append(("event", sim.now)))
+    sim.at_instant_end(_closing_log(sim, log, "end"))
+    sim.step()
+    assert log == [("end", 0.0), ("event", 1.0)]
+    sim.at_instant_end(_closing_log(sim, log, "last"))
+    assert sim.peek() == float("inf")   # peek never closes an instant
+    with pytest.raises(SimulationError):
+        sim.step()
+    assert log[-1] == ("last", 1.0)
