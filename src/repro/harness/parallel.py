@@ -22,6 +22,7 @@ thing parallelism changes is wall time.
 
 from __future__ import annotations
 
+import gc
 import os
 from typing import (
     Any,
@@ -106,7 +107,15 @@ def execute_grid(tasks: Sequence[Dict[str, Any]],
     """
     jobs = resolve_jobs(jobs)
     if jobs <= 1:
-        return [execute(**kwargs) for kwargs in tasks]
+        results = []
+        for kwargs in tasks:
+            # A finished run's simulation is cyclic garbage (processes,
+            # events and their callbacks refer to one another) that only
+            # the cyclic collector frees; collect it before the next run
+            # grows, so a grid's peak memory is its largest run's.
+            gc.collect()
+            results.append(execute(**kwargs))
+        return results
     results = pool_map(_execute_task, tasks, jobs=jobs)
     for result in results:
         record_run(result.meta)
