@@ -1,6 +1,6 @@
 """The exact event/pop count gate.
 
-Seven deterministic workloads (:mod:`repro.perf.workloads`), one run each,
+Eight deterministic workloads (:mod:`repro.perf.workloads`), one run each,
 every ``events``/``pops`` count compared exactly with the committed
 ``BENCH_engine.json`` (:mod:`repro.perf.bench`, ``python -m repro.perf``).
 Wall time is measured elsewhere — ``bench/`` + ``BENCHMARK.json``; see

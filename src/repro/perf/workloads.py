@@ -15,6 +15,9 @@ layer of the stack the figures depend on:
 * ``dcl_wave`` — the same grid point under the message-drain (Dcl)
   protocol: counter reports and quiescence detection replace the channel
   flush, so this isolates the drain machinery.
+* ``vcl_wave`` — the same grid point under Vcl, the one workload on the
+  ch_v daemon channel: every message and every marker takes a daemon hop,
+  and waves log in-transit messages instead of freezing.
 * ``scale_337`` — the paper's scale boundary: an FTPM launch of 337
   processes (the count the Vcl dispatcher refuses, see Sec. 5.4) running a
   token ring: process spawn plus the connection fan-out.
@@ -133,7 +136,7 @@ def _wave(protocol: str, name: str, n_procs: int = 16,
           scale: float = 0.05) -> WorkloadRun:
     """One figure-style grid point: BT under ``protocol`` with checkpoint
     waves, monitors on (``bt_wave`` = Pcl; ``dcl_wave`` = the same point
-    under Dcl's drain-to-quiescence waves)."""
+    under Dcl's drain-to-quiescence waves; ``vcl_wave`` under Vcl on ch_v)."""
     from repro.apps import BT
     from repro.harness.config import get_profile
     from repro.harness.runner import execute
@@ -150,6 +153,7 @@ def _wave(protocol: str, name: str, n_procs: int = 16,
 
 bt_wave = partial(_wave, "pcl", "perf-bt-wave")
 dcl_wave = partial(_wave, "dcl", "perf-dcl-wave")
+vcl_wave = partial(_wave, "vcl", "perf-vcl-wave")
 
 
 # ---------------------------------------------------------------- scale point
@@ -202,6 +206,7 @@ WORKLOADS: Dict[str, Callable[..., WorkloadRun]] = {
     "netpipe": netpipe,
     "bt_wave": bt_wave,
     "dcl_wave": dcl_wave,
+    "vcl_wave": vcl_wave,
     "scale_337": scale_337,
     "scale_10k": scale_10k,
     "chaos_kill": chaos_kill,
@@ -215,6 +220,7 @@ SUITES: Dict[str, Dict[str, Dict[str, Any]]] = {
         "netpipe": {"repeats": 2},
         "bt_wave": {"n_procs": 16, "scale": 0.05},
         "dcl_wave": {"n_procs": 16, "scale": 0.05},
+        "vcl_wave": {"n_procs": 16, "scale": 0.05},
         "scale_337": {"n_procs": 337, "rounds": 1},
         "scale_10k": {"n_procs": 10_000, "rounds": 1},
         "chaos_kill": {},
@@ -224,6 +230,7 @@ SUITES: Dict[str, Dict[str, Dict[str, Any]]] = {
         "netpipe": {"repeats": 3},
         "bt_wave": {"n_procs": 36, "scale": 0.05},
         "dcl_wave": {"n_procs": 36, "scale": 0.05},
+        "vcl_wave": {"n_procs": 36, "scale": 0.05},
         "scale_337": {"n_procs": 337, "rounds": 2},
         "scale_10k": {"n_procs": 10_000, "rounds": 1},
         "chaos_kill": {},
