@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.ft.image import CONTROL_BYTES
 from repro.ft.protocol import BaseProtocol, BlockingEndpoint
 from repro.mpi.message import (
     DrainCountPacket,
@@ -124,7 +123,7 @@ class DclEndpoint(BlockingEndpoint):
             self._report_dirty = False
             packet = DrainCountPacket(self.rank, wave, self.sent, self.recvd)
             try:
-                yield from self.channel.send_control(0, packet, CONTROL_BYTES)
+                yield from self.channel.send_control(0, packet)
             except ConnectionError:
                 break
             if not self._report_dirty:

@@ -10,13 +10,25 @@ This is what the paper blames for Vcl's poor latency on Myrinet ("each
 message has to pass through two UNIX sockets ..., resulting in unnecessary
 copies and a high latency overhead", Sec. 5.3), so the cost model here is
 the load-bearing part: a per-message daemon cost on each side, *serialized*
-through a single daemon resource per process, plus a per-byte copy charge.
+through a single daemon per process, plus a per-byte copy charge.
 
-The daemon is a process in the paper and stays one here: ch_v is the one
-device that overrides :meth:`BaseChannel._start_receiving` with a receive
-loop of its own (one per connection end, parked on ``end.recv()``), because
-each packet queues for the daemon resource and sleeps a service time before
-it is handled.  The other devices take deliveries by callback.
+The daemon is a single-server FIFO of *hops*, one per message it touches:
+an application send, a control packet, a received packet.
+:meth:`ChVChannel.host_hop` queues one and returns the event that fires
+when it has been served.  A hop's completion is scheduled when the hop
+reaches the head of the queue — at once on an idle daemon, else when the
+hop ahead of it completes — for ``service`` seconds later, so the daemon
+serves strictly one hop at a time, in submission order, and each hop costs
+the engine one pop.
+
+Reception is one reader per connection end, and a reader is callbacks, not
+a process: it takes a packet with ``end.recv()``, queues the packet's hop,
+hands the packet to :meth:`~BaseChannel.handle_packet` when the hop
+completes, and only then asks the end for the next packet.  A burst on one
+end is thereby paced one hop at a time, while other ends' packets and the
+rank's own sends queue between them in the order they reached the daemon.
+The process-based daemon this replaced (a ``Resource``, one receive process
+per end) is raced against it in ``tests/mpi/test_chv_reference.py``.
 
 The daemon is also where Vcl logs in-transit messages during a checkpoint
 wave; the logging bookkeeping itself lives in the protocol
@@ -26,11 +38,13 @@ the volatile log buffer accounting the daemon would hold.
 
 from __future__ import annotations
 
-from typing import List
+from collections import deque
+from typing import Any, Deque, List, Optional, Tuple, Union
 
 from repro.mpi.channels.base import HEADER_BYTES, BaseChannel
 from repro.net.connection import ConnectionEnd
-from repro.sim.primitives import Resource
+from repro.sim.events import URGENT, Event
+from repro.sim.primitives import EMPTY
 
 __all__ = ["ChVChannel"]
 
@@ -44,6 +58,76 @@ COPY_BANDWIDTH = 1.2e9
 
 #: per-socket cost of each select() scan in the single-threaded daemon
 SELECT_SCAN_PER_SOCKET = 0.25e-6
+
+#: a hop waiting for the daemon: ``(hop, service, value, submitted_at)``
+_Queued = Tuple[Event, float, Any, float]
+
+
+class _Reader:
+    """One connection end's receive path through the daemon: callbacks on
+    the end's ``get`` event and on the packet's hop."""
+
+    __slots__ = ("channel", "peer", "end", "name", "_get", "_hop",
+                 "_stopped")
+
+    def __init__(self, channel: "ChVChannel", peer: int,
+                 end: ConnectionEnd) -> None:
+        self.channel = channel
+        self.peer = peer
+        self.end = end
+        #: the waiter ``Event.describe()`` names (``vdaemon:r1 -> rx:r1<-r0``)
+        self.name = f"rx:r{channel.rank}<-r{peer}"
+        #: the ``get`` this reader waits on, or the hop of the packet it took
+        self._get: Optional[Event] = None
+        self._hop: Optional[Event] = None
+        self._stopped = False
+        # Reading starts one URGENT step from now, behind whatever is
+        # already queued for this instant at that priority, as the base
+        # channel's sink does (``rx:start``): a packet already waiting in
+        # an adopted link's inbox must not be taken ahead of it.
+        start = Event(channel.sim, name="rx:start")
+        start.callbacks.append(self._take)
+        start.succeed(priority=URGENT)
+
+    def _take(self, _event: Optional[Event] = None) -> None:
+        if not self._stopped:
+            self._get = self.end.recv()
+            self._get.callbacks.append(self._got)
+
+    def _got(self, get: Event) -> None:
+        self._get = None
+        if get._ok:
+            self._submit(get._value)
+        else:
+            get.defused = True
+            self.channel.socket_closed(self.peer)
+
+    def _submit(self, packet: Any) -> None:
+        """Queue the daemon hop that hands ``packet`` over.  (The seam the
+        negative in ``tests/mpi/test_chv_reference.py`` feeds straight from
+        the inbox.)"""
+        channel = self.channel
+        hop = channel.host_hop(
+            channel.recv_overhead(getattr(packet, "nbytes", HEADER_BYTES)),
+            packet)
+        hop.callbacks.append(self._handle)
+        self._hop = hop
+
+    def _handle(self, hop: Event) -> None:
+        self._hop = None
+        self.channel.handle_packet(hop._value)
+        self._take()
+
+    def stop(self) -> None:
+        """Take no more packets; a packet taken and not yet handled is
+        lost with the daemon."""
+        self._stopped = True
+        if self._get is not None:
+            self._get.callbacks.remove(self._got)
+            # a later poison() fails it with nobody left to observe that
+            self._get.defused = True
+        if self._hop is not None:
+            self.channel.abandon_hop(self._hop, self.name)
 
 
 class ChVChannel(BaseChannel):
@@ -60,12 +144,15 @@ class ChVChannel(BaseChannel):
 
     def __init__(self, job: "MPIJob", rank: int) -> None:
         super().__init__(job, rank)
-        #: the single daemon thread all messages serialize through
-        self._daemon = Resource(self.sim, capacity=1, name=f"vdaemon:r{rank}")
+        self._hop_name = f"vdaemon:r{rank}"
+        #: the hop the daemon thread is serving, and when it was submitted
+        self._serving: Optional[Event] = None
+        self._serving_since = 0.0
+        #: hops waiting for the daemon thread, oldest first
+        self._queue: Union[Tuple[()], Deque[_Queued]] = EMPTY
         #: bytes of in-transit messages currently held in daemon memory
         self.log_buffer_bytes = 0.0
-        #: the daemon's receive loops, one per attached connection end
-        self._receivers: List["Process"] = []
+        self._readers: List[_Reader] = []
 
     def _scan_cost(self) -> float:
         # the daemon select()s over one socket per peer plus the servers
@@ -77,37 +164,70 @@ class ChVChannel(BaseChannel):
     def recv_overhead(self, nbytes: float) -> float:
         return UNIX_HOP_SECONDS + nbytes / COPY_BANDWIDTH + self._scan_cost()
 
-    def _start_receiving(self, peer: int, end: ConnectionEnd) -> None:
-        self._receivers.append(self.sim.process(
-            self._receiver(peer, end), name=f"rx:r{self.rank}<-r{peer}"))
+    # ------------------------------------------------------------ the daemon
+    def host_hop(self, seconds: float, value: Any = None) -> Event:
+        """Queue ``seconds`` of daemon work; the returned event succeeds
+        with ``value`` once the daemon thread has served it."""
+        hop = Event(self.sim, name=self._hop_name)
+        hop.callbacks.append(self._hop_done)
+        job = (hop, seconds, value, self.sim.now)
+        if self._serving is None:
+            self._serve(*job)
+        elif self._queue is EMPTY:
+            self._queue = deque((job,))
+        else:
+            self._queue.append(job)
+        return hop
 
-    def _receiver(self, peer: int, end: ConnectionEnd):
-        while True:
-            try:
-                packet = yield end.recv()
-            except ConnectionError:
-                self.socket_closed(peer)
-                return
-            yield from self._host_cost(
-                self.recv_overhead(getattr(packet, "nbytes", HEADER_BYTES)))
-            self.handle_packet(packet)
+    def abandon_hop(self, hop: Event, waiter: Optional[str] = None) -> None:
+        """Nobody waits for ``hop`` any more.  A queued hop is skipped when
+        it reaches the head of the queue.  A hop in service stops and the
+        daemon moves on: at once for a process interrupted while it waited
+        (it calls this from its wakeup), one URGENT step later for a
+        callback ``waiter`` that stopped — where a process's wakeup would
+        have run."""
+        hop.callbacks.clear()
+        if hop is not self._serving:
+            return
+        if waiter is None:
+            self._hop_done(hop)
+            return
+        wakeup = Event(self.sim, name=f"interrupt:{waiter}")
+        wakeup.callbacks.append(self._hop_done)
+        wakeup.succeed(priority=URGENT)
+
+    def _serve(self, hop: Event, seconds: float, value: Any,
+               since: float) -> None:
+        self._serving = hop
+        self._serving_since = since
+        hop.succeed_in(seconds, value)
+
+    def _hop_done(self, _event: Event) -> None:
+        """The hop in service is over (served, or abandoned): serve the next
+        one still waited for."""
+        since = self._serving_since
+        self._serving = None
+        queue = self._queue
+        while queue:
+            queued = queue.popleft()
+            # skip a hop nobody waits for (its waiter was interrupted, or
+            # the hop abandoned, while it queued): only this callback left
+            if len(queued[0].callbacks) > 1:
+                self._serve(*queued)
+                break
+        metrics = self.sim.metrics
+        if metrics is not None:
+            # total hop latency = queueing behind the single daemon thread
+            # + the hop's own service time; the queueing share is what
+            # blows up under load (the paper's Sec. 5.3 complaint)
+            metrics.observe("channel.daemon_hop_seconds",
+                            self.sim.now - since, rank=self.rank)
+
+    # ------------------------------------------------------------- reception
+    def _start_receiving(self, peer: int, end: ConnectionEnd) -> None:
+        self._readers.append(_Reader(self, peer, end))
 
     def _stop_receiving(self) -> None:
-        for receiver in self._receivers:
-            receiver.interrupt("channel shut down")
-        self._receivers.clear()
-
-    def _host_cost(self, seconds: float):
-        metrics = self.sim.metrics
-        start = self.sim.now if metrics is not None else 0.0
-        yield self._daemon.acquire()
-        try:
-            yield self.sim.timeout(seconds)
-        finally:
-            self._daemon.release()
-            if metrics is not None:
-                # total hop latency = queueing behind the single daemon
-                # thread + the hop's own service time; the queueing share is
-                # what blows up under load (the paper's Sec. 5.3 complaint)
-                metrics.observe("channel.daemon_hop_seconds",
-                                self.sim.now - start, rank=self.rank)
+        for reader in self._readers:
+            reader.stop()
+        self._readers.clear()

@@ -12,12 +12,13 @@ and in-flight messages, and poisons both receive queues with
 immediately, which is the "failure detection by unexpected socket closure"
 semantics of the paper's runtimes.
 
-An end is consumed in one of two ways.  A consumer that *is* a process (the
-checkpoint server, the protocols' ack and fetch loops, the Vcl scheduler,
-the ch_v daemon) parks on :meth:`ConnectionEnd.recv`.  A consumer that is
-one progress engine over many connections (an MPI channel) registers itself
-as the end's *sink* with :meth:`ConnectionEnd.set_sink` and is called back
-per delivery, so a connection end owns no process.
+An end is consumed in one of two ways.  A reader — a process (the
+checkpoint server, the protocols' ack and fetch loops, the Vcl scheduler)
+or callbacks (ch_v's daemon readers) — waits on :meth:`ConnectionEnd.recv`.
+A consumer that is one progress engine over many connections (an MPI
+channel) registers itself as the end's *sink* with
+:meth:`ConnectionEnd.set_sink` and is called back per delivery, so a
+connection end owns no process.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ declare("net.delivered", __name__, pipe=str, msg=int)
 
 
 #: one queued or in-flight message:
-#: ``(payload, nbytes, sent, extra_latency, msg_id)``
-_Message = Tuple[Any, float, Event, float, int]
+#: ``(payload, nbytes, sent, extra_latency, msg_id)``; ``sent`` is None for
+#: a message sent without a transmit-complete event
+_Message = Tuple[Any, float, Optional[Event], float, int]
 
 #: what the hand-over hop carries when it announces a broken pipe
 _CLOSED = object()
@@ -169,10 +171,12 @@ class _Pipe:
         self._rx_gen = 0
 
     # ------------------------------------------------------------------ send
-    def send(self, payload: Any, nbytes: float, extra_latency: float = 0.0) -> Event:
+    def send(self, payload: Any, nbytes: float, extra_latency: float = 0.0,
+             notify: bool = True) -> Optional[Event]:
         """Queue ``payload``; the returned event fires when the last byte has
         left the sender (not when it is delivered).  ``extra_latency`` is
-        added to this message's delivery time (deferred host costs)."""
+        added to this message's delivery time (deferred host costs).  With
+        ``notify=False`` there is no such event (None is returned)."""
         if self.broken:
             raise BrokenConnectionError(f"send on broken pipe {self.name}")
         probe = self.sim.trace.probes.get("net.sent")
@@ -182,7 +186,7 @@ class _Pipe:
             probe(self.sim.now, self.name, msg_id, nbytes)
         else:
             msg_id = 0
-        sent = self.sim.event(name=self._sent_name)
+        sent = self.sim.event(name=self._sent_name) if notify else None
         if (
             not self.pumping
             and nbytes <= _INLINE_BYTES
@@ -208,7 +212,8 @@ class _Pipe:
                 # fabric, not one per (transient) pipe
                 metrics.count("net.inline_sends")
                 metrics.count("net.bytes_sent", nbytes)
-            sent.succeed()
+            if sent is not None:
+                sent.succeed()
             self.sim.call_at(delivery - self.sim.now, self._deliver, payload,
                              msg_id, self._flush_gen)
             return sent
@@ -263,7 +268,7 @@ class _Pipe:
             if metrics is not None:
                 metrics.count("net.flow_sends")
                 metrics.count("net.bytes_sent", nbytes)
-            if not sent.triggered:
+            if sent is not None and not sent.triggered:
                 sent.succeed()
             # FIFO guard: a later message with a smaller queueing penalty must
             # not overtake an earlier one.
@@ -272,7 +277,7 @@ class _Pipe:
             self._last_delivery = delivery
             self.sim.call_at(delivery - self.sim.now, self._deliver, payload,
                              msg_id, self._flush_gen)
-        elif not self.broken and not sent.triggered:
+        elif not self.broken and sent is not None and not sent.triggered:
             # Cancelled by flush(): this message is dropped, but the pipe
             # lives on — keep draining whatever was enqueued since.  (After
             # break_() the queued messages are already dropped and
@@ -361,7 +366,7 @@ class _Pipe:
         while self.egress:
             entry = self.egress.popleft()
             sent = entry[2]
-            if not sent.triggered:
+            if sent is not None and not sent.triggered:
                 sent.defused = True
                 sent.fail(error)
         self.inbox.drain()
@@ -377,7 +382,7 @@ class _Pipe:
         while self.egress:
             entry = self.egress.popleft()
             sent = entry[2]
-            if not sent.triggered:
+            if sent is not None and not sent.triggered:
                 sent.defused = True
                 sent.fail(error)
         self.inbox.poison(error)
@@ -403,9 +408,10 @@ class ConnectionEnd:
         return self._out.broken or self._in.broken
 
     def send(self, payload: Any, nbytes: float = 0.0,
-             extra_latency: float = 0.0) -> Event:
-        """Send a message; returns the transmit-complete event."""
-        return self._out.send(payload, nbytes, extra_latency)
+             extra_latency: float = 0.0, notify: bool = True) -> Optional[Event]:
+        """Send a message; returns the transmit-complete event (None with
+        ``notify=False``)."""
+        return self._out.send(payload, nbytes, extra_latency, notify)
 
     def recv(self) -> Event:
         """Event yielding the next in-order message from the peer."""

@@ -110,6 +110,19 @@ class Event:
         heapq.heappush(sim._heap, (sim._now, priority, seq, self))
         return self
 
+    def succeed_in(self, delay: float, value: Any = None) -> "Event":
+        """Mark the event successful with its callbacks due ``delay``
+        seconds from now: a :class:`Timeout` whose clock starts when this
+        is called rather than when the event was created, so a waiter can
+        hold the event while it is still queued for something."""
+        if self._state != Event.PENDING:
+            raise RuntimeError(f"{self!r} has already been triggered")
+        self._ok = True
+        self._value = value
+        self._state = Event.TRIGGERED
+        self.sim._push(self, delay, NORMAL)
+        return self
+
     def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
         """Mark the event failed and schedule its callbacks for *now*."""
         if self._state != Event.PENDING:

@@ -234,3 +234,28 @@ def test_livelock_monitor_quiet_on_progress():
     bus.finish()
     assert bus.ok
     assert monitor.checked == 500
+
+
+@pytest.mark.unmonitored
+def test_waiting_report_names_the_waiters_of_a_chv_daemon_hop():
+    """ch_v's daemon readers and the markers' fan-out are callbacks, not
+    processes; a daemon hop on the heap must still say whose it is — what
+    ``Timeout -> rx:r1<-r0`` said when processes waited on the daemon."""
+    from repro.mpi import ChVChannel
+    from tests.ft.conftest import build_ft_run, ring_app_factory
+
+    sim = Simulator(seed=7)
+    run, _net = build_ft_run(sim, ring_app_factory(iters=8), 3,
+                             protocol="vcl", channel_cls=ChVChannel,
+                             period=0.2)
+    run.start()
+    seen = set()
+    while sim.peek() < 2.0 and len(seen) < 2:
+        for entry in Watchdog._waiting_report(sim, limit=64):
+            label = entry.split(" ", 3)[3]
+            if label.startswith("vdaemon:r1 -> rx:r1<-r"):
+                seen.add("reader")
+            if label == "vdaemon:r1 -> vcl:MarkerPacket:r1":
+                seen.add("fan-out")
+        sim.step()
+    assert seen == {"reader", "fan-out"}

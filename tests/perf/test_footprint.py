@@ -15,7 +15,9 @@ workload, so the count is exact; docs/PERF.md "Transport fixed costs".
 The same ring pins what reception costs: no connection end owns a receive
 process (before: one parked generator + ``Process`` + ``get`` event per end,
 ~0.8 KB, two per rank on a ring), and a rank owns no empty ``set`` (before:
-two, 216 B each).  No run may import ``numpy`` either (~20 MB resident) —
+two, 216 B each).  ch_v's daemon, whose reception takes host time, reads
+its ends by callbacks too: a ch_v mesh owns no receive process either,
+while the process daemon kept as its spec has one per end.  No run may import ``numpy`` either (~20 MB resident) —
 not one that draws no random number, and not one that draws jitter,
 checkpoints, loses a node, fits a line and injects Poisson failures; pytest
 itself imports it, so those are checked in a fresh interpreter, and the
@@ -35,7 +37,7 @@ import pytest
 import repro
 from repro.apps.synthetic import token_ring
 from repro.net.connection import _INLINE_BYTES
-from repro.runtime import DeploymentSpec, build_run
+from repro.runtime import CHANNELS, DeploymentSpec, build_run
 from repro.sim import make_simulator
 from repro.sim.process import Process
 
@@ -52,11 +54,17 @@ def _live(kind, known=frozenset()):
             if type(obj) is kind and id(obj) not in known]
 
 
+#: where a per-connection receive loop could live: a channel, or the
+#: process daemon ``tests/mpi/test_chv_reference.py`` keeps as ch_v's spec
+RECEIVE_LOOP_HOMES = (os.path.join("repro", "mpi", "channels"),
+                      os.path.join("tests", "mpi", "test_chv_reference.py"))
+
+
 def _receive_loops(generators):
-    """Generators whose code is a channel's per-connection receive loop."""
-    channels = os.path.join("repro", "mpi", "channels")
+    """Generators whose code is a per-connection receive loop."""
     return [gen for gen in generators
-            if channels in gen.gi_code.co_filename
+            if any(home in gen.gi_code.co_filename
+                   for home in RECEIVE_LOOP_HOMES)
             and "receiver" in gen.gi_code.co_name]
 
 
@@ -114,16 +122,39 @@ def test_idle_and_drained_queues_own_no_deque():
     assert_no_receive_process()  # connected, and every end has received
 
 
-def test_receive_loop_detector_sees_the_one_device_that_has_one():
-    """ch_v's daemon is the receive loop left in ``src/``; the detector the
-    pin above relies on must see it."""
+def _chv_ring_receive_loops():
+    """Receive loops and live receive processes after a 3-rank ch_v ring
+    (an eager mesh: two ends per rank), whatever device runs ``ch_v``."""
+    known_generators = frozenset(
+        id(obj) for obj in _live(types.GeneratorType))
+    known_processes = frozenset(id(obj) for obj in _live(Process))
     sim = make_simulator(seed=3)
     spec = DeploymentSpec(n_procs=3, protocol=None, channel="ch_v")
     run = build_run(sim, spec, token_ring(rounds=1), name="footprint-chv")
     run.start()
     sim.run_until_complete(run.completed, limit=1e8)
-    loops = _receive_loops(_live(types.GeneratorType))
-    assert len(loops) >= 3 * 2  # eager mesh: two ends per rank
+    loops = _receive_loops(_live(types.GeneratorType, known_generators))
+    receivers = [process for process in _live(Process, known_processes)
+                 if process.name.startswith("rx:")]
+    return loops, receivers
+
+
+def test_a_chv_mesh_owns_no_receive_process():
+    assert _chv_ring_receive_loops() == ([], [])
+
+
+def test_receive_loop_detector_sees_the_process_daemon(monkeypatch):
+    """The positive control: the process daemon kept as ch_v's spec has a
+    receive loop per end, and the detector the pins rely on sees them."""
+    from repro.mpi import ChVChannel
+    from tests.mpi.test_chv_reference import ProcessDaemon
+
+    monkeypatch.setitem(
+        CHANNELS, "ch_v",
+        type("ProcessDaemonChV", (ProcessDaemon, ChVChannel), {}))
+    loops, receivers = _chv_ring_receive_loops()
+    assert len(loops) >= 3 * 2
+    assert len(receivers) == len(loops)
 
 
 def _child_imported_numpy(code, block_numpy=False):

@@ -30,7 +30,10 @@ seeds = st.one_of(st.sampled_from(BOUNDARY_SEEDS), st.integers(0, 2**32),
                   st.integers(0, 2**130))
 names = st.one_of(st.sampled_from(["", "app.jitter.r0", "ft.fetch.r3", "réseau-✓"]),
                   st.text(max_size=20))
-bounds = st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)).map(sorted)
+#: ``low <= high`` as numpy requires it: ``-0.0`` sorts before ``0.0``
+#: (numpy rejects ``uniform(0.0, -0.0)``: ``high - low`` is ``-0.0``)
+bounds = st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)).map(
+    lambda pair: sorted(pair, key=lambda x: (x, math.copysign(1.0, x))))
 draws = st.lists(
     st.one_of(st.just(("random",)), st.just(("random_raw",)),
               bounds.map(lambda low_high: ("uniform", *low_high))),
