@@ -111,6 +111,12 @@ _KILL = st.tuples(st.sampled_from(["task", "node"]),
 # the membership agreement round.
 @example(protocol_channel=("vcl", "ch_v"), policy="spare", spares=0,
          kills=[("node", 0, 0.0)])
+# And another: an isend pusher of the killed incarnation, still waiting
+# for its ch_v daemon hop at the kill, sent on a harvested survivor link
+# afterwards; the next incarnation adopted the link and received the dead
+# job's packet (fifo-delivery, a hung wave).
+@example(protocol_channel=("vcl", "ch_v"), policy="spare", spares=0,
+         kills=[("task", 0, 56.109375)])
 @settings(max_examples=12, deadline=None)
 def test_random_kill_sequences_always_classify(
         protocol_channel, policy, spares, kills):

@@ -141,7 +141,8 @@ def _workload_fingerprint(result) -> str:
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("workload", ["bt_wave", "flow_churn", "chaos_kill"])
+@pytest.mark.parametrize("workload", ["bt_wave", "vcl_wave", "flow_churn",
+                                      "chaos_kill"])
 def test_perf_workload_byte_equivalent(workload, monkeypatch):
     """Smoke-sized perf workloads produce byte-identical results on both
     kernels (the workloads construct their engine via make_simulator)."""
