@@ -26,27 +26,24 @@ for a reader inside the instant.
 Completions are driven by re-armable engine timer slots
 (:class:`~repro.sim.engine.TimerHandle`): each active flow owns one finish
 timer for its whole lifetime, and every re-rate moves it with
-:meth:`~repro.sim.engine.TimerHandle.rearm` — no allocation, no heap
-operation unless the fire time moved earlier.  Each re-arm still burns a
-fresh heap sequence number, because that number is part of the
-deterministic event total order (same-instant completions tie-break on it):
-a "keep the live timer's sequence when the fire time is unchanged"
-shortcut was tried once and reverted for reordering same-timestamp events
-(see ``_schedule_finish``).  Per-link flow membership is an
-insertion-ordered dict, already sorted by creation index, so the flush's
-union of the dirty links' flows is a few sorted runs.
+:meth:`~repro.sim.engine.TimerHandle.rearm`, which allocates nothing and
+pushes one fresh heap entry.  Each re-arm burns a fresh heap sequence
+number, because that number is part of the deterministic event total
+order (same-instant completions tie-break on it): a "keep the live timer's
+sequence when the fire time is unchanged" shortcut was tried once and
+reverted for reordering same-timestamp events (see ``_schedule_finish``).
+Per-link flow membership is an insertion-ordered dict, already sorted by
+creation index, so the flush's union of the dirty links' flows is a few
+sorted runs.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import operator
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.net.link import Link
-from repro.sim.engine import _NO_ENTRY
-from repro.sim.events import NORMAL
 
 __all__ = ["Flow", "FlowScheduler"]
 
@@ -222,14 +219,9 @@ class FlowScheduler:
         # traces stop being reproducible.  Settling and re-rating fuse into
         # one pass because a settle reads only its own flow's fields at the
         # flow's *old* rate — an earlier flow's re-rate cannot disturb it.
-        # The loop body inlines _settle and the re-arm branch of
-        # _schedule_finish (this is the hottest loop in the simulator), so
-        # keep the three in step.
-        sim = self.sim
+        # The loop body inlines _settle (this is the hottest loop in the
+        # simulator), so keep the two in step.
         inf = math.inf
-        nextafter = math.nextafter
-        heappush = heapq.heappush
-        maybe_compact = sim._maybe_compact
         for flow in flows:
             old_rate = flow.rate
             if old_rate > 0.0:
@@ -250,36 +242,7 @@ class FlowScheduler:
             if cap is not None and cap < rate:
                 rate = cap
             flow.rate = rate
-            timer = flow._timer
-            if timer is None or rate <= 0.0:
-                # a new flow's first timer (or a zero cap)
-                self._schedule_finish(flow)
-                continue
-            bytes_remaining = flow.bytes_remaining
-            remaining = bytes_remaining / rate
-            if now + remaining <= now and bytes_remaining > _EPSILON_BYTES:
-                # sub-ulp residue: see _schedule_finish
-                remaining = nextafter(now, inf) - now
-            # Inline of TimerHandle.rearm (~87k calls per bt_wave run,
-            # 81% of them the lazy no-heap-op path).  The guard checks
-            # rearm performs are invariants here: ``remaining`` is
-            # non-negative by construction and a flow's stored timer is
-            # never cancelled (_detach and the zero-rate branch null it
-            # out when they cancel).
-            seq = sim._seq + 1
-            sim._seq = seq
-            fire = now + remaining
-            timer.time = fire
-            timer.seq = seq
-            hseq = timer.heap_seq
-            if hseq == _NO_ENTRY or fire < timer.heap_time:
-                if hseq != _NO_ENTRY:
-                    sim._tombstones += 1
-                    sim._tombstones_total += 1
-                timer.heap_time = fire
-                timer.heap_seq = seq
-                heappush(sim._heap, (fire, NORMAL, seq, timer))
-                maybe_compact()
+            self._schedule_finish(flow)
 
     def _schedule_finish(self, flow: Flow) -> None:
         timer = flow._timer
@@ -305,10 +268,6 @@ class FlowScheduler:
         # number is part of the deterministic total order (same-instant
         # completions tie-break on it) and freezing it was measured to
         # reorder same-timestamp events (last-ulp drift in figure rows).
-        # What rearm() *does* skip is the heap traffic: a finish time that
-        # stayed put or moved later keeps its existing heap entry, and the
-        # engine reconciles the entry to the authoritative (time, seq) if
-        # it ever surfaces early.
         if timer is not None:
             timer.rearm(remaining)
         else:

@@ -8,39 +8,23 @@ An item is either an :class:`~repro.sim.events.Event` or a
 :class:`TimerHandle` — a cancellable, *re-armable* scheduled callback
 returned by :meth:`Simulator.call_at`.
 
-Slot-encoded timers
--------------------
-A :class:`TimerHandle` is a reusable *slot*: its authoritative fire position
-``(handle.time, handle.seq)`` lives on the handle, outside the heap, and the
-heap holds disposable pointer entries.  The entry whose ``(time, seq)`` key
-matches ``(handle.heap_time, handle.heap_seq)`` is the handle's *anchor*;
-every other entry pointing at the handle is garbage awaiting lazy discard.
-This encoding makes the two hottest scheduler operations O(1):
+Re-armable timers
+-----------------
+A :class:`TimerHandle` is a reusable slot: :meth:`TimerHandle.rearm` moves
+it to a new fire time without allocating a handle.  Cancelling and
+re-arming are both eager and both O(1) on the item: the queued entry is
+left in the heap as garbage, and a re-arm takes a fresh sequence number
+and pushes a fresh entry.  One test tells live entries from garbage, for
+events and timers alike: an entry is live exactly when its sequence number
+is its item's current one and the item is not cancelled.  The run loop
+fires every live entry in key order; ``tests/sim/
+test_kernel_differential.py`` pins this against the naive kernel in
+:mod:`repro.sim.reference`, which states that rule and nothing else.
 
-* :meth:`TimerHandle.cancel` sets the tombstone bit and leaves the anchor
-  where it is — exactly the lazy tombstone the pre-slot kernel used.
-* :meth:`TimerHandle.rearm` *moves* the timer.  It always burns a fresh
-  sequence number (matching, push for push and seq for seq, what an eager
-  ``cancel(); call_at()`` pair would have allocated — that is what keeps the
-  deterministic total order byte-identical to the eager kernel), but it only
-  touches the heap when the timer moved *earlier* than its anchor.  A timer
-  moved later (or re-armed at the same instant, the flow scheduler's common
-  case) keeps its anchor: when the anchor surfaces at the heap top ahead of
-  the authoritative position, the run loop *reconciles* — it re-pushes the
-  entry at the authoritative key if anything else must run first, or fires
-  the timer immediately (at its authoritative time and sequence) when the
-  anchor is next anyway.
-
-The reconciliation rule makes the optimisation exact rather than heuristic:
-the observable pop order is the total order over authoritative keys, which
-is precisely the order the eager kernel produces.  ``tests/sim/
-test_kernel_differential.py`` pins this with a differential rig against the
-retained naive kernel in :mod:`repro.sim.reference`.
-
-Garbage (tombstones, superseded anchors) is discarded when it surfaces —
-never advancing the clock, never feeding the watchdog or step listeners —
-and the heap is compacted in place once garbage outnumbers live entries, so
-hot re-rate paths can cancel-and-reschedule without growing the heap.
+Garbage is discarded when it surfaces — never advancing the clock, never
+feeding the watchdog or step listeners — and the heap is compacted in
+place once garbage outnumbers live entries, so hot re-rate paths can
+re-arm without growing the heap.
 
 :meth:`Simulator.at_instant_end` is the one seam for work that must see a
 whole instant: its callbacks run once nothing live is left at the current
@@ -83,12 +67,19 @@ __all__ = [
 #: both directions while tripping within a fraction of a second.
 DEFAULT_MAX_SAME_TIME_EVENTS = 100_000
 
-#: sentinel ``heap_seq`` meaning "no heap entry points at this handle"
-_NO_ENTRY = -1
-
 #: hot-loop bound for "no time limit": one float compare beats an is-None
 #: test plus a compare, and simulated times are always finite
 _INF = float("inf")
+
+#: why :meth:`Simulator._loop` stopped
+_DONE, _DRAINED, _PAST_BOUND = "done", "drained", "past the bound"
+
+
+def _live(entry: Tuple[float, int, int, Any]) -> bool:
+    """Whether a heap entry fires: it carries its item's current sequence
+    number and the item is not cancelled (anything else is garbage)."""
+    item = entry[3]
+    return item.seq == entry[2] and not item.cancelled
 
 
 class SimulationError(RuntimeError):
@@ -98,21 +89,19 @@ class SimulationError(RuntimeError):
 class TimerHandle:
     """A scheduled callback slot: cancellable and re-armable in O(1).
 
-    Returned by :meth:`Simulator.call_at`.  The handle is the authoritative
-    record of when its callback runs — ``(time, seq)`` — while heap entries
-    are disposable pointers (see the module docstring).  :meth:`cancel`
-    marks the tombstone bit; a cancelled handle's callback is guaranteed
-    never to run.  :meth:`rearm` reuses the slot for a new fire time, which
-    is what lets one flow own one handle for its whole lifetime instead of
-    allocating a fresh handle per re-rate.
+    Returned by :meth:`Simulator.call_at`.  ``(time, seq)`` is the key of
+    the handle's queued heap entry.  :meth:`cancel` marks the tombstone
+    bit; a cancelled handle's callback is guaranteed never to run.
+    :meth:`rearm` reuses the slot for a new fire time, which is what lets
+    one flow own one handle for its whole lifetime instead of allocating a
+    fresh handle per re-rate.
     """
 
     __slots__ = (
         "sim",
         "time",
         "seq",
-        "heap_time",
-        "heap_seq",
+        "queued",
         "callback",
         "args",
         "name",
@@ -129,13 +118,10 @@ class TimerHandle:
         name: Optional[str],
     ) -> None:
         self.sim = sim
-        #: authoritative fire time
         self.time = time
-        #: authoritative tie-break sequence number
         self.seq = seq
-        #: key of the anchor heap entry (the one entry that is not garbage)
-        self.heap_time = time
-        self.heap_seq = seq
+        #: True while an entry keyed ``(time, seq)`` waits in the heap
+        self.queued = True
         self.callback = callback
         self.args = args
         self.name = name
@@ -145,8 +131,7 @@ class TimerHandle:
         """Prevent the callback from running (idempotent)."""
         if not self.cancelled:
             self.cancelled = True
-            if self.heap_seq != _NO_ENTRY:
-                self.heap_seq = _NO_ENTRY
+            if self.queued:
                 self.sim._note_tombstone()
 
     def rearm(self, delay: float) -> None:
@@ -154,42 +139,30 @@ class TimerHandle:
 
         Equivalent — including its effect on the deterministic total event
         order — to ``self.cancel()`` followed by ``sim.call_at(delay,
-        self.callback, *self.args)``, but without allocating a handle and,
-        unless the timer moved earlier than its current heap anchor,
-        without touching the heap at all.  An already-fired slot is
-        re-armed with a fresh heap entry; re-arming a cancelled slot is a
-        programming error (cancel() promises the callback never runs).
+        self.callback, *self.args)``, without allocating a handle: the
+        queued entry becomes garbage and a fresh one is pushed.  An
+        already-fired slot is simply pushed again; re-arming a cancelled
+        slot is a programming error (cancel() promises the callback never
+        runs).
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay!r}s into the past")
         if self.cancelled:
             raise SimulationError("cannot rearm a cancelled timer")
         sim = self.sim
+        superseded = self.queued
         sim._seq += 1
-        seq = sim._seq
-        time = sim._now + delay
-        self.time = time
-        self.seq = seq
-        anchor = self.heap_seq
-        if anchor != _NO_ENTRY and time >= self.heap_time:
-            # Lazy move: the anchor surfaces no later than the authoritative
-            # position; the run loop reconciles it there.
-            return
-        if anchor != _NO_ENTRY:
-            # Moving earlier: the old anchor becomes garbage and a fresh
-            # entry is pushed so the timer cannot fire late.
-            self.sim._tombstones += 1
-            self.sim._tombstones_total += 1
-        self.heap_time = time
-        self.heap_seq = seq
+        self.seq = seq = sim._seq
+        self.time = time = sim._now + delay
+        self.queued = True
         heapq.heappush(sim._heap, (time, NORMAL, seq, self))
-        sim._maybe_compact()
+        if superseded:
+            sim._note_tombstone()
 
     def _process(self) -> None:
-        # The anchor entry was just popped: forget it *before* the callback
-        # runs, so a rearm from inside the callback pushes a fresh entry
-        # instead of lazily trusting an entry that no longer exists.
-        self.heap_seq = _NO_ENTRY
+        # The entry was just popped: a rearm from inside the callback has
+        # no garbage to leave behind.
+        self.queued = False
         self.callback(*self.args)
 
     def describe(self) -> str:
@@ -394,15 +367,13 @@ class Watchdog:
 
     @staticmethod
     def _waiting_report(sim: "Simulator", limit: int = 12) -> Tuple[str, ...]:
-        # Over-sample so garbage entries (tombstones and superseded anchors
-        # awaiting lazy discard) don't crowd live waiters out of the report.
-        head = heapq.nsmallest(limit * 4, sim._heap)
+        # Garbage goes first, so any amount of it cannot crowd live waiters
+        # out of the report.
         return tuple(
             f"t={entry_time!r} prio={priority} seq={seq} {event.describe()}"
-            for entry_time, priority, seq, event in head
-            if not event.cancelled
-            and seq == getattr(event, "heap_seq", seq)
-        )[:limit]
+            for entry_time, priority, seq, event
+            in heapq.nsmallest(limit, filter(_live, sim._heap))
+        )
 
 
 class Simulator:
@@ -439,7 +410,7 @@ class Simulator:
         self._tombstones_total = 0
         self._compactions = 0
         #: callbacks to run once the current instant has no event left
-        #: (:meth:`at_instant_end`); the run loops bind this list, so it is
+        #: (:meth:`at_instant_end`); the run loop binds this list, so it is
         #: only ever mutated in place
         self._instant_end: List[Callable[[], None]] = []
         self.rng = RngRegistry(seed)
@@ -465,9 +436,9 @@ class Simulator:
 
     @property
     def tombstones_total(self) -> int:
-        """Cumulative garbage heap entries over the run: timer
-        cancellations plus anchors superseded by an earlier-moving
-        :meth:`TimerHandle.rearm` (never decremented)."""
+        """Cumulative garbage heap entries over the run: queued timers
+        cancelled or superseded by :meth:`TimerHandle.rearm` (never
+        decremented)."""
         return self._tombstones_total
 
     @property
@@ -502,9 +473,6 @@ class Simulator:
     ) -> Process:
         """Spawn a process driving ``generator``; starts at the current time."""
         return Process(self, generator, name=name)
-
-    # Alias that reads better at call sites spawning many children.
-    spawn = process
 
     def all_of(self, events: Iterable[Event], name: Optional[str] = None) -> AllOf:
         return AllOf(self, events, name=name)
@@ -565,102 +533,51 @@ class Simulator:
         heapq.heappush(self._heap, (self._now + delay, priority, self._seq, event))
 
     def _note_tombstone(self) -> None:
-        """Account one garbage heap entry; compact when they dominate."""
-        self._tombstones += 1
-        self._tombstones_total += 1
-        self._maybe_compact()
-
-    def _maybe_compact(self) -> None:
-        """Rebuild the heap in place once garbage outnumbers live entries.
+        """Account one garbage heap entry; compact when they dominate.
 
         Compaction is in place (the heap list's identity is load-bearing:
-        the run loops hold a local binding) and deterministic — pop order
+        the run loop holds a local binding) and deterministic — pop order
         depends only on the entry keys, not the heap's internal layout.
-        Surviving timer anchors are re-keyed to their authoritative
-        ``(time, seq)`` so a lazily moved timer keeps exactly one entry.
         """
+        self._tombstones += 1
+        self._tombstones_total += 1
         heap = self._heap
-        if not (self._tombstones > self.COMPACT_MIN_TOMBSTONES
+        if (self._tombstones > self.COMPACT_MIN_TOMBSTONES
                 and self._tombstones * 2 > len(heap)):
-            return
-        live: List[Tuple[float, int, int, Any]] = []
-        for entry in heap:
-            item = entry[3]
-            if item.cancelled:
-                continue
-            seq = item.seq
-            if seq == entry[2]:
-                live.append(entry)
-            elif entry[2] == item.heap_seq:
-                # a live timer's anchor, superseded by a lazy rearm:
-                # re-key it to the authoritative position
-                item.heap_time = item.time
-                item.heap_seq = seq
-                live.append((item.time, entry[1], seq, item))
-        heap[:] = live
-        heapq.heapify(heap)
-        self._tombstones = 0
-        self._compactions += 1
+            heap[:] = [entry for entry in heap if _live(entry)]
+            heapq.heapify(heap)
+            self._tombstones = 0
+            self._compactions += 1
 
-    def _surface(self) -> Optional[Tuple[float, int, int, Any]]:
-        """Discard garbage and reconcile stale anchors at the heap top.
-
-        Returns the next *live* entry — popped, with its authoritative key —
-        or None when the heap has drained.  The non-inlined twin of the hot
-        run loops, used by :meth:`peek` and :meth:`step`.
-        """
+    def _head(self) -> Optional[Tuple[float, int, int, Any]]:
+        """Discard garbage at the heap top; return the next live entry
+        (left in place), or None when the heap has drained."""
         heap = self._heap
         while heap:
-            entry = heapq.heappop(heap)
-            time, priority, seq, item = entry
-            if item.seq == seq:
-                if item.cancelled:
-                    self._tombstones -= 1
-                    continue
-                return entry
-            # Slot-encoded timer whose authoritative position moved.
-            if item.cancelled or seq != item.heap_seq:
-                self._tombstones -= 1
-                continue
-            atime, aseq = item.time, item.seq
-            if heap and heap[0][:3] < (atime, priority, aseq):
-                item.heap_time = atime
-                item.heap_seq = aseq
-                heapq.heappush(heap, (atime, priority, aseq, item))
-                continue
-            return (atime, priority, aseq, item)
+            if _live(heap[0]):
+                return heap[0]
+            heapq.heappop(heap)
+            self._tombstones -= 1
         return None
-
-    def _unpop(self, entry: Tuple[float, int, int, Any]) -> None:
-        """Put back an entry :meth:`_surface` popped (now keyed
-        authoritatively)."""
-        item = entry[3]
-        if isinstance(item, TimerHandle):
-            item.heap_time = entry[0]
-            item.heap_seq = entry[2]
-        heapq.heappush(self._heap, entry)
 
     def peek(self) -> float:
         """Time of the next live event, or ``float('inf')`` when empty."""
-        entry = self._surface()
-        if entry is None:
-            return float("inf")
-        self._unpop(entry)
-        return entry[0]
+        entry = self._head()
+        return _INF if entry is None else entry[0]
 
     def step(self) -> None:
         """Process exactly one live event (garbage is discarded)."""
-        entry = self._surface()
+        entry = self._head()
         while self._instant_end and (entry is None or entry[0] > self._now):
-            if entry is not None:
-                self._unpop(entry)
             self._end_instant()
-            entry = self._surface()
+            entry = self._head()
         if entry is None:
             raise SimulationError("step() on an empty event heap")
-        time, priority, seq, item = entry
-        if time < self._now:  # pragma: no cover - guarded by _push
-            raise SimulationError("event heap went backwards in time")
+        heapq.heappop(self._heap)
+        self._fire(*entry)
+
+    def _fire(self, time: float, priority: int, seq: int, item: Any) -> None:
+        """The per-pop observable sequence, as :meth:`_loop` inlines it."""
         self._now = time
         self._events_processed += 1
         # The watchdog sees the event *before* its callbacks run, while
@@ -671,10 +588,8 @@ class Simulator:
         # Online monitors observe the raw pop order through the tracer's
         # step listeners (repro.verify's total-order invariant); the
         # list is empty unless a monitor asked for it.
-        listeners = self.trace.step_listeners
-        if listeners:
-            for listener in listeners:
-                listener(time, priority, seq)
+        for listener in self.trace.step_listeners:
+            listener(time, priority, seq)
         item._process()
 
     def run(self, until: Optional[float] = None) -> None:
@@ -686,52 +601,7 @@ class Simulator:
         """
         if until is not None and until < self._now:
             raise SimulationError(f"until={until!r} is in the past (now={self._now!r})")
-        # Hot loop: locals for the heap, the heap ops, the listener list,
-        # the instant-end list (all mutated in place, so the bindings stay
-        # live) and the watchdog (fixed for a run: nothing arms or disarms
-        # one from a callback).  ``until`` becomes a float so the per-pop
-        # bound check is one comparison instead of an is-None test plus a
-        # comparison.
-        heap = self._heap
-        pop = heapq.heappop
-        push = heapq.heappush
-        listeners = self.trace.step_listeners
-        ending = self._instant_end
-        watchdog = self._watchdog
-        bound = _INF if until is None else until
-        while heap or ending:
-            # No entry's key exceeds its item's authoritative one, so a
-            # later heap top means nothing live is left at this instant.
-            if ending and (not heap or heap[0][0] > self._now):
-                self._end_instant()
-                continue
-            entry = pop(heap)
-            time, priority, seq, item = entry
-            if item.seq != seq or item.cancelled:
-                # Garbage, or the stale anchor of a lazily moved timer.
-                if item.cancelled or seq != item.heap_seq:
-                    self._tombstones -= 1
-                    continue
-                time, seq = item.time, item.seq
-                if (time > bound or (ending and time > self._now)
-                        or (heap and heap[0][:3] < (time, priority, seq))):
-                    item.heap_time = time
-                    item.heap_seq = seq
-                    push(heap, (time, priority, seq, item))
-                    if time > bound and not ending:
-                        break
-                    continue
-            elif time > bound:
-                push(heap, entry)
-                break
-            self._now = time
-            self._events_processed += 1
-            if watchdog is not None:
-                watchdog.observe(self, time, item)
-            if listeners:
-                for listener in listeners:
-                    listener(time, priority, seq)
-            item._process()
+        self._loop(Event(self), _INF if until is None else until)
         if until is not None:
             self._now = max(self._now, until)
 
@@ -742,48 +612,55 @@ class Simulator:
         if the heap drains first, or :class:`TimeLimitError` when ``limit``
         is hit (both are :class:`SimulationError` subclasses).
         """
-        # Same hot-loop shape as run(); see the comment there.  The loop
-        # condition reads the event's state slot directly — the .processed
-        # property would cost a descriptor call per pop.
+        stop = self._loop(event, _INF if limit is None else limit)
+        if stop == _DRAINED:
+            raise DeadlockError(
+                f"deadlock: event heap drained before {event!r} completed"
+            )
+        if stop == _PAST_BOUND:
+            raise TimeLimitError(
+                f"time limit {limit!r} reached before {event!r} completed"
+            )
+        if event.ok:
+            return event.value
+        event.defused = True
+        raise event.value
+
+    def _loop(self, event: Event, bound: float) -> str:
+        """Fire live entries in key order until ``event`` is processed
+        (:data:`_DONE`), nothing is left (:data:`_DRAINED`) or the next
+        entry is due after ``bound`` (:data:`_PAST_BOUND`; the clock stays
+        at the last fired entry).
+
+        The hot loop: it binds the heap, the listener list, the
+        instant-end list (all mutated in place, so the bindings stay live)
+        and the watchdog (fixed for a run: nothing arms or disarms one from
+        a callback), inlines :meth:`_fire`, and reads the event's state
+        slot directly — the ``processed`` property would cost a descriptor
+        call per pop.
+        """
         heap = self._heap
         pop = heapq.heappop
-        push = heapq.heappush
         listeners = self.trace.step_listeners
         ending = self._instant_end
         watchdog = self._watchdog
-        bound = _INF if limit is None else limit
         done = Event.PROCESSED
         while event._state != done:
+            # Garbage never lies before the clock, so a later heap top
+            # means nothing live is left at this instant.
             if ending and (not heap or heap[0][0] > self._now):
                 self._end_instant()
                 continue
             if not heap:
-                raise DeadlockError(
-                    f"deadlock: event heap drained before {event!r} completed"
-                )
+                return _DRAINED
             entry = pop(heap)
             time, priority, seq, item = entry
             if item.seq != seq or item.cancelled:
-                if item.cancelled or seq != item.heap_seq:
-                    self._tombstones -= 1
-                    continue
-                time, seq = item.time, item.seq
-                if (time > bound or (ending and time > self._now)
-                        or (heap and heap[0][:3] < (time, priority, seq))):
-                    item.heap_time = time
-                    item.heap_seq = seq
-                    push(heap, (time, priority, seq, item))
-                    if time > bound and not ending:
-                        raise TimeLimitError(
-                            f"time limit {limit!r} reached before {event!r} "
-                            "completed"
-                        )
-                    continue
-            elif time > bound:
-                push(heap, entry)
-                raise TimeLimitError(
-                    f"time limit {limit!r} reached before {event!r} completed"
-                )
+                self._tombstones -= 1
+                continue
+            if time > bound:
+                heapq.heappush(heap, entry)
+                return _PAST_BOUND
             self._now = time
             self._events_processed += 1
             if watchdog is not None:
@@ -792,7 +669,4 @@ class Simulator:
                 for listener in listeners:
                     listener(time, priority, seq)
             item._process()
-        if event.ok:
-            return event.value
-        event.defused = True
-        raise event.value
+        return _DONE

@@ -129,6 +129,25 @@ def test_waiting_report_names_the_pipe_of_a_pending_hand_over():
 
 
 @pytest.mark.unmonitored
+def test_waiting_report_skips_garbage_before_truncating():
+    """Garbage at the heap head — cancelled timers, entries superseded by a
+    re-arm — must not crowd live waiters out of the report, however much
+    of it there is."""
+    sim = Simulator()
+    for i in range(60):
+        sim.call_at(1.0, lambda: None, name=f"dead-{i}").cancel()
+    moved = [sim.call_at(1.5, lambda: None, name=f"moved-{i}")
+             for i in range(60)]
+    for timer in moved:
+        timer.rearm(50.0)
+    for i in range(100):
+        sim.call_at(2.0 + i, lambda: None, name=f"live-{i}")
+    report = Watchdog._waiting_report(sim, limit=12)
+    assert [entry.split(" ", 3)[3] for entry in report] == [
+        f"live-{i}" for i in range(12)]
+
+
+@pytest.mark.unmonitored
 def test_watchdog_reset_forgets_streak():
     watchdog = Watchdog(max_same_time_events=50)
     sim = Simulator(watchdog=watchdog)

@@ -17,8 +17,8 @@ Two kernels are equivalent on a program iff their observations are equal
 int/float divergence cannot hide behind ``==``.
 
 The op vocabulary is deliberately aimed at the optimised kernel's sharp
-edges: ``rearm`` exercises lazy anchor moves, ``cancel`` the tombstone
-path, ``burst`` same-instant tie-breaks (both priorities), ``flow`` /
+edges: ``rearm`` supersedes a queued entry (or re-queues a fired timer),
+``cancel`` the tombstone path, ``burst`` same-instant tie-breaks (both priorities), ``flow`` /
 ``flow_cancel`` the inlined re-rate loop and its end-of-instant flush,
 ``spawn`` / ``kill`` the urgent interrupt machinery, ``defer`` the
 end-of-instant callbacks (optionally scheduling more work at that

@@ -1,8 +1,8 @@
 """Differential kernel-equivalence rig: fast kernel vs. naive reference.
 
-The optimised :class:`~repro.sim.engine.Simulator` (lazy tombstones,
-slot-encoded re-armable timers, stale-anchor reconciliation, in-place
-compaction, inlined hot loops) must be *observably identical* to the
+The optimised :class:`~repro.sim.engine.Simulator` (lazy garbage
+discard, re-armable timer slots, in-place compaction, an inlined hot
+loop) must be *observably identical* to the
 O(n)-per-pop :class:`~repro.sim.reference.ReferenceSimulator`, which
 implements the ordering spec directly.  Every figure in this repo rests on
 that equivalence — a divergence here is a silently corrupted paper figure.
@@ -15,7 +15,7 @@ Three layers, increasing in scope:
    observation tuple event-for-event.  ≥200 examples across the
    properties.
 2. Hand-written witness programs pin the specific sharp edges the
-   optimisations introduced (lazy re-arm past a pending timeout,
+   optimisations introduced (re-arm past a pending timeout,
    cancel-then-churn, compaction under churn, zero-delay cascades).
 3. Whole-pipeline sweeps run real perf workloads and a real figure grid
    point on both kernels and compare the JSON-serialised results

@@ -17,11 +17,10 @@ comparison has real teeth.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 import pytest
 
 from repro.sim import Watchdog
+from repro.sim.engine import _live
 from repro.sim.reference import ReferenceSimulator
 from tests.sim.kernel_programs import observations_match, run_program
 
@@ -34,23 +33,8 @@ class UnstableTieBreakSimulator(ReferenceSimulator):
     frozen or reused sequence number would cause."""
 
     def _scan_next(self):
-        best = None
-        for index, (etime, priority, eseq, item) in enumerate(self._heap):
-            if item.cancelled:
-                continue
-            iseq = item.seq
-            if iseq == eseq:
-                key = (etime, priority, -eseq)
-            else:
-                if eseq != item.heap_seq:
-                    continue
-                key = (item.time, priority, -iseq)
-            if best is None or key < best[0]:
-                best = (key, index, item)
-        if best is None:
-            return None
-        key, index, item = best
-        return index, (key[0], key[1], -key[2], item)
+        return min(filter(_live, self._heap), default=None,
+                   key=lambda entry: (entry[0], entry[1], -entry[2]))
 
 
 class ResurrectingSimulator(ReferenceSimulator):
@@ -59,46 +43,20 @@ class ResurrectingSimulator(ReferenceSimulator):
     cause."""
 
     def _scan_next(self):
-        best_index = -1
-        best_key: Optional[Tuple[float, int, int]] = None
-        best_item = None
-        for index, (etime, priority, eseq, item) in enumerate(self._heap):
-            # BUG under test: no `item.cancelled` check.
-            iseq = item.seq
-            if iseq == eseq:
-                key = (etime, priority, eseq)
-            else:
-                if eseq != item.heap_seq:
-                    continue
-                key = (item.time, priority, iseq)
-            if best_key is None or key < best_key:
-                best_index, best_key, best_item = index, key, item
-        if best_key is None:
-            return None
-        return best_index, (best_key[0], best_key[1], best_key[2], best_item)
+        # BUG under test: no `item.cancelled` check.
+        return min((entry for entry in self._heap
+                    if entry[3].seq == entry[2]), default=None)
 
 
-class StaleAnchorSimulator(ReferenceSimulator):
-    """Fires a lazily re-armed timer at its *old* (anchor) position: the
-    bug the fast kernel's pop-loop reconciliation exists to prevent."""
+class SupersededEntrySimulator(ReferenceSimulator):
+    """Fires a re-armed timer's *superseded* entry, one whose seq no longer
+    matches its timer's: the bug a live test that forgot the seq clause
+    would cause."""
 
     def _scan_next(self):
-        best_index = -1
-        best_key: Optional[Tuple[float, int, int]] = None
-        best_item = None
-        for index, (etime, priority, eseq, item) in enumerate(self._heap):
-            if item.cancelled:
-                continue
-            if item.seq != eseq and eseq != item.heap_seq:
-                continue
-            # BUG under test: the entry's pushed key is trusted even when
-            # the handle's authoritative (time, seq) has moved past it.
-            key = (etime, priority, eseq)
-            if best_key is None or key < best_key:
-                best_index, best_key, best_item = index, key, item
-        if best_key is None:
-            return None
-        return best_index, (best_key[0], best_key[1], best_key[2], best_item)
+        # BUG under test: every uncancelled entry counts as live.
+        return min((entry for entry in self._heap
+                    if not entry[3].cancelled), default=None)
 
 
 class SwallowingSimulator(ReferenceSimulator):
@@ -111,14 +69,14 @@ class SwallowingSimulator(ReferenceSimulator):
         self._pops_seen = 0
 
     def _scan_next(self):
-        found = super()._scan_next()
-        if found is None:
+        entry = super()._scan_next()
+        if entry is None:
             return None
         self._pops_seen += 1
         if self._pops_seen == 3:
-            self._take(found[0])            # BUG under test: drop it
+            self._heap.remove(entry)        # BUG under test: drop it
             return super()._scan_next()
-        return found
+        return entry
 
 
 class LateInstantEndSimulator(ReferenceSimulator):
@@ -128,12 +86,12 @@ class LateInstantEndSimulator(ReferenceSimulator):
 
     def _scan_live(self):
         while True:
-            found = self._scan_next()
+            entry = self._scan_next()
             if not self._instant_end or (
-                    found is not None and found[1][0] <= self._now):
-                return found
-            if found is not None:
-                self._now = found[1][0]     # BUG under test: clock first
+                    entry is not None and entry[0] <= self._now):
+                return entry
+            if entry is not None:
+                self._now = entry[0]        # BUG under test: clock first
             self._end_instant()
 
 
@@ -149,11 +107,11 @@ BROKEN_KERNELS = {
         ResurrectingSimulator,
         [("timer", 1.0), ("cancel", 0), ("timer", 2.0), ("sleep", 3.0)],
     ),
-    "fires_stale_anchor": (
-        StaleAnchorSimulator,
-        # timer armed at 1.0, lazily moved to 2.0; a timeout at 1.5 must
-        # fire in between — the broken kernel fires the timer first, at
-        # its stale position.
+    "fires_superseded_entry": (
+        SupersededEntrySimulator,
+        # timer armed at 1.0, moved to 2.0; a timeout at 1.5 must fire in
+        # between — the broken kernel fires the timer first, at its
+        # superseded position.
         [("timer", 1.0), ("rearm", 0, 2.0), ("sleep", 1.5), ("sleep", 1.5)],
     ),
     "swallows_live_event": (
@@ -170,8 +128,8 @@ BROKEN_KERNELS = {
 
 
 def _observe(program, sim_cls):
-    """Observations of ``program`` on ``sim_cls``; a crash is itself a
-    (caught) divergence, folded into the observation value."""
+    """Observations of ``program`` on ``sim_cls``; a crash is folded into
+    the observation value, so the rig test can tell it from a divergence."""
     factory = lambda: sim_cls(seed=5, watchdog=Watchdog())  # noqa: E731
     try:
         return run_program(program, sim_factory=factory)
@@ -184,6 +142,9 @@ def test_rig_catches_broken_kernel(name):
     sim_cls, witness = BROKEN_KERNELS[name]
     fast = run_program(witness, kernel="fast")
     broken = _observe(witness, sim_cls)
+    # A crash would prove only that the broken kernel is incompatible with
+    # the engine, not that the comparison has teeth.
+    assert broken[0] != "crashed", f"{name} crashed instead: {broken!r}"
     assert not observations_match(fast, broken), (
         f"rig failed to catch {name}: {fast!r}"
     )

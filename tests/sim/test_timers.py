@@ -178,11 +178,12 @@ def test_random_mid_run_cancellation(data):
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_slot_reuse_never_resurrects_cancelled_timer(data):
-    """Re-armable slots reuse sequence numbers from the same counter that
-    cancelled timers' tombstones were issued from, and compaction re-keys
-    surviving entries in place.  No interleaving of cancels with re-arm
-    churn on *other* slots may ever resurrect a cancelled timer — and
-    every live slot still fires exactly once, at its final position."""
+    """Re-armable slots take sequence numbers from the same counter that
+    cancelled timers' tombstones were issued from, and every re-arm leaves
+    a superseded entry behind for the loop or a compaction to discard.  No
+    interleaving of cancels with re-arm churn on *other* slots may ever
+    resurrect a cancelled timer — and every live slot still fires exactly
+    once, at its final position."""
     sim = Simulator()
     fired = []
     n = data.draw(st.integers(min_value=3, max_value=20))
@@ -196,7 +197,7 @@ def test_slot_reuse_never_resurrects_cancelled_timer(data):
             handles[index].cancel()
             alive.discard(index)
         elif index in alive:
-            # churn: lazy moves later, eager moves earlier, both legal
+            # churn: moves later and moves earlier, both legal
             handles[index].rearm(data.draw(st.floats(
                 min_value=0.0, max_value=30.0, allow_nan=False)))
     sim.run()
