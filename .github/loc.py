@@ -16,9 +16,8 @@ SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
         tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 
 
-def count(path):
-    """``(raw, code-only)`` line counts of one Python file."""
-    source = path.read_text()
+def code_lines(source):
+    """The numbers of the code-only lines of Python ``source``."""
     docstrings = set()
     for node in ast.walk(ast.parse(source)):
         body = getattr(node, "body", None)
@@ -33,7 +32,13 @@ def count(path):
     for token in tokenize.generate_tokens(io.StringIO(source).readline):
         if token.type not in SKIP:
             code.update(range(token.start[0], token.end[0] + 1))
-    return len(source.splitlines()), len(code - docstrings)
+    return code - docstrings
+
+
+def count(path):
+    """``(raw, code-only)`` line counts of one Python file."""
+    source = path.read_text()
+    return len(source.splitlines()), len(code_lines(source))
 
 
 def main():

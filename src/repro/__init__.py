@@ -14,15 +14,16 @@ Subpackages
     Fluid-flow network model: links, NICs, connections, cluster and
     Grid'5000 topologies, fabric presets.
 ``repro.mpi``
-    Simulated MPI: matching, collectives, restartable rank contexts, and
-    the paper's three channels (ft-sock, ch_v, Nemesis).
+    Simulated MPI: point-to-point matching, the allreduce the skeletons
+    use, restartable rank contexts, and the paper's three channels
+    (ft-sock, ch_v, Nemesis).
 ``repro.ft``
     The protocols under study: Vcl (non-blocking Chandy-Lamport with
     message logging) and Pcl (blocking channel flushing), checkpoint
     servers, failure injection, rollback recovery, interval theory.
 ``repro.runtime``
-    MPICH-V dispatcher, FTPM, ssh spawning, machinefiles, one-call
-    deployment (:func:`repro.runtime.build_run`).
+    MPICH-V dispatcher, FTPM, ssh spawning, one-call deployment
+    (:func:`repro.runtime.build_run`).
 ``repro.apps``
     NAS Parallel Benchmark skeletons (BT, CG) and synthetic
     kernels.

@@ -9,7 +9,7 @@ from repro.apps.base import NASBenchmark, NASClassSpec, isqrt_exact
 from repro.apps.bt import BT
 from repro.apps.cg import CG
 from repro.apps.stencil import Stencil
-from repro.apps.synthetic import burst, halo_2d, ping_pong, token_ring
+from repro.apps.synthetic import burst, ping_pong, token_ring
 
 BENCHMARKS = {
     "bt": BT,
@@ -25,7 +25,6 @@ __all__ = [
     "NASClassSpec",
     "Stencil",
     "burst",
-    "halo_2d",
     "isqrt_exact",
     "ping_pong",
     "token_ring",

@@ -1,4 +1,4 @@
-"""Synthetic kernels: ping-pong, halo exchange, token ring, burst.
+"""Synthetic kernels: ping-pong, token ring, burst.
 
 These are the small controllable workloads used by unit tests, ablation
 benches and the NetPIPE tool — each isolates one communication regime the
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-__all__ = ["ping_pong", "halo_2d", "token_ring", "burst"]
+__all__ = ["ping_pong", "token_ring", "burst"]
 
 
 def ping_pong(n_messages: int, nbytes: float, compute: float = 0.0) -> Callable:
@@ -33,35 +33,6 @@ def ping_pong(n_messages: int, nbytes: float, compute: float = 0.0) -> Callable:
                 yield from ctx.recv(0, 500)
                 yield from ctx.send(0, 501, None, nbytes)
         return None
-
-    return app
-
-
-def halo_2d(q: int, iters: int, nbytes: float, compute: float) -> Callable:
-    """4-neighbour cyclic halo exchange on a q x q grid."""
-
-    def app(ctx):
-        row, col = divmod(ctx.rank, q)
-        fwd = row * q + (col + 1) % q
-        bwd = row * q + (col - 1) % q
-        up = ((row + 1) % q) * q + col
-        down = ((row - 1) % q) * q + col
-        for iteration in range(iters):
-            yield from ctx.compute(compute)
-            if q > 1:
-                requests = [
-                    ctx.isend(fwd, 510, None, nbytes),
-                    ctx.isend(bwd, 510, None, nbytes),
-                    ctx.isend(up, 511, None, nbytes),
-                    ctx.isend(down, 511, None, nbytes),
-                ]
-                yield from ctx.recv(bwd, 510)
-                yield from ctx.recv(fwd, 510)
-                yield from ctx.recv(down, 511)
-                yield from ctx.recv(up, 511)
-                for request in requests:
-                    yield from request.wait()
-            ctx.update(lambda s, i=iteration: s.__setitem__("iteration", i + 1))
 
     return app
 

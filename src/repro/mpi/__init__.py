@@ -4,8 +4,8 @@ Public surface:
 
 * :class:`~repro.mpi.job.MPIJob` — build and run a parallel application.
 * :class:`~repro.mpi.context.RankContext` — what application code programs
-  against (send/recv/isend/irecv, collectives, compute, checkpointable
-  state).
+  against (send/recv/isend and wait, bcast/reduce/allreduce, compute,
+  checkpointable state).
 * :mod:`~repro.mpi.channels` — the three communication substrates from the
   paper (ft-sock, ch_v, Nemesis).
 * :data:`~repro.mpi.consts.ANY_SOURCE` / :data:`~repro.mpi.consts.ANY_TAG`.

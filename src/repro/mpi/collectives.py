@@ -1,11 +1,10 @@
 """Collective operations built on point-to-point messages.
 
 The algorithms mirror MPICH's defaults at these scales: binomial trees for
-bcast/reduce, dissemination for barrier, ring for allgather and a pairwise
-exchange for alltoall.  Message counts and sizes therefore scale like the
-real library (O(p log p) markers-equivalent traffic for trees, O(p) ring
-steps), which matters because checkpoint waves interact with bursts of
-collective traffic (Sec. 5.2 of the paper).
+bcast/reduce, and allreduce as a reduce to rank 0 followed by a bcast.
+Message counts and sizes therefore scale like the real library (O(p log p)
+markers-equivalent traffic for trees), which matters because checkpoint
+waves interact with bursts of collective traffic (Sec. 5.2 of the paper).
 
 Every constituent point-to-point call is an op of the calling context, so
 collectives replay correctly across a rollback; reduction operators are only
@@ -16,46 +15,15 @@ application state).
 
 from __future__ import annotations
 
-from typing import Any, Callable, List
+from typing import Any, Callable
 
-__all__ = [
-    "barrier",
-    "bcast",
-    "reduce",
-    "allreduce",
-    "gather",
-    "allgather",
-    "alltoall",
-    "scatter",
-]
-
-#: wire size of a zero-payload collective control message
-_HEADER_BYTES = 16.0
+__all__ = ["bcast", "reduce", "allreduce"]
 
 
 def _is_skipped(value: Any) -> bool:
     from repro.mpi.context import SKIPPED
 
     return value is SKIPPED
-
-
-def barrier(ctx: "RankContext"):
-    """Dissemination barrier: ceil(log2 p) rounds of shifted exchanges."""
-    tag = ctx._next_coll_tag()
-    p = ctx.size
-    if p == 1:
-        return None
-    # One tag is enough: each round's sender is distinct (rank-k mod p over
-    # distinct powers of two), so (source, tag) disambiguates rounds.
-    k = 1
-    while k < p:
-        dst = (ctx.rank + k) % p
-        src = (ctx.rank - k) % p
-        request = ctx.isend(dst, tag, None, _HEADER_BYTES)
-        yield from ctx.recv(src, tag)
-        yield from request.wait()
-        k <<= 1
-    return None
 
 
 def bcast(ctx: "RankContext", value: Any, root: int, nbytes: float):
@@ -121,75 +89,3 @@ def allreduce(ctx: "RankContext", value: Any, op: Callable[[Any, Any], Any],
     reduced = yield from reduce(ctx, value, op, 0, nbytes)
     result = yield from bcast(ctx, reduced, 0, nbytes)
     return result
-
-
-def gather(ctx: "RankContext", value: Any, root: int, nbytes: float):
-    """Direct gather; returns the rank-ordered list at ``root``, None elsewhere."""
-    tag = ctx._next_coll_tag()
-    if ctx.rank != root:
-        yield from ctx.send(root, tag, (ctx.rank, value), nbytes)
-        return None
-    collected: List[Any] = [None] * ctx.size
-    collected[root] = value
-    for _ in range(ctx.size - 1):
-        data = yield from ctx.recv(tag=tag)
-        if not _is_skipped(data):
-            src, item = data
-            collected[src] = item
-    return collected
-
-
-def allgather(ctx: "RankContext", value: Any, nbytes: float):
-    """Ring allgather: p-1 steps, each forwarding one contribution."""
-    tag = ctx._next_coll_tag()
-    p = ctx.size
-    collected: List[Any] = [None] * p
-    collected[ctx.rank] = value
-    right = (ctx.rank + 1) % p
-    left = (ctx.rank - 1) % p
-    carry = (ctx.rank, value)
-    for _step in range(p - 1):
-        request = ctx.isend(right, tag, carry, nbytes)
-        data = yield from ctx.recv(left, tag)
-        yield from request.wait()
-        if _is_skipped(data):
-            carry = data
-        else:
-            src, item = data
-            collected[src] = item
-            carry = data
-    return collected
-
-
-def alltoall(ctx: "RankContext", values: List[Any], nbytes_each: float):
-    """Pairwise-exchange alltoall; ``values[i]`` goes to rank ``i``."""
-    tag = ctx._next_coll_tag()
-    p = ctx.size
-    if values is not None and len(values) != p:
-        raise ValueError(f"alltoall needs {p} values, got {len(values)}")
-    received: List[Any] = [None] * p
-    received[ctx.rank] = values[ctx.rank] if values is not None else None
-    for step in range(1, p):
-        dst = (ctx.rank + step) % p
-        src = (ctx.rank - step) % p
-        payload = values[dst] if values is not None else None
-        request = ctx.isend(dst, tag, payload, nbytes_each)
-        data = yield from ctx.recv(src, tag)
-        yield from request.wait()
-        if not _is_skipped(data):
-            received[src] = data
-    return received
-
-
-def scatter(ctx: "RankContext", values: List[Any], root: int, nbytes_each: float):
-    """Root sends the i-th value to rank i; returns the local piece."""
-    tag = ctx._next_coll_tag()
-    if ctx.rank == root:
-        if values is None or len(values) != ctx.size:
-            raise ValueError("scatter root needs one value per rank")
-        for dst in range(ctx.size):
-            if dst != root:
-                yield from ctx.send(dst, tag, values[dst], nbytes_each)
-        return values[root]
-    piece = yield from ctx.recv(root, tag)
-    return piece

@@ -49,7 +49,6 @@ from typing import Any, Callable, Dict, Optional, Set, Tuple, Union
 from repro.mpi import collectives as _collectives
 from repro.mpi.consts import ANY_SOURCE, ANY_TAG, COLLECTIVE_TAG_BASE
 from repro.mpi.request import Request
-from repro.mpi.status import Status
 from repro.sim.primitives import EMPTY
 
 __all__ = ["RankContext", "Snapshot", "SKIPPED", "CompletedSet"]
@@ -79,7 +78,8 @@ class CompletedSet:
     """A set of op ids compacted as (watermark, sparse extras).
 
     All ids below ``watermark`` are complete.  Completion is almost always in
-    program order, so ``extras`` stays tiny (out-of-order isend/irecv only).
+    program order, so ``extras`` stays tiny (an ``isend`` that commits after
+    a later op).
     """
 
     __slots__ = ("watermark", "extras")
@@ -190,11 +190,6 @@ class RankContext:
     def _consume(self, op_id: int) -> Any:
         return self._pending_values.pop(op_id, SKIPPED)
 
-    @property
-    def replay_remaining(self) -> int:
-        """Ops still to be skipped before execution goes live (0 normally)."""
-        return max(0, len(self._completed) - self._next_op)
-
     # ------------------------------------------------------------- compute
     def add_stall(self, seconds: float) -> None:
         """Charge a process-wide pause (e.g. the checkpoint fork) against
@@ -247,11 +242,11 @@ class RankContext:
         """Non-blocking send; ``yield from req.wait()`` for completion."""
         op_id = self._new_op()
         if self._skip(op_id):
-            return Request(self, None, "send", replayed=True)
+            return Request(None)
         sent = self.channel.try_fast_send(dst, tag, data, nbytes)
         if sent is not None:
             self._commit(op_id)
-            return Request(self, sent, "send")
+            return Request(sent)
 
         def _pusher():
             try:
@@ -268,7 +263,7 @@ class RankContext:
                     self.channel.job.notify_socket_closed(self.rank, dst)
 
         proc = self.sim.process(_pusher(), name=f"isend:r{self.rank}->r{dst}")
-        return Request(self, proc, "send")
+        return Request(proc)
 
     # ------------------------------------------------------------- receives
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
@@ -292,53 +287,10 @@ class RankContext:
         self._pending_values.pop(op_id, None)
         return value
 
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        """Non-blocking receive; wait() returns ``(data, Status)``."""
-        op_id = self._new_op()
-        if self._skip(op_id):
-            value = self._consume(op_id)
-            request = Request(self, None, "recv", replayed=True)
-            request._stored = value  # type: ignore[attr-defined]
-            return request
-        event = self.channel.matching.post_recv(source, tag)
-        event.callbacks.append(
-            lambda ev: self._commit(op_id, ev.value, retain=True) if ev.ok else None
-        )
-        request = Request(self, event, "recv")
-        request._op_id = op_id  # type: ignore[attr-defined]
-        return request
-
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Optional[Status]:
-        """Non-blocking probe (not an op: has no effect on state)."""
-        return self.channel.matching.probe(source, tag)
-
-    # ------------------------------------------------------------ composite
-    def sendrecv(self, dst: int, src: int, send_tag: int = 0,
-                 recv_tag: Optional[int] = None, data: Any = None,
-                 nbytes: float = 0.0):
-        """Paired exchange (generator): isend to ``dst``, recv from ``src``,
-        wait — the deadlock-free idiom every skeleton uses."""
-        if recv_tag is None:
-            recv_tag = send_tag
-        request = self.isend(dst, send_tag, data, nbytes)
-        received = yield from self.recv(src, recv_tag)
-        yield from request.wait()
-        return received
-
-    def waitall(self, requests):
-        """Generator: complete every request; returns their values in order."""
-        values = []
-        for request in requests:
-            values.append((yield from request.wait()))
-        return values
-
     # ----------------------------------------------------------- collectives
     def _next_coll_tag(self) -> int:
         self._coll_seq += 1
         return COLLECTIVE_TAG_BASE + self._coll_seq
-
-    def barrier(self):
-        return _collectives.barrier(self)
 
     def bcast(self, value: Any, root: int = 0, nbytes: float = 0.0):
         return _collectives.bcast(self, value, root, nbytes)
@@ -349,18 +301,6 @@ class RankContext:
 
     def allreduce(self, value: Any, op: Callable[[Any, Any], Any], nbytes: float = 0.0):
         return _collectives.allreduce(self, value, op, nbytes)
-
-    def gather(self, value: Any, root: int = 0, nbytes: float = 0.0):
-        return _collectives.gather(self, value, root, nbytes)
-
-    def allgather(self, value: Any, nbytes: float = 0.0):
-        return _collectives.allgather(self, value, nbytes)
-
-    def alltoall(self, values, nbytes_each: float = 0.0):
-        return _collectives.alltoall(self, values, nbytes_each)
-
-    def scatter(self, values, root: int = 0, nbytes_each: float = 0.0):
-        return _collectives.scatter(self, values, root, nbytes_each)
 
     # -------------------------------------------------------------- snapshot
     def take_snapshot(self, wave: int) -> Snapshot:

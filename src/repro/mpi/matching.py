@@ -14,7 +14,7 @@ replay (see :mod:`repro.mpi.context`).
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import List
 
 from repro.mpi.consts import ANY_SOURCE, ANY_TAG
 from repro.mpi.message import AppPacket
@@ -61,10 +61,6 @@ class MatchingEngine:
         self.posted.append(_PostedRecv(source, tag, event))
         return event
 
-    def cancel(self, event: "Event") -> None:
-        """Withdraw a posted receive (used on teardown)."""
-        self.posted = [p for p in self.posted if p.event is not event]
-
     # -------------------------------------------------------------- delivery
     def deliver(self, packet: AppPacket) -> None:
         """Hand an arriving application packet to matching."""
@@ -76,13 +72,6 @@ class MatchingEngine:
                 )
                 return
         self.unexpected.append(packet)
-
-    def probe(self, source: int, tag: int) -> Optional[Status]:
-        """Non-blocking probe of the unexpected queue."""
-        for packet in self.unexpected:
-            if (source in (ANY_SOURCE, packet.src)) and (tag in (ANY_TAG, packet.tag)):
-                return Status(packet.src, packet.tag, packet.nbytes)
-        return None
 
     # --------------------------------------------------------------- failure
     def fail_all(self, error: BaseException) -> None:

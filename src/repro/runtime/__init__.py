@@ -5,8 +5,6 @@
 * :class:`~repro.runtime.ftpm.FTPM` — the fault-tolerant process manager
   built for MPICH2-Pcl: parallel bounded ssh, process database.
 * :class:`~repro.runtime.ssh.SshSpawner` — remote spawn cost model.
-* :mod:`~repro.runtime.machinefile` — the extended machinefile format with
-  checkpoint-server mapping.
 * :func:`~repro.runtime.launch.build_run` — one-call deployment from a
   :class:`~repro.runtime.launch.DeploymentSpec`.
 """
@@ -20,7 +18,6 @@ from repro.runtime.dispatcher import (
 )
 from repro.runtime.ftpm import FTPM
 from repro.runtime.launch import CHANNELS, DeploymentSpec, build_run
-from repro.runtime.machinefile import MachineEntry, Machinefile, parse_machinefile
 from repro.runtime.ssh import SshSpawner
 
 __all__ = [
@@ -29,13 +26,10 @@ __all__ = [
     "DeploymentSpec",
     "Dispatcher",
     "FTPM",
-    "MachineEntry",
-    "Machinefile",
     "ProcessDatabase",
     "ScaleLimitError",
     "SELECT_FD_LIMIT",
     "SOCKETS_PER_PROCESS",
     "SshSpawner",
     "build_run",
-    "parse_machinefile",
 ]

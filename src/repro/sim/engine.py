@@ -452,11 +452,6 @@ class Simulator:
         """The armed progress watchdog, or None."""
         return self._watchdog
 
-    def arm_watchdog(self, watchdog: Optional[Watchdog]) -> Optional[Watchdog]:
-        """Install (or, with None, disarm) the progress watchdog."""
-        self._watchdog = watchdog
-        return watchdog
-
     # ------------------------------------------------------------- factories
     def event(self, name: Optional[str] = None) -> Event:
         """Create a pending one-shot event."""

@@ -80,24 +80,6 @@ def test_fifo_among_posted(eng):
     assert value_of(ev2)[0] == "b"
 
 
-def test_probe(eng):
-    assert eng.probe(ANY_SOURCE, ANY_TAG) is None
-    eng.deliver(pkt(src=6, tag=9, nbytes=77.0))
-    status = eng.probe(6, 9)
-    assert status.nbytes == 77.0
-    assert eng.probe(6, 10) is None
-    # probe must not consume
-    assert len(eng.unexpected) == 1
-
-
-def test_cancel_posted(eng):
-    ev = eng.post_recv(source=1, tag=1)
-    eng.cancel(ev)
-    eng.deliver(pkt(src=1, tag=1))
-    assert not ev.triggered
-    assert len(eng.unexpected) == 1
-
-
 def test_fail_all(eng):
     ev = eng.post_recv(source=1, tag=1)
     eng.fail_all(ConnectionError("down"))

@@ -5,7 +5,7 @@ import operator
 
 import pytest
 
-from repro.mpi import FtSockChannel, MPIJob, SKIPPED
+from repro.mpi import FtSockChannel, MPIJob, SKIPPED, Status
 from repro.mpi.context import CompletedSet
 from repro.net import ClusterNetwork
 from repro.sim import Simulator
@@ -118,20 +118,25 @@ def test_replay_consistent_across_ranks():
 
 
 def test_recv_value_retained_when_completed_but_unconsumed():
-    """A message matched but not yet consumed at snapshot time is replayed
-    with its real value (pending_values path)."""
+    """A receive matched but not yet consumed at snapshot time is replayed
+    with its real value (the pending_values path).  A blocking recv commits
+    and consumes in one pop, so the commit is driven directly."""
     def app(ctx):
-        if ctx.rank == 0:
-            yield from ctx.send(1, tag=1, data="payload", nbytes=8)
-            yield from ctx.compute(10.0)
-        else:
-            req = ctx.irecv(0, tag=1)
-            yield from ctx.compute(5.0)  # completes early; consumed at t>=5
-            data, _status = yield from req.wait()
-            ctx.update(lambda s, d=data: s.__setitem__("data", d))
+        data = yield from ctx.recv(0, tag=1)
+        ctx.update(lambda s, d=data: s.__setitem__("data", d))
 
-    job2 = _run_twice_with_restart(app, size=2, snapshot_at=2.0)
-    assert job2.contexts[1].state["data"] == "payload"
+    sim = Simulator(seed=3)
+    first, net = make_job(sim, app, size=1)
+    ctx = first.contexts[0]
+    op_id = ctx._new_op()
+    ctx._commit(op_id, ("payload", Status(0, 1, 8.0)), retain=True)
+    snapshot = ctx.take_snapshot(wave=1)
+
+    job2 = MPIJob(sim, net, first.endpoints, app, FtSockChannel,
+                  name="second")
+    job2.start(snapshots=[snapshot])
+    sim.run_until_complete(job2.completed, limit=10.0)
+    assert job2.contexts[0].state["data"] == "payload"
 
 
 def test_collectives_replay():
