@@ -80,6 +80,41 @@ def test_fifo_among_posted(eng):
     assert value_of(ev2)[0] == "b"
 
 
+def test_specific_recv_skips_older_non_matching(eng):
+    eng.deliver(pkt(src=1, tag=1, data="older"))
+    eng.deliver(pkt(src=1, tag=2, data="wanted"))
+    ev = eng.post_recv(source=1, tag=2)
+    assert value_of(ev)[0] == "wanted"
+    assert [p.data for p in eng.unexpected] == ["older"]
+
+
+def test_any_source_takes_oldest_across_sources(eng):
+    eng.deliver(pkt(src=5, tag=0, data="from5"))
+    eng.deliver(pkt(src=2, tag=0, data="from2"))
+    ev = eng.post_recv(source=ANY_SOURCE, tag=0)
+    data, status = value_of(ev)
+    assert (data, status.source) == ("from5", 5)
+
+
+def test_arrival_matches_oldest_compatible_posted(eng):
+    specific = eng.post_recv(source=4, tag=1)
+    wildcard = eng.post_recv(source=ANY_SOURCE, tag=1)
+    eng.deliver(pkt(src=3, tag=1, data="x"))
+    assert wildcard.triggered and not specific.triggered
+    eng.deliver(pkt(src=4, tag=1, data="y"))
+    assert value_of(specific)[0] == "y"
+    assert not eng.posted
+
+
+def test_unexpected_bytes_follow_the_queue(eng):
+    assert eng.unexpected_bytes == 0
+    eng.deliver(pkt(src=1, tag=1, nbytes=30.0))
+    eng.deliver(pkt(src=1, tag=2, nbytes=12.5))
+    assert eng.unexpected_bytes == 42.5
+    eng.post_recv(source=1, tag=1)
+    assert eng.unexpected_bytes == 12.5
+
+
 def test_fail_all(eng):
     ev = eng.post_recv(source=1, tag=1)
     eng.fail_all(ConnectionError("down"))
@@ -98,6 +133,21 @@ def test_snapshot_restore():
     b.restore(snap)
     ev = b.post_recv(source=1, tag=1)
     assert value_of(ev)[0] == "keep"
+
+
+def test_snapshot_is_a_copy(eng):
+    eng.deliver(pkt(src=1, tag=1, data="in"))
+    snap = eng.snapshot()
+    eng.post_recv(source=1, tag=1)
+    eng.deliver(pkt(src=2, tag=2, data="after"))
+    assert [p.data for p in snap] == ["in"]
+
+
+def test_fail_all_leaves_later_arrivals_unexpected(eng):
+    eng.post_recv(source=1, tag=1)
+    eng.fail_all(ConnectionError("down"))
+    eng.deliver(pkt(src=1, tag=1))
+    assert len(eng.unexpected) == 1
 
 
 def test_restore_with_posted_recvs_rejected():
