@@ -48,7 +48,7 @@ def main() -> None:
     scheduler_node = net.nodes[size + 1]
 
     def protocol_factory(job, run):
-        return VclProtocol(job, run.server_map, period=0.8, stats=run.stats,
+        return VclProtocol(job, run.replica_map, period=0.8, stats=run.stats,
                            local_images=run.local_images, fork_latency=0.05,
                            scheduler_node=scheduler_node)
 

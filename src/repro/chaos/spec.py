@@ -102,7 +102,7 @@ class Scenario:
                              f"(expected one of {tuple(BENCHMARKS)})")
         if self.policy not in RECOVERY_POLICIES:
             raise ValueError(f"unknown recovery policy {self.policy!r} "
-                             f"(expected one of {RECOVERY_POLICIES})")
+                             f"(expected one of {tuple(RECOVERY_POLICIES)})")
         if self.spares < 0:
             raise ValueError(f"spares must be >= 0, got {self.spares}")
         for fault in self.faults:
@@ -180,7 +180,7 @@ class CampaignSpec:
         """Sub-campaign of the scenarios using one recovery ``policy``."""
         if policy not in RECOVERY_POLICIES:
             raise ValueError(f"unknown recovery policy {policy!r} "
-                             f"(expected one of {RECOVERY_POLICIES})")
+                             f"(expected one of {tuple(RECOVERY_POLICIES)})")
         return self._subset(lambda s: s.policy == policy)
 
     @classmethod

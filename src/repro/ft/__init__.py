@@ -14,10 +14,13 @@ everything else (deployment specs, CLIs, test builders) reads.
 * :class:`~repro.ft.server.CheckpointServer` — shared image storage machinery
   with per-image checksums, K-way replica assignment and quorum-aware commit.
 * :class:`~repro.ft.recovery.FTRun` — the recovery pipeline (detect, agree,
-  place, restore, relaunch) under the :data:`RECOVERY_POLICIES`.
+  place, restore, relaunch) under the :data:`RECOVERY_POLICIES`, a table of
+  :class:`~repro.ft.recovery.RecoveryPolicy` rows; each survivor policy's
+  place step is one module (:mod:`repro.ft.spare`, :mod:`repro.ft.shrink`).
 * :class:`~repro.ft.restore.ImageRestorer` — replica-aware image fetch with
-  retry/backoff (:class:`~repro.ft.restore.FetchPolicy`) and graceful
-  degradation (:class:`~repro.ft.restore.StorageUnrecoverableError`).
+  a fixed retry/backoff schedule (:data:`~repro.ft.restore.FETCH_ROUNDS`)
+  and graceful degradation
+  (:class:`~repro.ft.restore.StorageUnrecoverableError`).
 * :class:`~repro.ft.failure.Fault` / :data:`~repro.ft.failure.FAULTS` — the
   one fault vocabulary (task, node and checkpoint-server kills plus silent
   image corruption), scheduled with :meth:`FTRun.schedule`; Poisson task
@@ -38,9 +41,10 @@ from repro.ft.protocol import (
     LocalImageStore,
     SCHEDULER_ID,
 )
-from repro.ft.recovery import FTRun, InstantLauncher, RECOVERY_POLICIES
-from repro.ft.restore import FetchPolicy, ImageRestorer, StorageUnrecoverableError
-from repro.ft.server import CheckpointServer, assign_replicas, assign_servers
+from repro.ft.recovery import (FTRun, InstantLauncher, RECOVERY_POLICIES,
+                               RecoveryPolicy)
+from repro.ft.restore import ImageRestorer, StorageUnrecoverableError
+from repro.ft.server import CheckpointServer, assign_replicas
 from repro.ft.vcl import VclEndpoint, VclProtocol
 
 #: protocol name -> class: the one place a protocol family is registered
@@ -63,10 +67,9 @@ def protocol_factory(name: Optional[str], period: float, fork_latency: float,
     extra = {"scheduler_node": scheduler_node} if cls.needs_scheduler else {}
 
     def factory(job, run):
-        return cls(job, server_map=run.server_map, period=period,
+        return cls(job, replica_map=run.replica_map, period=period,
                    stats=run.stats, local_images=run.local_images,
-                   fork_latency=fork_latency, replica_map=run.replica_map,
-                   **extra)
+                   fork_latency=fork_latency, **extra)
 
     return factory
 
@@ -82,7 +85,6 @@ __all__ = [
     "DRAIN_BUDGET",
     "FAULTS",
     "Fault",
-    "FetchPolicy",
     "FORK_LATENCY",
     "FTRun",
     "FTStats",
@@ -93,13 +95,13 @@ __all__ = [
     "PclProtocol",
     "PROTOCOLS",
     "RECOVERY_POLICIES",
+    "RecoveryPolicy",
     "RUNTIME_IMAGE_OVERHEAD_BYTES",
     "SCHEDULER_ID",
     "StorageUnrecoverableError",
     "VclEndpoint",
     "VclProtocol",
     "assign_replicas",
-    "assign_servers",
     "protocol_factory",
     "random_failures",
 ]

@@ -606,25 +606,19 @@ class BaseProtocol:
     def __init__(
         self,
         job: "MPIJob",
-        server_map: Dict[int, CheckpointServer],
+        replica_map: Dict[int, List[CheckpointServer]],
         period: float,
         stats: Optional[FTStats] = None,
         local_images: Optional[LocalImageStore] = None,
         start_wave: int = 1,
         fork_latency: float = FORK_LATENCY,
-        replica_map: Optional[Dict[int, List[CheckpointServer]]] = None,
     ) -> None:
         if period <= 0:
             raise ValueError("checkpoint period must be positive")
         self.job = job
         self.sim = job.sim
-        self.server_map = server_map
-        #: rank -> ordered replica servers; defaults to the unreplicated
-        #: layout (each rank's single assigned server)
-        self.replica_map: Dict[int, List[CheckpointServer]] = (
-            replica_map if replica_map is not None
-            else {rank: [server] for rank, server in server_map.items()}
-        )
+        #: rank -> ordered replica servers (index 0 is the rank's primary)
+        self.replica_map = replica_map
         self.period = period
         self.stats = stats if stats is not None else FTStats()
         self.local_images = local_images if local_images is not None else LocalImageStore()
@@ -672,9 +666,6 @@ class BaseProtocol:
             for server in replicas:
                 if server not in seen:
                     seen.append(server)
-        for server in self.server_map.values():
-            if server not in seen:
-                seen.append(server)
         return seen
 
     # ------------------------------------------------------ the wave skeleton

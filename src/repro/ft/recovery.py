@@ -19,8 +19,11 @@ incarnations:
 6. a fresh protocol instance installs and the wave timer re-arms.
 
 That sequence is one pipeline, :meth:`FTRun._recover`: detect -> (agree) ->
-place -> restore -> relaunch; the survivor policies add the agreement round
-and their own *place* step.  Step 4 is :mod:`repro.ft.restore`'s job.
+place -> restore -> relaunch.  The recovery policies are the rows of
+:data:`RECOVERY_POLICIES`: ``restart`` is the paper's sequence above, and a
+survivor policy adds the agreement round and its own *place* step, one
+module each (:mod:`repro.ft.spare`, :mod:`repro.ft.shrink`).  Step 4 is
+:mod:`repro.ft.restore`'s job.
 
 The launcher is pluggable; :mod:`repro.runtime` provides the paper's two
 environments (the MPICH-V dispatcher and the MPICH2 FTPM) with their spawn
@@ -30,18 +33,50 @@ processes with no cost, for unit tests.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
+from repro.ft import shrink, spare
 from repro.ft.failure import FAULTS, Fault, KillRecord
 from repro.ft.membership import MembershipTracker
 from repro.ft.protocol import FTStats, LocalImageStore, emit_phase_spans
-from repro.ft.restore import FetchPolicy, ImageRestorer, StorageUnrecoverableError
-from repro.ft.server import CheckpointServer, assign_replicas, assign_servers
+from repro.ft.restore import FETCH_ROUNDS, ImageRestorer
+from repro.ft.server import CheckpointServer, assign_replicas
 from repro.mpi.job import MPIJob
 from repro.net.topology import BaseNetwork, Endpoint
 from repro.sim.trace import declare
 
-__all__ = ["FTRun", "InstantLauncher", "RECOVERY_POLICIES", "SURVIVOR_POLICIES"]
+__all__ = ["FTRun", "InstantLauncher", "RECOVERY_POLICIES", "RecoveryPolicy",
+           "SURVIVOR_POLICIES"]
+
+
+class RecoveryPolicy(NamedTuple):
+    """One row of :data:`RECOVERY_POLICIES`."""
+
+    #: ``place(run, failed, survivors, committed, inherited, marks,
+    #: started_at)``: the generator run after the agreement committed and
+    #: the old job was killed; it relaunches through
+    #: ``FTRun._finish_recovery`` and returns None, or returns a degradation
+    #: reason having relaunched nothing.  None: no survivors, no agreement —
+    #: straight to the full restart
+    place: Optional[Callable[..., Any]]
+    #: whether the survivors' sockets are harvested before the kill and
+    #: handed to ``place`` as ``inherited``
+    keeps_links: bool = False
+
+
+#: recovery policy -> its row; the keys are the single source of the valid
+#: ``recovery_policy`` names, for specs and CLIs
+RECOVERY_POLICIES: Dict[str, RecoveryPolicy] = {
+    #: kill everything and reload the last committed wave (the paper)
+    "restart": RecoveryPolicy(None),
+    #: promote pre-allocated spare machines; survivors keep their sockets
+    "spare": RecoveryPolicy(spare.place, keeps_links=True),
+    #: renumber the survivors and re-decompose a malleable app
+    "shrink": RecoveryPolicy(shrink.place),
+}
+#: those with a place step, hence an agreement round before it
+SURVIVOR_POLICIES = tuple(name for name, row in RECOVERY_POLICIES.items()
+                          if row.place is not None)
 
 
 #: the (phase, mark) tiling of a survivor recovery; ``restore`` runs to the
@@ -60,10 +95,6 @@ declare("ft.failure_detected", __name__, incarnation=int)
 declare("ft.recovery_begin", __name__, policy=str, ballot=int, failed=tuple,
         n_ranks=int, committed=int, incarnation=int)
 declare("ft.recovery_degraded", __name__, policy=str, reason=str,
-        incarnation=int)
-declare("ft.spare_restore", __name__, rank=int, wave=int, node=str)
-declare("ft.promoted", __name__, rank=int, node=str, incarnation=int)
-declare("ft.shrunk", __name__, size=int, dropped=tuple, resume_iteration=int,
         incarnation=int)
 declare("ft.restarted", __name__, wave=int, incarnation=int)
 declare("ft.recovery_phase", __name__, phase=str, start=float, end=float,
@@ -105,14 +136,12 @@ class FTRun:
         launcher: Optional[InstantLauncher] = None,
         image_bytes: float = 0.0,
         name: str = "ftrun",
-        max_restarts: int = 16,
         replication: int = 1,
-        fetch_policy: Optional[FetchPolicy] = None,
         recovery_policy: str = "restart",
         spare_pool: Optional[Sequence] = None,
         malleable_app_factory: Optional[Callable[[int], Callable]] = None,
     ) -> None:
-        if recovery_policy not in self._POLICIES:
+        if recovery_policy not in RECOVERY_POLICIES:
             raise ValueError(f"unknown recovery policy {recovery_policy!r}")
         self.sim = sim
         self.net = net
@@ -122,11 +151,7 @@ class FTRun:
         self.protocol_factory = protocol_factory
         self.servers = list(servers)
         self.replication = replication
-        self.fetch_policy = fetch_policy if fetch_policy is not None else FetchPolicy()
-        self.server_map: Dict[int, CheckpointServer] = (
-            assign_servers(len(self.endpoints), self.servers) if self.servers else {}
-        )
-        #: rank -> ordered K replica servers (index 0 == server_map[rank])
+        #: rank -> ordered K replica servers; index 0 is the rank's primary
         self.replica_map: Dict[int, List[CheckpointServer]] = (
             assign_replicas(len(self.endpoints), self.servers, replication)
             if self.servers else {}
@@ -134,12 +159,13 @@ class FTRun:
         self.launcher = launcher if launcher is not None else InstantLauncher()
         self.image_bytes = image_bytes
         self.name = name
-        self.max_restarts = max_restarts
-        #: survivor-recovery strategy: "restart" (kill everything, the
-        #: paper's model), "spare" (promote pre-allocated spare machines,
-        #: survivors keep their sockets), "shrink" (survivors renumber and
-        #: the app re-decomposes — needs ``malleable_app_factory``)
+        #: recoveries allowed before the run gives up (callers may raise it)
+        self.max_restarts = 16
+        #: a :data:`RECOVERY_POLICIES` name
         self.recovery_policy = recovery_policy
+        #: deployment facts the policy modules read: idle machines a
+        #: placement may promote, and size -> app function for a placement
+        #: that re-decomposes the application
         self.spare_pool = list(spare_pool or [])
         self.malleable_app_factory = malleable_app_factory
 
@@ -159,12 +185,11 @@ class FTRun:
         self._membership: Optional[MembershipTracker] = None
         self._next_ballot = 1
 
-    def use_site_server_map(self, mapping: Dict[int, CheckpointServer]) -> None:
+    def use_site_primaries(self, mapping: Dict[int, CheckpointServer]) -> None:
         """Override the round-robin primary assignment (e.g. Grid'5000 site
         locality) while keeping the replica sets consistent: each rank's
         replicas are its new primary followed by the next servers in ring
         order."""
-        self.server_map = dict(mapping)
         order = self.servers
         self.replica_map = {}
         for rank, primary in mapping.items():
@@ -183,14 +208,14 @@ class FTRun:
                 replication=self.replication,
                 n_servers=len(self.servers),
                 gc_keep=max((s.gc_keep for s in self.servers), default=1),
-                fetch_rounds=self.fetch_policy.max_rounds,
+                fetch_rounds=FETCH_ROUNDS,
             )
         self._started_at = self.sim.now
         self._launch()
 
     def _announce_world(self) -> None:
         """World size for monitors keying coverage on ``n_ranks`` (at start,
-        and again when a shrink re-dimensions the stream)."""
+        and again when a placement re-dimensions the stream)."""
         if self.sim.trace.wants("runtime.validated"):
             self.sim.trace.record(
                 self.sim.now, "runtime.validated",
@@ -220,9 +245,9 @@ class FTRun:
             self.protocol.start_wave = committed + 1
             self.protocol.install()
         if seed_state:
-            # shrink: every fresh context learns the iteration the surviving
-            # decomposition resumes from (no snapshot restore — the app
-            # re-decomposes and recomputes from that boundary)
+            # a re-decomposing placement: every fresh context learns the
+            # iteration the surviving decomposition resumes from (no
+            # snapshot restore — the app recomputes from that boundary)
             for context in job.contexts:
                 context.state.update(seed_state)
         delays = (list(start_delays) if start_delays is not None
@@ -285,7 +310,7 @@ class FTRun:
         self.stats.failures += 1
         self.sim.trace.record(self.sim.now, "ft.failure_detected",
                               incarnation=self.incarnation)
-        if self.recovery_policy in SURVIVOR_POLICIES:
+        if RECOVERY_POLICIES[self.recovery_policy].place is not None:
             self._membership = MembershipTracker(
                 self.sim, self.job, self._detect_latency(),
                 ballot_start=self._next_ballot)
@@ -299,13 +324,13 @@ class FTRun:
         return latency if latency is not None else 1e-4
 
     def _recover(self):
-        """The recovery pipeline.  ``restart`` kills everything and goes
-        straight to the paper's full restart; a survivor policy first agrees
-        on the failed set (ULFM-style), then runs its place step, and
-        degrades to the same full restart when the step cannot proceed
-        (never hang)."""
+        """The recovery pipeline.  A policy without a place step kills
+        everything and goes straight to the paper's full restart; a survivor
+        policy first agrees on the failed set (ULFM-style), then runs its
+        place step, and degrades to the same full restart when the step
+        cannot proceed (never hang)."""
         policy = self.recovery_policy
-        step, keeps_links = self._POLICIES[policy]
+        row = RECOVERY_POLICIES[policy]
         started_at = self.sim.now
         marks: Dict[str, float] = {}
         if self.protocol is not None:
@@ -314,7 +339,7 @@ class FTRun:
             raise RuntimeError(f"{self.name}: exceeded {self.max_restarts} restarts")
         job = self.job
 
-        if step is None:
+        if row.place is None:
             job.kill()
             committed = self.committed_wave()
         else:
@@ -333,13 +358,13 @@ class FTRun:
             # Survivor sockets can outlive the dying incarnation: detach them
             # before the kill breaks everything, then drop whatever the dead
             # epoch left on the wire.
-            inherited = job.harvest_links(survivors) if keeps_links else {}
+            inherited = job.harvest_links(survivors) if row.keeps_links else {}
             job.kill()
             for end_lo, _end_hi in inherited.values():
                 end_lo.connection.flush()
 
-            reason = yield from step(self, failed, survivors, committed,
-                                     inherited, marks, started_at)
+            reason = yield from row.place(self, failed, survivors, committed,
+                                          inherited, marks, started_at)
             if reason is None:
                 return
             self.stats.policy_degradations += 1
@@ -349,8 +374,8 @@ class FTRun:
             for end_lo, _end_hi in inherited.values():
                 end_lo.connection.break_()
 
-        # ---- the paper's full restart: the ``restart`` policy, and what
-        # every survivor policy degrades to
+        # ---- the paper's full restart: the policy without a place step,
+        # and what every survivor policy degrades to
         yield self.sim.timeout(self.launcher.respawn_lead_time())
         self._reboot_dead_nodes()
         marks["promote"] = self.sim.now
@@ -360,145 +385,6 @@ class FTRun:
         # reboot before relaunching onto a dead machine
         self._reboot_dead_nodes()
         self._finish_recovery(restored_wave, snapshots, logs, marks, started_at)
-
-    # ------------------------------------------------- survivor place steps
-    # Contract: a generator that either relaunches through _finish_recovery
-    # and returns None, or returns a degradation reason, relaunching nothing.
-
-    def _spare_restart(self, failed, survivors, committed, inherited, marks,
-                       started_at):
-        """Generator: promote spares for dead machines, restore, relaunch.
-
-        Loops when a cascading kill lands while images are streaming back —
-        every loop re-promotes for the new casualties, bounded so exhaustion
-        or relentless kills degrade instead of spinning.
-        """
-        promoted: List[int] = []
-        for _attempt in range(3):
-            newly, exhausted = self._promote_spares()
-            promoted.extend(newly)
-            if exhausted:
-                return "spare-pool-exhausted"
-            marks["promote"] = self.sim.now
-            try:
-                snapshots, logs, restored_wave = \
-                    yield from self.restorer.restore(committed)
-            except StorageUnrecoverableError:
-                if any(not ep.node.alive for ep in self.endpoints):
-                    continue  # the fetcher died, not the storage: re-place
-                raise
-            if any(not ep.node.alive for ep in self.endpoints):
-                continue  # a kill landed mid-restore; promote replacements
-            if restored_wave > 0:
-                for rank in sorted(set(promoted)):
-                    self.sim.trace.record(
-                        self.sim.now, "ft.spare_restore", rank=rank,
-                        wave=restored_wave,
-                        node=self.endpoints[rank].node.name)
-            links = {key: ends for key, ends in inherited.items()
-                     if not ends[0].connection.broken}
-            # survivors are already resident: only the failed ranks pay the
-            # launcher's spawn cost
-            delays = [0.0] * len(self.endpoints)
-            if failed:
-                spawn = self.launcher.spawn_delays(len(failed))
-                for position, rank in enumerate(sorted(failed)):
-                    if rank < len(delays):
-                        delays[rank] = spawn[position]
-            self._finish_recovery(restored_wave, snapshots, logs,
-                                  marks, started_at, start_delays=delays,
-                                  inherited_links=links)
-            return None
-        return "cascading-failures"
-
-    def _promote_spares(self):
-        """Move endpoints off dead machines onto pre-allocated spares.
-
-        Returns ``(promoted ranks, exhausted)`` — exhausted means a dead
-        endpoint remains with no live spare left to host it.
-        """
-        promoted: List[int] = []
-        for index, endpoint in enumerate(self.endpoints):
-            if endpoint.node.alive:
-                continue
-            while self.spare_pool and not self.spare_pool[0].alive:
-                self.spare_pool.pop(0)
-            if not self.spare_pool:
-                return promoted, True
-            node = self.spare_pool.pop(0)
-            node.service = False  # now hosts an MPI rank
-            self.endpoints[index] = Endpoint(node, 0)
-            self.stats.spares_promoted += 1
-            self.sim.trace.record(self.sim.now, "ft.promoted", rank=index,
-                                  node=node.name,
-                                  incarnation=self.incarnation)
-            promoted.append(index)
-        return promoted, False
-
-    def _shrink_restart(self, failed, survivors, committed, inherited, marks,
-                        started_at):
-        """Generator: renumber the survivors and re-decompose the app.
-
-        Renumbering invalidates the cached pair addressing, so shrink keeps
-        no survivor sockets — the new job reconnects lazily.  The survivors
-        restart the (malleable) application over the shrunken communicator
-        from the last iteration boundary every committed image had reached.
-        """
-        if self.malleable_app_factory is None:
-            return "app-not-malleable"
-        old_size = len(self.endpoints)
-        live = [r for r in survivors if self.endpoints[r].node.alive]
-        if not live:
-            return "no-survivors"
-        # dead machines cannot stream their own images back: a survivor
-        # fetches each dead rank's shard (the redistribution cost)
-        dead_ranks = [r for r in range(old_size)
-                      if not self.endpoints[r].node.alive]
-        via_map = {rank: self.endpoints[live[i % len(live)]]
-                   for i, rank in enumerate(dead_ranks)}
-        try:
-            snapshots, _logs, restored_wave = \
-                yield from self.restorer.restore(committed, via_map=via_map)
-        except StorageUnrecoverableError:
-            if any(not self.endpoints[r].node.alive for r in live):
-                return "casualty-during-restore"  # fetcher died, not storage
-            raise
-        live = [r for r in live if self.endpoints[r].node.alive]
-        if not live:
-            return "no-survivors"
-        marks["promote"] = self.sim.now
-        resume = 0
-        if snapshots is not None:
-            resume = min(snapshot.state.get("iteration", 0)
-                         for snapshot in snapshots)
-        new_size = len(live)
-        live_set = set(live)
-        dropped = tuple(r for r in range(old_size) if r not in live_set)
-        self.endpoints = [self.endpoints[r] for r in live]
-        if self.servers:
-            self.server_map = assign_servers(new_size, self.servers)
-            self.replica_map = assign_replicas(new_size, self.servers,
-                                               self.replication)
-        self.app_factory = self.malleable_app_factory(new_size)
-        self.stats.shrinks += 1
-        self.sim.trace.record(self.sim.now, "ft.shrunk", size=new_size,
-                              dropped=dropped, resume_iteration=resume,
-                              incarnation=self.incarnation)
-        self._announce_world()
-        self._finish_recovery(restored_wave, None, None,
-                              marks, started_at, start_delays=[0.0] * new_size,
-                              seed_state={"resume_iteration": resume})
-        return None
-
-    #: recovery policy -> (place step, whether survivors keep their sockets
-    #: across the relaunch).  ``restart`` kills everything, so it has no
-    #: agreement round and no step: it is the tail of :meth:`_recover`.  The
-    #: keys are the single source of the valid policy names.
-    _POLICIES = {
-        "restart": (None, False),
-        "spare": (_spare_restart, True),
-        "shrink": (_shrink_restart, False),
-    }
 
     def _finish_recovery(self, restored_wave, snapshots, logs, marks,
                          started_at, **relaunch) -> None:
@@ -511,7 +397,7 @@ class FTRun:
         # the paper's restart has no survivor phases: its series stays
         # unlabelled and it emits no ft.recovery_phase (pinned by the goldens)
         policy = self.recovery_policy
-        survivor_policy = policy in SURVIVOR_POLICIES
+        survivor_policy = RECOVERY_POLICIES[policy].place is not None
         if self.sim.metrics is not None:
             labels = {"policy": policy} if survivor_policy else {}
             self.sim.metrics.observe("ft.recovery_seconds", now - started_at,
@@ -528,8 +414,3 @@ class FTRun:
             if not endpoint.node.alive:
                 endpoint.node.restore()
 
-#: valid ``recovery_policy`` names, for specs and CLIs
-RECOVERY_POLICIES = tuple(FTRun._POLICIES)
-#: those with a place step, hence an agreement round before it
-SURVIVOR_POLICIES = tuple(name for name, (step, _) in FTRun._POLICIES.items()
-                          if step is not None)

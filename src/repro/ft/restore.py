@@ -3,19 +3,29 @@
 The self-contained half of a recovery, behind one call,
 :meth:`ImageRestorer.restore`.  Orchestration (who is dead, where ranks are
 placed, when to relaunch) lives in :mod:`repro.ft.recovery`; this module
-only reads the run's current placement (``endpoints``, ``replica_map``,
-``server_map``), which spare promotion and shrink rewrite between attempts.
+only reads the run's current placement (``endpoints``, ``replica_map``),
+which spare promotion and shrink rewrite between attempts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.ft.image import CONTROL_BYTES, CheckpointImage
 from repro.sim.trace import declare
 
-__all__ = ["ImageRestorer", "FetchPolicy", "StorageUnrecoverableError"]
+__all__ = ["ImageRestorer", "StorageUnrecoverableError"]
+
+#: the remote-fetch retry schedule.  A fetch sweeps the rank's replicas in
+#: assignment order; after a full sweep fails, it backs off exponentially
+#: (``BACKOFF_BASE * BACKOFF_FACTOR**round``) with multiplicative jitter
+#: (``1 + JITTER * u``, ``u`` drawn from a dedicated named RNG stream), so
+#: retry schedules are deterministic per seed and never synchronize across
+#: ranks.  ``FETCH_ROUNDS`` sweeps total.
+FETCH_ROUNDS = 3
+BACKOFF_BASE = 0.05
+BACKOFF_FACTOR = 2.0
+JITTER = 0.25
 
 
 declare("ft.wave_fallback", __name__, wave=int, incarnation=int)
@@ -37,29 +47,6 @@ class StorageUnrecoverableError(RuntimeError):
     without it the run would wedge waiting for a fetch that can never
     complete.
     """
-
-
-@dataclass(frozen=True)
-class FetchPolicy:
-    """Retry policy for remote image fetches at restart.
-
-    A fetch sweeps the rank's replicas in assignment order; after a full
-    sweep fails, it backs off exponentially (``backoff_base *
-    backoff_factor**round``) with multiplicative jitter drawn from a
-    dedicated named RNG stream, so retry schedules are deterministic per
-    seed and never synchronize across ranks.  ``max_rounds`` sweeps total.
-    """
-
-    max_rounds: int = 3
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    jitter: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
-        if self.backoff_base < 0 or self.jitter < 0 or self.backoff_factor < 1:
-            raise ValueError("invalid backoff parameters")
 
 
 class ImageRestorer:
@@ -167,9 +154,10 @@ class ImageRestorer:
         Local disk first (same-machine restart); otherwise sweep the rank's
         replicas in assignment order, verifying the checksum of whatever
         comes back, with deterministic exponential backoff + jitter between
-        sweeps (:class:`FetchPolicy`).  Returns None once every sweep is
-        exhausted or every replica is dead.  ``via`` fetches through another
-        machine's endpoint (shrink: a survivor pulls a dead rank's image).
+        sweeps (:data:`FETCH_ROUNDS` and the backoff constants).  Returns
+        None once every sweep is exhausted or every replica is dead.
+        ``via`` fetches through another machine's endpoint (shrink: a
+        survivor pulls a dead rank's image).
         """
         run = self.run
         endpoint = run.endpoints[rank] if via is None else via
@@ -178,10 +166,9 @@ class ImageRestorer:
             yield endpoint.node.disk.read(image.nbytes)
             self.sim.trace.count("ft.restore_local")
             return image
-        replicas = run.replica_map.get(rank) or [run.server_map[rank]]
-        policy = run.fetch_policy
+        replicas = run.replica_map[rank]
         rng = None
-        for round_no in range(policy.max_rounds):
+        for round_no in range(FETCH_ROUNDS):
             for index, server in enumerate(replicas):
                 if not server.node.alive:
                     continue
@@ -215,12 +202,11 @@ class ImageRestorer:
                     rank, wave, index, status if image is None else "corrupt")
             if not any(server.node.alive for server in replicas):
                 break  # nobody left to answer; backing off cannot help
-            if round_no + 1 < policy.max_rounds:
+            if round_no + 1 < FETCH_ROUNDS:
                 if rng is None:
                     rng = self.sim.rng.stream(f"{run.name}.fetch.r{rank}")
-                delay = (policy.backoff_base
-                         * policy.backoff_factor ** round_no
-                         * (1.0 + policy.jitter * float(rng.random())))
+                delay = (BACKOFF_BASE * BACKOFF_FACTOR ** round_no
+                         * (1.0 + JITTER * float(rng.random())))
                 if self.sim.trace.wants("ft.fetch_backoff"):
                     self.sim.trace.record(self.sim.now, "ft.fetch_backoff",
                                           rank=rank, wave=wave, round=round_no,

@@ -42,7 +42,7 @@ from repro.net.topology import BaseNetwork, Endpoint
 from repro.sim.process import Interrupt
 from repro.sim.trace import declare
 
-__all__ = ["CheckpointServer", "assign_servers", "assign_replicas"]
+__all__ = ["CheckpointServer", "assign_replicas"]
 
 
 declare("ft.replica_stored", __name__, server=str, rank=int, wave=int,
@@ -223,14 +223,6 @@ class CheckpointServer:
         self._receivers.clear()
 
 
-def assign_servers(n_ranks: int, servers: List[CheckpointServer]) -> Dict[int, CheckpointServer]:
-    """Round-robin mapping of ranks to servers (the paper distributes
-    computing nodes equally among the checkpoint servers)."""
-    if not servers:
-        raise ValueError("at least one checkpoint server is required")
-    return {rank: servers[rank % len(servers)] for rank in range(n_ranks)}
-
-
 def assign_replicas(
     n_ranks: int,
     servers: List[CheckpointServer],
@@ -238,10 +230,11 @@ def assign_replicas(
 ) -> Dict[int, List[CheckpointServer]]:
     """Rank -> ordered list of K replica servers.
 
-    The primary follows the same round-robin as :func:`assign_servers`
-    (so ``replication=1`` is exactly the unreplicated layout) and the
-    remaining K-1 replicas are the next servers in ring order — every
-    server carries the same share of primaries and of secondaries.
+    The primary is round-robin (the paper distributes computing nodes
+    equally among the checkpoint servers, so ``replication=1`` is exactly
+    the unreplicated layout) and the remaining K-1 replicas are the next
+    servers in ring order — every server carries the same share of
+    primaries and of secondaries.
     """
     if not servers:
         raise ValueError("at least one checkpoint server is required")

@@ -55,8 +55,9 @@ CLAIM = (
 #: malleable stencil; ``kill_time`` is in paper seconds and scaled by the
 #: figure so it always lands after a few committed waves
 PARAMS = {
-    "paper": dict(procs=8, policies=RECOVERY_POLICIES, failures=(1, 2, 4),
-                  period=30.0, spares=4, kill_time=160.0, servers=2),
+    "paper": dict(procs=8, policies=tuple(RECOVERY_POLICIES),
+                  failures=(1, 2, 4), period=30.0, spares=4, kill_time=160.0,
+                  servers=2),
     "smoke": dict(failures=(1, 2), spares=2),
 }
 

@@ -272,10 +272,7 @@ def execute(
         seed=profile.seed if seed is None else seed,
         name=name, time_limit=time_limit,
         instruments=instruments, inject=inject,
-        malleable_app_factory=(
-            bench.make_app
-            if policy == "shrink" and getattr(bench, "malleable", False)
-            else None),
+        malleable_app_factory=bench.make_app if bench.malleable else None,
         trace=tracer, watchdog=watchdog)
     meta = {"name": name, "network": network, "n_servers": n_servers,
             "profile": profile.name, "bench": bench.describe(n_procs),

@@ -80,7 +80,7 @@ class DeploymentSpec:
     #: checkpoint storage resilience: each rank streams its image to
     #: ``ckpt_replication`` servers and servers retain the newest
     #: ``ckpt_gc_keep`` committed waves (how restarts retry their fetches
-    #: is :class:`repro.ft.FetchPolicy`'s)
+    #: is :data:`repro.ft.restore.FETCH_ROUNDS`' fixed schedule)
     ckpt_replication: int = 1
     ckpt_gc_keep: int = 1
 
@@ -90,7 +90,8 @@ class DeploymentSpec:
         _one_of("channel", self.channel, tuple(CHANNELS))
         _one_of("network", self.network, ("gige", "myrinet", "grid5000"))
         _one_of("launcher", self.launcher, ("auto",) + tuple(LAUNCHERS))
-        _one_of("recovery_policy", self.recovery_policy, RECOVERY_POLICIES)
+        _one_of("recovery_policy", self.recovery_policy,
+                tuple(RECOVERY_POLICIES))
         for knob in ("n_procs", "n_servers", "procs_per_node",
                      "n_compute_nodes", "ckpt_gc_keep"):
             value = getattr(self, knob)
@@ -131,8 +132,9 @@ def _make_launcher(spec: DeploymentSpec):
     return LAUNCHERS[choice]()
 
 
-def _assign_servers_by_site(endpoints: Sequence[Endpoint],
-                            servers: Sequence[CheckpointServer]) -> Dict[int, CheckpointServer]:
+def _primaries_by_site(endpoints: Sequence[Endpoint],
+                       servers: Sequence[CheckpointServer]
+                       ) -> Dict[int, CheckpointServer]:
     """Prefer a checkpoint server in the rank's own cluster (the grid
     experiments use "a local machine" as each node's server)."""
     by_site: Dict[str, List[CheckpointServer]] = {}
@@ -222,5 +224,5 @@ def build_run(
         malleable_app_factory=malleable_app_factory,
     )
     if spec.network == "grid5000":
-        run.use_site_server_map(_assign_servers_by_site(endpoints, servers))
+        run.use_site_primaries(_primaries_by_site(endpoints, servers))
     return run

@@ -1,5 +1,5 @@
-"""Survivor recovery (:mod:`repro.ft.membership`, the ``spare`` and
-``shrink`` steps of :mod:`repro.ft.recovery`, docs/RECOVERY.md): act on an
+"""Survivor recovery (:mod:`repro.ft.membership`, the place steps of
+:mod:`repro.ft.spare` and :mod:`repro.ft.shrink`, docs/RECOVERY.md): act on an
 agreed failed set, restore the right image.  The paper's full restart has no
 agreement round and emits none of these records."""
 

@@ -29,7 +29,6 @@ def build_ft_run(
     fork_latency=0.01,
     replication=1,
     gc_keep=1,
-    fetch_policy=None,
     recovery_policy="restart",
     spares=0,
     malleable_app_factory=None,
@@ -57,7 +56,7 @@ def build_ft_run(
     run = FTRun(
         sim, net, endpoints, app_factory, channel_cls,
         protocol_factory(protocol, period, fork_latency, scheduler_node),
-        servers, image_bytes=image_bytes, replication=replication, fetch_policy=fetch_policy,
+        servers, image_bytes=image_bytes, replication=replication,
         recovery_policy=recovery_policy, spare_pool=pool,
         malleable_app_factory=malleable_app_factory,
     )

@@ -140,7 +140,7 @@ def test_protocol_rejects_bad_period(sim):
     from repro.ft import PclProtocol
     from repro.mpi import FtSockChannel, MPIJob
     with pytest.raises(ValueError):
-        PclProtocol(run.job or _fake_job(sim, run), run.server_map, period=0.0)
+        PclProtocol(run.job or _fake_job(sim, run), run.replica_map, period=0.0)
 
 
 def _fake_job(sim, run):

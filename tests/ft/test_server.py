@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ft import CheckpointServer, assign_replicas, assign_servers
+from repro.ft import CheckpointServer, assign_replicas
 from repro.ft.image import CheckpointImage
 from repro.net import ClusterNetwork
 from repro.net.topology import Endpoint
@@ -216,18 +216,6 @@ def test_broken_connection_stops_serving(setup):
     sim.run()  # the serve loop must exit cleanly
 
 
-def test_assign_servers_round_robin(setup):
-    sim, net, server, _ = setup
-    other = CheckpointServer(sim, net, net.nodes[1], name="cs2")
-    mapping = assign_servers(5, [server, other])
-    assert mapping == {0: server, 1: other, 2: server, 3: other, 4: server}
-
-
-def test_assign_servers_requires_one():
-    with pytest.raises(ValueError):
-        assign_servers(3, [])
-
-
 def test_assign_replicas_ring_order(setup):
     sim, net, server, _ = setup
     s2 = CheckpointServer(sim, net, net.nodes[1], name="cs2")
@@ -238,9 +226,11 @@ def test_assign_replicas_ring_order(setup):
     assert mapping[1] == [s2, s3]
     assert mapping[2] == [s3, server]
     assert mapping[3] == [server, s2]
-    # K=1 is exactly the unreplicated layout
-    singles = assign_replicas(4, servers, replication=1)
-    assert {r: ss[0] for r, ss in singles.items()} == assign_servers(4, servers)
+    # K=1 is exactly the unreplicated layout: primaries round-robin
+    other = CheckpointServer(sim, net, net.nodes[1], name="cs4")
+    singles = assign_replicas(5, [server, other], replication=1)
+    assert singles == {0: [server], 1: [other], 2: [server], 3: [other],
+                       4: [server]}
 
 
 def test_assign_replicas_validates_k(setup):

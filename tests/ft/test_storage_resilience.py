@@ -7,8 +7,10 @@ t≈1.55 — kills are scheduled around those points.
 
 import pytest
 
-from repro.ft import Fault, FetchPolicy, StorageUnrecoverableError
-from repro.sim import Simulator
+from repro.ft import Fault, StorageUnrecoverableError
+from repro.ft.restore import (BACKOFF_BASE, BACKOFF_FACTOR, FETCH_ROUNDS,
+                              JITTER)
+from repro.sim import Simulator, Tracer
 
 from tests.ft.conftest import assert_ring_result, build_ft_run, ring_app_factory
 
@@ -93,26 +95,23 @@ def test_corrupt_sole_replica_raises_clean_unrecoverable():
 
 
 def test_fetch_retries_back_off_deterministically():
-    """Two identical runs take identical backoff delays (seeded streams)."""
+    """Two identical runs take identical backoff delays (seeded streams),
+    FETCH_ROUNDS sweeps each growing by BACKOFF_FACTOR within the jitter."""
     delays = []
     for _ in range(2):
-        sim = Simulator(seed=7)
-        run, _ = _build(sim, n_servers=1, replication=1,
-                        fetch_policy=FetchPolicy(max_rounds=3,
-                                                 backoff_base=0.02))
+        sim = Simulator(seed=7, trace=Tracer(categories=["ft.fetch_backoff"]))
+        run, _ = _build(sim, n_servers=1, replication=1)
         run.start()
         run.schedule(Fault("image_corrupt", 0, 0.7, rank=1))
         run.schedule(Fault("node", 1, 0.8))
         with pytest.raises(StorageUnrecoverableError):
             sim.run_until_complete(run.completed, limit=1e5)
-        delays.append(run.stats.fetch_retries)
-    assert delays[0] == delays[1] > 0
-
-
-def test_fetch_policy_validation():
-    with pytest.raises(ValueError):
-        FetchPolicy(max_rounds=0)
-    with pytest.raises(ValueError):
-        FetchPolicy(backoff_factor=0.5)
-    with pytest.raises(ValueError):
-        FetchPolicy(jitter=-0.1)
+        assert run.stats.fetch_retries > 0
+        delays.append([(r.get("rank"), r.get("round"), r.get("delay"))
+                       for r in sim.trace.select("ft.fetch_backoff")])
+    assert delays[0] == delays[1]
+    assert {round_no for _, round_no, _ in delays[0]} \
+        == set(range(FETCH_ROUNDS - 1))
+    for _, round_no, delay in delays[0]:
+        low = BACKOFF_BASE * BACKOFF_FACTOR ** round_no
+        assert low <= delay <= low * (1 + JITTER)

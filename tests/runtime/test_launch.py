@@ -105,7 +105,7 @@ def test_grid_deployment_spreads_servers_and_prefers_local():
     # ranks placed in bordeaux/lille should use a server at their own site
     # when one exists there
     for rank, endpoint in enumerate(run.endpoints):
-        server = run.server_map[rank]
+        server = run.replica_map[rank][0]
         if endpoint.node.cluster in server_sites:
             assert server.node.cluster == endpoint.node.cluster
 
