@@ -71,7 +71,8 @@ class DclEndpoint(BlockingEndpoint):
         #: cumulative application packets that arrived at the channel
         self.recvd = 0
         self._report_dirty = False
-        self._reporting = False
+        #: the chain sending this rank's counter reports, if one ran
+        self._reporter = None
         self._local_pending = False
 
     # ------------------------------------------------------------ drain entry
@@ -104,10 +105,10 @@ class DclEndpoint(BlockingEndpoint):
                 self.sim.call_at(0.0, self._local_report, self.wave)
         else:
             self._report_dirty = True
-            if not self._reporting:
-                self._reporting = True
-                self._spawn(self._reporter(self.wave),
-                            f"dcl:report:r{self.rank}")
+            if self._reporter is None or self._reporter.waiting is None:
+                self._reporter = self.channel.post_control(
+                    self._reports(self.wave), f"dcl:report:r{self.rank}")
+                self._helpers.append(self._reporter)
 
     def _local_report(self, wave: int) -> None:
         self._local_pending = False
@@ -116,19 +117,15 @@ class DclEndpoint(BlockingEndpoint):
             return
         self.protocol.on_rank_count(0, wave, self.sent, self.recvd)
 
-    def _reporter(self, wave: int):
-        """Single in-flight report per rank; re-sends while counters move."""
+    def _reports(self, wave: int):
+        """The reports of one reporter chain, drawn one at a time: a single
+        report in flight per rank, re-sent while the counters move."""
         while (self.state == "draining" and self.wave == wave
                and not self.protocol.detached):
             self._report_dirty = False
-            packet = DrainCountPacket(self.rank, wave, self.sent, self.recvd)
-            try:
-                yield from self.channel.send_control(0, packet)
-            except ConnectionError:
-                break
+            yield 0, DrainCountPacket(self.rank, wave, self.sent, self.recvd)
             if not self._report_dirty:
-                break
-        self._reporting = False
+                return
 
     # ---------------------------------------------------------------- events
     def on_app_sent(self, packet, dst: int) -> None:

@@ -14,13 +14,11 @@ milestones that strategy passes (docs/PROTOCOLS.md, "Adding a protocol").
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.ft.image import CheckpointImage, FORK_LATENCY
 from repro.ft.server import CheckpointServer
-from repro.mpi.channels.base import HEADER_BYTES
 from repro.mpi.message import CheckpointDonePacket, MarkerPacket, Packet
-from repro.sim.events import URGENT, Event
 from repro.sim.process import Interrupt
 from repro.sim.trace import declare
 
@@ -144,81 +142,6 @@ class LocalImageStore:
         return sorted({image.wave for image in self._images.values()})
 
 
-class _FanOut:
-    """A control fan-out over established links, as callbacks.
-
-    One URGENT start step (where the helper process it replaces took its
-    first step), then one packet per destination in order: sent inline on
-    a channel that defers its send overhead, or after a daemon hop each on
-    ch_v, the next hop queued when the previous packet is on the wire.  A
-    broken link ends the fan-out, as the channel's shutdown (which empties
-    ``conns``) and a detach (:meth:`interrupt`) do.
-    """
-
-    __slots__ = ("endpoint", "_dsts", "packet_cls", "wave", "name", "_hop",
-                 "_stopped")
-
-    def __init__(self, endpoint: "BaseEndpoint", dsts, packet_cls,
-                 wave: int, name: str) -> None:
-        self.endpoint = endpoint
-        #: the destinations not yet sent to
-        self._dsts = iter(dsts)
-        self.packet_cls = packet_cls
-        self.wave = wave
-        #: what ``Event.describe()`` names as the waiter
-        self.name = name
-        self._hop: Optional[Event] = None
-        self._stopped = False
-        self._start()
-
-    def _start(self) -> None:
-        """Schedule the first step for this instant, behind whatever is
-        already queued at URGENT priority.  (The seam the negative in
-        ``tests/mpi/test_chv_reference.py`` replaces.)"""
-        start = Event(self.endpoint.sim, name=f"fan-out:{self.name}")
-        start.callbacks.append(self._send_next)
-        start.succeed(priority=URGENT)
-
-    def interrupt(self, _cause=None) -> None:
-        """Send nothing more (what detach does to a helper process)."""
-        self._stopped = True
-        hop, self._hop = self._hop, None
-        if hop is not None:
-            self.endpoint.channel.abandon_hop(hop, self.name)
-
-    def _send_next(self, _event: Optional[Event] = None) -> None:
-        channel = self.endpoint.channel
-        for dst in self._dsts:
-            end = channel.conns.get(dst)
-            if self._stopped or end is None or channel.down:
-                return
-            overhead = channel.send_overhead(HEADER_BYTES)
-            if overhead > 0.0 and not channel.defer_send_overhead:
-                hop = channel.host_hop(overhead, end)
-                hop.callbacks.append(self._hopped)
-                self._hop = hop
-                return
-            self._send(end, overhead)
-
-    def _hopped(self, hop: Event) -> None:
-        self._hop = None
-        if self.endpoint.channel.down:
-            return  # the rank died while the packet waited for the daemon
-        self._send(hop._value, 0.0)
-        self._send_next()
-
-    def _send(self, end: "ConnectionEnd", extra_latency: float) -> None:
-        endpoint = self.endpoint
-        try:
-            end.send(self.packet_cls(endpoint.rank, self.wave), HEADER_BYTES,
-                     extra_latency=extra_latency, notify=False)
-        except ConnectionError:
-            self._stopped = True  # mid-wave failure, as in _send_each
-            return
-        if self.packet_cls is MarkerPacket:
-            endpoint.protocol.stats.markers_sent += 1
-
-
 class BaseEndpoint:
     """Per-rank protocol endpoint: control traffic, the local checkpoint,
     server connections, image storage.  A strategy subclass defines
@@ -254,7 +177,8 @@ class BaseEndpoint:
         self._ack_waiters: Dict[Tuple[int, str, int], "Event"] = {}
         #: wave -> replica indices whose image upload was acknowledged
         self._acked_replicas: Dict[int, set] = {}
-        self._helpers: List["Process"] = []
+        #: helper processes and send chains; detach interrupts them all
+        self._helpers: List[Any] = []
 
     # ----------------------------------------------------------- plumbing
     def _spawn(self, generator, name: str) -> "Process":
@@ -288,25 +212,17 @@ class BaseEndpoint:
 
     def _fan_out(self, dsts, packet_cls, wave: int) -> None:
         """Send one ``packet_cls(self.rank, wave)`` control packet to every
-        rank in ``dsts``, in order, starting one URGENT step from now: by
-        callbacks (:class:`_FanOut`) when every link is up, else from a
-        helper process that connects the missing links on the way."""
-        name = f"{self.protocol.protocol_name}:{packet_cls.__name__}:r{self.rank}"
-        conns = self.channel.conns
-        if all(dst in conns for dst in dsts):
-            self._helpers.append(_FanOut(self, dsts, packet_cls, wave, name))
-        else:
-            self._spawn(self._send_each(dsts, packet_cls, wave), name)
+        rank in ``dsts``, in order, by a send chain that starts one URGENT
+        step from now and connects missing links on the way."""
+        name = (f"fan-out:{self.protocol.protocol_name}:"
+                f"{packet_cls.__name__}:r{self.rank}")
+        counted = self._count_marker if packet_cls is MarkerPacket else None
+        self._helpers.append(self.channel.post_control(
+            ((dst, packet_cls(self.rank, wave)) for dst in dsts), name,
+            counted))
 
-    def _send_each(self, dsts, packet_cls, wave: int):
-        for dst in dsts:
-            try:
-                yield from self.channel.send_control(
-                    dst, packet_cls(self.rank, wave))
-            except ConnectionError:
-                return  # mid-wave failure: recovery will discard this wave
-            if packet_cls is MarkerPacket:
-                self.protocol.stats.markers_sent += 1
+    def _count_marker(self, _dst: int, _packet: Packet) -> None:
+        self.protocol.stats.markers_sent += 1
 
     def _checkpoint(self) -> None:
         """The local checkpoint, at the instant the strategy calls it: take
@@ -334,19 +250,18 @@ class BaseEndpoint:
             yield from self._store_image(image)
         except ConnectionError:
             return  # failure mid-transfer; the wave will never commit
-        yield from self._after_store(image)
+        self._after_store(image)
 
-    def _after_store(self, image: CheckpointImage):
-        """Generator: the image is stored.  By default that completes this
-        rank's wave, so report it to the initiator (rank 0)."""
+    def _after_store(self, image: CheckpointImage) -> None:
+        """The image is stored.  By default that completes this rank's
+        wave, so report it to the initiator (rank 0)."""
         if self.rank == 0:
             self.protocol.on_rank_done(0, image.wave)
         else:
-            try:
-                yield from self.channel.send_control(
-                    0, CheckpointDonePacket(self.rank, image.wave))
-            except ConnectionError:
-                return
+            self._helpers.append(self.channel.post_control(
+                [(0, CheckpointDonePacket(self.rank, image.wave))],
+                f"{self.protocol.protocol_name}:done:r{self.rank}",
+                defer=False))
 
     # ------------------------------------------------------ server plumbing
     def _server_connection(self, index: int = 0):

@@ -92,13 +92,12 @@ class VclEndpoint(BaseEndpoint):
         if self._logging_from:
             self._fan_out(sorted(self._logging_from), MarkerPacket, wave)
 
-    def _after_store(self, image: CheckpointImage):
+    def _after_store(self, image: CheckpointImage) -> None:
         # the image alone does not finish a Vcl wave: the channel-state log
         # ships (and reports the rank) once every peer's marker is in too
         self._image_stored = True
         self._image = image
         self._check_local_done()
-        return ()
 
     # ---------------------------------------------------------------- events
     def on_marker(self, src: int) -> None:

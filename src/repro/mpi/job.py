@@ -115,12 +115,13 @@ class MPIJob:
                 if self.killed:
                     return
                 try:
-                    yield from self.establish(a, b)
+                    link = self.establish(a, b)
+                    if link is not None:
+                        yield link
                 except ConnectionError:
                     # The job died under the mesh builder (e.g. a failure in
-                    # the very first instants of the run).  establish() has
-                    # already failed the link event to wake queued ranks;
-                    # the teardown/recovery machinery owns the rest.
+                    # the very first instants of the run): the teardown /
+                    # recovery machinery owns the rest.
                     if self.killed:
                         return
                     # A refused connect is itself failure detection: one
@@ -219,9 +220,17 @@ class MPIJob:
             links[(lo, hi)] = (end_lo, end_hi)
         return links
 
-    def establish(self, a: int, b: int):
-        """Generator: ensure ranks ``a`` and ``b`` are connected; returns
-        rank ``a``'s connection end."""
+    def establish(self, a: int, b: int) -> Optional["Event"]:
+        """Ask for a connection between ranks ``a`` and ``b``.
+
+        Returns None when they are connected, else the event to wait on:
+        for the first asker the handshake of a new link (one TCP-style
+        exchange, two round trips), whose first callback attaches both ends
+        — so the asker goes on in the pop that connected it — and for any
+        other the link's ready event, which fails if the handshake did not
+        complete.  Raises ConnectionError when the connect is refused or
+        the link is known but its end is gone (harvested).
+        """
         key = (a, b) if a < b else (b, a)
         ready = self._links.get(key)
         if ready is None:
@@ -229,33 +238,43 @@ class MPIJob:
             self._links[key] = ready
             lo, hi = key
             try:
-                connection = self.net.connect(self.endpoints[lo], self.endpoints[hi])
-                yield self.sim.timeout(_HANDSHAKE_RTTS * connection.end_a.latency)
-                if self.killed:
-                    connection.break_()
-                    raise ConnectionResetError(
-                        f"job {self.name} killed during connect"
-                    )
-            except BaseException as error:
-                # Wake every rank queued behind this handshake; otherwise a
-                # refused connection deadlocks them forever.
-                del self._links[key]
-                if not ready.triggered:
-                    ready.defused = True
-                    if isinstance(error, Exception):
-                        ready.fail(error)
-                    else:
-                        ready.fail(ConnectionResetError("connect aborted"))
+                connection = self.net.connect(self.endpoints[lo],
+                                              self.endpoints[hi])
+            except Exception as error:
+                self._link_failed(key, ready, error)
                 raise
-            self.channels[lo].attach(hi, connection.end_a)
-            self.channels[hi].attach(lo, connection.end_b)
-            ready.succeed()
-        elif not ready.processed:
-            yield ready
-        end = self.channels[a].conns.get(b)
-        if end is None:
+            handshake = self.sim.timeout(
+                _HANDSHAKE_RTTS * connection.end_a.latency)
+            handshake.callbacks.append(
+                lambda _event: self._connected(key, ready, connection))
+            return handshake
+        if not ready.processed:
+            return ready
+        if b not in self.channels[a].conns:
             raise ConnectionResetError(f"link {a}<->{b} vanished during establish")
-        return end
+        return None
+
+    def _connected(self, key: Tuple[int, int], ready: "Event",
+                   connection: Any) -> None:
+        """A handshake is over: attach both ends, or give up on a killed
+        job."""
+        if self.killed:
+            connection.break_()
+            self._link_failed(key, ready, ConnectionResetError(
+                f"job {self.name} killed during connect"))
+            return
+        lo, hi = key
+        self.channels[lo].attach(hi, connection.end_a)
+        self.channels[hi].attach(lo, connection.end_b)
+        ready.succeed()
+
+    def _link_failed(self, key: Tuple[int, int], ready: "Event",
+                     error: Exception) -> None:
+        # Wake every rank queued behind this handshake; otherwise a
+        # refused connection deadlocks them forever.
+        del self._links[key]
+        ready.defused = True
+        ready.fail(error)
 
     # --------------------------------------------------------------- failure
     def notify_socket_closed(self, rank: int, peer: Optional[int]) -> None:

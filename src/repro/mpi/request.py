@@ -1,7 +1,11 @@
 """Non-blocking send requests.
 
 A :class:`Request` wraps the completion of an ``isend``; ``wait()`` is a
-generator to use with ``yield from``.
+generator to use with ``yield from``.  The event is the transmit-complete
+event of a send that went out inline, else the ``done`` event of its send
+chain (:class:`~repro.mpi.channels.base.SendChain`), which succeeds one
+step after the packet left — or after the send failed, which the chain
+reports as a socket closure.
 
 Op-id bookkeeping (see :mod:`repro.mpi.context`): the send commits when its
 payload is enqueued on the connection, independent of when — or whether —

@@ -20,8 +20,8 @@ from repro.sim import Simulator, Tracer
 from tests.ft.conftest import assert_ring_result, build_ft_run, ring_app_factory
 
 SKELETON = ("install", "_drive", "on_rank_done", "_begin_wave", "_record_wave")
-ENDPOINT_SKELETON = ("_fan_out", "_send_each", "_checkpoint",
-                     "_store_and_notify", "_store_image")
+ENDPOINT_SKELETON = ("_fan_out", "_checkpoint", "_store_and_notify",
+                     "_store_image")
 
 
 def test_protocols_state_only_their_cut():

@@ -42,7 +42,8 @@ def test_control_packets_bypass_gates(sim):
                 pass
 
             # Send a marker through the closed gate.
-            yield from ctx.channel.send_control(1, MarkerPacket(0, wave=1))
+            ctx.channel.post_control([(1, MarkerPacket(0, wave=1))],
+                                     "marker:r0", defer=False)
         else:
             yield from ctx.compute(1.0)
 

@@ -25,9 +25,14 @@ its processes' terminations and interrupt wakeups, and daemon completions
 whose waiter left (they run nothing).  A process's bootstrap is matched
 with the start step that replaced it.
 
-The second race holds the fan-out chain (:class:`repro.ft.protocol._FanOut`)
-to the helper process it replaced (``BaseEndpoint._send_each``) on every
-device, the channel itself unchanged.
+The second race holds the fan-out send chain (``BaseEndpoint._fan_out``
+over :class:`repro.mpi.channels.base.SendChain`) to the helper process it
+replaced (``_send_each``) on every device.  Either spec sends through the
+process send path of ``tests/mpi/test_send_reference.py`` (pushers, the
+generator send family, sends that die with their rank): a pusher's boot
+and termination match a chain's start step and ``done``, and the pops a
+send of a rank that is already down still spends — a pusher's
+termination, a fan-out helper's boot — are deleted from both streams.
 
 The negatives prove the rigs can tell the designs apart: a reader that
 takes its next packet straight from the inbox, skipping the ``get`` pop,
@@ -41,9 +46,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.ft.protocol import BaseEndpoint, FTStats, _FanOut
+from repro.ft.protocol import BaseEndpoint, FTStats
 from repro.mpi import FtSockChannel, MPIJob, NemesisChannel
-from repro.mpi.channels.base import HEADER_BYTES
+from repro.mpi.channels.base import HEADER_BYTES, SendChain
 from repro.mpi.channels.ch_v import ChVChannel, _Reader
 from repro.mpi.consts import ANY_TAG
 from repro.mpi.message import AppPacket, MarkerPacket
@@ -51,8 +56,11 @@ from repro.net import ClusterNetwork
 from repro.net.connection import _INLINE_BYTES, _Pipe
 from repro.net.topology import Endpoint
 from repro.sim import Simulator
+from repro.sim.events import URGENT
 from repro.sim.primitives import Resource
 from repro.sim.process import Process
+
+from tests.mpi.test_send_reference import GeneratorSend, SendEachEndpoint
 
 # the protocol monitors assume a real protocol; these programs kill, detach
 # and flush at will, and the pop stream is compared directly
@@ -178,31 +186,23 @@ class ChainEndpoint(BaseEndpoint):
         pass  # logged by the channel
 
 
-class SendEachEndpoint(ChainEndpoint):
-    """The spec fan-out: always the helper process."""
-
-    def _fan_out(self, dsts, packet_cls, wave):
-        self._spawn(self._send_each(dsts, packet_cls, wave),
-                    f"rig:{packet_cls.__name__}:r{self.rank}")
-
-
 class NoStartEndpoint(ChainEndpoint):
     """Broken on purpose: the chain takes its first step inside
     ``_fan_out`` instead of one URGENT step later."""
 
-    class _Synchronous(_FanOut):
+    class _Synchronous(SendChain):
         __slots__ = ()
 
-        def _start(self):
-            self._send_next()
+        def _defer(self):
+            self._step()
 
     def _fan_out(self, dsts, packet_cls, wave):
-        if all(dst in self.channel.conns for dst in dsts):
-            self._helpers.append(self._Synchronous(
-                self, dsts, packet_cls, wave,
-                f"rig:{packet_cls.__name__}:r{self.rank}"))
-        else:
-            super()._fan_out(dsts, packet_cls, wave)
+        chain = self._Synchronous(
+            self.channel, f"fan-out:rig:{packet_cls.__name__}:r{self.rank}",
+            self._count_marker,
+            ((dst, packet_cls(self.rank, wave)) for dst in dsts))
+        self._helpers.append(chain)
+        chain._defer()
 
 
 # --------------------------------------------------------------- recording
@@ -250,9 +250,18 @@ class PopRecorder:
 
     def observe(self, sim, now, item) -> None:
         label = item.name or item.describe()
-        if label.startswith("vdaemon:") and not item.callbacks:
+        if any(item is boot for boot in sim.rig.stillborn):
+            label = "gone:" + label
+        elif label.startswith("vdaemon:") and not self._waited(item):
             label = "dead:" + label  # a hop whose waiter left: runs nothing
+        elif label.startswith("isend:") and sim.rig.owner_down(item):
+            label = "gone:" + label  # a request of a rank that is down
         self.pops.append([now, None, type(item).__name__, label])
+
+    @staticmethod
+    def _waited(hop) -> bool:
+        """Whether anyone but a pusher of a rank that is down waits."""
+        return any(not sim_owner_down(callback) for callback in hop.callbacks)
 
     def listen(self, now, priority, seq) -> None:
         self.pops[-1][1] = priority
@@ -261,13 +270,21 @@ class PopRecorder:
 HELPER = "rig:"
 
 
+def sim_owner_down(callback):
+    owner = getattr(callback, "__self__", None)
+    if owner is None or isinstance(owner, ChVChannel):
+        return True  # the daemon's own completion callback
+    return isinstance(owner, Process) and owner.sim.rig.owner_down(owner)
+
+
 def is_bookkeeping(kind, label):
     """Pops of the process daemon and the helper processes themselves —
     grants, interrupt wakeups, terminations — and a daemon completion
     whose waiter left (it runs nothing; the process daemon has none for a
     waiter interrupted before its grant popped)."""
-    return (label.startswith(("acquire:vdaemon:", "dead:vdaemon:",
-                              "interrupt:rx:", "interrupt:" + HELPER))
+    return (label.startswith(("acquire:vdaemon:", "dead:vdaemon:", "gone:",
+                              "interrupt:rx:", "interrupt:" + HELPER,
+                              "interrupt:fan-out:", "interrupt:isend:"))
             or (kind == Process.__name__
                 and label.startswith(("rx:", HELPER))))
 
@@ -282,6 +299,14 @@ def comparable_pops(pops):
             continue
         if label.startswith("init:rx:"):
             label = "rx:start"
+        if label.startswith("init:isend:"):
+            label = label[len("init:"):]
+        if " -> " in label:  # a handshake: its first asker names the chain
+            label = label.replace("-> fan-out:" + HELPER, "-> " + HELPER)
+        if label.startswith("isend:"):
+            label = label.split(" -> ")[0]  # the waiter: pusher or chain
+            if priority == URGENT:
+                label = "start:" + label  # a pusher's start step
         for spelling in ("init:" + HELPER, "fan-out:" + HELPER):
             if label.startswith(spelling):
                 label = "start:" + label[len(spelling) - len(HELPER):]
@@ -330,6 +355,10 @@ class Rig:
         self.endpoints = self.net.place(n_ranks, procs_per_node=2)
         self.jobs: List[MPIJob] = []
         self.protocols = []
+        #: ``(request event, channel)`` by the event's id
+        self.owners = {}
+        #: the bootstraps of fan-outs a rank that was already down asked for
+        self.stillborn = []
         self.serial = 0
         self.wave = 0
         self.adopting = False
@@ -364,11 +393,34 @@ class Rig:
         while True:
             self.do((yield end.recv()))
 
-    def _slow_send(self, channel, dst, data, nbytes):
+    def owner_down(self, item):
+        owner = self.owners.get(id(item))
+        return owner is not None and owner[1].down
+
+    def _pusher(self, channel, dst, data, nbytes):
+        """The spec's ``isend`` pusher."""
         try:
-            yield from channel.post_send(dst, 0, data, nbytes)
+            sent = yield from channel.post_send(dst, 0, data, nbytes)
+            yield sent
         except ConnectionError:
-            self.log.append(("send-failed", self.sim.now, data[0]))
+            if not channel.down:
+                channel.job.notify_socket_closed(channel.rank, dst)
+
+    def _send(self, channel, dst, data, nbytes):
+        """An ``isend`` through the spec's process send path, or through
+        the channel's send chain."""
+        if not hasattr(channel, "try_fast_send"):
+            request = channel.post(dst, 0, data, nbytes, None, defer=True)
+            event = request.done
+        elif channel.try_fast_send(dst, 0, data, nbytes) is None:
+            event = self.sim.process(
+                self._pusher(channel, dst, data, nbytes),
+                name=f"isend:r{channel.rank}->r{dst}")
+            channel.__dict__.setdefault("pushers", []).append(event)
+        else:
+            return
+        if event is not None:
+            self.owners[id(event)] = (event, channel)
 
     def _connection(self, a, b):
         end = self.job.channels[a].conns.get(b)
@@ -385,8 +437,7 @@ class Rig:
             if channel.down:
                 return
             try:
-                if channel.try_fast_send(b, 0, data, op[3]) is None:
-                    self.sim.process(self._slow_send(channel, b, data, op[3]))
+                self._send(channel, b, data, op[3])
             except ConnectionError:
                 self.log.append(("send-refused", self.sim.now, data[0]))
         elif verb == "side":
@@ -399,9 +450,16 @@ class Rig:
                          event._ok and event._value[0][0])))
         elif verb == "fanout":
             self.wave += 1
+            helpers = len(endpoint._helpers)
             endpoint._fan_out(
                 [rank for rank in range(self.n_ranks) if rank != a],
                 MarkerPacket, self.wave)
+            if channel.down:
+                # the helper process of a dead rank still boots, the chain
+                # does not start
+                self.stillborn.extend(
+                    helper._target for helper in endpoint._helpers[helpers:]
+                    if isinstance(helper, Process))
         elif verb == "detach":
             endpoint.detach()
         elif verb == "flush":
@@ -471,13 +529,20 @@ def run_program(channel_cls, endpoint_cls, n_ranks, program):
 
 def chv_classes():
     daemon = type("DaemonChV", (Recording, ChVChannel), {})
-    spec = type("ProcessDaemonChV", (Recording, ProcessDaemon, ChVChannel), {})
+    spec = type("ProcessDaemonChV",
+                (Recording, ProcessDaemon, GeneratorSend, ChVChannel), {})
     broken = type("InboxReaderChV", (Recording, InboxReader, ChVChannel), {})
     return daemon, spec, broken
 
 
 def recording(device):
     return type(f"Recording{device.__name__}", (Recording, device), {})
+
+
+def spec_device(device):
+    """``device`` sending through the process send path."""
+    return type(f"Generator{device.__name__}",
+                (Recording, GeneratorSend, device), {})
 
 
 # --------------------------------------------------------------- programs
@@ -619,9 +684,8 @@ def test_daemon_equals_process_daemon(program, n_ranks):
 @example(program=DAEMON_WITNESS, n_ranks=3, device=ChVChannel)
 @settings(max_examples=150, deadline=None)
 def test_fan_out_chain_equals_send_each(program, n_ranks, device):
-    channel = recording(device)
-    race((channel, ChainEndpoint), (channel, SendEachEndpoint), n_ranks,
-         program)
+    race((recording(device), ChainEndpoint),
+         (spec_device(device), SendEachEndpoint), n_ranks, program)
 
 
 # ------------------------------------------------------- the one difference
@@ -651,7 +715,8 @@ def test_the_old_daemon_deadlocks_where_the_spec_serves_on():
     assert ("hop", 20 * TICK, 0, 0.0) in log  # the detached hop, at once
 
     old = type("OldDaemonChV",
-               (Recording, VerbatimHostCost, ProcessDaemon, ChVChannel), {})
+               (Recording, VerbatimHostCost, ProcessDaemon, GeneratorSend,
+                ChVChannel), {})
     old_log, (channels, _, _), _, _ = run_program(
         old, SendEachEndpoint, 3, fit(DETACH_AT_GRANT, 3))
     assert not [entry for entry in old_log if entry[0] == "packet"]
@@ -701,8 +766,8 @@ def test_a_reader_that_skips_the_get_pop_is_caught():
 ])
 def test_a_chain_without_its_start_step_is_caught(device, program, who_first):
     channel = recording(device)
-    good = race((channel, ChainEndpoint), (channel, SendEachEndpoint), 3,
-                program)
+    good = race((channel, ChainEndpoint),
+                (spec_device(device), SendEachEndpoint), 3, program)
     bad, _, _, _ = run_program(channel, NoStartEndpoint, 3, program)
     assert bad != good
     if who_first == "flow":  # the marker overtakes the queued message

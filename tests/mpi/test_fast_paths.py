@@ -12,13 +12,23 @@ from tests.mpi.conftest import make_job, run_job
 
 
 # ------------------------------------------------------- channel fast send
+def goes_inline(channel, dst):
+    """Post a non-blocking send: True when it commits inside the call, False
+    when it is chained (it waits for something, one URGENT step later)."""
+    commits = []
+    chain = channel.post(dst, 1, None, 8, lambda *_: commits.append(1),
+                         defer=True)
+    assert (chain.done is None) == bool(commits)
+    return chain.done is None
+
+
 def test_fast_send_requires_connection(sim):
     def app(ctx):
         yield from ctx.compute(0.0)
 
     job, _ = make_job(sim, app, size=2)
     run_job(sim, job)
-    assert job.channels[0].try_fast_send(1, 1, None, 8) is None
+    assert not goes_inline(job.channels[0], 1)
 
 
 def test_fast_send_respects_closed_gate(sim):
@@ -31,12 +41,12 @@ def test_fast_send_respects_closed_gate(sim):
     job, _ = make_job(sim, app, size=2)
     run_job(sim, job)  # connection now established
     channel = job.channels[0]
-    assert channel.try_fast_send(1, 1, None, 8) is not None
+    assert goes_inline(channel, 1)
     channel.send_gate(1).close()
-    assert channel.try_fast_send(1, 1, None, 8) is None
+    assert not goes_inline(channel, 1)
     channel.resume_sends()
     channel.global_send_gate.close()
-    assert channel.try_fast_send(1, 1, None, 8) is None
+    assert not goes_inline(channel, 1)
     sim.run()
 
 
@@ -50,7 +60,7 @@ def test_fast_send_declined_by_blocking_overhead_channel(sim):
 
     job, _ = make_job(sim, app, size=2, channel_cls=ChVChannel)
     run_job(sim, job)
-    assert job.channels[0].try_fast_send(1, 1, None, 8) is None
+    assert not goes_inline(job.channels[0], 1)
 
 
 def test_transfer_tax_zero_without_transfer(sim):

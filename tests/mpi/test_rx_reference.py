@@ -204,12 +204,6 @@ class Rig:
         while True:
             self.do((yield end.recv()))
 
-    def _slow_send(self, channel, dst, data, nbytes):
-        try:
-            yield from channel.post_send(dst, 0, data, nbytes)
-        except ConnectionError:
-            self.log.append(("send-failed", self.sim.now, data[0]))
-
     def _connection(self, a, b):
         end = self.job.channels[a].conns.get(b)
         return None if end is None else end.connection
@@ -224,8 +218,9 @@ class Rig:
             if channel.down:
                 return
             try:
-                if channel.try_fast_send(b, 0, data, op[3]) is None:
-                    self.sim.process(self._slow_send(channel, b, data, op[3]))
+                # an isend: inline when the way is clear, else a send chain
+                # (a failure it meets is reported as a socket closure)
+                channel.post(b, 0, data, op[3], None, defer=True)
             except ConnectionError:
                 self.log.append(("send-refused", self.sim.now, data[0]))
         elif verb == "side":

@@ -226,3 +226,109 @@ def test_a_jittered_checkpointed_killed_run_imports_no_numpy():
 
 def test_the_poisson_injector_runs_to_recovery_without_numpy():
     assert not _child_imported_numpy(POISSON_RUN, block_numpy=True)
+
+
+# ------------------------------------------------------------------- sends
+def _stencil_job(context_cls=None, channel_cls=None):
+    """A 4-rank stencil job whose rank 0 has its sends to rank 1 frozen
+    once the links are up, run until its next ``isend`` to rank 1 waits
+    at the gate."""
+    from repro.apps.stencil import Stencil
+    from repro.mpi import FtSockChannel
+    from tests.mpi.conftest import make_job
+
+    sim = make_simulator(seed=5)
+    app = Stencil("A", scale=0.05).make_app(4)
+    job, _ = make_job(sim, app, size=4,
+                      channel_cls=channel_cls or FtSockChannel)
+    if context_cls is not None:
+        for context in job.contexts:
+            context.__class__ = context_cls
+    job.start()
+    while 1 not in job.channels[0].conns:
+        sim.step()
+    gate = job.channels[0].send_gate(1)
+    gate.close()
+    while not any(waiter.callbacks for waiter in gate._waiters):
+        sim.step()
+    return job
+
+
+def _pusher_of(owner, job):
+    """Whether ``owner`` is a live ``isend`` pusher process of ``job``."""
+    return (isinstance(owner, Process) and owner.name.startswith("isend:")
+            and owner.generator.gi_frame is not None
+            and owner.generator.gi_frame.f_locals["self"].job is job)
+
+
+def _isend_processes(job):
+    return [process for process in _live(Process) if _pusher_of(process, job)]
+
+
+def test_an_isend_held_at_a_gate_owns_no_process():
+    job = _stencil_job()
+    assert job.channels[0]._chains  # the isend is waiting
+    assert _isend_processes(job) == []
+
+
+def test_isend_process_detector_sees_the_pusher():
+    """The positive control: the process send path kept as the spec parks
+    a pusher process at the gate."""
+    from repro.mpi import FtSockChannel
+    from repro.mpi.context import RankContext
+    from tests.mpi.test_send_reference import GeneratorSend, PusherContext
+
+    job = _stencil_job(
+        PusherContext,
+        type("GeneratorFtSock", (GeneratorSend, FtSockChannel), {}))
+    assert [p.name for p in _isend_processes(job)] == ["isend:r0->r1"]
+    assert RankContext.isend is not PusherContext.isend
+
+
+def _chain_callbacks(job):
+    """Pending events holding a callback of a send of ``job``: a chain's
+    step, or a pusher process of one of its ranks."""
+    from repro.sim.events import Event
+
+    def of_job(callback):
+        owner = getattr(callback, "__self__", None)
+        channel = getattr(owner, "channel", None)
+        return (getattr(channel, "job", None) is job
+                or _pusher_of(owner, job))
+
+    return [event.name for event in _live_events(Event)
+            if event._state == Event.PENDING
+            and any(of_job(callback) for callback in event.callbacks)]
+
+
+def _live_events(kind):
+    gc.collect()
+    return [obj for obj in gc.get_objects() if isinstance(obj, kind)]
+
+
+@pytest.mark.unmonitored  # a bare kill, no recovery: the wave never closes
+def test_a_killed_job_leaves_no_send_behind():
+    """Kill a Pcl job while an ``isend`` waits at a closed gate: nothing
+    pending — no gate waiter, no hop in a daemon queue — still holds a
+    send of that job."""
+    from tests.ft.conftest import build_ft_run, ring_app_factory
+
+    sim = make_simulator(seed=2)
+    run, _ = build_ft_run(sim, ring_app_factory(iters=40, work=0.01,
+                                                nbytes=50_000),
+                          size=4, protocol="pcl", period=0.05)
+    run.start()
+
+    def parked():
+        return any(waiter.callbacks
+                   for channel in run.job.channels
+                   for gate in (channel.global_send_gate,
+                                *channel._send_gates.values())
+                   for waiter in gate._waiters)
+
+    while not parked():
+        sim.step()
+    job = run.job
+    assert _chain_callbacks(job)  # the detector sees the waiting send
+    job.kill()
+    assert _chain_callbacks(job) == []
