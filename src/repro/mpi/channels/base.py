@@ -6,7 +6,8 @@ A channel is one rank's communication engine.  It owns:
   first communication, like MPICH2 — except channels with ``eager_connect``,
   which build the full mesh at startup like MPICH-1's ch_p4/ch_v);
 * per-destination *send gates* and a global send gate (the Nemesis "stopper
-  request"), closed by the blocking protocol during a wave;
+  request"), closed by the blocking protocol during a wave, each allocated
+  on first use;
 * per-source *receive freezing* with a delayed receive queue: frozen sources'
   application packets are parked and handed to matching only when the
   protocol thaws them (after the local checkpoint).  The delayed queue is
@@ -87,6 +88,11 @@ class BaseChannel:
     #: of blocking the sender (ch_v overrides: the daemon really serializes)
     defer_send_overhead = True
 
+    __slots__ = ("job", "sim", "rank", "matching", "conns", "_send_gates",
+                 "_global_gate", "_frozen_sources", "delayed_queue",
+                 "protocol", "down", "_seq", "_attached",
+                 "active_transfer_end", "_chains")
+
     def __init__(self, job: "MPIJob", rank: int) -> None:
         self.job = job
         self.sim = job.sim
@@ -94,7 +100,7 @@ class BaseChannel:
         self.matching = MatchingEngine(self.sim, rank)
         self.conns: Dict[int, ConnectionEnd] = {}
         self._send_gates: Dict[int, Gate] = {}
-        self.global_send_gate = Gate(self.sim, open=True, name=f"g:r{rank}")
+        self._global_gate: Optional[Gate] = None
         #: sources whose app packets are parked; a set on demand
         self._frozen_sources: Union[Tuple[()], Set[int]] = EMPTY
         #: app packets from frozen sources, in arrival order; appended to
@@ -120,10 +126,16 @@ class BaseChannel:
         return 0.0
 
     # ----------------------------------------------------------------- gates
+    @property
+    def global_send_gate(self) -> Gate:
+        if self._global_gate is None:
+            self._global_gate = Gate(self.sim, name=f"g:r{self.rank}")
+        return self._global_gate
+
     def send_gate(self, dst: int) -> Gate:
         gate = self._send_gates.get(dst)
         if gate is None:
-            gate = Gate(self.sim, open=True, name=f"g:r{self.rank}->r{dst}")
+            gate = Gate(self.sim, name=f"g:r{self.rank}->r{dst}")
             self._send_gates[dst] = gate
         return gate
 
@@ -212,7 +224,8 @@ class BaseChannel:
                          self._seq)
 
     def _gates_open(self, dst: int) -> bool:
-        if not self.global_send_gate.is_open:
+        gate = self._global_gate
+        if gate is not None and not gate.is_open:
             return False
         gate = self._send_gates.get(dst)
         return gate is None or gate.is_open
@@ -459,11 +472,14 @@ class SendChain:
 
     @property
     def name(self) -> str:
-        """What ``Event.describe()`` names as the waiter."""
+        """What ``Event.describe()`` names as the waiter (and its start
+        event, when read)."""
         if self._label is not None:
             return self._label
         kind = "send" if self.done is None else "isend"
         return f"{kind}:r{self.channel.rank}->r{self._dst}"
+
+    event_name = name
 
     # -------------------------------------------------------------- control
     def stop(self, _cause: Any = None) -> None:
@@ -500,7 +516,7 @@ class SendChain:
         """Take the first step one URGENT step from now, behind whatever is
         already queued for this instant at that priority (where the helper
         process a chain replaces took its first step)."""
-        start = Event(self.channel.sim, name=self.name)
+        start = Event(self.channel.sim, self)
         self._wait(start, _START)
         start.succeed(priority=URGENT)
 

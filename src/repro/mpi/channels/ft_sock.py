@@ -20,3 +20,5 @@ class FtSockChannel(BaseChannel):
 
     channel_name = "ft-sock"
     eager_connect = False
+
+    __slots__ = ()

@@ -33,6 +33,8 @@ class NemesisChannel(BaseChannel):
     channel_name = "nemesis"
     eager_connect = False
 
+    __slots__ = ()
+
     def send_overhead(self, nbytes: float) -> float:
         return 2 * ENGINE_OVERHEAD_SECONDS  # enqueue + dequeue engine costs
 

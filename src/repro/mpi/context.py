@@ -158,6 +158,10 @@ class Snapshot:
 class RankContext:
     """The MPI library as one application process sees it."""
 
+    __slots__ = ("job", "sim", "rank", "size", "channel", "state",
+                 "image_bytes", "_next_op", "_completed", "_pending_values",
+                 "_coll_seq", "_pending_stall")
+
     def __init__(
         self,
         job: "MPIJob",
@@ -180,6 +184,9 @@ class RankContext:
         self._pending_values: Dict[int, Any] = {}
         self._coll_seq = 0
         self._pending_stall = 0.0
+
+    #: its application process is named ``<job>:r<rank>``, derived when read
+    event_name = property(lambda self: f"{self.job.name}:r{self.rank}")
 
     # ----------------------------------------------------------- op plumbing
     def _new_op(self) -> int:
@@ -278,12 +285,10 @@ class RankContext:
             if value is SKIPPED:
                 return SKIPPED, None
             return value
-        event = self.channel.matching.post_recv(source, tag)
-        event.callbacks.append(
-            lambda ev: self._commit(op_id, ev.value, retain=True) if ev.ok else None
-        )
-        value = yield event
-        self._pending_values.pop(op_id, None)
+        value = yield self.channel.matching.post_recv(source, tag)
+        # The receive commits when its event is popped; this process is the
+        # event's one callback, so it commits and consumes in that pop.
+        self._commit(op_id)
         return value
 
     # ----------------------------------------------------------- collectives

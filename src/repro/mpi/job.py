@@ -29,6 +29,16 @@ __all__ = ["MPIJob"]
 _HANDSHAKE_RTTS = 2.0
 
 
+class _Up:
+    """What ``MPIJob._links`` keeps of a pair's ready event once it was
+    popped: all a later asker reads of it."""
+
+    processed = triggered = True
+
+
+_UP = _Up()
+
+
 declare("app.rank_done", __name__, job=str, rank=int)
 declare("job.killed", __name__, job=int, name=str)
 declare("job.socket_closed", __name__, job=str, rank=int, peer=Optional[int])
@@ -72,7 +82,8 @@ class MPIJob:
         self.app_processes: List["Process"] = []
         self.completed = sim.event(name=f"{name}:completed")
         self.failure_listener: Optional[Callable[[int, Optional[int]], None]] = None
-        self._links: Dict[Tuple[int, int], "Event"] = {}
+        #: a pair's ready event until it is popped, then ``_UP``
+        self._links: Dict[Tuple[int, int], Any] = {}
         self._finished = 0
         self._started = False
         self.killed = False
@@ -104,9 +115,9 @@ class MPIJob:
             self.sim.process(self._mesh_connect(), name=f"{self.name}:mesh")
         for rank in range(self.size):
             delay = 0.0 if start_delays is None else start_delays[rank]
-            process = self.sim.process(
-                self._app_wrapper(rank, delay), name=f"{self.name}:r{rank}"
-            )
+            # named ``<job>:r<rank>`` by its context, when read
+            process = self.sim.process(self._app_wrapper(rank, delay),
+                                       name=self.contexts[rank])
             self.app_processes.append(process)
 
     def _mesh_connect(self):
@@ -193,6 +204,7 @@ class MPIJob:
             self.channels[lo].attach(hi, end_lo)
             self.channels[hi].attach(lo, end_hi)
             ready = self.sim.event(name=f"{self.name}:link{key}")
+            ready.callbacks.append(self._link_up(key))
             ready.succeed()
             self._links[key] = ready
         self._inherited_links = {}
@@ -266,7 +278,13 @@ class MPIJob:
         lo, hi = key
         self.channels[lo].attach(hi, connection.end_a)
         self.channels[hi].attach(lo, connection.end_b)
+        ready.callbacks.append(self._link_up(key))
         ready.succeed()
+
+    def _link_up(self, key: Tuple[int, int]) -> Callable[[Any], None]:
+        """The callback that leaves a pair only ``_UP`` once its ready event
+        is popped (a plain function: a watchdog names no waiter)."""
+        return lambda _ready: self._links.__setitem__(key, _UP)
 
     def _link_failed(self, key: Tuple[int, int], ready: "Event",
                      error: Exception) -> None:

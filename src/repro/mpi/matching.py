@@ -14,11 +14,12 @@ replay (see :mod:`repro.mpi.context`).
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple, Union
 
 from repro.mpi.consts import ANY_SOURCE, ANY_TAG
 from repro.mpi.message import AppPacket
 from repro.mpi.status import Status
+from repro.sim.primitives import EMPTY
 
 __all__ = ["MatchingEngine"]
 
@@ -45,14 +46,18 @@ class MatchingEngine:
         self.rank = rank
         # Both queues are scanned linearly and deleted from mid-sequence,
         # which a list does as well as a deque at a fraction of the idle
-        # footprint (56 B against 760 B, one pair per rank).
+        # footprint (56 B against 760 B); the unexpected queue, empty
+        # nearly always, is a list on demand.
         self.posted: List[_PostedRecv] = []
-        self.unexpected: List[AppPacket] = []
+        self.unexpected: Union[Tuple[()], List[AppPacket]] = EMPTY
+
+    #: its receive events are named ``recv:r<rank>``, derived when read
+    event_name = property(lambda self: f"recv:r{self.rank}")
 
     # ----------------------------------------------------------------- post
     def post_recv(self, source: int, tag: int) -> "Event":
         """Post a receive; the event fires with ``(data, Status)``."""
-        event = self.sim.event(name=f"recv:r{self.rank}")
+        event = self.sim.event(name=self)
         for index, packet in enumerate(self.unexpected):
             if (source in (ANY_SOURCE, packet.src)) and (tag in (ANY_TAG, packet.tag)):
                 del self.unexpected[index]
@@ -71,6 +76,8 @@ class MatchingEngine:
                     (packet.data, Status(packet.src, packet.tag, packet.nbytes))
                 )
                 return
+        if self.unexpected is EMPTY:
+            self.unexpected = []
         self.unexpected.append(packet)
 
     # --------------------------------------------------------------- failure
@@ -91,7 +98,7 @@ class MatchingEngine:
         """Reload the unexpected queue from a checkpoint image."""
         if self.posted:
             raise RuntimeError("restore() with receives posted")
-        self.unexpected = list(packets)
+        self.unexpected = list(packets) if packets else EMPTY
 
     @property
     def unexpected_bytes(self) -> float:

@@ -57,14 +57,27 @@ class BrokenConnectionError(ConnectionError):
     """Raised to readers/writers of a connection whose peer vanished."""
 
 
+class _Kick(Event):
+    """A pipe pump's first step, named ``pump:<pipe>`` when read."""
+
+    __slots__ = ()
+
+    @property
+    def name(self) -> str:
+        return f"pump:{self._name.name}"
+
+
 class _Pipe:
     """One direction of a connection.
 
     An idle pipe owns no container and a busy one owns no process.
     ``egress`` is the shared :data:`~repro.sim.primitives.EMPTY` until a
     message has to queue and is handed back when the pump goes idle; the
-    inbox allocates on demand the same way (see
-    :class:`~repro.sim.primitives.Store`).
+    inbox is allocated on demand too, for a reader or a queued arrival.
+    The pipe's name, ``conn<id>.<direction>``, is derived from the
+    connection id and direction on first read and kept (the ``net.sent``
+    probe reads it on every send); its events (``sent:<pipe>``,
+    ``pump:<pipe>``) derive theirs from it when read.
 
     The *pump* that serializes queued messages is two plain callbacks, not
     a process.  ``send()`` on an idle pipe pushes one URGENT kick event
@@ -95,31 +108,11 @@ class _Pipe:
     generator receiver it replaced, and rejects a hop-less one).
     """
 
-    __slots__ = (
-        "sim",
-        "scheduler",
-        "links",
-        "latency",
-        "cap",
-        "queue_unit",
-        "inbox",
-        "egress",
-        "pumping",
-        "broken",
-        "bytes_sent",
-        "messages_sent",
-        "name",
-        "_current_flow",
-        "_in_flight",
-        "_last_delivery",
-        "_msg_id",
-        "_flush_gen",
-        "_sent_name",
-        "_sink",
-        "_sink_tag",
-        "_handing",
-        "_rx_gen",
-    )
+    __slots__ = ("sim", "scheduler", "links", "latency", "cap", "queue_unit",
+                 "_inbox", "egress", "pumping", "broken", "bytes_sent",
+                 "messages_sent", "conn_id", "direction", "_name",
+                 "_current_flow", "_in_flight", "_last_delivery", "_msg_id",
+                 "_flush_gen", "_sink", "_sink_tag", "_handing", "_rx_gen")
 
     def __init__(
         self,
@@ -128,7 +121,8 @@ class _Pipe:
         links: Sequence[Link],
         latency: float,
         cap: Optional[float],
-        name: str,
+        conn_id: int,
+        direction: str,
         queue_bytes: float = 0.0,
     ) -> None:
         self.sim = sim
@@ -138,7 +132,7 @@ class _Pipe:
         self.cap = cap
         # per-link seconds of extra delay contributed by each competing flow
         self.queue_unit = tuple(queue_bytes / link.capacity for link in links)
-        self.inbox = Store(sim, name=f"inbox:{name}")
+        self._inbox: Optional[Store] = None
         #: messages waiting for the wire, oldest first
         self.egress: Union[Tuple[()], Deque[_Message]] = EMPTY
         #: True from the kick until the pump finds ``egress`` empty
@@ -146,7 +140,9 @@ class _Pipe:
         self.broken = False
         self.bytes_sent = 0.0
         self.messages_sent = 0
-        self.name = name
+        self.conn_id = conn_id
+        self.direction = direction
+        self._name: Optional[str] = None
         self._current_flow = None
         #: the message ``_current_flow`` carries, plus its queueing penalty
         self._in_flight: Optional[Tuple[_Message, float]] = None
@@ -157,9 +153,6 @@ class _Pipe:
         #: FIFO position of the last message accepted for sending; ids are
         #: only assigned while net.sent is live (a monitor, a storing tracer)
         self._msg_id = 0
-        #: precomputed sent-event label (send() is hot; an f-string per
-        #: message showed up in profiles)
-        self._sent_name = f"sent:{name}"
         #: who takes this pipe's deliveries by callback (None: a reader of
         #: ``inbox`` does), and what it asked to be told on closure
         self._sink: Any = None
@@ -169,6 +162,22 @@ class _Pipe:
         #: bumped by clear_sink(); a hop from before carries the old
         #: generation and hands nothing over when it pops
         self._rx_gen = 0
+
+    @property
+    def name(self) -> str:
+        if self._name is None:
+            self._name = f"conn{self.conn_id}.{self.direction}"
+        return self._name
+
+    #: its transmit-complete events are ``sent:<pipe>``, derived when read
+    event_name = property(lambda self: f"sent:{self.name}")
+
+    @property
+    def inbox(self) -> Store:
+        """What a reader takes deliveries from and arrivals queue in."""
+        if self._inbox is None:
+            self._inbox = Store(self.sim, name=f"inbox:{self.name}")
+        return self._inbox
 
     # ------------------------------------------------------------------ send
     def send(self, payload: Any, nbytes: float, extra_latency: float = 0.0,
@@ -186,7 +195,7 @@ class _Pipe:
             probe(self.sim.now, self.name, msg_id, nbytes)
         else:
             msg_id = 0
-        sent = self.sim.event(name=self._sent_name) if notify else None
+        sent = self.sim.event(name=self) if notify else None
         if (
             not self.pumping
             and nbytes <= _INLINE_BYTES
@@ -232,7 +241,7 @@ class _Pipe:
         """Schedule the pump's first step for this instant, after whatever
         is already queued at URGENT priority.  (The seam the reference and
         negative pumps in ``tests/net/test_pump_reference.py`` replace.)"""
-        kick = Event(self.sim, name=f"pump:{self.name}")
+        kick = _Kick(self.sim, self)
         kick.callbacks.append(self._start_next)
         kick.succeed(priority=URGENT)
 
@@ -289,7 +298,7 @@ class _Pipe:
     def _deliver(self, payload: Any, msg_id: int = 0, gen: int = 0) -> None:
         if gen != self._flush_gen:
             return  # sent before a flush(); the epoch that wanted it is gone
-        if not self.broken and not self.inbox.poisoned:
+        if not self.broken:
             if msg_id:
                 probe = self.sim.trace.probes.get("net.delivered")
                 if probe is not None:
@@ -338,8 +347,8 @@ class _Pipe:
         """Hop what the sink is owed next, in the order a reader's next
         ``get()`` found it: the oldest arrival still queued, then the
         closure of a broken pipe; otherwise wait for the next arrival."""
-        if len(self.inbox):
-            self._hop(self.inbox.try_get())
+        if self._inbox:
+            self._hop(self._inbox.try_get())
         elif self.broken:
             self._hop(_CLOSED)
         else:
@@ -385,7 +394,7 @@ class _Pipe:
             if sent is not None and not sent.triggered:
                 sent.defused = True
                 sent.fail(error)
-        self.inbox.poison(error)
+        self.inbox.poison(error)  # for a reader to come, too
         if self._sink is not None and not self._handing:
             self._hop(_CLOSED)
 
@@ -450,7 +459,7 @@ class ConnectionEnd:
 
     def pending(self) -> int:
         """Number of delivered messages not yet read or handed over."""
-        return len(self._in.inbox)
+        return 0 if self._in._inbox is None else len(self._in._inbox)
 
     def close(self) -> None:
         self.connection.break_()
@@ -495,11 +504,10 @@ class Connection:
         counter = getattr(sim, "_connection_counter", 0) + 1
         sim._connection_counter = counter
         self.id = counter
-        name = f"conn{self.id}"
         self.sim = sim
-        pipe_ab = _Pipe(sim, scheduler, links_ab, latency, cap, f"{name}.ab",
+        pipe_ab = _Pipe(sim, scheduler, links_ab, latency, cap, counter, "ab",
                         queue_bytes=queue_bytes)
-        pipe_ba = _Pipe(sim, scheduler, links_ba, latency, cap, f"{name}.ba",
+        pipe_ba = _Pipe(sim, scheduler, links_ba, latency, cap, counter, "ba",
                         queue_bytes=queue_bytes)
         self.pipes = (pipe_ab, pipe_ba)
         self.end_a = ConnectionEnd(self, pipe_ab, pipe_ba, a, b)

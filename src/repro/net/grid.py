@@ -59,8 +59,7 @@ class GridNetwork(BaseNetwork):
         self.clusters: Dict[str, Cluster] = {}
         for site_name, n_nodes in sites:
             nodes = [
-                Node(sim, f"{site_name}-{i:03d}", intra_fabric,
-                     cluster=site_name, n_slots=n_slots)
+                Node(sim, i, intra_fabric, cluster=site_name, n_slots=n_slots)
                 for i in range(n_nodes)
             ]
             self.clusters[site_name] = Cluster(

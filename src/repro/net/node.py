@@ -9,7 +9,7 @@ checkpoint images.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 from repro.net.fabrics import Fabric
 from repro.net.link import Link
@@ -70,6 +70,9 @@ class Node:
 
     Parameters
     ----------
+    name:
+        The node's name, or its index in its cluster: the name is then
+        ``<cluster>-<index:03d>``, derived when read.
     n_slots:
         Number of processors; the paper's machines are dual-processor
         (``n_slots=2``) but most experiments deploy one MPI process per node
@@ -79,7 +82,7 @@ class Node:
     def __init__(
         self,
         sim: "Simulator",
-        name: str,
+        name: Union[str, int],
         fabric: Fabric,
         cluster: str = "local",
         n_slots: int = 2,
@@ -87,18 +90,30 @@ class Node:
         memory_bandwidth: float = 1.5e9,
     ) -> None:
         self.sim = sim
-        self.name = name
+        self._name = name
         self.cluster = cluster
         self.fabric = fabric
         self.n_slots = n_slots
-        self.nic_tx = Link(f"{name}.tx", fabric.bandwidth)
-        self.nic_rx = Link(f"{name}.rx", fabric.bandwidth)
-        self.mem = Link(f"{name}.mem", memory_bandwidth)
-        self.disk = disk if disk is not None else Disk(sim, name)
+        self.nic_tx = Link("tx", fabric.bandwidth, node=self)
+        self.nic_rx = Link("rx", fabric.bandwidth, node=self)
+        self.mem = Link("mem", memory_bandwidth, node=self)
+        #: allocated on first use
+        self._disk = disk
         self.alive = True
         #: service machines (checkpoint servers, scheduler, dispatcher) are
         #: excluded from MPI process placement
         self.service = False
+
+    @property
+    def name(self) -> str:
+        name = self._name
+        return name if name.__class__ is str else f"{self.cluster}-{name:03d}"
+
+    @property
+    def disk(self) -> Disk:
+        if self._disk is None:
+            self._disk = Disk(self.sim, self.name)
+        return self._disk
 
     def fail(self) -> None:
         """Mark the node dead.  Connection teardown is done by the network

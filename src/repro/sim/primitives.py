@@ -11,6 +11,10 @@ objects and nearly all of them are idle at any instant, so every queue
 attribute starts as the shared immutable :data:`EMPTY` and becomes a real
 container on its first enqueue (one identity test per enqueue); an object
 that never queued anything owns no container.
+
+Their events are named after them (``get:<store>``, ``acquire:<resource>``,
+``gate:<gate>``), derived when read: an event names its primitive, whose
+``event_name`` formats the label (see :class:`~repro.sim.events.Event`).
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ class Store:
     """
 
     __slots__ = ("sim", "name", "_items", "_getter", "_more_getters",
-                 "_poison", "_get_name")
+                 "_poison")
 
     def __init__(self, sim: "Simulator", name: Optional[str] = None) -> None:
         self.sim = sim
@@ -58,10 +62,12 @@ class Store:
         self._getter: Optional[Event] = None
         self._more_getters: Union[Tuple[()], Deque[Event]] = EMPTY
         self._poison: Optional[BaseException] = None
-        self._get_name = f"get:{name}"
 
     def __len__(self) -> int:
         return len(self._items)
+
+    #: its events are named ``get:<store>``, derived when read
+    event_name = property(lambda self: f"get:{self.name}")
 
     @property
     def poisoned(self) -> bool:
@@ -84,7 +90,7 @@ class Store:
             self._items.append(item)
 
     def get(self) -> Event:
-        event = self.sim.event(name=self._get_name)
+        event = self.sim.event(name=self)
         if self._items:
             event.succeed(self._items.popleft())
         elif self._poison is not None:
@@ -133,8 +139,7 @@ class Resource:
     kernel-style use sites in this codebase.
     """
 
-    __slots__ = ("sim", "capacity", "_in_use", "_waiters", "name",
-                 "_acquire_name")
+    __slots__ = ("sim", "capacity", "_in_use", "_waiters", "name")
 
     def __init__(self, sim: "Simulator", capacity: int, name: Optional[str] = None) -> None:
         if capacity < 1:
@@ -144,7 +149,9 @@ class Resource:
         self.name = name
         self._in_use = 0
         self._waiters: Union[Tuple[()], Deque[Event]] = EMPTY
-        self._acquire_name = f"acquire:{name}"
+
+    #: its events are named ``acquire:<resource>``, derived when read
+    event_name = property(lambda self: f"acquire:{self.name}")
 
     @property
     def in_use(self) -> int:
@@ -155,7 +162,7 @@ class Resource:
         return len(self._waiters)
 
     def acquire(self) -> Event:
-        event = self.sim.event(name=self._acquire_name)
+        event = self.sim.event(name=self)
         if self._in_use < self.capacity:
             self._in_use += 1
             event.succeed()
@@ -185,7 +192,7 @@ class Gate:
     sends/receives per channel during a checkpoint wave.
     """
 
-    __slots__ = ("sim", "name", "_open", "_waiters", "_wait_name")
+    __slots__ = ("sim", "name", "_open", "_waiters")
 
     def __init__(self, sim: "Simulator", open: bool = True, name: Optional[str] = None) -> None:
         self.sim = sim
@@ -193,7 +200,9 @@ class Gate:
         self._open = open
         #: appended to and handed over whole by open(): a list is enough
         self._waiters: Union[Tuple[()], List[Event]] = EMPTY
-        self._wait_name = f"gate:{name}"
+
+    #: its events are named ``gate:<gate>``, derived when read
+    event_name = property(lambda self: f"gate:{self.name}")
 
     @property
     def is_open(self) -> bool:
@@ -210,7 +219,7 @@ class Gate:
                 waiter.succeed()
 
     def wait(self) -> Event:
-        event = self.sim.event(name=self._wait_name)
+        event = self.sim.event(name=self)
         if self._open:
             event.succeed()
         elif self._waiters is EMPTY:

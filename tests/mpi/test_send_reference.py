@@ -219,6 +219,8 @@ class PusherContext(RankContext):
     runs inside the application process, an ``isend`` that misses the
     inline path spawns a ``_pusher`` process."""
 
+    __slots__ = ()
+
     def send(self, dst, tag=0, data=None, nbytes=0.0):
         op_id = self._new_op()
         if self._skip(op_id):
@@ -301,6 +303,8 @@ class Recording:
 class LoggingCommit:
     """Logs every commit with its op id and instant (a shipped send
     commits through ``_sent``, the spec's through ``_commit``)."""
+
+    __slots__ = ()  # swapped onto a slotted RankContext
 
     def _log(self, op_id):
         self.sim.rig.log.append(("commit", self.sim.now, self.job.name,
@@ -658,11 +662,13 @@ def recording(device):
 def designs(device):
     """(shipped, spec) for ``device``."""
     shipped = (recording(device),
-               type("ShippedContext", (LoggingCommit, RankContext), {}),
+               type("ShippedContext", (LoggingCommit, RankContext),
+                    {"__slots__": ()}),
                ChainEndpoint)
     spec = (type(f"Generator{device.__name__}",
                  (Recording, GeneratorSend, device), {}),
-            type("SpecContext", (LoggingCommit, PusherContext), {}),
+            type("SpecContext", (LoggingCommit, PusherContext),
+                 {"__slots__": ()}),
             SendEachEndpoint)
     return shipped, spec
 

@@ -131,8 +131,8 @@ def run_program(pipe_cls, program):
     nic_a, nic_b = Link("a.tx", 1.0e6), Link("b.tx", 1.0e6)
     backbone = Link("backbone", 1.5e6)
     pipes = [
-        pipe_cls(sim, scheduler, links, latency=1e-4, cap=cap, name=f"p{i}",
-                 queue_bytes=1500.0)
+        pipe_cls(sim, scheduler, links, latency=1e-4, cap=cap, conn_id=i,
+                 direction="ab", queue_bytes=1500.0)
         for i, (links, cap) in enumerate([
             ((nic_a, backbone), None),
             ((nic_a, backbone), 0.8e6),
