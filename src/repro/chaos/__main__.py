@@ -15,6 +15,7 @@ ones; ``--list`` prints the scenario labels without running anything;
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
 from typing import List, Optional
@@ -68,6 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    # what the imports built lives as long as the process: freeze it once,
+    # so the collection before each run only walks the runs' objects
+    gc.collect()
+    gc.freeze()
     campaign = CAMPAIGNS[args.campaign](args.seed)
     if args.filter:
         campaign = campaign.filtered(args.filter)

@@ -10,6 +10,7 @@ engine's stall exceptions — is mapped onto the verdict taxonomy (see
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -226,7 +227,9 @@ def run_scenario(
 
 
 def _scenario_task(args: Tuple[Scenario, float, bool]) -> ScenarioResult:
-    """Top-level pool worker: one scenario (picklable by name)."""
+    """Top-level pool worker: one scenario (picklable by name).  The
+    scenario before it, cyclic garbage, is freed before this one grows."""
+    gc.collect()
     scenario, time_limit_factor, monitors = args
     return run_scenario(scenario, monitors=monitors,
                         time_limit_factor=time_limit_factor)

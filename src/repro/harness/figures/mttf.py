@@ -17,6 +17,7 @@ The paper's conclusion sketches two follow-ups this experiment implements:
 
 from __future__ import annotations
 
+import gc
 from typing import List, Optional
 
 from repro.apps.synthetic import burst
@@ -48,6 +49,9 @@ _WORK_STEP = 0.25
 
 def _one_run(seed: int, period: Optional[float], mttf: Optional[float],
              probe_lead: Optional[float] = None):
+    """``(completion, stats)`` of one run; the run is not kept, and the one
+    before it, cyclic garbage, is freed before this one grows."""
+    gc.collect()
     app = burst(iters=_WORK_ITERS, nbytes=100_000, fan=3, compute=_WORK_STEP)
     spec = DeploymentSpec(
         n_procs=_N_PROCS, protocol="pcl" if period else None,
@@ -62,8 +66,9 @@ def _one_run(seed: int, period: Optional[float], mttf: Optional[float],
             random_failures(run, mttf, max_failures=40,
                             probe_lead=probe_lead)
 
-    return bare_run(spec, app, seed, name=f"mttf-s{seed}-{period}",
-                    time_limit=1e6, inject=inject)
+    completion, run = bare_run(spec, app, seed, name=f"mttf-s{seed}-{period}",
+                               time_limit=1e6, inject=inject)
+    return completion, run.stats
 
 
 def run(profile: Profile) -> FigureResult:
@@ -71,8 +76,8 @@ def run(profile: Profile) -> FigureResult:
 
     # --- measure the per-wave application cost from failure-free runs ----
     base_time, _ = _one_run(profile.seed, None, None)
-    busy_time, busy_run = _one_run(profile.seed, 1.0, None)
-    waves = max(1, busy_run.stats.waves_completed)
+    busy_time, busy_stats = _one_run(profile.seed, 1.0, None)
+    waves = max(1, busy_stats.waves_completed)
     wave_cost = max(1e-3, (busy_time - base_time) / waves)
 
     # --- period sweep under Poisson failures -----------------------------
@@ -81,9 +86,9 @@ def run(profile: Profile) -> FigureResult:
     for period in _PERIODS:
         times, fails = [], []
         for seed in seeds:
-            completion, ft_run = _one_run(seed, period, _MTTF)
+            completion, stats = _one_run(seed, period, _MTTF)
             times.append(completion)
-            fails.append(ft_run.stats.failures)
+            fails.append(stats.failures)
         completions.append(sum(times) / len(times))
         failure_counts.append(sum(fails) / len(fails))
 

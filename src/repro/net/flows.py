@@ -58,7 +58,9 @@ class FlowCancelled(ConnectionError):
 
 
 class Flow:
-    """One in-flight transfer across a path of links."""
+    """One in-flight transfer across a path of links.  ``done`` succeeds
+    with no value: a flow is not a cycle with its event, so a finished
+    one is freed when its last reference goes."""
 
     __slots__ = (
         "links",
@@ -132,7 +134,7 @@ class FlowScheduler:
         flow.index = self._counter
         if nbytes <= _EPSILON_BYTES or not links:
             flow.finished = True
-            done.succeed(flow)
+            done.succeed()
             return flow
         # The flow moves no byte before the flush rates it and arms its
         # finish timer (its rate is 0 until then).
@@ -283,7 +285,7 @@ class FlowScheduler:
         flow.finished = True
         flow.bytes_remaining = 0.0
         self._detach(flow)
-        flow.done.succeed(flow)
+        flow.done.succeed()
 
     def _detach(self, flow: Flow) -> None:
         self.active.discard(flow)
