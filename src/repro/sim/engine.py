@@ -453,8 +453,9 @@ class Simulator:
         return self._watchdog
 
     # ------------------------------------------------------------- factories
-    def event(self, name: Optional[str] = None) -> Event:
-        """Create a pending one-shot event."""
+    def event(self, name: Any = None) -> Event:
+        """Create a pending one-shot event (``name``: a label, or the object
+        the event belongs to; see :class:`~repro.sim.events.Event`)."""
         return Event(self, name=name)
 
     def timeout(self, delay: float, value: Any = None, name: Optional[str] = None) -> Timeout:
