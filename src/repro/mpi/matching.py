@@ -19,23 +19,13 @@ from typing import List, Tuple, Union
 from repro.mpi.consts import ANY_SOURCE, ANY_TAG
 from repro.mpi.message import AppPacket
 from repro.mpi.status import Status
+from repro.sim.events import Event
 from repro.sim.primitives import EMPTY
 
 __all__ = ["MatchingEngine"]
 
-
-class _PostedRecv:
-    __slots__ = ("source", "tag", "event")
-
-    def __init__(self, source: int, tag: int, event: "Event") -> None:
-        self.source = source
-        self.tag = tag
-        self.event = event
-
-    def matches(self, packet: AppPacket) -> bool:
-        return (self.source in (ANY_SOURCE, packet.src)) and (
-            self.tag in (ANY_TAG, packet.tag)
-        )
+#: a posted receive: ``(source, tag, event)``
+_PostedRecv = Tuple[int, int, Event]
 
 
 class MatchingEngine:
@@ -57,22 +47,23 @@ class MatchingEngine:
     # ----------------------------------------------------------------- post
     def post_recv(self, source: int, tag: int) -> "Event":
         """Post a receive; the event fires with ``(data, Status)``."""
-        event = self.sim.event(name=self)
+        event = Event(self.sim, self)
         for index, packet in enumerate(self.unexpected):
             if (source in (ANY_SOURCE, packet.src)) and (tag in (ANY_TAG, packet.tag)):
                 del self.unexpected[index]
                 event.succeed((packet.data, Status(packet.src, packet.tag, packet.nbytes)))
                 return event
-        self.posted.append(_PostedRecv(source, tag, event))
+        self.posted.append((source, tag, event))
         return event
 
     # -------------------------------------------------------------- delivery
     def deliver(self, packet: AppPacket) -> None:
         """Hand an arriving application packet to matching."""
-        for index, posted in enumerate(self.posted):
-            if posted.matches(packet):
+        for index, (source, tag, event) in enumerate(self.posted):
+            if (source in (ANY_SOURCE, packet.src)
+                    and tag in (ANY_TAG, packet.tag)):
                 del self.posted[index]
-                posted.event.succeed(
+                event.succeed(
                     (packet.data, Status(packet.src, packet.tag, packet.nbytes))
                 )
                 return
@@ -84,10 +75,10 @@ class MatchingEngine:
     def fail_all(self, error: BaseException) -> None:
         """Fail every posted receive (process/job teardown)."""
         posted, self.posted = self.posted, []
-        for recv in posted:
-            if not recv.event.triggered:
-                recv.event.defused = True
-                recv.event.fail(error)
+        for _source, _tag, event in posted:
+            if not event.triggered:
+                event.defused = True
+                event.fail(error)
 
     # -------------------------------------------------------------- snapshot
     def snapshot(self) -> List[AppPacket]:

@@ -108,9 +108,9 @@ class _Pipe:
     generator receiver it replaced, and rejects a hop-less one).
     """
 
-    __slots__ = ("sim", "scheduler", "links", "latency", "cap", "queue_unit",
-                 "_inbox", "egress", "pumping", "broken", "bytes_sent",
-                 "messages_sent", "conn_id", "direction", "_name",
+    __slots__ = ("sim", "scheduler", "links", "latency", "cap", "queue_bytes",
+                 "_idle_rate", "_inbox", "egress", "pumping", "broken",
+                 "bytes_sent", "messages_sent", "conn_id", "direction", "_name",
                  "_current_flow", "_in_flight", "_last_delivery", "_msg_id",
                  "_flush_gen", "_sink", "_sink_tag", "_handing", "_rx_gen")
 
@@ -130,8 +130,13 @@ class _Pipe:
         self.links = tuple(links)
         self.latency = latency
         self.cap = cap
-        # per-link seconds of extra delay contributed by each competing flow
-        self.queue_unit = tuple(queue_bytes / link.capacity for link in links)
+        #: bytes each competing flow queues ahead of ours on every link
+        self.queue_bytes = queue_bytes
+        # the rate of an uncontended flow on this path (the inline path's)
+        rate = min([link.capacity for link in self.links], default=None)
+        if rate is not None and cap is not None:
+            rate = min(rate, cap)
+        self._idle_rate = rate
         self._inbox: Optional[Store] = None
         #: messages waiting for the wire, oldest first
         self.egress: Union[Tuple[()], Deque[_Message]] = EMPTY
@@ -188,34 +193,36 @@ class _Pipe:
         ``notify=False`` there is no such event (None is returned)."""
         if self.broken:
             raise BrokenConnectionError(f"send on broken pipe {self.name}")
-        probe = self.sim.trace.probes.get("net.sent")
+        sim = self.sim
+        now = sim.now
+        probe = sim.trace.probes.get("net.sent")
         if probe is not None:
             self._msg_id += 1
             msg_id = self._msg_id
-            probe(self.sim.now, self.name, msg_id, nbytes)
+            probe(now, self.name, msg_id, nbytes)
         else:
             msg_id = 0
-        sent = self.sim.event(name=self) if notify else None
-        if (
-            not self.pumping
-            and nbytes <= _INLINE_BYTES
-            and all(not link.flows for link in self.links)
-        ):
+        sent = Event(sim, self) if notify else None
+        idle = not self.pumping and nbytes <= _INLINE_BYTES
+        if idle:
+            for link in self.links:
+                if link.flows:
+                    idle = False
+                    break
+        if idle:
             # Idle-path shortcut: identical timing to an uncontended flow.
-            rate = min((link.capacity for link in self.links), default=None)
-            if rate is not None and self.cap is not None:
-                rate = min(rate, self.cap)
+            rate = self._idle_rate
             serialization = nbytes / rate if rate else 0.0
+            delivery = now + serialization + self.latency + extra_latency
             # consecutive small messages serialize on the wire: each departs
             # one serialization time after the previous one at the earliest
-            delivery = max(
-                self.sim.now + serialization + self.latency + extra_latency,
-                self._last_delivery + serialization,
-            )
+            earliest = self._last_delivery + serialization
+            if earliest > delivery:
+                delivery = earliest
             self._last_delivery = delivery
             self.bytes_sent += nbytes
             self.messages_sent += 1
-            metrics = self.sim.metrics
+            metrics = sim.metrics
             if metrics is not None:
                 # unlabelled on purpose: one instrument for the whole
                 # fabric, not one per (transient) pipe
@@ -223,8 +230,8 @@ class _Pipe:
                 metrics.count("net.bytes_sent", nbytes)
             if sent is not None:
                 sent.succeed()
-            self.sim.call_at(delivery - self.sim.now, self._deliver, payload,
-                             msg_id, self._flush_gen)
+            sim.call_at(delivery - now, self._deliver, payload, msg_id,
+                        self._flush_gen)
             return sent
         message = (payload, nbytes, sent, extra_latency, msg_id)
         if self.egress is EMPTY:
@@ -255,10 +262,11 @@ class _Pipe:
         # Queueing penalty: packets of competing flows sit ahead of ours
         # in the NIC queues along the path.
         queueing = 0.0
-        for link, unit in zip(self.links, self.queue_unit):
+        queue_bytes = self.queue_bytes
+        for link in self.links:
             competitors = len(link.flows)
             if competitors:
-                queueing += competitors * unit
+                queueing += competitors * (queue_bytes / link.capacity)
         flow = self.scheduler.start(self.links, message[1], cap=self.cap)
         self._current_flow = flow
         self._in_flight = (message, queueing)

@@ -410,8 +410,8 @@ class Rig:
         """An ``isend`` through the spec's process send path, or through
         the channel's send chain."""
         if not hasattr(channel, "try_fast_send"):
-            request = channel.post(dst, 0, data, nbytes, None, defer=True)
-            event = request.done
+            chain = channel.post(dst, 0, data, nbytes, defer=True)
+            event = chain.done if isinstance(chain, SendChain) else None
         elif channel.try_fast_send(dst, 0, data, nbytes) is None:
             event = self.sim.process(
                 self._pusher(channel, dst, data, nbytes),

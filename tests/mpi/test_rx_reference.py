@@ -220,7 +220,7 @@ class Rig:
             try:
                 # an isend: inline when the way is clear, else a send chain
                 # (a failure it meets is reported as a socket closure)
-                channel.post(b, 0, data, op[3], None, defer=True)
+                channel.post(b, 0, data, op[3], defer=True)
             except ConnectionError:
                 self.log.append(("send-refused", self.sim.now, data[0]))
         elif verb == "side":

@@ -222,8 +222,8 @@ class PusherContext(RankContext):
     __slots__ = ()
 
     def send(self, dst, tag=0, data=None, nbytes=0.0):
-        op_id = self._new_op()
-        if self._skip(op_id):
+        op_id = self._begin()
+        if op_id is None:
             return SKIPPED
         sent = self.channel.try_fast_send(dst, tag, data, nbytes)
         if sent is None:
@@ -233,8 +233,8 @@ class PusherContext(RankContext):
         return None
 
     def isend(self, dst, tag=0, data=None, nbytes=0.0):
-        op_id = self._new_op()
-        if self._skip(op_id):
+        op_id = self._begin()
+        if op_id is None:
             return Request(None)
         sent = self.channel.try_fast_send(dst, tag, data, nbytes)
         if sent is not None:
@@ -310,9 +310,9 @@ class LoggingCommit:
         self.sim.rig.log.append(("commit", self.sim.now, self.job.name,
                                  self.rank, op_id))
 
-    def _commit(self, op_id, value=None, retain=False):
+    def _commit(self, op_id):
         self._log(op_id)
-        super()._commit(op_id, value, retain)
+        super()._commit(op_id)
 
     def _sent(self, op_id, dst, packet):
         self._log(op_id)
@@ -849,7 +849,8 @@ class EarlyCommit:
 
     def post(self, *args, **kwargs):
         chain = super().post(*args, **kwargs)
-        chain.__class__ = self._Chain
+        if isinstance(chain, SendChain):  # not a send that went out inline
+            chain.__class__ = self._Chain
         return chain
 
 
@@ -864,7 +865,8 @@ class Unstoppable:
 
     def post(self, *args, **kwargs):
         chain = super().post(*args, **kwargs)
-        chain.__class__ = self._Chain
+        if isinstance(chain, SendChain):  # not a send that went out inline
+            chain.__class__ = self._Chain
         return chain
 
 

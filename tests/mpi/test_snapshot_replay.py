@@ -5,7 +5,7 @@ import operator
 
 import pytest
 
-from repro.mpi import FtSockChannel, MPIJob, SKIPPED, Status
+from repro.mpi import FtSockChannel, MPIJob, SKIPPED
 from repro.mpi.context import CompletedSet
 from repro.net import ClusterNetwork
 from repro.sim import Simulator
@@ -117,26 +117,26 @@ def test_replay_consistent_across_ranks():
     assert job2.contexts[1].state["got"] == [0, 1, 2, 3, 4]
 
 
-def test_recv_value_retained_when_completed_but_unconsumed():
-    """A receive matched but not yet consumed at snapshot time is replayed
-    with its real value (the pending_values path).  A blocking recv commits
-    and consumes in one pop, so the commit is driven directly."""
+def test_a_restored_completed_receive_replays_skipped():
+    """A receive that completed before the snapshot replays as
+    :data:`SKIPPED` (``recv_status`` as ``(SKIPPED, None)``): a blocking
+    receive commits and consumes its value in one pop, so a snapshot keeps
+    no value for it.  The live ``update`` after it shows what replay
+    handed the application."""
     def app(ctx):
+        if ctx.rank == 0:
+            yield from ctx.send(1, tag=1, data="payload", nbytes=8)
+            yield from ctx.send(1, tag=2, data="status", nbytes=8)
+            return
         data = yield from ctx.recv(0, tag=1)
-        ctx.update(lambda s, d=data: s.__setitem__("data", d))
+        value = yield from ctx.recv_status(0, tag=2)
+        yield from ctx.compute(10.0)
+        ctx.update(lambda s, d=data, v=value: s.update(data=d, value=v))
 
-    sim = Simulator(seed=3)
-    first, net = make_job(sim, app, size=1)
-    ctx = first.contexts[0]
-    op_id = ctx._new_op()
-    ctx._commit(op_id, ("payload", Status(0, 1, 8.0)), retain=True)
-    snapshot = ctx.take_snapshot(wave=1)
-
-    job2 = MPIJob(sim, net, first.endpoints, app, FtSockChannel,
-                  name="second")
-    job2.start(snapshots=[snapshot])
-    sim.run_until_complete(job2.completed, limit=10.0)
-    assert job2.contexts[0].state["data"] == "payload"
+    job2 = _run_twice_with_restart(app, size=2, snapshot_at=5.0)
+    state = job2.contexts[1].state
+    assert state["data"] is SKIPPED
+    assert state["value"] == (SKIPPED, None)
 
 
 def test_collectives_replay():

@@ -42,10 +42,10 @@ class GeneratorPumpPipe(_Pipe):
         while self.egress and not self.broken:
             payload, nbytes, sent, extra_latency, msg_id = self.egress.popleft()
             queueing = 0.0
-            for link, unit in zip(self.links, self.queue_unit):
+            for link in self.links:
                 competitors = len(link.flows)
                 if competitors:
-                    queueing += competitors * unit
+                    queueing += competitors * (self.queue_bytes / link.capacity)
             flow = self.scheduler.start(self.links, nbytes, cap=self.cap)
             self._current_flow = flow
             try:

@@ -30,9 +30,16 @@ nobody watches stores none of them (before: 181k live strings, 11.4 MB at
 10,000 ranks), keeps no link-ready event past its handshake and no idle
 inbox, and its channels and contexts keep no ``__dict__``.  Every name,
 once read, is the string it always was.
+
+And it pins what a message costs that can go at once: a ring round over
+links that are up builds no ``SendChain`` and no per-send ``partial``
+(before: one of each per send), while a send held at a closed gate does;
+and a rank parked in ``recv`` holds one generator, not a ``recv_status``
+one behind it (docs/PERF.md "Sends").
 """
 
 import collections
+import functools
 import gc
 import os
 import re
@@ -43,7 +50,9 @@ import types
 import pytest
 
 import repro
+import repro.mpi.context
 from repro.apps.synthetic import token_ring
+from repro.mpi.channels.base import SendChain
 from repro.net.connection import _INLINE_BYTES, Connection
 from repro.net.flows import FlowScheduler
 from repro.net.link import Link
@@ -433,3 +442,97 @@ def test_a_killed_job_leaves_no_send_behind():
     assert _chain_callbacks(job)  # the detector sees the waiting send
     job.kill()
     assert _chain_callbacks(job) == []
+
+
+# ------------------------------------------------------- a message that can go
+def _count_send_chains(monkeypatch):
+    """Count every ``SendChain`` built and every ``partial`` the rank
+    context builds (a chained send's commit callback)."""
+    made = collections.Counter()
+    build_chain = SendChain.__init__
+
+    def counting_chain(self, *args, **kwargs):
+        made["SendChain"] += 1
+        build_chain(self, *args, **kwargs)
+
+    def counting_partial(*args, **kwargs):
+        made["partial"] += 1
+        return functools.partial(*args, **kwargs)
+
+    monkeypatch.setattr(SendChain, "__init__", counting_chain)
+    monkeypatch.setattr(repro.mpi.context, "partial", counting_partial)
+    return made
+
+
+def _second_round(n_ranks, name):
+    """A ring that connects everyone in a first round, then parks every
+    rank on ``go``; the second round runs once ``go`` succeeds."""
+    sim = make_simulator(seed=3)
+    go = sim.event(name="go")
+    first, second = token_ring(rounds=1), token_ring(rounds=1)
+
+    def app(ctx):
+        yield from first(ctx)
+        yield go
+        yield from second(ctx)
+
+    spec = DeploymentSpec(n_procs=n_ranks, protocol=None, launcher="ftpm",
+                          procs_per_node=2)
+    run = build_run(sim, spec, app, name=name)
+    run.start()
+    sim.run()  # drains: every link is up, every rank parked on `go`
+    assert not run.completed.triggered
+    return sim, go, run
+
+
+@pytest.mark.unmonitored  # a bare ring: no protocol to monitor
+def test_a_round_over_links_that_are_up_builds_no_send_chain(monkeypatch):
+    sim, go, run = _second_round(N_RANKS, "footprint")
+    made = _count_send_chains(monkeypatch)
+    go.succeed()
+    sim.run_until_complete(run.completed, limit=1e8)
+    assert sum(channel._seq for channel in run.job.channels) == 2 * N_RANKS
+    assert made == {}
+
+
+@pytest.mark.unmonitored
+def test_a_send_held_at_a_closed_gate_builds_its_chain(monkeypatch):
+    """The positive control: the same round with rank 0's gate to rank 1
+    closed until t+1 builds one chain and its commit callback."""
+    sim, go, run = _second_round(8, "footprint-gated")
+    made = _count_send_chains(monkeypatch)
+    gate = run.job.channels[0].send_gate(1)
+    gate.close()
+    sim.call_at(1.0, gate.open)
+    go.succeed()
+    sim.run_until_complete(run.completed, limit=1e8)
+    assert made == {"SendChain": 1, "partial": 1}
+
+
+@pytest.mark.unmonitored
+def test_a_rank_parked_in_recv_holds_one_generator():
+    """While rank 0 connects to send the token, every other rank waits in
+    ``recv``: one receive generator each, no ``recv_status`` behind it."""
+    known = frozenset(id(obj) for obj in _live(types.GeneratorType))
+    sim = make_simulator(seed=3)
+    go = sim.event(name="go")
+    ring = token_ring(rounds=1)
+
+    def app(ctx):
+        yield go  # start every rank at once
+        yield from ring(ctx)
+
+    spec = DeploymentSpec(n_procs=N_RANKS, protocol=None, launcher="ftpm",
+                          procs_per_node=2)
+    run = build_run(sim, spec, app, name="footprint")
+    run.start()
+    sim.run()
+    go.succeed()
+    channels = run.job.channels
+    while sum(len(channel.matching.posted) for channel in channels) \
+            < N_RANKS - 1:
+        sim.step()
+    names = collections.Counter(
+        gen.gi_code.co_name for gen in _live(types.GeneratorType, known))
+    assert names["recv"] == N_RANKS - 1
+    assert names["recv_status"] == 0
