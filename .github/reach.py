@@ -1,9 +1,9 @@
 """List the ``def``s in ``src/repro`` that no user-facing command runs.
 
-Profiles one fixed command list in this process -- ``harness all --profile
-smoke --no-save``, the ``--smoke``, ``--storage``, ``--dcl`` and
-``--recovery`` chaos slices, every ``examples/*.py`` and ``repro.perf`` --
-and matches the profiler's function keys against every ``def`` in
+Profiles one fixed command list in this process -- :data:`COMMANDS`, every
+``python -m repro...`` command that README.md and docs/ document, with the
+files they write kept in a scratch directory, then every ``examples/*.py``
+-- and matches the profiler's function keys against every ``def`` in
 ``src/repro``.  A decorated def matches on its ``def`` line or on its first
 decorator's line.  Prints the unreached defs as ``file:line name
 code-lines``, grouped by package, with a total; code-only lines are counted
@@ -22,6 +22,7 @@ import os
 import pathlib
 import pstats
 import runpy
+import shutil
 import sys
 import tempfile
 
@@ -62,6 +63,45 @@ def unreached(paths, keys):
     return found, total
 
 
+#: ``(module, arguments)``, each run as ``python -m module arguments``, in
+#: order; ``{tmp}`` is the scratch directory, which starts with a copy of
+#: the count baseline
+COMMANDS = [
+    ("repro.harness", ["all", "--profile", "smoke",
+                       "--save-dir", "{tmp}/results"]),
+    ("repro.harness", ["fig6", "--profile", "smoke", "--metrics",
+                       "--save-dir", "{tmp}/metrics"]),
+    ("repro.harness.experiments_md", ["--results", "{tmp}/results",
+                                      "--out", "{tmp}/EXPERIMENTS.md"]),
+    ("repro.tools.compare", ["{tmp}/results", "results"]),
+    *[("repro.chaos", [f"--{name}", "--out", f"{{tmp}}/{name}"])
+      for name in ("smoke", "storage", "dcl", "recovery")],
+    ("repro.chaos", ["--recovery", "--list", "--filter", "pcl",
+                     "--policy", "spare", "--seed", "1"]),
+    ("repro.obs", ["record", "--protocol", "pcl", "-o", "{tmp}/run.jsonl"]),
+    ("repro.obs", ["timeline", "{tmp}/run.jsonl",
+                   "-o", "{tmp}/run.trace.json"]),
+    ("repro.obs", ["validate", "{tmp}/run.trace.json"]),
+    ("repro.verify", ["{tmp}/run.jsonl"]),
+    ("repro.perf", []),
+    ("repro.perf", ["--baseline", "{tmp}/BENCH_engine.json", "--update"]),
+]
+
+
+def run_module(module, argv):
+    """Run ``python -m module *argv`` in this process; its exit status.
+    The environment a command sets (``--metrics`` sets ``REPRO_METRICS``)
+    is put back afterwards."""
+    if importlib.util.find_spec(module).submodule_search_locations:
+        module += ".__main__"
+    environ = dict(os.environ)
+    try:
+        return importlib.import_module(module).main(argv)
+    finally:
+        os.environ.clear()
+        os.environ.update(environ)
+
+
 def run_example(path):
     """Run one example script as ``python examples/NAME.py`` would."""
     sys.argv[:] = [str(path)]
@@ -72,24 +112,17 @@ def profile_commands():
     """Run the command list under one profiler; its function keys."""
     os.environ.pop("REPRO_JOBS", None)
     sys.path.insert(0, str(PACKAGE.parent))
-    from repro.chaos.__main__ import main as chaos
-    from repro.harness.__main__ import main as harness
-    from repro.perf.__main__ import main as perf
-
     profile = cProfile.Profile()
-    with tempfile.TemporaryDirectory() as out, \
+    with tempfile.TemporaryDirectory() as tmp, \
             open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-        commands = [("harness all", harness,
-                     ["all", "--profile", "smoke", "--no-save"])]
-        commands += [(f"chaos --{name}", chaos,
-                      [f"--{name}", "--out", os.path.join(out, name)])
-                     for name in ("smoke", "storage", "dcl", "recovery")]
-        commands += [(path.name, run_example, path)
-                     for path in sorted((ROOT / "examples").glob("*.py"))]
-        commands.append(("perf", perf, []))
-        for name, command, argument in commands:
-            if profile.runcall(command, argument):
-                sys.exit(f"reach map not taken: {name} exited non-zero")
+        shutil.copy(ROOT / "BENCH_engine.json", tmp)
+        for module, argv in COMMANDS:
+            argv = [argument.format(tmp=tmp) for argument in argv]
+            if profile.runcall(run_module, module, argv):
+                sys.exit(f"reach map not taken: python -m {module} "
+                         f"{' '.join(argv)} exited non-zero")
+        for path in sorted((ROOT / "examples").glob("*.py")):
+            profile.runcall(run_example, path)
     return pstats.Stats(profile).stats.keys()
 
 

@@ -1,10 +1,12 @@
 """The reach map's matcher: a def reached through a decorator, a closure or
-a property is reached; only a def never called is listed."""
+a property is reached; only a def never called is listed.  Its command list
+runs every module the docs document."""
 
 import cProfile
 import importlib.util
 import pathlib
 import pstats
+import re
 
 import pytest
 
@@ -136,3 +138,16 @@ def test_key_of_another_file_does_not_reach(tmp_path):
 def test_package_groups_by_first_directory(parts, group):
     reach = load("reach", REACH)
     assert reach.package(reach.PACKAGE.joinpath(*parts)) == group
+
+
+def test_every_module_the_docs_run_is_in_the_command_list():
+    """Each ``python -m repro...`` that README.md or docs/ names is run by
+    the map: a command it left out would list live code as dead."""
+    root = REACH.parents[1]
+    documented = set()
+    for path in [root / "README.md", *sorted((root / "docs").glob("*.md"))]:
+        documented.update(re.findall(r"python3? -m (repro[\w.]*)",
+                                     path.read_text()))
+    commands = {module for module, _argv in load("reach", REACH).COMMANDS}
+    assert "repro.harness" in documented
+    assert documented <= commands, sorted(documented - commands)
