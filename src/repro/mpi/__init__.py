@@ -17,7 +17,6 @@ from repro.mpi.job import MPIJob
 from repro.mpi.matching import MatchingEngine
 from repro.mpi.message import AppPacket, ControlPacket, MarkerPacket
 from repro.mpi.request import Request
-from repro.mpi.status import Status
 from repro.mpi.channels import (
     BaseChannel,
     ChannelDownError,
@@ -44,5 +43,4 @@ __all__ = [
     "Request",
     "SKIPPED",
     "Snapshot",
-    "Status",
 ]

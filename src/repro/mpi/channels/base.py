@@ -169,10 +169,6 @@ class BaseChannel:
             self.sim.metrics.set("channel.delayed_queue_depth", 0.0,
                                  rank=self.rank)
 
-    @property
-    def frozen_sources(self):
-        return frozenset(self._frozen_sources)
-
     # ------------------------------------------------------------------ send
     def post(self, dst: int, tag: int, data: Any, nbytes: float,
              defer: bool = False) -> Union[Event, "SendChain"]:

@@ -285,32 +285,16 @@ class RankContext:
         op_id = self._begin()
         if op_id is None:
             return SKIPPED
-        data, _status = yield self.channel.matching.post_recv(source, tag)
+        data = yield self.channel.matching.post_recv(source, tag)
         # The receive commits when its event is popped; this process is the
         # event's one callback, so it commits and consumes in that pop.
         self._commit(op_id)
         return data
 
-    def recv_status(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        """Blocking receive returning ``(data, Status)``."""
-        op_id = self._begin()
-        if op_id is None:
-            return SKIPPED, None
-        value = yield self.channel.matching.post_recv(source, tag)
-        self._commit(op_id)  # as :meth:`recv` does
-        return value
-
     # ----------------------------------------------------------- collectives
     def _next_coll_tag(self) -> int:
         self._coll_seq += 1
         return COLLECTIVE_TAG_BASE + self._coll_seq
-
-    def bcast(self, value: Any, root: int = 0, nbytes: float = 0.0):
-        return _collectives.bcast(self, value, root, nbytes)
-
-    def reduce(self, value: Any, op: Callable[[Any, Any], Any], root: int = 0,
-               nbytes: float = 0.0):
-        return _collectives.reduce(self, value, op, root, nbytes)
 
     def allreduce(self, value: Any, op: Callable[[Any, Any], Any], nbytes: float = 0.0):
         return _collectives.allreduce(self, value, op, nbytes)

@@ -179,10 +179,6 @@ class MPIJob:
         for process in self.app_processes:
             process.interrupt("job killed")
 
-    @property
-    def running(self) -> bool:
-        return self._started and not self.killed and not self.completed.triggered
-
     # ------------------------------------------------------------ connections
     def _adopt_links(self) -> None:
         """Attach connections harvested from the previous incarnation.

@@ -18,7 +18,6 @@ from typing import List, Tuple, Union
 
 from repro.mpi.consts import ANY_SOURCE, ANY_TAG
 from repro.mpi.message import AppPacket
-from repro.mpi.status import Status
 from repro.sim.events import Event
 from repro.sim.primitives import EMPTY
 
@@ -46,12 +45,12 @@ class MatchingEngine:
 
     # ----------------------------------------------------------------- post
     def post_recv(self, source: int, tag: int) -> "Event":
-        """Post a receive; the event fires with ``(data, Status)``."""
+        """Post a receive; the event fires with the message's data."""
         event = Event(self.sim, self)
         for index, packet in enumerate(self.unexpected):
             if (source in (ANY_SOURCE, packet.src)) and (tag in (ANY_TAG, packet.tag)):
                 del self.unexpected[index]
-                event.succeed((packet.data, Status(packet.src, packet.tag, packet.nbytes)))
+                event.succeed(packet.data)
                 return event
         self.posted.append((source, tag, event))
         return event
@@ -63,9 +62,7 @@ class MatchingEngine:
             if (source in (ANY_SOURCE, packet.src)
                     and tag in (ANY_TAG, packet.tag)):
                 del self.posted[index]
-                event.succeed(
-                    (packet.data, Status(packet.src, packet.tag, packet.nbytes))
-                )
+                event.succeed(packet.data)
                 return
         if self.unexpected is EMPTY:
             self.unexpected = []
@@ -90,7 +87,3 @@ class MatchingEngine:
         if self.posted:
             raise RuntimeError("restore() with receives posted")
         self.unexpected = list(packets) if packets else EMPTY
-
-    @property
-    def unexpected_bytes(self) -> float:
-        return sum(p.nbytes for p in self.unexpected)

@@ -62,9 +62,8 @@ def _run_stream(channel_cls, schedule, wave_times):
     def sample():
         # ``_frozen_sources`` is a set on demand: EMPTY whenever thawed
         for channel in run.job.channels:
-            assert channel.frozen_sources == frozenset(channel._frozen_sources)
             assert channel._frozen_sources is EMPTY or channel._frozen_sources
-            frozen.append(len(channel.frozen_sources))
+            frozen.append(len(channel._frozen_sources))
 
     for at in wave_times:
         sim.call_at(at, lambda: run.protocol.request_wave())

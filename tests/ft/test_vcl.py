@@ -32,7 +32,7 @@ def test_vcl_never_blocks_sends(sim):
             for channel in run.job.channels:
                 assert channel.global_send_gate.is_open
                 assert all(g.is_open for g in channel._send_gates.values())
-                assert not channel.frozen_sources
+                assert not channel._frozen_sources
             yield sim.timeout(0.05)
 
     sim.process(check())

@@ -447,7 +447,7 @@ class Rig:
                 channel.matching.post_recv(b, ANY_TAG).callbacks.append(
                     lambda event: self.log.append(
                         ("matched", self.sim.now, a, event._ok,
-                         event._ok and event._value[0][0])))
+                         event._ok and event._value[0])))
         elif verb == "fanout":
             self.wave += 1
             helpers = len(endpoint._helpers)

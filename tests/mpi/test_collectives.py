@@ -15,7 +15,8 @@ def test_bcast(sim, size, root):
 
     def app(ctx):
         value = {"payload": 42} if ctx.rank == root else None
-        out = yield from ctx.bcast(value, root=root, nbytes=256)
+        out = yield from collectives.bcast(ctx, value, root=root,
+                                           nbytes=256)
         results[ctx.rank] = out
 
     job, _ = make_job(sim, app, size=size)
@@ -28,7 +29,8 @@ def test_reduce_sum(sim, size, root):
     results = {}
 
     def app(ctx):
-        out = yield from ctx.reduce(ctx.rank + 1, operator.add, root=root, nbytes=8)
+        out = yield from collectives.reduce(ctx, ctx.rank + 1, operator.add,
+                                            root=root, nbytes=8)
         results[ctx.rank] = out
 
     job, _ = make_job(sim, app, size=size)
@@ -56,7 +58,8 @@ def test_back_to_back_collectives_do_not_cross_match(sim):
     def app(ctx):
         a = yield from ctx.allreduce(1, operator.add, nbytes=8)
         b = yield from ctx.allreduce(ctx.rank, operator.add, nbytes=8)
-        c = yield from ctx.bcast(("from", ctx.rank), root=size - 1, nbytes=8)
+        c = yield from collectives.bcast(ctx, ("from", ctx.rank),
+                                        root=size - 1, nbytes=8)
         results[ctx.rank] = (a, b, c)
 
     size = 6
@@ -76,8 +79,8 @@ def test_reduce_keeps_operand_order_from_root(sim, size, root):
     results = {}
 
     def app(ctx):
-        out = yield from ctx.reduce(str(ctx.rank), operator.add, root=root,
-                                    nbytes=8)
+        out = yield from collectives.reduce(ctx, str(ctx.rank), operator.add,
+                                            root=root, nbytes=8)
         results[ctx.rank] = out
 
     job, _ = make_job(sim, app, size=size)

@@ -26,31 +26,26 @@ def test_posted_recv_matches_arrival(eng):
     ev = eng.post_recv(source=3, tag=7)
     assert not ev.triggered
     eng.deliver(pkt(src=3, tag=7, data="x"))
-    data, status = value_of(ev)
-    assert data == "x"
-    assert status.source == 3 and status.tag == 7
+    assert value_of(ev) == "x"
 
 
 def test_unexpected_then_recv(eng):
     eng.deliver(pkt(src=1, tag=2, data="early"))
     ev = eng.post_recv(source=1, tag=2)
-    data, _ = value_of(ev)
-    assert data == "early"
+    assert value_of(ev) == "early"
     assert not eng.unexpected
 
 
 def test_wildcard_source(eng):
     ev = eng.post_recv(source=ANY_SOURCE, tag=5)
-    eng.deliver(pkt(src=4, tag=5))
-    _, status = value_of(ev)
-    assert status.source == 4
+    eng.deliver(pkt(src=4, tag=5, data="from4"))
+    assert value_of(ev) == "from4"
 
 
 def test_wildcard_tag(eng):
     eng.deliver(pkt(src=2, tag=13, data="t"))
     ev = eng.post_recv(source=2, tag=ANY_TAG)
-    data, status = value_of(ev)
-    assert data == "t" and status.tag == 13
+    assert value_of(ev) == "t"
 
 
 def test_non_matching_stays_unexpected(eng):
@@ -67,8 +62,8 @@ def test_fifo_among_unexpected(eng):
     eng.deliver(pkt(src=1, tag=0, data="second", seq=2))
     ev1 = eng.post_recv(source=1, tag=0)
     ev2 = eng.post_recv(source=1, tag=0)
-    assert value_of(ev1)[0] == "first"
-    assert value_of(ev2)[0] == "second"
+    assert value_of(ev1) == "first"
+    assert value_of(ev2) == "second"
 
 
 def test_fifo_among_posted(eng):
@@ -77,14 +72,14 @@ def test_fifo_among_posted(eng):
     eng.deliver(pkt(data="a"))
     assert ev1.triggered and not ev2.triggered
     eng.deliver(pkt(data="b"))
-    assert value_of(ev2)[0] == "b"
+    assert value_of(ev2) == "b"
 
 
 def test_specific_recv_skips_older_non_matching(eng):
     eng.deliver(pkt(src=1, tag=1, data="older"))
     eng.deliver(pkt(src=1, tag=2, data="wanted"))
     ev = eng.post_recv(source=1, tag=2)
-    assert value_of(ev)[0] == "wanted"
+    assert value_of(ev) == "wanted"
     assert [p.data for p in eng.unexpected] == ["older"]
 
 
@@ -92,8 +87,7 @@ def test_any_source_takes_oldest_across_sources(eng):
     eng.deliver(pkt(src=5, tag=0, data="from5"))
     eng.deliver(pkt(src=2, tag=0, data="from2"))
     ev = eng.post_recv(source=ANY_SOURCE, tag=0)
-    data, status = value_of(ev)
-    assert (data, status.source) == ("from5", 5)
+    assert value_of(ev) == "from5"
 
 
 def test_arrival_matches_oldest_compatible_posted(eng):
@@ -102,17 +96,17 @@ def test_arrival_matches_oldest_compatible_posted(eng):
     eng.deliver(pkt(src=3, tag=1, data="x"))
     assert wildcard.triggered and not specific.triggered
     eng.deliver(pkt(src=4, tag=1, data="y"))
-    assert value_of(specific)[0] == "y"
+    assert value_of(specific) == "y"
     assert not eng.posted
 
 
-def test_unexpected_bytes_follow_the_queue(eng):
-    assert eng.unexpected_bytes == 0
+def test_a_matched_receive_takes_its_packet_off_the_queue(eng):
+    assert not eng.unexpected
     eng.deliver(pkt(src=1, tag=1, nbytes=30.0))
     eng.deliver(pkt(src=1, tag=2, nbytes=12.5))
-    assert eng.unexpected_bytes == 42.5
+    assert [p.nbytes for p in eng.unexpected] == [30.0, 12.5]
     eng.post_recv(source=1, tag=1)
-    assert eng.unexpected_bytes == 12.5
+    assert [p.nbytes for p in eng.unexpected] == [12.5]
 
 
 def test_fail_all(eng):
@@ -127,12 +121,12 @@ def test_snapshot_restore():
     a = MatchingEngine(sim, 0)
     a.deliver(pkt(src=1, tag=1, data="keep", nbytes=50.0))
     snap = a.snapshot()
-    assert a.unexpected_bytes == 50.0
+    assert [p.nbytes for p in snap] == [50.0]
 
     b = MatchingEngine(sim, 0)
     b.restore(snap)
     ev = b.post_recv(source=1, tag=1)
-    assert value_of(ev)[0] == "keep"
+    assert value_of(ev) == "keep"
 
 
 def test_snapshot_is_a_copy(eng):

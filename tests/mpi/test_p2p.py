@@ -46,14 +46,15 @@ def test_isend_recv_matches_by_tag(sim):
 
     def app(ctx):
         if ctx.rank == 0:
-            reqs = [ctx.isend(1, tag=i, data=i * i, nbytes=32) for i in range(4)]
+            # each payload names the tag it was sent with
+            reqs = [ctx.isend(1, tag=i, data=(i, i * i), nbytes=32)
+                    for i in range(4)]
             for req in reqs:
                 yield from req.wait()
         else:
             vals = []
             for tag in reversed(range(4)):
-                data, status = yield from ctx.recv_status(0, tag)
-                vals.append((status.tag, data))
+                vals.append((yield from ctx.recv(0, tag)))
             out["vals"] = vals
 
     job, _ = make_job(sim, app, size=2)
@@ -67,11 +68,12 @@ def test_any_source_recv(sim):
     def app(ctx):
         if ctx.rank == 0:
             for _ in range(2):
-                data, status = yield from ctx.recv_status(source=ANY_SOURCE, tag=3)
-                seen.append((status.source, data))
+                seen.append((yield from ctx.recv(source=ANY_SOURCE, tag=3)))
         else:
+            # each payload names its sender
             yield from ctx.compute(0.001 * ctx.rank)
-            yield from ctx.send(0, tag=3, data=f"from{ctx.rank}", nbytes=16)
+            yield from ctx.send(0, tag=3, data=(ctx.rank, f"from{ctx.rank}"),
+                                nbytes=16)
 
     job, _ = make_job(sim, app, size=3)
     run_job(sim, job)

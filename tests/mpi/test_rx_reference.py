@@ -230,7 +230,7 @@ class Rig:
                 channel.matching.post_recv(b, ANY_TAG).callbacks.append(
                     lambda event: self.log.append(
                         ("matched", self.sim.now, a, event._ok,
-                         event._ok and event._value[0][0])))
+                         event._ok and event._value[0])))
         elif verb == "freeze":
             channel.freeze_source(b)
         elif verb == "thaw":
@@ -265,7 +265,8 @@ class Rig:
 
         channels = [
             (job.name, c.rank, c.down, c._seq, ids(c.matching.unexpected),
-             len(c.matching.posted), ids(c.delayed_queue), c.frozen_sources,
+             len(c.matching.posted), ids(c.delayed_queue),
+             frozenset(c._frozen_sources),
              sorted(c.conns))
             for job in self.jobs for c in job.channels]
         pipes = [(p.name, p.broken, p.bytes_sent, p.messages_sent,

@@ -560,7 +560,7 @@ class Rig:
                 channel.matching.post_recv(b, ANY_TAG).callbacks.append(
                     lambda event: self.log.append(
                         ("matched", self.sim.now, a, event._ok,
-                         event._ok and event._value[0][0])))
+                         event._ok and event._value[0])))
         elif verb == "freeze":
             channel.freeze_sends([b])
         elif verb == "resume":

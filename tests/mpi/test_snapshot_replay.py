@@ -119,9 +119,8 @@ def test_replay_consistent_across_ranks():
 
 def test_a_restored_completed_receive_replays_skipped():
     """A receive that completed before the snapshot replays as
-    :data:`SKIPPED` (``recv_status`` as ``(SKIPPED, None)``): a blocking
-    receive commits and consumes its value in one pop, so a snapshot keeps
-    no value for it.  The live ``update`` after it shows what replay
+    :data:`SKIPPED`: a blocking receive commits and consumes its value in
+    one pop, so a snapshot keeps no value for it.  The live ``update`` after it shows what replay
     handed the application."""
     def app(ctx):
         if ctx.rank == 0:
@@ -129,14 +128,14 @@ def test_a_restored_completed_receive_replays_skipped():
             yield from ctx.send(1, tag=2, data="status", nbytes=8)
             return
         data = yield from ctx.recv(0, tag=1)
-        value = yield from ctx.recv_status(0, tag=2)
+        value = yield from ctx.recv(0, tag=2)
         yield from ctx.compute(10.0)
         ctx.update(lambda s, d=data, v=value: s.update(data=d, value=v))
 
     job2 = _run_twice_with_restart(app, size=2, snapshot_at=5.0)
     state = job2.contexts[1].state
     assert state["data"] is SKIPPED
-    assert state["value"] == (SKIPPED, None)
+    assert state["value"] is SKIPPED
 
 
 def test_collectives_replay():

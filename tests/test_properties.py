@@ -97,7 +97,7 @@ def test_matching_never_loses_or_duplicates(messages, recvs):
     for source, tag in recvs:
         event = engine.post_recv(source, tag)
         if event.triggered:
-            results.append(event.value[0])
+            results.append(event.value)
     # no duplicates
     assert len(results) == len(set(results))
     # conservation: consumed + queued == delivered
@@ -117,7 +117,7 @@ def test_matching_fifo_per_source_tag(messages):
     for _ in messages:
         event = engine.post_recv(ANY_SOURCE, ANY_TAG)
         assert event.triggered
-        drained.append(event.value[0])
+        drained.append(event.value)
     assert drained == sorted(drained)
 
 
