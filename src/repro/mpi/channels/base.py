@@ -174,30 +174,32 @@ class BaseChannel:
              defer: bool = False) -> Union[Event, "SendChain"]:
         """Send an application message to ``dst``.
 
-        A send that can go out right now (link up, gates open, no host hop
-        to take) goes out inside this call and builds no chain: it is
-        accounted, the connection takes its packet, and its
+        A send that can go out right now (link up, gates open, on a channel
+        that defers its send overhead) goes out inside this call and builds
+        no chain: it is accounted, the connection takes its packet, and its
         transmit-complete event is returned — the caller commits it.  Any
-        other send is a :class:`SendChain`, which takes its first step
-        inside this call — a blocking send's slow path starts inline — or,
-        with ``defer``, one URGENT step from now and succeeds
-        ``chain.done`` one step after its packet left.  The chain is
-        returned only while it waits, so its ``on_commit(dst, packet)``,
-        set by the caller on return, runs at its commit point (the payload
-        is on the connection); a chain that put its packet inside this
-        call returns the transmit-complete event like an inline send.
+        other send is a :class:`SendChain` (on a channel that does not
+        defer its overhead, the chain decides between a host hop and a
+        put), which takes its first step inside this call — a blocking
+        send's slow path starts inline — or, with ``defer``, one URGENT
+        step from now and succeeds ``chain.done`` one step after its packet
+        left.  The chain is returned only while it waits, so its
+        ``on_commit(dst, packet)``, set by the caller on return, runs at its
+        commit point (the payload is on the connection); a chain that put
+        its packet inside this call returns the transmit-complete event
+        like an inline send.
         """
         if self.down:
             raise ChannelDownError(f"rank {self.rank} channel is down")
-        if dst in self.conns and self._gates_open(dst):
+        if (self.defer_send_overhead and dst in self.conns
+                and self._gates_open(dst)):
             wire_bytes = nbytes + HEADER_BYTES
             overhead = self.send_overhead(wire_bytes)
             if self.active_transfer_end is not None:
                 overhead += self.transfer_tax()
-            if overhead <= 0.0 or self.defer_send_overhead:
-                packet = self._number(tag, data, nbytes)
-                self._committed(packet, dst, nbytes)
-                return self.conns[dst].send(packet, wire_bytes, overhead)
+            packet = self._number(tag, data, nbytes)
+            self._committed(packet, dst, nbytes)
+            return self.conns[dst].send(packet, wire_bytes, overhead)
         chain = SendChain(self, None, None)
         chain._dst = dst
         chain.nbytes = nbytes

@@ -64,16 +64,45 @@ def test_fast_send_declined_by_blocking_overhead_channel(sim):
     assert not goes_inline(job.channels[0], 1)
 
 
-class _SecondLook(FtSockChannel):
-    """Host overhead that is due when ``post`` looks and gone when the
-    chain looks: the two tests of whether a send can go now disagree."""
+class _CountedChV(ChVChannel):
+    """ch_v, counting the send overheads it works out."""
 
-    defer_send_overhead = False
-    armed = False
+    __slots__ = ()
+    calls = []
 
     def send_overhead(self, nbytes):
-        armed, self.armed = self.armed, False
-        return 1e-6 if armed else 0.0
+        self.calls.append(nbytes)
+        return super().send_overhead(nbytes)
+
+
+def test_ch_v_works_out_each_send_overhead_once(sim):
+    """``post`` leaves a channel that does not defer its overhead to the
+    chain, which works it out once to choose between a hop and a put."""
+    rounds, size = 10, 8
+    _CountedChV.calls = []
+
+    def app(ctx):
+        for _ in range(rounds):
+            if ctx.rank == 0:
+                yield from ctx.send(1, 1, None, 8)
+                yield from ctx.recv(size - 1, 1)
+            else:
+                yield from ctx.recv(ctx.rank - 1, 1)
+                yield from ctx.send((ctx.rank + 1) % size, 1, None, 8)
+
+    job, _ = make_job(sim, app, size=size, channel_cls=_CountedChV)
+    run_job(sim, job)
+    sends = sum(channel._seq for channel in job.channels)
+    assert sends == rounds * size
+    assert len(_CountedChV.calls) == sends
+
+
+class _NoHop(FtSockChannel):
+    """A channel that does not defer its send overhead but has none: its
+    chain puts every packet over a link that is up without a hop."""
+
+    __slots__ = ()
+    defer_send_overhead = False
 
 
 def test_a_chain_that_puts_inside_post_is_committed(sim):
@@ -82,15 +111,13 @@ def test_a_chain_that_puts_inside_post_is_committed(sim):
     def app(ctx):
         if ctx.rank == 0:
             yield from ctx.send(1, 1, None, 8)  # brings the link up
-            ctx.channel.armed = True
-            yield from ctx.send(1, 1, None, 8)
+            yield from ctx.send(1, 1, None, 8)  # chained, put inside post
         else:
             yield from ctx.recv(0, 1)
             yield from ctx.recv(0, 1)
 
-    job, _ = make_job(sim, app, size=2, channel_cls=_SecondLook)
+    job, _ = make_job(sim, app, size=2, channel_cls=_NoHop)
     run_job(sim, job)
-    assert not job.channels[0].armed  # post looked, then the chain
     assert 1 in job.contexts[0]._completed
 
 
