@@ -98,6 +98,29 @@ def test_pcl_with_nemesis_stopper(sim):
     assert_ring_result(run, iters=30)
 
 
+def _late_marker_app(iters=200, big=2e7):
+    """Rank 0 streams small messages to rank 1 while rank 2 sends it 20 MB
+    ones: rank 2's marker queues behind a big message, so rank 0 has
+    checkpointed and sends again while rank 1 still waits for it."""
+    def app(ctx):
+        if ctx.rank == 0:
+            for i in range(iters):
+                yield from ctx.compute(0.01)
+                yield from ctx.send(1, 1, i, 100)
+        elif ctx.rank == 2:
+            for i in range(iters // 10):
+                yield from ctx.send(1, 2, i, big)
+                yield from ctx.compute(0.05)
+        else:
+            small, large = [], []
+            for _ in range(iters):
+                small.append((yield from ctx.recv(0, 1)))
+            for _ in range(iters // 10):
+                large.append((yield from ctx.recv(2, 2)))
+            ctx.update(lambda s: s.update(small=small, large=large))
+    return app
+
+
 def test_pcl_no_app_message_crosses_marker_before_checkpoint(sim):
     """Channel-flush invariant: between receiving a peer's marker and the
     local checkpoint, no application packet from that peer may reach
@@ -114,13 +137,18 @@ def test_pcl_no_app_message_crosses_marker_before_checkpoint(sim):
 
     BaseChannel._deliver_app = checked
     try:
-        run, _ = build_ft_run(sim, ring_app_factory(iters=30, work=0.05),
-                              size=6, protocol="pcl", period=0.5)
+        run, _ = build_ft_run(sim, _late_marker_app(), size=3,
+                              protocol="pcl", period=0.5)
         run_to_completion(sim, run)
     finally:
         BaseChannel._deliver_app = original
     assert violations == []
+    # ... and the run put the invariant to the test: some packets did
+    # arrive from a frozen source
+    assert sim.trace.counters["channel.delayed_packets"] > 0
     assert run.stats.waves_completed >= 2
+    state = run.job.contexts[1].state
+    assert state == {"small": list(range(200)), "large": list(range(20))}
 
 
 def test_pcl_more_servers_is_not_slower():
