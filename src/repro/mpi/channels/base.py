@@ -44,8 +44,8 @@ from typing import (Any, Callable, Dict, Iterable, List, Optional, Set, Tuple,
                     Union)
 
 from repro.mpi.matching import MatchingEngine
-from repro.mpi.message import AppPacket, MarkerPacket, Packet
-from repro.net.connection import BrokenConnectionError, ConnectionEnd
+from repro.mpi.message import AppPacket, Packet
+from repro.net.connection import ConnectionEnd
 from repro.sim.events import URGENT, Event
 from repro.sim.primitives import EMPTY, Gate
 from repro.sim.trace import declare
