@@ -465,13 +465,6 @@ class ConnectionEnd:
         or the next sink."""
         self._in.clear_sink()
 
-    def pending(self) -> int:
-        """Number of delivered messages not yet read or handed over."""
-        return 0 if self._in._inbox is None else len(self._in._inbox)
-
-    def close(self) -> None:
-        self.connection.break_()
-
     @property
     def active_flow(self):
         """The flow currently leaving this end, if any (rate inspection)."""
@@ -482,10 +475,6 @@ class ConnectionEnd:
         """The flow scheduler this end's transfers run on; read a flow's
         rate through its :meth:`~FlowScheduler.rate`."""
         return self._out.scheduler
-
-    @property
-    def bytes_sent(self) -> float:
-        return self._out.bytes_sent
 
     @property
     def latency(self) -> float:
@@ -535,6 +524,3 @@ class Connection:
         (survivor-link reuse across a recovery)."""
         for pipe in self.pipes:
             pipe.flush()
-
-    def ends(self) -> Tuple[ConnectionEnd, ConnectionEnd]:
-        return self.end_a, self.end_b

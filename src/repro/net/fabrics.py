@@ -66,13 +66,6 @@ class Fabric:
     per_flow_cap: Optional[float] = None
     queue_mtus: float = 4.0
 
-    def transfer_time(self, nbytes: float) -> float:
-        """Uncontended time for ``nbytes`` (latency + serialization)."""
-        rate = self.bandwidth if self.per_flow_cap is None else min(
-            self.bandwidth, self.per_flow_cap
-        )
-        return self.latency + nbytes / rate
-
 
 #: 1 Gb/s Ethernet (Orsay cluster): ~50 µs end-to-end latency, ~117 MB/s.
 GIGABIT_ETHERNET = Fabric(

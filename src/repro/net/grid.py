@@ -69,12 +69,6 @@ class GridNetwork(BaseNetwork):
                 uplink_rx=Link(f"{site_name}.up.rx", wan_fabric.bandwidth),
             )
 
-    def all_nodes(self) -> List[Node]:
-        nodes: List[Node] = []
-        for cluster in self.clusters.values():
-            nodes.extend(cluster.nodes)
-        return nodes
-
     def place(self, n_procs: int, procs_per_node: Optional[int] = None) -> List[Endpoint]:
         """Grid placement fills whole sites before spilling to the next one,
         like reserving machines site by site on Grid'5000."""
@@ -96,13 +90,6 @@ class GridNetwork(BaseNetwork):
         if len(endpoints) < n_procs:
             raise ValueError(f"grid too small for {n_procs} processes")
         return endpoints
-
-    def sites_used(self, endpoints: Sequence[Endpoint]) -> List[str]:
-        seen: List[str] = []
-        for endpoint in endpoints:
-            if endpoint.node.cluster not in seen:
-                seen.append(endpoint.node.cluster)
-        return seen
 
     def _path(self, a: Endpoint, b: Endpoint):
         if a.node.cluster == b.node.cluster:

@@ -10,7 +10,7 @@ Fig. 6).  :meth:`ClusterNetwork.place` implements exactly that policy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.net.connection import Connection
 from repro.net.fabrics import Fabric, GIGABIT_ETHERNET, SHARED_MEMORY
@@ -50,7 +50,13 @@ class Cluster:
 
 
 class BaseNetwork:
-    """Shared machinery: connection registry, failure plumbing, placement."""
+    """Shared machinery: connection registry, failure plumbing, placement.
+
+    A topology supplies ``all_nodes()``, the machines :meth:`place` fills,
+    and ``_path(a, b)``, what a connection between two endpoints runs
+    over: ``(links a->b, links b->a, latency, per-flow cap, queue
+    bytes)``.
+    """
 
     def __init__(self, sim: "Simulator", shm_fabric: Fabric = SHARED_MEMORY) -> None:
         self.sim = sim
@@ -61,9 +67,6 @@ class BaseNetwork:
         self._conn_endpoints: Dict[int, Tuple[Endpoint, Endpoint]] = {}
 
     # ------------------------------------------------------------- placement
-    def all_nodes(self) -> List[Node]:
-        raise NotImplementedError
-
     def place(self, n_procs: int, procs_per_node: Optional[int] = None) -> List[Endpoint]:
         """Assign ``n_procs`` endpoints over the machines.
 
@@ -98,11 +101,6 @@ class BaseNetwork:
         return endpoints
 
     # ------------------------------------------------------------ connecting
-    def _path(
-        self, a: Endpoint, b: Endpoint
-    ) -> Tuple[Sequence[Link], Sequence[Link], float, Optional[float], float]:
-        raise NotImplementedError
-
     def connect(self, a: Endpoint, b: Endpoint) -> Connection:
         """Open a full-duplex FIFO connection between two endpoints."""
         if not (a.node.alive and b.node.alive):

@@ -84,8 +84,8 @@ def test_cascade_through_a_pipe_names_the_pipe():
                                       sample_window=16))
     net = ClusterNetwork(sim, n_nodes=3)
     a, b, c = net.place(3)
-    bulk, _ = net.connect(a, b).ends()
-    chatty, _ = net.connect(a, c).ends()
+    bulk = net.connect(a, b).end_a
+    chatty = net.connect(a, c).end_a
     bulk.send("image", nbytes=1e9)  # a flow in flight keeps a's NIC busy,
     # so even empty messages take the flow path: kick -> flow-done -> sent
 
@@ -117,7 +117,8 @@ def test_waiting_report_names_the_pipe_of_a_pending_hand_over():
     sim = Simulator()
     net = ClusterNetwork(sim, n_nodes=2)
     a, b = net.place(2)
-    sender, receiver = net.connect(a, b).ends()
+    conn = net.connect(a, b)
+    sender, receiver = conn.end_a, conn.end_b
     receiver.set_sink(Sink())
     sender.send("packet", nbytes=10.0)
     assert [entry.split(" ", 3)[3] for entry in Watchdog._waiting_report(sim)

@@ -138,7 +138,8 @@ def test_inline_and_flow_paths_agree_on_timing():
         sim = Simulator(seed=1)
         net = ClusterNetwork(sim, n_nodes=2)
         a, b = net.place(2)
-        ea, eb = net.connect(a, b).ends()
+        conn = net.connect(a, b)
+        ea, eb = conn.end_a, conn.end_b
 
         def roundtrip():
             ea.send("m", nbytes=nbytes)
@@ -153,7 +154,8 @@ def test_inline_and_flow_paths_agree_on_timing():
         sim = Simulator(seed=1)
         net = ClusterNetwork(sim, n_nodes=2)
         a, b = net.place(2)
-        ea, eb = net.connect(a, b).ends()
+        conn = net.connect(a, b)
+        ea, eb = conn.end_a, conn.end_b
         ea.send("first", nbytes=nbytes)  # occupies the pump
 
         def roundtrip():
@@ -178,7 +180,8 @@ def test_large_message_skips_inline_path():
     sim = Simulator(seed=1)
     net = ClusterNetwork(sim, n_nodes=2)
     a, b = net.place(2)
-    ea, eb = net.connect(a, b).ends()
+    conn = net.connect(a, b)
+    ea, eb = conn.end_a, conn.end_b
     ea.send("big", nbytes=1e6)
     assert ea._out.pumping  # flow machinery engaged
 
@@ -195,7 +198,8 @@ def test_inline_path_respects_fifo_after_big_message():
     sim = Simulator(seed=1)
     net = ClusterNetwork(sim, n_nodes=2)
     a, b = net.place(2)
-    ea, eb = net.connect(a, b).ends()
+    conn = net.connect(a, b)
+    ea, eb = conn.end_a, conn.end_b
     ea.send("big", nbytes=5e6)
 
     received = []
@@ -215,7 +219,7 @@ def test_inline_path_respects_fifo_after_big_message():
 def test_inline_send_event_fires(sim):
     net = ClusterNetwork(sim, n_nodes=2)
     a, b = net.place(2)
-    ea, _ = net.connect(a, b).ends()
+    ea = net.connect(a, b).end_a
 
     def sender():
         yield ea.send("x", nbytes=8.0)

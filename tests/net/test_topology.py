@@ -14,6 +14,11 @@ from repro.net.node import Disk
 from repro.sim import Simulator
 
 
+def sites_used(endpoints):
+    """The sites ``endpoints`` sit on, in placement order."""
+    return list(dict.fromkeys(e.node.cluster for e in endpoints))
+
+
 # ------------------------------------------------------------- placement
 def test_place_one_per_node_first():
     sim = Simulator()
@@ -64,8 +69,7 @@ def test_grid_place_fills_sites_in_order():
     sim = Simulator()
     grid = grid5000(sim)
     eps = grid.place(60)
-    sites = grid.sites_used(eps)
-    assert sites == ["bordeaux", "lille"]
+    assert sites_used(eps) == ["bordeaux", "lille"]
 
 
 def test_grid_place_529():
@@ -73,7 +77,7 @@ def test_grid_place_529():
     grid = grid5000(sim)
     eps = grid.place(529)
     assert len(eps) == 529
-    assert len(grid.sites_used(eps)) >= 5
+    assert len(sites_used(eps)) >= 5
 
 
 def test_grid_too_small():
@@ -91,7 +95,7 @@ def test_intercluster_latency_dominates():
     from repro.net.topology import Endpoint
     b = Endpoint(b_node, 0)
     conn = grid.connect(a, b)
-    ea, eb = conn.ends()
+    ea, eb = conn.end_a, conn.end_b
 
     def roundtrip():
         ea.send("x", nbytes=0)
@@ -109,7 +113,8 @@ def test_intercluster_bandwidth_capped():
     from repro.net.topology import Endpoint
     a = Endpoint(grid.clusters["a"].nodes[0], 0)
     b = Endpoint(grid.clusters["b"].nodes[0], 0)
-    ea, eb = grid.connect(a, b).ends()
+    conn = grid.connect(a, b)
+    ea, eb = conn.end_a, conn.end_b
     nbytes = GRID5000_WAN.per_flow_cap  # exactly 1 s at the WAN cap
 
     def xfer():
@@ -125,7 +130,8 @@ def test_intracluster_path_inside_grid_is_fast():
     sim = Simulator()
     grid = GridNetwork(sim, [("a", 3)])
     eps = grid.place(2)
-    ea, eb = grid.connect(eps[0], eps[1]).ends()
+    conn = grid.connect(eps[0], eps[1])
+    ea, eb = conn.end_a, conn.end_b
 
     def ping():
         ea.send("x", nbytes=0)
@@ -137,15 +143,19 @@ def test_intracluster_path_inside_grid_is_fast():
 
 
 # --------------------------------------------------------------- fabrics
-def test_fabric_transfer_time():
-    assert GIGABIT_ETHERNET.transfer_time(0) == GIGABIT_ETHERNET.latency
-    t = MYRINET_GM.transfer_time(240e6)
-    assert t == pytest.approx(1.0 + MYRINET_GM.latency)
+def test_myrinet_transfer_takes_latency_plus_serialization():
+    sim = Simulator()
+    net = ClusterNetwork(sim, n_nodes=2, fabric=MYRINET_GM)
+    conn = net.connect(*net.place(2))
+    nbytes = MYRINET_GM.bandwidth  # exactly 1 s at the link rate
 
+    def xfer():
+        conn.end_a.send("bulk", nbytes=nbytes)
+        yield conn.end_b.recv()
+        return sim.now
 
-def test_wan_transfer_uses_flow_cap():
-    t = GRID5000_WAN.transfer_time(GRID5000_WAN.per_flow_cap)
-    assert t == pytest.approx(1.0 + GRID5000_WAN.latency)
+    t = sim.run_until_complete(sim.process(xfer()))
+    assert t == pytest.approx(1.0 + MYRINET_GM.latency, rel=1e-3)
 
 
 def test_fabric_ratios_match_paper():

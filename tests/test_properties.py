@@ -62,7 +62,8 @@ def test_connection_fifo_for_any_size_schedule(sizes):
     sim = Simulator()
     net = ClusterNetwork(sim, n_nodes=2)
     a, b = net.place(2)
-    ea, eb = net.connect(a, b).ends()
+    conn = net.connect(a, b)
+    ea, eb = conn.end_a, conn.end_b
     for index, nbytes in enumerate(sizes):
         ea.send(index, nbytes=nbytes)
 
