@@ -1,29 +1,21 @@
-"""Checkpoint-interval theory: Young/Daly periods and cost models.
+"""Checkpoint-interval theory: Young/Daly periods.
 
 The paper's conclusion: "Evaluating the MTTF (mean time to failure) of the
 system can significantly improve performances, since the best value for the
 checkpoint wave frequency is close to the MTTF, trying to make a checkpoint
 just before every failure."  This module provides the classical first-order
-analysis (Young 1974; Daly 2006) used to pick that frequency, plus an
-analytic expected-completion model the MTTF experiment compares against
-simulation.
+analysis (Young 1974; Daly 2006) used to pick that frequency, which the
+MTTF experiment compares against simulation.
 
-Notation: ``C`` = time one checkpoint wave costs the application, ``R`` =
-restart (rollback + redo) fixed cost, ``M`` = MTTF of the whole system.
+Notation: ``C`` = time one checkpoint wave costs the application, ``M`` =
+MTTF of the whole system.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-__all__ = [
-    "young_period",
-    "daly_period",
-    "expected_completion",
-    "optimal_period_numeric",
-    "IntervalModel",
-]
+__all__ = ["young_period", "daly_period"]
 
 
 def young_period(mttf: float, checkpoint_cost: float) -> float:
@@ -49,81 +41,3 @@ def daly_period(mttf: float, checkpoint_cost: float) -> float:
         * (1.0 + ratio / 3.0 + (ratio * ratio) / 9.0)
         - checkpoint_cost
     )
-
-
-def expected_completion(
-    work: float,
-    period: float,
-    checkpoint_cost: float,
-    restart_cost: float,
-    mttf: float,
-) -> float:
-    """Expected wall time to finish ``work`` under exponential failures.
-
-    First-order renewal model: each period of useful work costs
-    ``period + C``; a failure (rate 1/M) loses on average half a period plus
-    the restart.  Valid for ``period + C << M`` and good enough to locate the
-    optimum, which is all the experiment needs.
-    """
-    if period <= 0:
-        raise ValueError("period must be positive")
-    cycle = period + checkpoint_cost
-    # fraction of time lost to failures: each failure (rate 1/M) costs the
-    # restart plus on average half a cycle of redone work
-    loss_fraction = (restart_cost + cycle / 2.0) / mttf
-    efficiency = (period / cycle) * (1.0 - min(0.95, loss_fraction))
-    if efficiency <= 0:  # pragma: no cover - clamped above
-        return float("inf")
-    return work / efficiency
-
-
-def optimal_period_numeric(
-    work: float,
-    checkpoint_cost: float,
-    restart_cost: float,
-    mttf: float,
-    lo: float = 1e-3,
-    hi: float = None,
-) -> float:
-    """Golden-section minimization of :func:`expected_completion`."""
-    hi = hi if hi is not None else 4.0 * mttf
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-
-    def f(t: float) -> float:
-        return expected_completion(work, t, checkpoint_cost, restart_cost, mttf)
-
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    for _ in range(80):
-        if f(c) < f(d):
-            b = d
-        else:
-            a = c
-        c = b - phi * (b - a)
-        d = a + phi * (b - a)
-    return (a + b) / 2.0
-
-
-@dataclass(frozen=True)
-class IntervalModel:
-    """Bundle of the model inputs for one system configuration."""
-
-    work: float
-    checkpoint_cost: float
-    restart_cost: float
-    mttf: float
-
-    def young(self) -> float:
-        return young_period(self.mttf, self.checkpoint_cost)
-
-    def daly(self) -> float:
-        return daly_period(self.mttf, self.checkpoint_cost)
-
-    def expected(self, period: float) -> float:
-        return expected_completion(self.work, period, self.checkpoint_cost,
-                                   self.restart_cost, self.mttf)
-
-    def optimal(self) -> float:
-        return optimal_period_numeric(self.work, self.checkpoint_cost,
-                                      self.restart_cost, self.mttf)

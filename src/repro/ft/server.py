@@ -35,11 +35,10 @@ recovery can fall back past a damaged wave).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.ft.image import CONTROL_BYTES, CheckpointImage
 from repro.net.topology import BaseNetwork, Endpoint
-from repro.sim.process import Interrupt
 from repro.sim.trace import declare
 
 __all__ = ["CheckpointServer", "assign_replicas"]
@@ -203,9 +202,6 @@ class CheckpointServer:
             if self.sim.trace.wants("ft.wave_gc"):
                 self.sim.trace.record(self.sim.now, "ft.wave_gc",
                                       server=self.name, wave=old)
-
-    def images_for(self, wave: int) -> Dict[int, CheckpointImage]:
-        return dict(self.storage.get(wave, {}))
 
     def stored_bytes(self) -> float:
         return sum(

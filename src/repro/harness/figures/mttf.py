@@ -22,7 +22,7 @@ from typing import List, Optional
 
 from repro.apps.synthetic import burst
 from repro.ft.failure import random_failures
-from repro.ft.interval import IntervalModel
+from repro.ft.interval import daly_period, young_period
 from repro.harness.config import Profile
 from repro.harness.report import FigureResult, Series
 from repro.harness.runner import bare_run
@@ -100,9 +100,7 @@ def run(profile: Profile) -> FigureResult:
     ]
     proactive_time = sum(proactive_times) / len(proactive_times)
 
-    model = IntervalModel(work=base_time, checkpoint_cost=wave_cost,
-                          restart_cost=1.0, mttf=_MTTF)
-    daly = model.daly()
+    daly = daly_period(_MTTF, wave_cost)
     best_index = completions.index(min(completions))
     best_period = _PERIODS[best_index]
 
@@ -135,8 +133,8 @@ def run(profile: Profile) -> FigureResult:
         checks=checks,
         notes=[
             f"measured wave cost {wave_cost:.3f}s -> Young "
-            f"{model.young():.2f}s, Daly {daly:.2f}s; simulated best "
-            f"{best_period:g}s",
+            f"{young_period(_MTTF, wave_cost):.2f}s, Daly {daly:.2f}s; "
+            f"simulated best {best_period:g}s",
             f"proactive: {proactive_time:.1f}s vs plain long-period "
             f"{plain_long:.1f}s",
             f"failure-free baseline {base_time:.1f}s",

@@ -4,13 +4,7 @@ import math
 
 import pytest
 
-from repro.ft.interval import (
-    IntervalModel,
-    daly_period,
-    expected_completion,
-    optimal_period_numeric,
-    young_period,
-)
+from repro.ft.interval import daly_period, young_period
 
 
 def test_young_formula():
@@ -32,43 +26,3 @@ def test_daly_close_to_young_for_small_cost():
 
 def test_daly_caps_at_mttf_for_huge_cost():
     assert daly_period(10.0, 100.0) == 10.0
-
-
-def test_expected_completion_no_failures_limit():
-    """With an enormous MTTF the model reduces to work / (T/(T+C))."""
-    work, period, cost = 1000.0, 100.0, 10.0
-    expected = expected_completion(work, period, cost, 5.0, mttf=1e12)
-    assert expected == pytest.approx(work * (period + cost) / period, rel=1e-6)
-
-
-def test_expected_completion_monotone_in_failure_rate():
-    low = expected_completion(1000.0, 50.0, 5.0, 10.0, mttf=1e6)
-    high = expected_completion(1000.0, 50.0, 5.0, 10.0, mttf=1e3)
-    assert high > low
-
-
-def test_expected_completion_validation():
-    with pytest.raises(ValueError):
-        expected_completion(100.0, 0.0, 1.0, 1.0, 100.0)
-
-
-def test_numeric_optimum_matches_young_regime():
-    """In the small-cost regime the numeric optimum tracks sqrt(2CM)."""
-    work, cost, restart, mttf = 10_000.0, 2.0, 5.0, 2_000.0
-    numeric = optimal_period_numeric(work, cost, restart, mttf)
-    young = young_period(mttf, cost)
-    assert 0.4 * young <= numeric <= 2.5 * young
-
-
-def test_u_shape_around_optimum():
-    model = IntervalModel(work=10_000.0, checkpoint_cost=2.0,
-                          restart_cost=5.0, mttf=2_000.0)
-    best = model.optimal()
-    assert model.expected(best / 10) > model.expected(best)
-    assert model.expected(best * 10) > model.expected(best)
-
-
-def test_model_bundle_consistency():
-    model = IntervalModel(1000.0, 1.0, 2.0, 500.0)
-    assert model.young() == young_period(500.0, 1.0)
-    assert model.daly() == daly_period(500.0, 1.0)

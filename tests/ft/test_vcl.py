@@ -107,7 +107,7 @@ def test_vcl_images_and_logs_stored(sim):
     assert committed >= 1
     images = {}
     for server in run.servers:
-        images.update(server.images_for(committed))
+        images.update(server.storage.get(committed, {}))
     assert set(images) == {0, 1, 2, 3}
 
 
