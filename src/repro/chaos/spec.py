@@ -138,16 +138,6 @@ class Scenario:
         doc["faults"] = [fault.to_dict() for fault in self.faults]
         return doc
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Scenario":
-        data = dict(data)
-        # JSON round-trips tuples as lists
-        if "expect" in data:
-            data["expect"] = tuple(data["expect"])
-        data["faults"] = tuple(Fault(**fault)
-                               for fault in data.get("faults", ()))
-        return cls(**data)
-
 
 @dataclass
 class CampaignSpec:

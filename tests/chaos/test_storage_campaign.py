@@ -47,12 +47,15 @@ def test_storage_campaign_shape():
     assert set(labels) <= smoke_labels
 
 
-def test_storage_scenario_round_trips_through_dict():
+def test_storage_scenario_dict_states_its_expectation_and_faults():
     scenario = Scenario(protocol="pcl", channel="ft_sock", n_servers=2,
                         replication=2, expect=("storage-unrecoverable",),
                         faults=(Fault("node", 1, 2.8),
                                 Fault("image_corrupt", 1, 2.4, rank=1)))
-    assert Scenario.from_dict(scenario.to_dict()) == scenario
+    assert scenario.to_dict()["expect"] == ("storage-unrecoverable",)
+    assert scenario.to_dict()["faults"] == [
+        {"kind": "node", "target": 1, "at": 2.8},
+        {"kind": "image_corrupt", "target": 1, "at": 2.4, "rank": 1}]
 
 
 def test_storage_scenario_validation():

@@ -86,7 +86,8 @@ def test_a_new_fault_kind_is_one_table_row(monkeypatch):
     fault = Fault("partition", 2, 1.25, peer=3)
     scenario = Scenario(protocol="pcl", channel="ft_sock", faults=(fault,))
     assert scenario.label == "pcl-ft_sock-ppn1-partition-r2@1.25-s0"
-    assert Scenario.from_dict(scenario.to_dict()) == scenario
+    assert scenario.to_dict()["faults"] == [
+        {"kind": "partition", "target": 2, "at": 1.25, "peer": 3}]
     with pytest.raises(ValueError, match="partition fault target 4 outside"):
         Scenario(protocol="pcl", channel="ft_sock",
                  faults=(Fault("partition", 4, 1.0, peer=0),))

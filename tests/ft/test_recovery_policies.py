@@ -43,7 +43,6 @@ def test_a_new_recovery_policy_is_one_function_and_one_row(monkeypatch):
     scenario = Scenario(protocol="pcl", channel="ft_sock", policy="toy",
                         faults=(Fault("task", 1, 1.7),))
     assert scenario.label == "pcl-ft_sock-ppn1-task-r1@1.7-toy-s0"
-    assert Scenario.from_dict(scenario.to_dict()) == scenario
 
     sim = Simulator(seed=7, trace=Tracer(categories=[
         "ft.membership_commit", "ft.recovery_degraded", "ft.restarted"]))
