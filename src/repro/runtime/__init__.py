@@ -3,13 +3,12 @@
 * :class:`~repro.runtime.dispatcher.Dispatcher` — MPICH-V's dispatcher with
   sequential ssh and the ``select()`` scale wall (~300 processes).
 * :class:`~repro.runtime.ftpm.FTPM` — the fault-tolerant process manager
-  built for MPICH2-Pcl: parallel bounded ssh, process database.
+  built for MPICH2-Pcl: parallel bounded ssh, no ``select()`` wall.
 * :class:`~repro.runtime.ssh.SshSpawner` — remote spawn cost model.
 * :func:`~repro.runtime.launch.build_run` — one-call deployment from a
   :class:`~repro.runtime.launch.DeploymentSpec`.
 """
 
-from repro.runtime.database import BusinessCard, ProcessDatabase
 from repro.runtime.dispatcher import (
     Dispatcher,
     ScaleLimitError,
@@ -21,12 +20,10 @@ from repro.runtime.launch import CHANNELS, DeploymentSpec, build_run
 from repro.runtime.ssh import SshSpawner
 
 __all__ = [
-    "BusinessCard",
     "CHANNELS",
     "DeploymentSpec",
     "Dispatcher",
     "FTPM",
-    "ProcessDatabase",
     "ScaleLimitError",
     "SELECT_FD_LIMIT",
     "SOCKETS_PER_PROCESS",

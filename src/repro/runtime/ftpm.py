@@ -4,8 +4,9 @@ MPICH2's stock MPD daemons are fault tolerant but the process managers are
 not, and MPD cannot drive the checkpoint servers; the paper therefore builds
 a simpler environment: an ``mpiexec`` program plus modified process managers.
 It launches the checkpoint servers first, then the MPI processes through
-parallel, bounded-concurrency ssh; monitors them; and keeps the distributed
-database of business cards, last-wave numbers and image locations.
+parallel, bounded-concurrency ssh; and monitors them.  The distributed
+database it also keeps (business cards, last-wave numbers, image locations)
+changes no simulated time, so it is not modelled.
 
 Unlike the dispatcher, the FTPM was "designed to scale to large platforms":
 it poll()s rather than select()s, so there is no 1024-descriptor wall, and
@@ -17,7 +18,6 @@ from __future__ import annotations
 from typing import List
 
 from repro.ft.recovery import InstantLauncher
-from repro.runtime.database import ProcessDatabase
 from repro.runtime.dispatcher import ScaleLimitError
 from repro.runtime.ssh import SshSpawner
 
@@ -28,16 +28,12 @@ FTPM_MAX_PROCESSES = 10_000
 
 
 class FTPM(InstantLauncher):
-    """MPICH2-Pcl launcher: parallel ssh + process database."""
+    """MPICH2-Pcl launcher: parallel ssh, no ``select()`` wall."""
 
     def __init__(self, ssh: SshSpawner = None,
                  failure_cleanup_seconds: float = 1.0) -> None:
         self.ssh = ssh if ssh is not None else SshSpawner(concurrency=32)
         self.failure_cleanup_seconds = failure_cleanup_seconds
-        self.database = ProcessDatabase()
-
-    def max_processes(self) -> int:
-        return FTPM_MAX_PROCESSES
 
     def validate(self, n_ranks: int) -> None:
         if n_ranks > FTPM_MAX_PROCESSES:
@@ -47,11 +43,7 @@ class FTPM(InstantLauncher):
             )
 
     def spawn_delays(self, n_ranks: int) -> List[float]:
-        delays = self.ssh.delays(n_ranks)
-        # every spawned process publishes its business card
-        self.database.publish(n_ranks)
-        return delays
+        return self.ssh.delays(n_ranks)
 
     def respawn_lead_time(self) -> float:
-        self.database.unpublish_all()
         return self.failure_cleanup_seconds

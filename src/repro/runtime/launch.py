@@ -13,7 +13,7 @@ cards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.ft import (
@@ -30,7 +30,6 @@ from repro.net import (
     ClusterNetwork,
     ETHERNET_OVER_MYRINET,
     GIGABIT_ETHERNET,
-    GridNetwork,
     MYRINET_GM,
     grid5000,
 )

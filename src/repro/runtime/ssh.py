@@ -35,9 +35,3 @@ class SshSpawner:
         return [
             ((i // self.concurrency) + 1) * self.per_spawn for i in range(n)
         ]
-
-    def total_time(self, n: int) -> float:
-        """Time until the last process is up."""
-        if n == 0:
-            return 0.0
-        return self.delays(n)[-1]

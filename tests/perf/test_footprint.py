@@ -56,7 +56,7 @@ from repro.mpi.channels.base import SendChain
 from repro.net.connection import _INLINE_BYTES, Connection
 from repro.net.flows import FlowScheduler
 from repro.net.link import Link
-from repro.runtime import CHANNELS, FTPM, DeploymentSpec, build_run
+from repro.runtime import CHANNELS, DeploymentSpec, build_run
 from repro.sim import make_simulator
 from repro.sim.events import Event
 from repro.sim.primitives import Store
@@ -213,10 +213,6 @@ def test_names_read_as_they_always_were():
     assert node.disk.name == "names-003"
     assert node.disk._arm.name == "disk:names-003"
     assert node.disk._arm.acquire().name == "acquire:disk:names-003"
-    ftpm = FTPM()
-    ftpm.spawn_delays(8)
-    card = ftpm.database.lookup(3)
-    assert (card.rank, card.hostname, card.port) == (3, "node-3", 52003)
 
     sim = make_simulator(seed=3)
     sim._connection_counter = 6

@@ -1,23 +1,22 @@
-"""Tests of the runtime environments: ssh, dispatcher, FTPM, database."""
+"""Tests of the runtime environments: ssh, dispatcher, FTPM."""
 
 import pytest
 
 from repro.runtime import (
     Dispatcher,
     FTPM,
-    ProcessDatabase,
     ScaleLimitError,
     SELECT_FD_LIMIT,
     SOCKETS_PER_PROCESS,
     SshSpawner,
 )
+from repro.runtime.ftpm import FTPM_MAX_PROCESSES
 
 
 # ------------------------------------------------------------------- ssh
 def test_sequential_ssh_delays():
     ssh = SshSpawner(concurrency=1, per_spawn=0.5)
     assert ssh.delays(3) == [0.5, 1.0, 1.5]
-    assert ssh.total_time(3) == 1.5
 
 
 def test_parallel_ssh_delays():
@@ -26,7 +25,7 @@ def test_parallel_ssh_delays():
 
 
 def test_ssh_zero_processes():
-    assert SshSpawner().total_time(0) == 0.0
+    assert SshSpawner().delays(0) == []
 
 
 def test_ssh_validation():
@@ -38,8 +37,8 @@ def test_ssh_validation():
 
 def test_parallel_much_faster_than_sequential():
     n = 256
-    sequential = SshSpawner(concurrency=1).total_time(n)
-    parallel = SshSpawner(concurrency=32).total_time(n)
+    sequential = SshSpawner(concurrency=1).delays(n)[-1]
+    parallel = SshSpawner(concurrency=32).delays(n)[-1]
     assert parallel <= sequential / 16
 
 
@@ -66,30 +65,10 @@ def test_ftpm_scales_past_dispatcher():
     ftpm = FTPM()
     ftpm.validate(1024)  # the paper's design target
     with pytest.raises(ScaleLimitError):
-        ftpm.validate(ftpm.max_processes() + 1)
+        ftpm.validate(FTPM_MAX_PROCESSES + 1)
 
 
-def test_ftpm_publishes_business_cards():
+def test_ftpm_spawns_32_at_a_time_and_cleans_up_before_a_respawn():
     ftpm = FTPM()
-    ftpm.spawn_delays(8)
-    assert len(ftpm.database) == 8
-    card = ftpm.database.lookup(3)
-    assert card.rank == 3
-    ftpm.respawn_lead_time()
-    assert len(ftpm.database) == 0
-
-
-# -------------------------------------------------------------- database
-def test_database_wave_tracking():
-    db = ProcessDatabase()
-    db.record_wave(3)
-    db.record_wave(1)  # stale
-    assert db.last_successful_wave == 3
-
-
-def test_database_image_locations():
-    db = ProcessDatabase()
-    db.record_image_location(0, "cs1")
-    assert db.image_location(0) == "cs1"
-    assert db.image_location(9) is None
-    assert db.lookups == 2
+    assert ftpm.spawn_delays(40) == [0.25] * 32 + [0.5] * 8
+    assert ftpm.respawn_lead_time() == 1.0
