@@ -69,10 +69,6 @@ class Store:
     #: its events are named ``get:<store>``, derived when read
     event_name = property(lambda self: f"get:{self.name}")
 
-    @property
-    def poisoned(self) -> bool:
-        return self._poison is not None
-
     def put(self, item: Any) -> None:
         if self._poison is not None:
             raise RuntimeError(f"put() on poisoned store {self.name!r}")
@@ -108,9 +104,6 @@ class Store:
         if self._items:
             return self._items.popleft()
         return None
-
-    def peek(self) -> Any:
-        return self._items[0] if self._items else None
 
     def poison(self, exception: BaseException) -> None:
         """Fail all pending and future getters (idempotent)."""
@@ -156,10 +149,6 @@ class Resource:
     @property
     def in_use(self) -> int:
         return self._in_use
-
-    @property
-    def queued(self) -> int:
-        return len(self._waiters)
 
     def acquire(self) -> Event:
         event = self.sim.event(name=self)

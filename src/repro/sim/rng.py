@@ -144,10 +144,3 @@ class RngRegistry:
         if stream is None:
             stream = self._streams[name] = Stream(self.seed, name)
         return stream
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._streams
-
-    def fork(self, salt: int) -> "RngRegistry":
-        """Derive an independent registry (used for per-run sub-seeding)."""
-        return RngRegistry(self.seed * 1_000_003 + int(salt))

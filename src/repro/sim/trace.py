@@ -212,9 +212,8 @@ class Tracer:
                                       Optional[Set[str]],
                                       Optional[Callable[[str], Optional[Plan]]]]] = []
         #: the plan of every *live* declared category — absent means dark.
-        #: Rebuilt whenever the subscriber list, the enabled flag or the
-        #: category filter changes, so a hot site's whole cost on a dark
-        #: tracer is ``probes.get(category)``.
+        #: Rebuilt whenever the subscriber list changes, so a hot site's
+        #: whole cost on a dark tracer is ``probes.get(category)``.
         self.probes: Dict[str, Plan] = {}
         #: callbacks the simulator invokes once per processed event with
         #: ``(time, priority, seq)`` — the raw total-order stream, kept out
@@ -223,26 +222,6 @@ class Tracer:
         self._rebuild()
 
     # --------------------------------------------------------- configuration
-    @property
-    def enabled(self) -> bool:
-        """Master switch for record *storage* (see class docstring)."""
-        return self._enabled
-
-    @enabled.setter
-    def enabled(self, value: bool) -> None:
-        self._enabled = value
-        self._rebuild()
-
-    @property
-    def categories(self) -> Optional[Set[str]]:
-        """Storage category filter; None stores everything (when enabled)."""
-        return self._categories
-
-    @categories.setter
-    def categories(self, value: Optional[Iterable[str]]) -> None:
-        self._categories = set(value) if value is not None else None
-        self._rebuild()
-
     def _rebuild(self) -> None:
         self.probes.clear()
         self._declared = len(SCHEMAS)
@@ -350,22 +329,12 @@ class Tracer:
         """All records of ``category`` in chronological order."""
         return (r for r in self.records if r.category == category)
 
-    def last(self, category: str) -> Optional[TraceRecord]:
-        for record in reversed(self.records):
-            if record.category == category:
-                return record
-        return None
-
     # -------------------------------------------------------------- counters
     def count(self, key: str, increment: float = 1) -> None:
         self.counters[key] += increment
 
     def __getitem__(self, key: str) -> float:
         return self.counters[key]
-
-    def clear(self) -> None:
-        self.records.clear()
-        self.counters.clear()
 
 
 # ------------------------------------------------------------------ JSONL IO

@@ -121,10 +121,8 @@ def test_nas_runs_deterministic():
 
 def test_cg_latency_bound_vs_bt():
     """CG must issue far more (and smaller) messages per unit data than BT."""
-    from repro.sim import Tracer
     def count_messages(bench, p):
-        sim = Simulator(seed=2)
-        sim.trace.enabled = False  # counters only
+        sim = Simulator(seed=2)  # a dark tracer: counters only
         net = ClusterNetwork(sim, n_nodes=p)
         job = MPIJob(sim, net, net.place(p), bench.make_app(p), FtSockChannel)
         job.start()

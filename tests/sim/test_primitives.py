@@ -54,13 +54,11 @@ def test_store_fifo_waiter_order():
     assert got == [("r1", "x"), ("r2", "y")]
 
 
-def test_store_try_get_and_peek():
+def test_store_try_get():
     sim = Simulator()
     store = Store(sim, "s")
     assert store.try_get() is None
-    assert store.peek() is None
     store.put(1)
-    assert store.peek() == 1
     assert store.try_get() == 1
     assert len(store) == 0
 
@@ -83,7 +81,6 @@ def test_store_poison_fails_future_getter():
     sim = Simulator()
     store = Store(sim, "s")
     store.poison(ConnectionError("down"))
-    assert store.poisoned
 
     def reader():
         with pytest.raises(ConnectionError):
@@ -163,7 +160,7 @@ def test_resource_counts():
     sim.process(waiter())
     sim.run(until=2.0)
     assert res.in_use == 1
-    assert res.queued == 1
+    assert len(res._waiters) == 1
     sim.run()
     assert res.in_use == 0
 

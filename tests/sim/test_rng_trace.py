@@ -24,7 +24,7 @@ def test_different_names_independent():
 def test_stream_cached():
     reg = RngRegistry(0)
     assert reg.stream("x") is reg.stream("x")
-    assert "x" in reg and "y" not in reg
+    assert set(reg._streams) == {"x"}
 
 
 def test_adding_stream_does_not_perturb_existing():
@@ -38,15 +38,6 @@ def test_adding_stream_does_not_perturb_existing():
     assert first == second
 
 
-def test_fork_is_deterministic_and_distinct():
-    reg = RngRegistry(1)
-    f1 = draws(reg.fork(2).stream("x"), 4)
-    f2 = draws(RngRegistry(1).fork(2).stream("x"), 4)
-    assert f1 == f2
-    root = draws(RngRegistry(1).stream("x"), 4)
-    assert f1 != root
-
-
 # --------------------------------------------------------------- Tracer
 def test_tracer_records_and_selects():
     tr = Tracer()
@@ -57,8 +48,6 @@ def test_tracer_records_and_selects():
     assert [m.time for m in msgs] == [1.0, 3.0]
     assert msgs[0].get("dst") == 1
     assert msgs[0].get("missing", "d") == "d"
-    assert tr.last("ckpt").get("rank") == 3
-    assert tr.last("nope") is None
 
 
 def test_tracer_disabled_drops_records_keeps_counters():
@@ -74,14 +63,6 @@ def test_tracer_category_filter():
     tr.record(1.0, "keep", x=1)
     tr.record(1.0, "drop", x=2)
     assert len(tr.records) == 1
-
-
-def test_tracer_clear():
-    tr = Tracer()
-    tr.record(1.0, "a")
-    tr.count("n")
-    tr.clear()
-    assert tr.records == [] and tr["n"] == 0
 
 
 def test_record_as_dict():

@@ -108,10 +108,8 @@ def test_probes_follow_subscriptions_and_storage():
         ("pipe", "conn1.ab"), ("msg", 1), ("nbytes", 8.0)))]
     tracer.unsubscribe(seen.append)
     assert tracer.probes == {}
-    tracer.enabled = True
-    assert set(tracer.probes) == set(SCHEMAS)
-    tracer.categories = ["mpi.recv"]
-    assert set(tracer.probes) == {"mpi.recv"}
+    assert set(Tracer(enabled=True).probes) == set(SCHEMAS)
+    assert set(Tracer(categories=["mpi.recv"]).probes) == {"mpi.recv"}
 
 
 # --------------------------------------------------------------- differential
