@@ -195,12 +195,6 @@ class MetricsRegistry:
     def observe(self, name: str, value: float, **labels: Any) -> None:
         self.histogram(name, **labels).observe(value, self.now)
 
-    def value(self, name: str, **labels: Any) -> float:
-        """Current value of a counter/gauge (0.0 when never touched)."""
-        key = (name, tuple(sorted(labels.items())))
-        instrument = self._instruments.get(key)
-        return instrument.value if instrument is not None else 0.0
-
     # ------------------------------------------------------------ collectors
     def add_collector(self, fn: Callable[["MetricsRegistry"], None]) -> None:
         """Run ``fn(registry)`` at every snapshot (snapshot-time sampling)."""

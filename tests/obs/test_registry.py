@@ -19,8 +19,7 @@ def test_counter_accumulates_and_timestamps():
     registry = MetricsRegistry()
     registry.count("a", 2.0)
     registry.count("a", 3.0)
-    assert registry.value("a") == 5.0
-    assert registry.value("never_touched") == 0.0
+    assert registry.counter("a").value == 5.0
 
 
 def test_gauge_tracks_peak():
@@ -69,7 +68,7 @@ def test_label_order_does_not_split_instruments():
     registry = MetricsRegistry()
     registry.count("x", 1.0, src=0, dst=1)
     registry.count("x", 1.0, dst=1, src=0)
-    assert registry.value("x", src=0, dst=1) == 2.0
+    assert registry.counter("x", src=0, dst=1).value == 2.0
 
 
 def test_registry_uses_sim_clock():
@@ -111,8 +110,9 @@ def test_snapshot_is_deterministic_and_json_serializable():
 
 def test_collectors_run_at_snapshot_time():
     registry = MetricsRegistry()
-    registry.add_collector(lambda reg: reg.set("sampled", 42.0))
-    assert registry.value("sampled") == 0.0
+    runs = []
+    registry.add_collector(lambda reg: runs.append(reg.set("sampled", 42.0)))
+    assert runs == []
     doc = registry.snapshot()
     assert doc["gauges"]["sampled"]["value"] == 42.0
 
