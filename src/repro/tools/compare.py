@@ -30,12 +30,6 @@ class ExperimentDiff:
     check_flips: Dict[str, Tuple[bool, bool]] = field(default_factory=dict)
 
     @property
-    def max_relative_change(self) -> float:
-        if not self.point_changes:
-            return 0.0
-        return max(abs(change) for *_rest, change in self.point_changes)
-
-    @property
     def regressed(self) -> bool:
         return any(old and not new for old, new in self.check_flips.values())
 

@@ -41,7 +41,8 @@ def test_compare_detects_point_changes(tmp_path):
     write_result(b, "fig5", ys=(11.0, 20.0))
     diffs = compare_dirs(a, b)
     assert len(diffs) == 1
-    assert diffs[0].max_relative_change == pytest.approx(0.1)
+    assert diffs[0].point_changes == [
+        ("main", 1.0, 10.0, 11.0, pytest.approx(0.1))]
     assert not diffs[0].regressed
     text = render_diff(diffs[0])
     assert "+10.0%" in text
