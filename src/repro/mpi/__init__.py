@@ -15,7 +15,7 @@ from repro.mpi.consts import ANY_SOURCE, ANY_TAG, EAGER_THRESHOLD
 from repro.mpi.context import RankContext, SKIPPED, Snapshot
 from repro.mpi.job import MPIJob
 from repro.mpi.matching import MatchingEngine
-from repro.mpi.message import AppPacket, ControlPacket, MarkerPacket
+from repro.mpi.message import AppPacket, MarkerPacket
 from repro.mpi.request import Request
 from repro.mpi.channels import (
     BaseChannel,
@@ -32,7 +32,6 @@ __all__ = [
     "BaseChannel",
     "ChannelDownError",
     "ChVChannel",
-    "ControlPacket",
     "EAGER_THRESHOLD",
     "FtSockChannel",
     "MPIJob",

@@ -8,7 +8,7 @@ application.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 __all__ = [
     "Packet",
@@ -17,7 +17,6 @@ __all__ = [
     "CheckpointDonePacket",
     "DrainCountPacket",
     "DrainGoPacket",
-    "ControlPacket",
     "MARKER_BYTES",
 ]
 
@@ -98,14 +97,3 @@ class DrainGoPacket(Packet):
     def __init__(self, src: int, wave: int) -> None:
         super().__init__(src)
         self.wave = wave
-
-
-class ControlPacket(Packet):
-    """Generic runtime control message (dispatcher/FTPM traffic)."""
-
-    __slots__ = ("kind", "payload")
-
-    def __init__(self, src: int, kind: str, payload: Any = None) -> None:
-        super().__init__(src)
-        self.kind = kind
-        self.payload = payload

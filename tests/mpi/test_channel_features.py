@@ -4,7 +4,7 @@ send gates, receive freezing, the Nemesis stopper, failure propagation."""
 import pytest
 
 from repro.mpi import ChVChannel, FtSockChannel, NemesisChannel
-from repro.mpi.message import ControlPacket, MarkerPacket
+from repro.mpi.message import MarkerPacket
 
 from tests.mpi.conftest import make_job, run_job
 
