@@ -24,11 +24,8 @@ __all__ = ["Process", "Interrupt"]
 
 
 class Interrupt(Exception):
-    """Thrown into a process generator by :meth:`Process.interrupt`."""
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0] if self.args else None
+    """Thrown into a process generator by :meth:`Process.interrupt`;
+    ``args[0]`` is the cause (None when none was given)."""
 
 
 class Process(Event):

@@ -96,7 +96,7 @@ def test_interrupt_cause_none():
         try:
             yield sim.timeout(10.0)
         except Interrupt as exc:
-            causes.append(exc.cause)
+            causes.append(exc.args[0])
 
     proc = sim.process(worker())
     sim.call_at(1.0, proc.interrupt)

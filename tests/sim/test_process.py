@@ -101,7 +101,7 @@ def test_interrupt_wakes_process_with_cause():
         try:
             yield sim.timeout(100.0)
         except Interrupt as exc:
-            outcome.append((sim.now, exc.cause))
+            outcome.append((sim.now, exc.args[0]))
 
     proc = sim.process(worker())
     sim.call_at(3.0, proc.interrupt, "node failure")
