@@ -201,6 +201,15 @@ def test_cli_list_and_filter(capsys):
     assert all("nemesis" in line for line in filtered)
 
 
+def test_cli_list_with_filter_policy_and_seed(capsys):
+    assert chaos_main(["--recovery", "--list", "--filter", "pcl",
+                       "--policy", "spare", "--seed", "1"]) == 0
+    labels = capsys.readouterr().out.strip().splitlines()
+    assert labels
+    assert all(label.startswith("pcl-") and "-spare-" in label
+               and label.endswith("-s1") for label in labels)
+
+
 def test_cli_empty_filter_is_an_error(capsys):
     assert chaos_main(["--filter", "no-such-scenario"]) == 2
 

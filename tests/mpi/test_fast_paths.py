@@ -5,7 +5,8 @@ machinery."""
 import pytest
 
 from repro.mpi import ChVChannel, FtSockChannel
-from repro.mpi.channels.base import SendChain
+from repro.mpi.channels.base import HEADER_BYTES, SendChain
+from repro.mpi.message import MarkerPacket
 from repro.net import ClusterNetwork
 from repro.sim import Simulator
 from repro.sim.events import Event
@@ -95,6 +96,27 @@ def test_ch_v_works_out_each_send_overhead_once(sim):
     sends = sum(channel._seq for channel in job.channels)
     assert sends == rounds * size
     assert len(_CountedChV.calls) == sends
+
+
+def test_ch_v_control_packets_work_out_one_header_overhead_each(sim):
+    """A control fan-out on ch_v works out one envelope-sized overhead per
+    packet, and a marker with no protocol to claim it is dropped."""
+    def app(ctx):
+        for peer in range(ctx.size):  # bring every link up
+            if peer != ctx.rank:
+                yield from ctx.send(peer, 1, None, 8)
+        for peer in range(ctx.size):
+            if peer != ctx.rank:
+                yield from ctx.recv(peer, 1)
+
+    job, _ = make_job(sim, app, size=3, channel_cls=_CountedChV)
+    run_job(sim, job)
+    _CountedChV.calls = []
+    job.channels[0].post_control(
+        [(1, MarkerPacket(0, 1)), (2, MarkerPacket(0, 1))], "markers")
+    sim.run()
+    assert _CountedChV.calls == [HEADER_BYTES, HEADER_BYTES]
+    assert sim.trace["job.unclaimed_control"] == 2
 
 
 class _NoHop(FtSockChannel):

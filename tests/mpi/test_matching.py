@@ -29,6 +29,15 @@ def test_posted_recv_matches_arrival(eng):
     assert value_of(ev) == "x"
 
 
+def test_a_matched_receive_hands_over_the_payload_itself(eng):
+    payload = ("a", "tuple")  # a 2-tuple payload is not an envelope
+    posted = eng.post_recv(source=1, tag=1)
+    eng.deliver(pkt(src=1, tag=1, data=payload))
+    eng.deliver(pkt(src=1, tag=2, data=payload))
+    assert value_of(posted) is payload
+    assert value_of(eng.post_recv(source=1, tag=2)) is payload
+
+
 def test_unexpected_then_recv(eng):
     eng.deliver(pkt(src=1, tag=2, data="early"))
     ev = eng.post_recv(source=1, tag=2)

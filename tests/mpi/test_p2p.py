@@ -62,6 +62,21 @@ def test_isend_recv_matches_by_tag(sim):
     assert out["vals"] == [(3, 9), (2, 4), (1, 1), (0, 0)]
 
 
+def test_recv_returns_the_sent_object(sim):
+    payload = ("data", 7)  # shaped like the old (data, status) value
+    out = {}
+
+    def app(ctx):
+        if ctx.rank == 0:
+            yield from ctx.send(1, tag=2, data=payload, nbytes=64)
+        else:
+            out["got"] = yield from ctx.recv(0, tag=2)
+
+    job, _ = make_job(sim, app, size=2)
+    run_job(sim, job)
+    assert out["got"] is payload
+
+
 def test_any_source_recv(sim):
     seen = []
 

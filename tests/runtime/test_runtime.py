@@ -68,6 +68,10 @@ def test_ftpm_scales_past_dispatcher():
         ftpm.validate(FTPM_MAX_PROCESSES + 1)
 
 
+def test_ftpm_admits_exactly_its_cap():
+    FTPM().validate(FTPM_MAX_PROCESSES)
+
+
 def test_ftpm_spawns_32_at_a_time_and_cleans_up_before_a_respawn():
     ftpm = FTPM()
     assert ftpm.spawn_delays(40) == [0.25] * 32 + [0.5] * 8

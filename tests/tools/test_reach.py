@@ -3,7 +3,9 @@ a property is reached; only a def never called is listed.  Its command list
 runs every module the docs document."""
 
 import cProfile
+import importlib
 import importlib.util
+import os
 import pathlib
 import pstats
 import re
@@ -151,3 +153,45 @@ def test_every_module_the_docs_run_is_in_the_command_list():
     commands = {module for module, _argv in load("reach", REACH).COMMANDS}
     assert "repro.harness" in documented
     assert documented <= commands, sorted(documented - commands)
+
+
+def test_every_command_names_a_module_with_a_main():
+    for module, argv in load("reach", REACH).COMMANDS:
+        spec = importlib.util.find_spec(module)
+        if spec.submodule_search_locations:
+            module += ".__main__"
+        assert callable(importlib.import_module(module).main), module
+        assert all(isinstance(argument, str) for argument in argv)
+
+
+def test_run_module_runs_a_package_main_and_puts_the_environment_back(
+        tmp_path, monkeypatch):
+    package = tmp_path / "reachtoy"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "__main__.py").write_text(
+        "import os\n\n\ndef main(argv):\n"
+        "    os.environ['REACH_TOY'] = '1'\n    return len(argv)\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    monkeypatch.delenv("REACH_TOY", raising=False)
+    assert load("reach", REACH).run_module("reachtoy", ["a", "b"]) == 2
+    assert "REACH_TOY" not in os.environ
+
+
+def test_run_module_runs_a_plain_module_main(tmp_path, monkeypatch):
+    (tmp_path / "reachtoymod.py").write_text(
+        "def main(argv):\n    return argv[0]\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    assert load("reach", REACH).run_module("reachtoymod", ["x"]) == "x"
+
+
+def test_the_command_list_writes_only_into_its_scratch_directory():
+    """Every output path -- results, reports, recordings, the refreshed
+    baseline -- is under ``{tmp}``: the map never rewrites the repo's
+    results/ or BENCH_engine.json."""
+    writes = {"--save-dir", "--out", "-o", "--baseline"}
+    for module, argv in load("reach", REACH).COMMANDS:
+        for flag, value in zip(argv, argv[1:]):
+            if flag in writes:
+                assert value.startswith("{tmp}/"), (module, flag, value)
+        assert "--no-save" not in argv
