@@ -14,10 +14,9 @@ is why the paper's large-scale (grid) experiments run Pcl only.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
-from repro.ft.recovery import InstantLauncher
-from repro.runtime.ssh import SshSpawner
+from repro.runtime.ssh import SshLauncher, SshSpawner
 
 __all__ = ["Dispatcher", "ScaleLimitError", "SELECT_FD_LIMIT", "SOCKETS_PER_PROCESS"]
 
@@ -35,14 +34,14 @@ class ScaleLimitError(RuntimeError):
     """The runtime environment cannot manage this many processes."""
 
 
-class Dispatcher(InstantLauncher):
+class Dispatcher(SshLauncher):
     """MPICH-V launcher with the select() scalability wall."""
 
     def __init__(self, ssh: SshSpawner = None,
                  failure_cleanup_seconds: float = 1.0,
                  enforce_fd_limit: bool = True) -> None:
-        self.ssh = ssh if ssh is not None else SshSpawner(concurrency=1)
-        self.failure_cleanup_seconds = failure_cleanup_seconds
+        super().__init__(ssh if ssh is not None else SshSpawner(concurrency=1),
+                         failure_cleanup_seconds)
         #: test-only knob for repro.verify: with enforcement off, an
         #: oversubscribed launch proceeds and the fd-budget monitor must
         #: flag the runtime.validated record instead
@@ -68,10 +67,3 @@ class Dispatcher(InstantLauncher):
                 f"{n_ranks * SOCKETS_PER_PROCESS} sockets, but select() "
                 f"multiplexing caps the dispatcher at ~{limit} processes"
             )
-
-    def spawn_delays(self, n_ranks: int) -> List[float]:
-        return self.ssh.delays(n_ranks)
-
-    def respawn_lead_time(self) -> float:
-        """Signal every survivor to exit, reap, rebuild the machine list."""
-        return self.failure_cleanup_seconds

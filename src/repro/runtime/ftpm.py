@@ -15,11 +15,8 @@ the paper runs it up to 1024 processes.
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.ft.recovery import InstantLauncher
 from repro.runtime.dispatcher import ScaleLimitError
-from repro.runtime.ssh import SshSpawner
+from repro.runtime.ssh import SshLauncher, SshSpawner
 
 __all__ = ["FTPM"]
 
@@ -27,13 +24,13 @@ __all__ = ["FTPM"]
 FTPM_MAX_PROCESSES = 10_000
 
 
-class FTPM(InstantLauncher):
+class FTPM(SshLauncher):
     """MPICH2-Pcl launcher: parallel ssh, no ``select()`` wall."""
 
     def __init__(self, ssh: SshSpawner = None,
                  failure_cleanup_seconds: float = 1.0) -> None:
-        self.ssh = ssh if ssh is not None else SshSpawner(concurrency=32)
-        self.failure_cleanup_seconds = failure_cleanup_seconds
+        super().__init__(ssh if ssh is not None else SshSpawner(concurrency=32),
+                         failure_cleanup_seconds)
 
     def validate(self, n_ranks: int) -> None:
         if n_ranks > FTPM_MAX_PROCESSES:
@@ -41,9 +38,3 @@ class FTPM(InstantLauncher):
                 f"FTPM: {n_ranks} processes exceed the mpiexec cap "
                 f"of {FTPM_MAX_PROCESSES}"
             )
-
-    def spawn_delays(self, n_ranks: int) -> List[float]:
-        return self.ssh.delays(n_ranks)
-
-    def respawn_lead_time(self) -> float:
-        return self.failure_cleanup_seconds

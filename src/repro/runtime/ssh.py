@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from typing import List
 
-__all__ = ["SshSpawner", "DEFAULT_SPAWN_SECONDS"]
+from repro.ft.recovery import InstantLauncher
+
+__all__ = ["SshLauncher", "SshSpawner", "DEFAULT_SPAWN_SECONDS"]
 
 #: ssh handshake + remote fork/exec on 2006-era machines
 DEFAULT_SPAWN_SECONDS = 0.25
@@ -35,3 +37,20 @@ class SshSpawner:
         return [
             ((i // self.concurrency) + 1) * self.per_spawn for i in range(n)
         ]
+
+
+class SshLauncher(InstantLauncher):
+    """What both runtimes share: processes start over ``ssh``, and a
+    respawn waits for the failure cleanup first."""
+
+    def __init__(self, ssh: SshSpawner,
+                 failure_cleanup_seconds: float) -> None:
+        self.ssh = ssh
+        self.failure_cleanup_seconds = failure_cleanup_seconds
+
+    def spawn_delays(self, n_ranks: int) -> List[float]:
+        return self.ssh.delays(n_ranks)
+
+    def respawn_lead_time(self) -> float:
+        """Signal every survivor to exit, reap, rebuild the machine list."""
+        return self.failure_cleanup_seconds
