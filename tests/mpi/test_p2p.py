@@ -63,7 +63,7 @@ def test_isend_recv_matches_by_tag(sim):
 
 
 def test_recv_returns_the_sent_object(sim):
-    payload = ("data", 7)  # shaped like the old (data, status) value
+    payload = ("data", 7)  # a 2-tuple, which recv must not unpack
     out = {}
 
     def app(ctx):
