@@ -2,7 +2,7 @@
 
 Profiles one fixed command list in this process -- :data:`COMMANDS`, every
 ``python -m repro...`` command that README.md and docs/ document, with the
-files they write kept in a scratch directory, then every ``examples/*.py``
+files they write kept in a temporary directory, then every ``examples/*.py``
 -- and matches the profiler's function keys against every ``def`` in
 ``src/repro``.  A decorated def matches on its ``def`` line or on its first
 decorator's line.  Prints the unreached defs as ``file:line name
@@ -64,7 +64,7 @@ def unreached(paths, keys):
 
 
 #: ``(module, arguments)``, each run as ``python -m module arguments``, in
-#: order; ``{tmp}`` is the scratch directory, which starts with a copy of
+#: order; ``{tmp}`` is the temporary directory, which starts with a copy of
 #: the count baseline
 COMMANDS = [
     ("repro.harness", ["all", "--profile", "smoke",

@@ -185,7 +185,7 @@ def test_run_module_runs_a_plain_module_main(tmp_path, monkeypatch):
     assert load("reach", REACH).run_module("reachtoymod", ["x"]) == "x"
 
 
-def test_the_command_list_writes_only_into_its_scratch_directory():
+def test_the_command_list_writes_only_into_its_temporary_directory():
     """Every output path -- results, reports, recordings, the refreshed
     baseline -- is under ``{tmp}``: the map never rewrites the repo's
     results/ or BENCH_engine.json."""
