@@ -168,7 +168,6 @@ def run_scenario(
             ckpt_gc_keep=scenario.gc_keep,
             policy=scenario.policy,
             spares=scenario.spares,
-            watchdog=True,
         )
     except LivelockError as error:
         return ScenarioResult(scenario, "livelock",

@@ -46,8 +46,8 @@ __all__ = ["DclProtocol", "DclEndpoint", "DRAIN_BUDGET"]
 
 #: simulated seconds a drain may take from ``ft.wave_started`` to counter
 #: quiescence before the ``dcl-drain-liveness`` monitor calls it stalled.
-#: Shared between the protocol docs and the monitor (the same pattern as
-#: the engine watchdog's budget) so the two never disagree.
+#: Shared between the protocol docs and the monitor so the two never
+#: disagree.
 DRAIN_BUDGET = 30.0
 
 

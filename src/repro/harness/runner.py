@@ -18,7 +18,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple, Union)
+                    Tuple)
 
 from repro.apps.base import NASBenchmark
 from repro.ft.failure import Fault
@@ -184,7 +184,6 @@ def execute(
     ckpt_gc_keep: int = 1,
     policy: str = "restart",
     spares: int = 0,
-    watchdog: Union[bool, Watchdog] = True,
     metrics: Optional[bool] = None,
     tracer: Optional[Tracer] = None,
 ) -> RunResult:
@@ -218,10 +217,10 @@ def execute(
     meaningful for malleable benchmarks; others degrade to a restart with
     a ``ft.recovery_degraded`` record).  See docs/RECOVERY.md.
 
-    ``watchdog`` arms the engine progress watchdog — pass False to run
-    bare, or a configured :class:`~repro.sim.Watchdog` to tune thresholds.
-    A livelock raises :class:`~repro.sim.LivelockError` out of this call
-    instead of hanging the process.
+    Every run arms the engine progress watchdog (:class:`~repro.sim.Watchdog`
+    at its default budget): a livelock raises
+    :class:`~repro.sim.LivelockError` out of this call instead of hanging
+    the process.
 
     ``metrics`` attaches a :class:`~repro.obs.MetricsRegistry`
     (:func:`repro.obs.attach_metrics`); the run's snapshot lands in
@@ -234,10 +233,6 @@ def execute(
     """
     bench.validate_procs(n_procs)
     channel = channel or default_channel(protocol)
-    if watchdog is True:
-        watchdog = Watchdog()
-    elif watchdog is False:
-        watchdog = None
     if metrics is None:
         metrics = metrics_enabled()
     spec = DeploymentSpec(
@@ -273,7 +268,7 @@ def execute(
         name=name, time_limit=time_limit,
         instruments=instruments, inject=inject,
         malleable_app_factory=bench.make_app if bench.malleable else None,
-        trace=tracer, watchdog=watchdog)
+        trace=tracer, watchdog=Watchdog())
     meta = {"name": name, "network": network, "n_servers": n_servers,
             "profile": profile.name, "bench": bench.describe(n_procs),
             "events": run.sim.events_processed}

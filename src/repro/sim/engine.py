@@ -31,17 +31,16 @@ whole instant: its callbacks run once nothing live is left at the current
 time, before the clock moves (the flow scheduler settles and re-rates there
 once per instant).  They are not events, so they add no pop.
 
-The optional :class:`Watchdog` turns the two ways a discrete-event program
-can stall — a zero-time event cascade that never advances the clock, and a
-wall-clock stall at one simulated instant — into a :class:`LivelockError`
-that carries the repeating event cycle and the processes waiting on the
-heap, so a stuck run is a diagnosable artifact instead of a hung pytest.
+The optional :class:`Watchdog` turns a zero-time event cascade that never
+advances the clock into a :class:`LivelockError` that carries the
+repeating event cycle and the processes waiting on the heap, so a stuck
+run is a diagnosable artifact instead of a hung pytest.  It counts pops,
+not seconds, so it trips at the same pop on every host.
 """
 
 from __future__ import annotations
 
 import heapq
-import time as _wall
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from repro.sim.events import AllOf, AnyOf, Event, Timeout, NORMAL
@@ -198,9 +197,6 @@ class LivelockError(SimulationError):
     ----------
     time:
         Simulated time at which the cascade is stuck.
-    kind:
-        ``"zero-time-cascade"`` (N pops without the clock moving) or
-        ``"wall-stall"`` (wall-clock seconds elapsed at one instant).
     cascade_length:
         Number of same-timestamp pops observed before tripping.
     cycle:
@@ -215,14 +211,12 @@ class LivelockError(SimulationError):
         self,
         message: str,
         time: float,
-        kind: str = "zero-time-cascade",
         cascade_length: int = 0,
         cycle: Tuple[str, ...] = (),
         cycle_exact: bool = False,
         waiting: Tuple[str, ...] = (),
     ) -> None:
         self.time = time
-        self.kind = kind
         self.cascade_length = cascade_length
         self.cycle = tuple(cycle)
         self.cycle_exact = cycle_exact
@@ -240,7 +234,7 @@ class LivelockError(SimulationError):
 
 
 class Watchdog:
-    """Engine progress watchdog: detects zero-time cascades and wall stalls.
+    """Engine progress watchdog: detects zero-time event cascades.
 
     Parameters
     ----------
@@ -249,49 +243,29 @@ class Watchdog:
         clock advancing.  Must comfortably exceed the largest legitimate
         same-timestamp burst of the workload (see
         :data:`DEFAULT_MAX_SAME_TIME_EVENTS`).
-    wall_stall_seconds:
-        When set, also trip if this many *wall-clock* seconds pass while
-        the simulated clock sits at one instant.  Off by default: the check
-        reads the host clock, so tripping is timing-dependent (the
-        zero-time cascade detector is fully deterministic).
     sample_window:
         Number of event descriptions recorded past the threshold before
         tripping; the cycle report is extracted from this window.
-    clock:
-        Wall-clock source (injectable for tests); defaults to
-        :func:`time.monotonic`.
     """
-
-    #: wall-clock checks happen every ``_WALL_CHECK_MASK + 1`` pops
-    _WALL_CHECK_MASK = 0x0FFF
 
     def __init__(
         self,
         max_same_time_events: int = DEFAULT_MAX_SAME_TIME_EVENTS,
-        wall_stall_seconds: Optional[float] = None,
         sample_window: int = 64,
-        clock: Callable[[], float] = _wall.monotonic,
     ) -> None:
         if max_same_time_events < 1:
             raise ValueError("max_same_time_events must be >= 1")
         if sample_window < 4:
             raise ValueError("sample_window must be >= 4")
-        if wall_stall_seconds is not None and wall_stall_seconds <= 0:
-            raise ValueError("wall_stall_seconds must be positive")
         self.max_same_time_events = max_same_time_events
-        self.wall_stall_seconds = wall_stall_seconds
         self.sample_window = sample_window
-        self.clock = clock
         self.reset()
 
     def reset(self) -> None:
         """Forget all progress state (e.g. before reusing across runs)."""
         self._time: Optional[float] = None
         self._streak = 0
-        self._pops = 0
         self._samples: List[str] = []
-        self._wall_mark: Optional[float] = None
-        self._advanced = True
         self._max_cascade = 0
 
     @property
@@ -304,13 +278,11 @@ class Watchdog:
     # ------------------------------------------------------------- observing
     def observe(self, sim: "Simulator", now: float, event: Event) -> None:
         """Called by :meth:`Simulator.step` once per popped event."""
-        self._pops += 1
         if now != self._time:
             self._time = now
             if self._streak > self._max_cascade:
                 self._max_cascade = self._streak
             self._streak = 0
-            self._advanced = True
             if self._samples:
                 self._samples.clear()
         else:
@@ -319,14 +291,6 @@ class Watchdog:
                 self._samples.append(event.describe())
                 if len(self._samples) >= self.sample_window:
                     self._trip_cascade(sim, now)
-        if (self.wall_stall_seconds is not None
-                and not (self._pops & self._WALL_CHECK_MASK)):
-            wall = self.clock()
-            if self._wall_mark is None or self._advanced:
-                self._wall_mark = wall
-                self._advanced = False
-            elif wall - self._wall_mark >= self.wall_stall_seconds:
-                self._trip_wall(sim, now, wall - self._wall_mark)
 
     # -------------------------------------------------------------- tripping
     def _trip_cascade(self, sim: "Simulator", now: float) -> None:
@@ -336,23 +300,9 @@ class Watchdog:
             f"t={now!r} without the simulation clock advancing "
             f"(threshold {self.max_same_time_events})",
             time=now,
-            kind="zero-time-cascade",
             cascade_length=self._streak + 1,
             cycle=cycle,
             cycle_exact=exact,
-            waiting=self._waiting_report(sim),
-        )
-
-    def _trip_wall(self, sim: "Simulator", now: float, stalled: float) -> None:
-        raise LivelockError(
-            f"livelock: wall clock advanced {stalled:.1f}s while the "
-            f"simulation clock sat at t={now!r} "
-            f"(threshold {self.wall_stall_seconds}s)",
-            time=now,
-            kind="wall-stall",
-            cascade_length=self._streak + 1,
-            cycle=tuple(self._samples[-8:]),
-            cycle_exact=False,
             waiting=self._waiting_report(sim),
         )
 

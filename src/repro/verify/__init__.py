@@ -20,9 +20,10 @@ packet level for every monitored run:
   every drain converges within its budget;
 * the MPICH-V dispatcher's 3-sockets-per-process budget never exceeds the
   1024-descriptor ``select()`` wall;
-* the engine keeps making progress (no zero-time cascade livelock) and
-  every checkpoint wave that starts either completes or is recorded as
-  aborted (see :mod:`repro.chaos` for the campaign driver built on these);
+* every checkpoint wave that starts either completes or is recorded as
+  aborted (see :mod:`repro.chaos` for the campaign driver built on these;
+  that the engine keeps making progress is :class:`repro.sim.Watchdog`'s
+  check);
 * committed checkpoint waves stay durably restorable: every rank keeps a
   sealed, checksum-intact replica on a live server, K-way replication
   survives a single server death, and a restart never fabricates a wave;

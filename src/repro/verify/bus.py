@@ -23,57 +23,13 @@ from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.sim.trace import TraceRecord, make_record
 from repro.verify.base import InvariantViolation, Monitor
-from repro.verify.monitors.engine import LivelockMonitor, MonotoneClockMonitor
+from repro.verify.monitors.engine import MonotoneClockMonitor
 
-__all__ = ["MonitorBus", "fused_step"]
+__all__ = ["MonitorBus"]
 
 #: what the event window holds: a record (generic path) or the
 #: ``(time, category, values, named)`` a live closure was called with
 _WindowEntry = Union[TraceRecord, Tuple[float, str, tuple, dict]]
-
-
-def fused_step(clock: MonotoneClockMonitor,
-               liveness: LivelockMonitor) -> Callable[[float, int, int], None]:
-    """One per-pop callable for the two pop-stream monitors.
-
-    The listener list fires once per heap pop, millions of times per run.
-    The two pops where nothing can be wrong for either monitor — the clock
-    advanced, or a NORMAL event popped in push order inside the cascade
-    budget — update both monitors' state right here; every other pop goes
-    through the two real ``on_step`` methods, in bus order.
-    """
-    clock_step = clock.on_step
-    liveness_step = liveness.on_step
-    last_quiet_streak = liveness.max_same_time_events - 2
-
-    def step(time: float, priority: int, seq: int) -> None:
-        if time == clock.step_time:
-            if (priority and seq >= clock.max_normal
-                    and time == liveness.step_time
-                    and liveness.streak <= last_quiet_streak):
-                clock.checked += 1
-                clock.max_normal = seq
-                liveness.checked += 1
-                liveness.streak += 1
-                return
-        elif time > clock.step_time and time != liveness.step_time:
-            clock.checked += 1
-            clock.step_time = time
-            if priority:
-                clock.max_normal = seq
-                clock.max_urgent = -1
-            else:
-                clock.max_urgent = seq
-                clock.max_normal = -1
-            liveness.checked += 1
-            liveness.step_time = time
-            liveness.streak = 0
-            liveness.tripped = False
-            return
-        clock_step(time, priority, seq)
-        liveness_step(time, priority, seq)
-
-    return step
 
 
 class MonitorBus:
@@ -136,16 +92,8 @@ class MonitorBus:
         self._tracer.subscribe(self.dispatch, self.categories(),
                                positional=self.probe)
         # The listener list fires once per heap pop, millions of times per
-        # run: bound methods go in directly, and the two shipped pop-stream
-        # monitors share one call.
-        clock = self._first(MonotoneClockMonitor, self._steppers)
-        liveness = self._first(LivelockMonitor, self._steppers)
-        if clock is not None and liveness is not None:
-            self._step_callbacks = [fused_step(clock, liveness)] + [
-                m.on_step for m in self._steppers
-                if m is not clock and m is not liveness]
-        else:
-            self._step_callbacks = [m.on_step for m in self._steppers]
+        # run: bound methods go in directly.
+        self._step_callbacks = [m.on_step for m in self._steppers]
         self._tracer.step_listeners.extend(self._step_callbacks)
 
     def detach(self) -> None:
@@ -157,10 +105,6 @@ class MonitorBus:
                 self._tracer.step_listeners.remove(callback)
         self._step_callbacks = []
         self._tracer = None
-
-    @staticmethod
-    def _first(kind: type, monitors: Iterable[Monitor]) -> Optional[Monitor]:
-        return next((m for m in monitors if type(m) is kind), None)
 
     # ------------------------------------------------------------- delivery
     def _routed(self, category: str) -> List[Monitor]:

@@ -24,7 +24,6 @@ REGISTRY: Tuple[Type[Monitor], ...] = (
     dcl.DclNetworkEmptyMonitor,
     dcl.DclDrainLivenessMonitor,
     transport.FdBudgetMonitor,
-    engine.LivelockMonitor,
     waves.WaveLivenessMonitor,
     waves.StorageDurabilityMonitor,
     survivors.MembershipAgreementMonitor,

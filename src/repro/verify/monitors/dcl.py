@@ -80,10 +80,9 @@ class DclNetworkEmptyMonitor(Monitor):
 
 
 class DclDrainLivenessMonitor(Monitor):
-    """Dcl drains terminate: quiescence lands within the watchdog budget.
+    """Dcl drains terminate: quiescence lands within the drain budget.
 
-    Shares :data:`repro.ft.dcl.DRAIN_BUDGET` with the protocol (the same
-    pattern as :class:`LivelockMonitor` and the engine watchdog) so monitor
+    Shares :data:`repro.ft.dcl.DRAIN_BUDGET` with the protocol so monitor
     and implementation agree on what counts as a stalled drain.  A Dcl wave
     must reach ``ft.drain_quiesced`` within the budget of its
     ``ft.wave_started``, before any rank forks its image and before the

@@ -1,16 +1,14 @@
-"""What the event kernel promises: a monotone clock, the deterministic
-total order, and a simulation that keeps advancing.  Both monitors read the
-raw heap-pop stream (``wants_steps``) and ride on every run."""
+"""What the event kernel promises: a monotone clock and the deterministic
+total order.  The monitor reads the raw heap-pop stream (``wants_steps``)
+and rides on every run; that the clock keeps advancing is the engine
+:class:`~repro.sim.engine.Watchdog`'s check."""
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.sim.engine import DEFAULT_MAX_SAME_TIME_EVENTS
 from repro.sim.trace import TraceRecord
 from repro.verify.base import Monitor
 
-__all__ = ["MonotoneClockMonitor", "LivelockMonitor"]
+__all__ = ["MonotoneClockMonitor"]
 
 
 class MonotoneClockMonitor(Monitor):
@@ -102,49 +100,3 @@ class MonotoneClockMonitor(Monitor):
             f"after a record at t={self.record_time} — simulation "
             "clock ran backwards",
         )
-
-
-class LivelockMonitor(Monitor):
-    """Engine liveness: the simulation clock must keep advancing.
-
-    The monitor-side twin of :class:`repro.sim.engine.Watchdog`, sharing its
-    :data:`~repro.sim.engine.DEFAULT_MAX_SAME_TIME_EVENTS` budget so the two
-    agree on what counts as a livelock.  The engine watchdog raises
-    :class:`~repro.sim.engine.LivelockError` with the repeating event cycle;
-    this monitor only sees the raw ``(time, priority, seq)`` pop stream, so
-    it reports the cascade length and trip time — enough to flag a run whose
-    watchdog was left disarmed.
-    """
-
-    name = "engine-liveness"
-    categories = ()  # liveness is a property of the pop stream, not records
-    wants_steps = True
-
-    def __init__(self, max_same_time_events: Optional[int] = None) -> None:
-        super().__init__()
-        self.max_same_time_events = (
-            max_same_time_events if max_same_time_events is not None
-            else DEFAULT_MAX_SAME_TIME_EVENTS
-        )
-        self.step_time: Optional[float] = None
-        self.streak = 0
-        self.tripped = False
-
-    def on_step(self, time: float, priority: int, seq: int) -> None:
-        self.checked += 1
-        if time != self.step_time:
-            self.step_time = time
-            self.streak = 0
-            self.tripped = False
-            return
-        self.streak += 1
-        if self.streak >= self.max_same_time_events and not self.tripped:
-            self.tripped = True  # one report per cascade in collect mode
-            self.violation(
-                time,
-                f"livelock: {self.streak + 1} consecutive event pops at "
-                f"t={time!r} without the simulation clock advancing "
-                f"(budget {self.max_same_time_events}) — a zero-time event "
-                "cascade is spinning (arm the engine Watchdog for the "
-                "repeating cycle)",
-            )

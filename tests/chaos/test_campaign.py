@@ -1,9 +1,11 @@
 """Chaos campaign: spec grid, verdict classification, reports, CLI."""
 
 import json
+import re
 
 import pytest
 
+from repro.apps import BENCHMARKS
 from repro.chaos import (
     CAMPAIGNS,
     CampaignSpec,
@@ -155,6 +157,25 @@ def test_hang_is_a_verdict_not_an_exception():
     assert result.verdict == "hang"
     assert not result.ok
     assert "limit" in result.detail
+
+
+def test_livelock_is_a_verdict_not_an_exception(monkeypatch):
+    """Ranks that spin at one instant are stopped by the watchdog every
+    run arms, and the scenario reads ``livelock`` with the watchdog's first
+    line as its detail."""
+    def make_app(self, p):
+        def spin(ctx):
+            while True:
+                yield ctx.sim.timeout(0.0)
+        return spin
+
+    monkeypatch.setattr(BENCHMARKS["bt"], "make_app", make_app)
+    result = run_scenario(Scenario(protocol="pcl", channel="ft_sock"))
+    assert result.verdict == "livelock"
+    assert not result.ok
+    assert re.fullmatch(r"livelock: \d+ events processed at t=\S+ without "
+                        r"the simulation clock advancing \(threshold 100000\)",
+                        result.detail), result.detail
 
 
 def test_crash_is_a_verdict_not_an_exception():

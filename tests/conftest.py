@@ -3,14 +3,17 @@
 The ``monitored_engine`` autouse fixture patches ``Simulator`` so each
 simulator any test constructs gets the full :mod:`repro.verify` monitor set
 attached, raising :class:`~repro.verify.InvariantViolation` at the first
-protocol-invariant breach; end-of-run completeness checks fire at teardown.
+protocol-invariant breach, and an engine :class:`~repro.sim.Watchdog` at
+its default budget when it was built without one, so a zero-time cascade
+raises :class:`~repro.sim.LivelockError` instead of hanging the suite;
+end-of-run completeness checks fire at teardown.
 Mark a test ``@pytest.mark.unmonitored`` to opt out (tests that break the
 protocols on purpose attach their own bus and assert the violation).
 """
 
 import pytest
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, Watchdog
 from repro.verify import MonitorBus, all_monitors
 
 
@@ -25,6 +28,8 @@ def monitored_engine(request, monkeypatch):
 
     def monitored_init(self, *args, **kwargs):
         unpatched(self, *args, **kwargs)
+        if self._watchdog is None:
+            self._watchdog = Watchdog()
         bus = MonitorBus(all_monitors(), raise_on_violation=True)
         bus.attach(self)
         buses.append(bus)

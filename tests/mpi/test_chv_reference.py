@@ -55,7 +55,7 @@ from repro.mpi.message import AppPacket, MarkerPacket
 from repro.net import ClusterNetwork
 from repro.net.connection import _INLINE_BYTES, _Pipe
 from repro.net.topology import Endpoint
-from repro.sim import Simulator
+from repro.sim import Simulator, Watchdog
 from repro.sim.events import URGENT
 from repro.sim.primitives import Resource
 from repro.sim.process import Process
@@ -241,14 +241,17 @@ class HopMetrics:
         pass
 
 
-class PopRecorder:
-    """Sits in the watchdog slot (the per-pop hook that is handed the item)
-    and on the step-listener list (the one that is handed the priority)."""
+class PopRecorder(Watchdog):
+    """Sits in the watchdog slot (the per-pop hook that is handed the item;
+    it still counts cascades) and on the step-listener list (the one that is
+    handed the priority)."""
 
     def __init__(self) -> None:
+        super().__init__()
         self.pops: List[list] = []
 
     def observe(self, sim, now, item) -> None:
+        super().observe(sim, now, item)
         label = item.name or item.describe()
         if any(item is boot for boot in sim.rig.stillborn):
             label = "gone:" + label

@@ -39,7 +39,7 @@ from repro.mpi.consts import ANY_TAG
 from repro.net import ClusterNetwork
 from repro.net.connection import _INLINE_BYTES, _Pipe
 from repro.net.topology import Endpoint
-from repro.sim import Simulator
+from repro.sim import Simulator, Watchdog
 from repro.sim.process import Process
 
 # the protocol monitors assume a protocol; these programs kill and flush at
@@ -111,14 +111,17 @@ def channel_classes(device):
     return sink, reference, broken
 
 
-class PopRecorder:
-    """Sits in the watchdog slot (the per-pop hook that is handed the item)
-    and on the step-listener list (the one that is handed the priority)."""
+class PopRecorder(Watchdog):
+    """Sits in the watchdog slot (the per-pop hook that is handed the item;
+    it still counts cascades) and on the step-listener list (the one that is
+    handed the priority)."""
 
     def __init__(self) -> None:
+        super().__init__()
         self.pops: List[list] = []
 
     def observe(self, sim, now, item) -> None:
+        super().observe(sim, now, item)
         self.pops.append([now, None, type(item).__name__,
                           item.name or item.describe()])
 

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from repro.net.connection import _INLINE_BYTES, BrokenConnectionError, _Pipe
 from repro.net.flows import FlowScheduler
 from repro.net.link import Link
-from repro.sim import Simulator
+from repro.sim import Simulator, Watchdog
 from repro.sim.process import Process
 
 
@@ -82,14 +82,16 @@ class SynchronousStartPipe(_Pipe):
         self._start_next()
 
 
-class PopRecorder:
+class PopRecorder(Watchdog):
     """Sits in the simulator's watchdog slot — the one per-pop hook that is
-    handed the popped item — and labels every pop."""
+    handed the popped item — labels every pop and still counts cascades."""
 
     def __init__(self) -> None:
+        super().__init__()
         self.pops: List[Tuple[float, str, str]] = []
 
     def observe(self, sim, now, item) -> None:
+        super().observe(sim, now, item)
         label = item.name or item.describe()
         owner = getattr(getattr(item, "callback", None), "__self__", None)
         if isinstance(owner, _Pipe):  # a delivery timer: say whose

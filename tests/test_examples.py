@@ -3,6 +3,7 @@ traced failure demo) must run end to end."""
 
 import importlib.util
 import pathlib
+import re
 import sys
 
 import pytest
@@ -41,4 +42,6 @@ def test_failure_recovery_demo_runs(capsys):
     load("failure_recovery_demo").main()
     out = capsys.readouterr().out
     assert "ft.failure_detected" in out
-    assert "replayed" in out
+    replayed = re.findall(r"^  t=\s*\S+\s+ft\.replayed ", out, re.M)
+    assert replayed  # the kill lands where the log has something to replay
+    assert f"restart replayed {len(replayed)} logged" in out

@@ -25,7 +25,7 @@ from repro.verify.monitors.dcl import (
     DclDrainLivenessMonitor,
     DclNetworkEmptyMonitor,
 )
-from repro.verify.monitors.engine import LivelockMonitor, MonotoneClockMonitor
+from repro.verify.monitors.engine import MonotoneClockMonitor
 from repro.verify.monitors.pcl import PclFlushMonitor
 from repro.verify.monitors.survivors import (
     MembershipAgreementMonitor,
@@ -47,8 +47,8 @@ def rec(time, category, **fields):
 
 #: the two entry points onto a monitor's handlers: ``on_record`` with a
 #: materialised record (offline CLI, unit tests), and the live route — a
-#: real tracer's positional plan into the bus closure, with the two
-#: pop-stream monitors attached beside it as in every monitored run
+#: real tracer's positional plan into the bus closure, with the pop-stream
+#: monitor attached beside it as in every monitored run
 TRANSPORTS = ("on_record", "positional")
 
 
@@ -61,10 +61,8 @@ def feed(monitor, records=(), steps=(), finish=False, transport="on_record"):
         if finish:
             monitor.finish()
         return
-    monitors = [monitor if type(m) is type(monitor) else m
-                for m in (MonotoneClockMonitor(), LivelockMonitor())]
-    if monitor not in monitors:
-        monitors.append(monitor)
+    monitors = [monitor] if type(monitor) is MonotoneClockMonitor \
+        else [MonotoneClockMonitor(), monitor]
     sim = Simulator()
     bus = MonitorBus(monitors)
     bus.attach(sim)
@@ -273,15 +271,6 @@ CASES = {
             match="fd limit",
         ),
     ],
-    "engine-liveness": [
-        dict(
-            label="zero-time-cascade",
-            factory=lambda: LivelockMonitor(max_same_time_events=32),
-            clean=dict(steps=[(i * 0.25, 1, i) for i in range(40)]),
-            corrupt=dict(steps=[(2.0, 1, i) for i in range(40)]),
-            match="livelock",
-        ),
-    ],
     "wave-liveness": [
         dict(
             label="overlapping-waves",
@@ -471,7 +460,6 @@ _MONITOR_CLASSES = {
     "dcl-network-empty": DclNetworkEmptyMonitor,
     "dcl-drain-liveness": DclDrainLivenessMonitor,
     "fd-budget": FdBudgetMonitor,
-    "engine-liveness": LivelockMonitor,
     "wave-liveness": WaveLivenessMonitor,
     "storage-durability": StorageDurabilityMonitor,
     "membership-agreement": MembershipAgreementMonitor,
@@ -489,9 +477,8 @@ _ALL_CASES = [
 ]
 
 
-def _make(name, case):
-    factory = case.get("factory") or _MONITOR_CLASSES[name]
-    monitor = factory()
+def _make(name):
+    monitor = _MONITOR_CLASSES[name]()
     assert monitor.name == name
     return monitor
 
@@ -499,7 +486,7 @@ def _make(name, case):
 @pytest.mark.parametrize("name,case,transport", _ALL_CASES)
 def test_clean_stream_passes(name, case, transport):
     """The uncorrupted twin of each negative is accepted (minimality)."""
-    monitor = _make(name, case)
+    monitor = _make(name)
     clean = dict(case["clean"])
     clean.setdefault("finish", True)
     feed(monitor, **clean, transport=transport)  # must not raise
@@ -508,7 +495,7 @@ def test_clean_stream_passes(name, case, transport):
 
 @pytest.mark.parametrize("name,case,transport", _ALL_CASES)
 def test_corrupted_stream_fires(name, case, transport):
-    monitor = _make(name, case)
+    monitor = _make(name)
     with pytest.raises(InvariantViolation, match=case["match"]) as err:
         feed(monitor, **case["corrupt"], transport=transport)
     assert err.value.monitor == name

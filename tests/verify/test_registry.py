@@ -24,56 +24,56 @@ from tests.verify.test_trace_plans import run
 
 pytestmark = pytest.mark.unmonitored  # the one run here attaches its own bus
 
-#: ``[m.name for m in monitors_for(spec)]`` at the parent commit, per
-#: (protocol, recovery policy)
+#: ``[m.name for m in monitors_for(spec)]``, per (protocol, recovery
+#: policy)
 SELECTED = {
     (None, "restart"):
-        "monotone-clock fifo-delivery fd-budget engine-liveness",
+        "monotone-clock fifo-delivery fd-budget",
     (None, "spare"):
-        "monotone-clock fifo-delivery fd-budget engine-liveness "
+        "monotone-clock fifo-delivery fd-budget "
         "membership-agreement spare-consistency",
     (None, "shrink"):
-        "monotone-clock fifo-delivery fd-budget engine-liveness "
+        "monotone-clock fifo-delivery fd-budget "
         "membership-agreement spare-consistency",
     ("pcl", "restart"):
-        "monotone-clock fifo-delivery pcl-flush fd-budget engine-liveness "
+        "monotone-clock fifo-delivery pcl-flush fd-budget "
         "wave-liveness storage-durability",
     ("pcl", "spare"):
-        "monotone-clock fifo-delivery pcl-flush fd-budget engine-liveness "
+        "monotone-clock fifo-delivery pcl-flush fd-budget "
         "wave-liveness storage-durability "
         "membership-agreement spare-consistency",
     ("pcl", "shrink"):
-        "monotone-clock fifo-delivery pcl-flush fd-budget engine-liveness "
+        "monotone-clock fifo-delivery pcl-flush fd-budget "
         "wave-liveness storage-durability "
         "membership-agreement spare-consistency",
     ("vcl", "restart"):
         "monotone-clock fifo-delivery vcl-no-orphan vcl-logging fd-budget "
-        "engine-liveness wave-liveness storage-durability",
+        "wave-liveness storage-durability",
     ("vcl", "spare"):
         "monotone-clock fifo-delivery vcl-no-orphan vcl-logging fd-budget "
-        "engine-liveness wave-liveness storage-durability "
+        "wave-liveness storage-durability "
         "membership-agreement spare-consistency",
     ("vcl", "shrink"):
         "monotone-clock fifo-delivery vcl-no-orphan vcl-logging fd-budget "
-        "engine-liveness wave-liveness storage-durability "
+        "wave-liveness storage-durability "
         "membership-agreement spare-consistency",
     ("dcl", "restart"):
         "monotone-clock fifo-delivery dcl-network-empty dcl-drain-liveness "
-        "fd-budget engine-liveness wave-liveness storage-durability",
+        "fd-budget wave-liveness storage-durability",
     ("dcl", "spare"):
         "monotone-clock fifo-delivery dcl-network-empty dcl-drain-liveness "
-        "fd-budget engine-liveness wave-liveness storage-durability "
+        "fd-budget wave-liveness storage-durability "
         "membership-agreement spare-consistency",
     ("dcl", "shrink"):
         "monotone-clock fifo-delivery dcl-network-empty dcl-drain-liveness "
-        "fd-budget engine-liveness wave-liveness storage-durability "
+        "fd-budget wave-liveness storage-durability "
         "membership-agreement spare-consistency",
 }
 
-#: ``[m.name for m in all_monitors()]`` at the parent commit: the key order
-#: under ``monitors.*.verdicts`` in every golden
+#: ``[m.name for m in all_monitors()]``: the key order under
+#: ``monitors.*.verdicts`` in every golden
 SHIPPED = ("monotone-clock fifo-delivery vcl-no-orphan vcl-logging pcl-flush "
-           "dcl-network-empty dcl-drain-liveness fd-budget engine-liveness "
+           "dcl-network-empty dcl-drain-liveness fd-budget "
            "wave-liveness storage-durability membership-agreement "
            "spare-consistency")
 
@@ -139,7 +139,7 @@ def test_each_class_is_enumerated_exactly_once():
     """``REGISTRY`` is the one list: neither package ``__init__`` repeats a
     class name in an import block, an ``__all__`` or a selection table."""
     enumerators = inspect.getsource(verify) + inspect.getsource(monitors)
-    assert len(set(monitors.REGISTRY)) == 13
+    assert len(set(monitors.REGISTRY)) == 12
     for cls in monitors.REGISTRY:
         assert enumerators.count(cls.__name__) == 1, cls.__name__
 
