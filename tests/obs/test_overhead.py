@@ -14,6 +14,7 @@ from repro.harness.config import get_profile
 from repro.harness.runner import execute, metrics_enabled
 from repro.runtime import DeploymentSpec, build_run
 from repro.sim import Simulator
+from repro.sim.engine import DEFAULT_MAX_SAME_TIME_EVENTS
 
 
 def _run(metrics, seed=7):
@@ -87,3 +88,12 @@ def test_metrics_on_instrument_count_is_bounded_not_per_event():
     assert instruments < 300  # ... without per-event instrument growth
     # engine gauges came from the snapshot-time collector
     assert snapshot["gauges"]["engine.events_processed"]["value"] == events
+
+
+def test_execute_arms_the_watchdog_its_gauge_reads():
+    """Every ``execute`` run arms the default engine watchdog, so the
+    snapshot carries its longest zero-time cascade: a real burst, far below
+    the budget."""
+    result = _run(metrics=True)
+    gauge = result.meta["metrics"]["gauges"]["engine.max_zero_time_cascade"]
+    assert 0 < gauge["value"] < DEFAULT_MAX_SAME_TIME_EVENTS

@@ -97,6 +97,25 @@ def test_bus_collect_mode_and_verdicts():
                        "violations": ["always unhappy", "always unhappy"]}
 
 
+@pytest.mark.unmonitored  # the listener list is read whole
+def test_bus_hooks_only_the_monitors_that_want_steps():
+    """The per-pop listener list holds each stepping monitor's bound
+    ``on_step`` and nothing else: with every shipped monitor that is the
+    clock monitor's alone, and a bus of record-only monitors adds none."""
+    sim = Simulator(seed=1)
+    bus = MonitorBus(all_monitors())
+    bus.attach(sim)
+    steppers = [m for m in bus.monitors if m.wants_steps]
+    assert [m.name for m in steppers] == ["monotone-clock"]
+    assert sim.trace.step_listeners == [steppers[0].on_step]
+    bus.detach()
+
+    bus = MonitorBus([FifoDeliveryMonitor(), PclFlushMonitor()])
+    bus.attach(sim)
+    assert sim.trace.step_listeners == []
+    bus.detach()
+
+
 def test_bus_attach_detach_on_simulator():
     sim = Simulator(seed=1)
     bus = MonitorBus(all_monitors())
