@@ -102,7 +102,11 @@ declare("ft.recovery_phase", __name__, phase=str, start=float, end=float,
 
 
 class InstantLauncher:
-    """Zero-cost launcher used by tests; real ones live in repro.runtime."""
+    """Zero-cost launcher: no validation limit, no spawn delay, no respawn
+    lead time.  It is ``execute``'s default (``launcher="instant"``), so
+    every chaos scenario, ``mttf``, the ablations and every figure grid
+    point but ``recovery`` and ``scale_limit`` restart through it; the
+    launchers with real costs live in :mod:`repro.runtime`."""
 
     def validate(self, n_ranks: int) -> None:
         """Raise if this environment cannot run ``n_ranks`` processes."""

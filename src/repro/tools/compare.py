@@ -2,8 +2,10 @@
 
 ``python -m repro.tools.compare results_a results_b`` prints, per experiment
 present in both directories, the relative change of every shared series
-point and whether any shape check flipped — the tool to run after touching
-a model constant to see exactly which figures moved.
+point (the absolute one where the old value is 0 or not a number), the
+series and points only one side has, and whether any shape check flipped —
+the tool to run after touching a model constant to see exactly which
+figures moved.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import glob
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["ExperimentDiff", "compare_dirs", "load_results", "main"]
 
@@ -23,8 +25,13 @@ class ExperimentDiff:
     """The differences of one experiment between two result sets."""
 
     figure_id: str
-    #: (series label, x, old y, new y, relative change)
-    point_changes: List[Tuple[str, float, float, float, float]] = field(
+    #: (series label, x, old y, new y, relative change); the change is None
+    #: where no ratio rates it (the old y is 0 or not a number)
+    point_changes: List[Tuple[str, float, Any, Any, Optional[float]]] = field(
+        default_factory=list)
+    #: (series label, x or None for the whole series, "old" or "new"): what
+    #: only that side has
+    one_sided: List[Tuple[str, Optional[float], str]] = field(
         default_factory=list)
     #: check name -> (old, new), only where they differ
     check_flips: Dict[str, Tuple[bool, bool]] = field(default_factory=dict)
@@ -52,22 +59,31 @@ def load_results(directory: str) -> Dict[str, dict]:
 def _diff_one(old: dict, new: dict) -> ExperimentDiff:
     diff = ExperimentDiff(figure_id=old["figure"])
     old_series = {s["label"]: s for s in old.get("series", [])}
+    new_labels = {s["label"] for s in new.get("series", [])}
+    diff.one_sided += [(label, None, "old") for label in old_series
+                       if label not in new_labels]
     for entry in new.get("series", []):
-        base = old_series.get(entry["label"])
+        label = entry["label"]
+        base = old_series.get(label)
         if base is None:
+            diff.one_sided.append((label, None, "new"))
             continue
-        for x, y in zip(entry["xs"], entry["ys"]):
-            try:
-                index = base["xs"].index(x)
-            except ValueError:
+        old_points = dict(zip(base["xs"], base["ys"]))
+        new_points = dict(zip(entry["xs"], entry["ys"]))
+        diff.one_sided += [(label, x, "old") for x in old_points
+                           if x not in new_points]
+        for x, y in new_points.items():
+            if x not in old_points:
+                diff.one_sided.append((label, x, "new"))
                 continue
-            previous = base["ys"][index]
-            if not isinstance(previous, (int, float)) or previous == 0:
+            previous = old_points[x]
+            if y == previous:
                 continue
-            change = (y - previous) / abs(previous)
-            if abs(change) > 1e-12:
-                diff.point_changes.append(
-                    (entry["label"], x, previous, y, change))
+            rated = (isinstance(previous, (int, float)) and previous != 0
+                     and isinstance(y, (int, float)))
+            change = (y - previous) / abs(previous) if rated else None
+            if change is None or abs(change) > 1e-12:
+                diff.point_changes.append((label, x, previous, y, change))
     old_checks = old.get("checks", {})
     for name, new_state in new.get("checks", {}).items():
         if name in old_checks and old_checks[name] != new_state:
@@ -87,12 +103,19 @@ def compare_dirs(dir_a: str, dir_b: str) -> List[ExperimentDiff]:
 
 def render_diff(diff: ExperimentDiff, threshold: float = 0.01) -> str:
     lines = [f"== {diff.figure_id} =="]
-    notable = [c for c in diff.point_changes if abs(c[4]) >= threshold]
-    if not notable and not diff.check_flips:
+    notable = [c for c in diff.point_changes
+               if c[4] is None or abs(c[4]) >= threshold]
+    if not notable and not diff.check_flips and not diff.one_sided:
         lines.append("  unchanged")
     for label, x, old, new, change in notable:
-        lines.append(
-            f"  {label} @ x={x:g}: {old:.3f} -> {new:.3f} ({change:+.1%})")
+        if change is None:  # no ratio rates it: say what it was and is
+            lines.append(f"  {label} @ x={x:g}: {old} -> {new}")
+        else:
+            lines.append(f"  {label} @ x={x:g}: {old:.3f} -> {new:.3f} "
+                         f"({change:+.1%})")
+    for label, x, side in diff.one_sided:
+        where = label if x is None else f"{label} @ x={x:g}"
+        lines.append(f"  {where}: only in {side}")
     for name, (old_state, new_state) in diff.check_flips.items():
         arrow = "PASS->FAIL" if old_state else "FAIL->PASS"
         lines.append(f"  check {arrow}: {name}")

@@ -11,6 +11,8 @@ Mark a test ``@pytest.mark.unmonitored`` to opt out (tests that break the
 protocols on purpose attach their own bus and assert the violation).
 """
 
+import sys
+
 import pytest
 
 from repro.sim.engine import Simulator, Watchdog
@@ -40,3 +42,19 @@ def monitored_engine(request, monkeypatch):
     # raise here if the run ended in a state no correct protocol can reach.
     for bus in buses:
         bus.finish()
+
+
+def pytest_terminal_summary(terminalreporter):
+    """The pops each reference-race rule dropped or relabelled, per side,
+    when any race ran (``tests/races.py``)."""
+    races = sys.modules.get("tests.races")
+    if races is None or not races.TALLY:
+        return
+    terminalreporter.section("reference races: pops each rule dropped or "
+                             "relabelled (shipped, spec)")
+    for rules, counts in races.TALLY.items():
+        for rule in rules:
+            terminalreporter.write_line(
+                f"{rules.name:8} {rule.name:20} "
+                f"{counts[rule.name, 'shipped']:>7} "
+                f"{counts[rule.name, 'spec']:>7}")

@@ -27,56 +27,27 @@ the packet inside ``_deliver``, skipping the hop, runs it ahead of a reader
 process woken earlier in the same instant.
 """
 
-from typing import List
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.mpi import FtSockChannel, MPIJob, NemesisChannel
+from repro.mpi import FtSockChannel, NemesisChannel
 from repro.mpi.channels.base import HEADER_BYTES
-from repro.mpi.consts import ANY_TAG
-from repro.net import ClusterNetwork
-from repro.net.connection import _INLINE_BYTES, _Pipe
-from repro.net.topology import Endpoint
-from repro.sim import Simulator, Watchdog
+from repro.net.connection import _INLINE_BYTES
 from repro.sim.process import Process
+
+from tests.races import (MAX_RANKS, JobRig, LoggingPipe, ProcessRx, Rule,
+                         Rules, drop, ids, lone, normalise, pair, programs,
+                         race, recording, rename)
 
 # the protocol monitors assume a protocol; these programs kill and flush at
 # will, and the pop stream is compared directly
 pytestmark = pytest.mark.unmonitored
 
 
-class Recording:
-    """Logs every ``handle_packet``, then runs the operation the packet
-    carries, if any — from inside the receive path, like a protocol hook."""
-
-    def handle_packet(self, packet):
-        rig = self.sim.rig
-        rig.log.append(("packet", self.sim.now, self.rank, packet.src,
-                        packet.seq, self.down))
-        super().handle_packet(packet)
-        if packet.data[1] is not None:
-            rig.do(packet.data[1])
-
-
-class GeneratorRx:
-    """The receiver as a process: one per attached end, parked on
-    ``end.recv()``, interrupted at shutdown."""
-
-    def _start_receiving(self, peer, end):
-        self.__dict__.setdefault("_receivers", []).append(self.sim.process(
-            self._receiver(peer, end), name=f"rx:r{self.rank}<-r{peer}"))
-
-    def _receiver(self, peer, end):
-        while True:
-            try:
-                packet = yield end.recv()
-            except ConnectionError:
-                if not self.down:
-                    self.job.notify_socket_closed(self.rank, peer)
-                return
-            self.handle_packet(packet)
+class GeneratorRx(ProcessRx):
+    """The receiver as a process, whose interrupted ``get`` is told apart
+    (the sink has none)."""
 
     def _stop_receiving(self):
         for receiver in self.__dict__.pop("_receivers", ()):
@@ -91,7 +62,7 @@ class SynchronousSink:
     """Broken on purpose: no hop, the packet is handled inside
     ``_deliver``."""
 
-    class _NoHopPipe(_Pipe):
+    class _NoHopPipe(LoggingPipe):
         __slots__ = ()
 
         def _hop(self, payload):
@@ -104,200 +75,49 @@ class SynchronousSink:
 
 
 def channel_classes(device):
-    sink = type("SinkChannel", (Recording, device), {})
-    reference = type("GeneratorRxChannel", (Recording, GeneratorRx, device), {})
-    broken = type("SynchronousSinkChannel",
-                  (Recording, SynchronousSink, device), {})
-    return sink, reference, broken
+    return (recording(device), recording(device, GeneratorRx),
+            recording(device, SynchronousSink))
 
 
-class PopRecorder(Watchdog):
-    """Sits in the watchdog slot (the per-pop hook that is handed the item;
-    it still counts cascades) and on the step-listener list (the one that is
-    handed the priority)."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.pops: List[list] = []
-
-    def observe(self, sim, now, item) -> None:
-        super().observe(sim, now, item)
-        self.pops.append([now, None, type(item).__name__,
-                          item.name or item.describe()])
-
-    def listen(self, now, priority, seq) -> None:
-        self.pops[-1][1] = priority
+def rigs(n_ranks, device):
+    """The (sink, generator receiver) rigs of ``device``."""
+    return tuple(RxRig(n_ranks, channel)
+                 for channel in channel_classes(device)[:2])
 
 
-def is_receiver_bookkeeping(kind, label):
-    return (label.startswith(("interrupt:rx:", "abandoned:"))
-            or (kind == Process.__name__ and label.startswith("rx:")))
+RULES = Rules(
+    "receive",
+    # the process receiver's own bookkeeping: the dead pops the sink exists
+    # to remove
+    drop("rx interrupt", "interrupt:rx:"),
+    drop("abandoned get", "abandoned:"),
+    drop("rx termination", "rx:", kind=Process.__name__),
+    # its bootstrap is the start hop, its ``get`` the hand-over hop
+    Rule("rx bootstrap", lambda priority, kind, label:
+         label.startswith("init:rx:"), lambda label: "rx:start"),
+    rename("inbox get", "get:inbox:", "hand-over:"),
+    rename("hand-over call", "call:_Pipe._hand_over ", "hand-over:"),
+)
 
 
-def comparable_pops(pops):
-    """The pop stream with the process receiver's own bookkeeping erased:
-    its interrupt and termination pops dropped, its bootstrap renamed to
-    the start hop, its ``get`` to the hand-over hop it became."""
-    stream = []
-    for now, priority, kind, label in pops:
-        if is_receiver_bookkeeping(kind, label):
-            continue
-        if label.startswith("init:rx:"):
-            label = "rx:start"
-        for spelling in ("get:inbox:", "call:_Pipe._hand_over "):
-            if label.startswith(spelling):
-                label = "hand-over:" + label[len(spelling):]
-        stream.append((now, priority, label))
-    return stream
+class RxRig(JobRig):
+    """Ranks with no protocol; a channel row also holds the delayed queue
+    and the frozen sources."""
 
+    ENDS = ()
 
-TICK = 1e-4
+    def do_freeze(self, a, b):
+        self.job.channels[a].freeze_source(b)
 
+    def do_thaw(self, a, _):
+        self.job.channels[a].thaw_sources()
 
-def app(ctx):
-    yield ctx.sim.event(name="parked")  # ranks only react: the rig drives
-
-
-class Rig:
-    """``n_ranks`` ranks two to a node plus a service node with one side
-    connection per rank, read by a process that runs what it receives."""
-
-    def __init__(self, channel_cls, n_ranks):
-        self.recorder = PopRecorder()
-        self.sim = sim = Simulator(seed=0, watchdog=self.recorder)
-        sim.trace.step_listeners.append(self.recorder.listen)
-        sim.rig = self
-        self.log: List[tuple] = []
-        self.channel_cls = channel_cls
-        self.n_ranks = n_ranks
-        self.net = ClusterNetwork(sim, n_nodes=(n_ranks + 1) // 2 + 1)
-        #: every connection ever made, broken or not (the net forgets those)
-        self.connections = []
-        connect = self.net.connect
-        self.net.connect = lambda a, b: (
-            self.connections.append(connect(a, b)) or self.connections[-1])
-        service = self.net.nodes[-1]
-        service.service = True
-        self.endpoints = self.net.place(n_ranks, procs_per_node=2)
-        self.jobs: List[MPIJob] = []
-        self.serial = 0
-        self.adopting = False
-        self._launch({})
-        self.side = []
-        for rank, endpoint in enumerate(self.endpoints):
-            connection = self.net.connect(Endpoint(service, 0), endpoint)
-            self.side.append(connection.end_a)
-            sim.process(self._side_reader(connection.end_b),
-                        name=f"side:r{rank}")
-
-    @property
-    def job(self):
-        return self.jobs[-1]
-
-    def _launch(self, links):
-        job = MPIJob(self.sim, self.net, self.endpoints, app, self.channel_cls,
-                     name=f"job{len(self.jobs)}", inherited_links=links)
-        job.failure_listener = lambda rank, peer: self.log.append(
-            ("closed", self.sim.now, job.name, rank, peer))
-        self.jobs.append(job)
-        self.adopting = False
-        job.start()
-
-    def _side_reader(self, end):
-        while True:
-            self.do((yield end.recv()))
-
-    def _connection(self, a, b):
-        end = self.job.channels[a].conns.get(b)
-        return None if end is None else end.connection
-
-    def do(self, op):
-        verb, a, b = op[:3]
-        channel = self.job.channels[a]
-        if verb in ("send", "side"):
-            self.serial += 1
-            data = (self.serial, op[4])
-        if verb == "send":
-            if channel.down:
-                return
-            try:
-                # an isend: inline when the way is clear, else a send chain
-                # (a failure it meets is reported as a socket closure)
-                channel.post(b, 0, data, op[3], defer=True)
-            except ConnectionError:
-                self.log.append(("send-refused", self.sim.now, data[0]))
-        elif verb == "side":
-            self.side[a].send(op[4], op[3] + HEADER_BYTES)
-        elif verb == "recv":
-            if not channel.down:
-                channel.matching.post_recv(b, ANY_TAG).callbacks.append(
-                    lambda event: self.log.append(
-                        ("matched", self.sim.now, a, event._ok,
-                         event._ok and event._value[0])))
-        elif verb == "freeze":
-            channel.freeze_source(b)
-        elif verb == "thaw":
-            channel.thaw_sources()
-        elif verb == "flush":
-            if self._connection(a, b) is not None:
-                self._connection(a, b).flush()
-        elif verb == "break":
-            if self._connection(a, b) is not None:
-                self._connection(a, b).break_()
-        elif verb == "shutdown":
-            channel.shutdown()
-        elif verb == "reincarnate" and not self.adopting:
-            # what FTRun's survivor policies do: rank ``a`` is lost, the
-            # others' sockets outlive the incarnation
-            job = self.job
-            links = job.harvest_links(
-                [rank for rank in range(self.n_ranks)
-                 if rank != a and not job.channels[rank].down])
-            job.kill()
-            for end_lo, _end_hi in links.values():
-                end_lo.connection.flush()
-            self.adopting = True
-            if b:
-                self.sim.call_at(b * TICK, self._launch, links)
-            else:
-                self._launch(links)
-
-    def state(self):
-        def ids(packets):
-            return [(p.src, p.seq) for p in packets]
-
-        channels = [
-            (job.name, c.rank, c.down, c._seq, ids(c.matching.unexpected),
-             len(c.matching.posted), ids(c.delayed_queue),
-             frozenset(c._frozen_sources),
-             sorted(c.conns))
-            for job in self.jobs for c in job.channels]
-        pipes = [(p.name, p.broken, p.bytes_sent, p.messages_sent,
-                  len(p.inbox), p.pumping)
-                 for connection in self.connections
-                 for p in connection.pipes]
-        return channels, pipes
-
-
-def run_program(channel_cls, n_ranks, program):
-    """``program`` is a list of steps ``(tick, ops)``; one step is one
-    engine callback (its ops run back to back), steps sharing a tick are
-    separate callbacks at the same instant."""
-    rig = Rig(channel_cls, n_ranks)
-
-    def run_step(ops):
-        for op in ops:
-            rig.do(op)
-
-    for tick, ops in program:
-        rig.sim.call_at(tick * TICK, run_step, ops)
-    rig.sim.run()
-    return rig.log, rig.state(), comparable_pops(rig.recorder.pops), \
-        rig.recorder.pops
+    def extra(self, c):
+        return (ids(c.delayed_queue), frozenset(c._frozen_sources),
+                sorted(c.conns))
 
 
 # --------------------------------------------------------------- programs
-MAX_RANKS = 5
 #: payload sizes: inline (the last one lands exactly on the inline limit
 #: once the envelope is added), just past it, and flow-sized; a small set,
 #: so that equal sizes on symmetric paths — same-instant arrivals — are
@@ -305,57 +125,8 @@ MAX_RANKS = 5
 SIZES = (0.0, 96.0, 992.0, _INLINE_BYTES - HEADER_BYTES,
          _INLINE_BYTES - HEADER_BYTES + 1.0, 6_000.0, 40_000.0)
 
-_rank = st.integers(0, MAX_RANKS - 1)
-_size = st.sampled_from(SIZES)
-_gentle = st.one_of(
-    st.tuples(st.sampled_from(["freeze", "recv", "flush"]), _rank, _rank),
-    st.tuples(st.just("thaw"), _rank, st.just(0)),
-)
-_harsh = st.one_of(
-    st.tuples(st.just("break"), _rank, _rank),
-    st.tuples(st.just("shutdown"), _rank, st.just(0)),
-    st.tuples(st.just("reincarnate"), _rank, st.integers(0, 2)),
-)
-_plain_send = st.tuples(st.just("send"), _rank, _rank, _size, st.none())
-_carried = st.one_of(_gentle, _gentle, _harsh)
-_ops = st.one_of(
-    _plain_send, _plain_send, _plain_send, _gentle,
-    st.tuples(st.just("send"), _rank, _rank, _size, _carried),
-    st.tuples(st.just("side"), _rank, st.just(0), _size, _carried),
-)
-#: mostly traffic — a program that only tears down compares nothing — with
-#: at most one direct teardown closing a step, in one step out of five
-_steps = st.tuples(
-    st.integers(0, 40), st.lists(_ops, min_size=1, max_size=6),
-    st.one_of(*[st.just([])] * 4, st.lists(_harsh, min_size=1, max_size=1)),
-).map(lambda step: (step[0], step[1] + step[2]))
-_programs = st.lists(_steps, min_size=4, max_size=24).map(
-    lambda steps: sorted(steps, key=lambda step: step[0]))
-
-
-def fit(program, n_ranks):
-    """Fold rank indices into ``n_ranks``.  An operation carried by a packet
-    runs inside the receiver, so it must not kill the rank running it: a
-    process that is interrupted while it runs and then yields is outside
-    what the generator reference (or any process here) defines."""
-    def fold(op, runs_on=None):
-        if op is None:
-            return None
-        verb, a, b = op[0], op[1] % n_ranks, op[2]
-        if verb in ("send", "freeze", "recv", "flush", "break"):
-            b %= n_ranks
-        if verb == "send":
-            return (verb, a, b, op[3], fold(op[4], runs_on=b))
-        if verb == "side":
-            return (verb, a, b, op[3], fold(op[4]))
-        if runs_on is not None:
-            if verb == "reincarnate":
-                verb, b = "shutdown", 0
-            if verb == "shutdown" and a == runs_on:
-                a = (a + 1) % n_ranks
-        return (verb, a, b)
-
-    return [(tick, [fold(op) for op in ops]) for tick, ops in program]
+_programs = programs(SIZES, 40,
+                     [pair("freeze", "recv", "flush"), lone("thaw")])
 
 
 #: ranks 0 and 2 share a NIC.  Rank 2's transfer is on it when rank 0's big
@@ -403,30 +174,33 @@ FREEZE_WITNESS = [
 @example(program=FREEZE_WITNESS, n_ranks=3, device=NemesisChannel)
 @settings(max_examples=150, deadline=None)
 def test_sink_equals_generator_receiver(program, n_ranks, device):
-    sink, reference, _ = channel_classes(device)
-    program = fit(program, n_ranks)
-    log, state, pops, _ = run_program(sink, n_ranks, program)
-    ref_log, ref_state, ref_pops, _ = run_program(reference, n_ranks, program)
-    assert log == ref_log
-    assert state == ref_state
-    assert pops == ref_pops
+    race(*rigs(n_ranks, device), program, RULES)
 
 
 def test_the_only_pops_removed_are_receiver_bookkeeping():
     sink, reference, _ = channel_classes(FtSockChannel)
     _, _, _, raw = run_program(sink, 5, KILL_BEFORE_HAND_OVER)
     _, _, _, ref_raw = run_program(reference, 5, KILL_BEFORE_HAND_OVER)
-    bookkeeping = sum(is_receiver_bookkeeping(kind, label)
-                      for _, _, kind, label in ref_raw)
+    bookkeeping = len(ref_raw) - len(normalise(ref_raw, RULES)[0])
     assert bookkeeping > 0
     assert len(ref_raw) - len(raw) == bookkeeping
-    assert not any(is_receiver_bookkeeping(kind, label)
-                   for _, _, kind, label in raw)
+    assert len(normalise(raw, RULES)[0]) == len(raw)
     # and the sink side really ran without a receive process
     assert not any(label.startswith(("init:rx:", "get:inbox:conn"))
                    and "side" not in label
                    for _, _, kind, label in raw
                    if kind == Process.__name__)
+
+
+def run_program(channel_cls, n_ranks, program):
+    return RxRig(n_ranks, channel_cls).run(program).outcome(RULES)
+
+
+def witness_races():
+    for program, n_ranks, device in [(BREAK_IN_BACKLOG, 4, FtSockChannel),
+                                     (KILL_BEFORE_HAND_OVER, 5, FtSockChannel),
+                                     (FREEZE_WITNESS, 3, NemesisChannel)]:
+        yield (*rigs(n_ranks, device), program)
 
 
 def packets(log):

@@ -18,16 +18,15 @@ NIC look busy one step early, which flips the inline-path decision of a
 same-step small send on a neighbouring pipe.
 """
 
-from typing import List, Tuple
-
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.net.connection import _INLINE_BYTES, BrokenConnectionError, _Pipe
 from repro.net.flows import FlowScheduler
 from repro.net.link import Link
-from repro.sim import Simulator, Watchdog
 from repro.sim.process import Process
+
+from tests.races import Rig, Rules, by_tick, drop, normalise, race, rename
 
 
 class GeneratorPumpPipe(_Pipe):
@@ -82,82 +81,54 @@ class SynchronousStartPipe(_Pipe):
         self._start_next()
 
 
-class PopRecorder(Watchdog):
-    """Sits in the simulator's watchdog slot — the one per-pop hook that is
-    handed the popped item — labels every pop and still counts cascades."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.pops: List[Tuple[float, str, str]] = []
-
-    def observe(self, sim, now, item) -> None:
-        super().observe(sim, now, item)
-        label = item.name or item.describe()
-        owner = getattr(getattr(item, "callback", None), "__self__", None)
-        if isinstance(owner, _Pipe):  # a delivery timer: say whose
-            label = f"{label}@{owner.name}"
-        self.pops.append((now, type(item).__name__, label))
+RULES = Rules(
+    "pump",
+    # the process pump's own bookkeeping: the dead pops the callback pump
+    # exists to remove
+    drop("pump termination", "pump:", kind=Process.__name__),
+    # its bootstrap is the kick it became
+    rename("pump bootstrap", "init:pump:", "pump:"),
+)
 
 
-def is_pump_termination(kind, label):
-    return kind == Process.__name__ and label.startswith("pump:")
-
-
-def comparable_pops(pops):
-    """The pop stream with the process pump's own bookkeeping erased: its
-    termination pops dropped, its bootstrap renamed to the kick it became."""
-    stream = []
-    for now, kind, label in pops:
-        if is_pump_termination(kind, label):
-            continue
-        if label.startswith("init:pump:"):
-            label = label[len("init:"):]
-        stream.append((now, label))
-    return stream
-
-
-TICK = 1e-3
-N_PIPES = 3
-
-
-def run_program(pipe_cls, program):
+class PumpRig(Rig):
     """Three pipes — p0 and p1 leave through one NIC, all three cross one
-    backbone — driven by ``program``, a list of steps ``(tick, ops)`` with
-    ``ops`` a list of ``(op, pipe, nbytes)``.  One step is one engine
-    callback (its ops run back to back, like a process that does not
-    yield in between); steps sharing a tick are separate callbacks at the
-    same instant, so a kick pushed by the first runs before the second."""
-    recorder = PopRecorder()
-    sim = Simulator(seed=0, watchdog=recorder)
-    scheduler = FlowScheduler(sim)
-    nic_a, nic_b = Link("a.tx", 1.0e6), Link("b.tx", 1.0e6)
-    backbone = Link("backbone", 1.5e6)
-    pipes = [
-        pipe_cls(sim, scheduler, links, latency=1e-4, cap=cap, conn_id=i,
-                 direction="ab", queue_bytes=1500.0)
-        for i, (links, cap) in enumerate([
-            ((nic_a, backbone), None),
-            ((nic_a, backbone), 0.8e6),
-            ((nic_b, backbone), None),
-        ])
-    ]
-    log: List[Tuple] = []
+    backbone — driven by a program whose ops are ``(op, pipe, nbytes)``.
+    An undefused ``sent`` failure surfaces from ``run()`` as an
+    exception."""
 
-    def consumer(index, pipe):
+    TICK = 1e-3
+
+    def __init__(self, pipe_cls):
+        super().__init__()
+        scheduler = FlowScheduler(self.sim)
+        nic_a, nic_b = Link("a.tx", 1.0e6), Link("b.tx", 1.0e6)
+        backbone = Link("backbone", 1.5e6)
+        self.pipes = [
+            pipe_cls(self.sim, scheduler, links, latency=1e-4, cap=cap,
+                     conn_id=i, direction="ab", queue_bytes=1500.0)
+            for i, (links, cap) in enumerate([
+                ((nic_a, backbone), None),
+                ((nic_a, backbone), 0.8e6),
+                ((nic_b, backbone), None),
+            ])
+        ]
+        for index, pipe in enumerate(self.pipes):
+            self.sim.process(self._consumer(index, pipe),
+                             name=f"consumer:{index}")
+
+    def _consumer(self, index, pipe):
         while True:
             try:
                 payload = yield pipe.inbox.get()
             except BrokenConnectionError:
-                log.append(("closed", index, sim.now))
+                self.log.append(("closed", index, self.sim.now))
                 return
-            log.append(("delivered", index, sim.now, payload))
+            self.log.append(("delivered", index, self.sim.now, payload))
 
-    for index, pipe in enumerate(pipes):
-        sim.process(consumer(index, pipe), name=f"consumer:{index}")
-
-    def run_step(step, ops):
+    def step(self, step, ops):
         for position, (op, index, nbytes) in enumerate(ops):
-            pipe = pipes[index]
+            pipe = self.pipes[index]
             serial = (step, position)
             if op == "flush":
                 pipe.flush()
@@ -167,19 +138,15 @@ def run_program(pipe_cls, program):
                 try:
                     sent = pipe.send(serial, nbytes)
                 except BrokenConnectionError:
-                    log.append(("refused", serial, sim.now))
+                    self.log.append(("refused", serial, self.sim.now))
                     continue
                 sent.callbacks.append(
-                    lambda event, serial=serial: log.append(
-                        ("sent", serial, sim.now, event._ok)))
+                    lambda event, serial=serial: self.log.append(
+                        ("sent", serial, self.sim.now, event._ok)))
 
-    for step, (tick, ops) in enumerate(program):
-        sim.call_at(tick * TICK, run_step, step, ops)
-    # an undefused `sent` failure would surface from run() as an exception
-    sim.run()
-    counters = [(p.bytes_sent, p.messages_sent, p.pumping, len(p.egress),
-                 p._current_flow) for p in pipes]
-    return log, counters, comparable_pops(recorder.pops), recorder.pops
+    def state(self):
+        return [(p.bytes_sent, p.messages_sent, p.pumping, len(p.egress),
+                 p._current_flow) for p in self.pipes]
 
 
 _sizes = st.one_of(
@@ -187,14 +154,13 @@ _sizes = st.one_of(
     st.floats(min_value=_INLINE_BYTES + 1.0, max_value=40_000.0),  # flow-sized
     st.just(_INLINE_BYTES),
 )
-_pipe_index = st.integers(0, N_PIPES - 1)
+_pipe_index = st.integers(0, 2)
 _ops = st.one_of(
     st.tuples(st.just("send"), _pipe_index, _sizes),
     st.tuples(st.sampled_from(["flush", "break"]), _pipe_index, st.just(0.0)),
 )
 _steps = st.tuples(st.integers(0, 12), st.lists(_ops, min_size=1, max_size=5))
-_programs = st.lists(_steps, min_size=1, max_size=16).map(
-    lambda steps: sorted(steps, key=lambda step: step[0]))
+_programs = by_tick(_steps, 1, 16)
 
 #: p0 starts a bulk transfer; in the same step p1 — same NIC — sends a small
 #: message, which must still find the NIC idle and go inline
@@ -214,29 +180,34 @@ FLUSH_BREAK_WITNESS = [
 ]
 
 
+def run_program(pipe_cls, program):
+    return PumpRig(pipe_cls).run(program).outcome(RULES)
+
+
+def witness_races():
+    for program in (SAME_STEP_WITNESS, FLUSH_BREAK_WITNESS):
+        yield PumpRig(_Pipe), PumpRig(GeneratorPumpPipe), program
+
+
 @given(program=_programs)
 @example(program=SAME_STEP_WITNESS)
 @example(program=FLUSH_BREAK_WITNESS)
 @settings(max_examples=150, deadline=None)
 def test_callback_pump_equals_generator_pump(program):
-    log, counters, pops, _ = run_program(_Pipe, program)
-    ref_log, ref_counters, ref_pops, _ = run_program(GeneratorPumpPipe, program)
-    assert log == ref_log
-    assert counters == ref_counters
-    assert pops == ref_pops
+    pump = PumpRig(_Pipe)
+    race(pump, PumpRig(GeneratorPumpPipe), program, RULES)
     # every pump that started also stopped, and gave its queue back
     assert all(not pumping and queued == 0 and flow is None
-               for _, _, pumping, queued, flow in counters)
+               for _, _, pumping, queued, flow in pump.state())
 
 
 def test_the_only_pops_removed_are_pump_terminations():
     _, _, _, raw = run_program(_Pipe, FLUSH_BREAK_WITNESS)
     _, _, _, ref_raw = run_program(GeneratorPumpPipe, FLUSH_BREAK_WITNESS)
-    pump_lifetimes = sum(is_pump_termination(kind, label)
-                         for _, kind, label in ref_raw)
+    pump_lifetimes = normalise(ref_raw, RULES)[1]["pump termination"]
     assert pump_lifetimes > 0
     assert len(ref_raw) - len(raw) == pump_lifetimes
-    assert not any(is_pump_termination(kind, label) for _, kind, label in raw)
+    assert normalise(raw, RULES)[1]["pump termination"] == 0
 
 
 def test_synchronous_flow_start_is_caught():

@@ -76,9 +76,10 @@ def _live(kind, known=frozenset()):
 
 
 #: where a per-connection receive loop could live: a channel, or the
-#: process daemon ``tests/mpi/test_chv_reference.py`` keeps as ch_v's spec
+#: process receiver ``tests/races.py`` keeps as the specs' (ch_v's process
+#: daemon among them)
 RECEIVE_LOOP_HOMES = (os.path.join("repro", "mpi", "channels"),
-                      os.path.join("tests", "mpi", "test_chv_reference.py"))
+                      os.path.join("tests", "races.py"))
 
 
 def _receive_loops(generators):
@@ -364,7 +365,7 @@ def _pusher_of(owner, job):
     """Whether ``owner`` is a live ``isend`` pusher process of ``job``."""
     return (isinstance(owner, Process) and owner.name.startswith("isend:")
             and owner.generator.gi_frame is not None
-            and owner.generator.gi_frame.f_locals["self"].job is job)
+            and owner.generator.gi_frame.f_locals["channel"].job is job)
 
 
 def _isend_processes(job):

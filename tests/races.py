@@ -1,0 +1,732 @@
+"""What the four reference races (pump, receive, ch_v, send) share.
+
+A race runs one program on two rigs, the shipped callback design's and the
+process spec's, and :func:`race` asserts equal logs, end states and pop
+streams once each rig's table of named :class:`Rule` s normalised the
+spec's bookkeeping away.  Each rule counts the pops it touched per side;
+:data:`TALLY` sums them over a session, which prints them.  The process
+specs two rigs share live here too: :class:`ProcessRx` (receive, ch_v),
+:class:`GeneratorSend` and :class:`SendEachEndpoint` (ch_v, send).
+Not collected; the rig modules import it.
+"""
+
+from collections import Counter, defaultdict
+from typing import Callable, List, NamedTuple, Optional
+
+from hypothesis import strategies as st
+
+from repro.ft.protocol import BaseEndpoint, FTStats
+from repro.mpi import MPIJob
+from repro.mpi.channels.base import HEADER_BYTES, ChannelDownError, SendChain
+from repro.mpi.channels.ch_v import ChVChannel
+from repro.mpi.consts import ANY_TAG
+from repro.mpi.message import AppPacket, MarkerPacket
+from repro.net import ClusterNetwork
+from repro.net.connection import _Pipe
+from repro.net.topology import Endpoint
+from repro.sim import Simulator, Watchdog
+from repro.sim.process import Interrupt, Process
+
+TICK = 1e-4
+MAX_RANKS = 5
+
+
+# ------------------------------------------------------------ normalisation
+class Rule(NamedTuple):
+    """A pop that ``matches(priority, kind, label)`` is dropped, or, when
+    ``to`` is given, relabelled ``to(label)``."""
+
+    name: str
+    matches: Callable[[object, str, str], bool]
+    to: Optional[Callable[[str], str]] = None
+
+
+def drop(name, *prefixes, kind=None):
+    """Drop the pops labelled ``prefix...`` (of type ``kind`` only)."""
+    return Rule(name, lambda priority, of, label: label.startswith(prefixes)
+                and kind in (None, of))
+
+
+def rename(name, prefix, to, priority=None):
+    """Relabel ``prefix + rest`` as ``to + rest`` (at ``priority`` only)."""
+    return Rule(name, lambda at, kind, label: label.startswith(prefix)
+                and priority in (None, at),
+                lambda label: to + label[len(prefix):])
+
+
+class Rules(tuple):
+    """A rig's rules, in the order they run, named for the tally; what they
+    make of a ``(priority, type, label)`` is worked out once."""
+
+    def __new__(cls, name, *rules):
+        table = super().__new__(cls, rules)
+        table.name, table.seen = name, {}
+        return table
+
+    def apply(self, key):
+        """``(label, or None if dropped; the names of the rules that
+        fired)`` for the pop ``key = (priority, type, label)``."""
+        if key not in self.seen:
+            priority, kind, label = key
+            fired = []
+            for rule in self:
+                if rule.matches(priority, kind, label):
+                    fired.append(rule.name)
+                    if rule.to is None:
+                        label = None
+                        break
+                    label = rule.to(label)
+            self.seen[key] = label, fired
+        return self.seen[key]
+
+
+#: ``{rules: Counter({(rule name, side): pops})}`` over every race run
+TALLY = defaultdict(Counter)
+
+
+def normalise(pops, rules):
+    """``(stream, counts)``: the ``(time, priority, label)`` stream once
+    ``rules`` ran over every pop in order, and the pops each rule dropped
+    or relabelled."""
+    counts = Counter()
+    stream = []
+    for now, priority, kind, label in pops:
+        label, fired = rules.apply((priority, kind, label))
+        for name in fired:
+            counts[name] += 1
+        if label is not None:
+            stream.append((now, priority, label))
+    return stream, counts
+
+
+def race(left, right, program, rules):
+    """Run ``program`` on ``left`` (the shipped design's rig) and ``right``
+    (the spec's); their logs, end states and normalised pop streams must be
+    equal.  Returns the left log."""
+    log, state, pops, _ = left.run(program).outcome(rules)
+    ref_log, ref_state, ref_pops, _ = right.run(program).outcome(rules)
+    for side, rig in (("shipped", left), ("spec", right)):
+        TALLY[rules].update({(k, side): n for k, n in rig.counts.items()})
+    assert log == ref_log
+    assert state == ref_state
+    assert pops == ref_pops
+    return log
+
+
+# --------------------------------------------------------------------- rigs
+class PopRecorder(Watchdog):
+    """In the watchdog slot (handed each popped item; still counts cascades)
+    and on the step listeners (handed its priority); the rig labels it."""
+
+    def __init__(self, rig) -> None:
+        super().__init__()
+        self.rig = rig
+        self.pops: List[list] = []
+
+    def observe(self, sim, now, item) -> None:
+        super().observe(sim, now, item)
+        self.pops.append([now, None, type(item).__name__,
+                          self.rig.label(item)])
+
+    def listen(self, now, priority, seq) -> None:
+        self.pops[-1][1] = priority
+
+
+class Rig:
+    """A recorded simulator driven by a program, a list of steps ``(tick,
+    ops)``.  One step is one engine callback (its ops run back to back, like
+    a process that does not yield in between); steps sharing a tick are
+    separate callbacks at the same instant."""
+
+    TICK = TICK
+    ENDS = ()  # errors run() logs (both designs must meet them, at once)
+    DESCRIBE = True  # label an unnamed pop describe(), else by its type
+
+    def __init__(self) -> None:
+        self.recorder = PopRecorder(self)
+        self.sim = Simulator(seed=0, watchdog=self.recorder)
+        self.sim.trace.step_listeners.append(self.recorder.listen)
+        self.sim.rig = self
+        self.log: List[tuple] = []
+
+    def label(self, item) -> str:
+        return item.name or (item.describe() if self.DESCRIBE
+                             else type(item).__name__)
+
+    def run(self, program):
+        for step, (tick, ops) in enumerate(program):
+            self.sim.call_at(tick * self.TICK, self.step, step, ops)
+        try:
+            self.sim.run()
+        except self.ENDS as error:
+            self.log.append(("raised", self.sim.now, repr(error)))
+        return self
+
+    def step(self, step, ops) -> None:
+        for op in ops:
+            self.do(op)
+
+    def outcome(self, rules):
+        """``(log, state, normalised pops, raw pops)``; sets ``counts``."""
+        pops, self.counts = normalise(self.recorder.pops, rules)
+        return self.log, self.state(), pops, self.recorder.pops
+
+
+def parked(ctx):
+    yield ctx.sim.event(name="parked")  # ranks only react: the rig drives
+
+
+def ids(packets):
+    return [(p.src, p.seq) for p in packets]
+
+
+def gates(channel):
+    return (channel.global_send_gate.is_open,
+            sorted((dst, gate.is_open)
+                   for dst, gate in channel._send_gates.items()))
+
+
+def daemon_state(channel):
+    """(busy, hops still waited for), whichever design runs ch_v's daemon."""
+    daemon = getattr(channel, "_daemon", None)
+    if daemon is not None:
+        return daemon.in_use, sum(1 for waiter in daemon._waiters
+                                  if waiter.callbacks)
+    if not isinstance(channel, ChVChannel):
+        return None
+    return (int(channel._serving is not None),
+            sum(1 for queued in channel._queue if len(queued[0].callbacks) > 1))
+
+
+class LoggingPipe(_Pipe):
+    """Logs every send with its instant before queueing it."""
+
+    __slots__ = ()
+
+    def send(self, payload, nbytes, extra_latency=0.0, notify=True):
+        if isinstance(payload, AppPacket):
+            what = ("app", payload.src, payload.seq)
+        elif isinstance(payload, MarkerPacket):
+            what = ("marker", payload.src, payload.wave)
+        else:
+            what = ("side",)
+        self.sim.rig.log.append(("wire", self.sim.now, self.name, what,
+                                 nbytes, extra_latency, notify))
+        return super().send(payload, nbytes, extra_latency, notify)
+
+
+class Recording:
+    """Logs every ``handle_packet``, then runs the operation an application
+    packet carries, if any — from inside the receive path, like a protocol
+    hook."""
+
+    def handle_packet(self, packet):
+        rig = self.sim.rig
+        app = isinstance(packet, AppPacket)
+        rig.log.append(("packet" if app else "control", self.sim.now,
+                        *rig.who(self), packet.src,
+                        packet.seq if app else packet.wave, self.down))
+        super().handle_packet(packet)
+        if app and packet.data[1] is not None:
+            rig.do(packet.data[1])
+
+
+def recording(device, *mixins):
+    """``device`` under ``mixins``, logging every packet it handles."""
+    return type("".join(m.__name__ for m in mixins) + device.__name__,
+                (Recording, *mixins, device), {})
+
+
+class RigProtocol:
+    """What ``BaseEndpoint`` needs of a protocol: no servers, a name, the
+    stats it counts markers in."""
+
+    protocol_name = "rig"
+
+    def __init__(self, job):
+        self.job = job
+        self.sim = job.sim
+        self.stats = FTStats()
+        self.replica_map = {rank: [] for rank in range(job.size)}
+        self.detached = False
+
+
+class ChainEndpoint(BaseEndpoint):
+    """The endpoint as shipped: ``_fan_out`` chains callbacks."""
+
+    def on_control(self, packet):
+        pass  # logged by the channel
+
+
+class JobRig(Rig):
+    """``n_ranks`` ranks two to a node (with an ``endpoint`` each and a
+    rank ``context`` class, if given) and a service node with one side
+    connection per rank: a process runs what it reads, the other way
+    carries the rank's transfer-tax stream.  An op ``(verb, rank, ...)``
+    runs ``do_<verb>``; one carried by a packet runs when it is handled."""
+
+    app = staticmethod(parked)
+    HOPS = False  # log ch_v's daemon hops: the rig is the metrics registry
+    ENDS = (ConnectionError,)  # a rank shut down under its job's mesh builder
+    #: what a reincarnation carried by a packet folds to
+    KILL = "shutdown"
+
+    def __init__(self, n_ranks, channel, endpoint=None, context=None):
+        super().__init__()
+        if self.HOPS:
+            self.sim.metrics = self
+        self.channel_cls, self.endpoint_cls = channel, endpoint
+        self.context_cls = context
+        self.n_ranks = n_ranks
+        self.net = ClusterNetwork(self.sim, n_nodes=(n_ranks + 1) // 2 + 1)
+        #: every connection ever made, broken or not (the net forgets those)
+        self.connections = []
+        connect = self.net.connect
+
+        def logged_connect(a, b):
+            connection = connect(a, b)
+            for pipe in connection.pipes:
+                pipe.__class__ = LoggingPipe
+            self.connections.append(connection)
+            return connection
+
+        self.net.connect = logged_connect
+        service = self.net.nodes[-1]
+        service.service = True
+        self.endpoints = self.net.place(n_ranks, procs_per_node=2)
+        self.jobs: List[MPIJob] = []
+        self.protocols = []
+        #: ``(request event, channel)`` by the event's id: the channel
+        #: behind every request and pusher process
+        self.owners = {}
+        #: the bootstraps of fan-outs a rank that was already down asked for
+        self.stillborn = []
+        self.serial = self.wave = 0
+        self.adopting = False
+        self._launch({})
+        self.side, self.tax = [], []
+        for rank, endpoint in enumerate(self.endpoints):
+            connection = self.net.connect(Endpoint(service, 0), endpoint)
+            self.side.append(connection.end_a)
+            self.tax.append(connection.end_b)
+            self.sim.process(self._side_reader(connection.end_b),
+                             name=f"side:r{rank}")
+
+    @property
+    def job(self):
+        return self.jobs[-1]
+
+    def _launch(self, links):
+        job = MPIJob(self.sim, self.net, self.endpoints, self.app,
+                     self.channel_cls, name=f"job{len(self.jobs)}",
+                     inherited_links=links)
+        if self.context_cls is not None:
+            for context in job.contexts:
+                context.__class__ = self.context_cls
+        job.failure_listener = lambda rank, peer: self.log.append(
+            ("closed", self.sim.now, job.name, rank, peer))
+        self.jobs.append(job)
+        if self.endpoint_cls is not None:
+            protocol = RigProtocol(job)
+            protocol.endpoints = [self.endpoint_cls(protocol, rank)
+                                  for rank in range(job.size)]
+            for channel, endpoint in zip(job.channels, protocol.endpoints):
+                channel.protocol = endpoint
+            self.protocols.append(protocol)
+        self.adopting = False
+        job.start()
+
+    def _side_reader(self, end):
+        while True:
+            self.do((yield end.recv()))
+
+    def _connection(self, a, b):
+        end = self.job.channels[a].conns.get(b)
+        return None if end is None else end.connection
+
+    def run(self, program):
+        return super().run(fit(program, self.n_ranks, self.KILL))
+
+    def do(self, op):
+        getattr(self, "do_" + op[0])(*op[1:])
+
+    def who(self, channel):
+        """How a logged packet names the rank that handled it."""
+        return (channel.rank,)
+
+    def observe(self, name, value, **labels):
+        if name == "channel.daemon_hop_seconds":
+            self.log.append(("hop", self.sim.now, labels["rank"], value))
+
+    def count(self, name, amount=1.0, **labels):
+        pass  # the metrics registry keeps only the daemon hops
+
+    set = count
+
+    # ------------------------------------------------------- pop labels
+    def label(self, item):
+        label = super().label(item)
+        if self.stillborn and any(item is boot for boot in self.stillborn):
+            return "gone:" + label
+        if label.startswith("vdaemon:") and not self._waited(item):
+            return "dead:" + label  # a hop whose waiter left: runs nothing
+        if label.startswith("isend:") and self.owner_down(item):
+            return "gone:" + label  # a request of a rank that is down
+        return label
+
+    def owner_down(self, item):
+        owner = self.owners.get(id(item))
+        return owner is not None and owner[1].down
+
+    def _waited(self, hop) -> bool:
+        """Whether anyone but the daemon and the pushers of ranks that are
+        down waits for ``hop``."""
+        for callback in hop.callbacks:
+            owner = getattr(callback, "__self__", None)
+            if not (owner is None or isinstance(owner, ChVChannel)
+                    or isinstance(owner, Process) and self.owner_down(owner)):
+                return True
+        return False
+
+    # ------------------------------------------------------------- verbs
+    def do_send(self, a, b, nbytes, carried):
+        """An ``isend``: inline, else a send chain (the spec: a pusher); a
+        failure it meets is reported as a socket closure."""
+        self.serial += 1
+        data = (self.serial, carried)
+        channel = self.job.channels[a]
+        if channel.down:
+            return
+        try:
+            self._isend(channel, b, data, nbytes)
+        except ConnectionError:
+            self.log.append(("send-refused", self.sim.now, data[0]))
+
+    def _isend(self, channel, dst, data, nbytes):
+        if not hasattr(channel, "try_fast_send"):
+            chain = channel.post(dst, 0, data, nbytes, defer=True)
+            event = chain.done if isinstance(chain, SendChain) else None
+        elif channel.try_fast_send(dst, 0, data, nbytes) is None:
+            event = push(channel, dst, 0, data, nbytes)
+        else:
+            return
+        if event is not None:
+            self.owners[id(event)] = (event, channel)
+
+    def do_side(self, a, b, nbytes, carried):
+        self.serial += 1
+        self.side[a].send(carried, nbytes + HEADER_BYTES)
+
+    def do_recv(self, a, b):
+        channel = self.job.channels[a]
+        if not channel.down:
+            channel.matching.post_recv(b, ANY_TAG).callbacks.append(
+                lambda event: self.log.append(
+                    ("matched", self.sim.now, a, event._ok,
+                     event._ok and event._value[0])))
+
+    def do_flush(self, a, b):
+        if self._connection(a, b) is not None:
+            self._connection(a, b).flush()
+
+    def do_break(self, a, b):
+        if self._connection(a, b) is not None:
+            self._connection(a, b).break_()
+
+    def do_shutdown(self, a, _):
+        self.job.channels[a].shutdown()
+
+    def do_detach(self, a, _):
+        self.protocols[-1].endpoints[a].detach()
+
+    def do_fanout(self, a, _):
+        channel = self.job.channels[a]
+        endpoint = self.protocols[-1].endpoints[a]
+        self.wave += 1
+        helpers = len(endpoint._helpers)
+        endpoint._fan_out([rank for rank in range(self.n_ranks) if rank != a],
+                          MarkerPacket, self.wave)
+        if channel.down:
+            # the helper process of a dead rank still boots, the chain does
+            # not start
+            self.stillborn.extend(
+                helper._target for helper in endpoint._helpers[helpers:]
+                if isinstance(helper, Process))
+
+    def do_reincarnate(self, a, b):
+        """What FTRun's survivor policies do: rank ``a`` is lost, the
+        protocol is detached, the others' sockets outlive the
+        incarnation."""
+        if self.adopting:
+            return
+        job = self.job
+        for endpoint in self.protocols[-1].endpoints if self.protocols else ():
+            endpoint.detach()
+        links = job.harvest_links(
+            [rank for rank in range(self.n_ranks)
+             if rank != a and not job.channels[rank].down])
+        job.kill()
+        for end_lo, _end_hi in links.values():
+            end_lo.connection.flush()
+        self.adopting = True
+        if b:
+            self.sim.call_at(b * self.TICK, self._launch, links)
+        else:
+            self._launch(links)
+
+    # ------------------------------------------------------------- state
+    def state(self):
+        channels = [
+            (job.name, c.rank, c.down, c._seq, ids(c.matching.unexpected),
+             len(c.matching.posted), *self.extra(c))
+            for job in self.jobs for c in job.channels]
+        markers = [protocol.stats.markers_sent for protocol in self.protocols]
+        pipes = [(p.name, p.broken, p.bytes_sent, p.messages_sent,
+                  len(p.inbox), p.pumping)
+                 for connection in self.connections
+                 for p in connection.pipes]
+        return channels, markers, pipes
+
+    def extra(self, channel):
+        """The rig's own columns of a channel's state row."""
+        return sorted(channel.conns), gates(channel), daemon_state(channel)
+
+
+def fit(program, n_ranks, kill="shutdown"):
+    """Fold rank indices into ``n_ranks``.  An operation carried by a packet
+    runs inside the receiver, so it must not kill the rank running it: a
+    process that is interrupted while it runs and then yields is outside
+    what the spec (or any process here) defines."""
+    def fold(op, runs_on=None):
+        if op is None:
+            return None
+        verb, a, b = op[0], op[1] % n_ranks, op[2]
+        if verb in ("send", "isend", "freeze", "recv", "flush", "break"):
+            b %= n_ranks
+        if verb in ("send", "isend"):
+            return (verb, a, b, op[3], fold(op[4], runs_on=b))
+        if verb == "side":
+            return (verb, a, b, op[3], fold(op[4]))
+        if runs_on is not None:
+            if verb == "reincarnate":
+                verb, b = kill, 0
+            if verb == kill and a == runs_on:
+                a = (a + 1) % n_ranks
+        return (verb, a, b)
+
+    return [(tick, [fold(op) for op in ops]) for tick, ops in program]
+
+
+# ----------------------------------------------------------------- programs
+RANK = st.integers(0, MAX_RANKS - 1)
+
+
+def pair(*verbs):
+    """Ops ``(verb, rank, rank)``."""
+    return st.tuples(st.sampled_from(verbs), RANK, RANK)
+
+
+def lone(*verbs):
+    """Ops ``(verb, rank, 0)``."""
+    return st.tuples(st.sampled_from(verbs), RANK, st.just(0))
+
+
+def by_tick(steps, min_size, max_size):
+    return st.lists(steps, min_size=min_size, max_size=max_size).map(
+        lambda steps: sorted(steps, key=lambda step: step[0]))
+
+
+def programs(sizes, ticks, gentle, kill="shutdown", sends=("send",),
+             weight=1, extra=()):
+    """Programs of a rig's ``gentle`` ops (``weight`` times, plus ``extra``),
+    ``sends`` of ``sizes`` and teardowns up to tick ``ticks``: mostly
+    traffic — a program that only tears down compares nothing — with at
+    most one direct teardown closing a step, in one step out of five."""
+    size = st.sampled_from(sizes)
+    gentle = st.one_of(*gentle)
+    harsh = st.one_of(
+        pair("break"), lone(kill),
+        st.tuples(st.just("reincarnate"), RANK, st.integers(0, 2)))
+    send = st.tuples(st.sampled_from(sends), RANK, RANK, size, st.none())
+    carried = st.one_of(gentle, gentle, harsh)
+    ops = st.one_of(
+        send, send, send, *[gentle] * weight, *extra,
+        st.tuples(st.sampled_from(sends), RANK, RANK, size, carried),
+        st.tuples(st.just("side"), RANK, st.just(0), size, carried),
+    )
+    steps = st.tuples(
+        st.integers(0, ticks), st.lists(ops, min_size=1, max_size=6),
+        st.one_of(*[st.just([])] * 4, st.lists(harsh, min_size=1, max_size=1)),
+    ).map(lambda step: (step[0], step[1] + step[2]))
+    return by_tick(steps, 4, 24)
+
+
+# ------------------------------------------------------------ process specs
+class ProcessRx:
+    """The receiver as a process: one per attached end, parked on
+    ``end.recv()``, interrupted at shutdown."""
+
+    def _start_receiving(self, peer, end):
+        self.__dict__.setdefault("_receivers", []).append(self.sim.process(
+            self._receiver(peer, end), name=f"rx:r{self.rank}<-r{peer}"))
+
+    def _receiver(self, peer, end):
+        while True:
+            try:
+                packet = yield end.recv()
+            except ConnectionError:
+                self.socket_closed(peer)
+                return
+            yield from self._received(packet)
+            self.handle_packet(packet)
+
+    def _received(self, packet):
+        """Between taking ``packet`` and handling it: nothing."""
+        return iter(())
+
+    def _stop_receiving(self):
+        for receiver in self.__dict__.pop("_receivers", ()):
+            receiver.interrupt("channel shut down")
+
+
+class GeneratorSend:
+    """The channel's send family as generators, as it was (its commit
+    accounting written once, :meth:`_account`) but for the one call that
+    connects (:meth:`_establish`) and a :meth:`shutdown` that stops the
+    rank's sends."""
+
+    def post_send(self, dst, tag, data, nbytes):
+        if self.down:
+            raise ChannelDownError(f"rank {self.rank} channel is down")
+        packet = self._number(tag, data, nbytes)
+        sent = yield from self._send_packet(dst, packet, gated=True)
+        self._account(packet, dst, nbytes)
+        return sent
+
+    def _account(self, packet, dst, nbytes):
+        self.sim.trace.count("mpi.messages")
+        self.sim.trace.count("mpi.bytes", nbytes)
+        self._trace_send(packet, dst)
+        if self.sim.metrics is not None:
+            self._metrics_sent(packet, dst)
+        if self.protocol is not None:
+            self.protocol.on_app_sent(packet, dst)
+
+    def send_control(self, dst, packet):
+        if self.down:
+            raise ChannelDownError(f"rank {self.rank} channel is down")
+        yield from self._send_packet(dst, packet, gated=False)
+
+    def _send_packet(self, dst, packet, gated):
+        while True:
+            if gated and not self._gates_open(dst):
+                yield self.send_gate(dst).wait()
+                yield self.global_send_gate.wait()
+                continue
+            end = self.conns.get(dst)
+            if end is None:
+                end = yield from self._establish(dst)
+                if self.down:
+                    raise ChannelDownError(f"rank {self.rank} channel is down")
+                continue
+            break
+        if self.down:
+            raise ChannelDownError(f"rank {self.rank} channel is down")
+        nbytes = getattr(packet, "nbytes", HEADER_BYTES)
+        overhead = self.send_overhead(nbytes)
+        if gated:
+            overhead += self.transfer_tax()
+        if overhead > 0.0 and not self.defer_send_overhead:
+            yield from self._host_cost(overhead)
+            overhead = 0.0
+            if self.down:
+                raise ChannelDownError(f"rank {self.rank} channel is down")
+        return end.send(packet, nbytes, extra_latency=overhead, notify=gated)
+
+    def try_fast_send(self, dst, tag, data, nbytes):
+        if self.down:
+            raise ChannelDownError(f"rank {self.rank} channel is down")
+        end = self.conns.get(dst)
+        if end is None or not self._gates_open(dst):
+            return None
+        wire_bytes = nbytes + HEADER_BYTES
+        overhead = self.send_overhead(wire_bytes) + self.transfer_tax()
+        if overhead > 0.0 and not self.defer_send_overhead:
+            return None
+        packet = self._number(tag, data, nbytes)
+        self._account(packet, dst, nbytes)
+        return end.send(packet, wire_bytes, extra_latency=overhead)
+
+    def _host_cost(self, seconds):
+        hop = self.host_hop(seconds)
+        try:
+            yield hop
+        except Interrupt:
+            self.abandon_hop(hop)
+            raise
+
+    def shutdown(self, error=None):
+        """The spec's sends die with their rank, as a send chain does: its
+        pushers and its endpoint's helper processes are interrupted.  (A
+        pusher that outlived its rank went on past an opened gate, held
+        ch_v's daemon until its hop was served and broke off with
+        ``ChannelDownError`` only then; none of that reached the wire,
+        and the chain does none of it.)"""
+        if not self.down:
+            helpers = getattr(self.protocol, "_helpers", ())
+            for sender in (*self.__dict__.pop("pushers", ()), *helpers):
+                if isinstance(sender, Process):
+                    sender.interrupt("channel shut down")
+        super().shutdown(error)
+
+    def _establish(self, dst):
+        """Connect through ``MPIJob.establish``: the handshake is the
+        job's (see ``AbortingHandshake`` in the send rig for how it
+        was)."""
+        link = self.job.establish(self.rank, dst)
+        if link is not None:
+            yield link
+        end = self.conns.get(dst)
+        if end is None:
+            raise ConnectionResetError(
+                f"link {self.rank}<->{dst} vanished during establish")
+        return end
+
+
+def push(channel, dst, tag, data, nbytes, commit=None):
+    """The spec's ``isend`` pusher process: the process send path, the
+    send's ``commit``, then the wait for the wire; a failure it meets is
+    reported as a socket closure."""
+    def pusher():
+        try:
+            sent = yield from channel.post_send(dst, tag, data, nbytes)
+            if commit is not None:
+                commit()
+            yield sent
+        except ConnectionError:
+            if not channel.down:
+                channel.job.notify_socket_closed(channel.rank, dst)
+
+    process = channel.sim.process(pusher(),
+                                  name=f"isend:r{channel.rank}->r{dst}")
+    channel.__dict__.setdefault("pushers", []).append(process)
+    return process
+
+
+class SendEachEndpoint(ChainEndpoint):
+    """The spec fan-out: always the helper process."""
+
+    def _fan_out(self, dsts, packet_cls, wave):
+        self._spawn(self._send_each(dsts, packet_cls, wave),
+                    f"{self.protocol.protocol_name}:{packet_cls.__name__}"
+                    f":r{self.rank}")
+
+    def _send_each(self, dsts, packet_cls, wave):
+        for dst in dsts:
+            try:
+                yield from self.channel.send_control(
+                    dst, packet_cls(self.rank, wave))
+            except ConnectionError:
+                return
+            if packet_cls is MarkerPacket:
+                self.protocol.stats.markers_sent += 1

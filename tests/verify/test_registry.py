@@ -12,6 +12,8 @@ guard — the seam the next protocol family's monitor uses.
 
 import ast
 import inspect
+import json
+import pathlib
 
 import pytest
 
@@ -165,3 +167,18 @@ def test_a_monitor_outside_the_package_joins_by_declaring_its_guard(
     assert list(verdict)[-1] == "toy-collective-cut"
     assert verdict["toy-collective-cut"]["ok"]
     assert verdict["toy-collective-cut"]["checked"] > 0
+
+
+def test_no_committed_result_names_a_monitor_the_code_lacks():
+    """Every verdict a ``results/*.json`` document records is keyed by the
+    ``name`` of a registered monitor: a document written before a monitor
+    was deleted (or renamed) shows here until it is regenerated."""
+    names = {cls.name for cls in verify.REGISTRY}
+    results = pathlib.Path(__file__).resolve().parents[2] / "results"
+    documents = sorted(results.glob("*.json"))
+    assert documents
+    stale = sorted({(path.name, monitor) for path in documents
+                    for run in json.loads(path.read_text()).get(
+                        "monitors", {}).values()
+                    for monitor in run["verdicts"] if monitor not in names})
+    assert stale == []
