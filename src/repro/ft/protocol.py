@@ -422,6 +422,9 @@ class BaseEndpoint:
         for helper in self._helpers:
             helper.interrupt("protocol detached")
         self._helpers.clear()
+        # a wave cut short leaves nothing frozen behind (its delayed
+        # receptions are not delivered: the channel discards them)
+        self.channel.lift_freezes()
         for waiter in self._ack_waiters.values():
             if not waiter.triggered:
                 waiter.defused = True

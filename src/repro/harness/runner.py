@@ -218,7 +218,8 @@ def execute(
     a ``ft.recovery_degraded`` record).  See docs/RECOVERY.md.
 
     Every run arms the engine progress watchdog (:class:`~repro.sim.Watchdog`
-    at its default budget): a livelock raises
+    at the budget of a job of ``n_procs`` ranks,
+    :meth:`~repro.sim.Watchdog.for_ranks`): a livelock raises
     :class:`~repro.sim.LivelockError` out of this call instead of hanging
     the process.
 
@@ -268,7 +269,7 @@ def execute(
         name=name, time_limit=time_limit,
         instruments=instruments, inject=inject,
         malleable_app_factory=bench.make_app if bench.malleable else None,
-        trace=tracer, watchdog=Watchdog())
+        trace=tracer, watchdog=Watchdog.for_ranks(n_procs))
     meta = {"name": name, "network": network, "n_servers": n_servers,
             "profile": profile.name, "bench": bench.describe(n_procs),
             "events": run.sim.events_processed}

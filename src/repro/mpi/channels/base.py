@@ -5,9 +5,11 @@ A channel is one rank's communication engine.  It owns:
 * lazily established connections to peers (two processes connect on their
   first communication, like MPICH2 — except channels with ``eager_connect``,
   which build the full mesh at startup like MPICH-1's ch_p4/ch_v);
-* per-destination *send gates* and a global send gate (the Nemesis "stopper
-  request"), closed by the blocking protocol during a wave, each allocated
-  on first use;
+* per-destination *send freezing* and a global send gate (the Nemesis
+  "stopper request"), set by the blocking protocol during a wave: a set of
+  frozen destinations on demand, with a list of waiting sends per
+  destination only while one waits, and the one gate allocated on first
+  use;
 * per-source *receive freezing* with a delayed receive queue: frozen sources'
   application packets are parked and handed to matching only when the
   protocol thaws them (after the local checkpoint).  The delayed queue is
@@ -47,7 +49,7 @@ from repro.mpi.matching import MatchingEngine
 from repro.mpi.message import AppPacket, Packet
 from repro.net.connection import ConnectionEnd
 from repro.sim.events import URGENT, Event
-from repro.sim.primitives import EMPTY, Gate
+from repro.sim.primitives import EMPTY, Gate, appended
 from repro.sim.trace import declare
 
 __all__ = ["BaseChannel", "ChannelDownError", "SendChain"]
@@ -67,6 +69,16 @@ declare("mpi.deliver", __name__, job=int, rank=int, src=int, seq=int)
 
 class ChannelDownError(ConnectionError):
     """Raised when operating on a channel after shutdown."""
+
+
+class _DstOpen(Event):
+    """A send's wait for its destination to unfreeze, named
+    ``gate:g:r<rank>->r<dst>`` (as the per-destination gate it replaced)
+    when read."""
+
+    __slots__ = ("dst",)
+
+    name = property(lambda self: f"gate:g:r{self._name.rank}->r{self.dst}")
 
 
 class BaseChannel:
@@ -90,7 +102,7 @@ class BaseChannel:
     #: of blocking the sender (ch_v overrides: the daemon really serializes)
     defer_send_overhead = True
 
-    __slots__ = ("job", "sim", "rank", "matching", "conns", "_send_gates",
+    __slots__ = ("job", "sim", "rank", "matching", "conns", "_frozen_dsts",
                  "_global_gate", "_frozen_sources", "delayed_queue",
                  "protocol", "down", "_seq", "_attached",
                  "active_transfer_end", "_chains")
@@ -101,7 +113,10 @@ class BaseChannel:
         self.rank = rank
         self.matching = MatchingEngine(self.sim, rank)
         self.conns: Dict[int, ConnectionEnd] = {}
-        self._send_gates: Dict[int, Gate] = {}
+        #: destinations whose application sends wait, in the order they
+        #: were frozen, each with the list of sends waiting for it (EMPTY
+        #: while none does); a dict on demand
+        self._frozen_dsts: Union[Tuple[()], Dict[int, Any]] = EMPTY
         self._global_gate: Optional[Gate] = None
         #: sources whose app packets are parked; a set on demand
         self._frozen_sources: Union[Tuple[()], Set[int]] = EMPTY
@@ -134,25 +149,44 @@ class BaseChannel:
             self._global_gate = Gate(self.sim, name=f"g:r{self.rank}")
         return self._global_gate
 
-    def send_gate(self, dst: int) -> Gate:
-        gate = self._send_gates.get(dst)
-        if gate is None:
-            gate = Gate(self.sim, name=f"g:r{self.rank}->r{dst}")
-            self._send_gates[dst] = gate
-        return gate
-
     def freeze_sends(self, dsts) -> None:
         """Stop committing application sends to ``dsts`` (control packets
         still pass) until :meth:`resume_sends`.  How is the device's
-        business: per-destination gates here, the stopper on Nemesis."""
+        business: a set of frozen destinations here, the stopper on
+        Nemesis."""
+        if self._frozen_dsts is EMPTY:
+            self._frozen_dsts = {}
         for dst in dsts:
-            self.send_gate(dst).close()
+            self._frozen_dsts.setdefault(dst, EMPTY)
 
     def resume_sends(self) -> None:
-        for gate in self._send_gates.values():
-            gate.open()
+        """Unfreeze every destination and wake the sends waiting for them:
+        destinations in the order they were frozen, each one's sends in
+        the order they began to wait."""
+        frozen, self._frozen_dsts = self._frozen_dsts, EMPTY
+        for waiters in frozen and frozen.values():
+            for waiter in waiters:
+                if not waiter.triggered and waiter.callbacks:
+                    waiter.succeed()
+
+    def dst_open(self, dst: int) -> Event:
+        """An event that succeeds once application sends to ``dst`` may go
+        on: at once unless ``dst`` is frozen, else at :meth:`resume_sends`.
+        Named ``gate:g:r<rank>->r<dst>`` when read."""
+        event = _DstOpen(self.sim, self)
+        event.dst = dst
+        if dst not in self._frozen_dsts:
+            return event.succeed()
+        self._frozen_dsts[dst] = appended(self._frozen_dsts[dst], event)
+        return event
 
     # --------------------------------------------------------------- freezing
+    def lift_freezes(self) -> None:
+        """Forget every send and receive freeze without waking a send or
+        delivering the delayed queue (a detached protocol's wave is over:
+        a restart discards the queue with the channel)."""
+        self._frozen_dsts = self._frozen_sources = EMPTY
+
     def freeze_source(self, src: int) -> None:
         if self._frozen_sources is EMPTY:
             self._frozen_sources = {src}
@@ -200,12 +234,12 @@ class BaseChannel:
             packet = self._number(tag, data, nbytes)
             self._committed(packet, dst, nbytes)
             return self.conns[dst].send(packet, wire_bytes, overhead)
-        chain = SendChain(self, None, None)
+        chain = SendChain(self, "isend" if defer else "send", None)
         chain._dst = dst
         chain.nbytes = nbytes
         if defer:
             chain._packet = (tag, data)
-            chain.done = Event(self.sim, chain)  # named as an isend's
+            chain.done = Event(self.sim, chain)
             chain._defer()
         else:
             chain._packet = self._number(tag, data, nbytes)
@@ -239,8 +273,7 @@ class BaseChannel:
         gate = self._global_gate
         if gate is not None and not gate.is_open:
             return False
-        gate = self._send_gates.get(dst) if self._send_gates else None
-        return gate is None or gate.is_open
+        return dst not in self._frozen_dsts
 
     def _committed(self, packet: AppPacket, dst: int, nbytes: float) -> None:
         """The commit accounting of an application send."""
@@ -368,10 +401,7 @@ class BaseChannel:
             if self.protocol is not None:
                 self.protocol.on_app_packet(packet)
             if packet.src in self._frozen_sources:
-                if self.delayed_queue is EMPTY:
-                    self.delayed_queue = [packet]
-                else:
-                    self.delayed_queue.append(packet)
+                self.delayed_queue = appended(self.delayed_queue, packet)
                 self.sim.trace.count("channel.delayed_packets")
                 if metrics is not None:
                     # gauge (not counter): current depth of the Pcl
@@ -411,8 +441,8 @@ class BaseChannel:
         self.delayed_queue = EMPTY
 
 
-#: what a send chain waits on: its start step, the destination's gate, the
-#: global gate, the link, a host hop
+#: what a send chain waits on: its start step, the destination's freeze,
+#: the global gate, the link, a host hop
 _START, _GATE, _GLOBAL, _LINK, _HOP = range(5)
 
 
@@ -422,15 +452,16 @@ class SendChain:
     application packet that can go out at once goes out inside
     :meth:`BaseChannel.post`, and no chain exists for it).
 
-    For each ``(dst, packet)`` the chain waits for the send gates (an
-    application packet only), for the link (the job's handshake when none
-    is up), and for a host hop (a channel that does not defer its send
-    overhead: ch_v's daemon), skipping each wait that is not needed; then
+    For each ``(dst, packet)`` the chain waits for the destination's freeze
+    and the global send gate (an application packet only), for the link
+    (the job's handshake when none is up), and for a host hop (a channel
+    that does not defer its send overhead: ch_v's daemon), skipping each
+    wait that is not needed; then
     it hands the packet to the connection end and runs the commit
     accounting and the caller's ``on_commit``.  The next destination
     starts once the previous packet is on the wire.  It waits on exactly
-    the gate, handshake, link and hop events the generator send path
-    waited on, so every pop keeps its place.
+    the freeze, gate, handshake, link and hop events the generator send
+    path waited on, so every pop keeps its place.
 
     The channel keeps every chain that is waiting; :meth:`BaseChannel.
     shutdown` stops them all, and a protocol detach stops its chains
@@ -447,9 +478,11 @@ class SendChain:
                  "_dst", "_packet", "_stage", "waiting", "sent", "error",
                  "done")
 
-    def __init__(self, channel: BaseChannel, label: Optional[str],
+    def __init__(self, channel: BaseChannel, label: str,
                  on_commit: Optional[OnCommit], packets=None) -> None:
         self.channel = channel
+        #: a control chain's name; an application send's kind (``send`` or
+        #: ``isend``), which its name completes
         self._label = label
         self.on_commit = on_commit
         #: an application send's payload size (without the envelope)
@@ -468,17 +501,17 @@ class SendChain:
         self.sent: Optional[Event] = None
         self.error: Optional[BaseException] = None
         #: a deferred application send's completion: succeeds one step
-        #: after its packet left, or when it failed
+        #: after its packet left, or when it failed; dropped then, so the
+        #: chain, which names it, is freed with it
         self.done: Optional[Event] = None
 
     @property
     def name(self) -> str:
         """What ``Event.describe()`` names as the waiter (and its start
         and done events, when read)."""
-        if self._label is not None:
+        if self._packets is not None:
             return self._label
-        kind = "send" if self.done is None else "isend"
-        return f"{kind}:r{self.channel.rank}->r{self._dst}"
+        return f"{self._label}:r{self.channel.rank}->r{self._dst}"
 
     event_name = name
 
@@ -570,7 +603,7 @@ class SendChain:
         dst = self._dst
         gated = self._packets is None
         if gated and not channel._gates_open(dst):
-            self._wait(channel.send_gate(dst).wait(), _GATE)
+            self._wait(channel.dst_open(dst), _GATE)
             return False
         end = channel.conns.get(dst)
         if end is None:
@@ -621,4 +654,5 @@ class SendChain:
         channel = self.channel
         if (sent is None or not sent._ok) and not channel.down:
             channel.job.notify_socket_closed(channel.rank, self._dst)
-        self.done.succeed()
+        done, self.done = self.done, None
+        done.succeed()

@@ -38,13 +38,12 @@ the volatile log buffer accounting the daemon would hold.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, List, Optional, Tuple, Union
+from typing import Any, List, Optional, Tuple, Union
 
 from repro.mpi.channels.base import HEADER_BYTES, BaseChannel
 from repro.net.connection import ConnectionEnd
 from repro.sim.events import URGENT, Event
-from repro.sim.primitives import EMPTY
+from repro.sim.primitives import EMPTY, appended
 
 __all__ = ["ChVChannel"]
 
@@ -67,16 +66,13 @@ class _Reader:
     """One connection end's receive path through the daemon: callbacks on
     the end's ``get`` event and on the packet's hop."""
 
-    __slots__ = ("channel", "peer", "end", "name", "_get", "_hop",
-                 "_stopped")
+    __slots__ = ("channel", "peer", "end", "_get", "_hop", "_stopped")
 
     def __init__(self, channel: "ChVChannel", peer: int,
                  end: ConnectionEnd) -> None:
         self.channel = channel
         self.peer = peer
         self.end = end
-        #: the waiter ``Event.describe()`` names (``vdaemon:r1 -> rx:r1<-r0``)
-        self.name = f"rx:r{channel.rank}<-r{peer}"
         #: the ``get`` this reader waits on, or the hop of the packet it took
         self._get: Optional[Event] = None
         self._hop: Optional[Event] = None
@@ -88,6 +84,10 @@ class _Reader:
         start = Event(channel.sim, name="rx:start")
         start.callbacks.append(self._take)
         start.succeed(priority=URGENT)
+
+    #: the waiter ``Event.describe()`` names (``vdaemon:r1 -> rx:r1<-r0``),
+    #: derived when read
+    name = property(lambda self: f"rx:r{self.channel.rank}<-r{self.peer}")
 
     def _take(self, _event: Optional[Event] = None) -> None:
         if not self._stopped:
@@ -150,8 +150,9 @@ class ChVChannel(BaseChannel):
         #: the hop the daemon thread is serving, and when it was submitted
         self._serving: Optional[Event] = None
         self._serving_since = 0.0
-        #: hops waiting for the daemon thread, oldest first
-        self._queue: Union[Tuple[()], Deque[_Queued]] = EMPTY
+        #: hops waiting for the daemon thread, oldest first; a list on
+        #: demand, given back when the daemon drained it
+        self._queue: Union[Tuple[()], List[_Queued]] = EMPTY
         #: bytes of in-transit messages currently held in daemon memory
         self.log_buffer_bytes = 0.0
         self._readers: List[_Reader] = []
@@ -178,10 +179,8 @@ class ChVChannel(BaseChannel):
         job = (hop, seconds, value, self.sim.now)
         if self._serving is None:
             self._serve(*job)
-        elif self._queue is EMPTY:
-            self._queue = deque((job,))
         else:
-            self._queue.append(job)
+            self._queue = appended(self._queue, job)
         return hop
 
     def abandon_hop(self, hop: Event, waiter: Optional[str] = None) -> None:
@@ -214,12 +213,14 @@ class ChVChannel(BaseChannel):
         self._serving = None
         queue = self._queue
         while queue:
-            queued = queue.popleft()
+            queued = queue.pop(0)
             # skip a hop nobody waits for (its waiter was interrupted, or
             # the hop abandoned, while it queued): only this callback left
             if len(queued[0].callbacks) > 1:
                 self._serve(*queued)
                 break
+        if not queue:
+            self._queue = EMPTY
         metrics = self.sim.metrics
         if metrics is not None:
             # total hop latency = queueing behind the single daemon thread

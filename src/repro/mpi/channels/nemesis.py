@@ -39,17 +39,11 @@ class NemesisChannel(BaseChannel):
         return 2 * ENGINE_OVERHEAD_SECONDS  # enqueue + dequeue engine costs
 
     # --- stopper request ---------------------------------------------------
-    def enqueue_stopper(self) -> None:
-        """Block all subsequent sends (markers already queued pass through)."""
+    def freeze_sends(self, dsts) -> None:
+        """One send queue: the stopper request blocks every subsequent send
+        at once (markers already queued pass through)."""
         self.global_send_gate.close()
 
-    def dequeue_stopper(self) -> None:
+    def resume_sends(self) -> None:
         """Discard the stopper; queued sends resume."""
         self.global_send_gate.open()
-
-    def freeze_sends(self, dsts) -> None:
-        """One send queue: the stopper freezes every destination at once."""
-        self.enqueue_stopper()
-
-    def resume_sends(self) -> None:
-        self.dequeue_stopper()

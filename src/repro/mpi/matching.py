@@ -19,7 +19,7 @@ from typing import List, Tuple, Union
 from repro.mpi.consts import ANY_SOURCE, ANY_TAG
 from repro.mpi.message import AppPacket
 from repro.sim.events import Event
-from repro.sim.primitives import EMPTY
+from repro.sim.primitives import EMPTY, appended
 
 __all__ = ["MatchingEngine"]
 
@@ -64,9 +64,7 @@ class MatchingEngine:
                 del self.posted[index]
                 event.succeed(packet.data)
                 return
-        if self.unexpected is EMPTY:
-            self.unexpected = []
-        self.unexpected.append(packet)
+        self.unexpected = appended(self.unexpected, packet)
 
     # --------------------------------------------------------------- failure
     def fail_all(self, error: BaseException) -> None:

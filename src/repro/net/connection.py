@@ -23,13 +23,12 @@ connection end owns no process.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from repro.net.flows import FlowScheduler
 from repro.net.link import Link
 from repro.sim.events import URGENT, Event
-from repro.sim.primitives import EMPTY, Store
+from repro.sim.primitives import EMPTY, Store, appended
 from repro.sim.trace import declare
 
 __all__ = ["BrokenConnectionError", "Connection", "ConnectionEnd"]
@@ -72,12 +71,13 @@ class _Pipe:
 
     An idle pipe owns no container and a busy one owns no process.
     ``egress`` is the shared :data:`~repro.sim.primitives.EMPTY` until a
-    message has to queue and is handed back when the pump goes idle; the
-    inbox is allocated on demand too, for a reader or a queued arrival.
-    The pipe's name, ``conn<id>.<direction>``, is derived from the
-    connection id and direction on first read and kept (the ``net.sent``
-    probe reads it on every send); its events (``sent:<pipe>``,
-    ``pump:<pipe>``) derive theirs from it when read.
+    message has to queue, then a list, handed back when the pump goes
+    idle; the inbox is allocated on demand too, for a reader or a queued
+    arrival.  The pipe's name, ``conn<id>.<direction>``, is derived from
+    the connection id and direction on first read and kept (the
+    ``net.sent`` probe reads it on every send); its events (``sent:<pipe>``,
+    ``pump:<pipe>``) and its inbox (``inbox:<pipe>``) derive theirs from it
+    when read.
 
     The *pump* that serializes queued messages is two plain callbacks, not
     a process.  ``send()`` on an idle pipe pushes one URGENT kick event
@@ -138,8 +138,9 @@ class _Pipe:
             rate = min(rate, cap)
         self._idle_rate = rate
         self._inbox: Optional[Store] = None
-        #: messages waiting for the wire, oldest first
-        self.egress: Union[Tuple[()], Deque[_Message]] = EMPTY
+        #: messages waiting for the wire, oldest first (a queue that stays
+        #: short: a plain ``pop(0)`` consumes it)
+        self.egress: Union[Tuple[()], List[_Message]] = EMPTY
         #: True from the kick until the pump finds ``egress`` empty
         self.pumping = False
         self.broken = False
@@ -176,12 +177,14 @@ class _Pipe:
 
     #: its transmit-complete events are ``sent:<pipe>``, derived when read
     event_name = property(lambda self: f"sent:{self.name}")
+    #: its inbox is ``inbox:<pipe>``, derived when read
+    store_name = property(lambda self: f"inbox:{self.name}")
 
     @property
     def inbox(self) -> Store:
         """What a reader takes deliveries from and arrivals queue in."""
         if self._inbox is None:
-            self._inbox = Store(self.sim, name=f"inbox:{self.name}")
+            self._inbox = Store(self.sim, name=self)
         return self._inbox
 
     # ------------------------------------------------------------------ send
@@ -234,10 +237,7 @@ class _Pipe:
                         self._flush_gen)
             return sent
         message = (payload, nbytes, sent, extra_latency, msg_id)
-        if self.egress is EMPTY:
-            self.egress = deque((message,))
-        else:
-            self.egress.append(message)
+        self.egress = appended(self.egress, message)
         if not self.pumping:
             self.pumping = True
             self._kick()
@@ -258,7 +258,7 @@ class _Pipe:
             self.pumping = False
             self.egress = EMPTY
             return
-        message = self.egress.popleft()
+        message = self.egress.pop(0)
         # Queueing penalty: packets of competing flows sit ahead of ours
         # in the NIC queues along the path.
         queueing = 0.0
@@ -379,14 +379,17 @@ class _Pipe:
         self._flush_gen += 1
         if self._current_flow is not None:
             self.scheduler.cancel(self._current_flow)
-        error = BrokenConnectionError(f"pipe {self.name} flushed")
-        while self.egress:
-            entry = self.egress.popleft()
-            sent = entry[2]
+        self._drop_egress(BrokenConnectionError(f"pipe {self.name} flushed"))
+        self.inbox.drain()
+
+    def _drop_egress(self, error: BrokenConnectionError) -> None:
+        """Drop every queued message, failing its transmit-complete event
+        (the pump, if running, goes idle on its next step)."""
+        egress, self.egress = self.egress, EMPTY
+        for _payload, _nbytes, sent, _extra, _msg_id in egress:
             if sent is not None and not sent.triggered:
                 sent.defused = True
                 sent.fail(error)
-        self.inbox.drain()
 
     # ----------------------------------------------------------------- break
     def break_(self) -> None:
@@ -396,12 +399,7 @@ class _Pipe:
         error = BrokenConnectionError(f"pipe {self.name} broken")
         if self._current_flow is not None:
             self.scheduler.cancel(self._current_flow)
-        while self.egress:
-            entry = self.egress.popleft()
-            sent = entry[2]
-            if sent is not None and not sent.triggered:
-                sent.defused = True
-                sent.fail(error)
+        self._drop_egress(error)
         self.inbox.poison(error)  # for a reader to come, too
         if self._sink is not None and not self._handing:
             self._hop(_CLOSED)

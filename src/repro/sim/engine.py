@@ -59,11 +59,13 @@ __all__ = [
     "DEFAULT_MAX_SAME_TIME_EVENTS",
 ]
 
-#: default zero-time cascade budget before the watchdog trips.  Legitimate
-#: same-timestamp bursts measured across the harness peak in the hundreds
-#: (a 337-process barrier release is ~1.3k pops); real livelocks spin
-#: millions of times, so 100k separates the two by orders of magnitude in
-#: both directions while tripping within a fraction of a second.
+#: default zero-time cascade budget before the watchdog trips.  A barrier
+#: release is a few pops per rank (~1.3k at 337 processes), but a
+#: checkpoint wave's markers can land in one instant: two pops per ordered
+#: rank pair, 2·N·(N-1), which passes 100k beyond ~224 ranks, so
+#: ``execute`` sizes its budget to the job (:meth:`Watchdog.for_ranks`).
+#: Real livelocks spin millions of times; 100k trips within a fraction of
+#: a second.
 DEFAULT_MAX_SAME_TIME_EVENTS = 100_000
 
 #: hot-loop bound for "no time limit": one float compare beats an is-None
@@ -260,6 +262,15 @@ class Watchdog:
         self.max_same_time_events = max_same_time_events
         self.sample_window = sample_window
         self.reset()
+
+    @classmethod
+    def for_ranks(cls, ranks: int) -> "Watchdog":
+        """A watchdog for a job of ``ranks`` ranks.  A checkpoint wave's
+        N·(N-1) markers can land in one instant, and each is two pops there
+        (its delivery and its hand-over to the channel): past ~224 ranks
+        that alone exceeds the default budget.  Twice that, and never
+        below the default."""
+        return cls(max(DEFAULT_MAX_SAME_TIME_EVENTS, 4 * ranks * (ranks - 1)))
 
     def reset(self) -> None:
         """Forget all progress state (e.g. before reusing across runs)."""

@@ -24,13 +24,22 @@ from typing import Any, Deque, List, Optional, Tuple, Union
 
 from repro.sim.events import Event
 
-__all__ = ["EMPTY", "Store", "Resource", "Gate"]
+__all__ = ["EMPTY", "appended", "Store", "Resource", "Gate"]
 
 #: the one empty queue every idle holder shares: falsy, ``len() == 0``,
 #: iterable — everything the read paths need — and immutable, so a write
 #: that forgets the identity test fails loudly instead of leaking into
 #: every other holder
 EMPTY: Tuple[()] = ()
+
+
+def appended(queue: Union[Tuple[()], List[Any]], item: Any) -> List[Any]:
+    """``queue`` with ``item`` at its end, for a holder to store back: a
+    list on demand, so the first item turns :data:`EMPTY` into one."""
+    if queue is EMPTY:
+        return [item]
+    queue.append(item)
+    return queue
 
 
 class Store:
@@ -46,22 +55,28 @@ class Store:
     Footprint: the common shape is one reader parked on an empty store (a
     server's or daemon's receive loop), so the oldest waiter lives in the
     ``_getter`` slot and costs no container; ``_more_getters`` (waiters
-    behind it) and ``_items`` stay :data:`EMPTY` until a second concurrent
-    waiter / a backlog actually appears.  A store that has held a backlog
-    keeps its deque (a receiver slower than its sender would otherwise
-    reallocate it per message); :meth:`drain` gives it back.
+    behind it) stays :data:`EMPTY` until a second concurrent waiter
+    appears, and ``_items`` until a backlog does: then a list, given back
+    when the last item is taken.
+
+    ``name`` is a string, or the object the store belongs to, whose
+    ``store_name`` is then read as the name (derived when read, as an
+    event's is).
     """
 
-    __slots__ = ("sim", "name", "_items", "_getter", "_more_getters",
+    __slots__ = ("sim", "_name", "_items", "_getter", "_more_getters",
                  "_poison")
 
-    def __init__(self, sim: "Simulator", name: Optional[str] = None) -> None:
+    def __init__(self, sim: "Simulator", name: Any = None) -> None:
         self.sim = sim
-        self.name = name
-        self._items: Union[Tuple[()], Deque[Any]] = EMPTY
+        self._name = name
+        self._items: Union[Tuple[()], List[Any]] = EMPTY
         self._getter: Optional[Event] = None
         self._more_getters: Union[Tuple[()], Deque[Event]] = EMPTY
         self._poison: Optional[BaseException] = None
+
+    #: its name, derived when read from an owner that has one
+    name = property(lambda self: getattr(self._name, "store_name", self._name))
 
     def __len__(self) -> int:
         return len(self._items)
@@ -80,15 +95,12 @@ class Store:
             if not getter.triggered and getter.callbacks:
                 getter.succeed(item)
                 return
-        if self._items is EMPTY:
-            self._items = deque((item,))
-        else:
-            self._items.append(item)
+        self._items = appended(self._items, item)
 
     def get(self) -> Event:
         event = self.sim.event(name=self)
         if self._items:
-            event.succeed(self._items.popleft())
+            event.succeed(self.try_get())
         elif self._poison is not None:
             event.fail(self._poison)
         elif self._getter is None:
@@ -100,10 +112,14 @@ class Store:
         return event
 
     def try_get(self) -> Any:
-        """Non-blocking get; returns the item or None when empty."""
-        if self._items:
-            return self._items.popleft()
-        return None
+        """Non-blocking get; returns the item or None when empty.  The
+        backlog stays short, so a list's ``pop(0)`` takes it."""
+        if not self._items:
+            return None
+        item = self._items.pop(0)
+        if not self._items:
+            self._items = EMPTY
+        return item
 
     def poison(self, exception: BaseException) -> None:
         """Fail all pending and future getters (idempotent)."""
@@ -117,7 +133,7 @@ class Store:
                 if not waiter.triggered:
                     waiter.fail(exception)
 
-    def drain(self) -> Union[Tuple[()], Deque[Any]]:
+    def drain(self) -> Union[Tuple[()], List[Any]]:
         """Remove and return all queued items."""
         items, self._items = self._items, EMPTY
         return items
@@ -177,8 +193,8 @@ class Gate:
     """A reusable open/closed barrier.
 
     While open, ``wait`` completes immediately; while closed, waiters queue
-    until the next ``open()``.  Used by the blocking (Pcl) protocol to freeze
-    sends/receives per channel during a checkpoint wave.
+    until the next ``open()``.  The Nemesis channel's stopper request, which
+    freezes all of a rank's sends during a checkpoint wave, is one.
     """
 
     __slots__ = ("sim", "name", "_open", "_waiters")
@@ -211,8 +227,6 @@ class Gate:
         event = self.sim.event(name=self)
         if self._open:
             event.succeed()
-        elif self._waiters is EMPTY:
-            self._waiters = [event]
         else:
-            self._waiters.append(event)
+            self._waiters = appended(self._waiters, event)
         return event

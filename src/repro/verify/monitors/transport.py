@@ -17,8 +17,9 @@ class FifoDeliveryMonitor(Monitor):
 
     def __init__(self) -> None:
         super().__init__()
-        #: pipe name -> (highest id accepted for send, highest id delivered)
-        self._pipes: Dict[str, Tuple[int, int]] = {}
+        #: pipe name -> highest id accepted for send, and highest delivered
+        self._sent: Dict[str, int] = {}
+        self._delivered: Dict[str, int] = {}
         #: (job, rank, src) -> last seq seen arriving at the channel
         self._arrivals: Dict[Tuple[str, int, int], int] = {}
         #: (job, rank, src) -> last seq handed to the matching engine
@@ -26,12 +27,12 @@ class FifoDeliveryMonitor(Monitor):
 
     @on("net.sent")
     def on_net_sent(self, time, pipe, msg, nbytes) -> None:
-        sent, delivered = self._pipes.get(pipe, (0, 0))
-        self._pipes[pipe] = (max(sent, msg), delivered)
+        self._sent[pipe] = max(msg, self._sent.get(pipe, 0))
 
     @on("net.delivered")
     def on_net_delivered(self, time, pipe, msg) -> None:
-        sent, delivered = self._pipes.get(pipe, (0, 0))
+        sent = self._sent.get(pipe, 0)
+        delivered = self._delivered.get(pipe, 0)
         if msg <= delivered:
             self.violation(
                 time,
@@ -44,7 +45,7 @@ class FifoDeliveryMonitor(Monitor):
                 f"pipe {pipe}: message #{msg} delivered but only #{sent} "
                 "was ever sent",
             )
-        self._pipes[pipe] = (sent, max(delivered, msg))
+        self._delivered[pipe] = max(delivered, msg)
 
     @on("mpi.recv")
     def on_mpi_recv(self, time, job, rank, src, seq) -> None:

@@ -330,6 +330,48 @@ def test_default_threshold_matches_engine_constant():
     assert Watchdog().max_same_time_events == DEFAULT_MAX_SAME_TIME_EVENTS
 
 
+@pytest.mark.parametrize("ranks", [1, 2, 16, 64, 144, 158, 159, 224, 225,
+                                   256, 337, 1_000])
+def test_the_budget_fits_a_wave_of_the_job(ranks):
+    """A wave's N·(N-1) markers landing in one instant are 2·N·(N-1)
+    legitimate pops: the budget clears that twice over and never drops
+    below the default (the default itself serves up to 158 ranks)."""
+    budget = Watchdog.for_ranks(ranks).max_same_time_events
+    wave = 2 * ranks * (ranks - 1)
+    assert budget >= DEFAULT_MAX_SAME_TIME_EVENTS
+    assert budget >= 2 * wave
+    assert (budget == DEFAULT_MAX_SAME_TIME_EVENTS) == (ranks <= 158)
+    if ranks > 158:
+        assert budget == 2 * wave  # no more than the headroom
+
+
+def test_execute_arms_the_budget_of_its_deployment(monkeypatch):
+    """``execute`` hands the simulator a watchdog sized to the job: at 256
+    ranks one Pcl wave's same-instant pops exceed the default budget."""
+    import repro.harness.runner as runner
+    from repro.apps import BT
+    from repro.harness.config import SMOKE
+
+    armed = []
+
+    class Armed(Exception):
+        pass
+
+    def stop(spec, app, seed, watchdog=None, **_options):
+        armed.append((spec.n_procs, watchdog.max_same_time_events))
+        raise Armed
+
+    monkeypatch.setattr(runner, "bare_run", stop)
+    for ranks in (16, 256):
+        with pytest.raises(Armed):
+            runner.execute(bench=BT("B", scale=SMOKE.time_scale),
+                           n_procs=ranks, protocol="pcl", profile=SMOKE,
+                           procs_per_node=1, n_compute_nodes=ranks,
+                           n_servers=9, period=10.0)
+    assert armed == [(16, DEFAULT_MAX_SAME_TIME_EVENTS), (256, 261_120)]
+    assert 2 * 256 * 255 > DEFAULT_MAX_SAME_TIME_EVENTS
+
+
 @pytest.mark.unmonitored
 def test_waiting_report_names_the_waiters_of_a_chv_daemon_hop():
     """ch_v's daemon readers and the markers' fan-out are callbacks, not
@@ -386,11 +428,11 @@ def test_waiting_report_names_the_send_chains():
     run.start()
     while 1 not in run.job.channels[0].conns:
         sim.step()
-    run.job.channels[0].send_gate(1).close()
+    run.job.channels[0].freeze_sends([1])
     blocked = "gate:g:r0->r1 -> send:r0->r1,ftrun#1:r0"
     labels = set()
     while sim.peek() < 2.0 and blocked not in labels:
         sim.step()
         labels = {event.describe()
-                  for event in run.job.channels[0].send_gate(1)._waiters}
+                  for event in run.job.channels[0]._frozen_dsts[1]}
     assert blocked in labels

@@ -79,7 +79,7 @@ def test_dcl_recovers_from_kills(sim, kill, at):
 
 
 def test_dcl_on_nemesis_recovers(sim):
-    """The drain stopper path: Nemesis freezes sends via enqueue_stopper."""
+    """The drain stopper path: Nemesis freezes sends with its stopper."""
     run, _ = build_ft_run(sim, ring_app_factory(iters=60), size=4,
                           protocol="dcl", channel_cls=NemesisChannel,
                           period=0.8)

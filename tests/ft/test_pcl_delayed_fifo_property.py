@@ -13,7 +13,7 @@ message stream.  The suite-wide monitor fixture keeps every invariant
 monitor (including pcl-flush and fifo-delivery) live for every example.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.mpi import FtSockChannel, NemesisChannel
 from repro.sim import Simulator
@@ -85,6 +85,11 @@ def test_nemesis_delayed_receive_queue_releases_fifo(schedule, wave_times):
 
 @given(schedule=_schedules, wave_times=_wave_times)
 @settings(max_examples=20, deadline=None)
+# a second wave, requested after the first committed, freezes source 0 and
+# is cut short by the job's completion: detaching it must thaw the source
+@example(schedule=[(0.01953125, 10.0), (0.0078125, 10.0),
+                   (0.01171875, 10.0), (0.0, 351225.0)],
+         wave_times=[0.046875, 0.0390625])
 def test_ftsock_delayed_receive_queue_releases_fifo(schedule, wave_times):
     run = _run_stream(FtSockChannel, schedule, wave_times)
     assert run.job.contexts[1].state["seen"] == list(range(len(schedule)))

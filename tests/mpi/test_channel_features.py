@@ -1,5 +1,5 @@
 """Channel-level features the checkpoint protocols rely on:
-send gates, receive freezing, the Nemesis stopper, failure propagation."""
+send freezing, receive freezing, the Nemesis stopper, failure propagation."""
 
 import pytest
 
@@ -23,7 +23,7 @@ def test_send_gate_blocks_app_messages(sim):
 
     job, _ = make_job(sim, app, size=2)
     job.start()
-    sim.call_at(0.2, job.channels[0].send_gate(1).close)
+    sim.call_at(0.2, job.channels[0].freeze_sends, [1])
     sim.call_at(2.0, job.channels[0].resume_sends)
     sim.run_until_complete(job.completed)
     times = dict(events)
@@ -57,7 +57,7 @@ def test_control_packets_bypass_gates(sim):
     job, _ = make_job(sim, app, size=2)
     job.channels[1].protocol = Sink()
     job.start()
-    sim.call_at(0.1, job.channels[0].send_gate(1).close)
+    sim.call_at(0.1, job.channels[0].freeze_sends, [1])
     sim.run_until_complete(job.completed)
     assert got == [(1, 0)]
 
@@ -115,8 +115,8 @@ def test_nemesis_stopper_blocks_all_destinations(sim):
 
     job, _ = make_job(sim, app, size=3, channel_cls=NemesisChannel)
     job.start()
-    sim.call_at(0.1, job.channels[0].enqueue_stopper)
-    sim.call_at(1.5, job.channels[0].dequeue_stopper)
+    sim.call_at(0.1, job.channels[0].freeze_sends, [1])  # the stopper
+    sim.call_at(1.5, job.channels[0].resume_sends)
     sim.run_until_complete(job.completed)
     assert all(t >= 1.5 for t in sent_times.values())
 

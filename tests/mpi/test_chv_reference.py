@@ -43,7 +43,6 @@ from repro.mpi import FtSockChannel, NemesisChannel
 from repro.mpi.channels.base import HEADER_BYTES, SendChain
 from repro.mpi.channels.ch_v import ChVChannel, _Reader
 from repro.net.connection import _INLINE_BYTES
-from repro.sim.events import URGENT
 from repro.sim.primitives import Resource
 from repro.sim.process import Process
 
@@ -155,11 +154,6 @@ RULES = Rules(
     Rule("handshake asker", lambda priority, kind, label:
          "-> fan-out:" + HELPER in label, lambda label: label.replace(
              "-> fan-out:" + HELPER, "-> " + HELPER)),
-    # the waiter of a request: pusher or chain
-    Rule("isend waiter", lambda priority, kind, label:
-         label.startswith("isend:") and " -> " in label,
-         lambda label: label.split(" -> ")[0]),
-    rename("isend start", "isend:", "start:isend:", priority=URGENT),
     rename("helper bootstrap", "init:" + HELPER, "start:" + HELPER),
     rename("fan-out start", "fan-out:" + HELPER, "start:" + HELPER),
 )

@@ -44,7 +44,7 @@ def test_fast_send_respects_closed_gate(sim):
     run_job(sim, job)  # connection now established
     channel = job.channels[0]
     assert goes_inline(channel, 1)
-    channel.send_gate(1).close()
+    channel.freeze_sends([1])
     assert not goes_inline(channel, 1)
     channel.resume_sends()
     channel.global_send_gate.close()

@@ -161,7 +161,6 @@ RULES = Rules(
     "send",
     # a helper's termination or interrupt wakeup, a stopped chain's wakeup,
     # and what a rank that is down still pops
-    drop("dead hop", "dead:"),
     drop("gone", "gone:"),
     drop("isend interrupt", "interrupt:isend:"),
     drop("send interrupt", "interrupt:send:"),

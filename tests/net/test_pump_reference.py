@@ -39,7 +39,7 @@ class GeneratorPumpPipe(_Pipe):
 
     def _pump(self):
         while self.egress and not self.broken:
-            payload, nbytes, sent, extra_latency, msg_id = self.egress.popleft()
+            payload, nbytes, sent, extra_latency, msg_id = self.egress.pop(0)
             queueing = 0.0
             for link in self.links:
                 competitors = len(link.flows)

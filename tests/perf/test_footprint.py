@@ -8,9 +8,18 @@ This test counts them exactly, through the allocator's eyes
 (``gc.get_objects()``), on a 1,000-rank FTPM token ring: none after launch,
 and none after a ring round whose flow-sized token drove every pipe's
 ``egress`` queue — a queue that was used and drained must be given back.
-The documented exceptions (a ``Store`` that has held a backlog, a
-``Resource`` that has had waiters, keep their deque) do not occur on this
-workload, so the count is exact; docs/PERF.md "Transport fixed costs".
+The documented exception (a ``Resource`` that has had waiters keeps its
+deque) does not occur on this workload, so the count is exact;
+docs/PERF.md "Transport fixed costs".
+
+A checkpoint wave is where pipes are busy, and what an ordered rank pair
+holds then is pinned too (docs/PERF.md "A wave's per-pair state"): during
+a Pcl wave on ft-sock and on ch_v no busy pipe's ``egress`` or inbox
+holds a ``deque`` (lists, given back when drained), no per-destination
+``Gate`` exists (a channel keeps its frozen destinations as a set), and
+no gate, reader or inbox name is stored until it is read.  A deferred
+``isend``'s ``SendChain`` is freed by reference counting once it settled
+(before: a cycle with its ``done`` event, left to the collector).
 
 The same ring pins what reception costs: no connection end owns a receive
 process (before: one parked generator + ``Process`` + ``get`` event per end,
@@ -46,10 +55,12 @@ import re
 import subprocess
 import sys
 import types
+import weakref
 
 import pytest
 
 import repro
+import repro.mpi.channels.base
 import repro.mpi.context
 from repro.apps.synthetic import token_ring
 from repro.mpi.channels.base import SendChain
@@ -59,7 +70,7 @@ from repro.net.link import Link
 from repro.runtime import CHANNELS, DeploymentSpec, build_run
 from repro.sim import make_simulator
 from repro.sim.events import Event
-from repro.sim.primitives import Store
+from repro.sim.primitives import Gate, Store
 from repro.sim.process import Process
 
 N_RANKS = 1_000
@@ -119,8 +130,9 @@ DERIVED_NAME = re.compile(
     r"|(acquire:disk:|disk:)?footprint-\d+(\.tx|\.rx|\.mem)?)$")
 
 
-def _stored_names():
-    """Strings of the derived kinds that some object holds."""
+def _stored_names(pattern=DERIVED_NAME):
+    """Strings matching ``pattern`` (the derived kinds) that some object
+    holds."""
     gc.collect()
     found = set()
     for obj in gc.get_objects():
@@ -128,7 +140,7 @@ def _stored_names():
             # a dict of strings only is not tracked: look inside
             refs = ((*ref, *ref.values()) if type(ref) is dict else (ref,))
             found.update(text for text in refs
-                         if type(text) is str and DERIVED_NAME.match(text))
+                         if type(text) is str and pattern.match(text))
     return found
 
 
@@ -205,7 +217,8 @@ def test_names_read_as_they_always_were():
     channel = job.channels[3]
     assert channel.global_send_gate.name == "g:r3"
     assert channel.global_send_gate.wait().name == "gate:g:r3"
-    assert channel.send_gate(4).name == "g:r3->r4"
+    channel.freeze_sends([4])
+    assert channel.dst_open(4).name == "gate:g:r3->r4"
     assert channel.matching.post_recv(0, 0).name == "recv:r3"
     assert node.name == "names-003"
     assert node.nic_tx.name == "names-003.tx"
@@ -354,9 +367,9 @@ def _stencil_job(context_cls=None, channel_cls=None):
     job.start()
     while 1 not in job.channels[0].conns:
         sim.step()
-    gate = job.channels[0].send_gate(1)
-    gate.close()
-    while not any(waiter.callbacks for waiter in gate._waiters):
+    channel = job.channels[0]
+    channel.freeze_sends([1])
+    while not any(waiter.callbacks for waiter in channel._frozen_dsts[1]):
         sim.step()
     return job
 
@@ -429,9 +442,9 @@ def test_a_killed_job_leaves_no_send_behind():
     def parked():
         return any(waiter.callbacks
                    for channel in run.job.channels
-                   for gate in (channel.global_send_gate,
-                                *channel._send_gates.values())
-                   for waiter in gate._waiters)
+                   for waiters in (channel.global_send_gate._waiters,
+                                   *dict(channel._frozen_dsts).values())
+                   for waiter in waiters)
 
     while not parked():
         sim.step()
@@ -498,9 +511,9 @@ def test_a_send_held_at_a_closed_gate_builds_its_chain(monkeypatch):
     closed until t+1 builds one chain and its commit callback."""
     sim, go, run = _second_round(8, "footprint-gated")
     made = _count_send_chains(monkeypatch)
-    gate = run.job.channels[0].send_gate(1)
-    gate.close()
-    sim.call_at(1.0, gate.open)
+    channel = run.job.channels[0]
+    channel.freeze_sends([1])
+    sim.call_at(1.0, channel.resume_sends)
     go.succeed()
     sim.run_until_complete(run.completed, limit=1e8)
     assert made == {"SendChain": 1, "partial": 1}
@@ -534,3 +547,138 @@ def test_a_rank_parked_in_recv_holds_one_generator():
         gen.gi_code.co_name for gen in _live(types.GeneratorType, known)
         if gen.gi_code.co_filename.endswith(os.path.join("mpi", "context.py")))
     assert names == {"recv": N_RANKS - 1, "send": 1}
+
+
+# ---------------------------------------------------------- a wave's pairs
+#: a wave's derived names: a waiting send's, a ch_v reader's, an inbox's
+WAVE_NAME = re.compile(
+    r"((gate:)?g:r\d+->r\d+|rx:r\d+<-r\d+|(get:)?inbox:conn\d+\.(ab|ba))$")
+
+
+def _chatter(ctx):
+    """Each round a flow-sized message and two small ones to the right
+    neighbour, back to back: the small ones queue behind the flow, and
+    arrive behind each other."""
+    right, left = (ctx.rank + 1) % ctx.size, (ctx.rank - 1) % ctx.size
+    for _ in range(10):
+        requests = [ctx.isend(right, 1, None, nbytes)
+                    for nbytes in (4 * _INLINE_BYTES, 64.0, 64.0)]
+        for _ in requests:
+            yield from ctx.recv(left, 1)
+        for request in requests:
+            yield from request.wait()
+        yield from ctx.compute(0.01)
+
+
+def _pcl_wave(channel_cls, inspect=None):
+    """Run a 16-rank Pcl job to completion, checking at every pop inside a
+    wave that no busy pipe's queue is a ``deque``; ``inspect(run, pipes)``
+    runs once, at the first such pop where a send waits for a frozen
+    destination and a queue is busy.  Returns what was seen busy."""
+    from tests.ft.conftest import build_ft_run
+
+    sim = make_simulator(seed=4)
+    run, _ = build_ft_run(sim, _chatter, size=16, protocol="pcl",
+                          channel_cls=channel_cls, period=0.05,
+                          image_bytes=1e6)
+    run.start()
+    seen = collections.Counter()
+    while not run.completed.triggered:
+        sim.step()
+        if all(endpoint.state == "normal"
+               for endpoint in run.protocol.endpoints):
+            continue
+        pipes = [pipe for conn in run.net.connections for pipe in conn.pipes]
+        egress = [pipe.egress for pipe in pipes if pipe.egress]
+        inboxes = [pipe._inbox._items for pipe in pipes
+                   if pipe._inbox is not None and pipe._inbox._items]
+        assert [type(queue) for queue in egress + inboxes
+                if type(queue) is not list] == []
+        seen.update(egress=bool(egress), inbox=bool(inboxes))
+        if inspect is not None and (egress or inboxes) and any(
+                waiters for channel in run.job.channels
+                for waiters in dict(channel._frozen_dsts).values()):
+            inspect(run, pipes)
+            seen["inspected"] += 1
+            inspect = None
+    return seen
+
+
+@pytest.mark.unmonitored  # the bus keeps a record window and reads names
+@pytest.mark.parametrize("channel", ["ft_sock", "ch_v"])
+def test_a_pcl_wave_holds_no_deque_gate_or_stored_name(channel):
+    known_gates = frozenset(id(obj) for obj in _live(Gate))
+    known_names = _stored_names(WAVE_NAME)
+    read = []
+
+    def inspect(run, pipes):
+        assert _live(Gate, known_gates) == []
+        assert _stored_names(WAVE_NAME) - known_names == set()
+        # every name, read, is the string it was when stored
+        for channel_ in run.job.channels:
+            rank = channel_.rank
+            for dst, waiters in dict(channel_._frozen_dsts).items():
+                for waiter in waiters:
+                    assert waiter.name == f"gate:g:r{rank}->r{dst}"
+                    read.append(waiter.name)
+            for reader in getattr(channel_, "_readers", ()):
+                assert reader.name == f"rx:r{rank}<-r{reader.peer}"
+                read.append(reader.name)
+        for pipe in pipes:
+            if pipe._inbox is not None:
+                name = f"inbox:conn{pipe.conn_id}.{pipe.direction}"
+                assert pipe.inbox.name == name
+                assert pipe.inbox.event_name == "get:" + name
+                read.append(name)
+
+    seen = _pcl_wave(CHANNELS[channel], inspect)
+    assert seen["inspected"] == 1 and seen["egress"]  # pipes were busy
+    kinds = {name.split(":")[0] for name in read}
+    # ch_v's daemon reads every end: a reader and an inbox per end
+    assert kinds == ({"gate", "rx", "inbox"} if channel == "ch_v"
+                     else {"gate"})
+
+
+@pytest.mark.unmonitored
+def test_the_wave_rig_sees_a_backlogged_inbox():
+    """The positive control of the inbox half: on ch_v the daemon's
+    readers fall behind, so a wave finds arrivals queued in an inbox."""
+    assert _pcl_wave(CHANNELS["ch_v"])["inbox"]
+
+
+@pytest.mark.unmonitored
+def test_a_settled_isend_chain_is_freed_by_reference_counting(monkeypatch):
+    """With the collector off, every deferred ``isend``'s chain is gone
+    once its rank moved on: nothing but reference counts frees it."""
+    from tests.mpi.conftest import make_job
+
+    chains = []
+
+    class Watched(SendChain):
+        __slots__ = ("__weakref__",)
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            chains.append(weakref.ref(self))
+
+    monkeypatch.setattr(repro.mpi.channels.base, "SendChain", Watched)
+
+    def app(ctx):
+        if ctx.rank == 0:
+            # no link yet: the isend waits for the handshake in a chain
+            request = ctx.isend(1, 0, None, 8.0)
+            yield from request.wait()
+            yield from ctx.compute(0.1)
+        else:
+            yield from ctx.recv(0, 0)
+
+    sim = make_simulator(seed=1)
+    job, _ = make_job(sim, app)
+    gc.disable()
+    try:
+        job.start()
+        sim.run_until_complete(job.completed, limit=1e3)
+        assert len(chains) == 1
+        assert chains[0]() is None
+    finally:
+        gc.enable()

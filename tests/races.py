@@ -181,9 +181,11 @@ def ids(packets):
 
 
 def gates(channel):
+    """The stopper's state, and each frozen destination with the sends
+    still waiting for it, in the order they were frozen."""
     return (channel.global_send_gate.is_open,
-            sorted((dst, gate.is_open)
-                   for dst, gate in channel._send_gates.items()))
+            [(dst, sum(1 for waiter in waiters if waiter.callbacks))
+             for dst, waiters in dict(channel._frozen_dsts).items()])
 
 
 def daemon_state(channel):
@@ -620,7 +622,7 @@ class GeneratorSend:
     def _send_packet(self, dst, packet, gated):
         while True:
             if gated and not self._gates_open(dst):
-                yield self.send_gate(dst).wait()
+                yield self.dst_open(dst)
                 yield self.global_send_gate.wait()
                 continue
             end = self.conns.get(dst)
