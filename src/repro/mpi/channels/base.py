@@ -5,11 +5,10 @@ A channel is one rank's communication engine.  It owns:
 * lazily established connections to peers (two processes connect on their
   first communication, like MPICH2 — except channels with ``eager_connect``,
   which build the full mesh at startup like MPICH-1's ch_p4/ch_v);
-* per-destination *send freezing* and a global send gate (the Nemesis
-  "stopper request"), set by the blocking protocol during a wave: a set of
-  frozen destinations on demand, with a list of waiting sends per
-  destination only while one waits, and the one gate allocated on first
-  use;
+* per-destination *send freezing*, set by the blocking protocol during a
+  wave: a set of frozen destinations on demand, with a list of waiting
+  sends per destination only while one waits (Nemesis freezes all of a
+  rank's sends with its stopper instead, :mod:`repro.mpi.channels.nemesis`);
 * per-source *receive freezing* with a delayed receive queue: frozen sources'
   application packets are parked and handed to matching only when the
   protocol thaws them (after the local checkpoint).  The delayed queue is
@@ -21,7 +20,7 @@ A channel is one rank's communication engine.  It owns:
   protocol uses this to log in-transit messages);
 * the send path: an application send that can go out at once goes out
   inside :meth:`BaseChannel.post`; every other application send and every
-  control send is a :class:`SendChain` — gates, link, host hop,
+  control send is a :class:`SendChain` — freeze, link, host hop,
   ``end.send``, commit — that the channel keeps while it waits and stops
   at :meth:`BaseChannel.shutdown`.
   :meth:`BaseChannel.post` is what ``send`` and ``isend`` call,
@@ -42,14 +41,14 @@ Channels never interpret payloads; everything above the envelope is opaque.
 
 from __future__ import annotations
 
-from typing import (Any, Callable, Dict, Iterable, List, Optional, Set, Tuple,
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Tuple,
                     Union)
 
 from repro.mpi.matching import MatchingEngine
 from repro.mpi.message import AppPacket, Packet
 from repro.net.connection import ConnectionEnd
 from repro.sim.events import URGENT, Event
-from repro.sim.primitives import EMPTY, Gate, appended
+from repro.sim.primitives import EMPTY, appended
 from repro.sim.trace import declare
 
 __all__ = ["BaseChannel", "ChannelDownError", "SendChain"]
@@ -103,7 +102,7 @@ class BaseChannel:
     defer_send_overhead = True
 
     __slots__ = ("job", "sim", "rank", "matching", "conns", "_frozen_dsts",
-                 "_global_gate", "_frozen_sources", "delayed_queue",
+                 "_frozen_sources", "delayed_queue",
                  "protocol", "down", "_seq", "_attached",
                  "active_transfer_end", "_chains")
 
@@ -113,13 +112,12 @@ class BaseChannel:
         self.rank = rank
         self.matching = MatchingEngine(self.sim, rank)
         self.conns: Dict[int, ConnectionEnd] = {}
-        #: destinations whose application sends wait, in the order they
-        #: were frozen, each with the list of sends waiting for it (EMPTY
-        #: while none does); a dict on demand
-        self._frozen_dsts: Union[Tuple[()], Dict[int, Any]] = EMPTY
-        self._global_gate: Optional[Gate] = None
-        #: sources whose app packets are parked; a set on demand
-        self._frozen_sources: Union[Tuple[()], Set[int]] = EMPTY
+        #: nothing is frozen yet: ``_frozen_dsts`` holds the destinations
+        #: whose application sends wait, in the order they were frozen,
+        #: each with the list of sends waiting for it (EMPTY while none
+        #: does), a dict on demand; ``_frozen_sources`` the sources whose
+        #: app packets are parked, a set on demand
+        self.lift_freezes()
         #: app packets from frozen sources, in arrival order; appended to
         #: and handed over whole by thaw_sources(), so a list on demand
         self.delayed_queue: Union[Tuple[()], List[AppPacket]] = EMPTY
@@ -142,13 +140,7 @@ class BaseChannel:
         """Per-message send-side host cost (seconds); subclass hook."""
         return 0.0
 
-    # ----------------------------------------------------------------- gates
-    @property
-    def global_send_gate(self) -> Gate:
-        if self._global_gate is None:
-            self._global_gate = Gate(self.sim, name=f"g:r{self.rank}")
-        return self._global_gate
-
+    # ------------------------------------------------------------ send freeze
     def freeze_sends(self, dsts) -> None:
         """Stop committing application sends to ``dsts`` (control packets
         still pass) until :meth:`resume_sends`.  How is the device's
@@ -169,14 +161,16 @@ class BaseChannel:
                 if not waiter.triggered and waiter.callbacks:
                     waiter.succeed()
 
+    def send_open(self, dst: int) -> bool:
+        """Whether an application send to ``dst`` may go on now."""
+        return dst not in self._frozen_dsts
+
     def dst_open(self, dst: int) -> Event:
-        """An event that succeeds once application sends to ``dst`` may go
-        on: at once unless ``dst`` is frozen, else at :meth:`resume_sends`.
+        """The wait of an application send to ``dst``, which is frozen
+        (:meth:`send_open` is False): succeeds at :meth:`resume_sends`.
         Named ``gate:g:r<rank>->r<dst>`` when read."""
         event = _DstOpen(self.sim, self)
         event.dst = dst
-        if dst not in self._frozen_dsts:
-            return event.succeed()
         self._frozen_dsts[dst] = appended(self._frozen_dsts[dst], event)
         return event
 
@@ -204,59 +198,72 @@ class BaseChannel:
                                  rank=self.rank)
 
     # ------------------------------------------------------------------ send
-    def post(self, dst: int, tag: int, data: Any, nbytes: float,
-             defer: bool = False) -> Union[Event, "SendChain"]:
-        """Send an application message to ``dst``.
+    def post(self, dst: int, tag: int, data: Any,
+             nbytes: float) -> Union[Event, "SendChain"]:
+        """Send an application message to ``dst``: ``send`` and ``isend``
+        alike, so a rank's sends to one peer leave in the order posted.
 
-        A send that can go out right now (link up, gates open, on a channel
-        that defers its send overhead) goes out inside this call and builds
-        no chain: it is accounted, the connection takes its packet, and its
-        transmit-complete event is returned — the caller commits it.  Any
-        other send is a :class:`SendChain` (on a channel that does not
-        defer its overhead, the chain decides between a host hop and a
-        put), which takes its first step inside this call — a blocking
-        send's slow path starts inline — or, with ``defer``, one URGENT
-        step from now and succeeds ``chain.done`` one step after its packet
-        left.  The chain is returned only while it waits, so its
-        ``on_commit(dst, packet)``, set by the caller on return, runs at its
-        commit point (the payload is on the connection); a chain that put
-        its packet inside this call returns the transmit-complete event
-        like an inline send.
+        The packet takes its sequence number here.  A send that can go out
+        right now (link up, destination open, no earlier send to ``dst``
+        it must wait behind, on a channel that defers its send overhead)
+        goes out inside this call and builds no chain: the connection takes
+        its packet, it is accounted, and its transmit-complete event is
+        returned — the caller commits it.  Any other send is a
+        :class:`SendChain` (on a channel that does not defer its overhead,
+        the chain decides between a host hop and a put) that starts inside
+        this call: it joins its first wait here — on the event of the
+        earlier send to ``dst`` it must wait behind (:meth:`_held_to`), if
+        there is one — or puts its packet and returns the transmit-complete
+        event like an inline send.  The chain is returned while it waits,
+        so its ``on_commit(dst, packet)``, set by the caller on return, runs
+        at its commit point (the payload is on the connection), and when it
+        failed before its first wait, with ``error`` set.
         """
         if self.down:
             raise ChannelDownError(f"rank {self.rank} channel is down")
-        if (self.defer_send_overhead and dst in self.conns
-                and self._gates_open(dst)):
-            wire_bytes = nbytes + HEADER_BYTES
-            overhead = self.send_overhead(wire_bytes)
-            if self.active_transfer_end is not None:
-                overhead += self.transfer_tax()
-            packet = self._number(tag, data, nbytes)
-            self._committed(packet, dst, nbytes)
-            return self.conns[dst].send(packet, wire_bytes, overhead)
-        chain = SendChain(self, "isend" if defer else "send", None)
-        chain._dst = dst
-        chain.nbytes = nbytes
-        if defer:
-            chain._packet = (tag, data)
-            chain.done = Event(self.sim, chain)
-            chain._defer()
-        else:
-            chain._packet = self._number(tag, data, nbytes)
+        packet = self._number(tag, data, nbytes)
+        ahead = self._held_to(dst) if self._chains else None
+        end = self.conns.get(dst)
+        if (ahead is None and end is not None and self.defer_send_overhead
+                and self.send_open(dst)):
+            overhead = self.send_overhead(packet.nbytes) + self.transfer_tax()
+            return self._commit_send(end, packet, dst, nbytes, overhead)
+        chain = SendChain(self, "send", None)
+        chain._dst, chain._packet, chain.nbytes = dst, packet, nbytes
+        if ahead is not None:
+            # goes on in the pop where the send ahead of it does, after it
+            chain._wait(ahead.waiting, ahead._stage)
+            return chain
+        try:
             chain._go()
-            if chain.waiting is None:  # it went out without a wait
-                return chain.sent
-        return chain
+        except ConnectionError as error:
+            chain._fail(error)
+        return chain.sent or chain  # no packet sent: it waits, or failed
+
+    def _held_to(self, dst: int) -> Optional["SendChain"]:
+        """The last posted application send to ``dst`` that a send posted
+        now must wait behind: one waiting for its link, or one a lifted
+        freeze has woken that has not gone on yet.  (Behind one still
+        frozen, a send's own freeze wait lines it up; in a daemon hop, the
+        daemon's queue does.)"""
+        ahead = None
+        for chain in self._chains:  # in post order: each waits from its post
+            if (chain._dst == dst and chain._packets is None
+                    and (chain._stage == _LINK or chain._stage == _FREEZE
+                         and chain.waiting.triggered)):
+                ahead = chain
+        return ahead
 
     def post_control(self, packets: Iterable[Tuple[int, Packet]], name: str,
                      on_commit: Optional[OnCommit] = None,
                      defer: bool = True) -> "SendChain":
         """Send protocol packets, each ``(dst, packet)`` of ``packets`` in
-        order, bypassing the send gates.  A control packet is one envelope
-        on the wire (``HEADER_BYTES``) and has no transmit-complete event:
-        nobody waits for one.  A failed send ends the chain quietly (a
-        mid-wave failure: recovery discards the wave); on a channel that is
-        already down nothing is sent."""
+        order, past any send freeze.  A control packet is one envelope on
+        the wire (``HEADER_BYTES``) and has no transmit-complete event:
+        nobody waits for one.  The chain takes its first step one URGENT
+        step from now, or with ``defer=False`` inside this call.  A failed
+        send ends the chain quietly (a mid-wave failure: recovery discards
+        the wave); on a channel that is already down nothing is sent."""
         chain = SendChain(self, name, on_commit, iter(packets))
         if not self.down:
             chain._defer() if defer else chain._step()
@@ -269,58 +276,46 @@ class BaseChannel:
         return AppPacket(self.rank, tag, data, nbytes + HEADER_BYTES,
                          self._seq)
 
-    def _gates_open(self, dst: int) -> bool:
-        gate = self._global_gate
-        if gate is not None and not gate.is_open:
-            return False
-        return dst not in self._frozen_dsts
+    def _commit_send(self, end: ConnectionEnd, packet: AppPacket, dst: int,
+                     nbytes: float, extra_latency: float) -> Event:
+        """Hand an application packet to ``end``, then account it: the
+        commit step of every application send.  Returns its
+        transmit-complete event.
 
-    def _committed(self, packet: AppPacket, dst: int, nbytes: float) -> None:
-        """The commit accounting of an application send."""
-        trace = self.sim.trace
-        trace.count("mpi.messages")
-        trace.count("mpi.bytes", nbytes)
-        if "mpi.send" in trace.probes:
-            self._trace_send(packet, dst)
-        if self.sim.metrics is not None:
-            self._metrics_sent(packet, dst)
-        if self.protocol is not None:
-            # Commit-point hook (seq assignment is *pre*-gate, so a packet
-            # parked at a closed gate has not been sent): Dcl counts
-            # committed application sends here for counter quiescence.
-            self.protocol.on_app_sent(packet, dst)
-
-    def _trace_send(self, packet: AppPacket, dst: int) -> None:
-        """Emit mpi.send at the commit point (when the category is live).
-
-        The record carries the sender's protocol view *at commit time* —
-        its latest snapshot wave and blocking state — which is exactly what
-        the orphan/flush invariants quantify over.
+        The ``mpi.send`` record (when the category is live) carries the
+        sender's protocol view *at commit time* — its latest snapshot wave
+        and blocking state — which is exactly what the orphan/flush
+        invariants quantify over.  With metrics on, the per-link counters
+        count *wire* bytes (payload + envelope) so the send and receive
+        sides of a link agree byte-for-byte — the conservation law the
+        property tests assert; control packets are deliberately excluded
+        on both sides (markers and acks are protocol traffic).
         """
-        probe = self.sim.trace.probes.get("mpi.send")
+        sent = end.send(packet, packet.nbytes, extra_latency)
+        sim = self.sim
+        sim.trace.count("mpi.messages")
+        sim.trace.count("mpi.bytes", nbytes)
+        endpoint = self.protocol
+        probe = sim.trace.probes.get("mpi.send")
         if probe is not None:
-            endpoint = self.protocol
-            probe(self.sim.now, self.job.uid, self.rank, dst, packet.seq,
-                  packet.nbytes,
-                  getattr(endpoint, "wave", 0),
+            probe(sim.now, self.job.uid, self.rank, dst, packet.seq,
+                  packet.nbytes, getattr(endpoint, "wave", 0),
                   getattr(endpoint, "state", "normal"),
                   getattr(getattr(endpoint, "protocol", None),
                           "protocol_name", None))
-
-    def _metrics_sent(self, packet: AppPacket, dst: int) -> None:
-        """Per-link wire accounting at the send commit point (metrics on).
-
-        Counts *wire* bytes (payload + envelope) so the send and receive
-        sides of a link agree byte-for-byte — the conservation law the
-        property tests assert.  Control packets are deliberately excluded
-        on both sides: markers and acks are protocol traffic, not
-        application traffic.
-        """
-        metrics = self.sim.metrics
-        metrics.count("channel.messages_sent", 1.0,
-                      channel=self.channel_name, src=self.rank, dst=dst)
-        metrics.count("channel.bytes_sent", packet.nbytes,
-                      channel=self.channel_name, src=self.rank, dst=dst)
+        if sim.metrics is not None:
+            sim.metrics.count("channel.messages_sent", 1.0,
+                              channel=self.channel_name, src=self.rank,
+                              dst=dst)
+            sim.metrics.count("channel.bytes_sent", packet.nbytes,
+                              channel=self.channel_name, src=self.rank,
+                              dst=dst)
+        if endpoint is not None:
+            # Commit-point hook (the sequence number is taken at the post,
+            # so a packet held by a freeze has not been sent): Dcl counts
+            # committed application sends here for counter quiescence.
+            endpoint.on_app_sent(packet, dst)
+        return sent
 
     def transfer_tax(self) -> float:
         """Engine stall imposed on application messages while this rank's
@@ -441,9 +436,9 @@ class BaseChannel:
         self.delayed_queue = EMPTY
 
 
-#: what a send chain waits on: its start step, the destination's freeze,
-#: the global gate, the link, a host hop
-_START, _GATE, _GLOBAL, _LINK, _HOP = range(5)
+#: what a send chain waits on: its start step (a control chain), the
+#: application packet's freeze, the link, a host hop
+_START, _FREEZE, _LINK, _HOP = range(4)
 
 
 class SendChain:
@@ -452,16 +447,16 @@ class SendChain:
     application packet that can go out at once goes out inside
     :meth:`BaseChannel.post`, and no chain exists for it).
 
-    For each ``(dst, packet)`` the chain waits for the destination's freeze
-    and the global send gate (an application packet only), for the link
-    (the job's handshake when none is up), and for a host hop (a channel
-    that does not defer its send overhead: ch_v's daemon), skipping each
-    wait that is not needed; then
+    For each ``(dst, packet)`` the chain waits for what holds an
+    application packet (:meth:`BaseChannel.dst_open`: the destination's
+    freeze, or the Nemesis stopper), for the link (the job's handshake when
+    none is up), and for a host hop (a channel that does not defer its send
+    overhead: ch_v's daemon), skipping each wait that is not needed; then
     it hands the packet to the connection end and runs the commit
     accounting and the caller's ``on_commit``.  The next destination
     starts once the previous packet is on the wire.  It waits on exactly
-    the freeze, gate, handshake, link and hop events the generator send
-    path waited on, so every pop keeps its place.
+    the freeze, handshake, link and hop events the generator send path
+    waited on, so every pop keeps its place.
 
     The channel keeps every chain that is waiting; :meth:`BaseChannel.
     shutdown` stops them all, and a protocol detach stops its chains
@@ -488,11 +483,10 @@ class SendChain:
         #: an application send's payload size (without the envelope)
         self.nbytes = 0.0
         #: the control packets still to send, as ``(dst, packet)``; None
-        #: for an application send (one gated packet)
+        #: for an application send (one packet that a freeze holds)
         self._packets = packets
         self._dst = 0
-        #: the packet in hand (a deferred application send holds its
-        #: ``(tag, data)`` until it starts and takes its sequence number)
+        #: the packet in hand
         self._packet: Any = None
         self._stage = _START
         #: the event the chain waits on; None once it is over
@@ -500,7 +494,7 @@ class SendChain:
         #: the application packet's transmit-complete event
         self.sent: Optional[Event] = None
         self.error: Optional[BaseException] = None
-        #: a deferred application send's completion: succeeds one step
+        #: an ``isend``'s completion (:meth:`as_isend`): succeeds one step
         #: after its packet left, or when it failed; dropped then, so the
         #: chain, which names it, is freed with it
         self.done: Optional[Event] = None
@@ -514,6 +508,17 @@ class SendChain:
         return f"{self._label}:r{self.channel.rank}->r{self._dst}"
 
     event_name = name
+
+    def as_isend(self) -> Event:
+        """Make this application send, as :meth:`BaseChannel.post` returned
+        it, an ``isend``'s: the returned ``done`` succeeds one step after
+        its packet left, or when it failed — a failure has nobody to throw
+        into, so it is reported as a socket closure."""
+        self._label = "isend"
+        done = self.done = Event(self.channel.sim, self)
+        if self.error is not None:  # it failed inside post()
+            self._settle(None)
+        return done
 
     # -------------------------------------------------------------- control
     def stop(self, _cause: Any = None) -> None:
@@ -548,7 +553,7 @@ class SendChain:
     def _defer(self) -> None:
         """Take the first step one URGENT step from now, behind whatever is
         already queued for this instant at that priority (where the helper
-        process a chain replaces took its first step)."""
+        process a control chain replaces took its first step)."""
         start = Event(self.channel.sim, self)
         self._wait(start, _START)
         start.succeed(priority=URGENT)
@@ -560,9 +565,6 @@ class SendChain:
         stage, self.waiting = self._stage, None
         channel = self.channel
         try:
-            if stage == _GATE:
-                self._wait(channel.global_send_gate.wait(), _GLOBAL)
-                return
             if stage == _LINK:
                 if not event._ok:
                     event.defused = True
@@ -573,11 +575,8 @@ class SendChain:
                 self._put(event._value, 0.0)
                 if not self._next():
                     return
-            elif stage == _START:
-                if self._packets is None:
-                    self._packet = channel._number(*self._packet, self.nbytes)
-                elif not self._next():
-                    return
+            elif stage == _START and not self._next():
+                return
             self._go()
         except ConnectionError as error:
             self._fail(error)
@@ -601,19 +600,18 @@ class SendChain:
         """Put the packet in hand, or start the wait it needs first."""
         channel = self.channel
         dst = self._dst
-        gated = self._packets is None
-        if gated and not channel._gates_open(dst):
-            self._wait(channel.dst_open(dst), _GATE)
+        app = self._packets is None
+        if app and not channel.send_open(dst):
+            self._wait(channel.dst_open(dst), _FREEZE)
             return False
         end = channel.conns.get(dst)
         if end is None:
             self._wait(channel.job.establish(channel.rank, dst), _LINK)
             return False
-        if gated:
-            overhead = (channel.send_overhead(self._packet.nbytes)
-                        + channel.transfer_tax())
-        else:
-            overhead = channel.send_overhead(HEADER_BYTES)
+        overhead = channel.send_overhead(self._packet.nbytes if app
+                                         else HEADER_BYTES)
+        if app:
+            overhead += channel.transfer_tax()
         # Channels with ``defer_send_overhead`` push their (tiny)
         # per-message engine costs onto the message's delivery latency
         # instead of blocking the sender — behaviourally equivalent for
@@ -628,10 +626,8 @@ class SendChain:
     def _put(self, end: ConnectionEnd, extra_latency: float) -> None:
         packet, dst = self._packet, self._dst
         if self._packets is None:
-            # accounted after the connection took it (a send that went out
-            # inside post() was accounted before)
-            self.sent = end.send(packet, packet.nbytes, extra_latency)
-            self.channel._committed(packet, dst, self.nbytes)
+            self.sent = self.channel._commit_send(end, packet, dst,
+                                                  self.nbytes, extra_latency)
         else:
             end.send(packet, HEADER_BYTES, extra_latency, notify=False)
         if self.on_commit is not None:
@@ -647,10 +643,10 @@ class SendChain:
             self._settle(None)
 
     def _settle(self, sent: Optional[Event]) -> None:
-        """A deferred send's packet left, or it failed (before the wire,
-        or its pipe broke first).  A failure has nobody to throw into:
-        report the closure the way the receive path does and let recovery
-        roll the op back."""
+        """An ``isend``'s packet left, or it failed (before the wire, or
+        its pipe broke first).  A failure has nobody to throw into: report
+        the closure the way the receive path does and let recovery roll
+        the op back."""
         channel = self.channel
         if (sent is None or not sent._ok) and not channel.down:
             channel.job.notify_socket_closed(channel.rank, self._dst)

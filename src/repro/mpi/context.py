@@ -10,13 +10,15 @@ program order** at initiation and marked **completed** at its commit point:
 op        commit point
 ========  ==========================================================
 send      payload enqueued on the connection (bytes will arrive or be
-          captured by the wave's channel state — see DESIGN.md): a send
-          that can go out at once commits in the context right after
-          ``end.send`` took it, inside
-          :meth:`~repro.mpi.channels.base.BaseChannel.post`'s return; a
-          send that has to wait commits in the step of its send chain
-          that hands it over, after whatever gate, link or daemon hop it
-          waited for
+          captured by the wave's channel state — see DESIGN.md): the
+          channel accounts every send right after ``end.send`` took it; a
+          send that can go out at once commits in the context on
+          :meth:`~repro.mpi.channels.base.BaseChannel.post`'s return, a
+          send that has to wait in the step of its send chain that hands
+          it over, after whatever freeze, link or daemon hop it waited for
+isend     as send: ``send`` and ``isend`` are one post, numbered and
+          started where posted, so a rank's sends to one peer leave in
+          the order it posted them
 recv      message matched to the posted receive: the pop of the receive's
           event, which resumes the application (commit and consume are
           one step)
@@ -26,9 +28,10 @@ update    immediately (synchronous mutation of the snapshot state)
 
 Both sends make the same call,
 :meth:`~repro.mpi.channels.base.BaseChannel.post`; a send that has to wait
-is a send chain there, an ``isend`` owns no process, and a send of a rank
-that dies dies with it (the op is simply not completed, so the restart
-re-sends it).
+is a send chain there (an ``isend``'s is made its request's with
+:meth:`~repro.mpi.channels.base.SendChain.as_isend`), an ``isend`` owns no
+process, and a send of a rank that dies dies with it (the op is simply not
+completed, so the restart re-sends it).
 
 A checkpoint snapshot records the completed-op set, the application state
 dict and the matching engine's unexpected queue.  On rollback, the
@@ -244,22 +247,20 @@ class RankContext:
         op_id = self._begin()
         if op_id is None:
             return SKIPPED
-        sent = self.channel.post(dst, tag, data, nbytes)
-        if isinstance(sent, SendChain):
-            # It waits (post returns a chain only then): wait on whatever
-            # the chain waits on, behind its callback, so this process goes
-            # on in the pop where the send commits or fails.
-            chain, sent = sent, None
-            chain.on_commit = partial(self._sent, op_id)
-            while chain.waiting is not None:
-                yield chain.waiting
-            if chain.error is not None:
-                raise chain.error
-            # hold no chain while the bytes leave
-            sent, chain = chain.sent, None
+        posted = self.channel.post(dst, tag, data, nbytes)
+        if isinstance(posted, SendChain):
+            # It waits or failed (post returns a chain only then): wait on
+            # whatever the chain waits on, behind its callback, so this
+            # process goes on in the pop where the send commits or fails.
+            posted.on_commit = partial(self._sent, op_id)
+            while posted.waiting is not None:
+                yield posted.waiting
+            if posted.error is not None:
+                raise posted.error
+            posted = posted.sent  # hold no chain while the bytes leave
         else:
             self._commit(op_id)  # it is on the connection
-        yield sent
+        yield posted
         return None
 
     def isend(self, dst: int, tag: int = 0, data: Any = None, nbytes: float = 0.0) -> Request:
@@ -267,10 +268,10 @@ class RankContext:
         op_id = self._begin()
         if op_id is None:
             return Request(None)
-        sent = self.channel.post(dst, tag, data, nbytes, defer=True)
+        sent = self.channel.post(dst, tag, data, nbytes)
         if isinstance(sent, SendChain):
             sent.on_commit = partial(self._sent, op_id)
-            return Request(sent.done)
+            return Request(sent.as_isend())
         self._commit(op_id)  # it is on the connection
         return Request(sent)
 

@@ -1,11 +1,13 @@
 """Non-blocking send requests.
 
 A :class:`Request` wraps the completion of an ``isend``; ``wait()`` is a
-generator to use with ``yield from``.  The event is the transmit-complete
-event of a send that went out inline, else the ``done`` event of its send
-chain (:class:`~repro.mpi.channels.base.SendChain`), which succeeds one
-step after the packet left — or after the send failed, which the chain
-reports as a socket closure.
+generator to use with ``yield from``.  An ``isend`` is posted as a
+blocking send is (numbered and started inside the post, so it keeps its
+place among the rank's sends to that peer).  The event is the
+transmit-complete event of a send that went out inline, else the ``done``
+event of its send chain (:class:`~repro.mpi.channels.base.SendChain`),
+which succeeds one step after the packet left — or after the send failed,
+which the chain reports as a socket closure.
 
 Op-id bookkeeping (see :mod:`repro.mpi.context`): the send commits when its
 payload is enqueued on the connection, independent of when — or whether —
@@ -21,7 +23,9 @@ __all__ = ["Request"]
 
 
 class Request:
-    """Handle for an in-flight ``isend``."""
+    """Handle for an in-flight ``isend``: its packet is numbered and on
+    its way (on the wire, or in its send chain's first wait) when the
+    request is returned."""
 
     __slots__ = ("event",)
 

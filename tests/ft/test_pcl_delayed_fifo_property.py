@@ -76,20 +76,28 @@ def _run_stream(channel_cls, schedule, wave_times):
     return run
 
 
+#: a second wave, requested after the first committed, freezes source 0
+#: (and, on Nemesis, closes the stopper) and is cut short by the job's
+#: completion: detaching it must thaw the source and reopen the stopper
+CUT_SHORT = dict(schedule=[(0.01953125, 10.0), (0.0078125, 10.0),
+                           (0.01171875, 10.0), (0.0, 351225.0)],
+                 wave_times=[0.046875, 0.0390625])
+
+
 @given(schedule=_schedules, wave_times=_wave_times)
 @settings(max_examples=20, deadline=None)
+@example(**CUT_SHORT)
 def test_nemesis_delayed_receive_queue_releases_fifo(schedule, wave_times):
     run = _run_stream(NemesisChannel, schedule, wave_times)
     assert run.job.contexts[1].state["seen"] == list(range(len(schedule)))
+    # the stopper is open: later sends may go
+    assert all(channel.send_open(peer) for channel in run.job.channels
+               for peer in (0, 1))
 
 
 @given(schedule=_schedules, wave_times=_wave_times)
 @settings(max_examples=20, deadline=None)
-# a second wave, requested after the first committed, freezes source 0 and
-# is cut short by the job's completion: detaching it must thaw the source
-@example(schedule=[(0.01953125, 10.0), (0.0078125, 10.0),
-                   (0.01171875, 10.0), (0.0, 351225.0)],
-         wave_times=[0.046875, 0.0390625])
+@example(**CUT_SHORT)
 def test_ftsock_delayed_receive_queue_releases_fifo(schedule, wave_times):
     run = _run_stream(FtSockChannel, schedule, wave_times)
     assert run.job.contexts[1].state["seen"] == list(range(len(schedule)))

@@ -30,7 +30,7 @@ def test_vcl_never_blocks_sends(sim):
     def check():
         while not run.completed.triggered:
             for channel in run.job.channels:
-                assert channel.global_send_gate.is_open
+                assert all(channel.send_open(dst) for dst in range(4))
                 assert not channel._frozen_dsts
                 assert not channel._frozen_sources
             yield sim.timeout(0.05)

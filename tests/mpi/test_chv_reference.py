@@ -32,7 +32,10 @@ process send path (``GeneratorSend``, shared with the send rig).
 The negatives prove the rigs can tell the designs apart: a reader that
 takes its next packet straight from the inbox, skipping the ``get`` pop,
 reaches the daemon ahead of work queued earlier in the same instant; a
-chain without its URGENT start step sends ahead of it.
+fan-out chain without its URGENT start step sends ahead of an application
+send posted behind it; an ``isend`` that starts one URGENT step after its
+post (``DeferredStart``) reaches the daemon behind the blocking send
+posted after it.
 """
 
 import pytest
@@ -46,9 +49,11 @@ from repro.net.connection import _INLINE_BYTES
 from repro.sim.primitives import Resource
 from repro.sim.process import Process
 
-from tests.races import (MAX_RANKS, TICK, ChainEndpoint, GeneratorSend,
-                         JobRig, ProcessRx, Rule, Rules, SendEachEndpoint,
-                         drop, lone, pair, programs, race, recording, rename)
+from tests.races import (MAX_RANKS, TICK, ChainEndpoint, DeferredStart,
+                         DeferredStartContext, GeneratorSend, JobRig,
+                         ProcessRx, PusherContext, Rule, Rules,
+                         SendEachEndpoint, drop, lone, pair, programs, race,
+                         recording, rename)
 
 # the protocol monitors assume a real protocol; these programs kill, detach
 # and flush at will, and the pop stream is compared directly
@@ -149,7 +154,6 @@ RULES = Rules(
     # a bootstrap is the start step that replaced it
     Rule("rx bootstrap", lambda priority, kind, label:
          label.startswith("init:rx:"), lambda label: "rx:start"),
-    rename("isend bootstrap", "init:isend:", "isend:"),
     # a handshake: its first asker names the chain
     Rule("handshake asker", lambda priority, kind, label:
          "-> fan-out:" + HELPER in label, lambda label: label.replace(
@@ -159,9 +163,9 @@ RULES = Rules(
 )
 
 
-def run_program(channel_cls, endpoint_cls, n_ranks, program):
-    return ChVRig(n_ranks, channel_cls, endpoint_cls).run(program).outcome(
-        RULES)
+def run_program(channel_cls, endpoint_cls, n_ranks, program, context=None):
+    return ChVRig(n_ranks, channel_cls, endpoint_cls, context).run(
+        program).outcome(RULES)
 
 
 DAEMON = recording(ChVChannel)
@@ -171,14 +175,14 @@ PROCESS_DAEMON = recording(ChVChannel, ProcessDaemon, GeneratorSend)
 def daemon_rigs(n_ranks):
     """The daemon race's (shipped, spec) rigs."""
     return (ChVRig(n_ranks, DAEMON, ChainEndpoint),
-            ChVRig(n_ranks, PROCESS_DAEMON, SendEachEndpoint))
+            ChVRig(n_ranks, PROCESS_DAEMON, SendEachEndpoint, PusherContext))
 
 
 def fan_out_rigs(n_ranks, device):
     """The fan-out race's (shipped, spec) rigs."""
     return (ChVRig(n_ranks, recording(device), ChainEndpoint),
             ChVRig(n_ranks, recording(device, GeneratorSend),
-                   SendEachEndpoint))
+                   SendEachEndpoint, PusherContext))
 
 
 # --------------------------------------------------------------- programs
@@ -238,14 +242,19 @@ FLOW_WITNESS = [
     (20, [("fanout", 0, 0), ("send", 0, 1, 6_000.0, None)]),
 ]
 
-#: ch_v: an application send spawned before the fan-out reaches the daemon
-#: first — its process bootstrap is the older URGENT step
-DAEMON_WITNESS = [(20, [("send", 0, 1, 0.0, None), ("fanout", 0, 0)])]
+#: ch_v: an application send posted after a fan-out in the same step
+#: reaches the daemon first — it joins the daemon's queue at its post, the
+#: fan-out one URGENT step later
+DAEMON_WITNESS = [(20, [("fanout", 0, 0), ("send", 0, 1, 0.0, None)])]
+
+#: once the mesh is up, rank 0's application posts an isend and then a
+#: blocking send to rank 1: their hops queue at the daemon in that order
+ISEND_THEN_SEND = [(20, [("isend_send", 0, 1, 96.0, None)])]
 
 
 def witness_races():
     for program, n_ranks in [(BURST_AND_DETACH, 5), (INBOX_WITNESS, 3),
-                             (DETACH_AT_GRANT, 3)]:
+                             (DETACH_AT_GRANT, 3), (ISEND_THEN_SEND, 3)]:
         yield (*daemon_rigs(n_ranks), program)
     for program, n_ranks, device in [(BURST_AND_DETACH, 5, ChVChannel),
                                      (FLOW_WITNESS, 3, FtSockChannel),
@@ -257,6 +266,7 @@ def witness_races():
 @example(program=BURST_AND_DETACH, n_ranks=5)
 @example(program=INBOX_WITNESS, n_ranks=3)
 @example(program=DETACH_AT_GRANT, n_ranks=3)
+@example(program=ISEND_THEN_SEND, n_ranks=3)
 @settings(max_examples=150, deadline=None)
 def test_daemon_equals_process_daemon(program, n_ranks):
     race(*daemon_rigs(n_ranks), program, RULES)
@@ -351,3 +361,22 @@ def test_a_chain_without_its_start_step_is_caught(device, program, who_first):
         assert first(bad, "control", 1, 0) < first(bad, "packet", 1, 0, 3)
     else:  # the marker takes the daemon first
         assert wire(bad, ("marker", 0, 1)) < wire(bad, ("app", 0, 1))
+
+
+def done_order(log):
+    """The isend's completion and the blocking send's return, in the order
+    they happened (the isend carries serial 1, the send serial 2)."""
+    return [entry[0] for entry in log if entry[0] == "isend-done"
+            or entry[0] == "returned"]
+
+
+def test_an_isend_that_starts_late_is_caught():
+    """The start rule as it was: the isend takes the daemon one URGENT step
+    after its post, behind the blocking send posted after it."""
+    good = race(*daemon_rigs(3), ISEND_THEN_SEND, RULES)
+    bad, _, _, _ = run_program(recording(ChVChannel, DeferredStart),
+                               ChainEndpoint, 3, ISEND_THEN_SEND,
+                               DeferredStartContext)
+    assert bad != good
+    assert done_order(good) == ["isend-done", "returned"]
+    assert done_order(bad) == ["returned", "isend-done"]

@@ -4,7 +4,7 @@ machinery."""
 
 import pytest
 
-from repro.mpi import ChVChannel, FtSockChannel
+from repro.mpi import ChVChannel, FtSockChannel, NemesisChannel
 from repro.mpi.channels.base import HEADER_BYTES, SendChain
 from repro.mpi.message import MarkerPacket
 from repro.net import ClusterNetwork
@@ -16,10 +16,10 @@ from tests.mpi.conftest import make_job, run_job
 
 # ------------------------------------------------------- channel fast send
 def goes_inline(channel, dst):
-    """Post a non-blocking send: True when it goes out inside the call (its
+    """Post a send: True when it goes out inside the call (its
     transmit-complete event comes back), False when it is chained (it waits
-    for something, one URGENT step later)."""
-    sent = channel.post(dst, 1, None, 8, defer=True)
+    for something)."""
+    sent = channel.post(dst, 1, None, 8)
     assert isinstance(sent, (Event, SendChain))
     return not isinstance(sent, SendChain)
 
@@ -33,22 +33,31 @@ def test_fast_send_requires_connection(sim):
     assert not goes_inline(job.channels[0], 1)
 
 
-def test_fast_send_respects_closed_gate(sim):
+@pytest.mark.parametrize("channel_cls", [FtSockChannel, NemesisChannel])
+def test_fast_send_respects_closed_gate(sim, channel_cls):
+    """A frozen destination (ft-sock) or the closed stopper (Nemesis, for
+    every destination) sends the post down the chain, and so does a send
+    to a destination whose held send was woken but has not gone yet."""
     def app(ctx):
         if ctx.rank == 0:
             yield from ctx.send(1, 1, None, 8)
-        else:
+        elif ctx.rank == 1:
             yield from ctx.recv(0, 1)
+        else:
+            yield from ctx.compute(0.0)
 
-    job, _ = make_job(sim, app, size=2)
+    job, _ = make_job(sim, app, size=3, channel_cls=channel_cls)
     run_job(sim, job)  # connection now established
     channel = job.channels[0]
     assert goes_inline(channel, 1)
+    channel.freeze_sends([2])
+    assert goes_inline(channel, 1) is (channel_cls is FtSockChannel)
     channel.freeze_sends([1])
     assert not goes_inline(channel, 1)
     channel.resume_sends()
-    channel.global_send_gate.close()
-    assert not goes_inline(channel, 1)
+    assert not goes_inline(channel, 1)  # behind the one woken
+    sim.run()
+    assert goes_inline(channel, 1)
     sim.run()
 
 

@@ -2,25 +2,28 @@
 
 The spec is the send path as processes: a blocking ``send`` runs the
 ``post_send`` generator inside the application process, an ``isend`` that
-misses the inline ``try_fast_send`` spawns a pusher process, and a
-protocol fan-out is a ``_send_each`` helper process over the
-``send_control`` generator.  It lives on as ``GeneratorSend`` (channel)
-and ``SendEachEndpoint`` in ``tests/races.py`` (the ch_v rig races against
-them too) and :class:`PusherContext` here, with two deliberate fixes: a
-rank's shutdown interrupts its pushers and helpers (sends die with their
-rank), and the handshake is the job's, not its first asker's
-(:class:`AbortingHandshake` keeps how it was, and
+misses the inline ``try_fast_send`` is a pusher process whose first step
+runs inside the post (so both number their packet and join their first
+wait where posted, and a send posted behind a held one to the same peer
+waits on its event), and a protocol fan-out is a ``_send_each`` helper
+process over the ``send_control`` generator.  It lives on in
+``tests/races.py`` as ``GeneratorSend`` (channel), ``PusherContext`` and
+``SendEachEndpoint`` (the ch_v rig races against them too), with two
+deliberate fixes: a rank's shutdown interrupts its pushers and helpers
+(sends die with their rank), and the handshake is the job's, not its
+first asker's (:class:`AbortingHandshake` keeps how it was, and
 ``test_the_old_handshake_died_with_its_first_asker`` pins the
-difference).  It is
-raced against the shipped send path on random job-level programs over
-ft-sock, Nemesis and ch_v: 3-5 ranks two to a node, blocking sends from
-each rank's application process, ``isend`` s and control fan-outs; lazy
-connects and ch_v's eager mesh; per-peer gates and the Nemesis stopper
-closing and opening; the checkpoint transfer tax (a flow-sized stream on
-a rank's side connection); and ``detach()``, ``break_()``, task kills
-(``shutdown()`` + the application's interrupt) and harvest -> kill ->
-flush -> adopt-into-a-fresh-job at arbitrary instants — so mid-gate,
-mid-hop and mid-handshake.  An operation runs at a tick, rides an
+difference).  It is raced against the shipped send path on random
+job-level programs over ft-sock, Nemesis and ch_v: 3-5 ranks two to a
+node, blocking sends from each rank's application process (one may come
+just behind an ``isend`` of the same application to the same peer),
+``isend`` s and control fan-outs; lazy connects and ch_v's eager mesh;
+per-peer freezes and the Nemesis stopper closing and opening; the
+checkpoint transfer tax (a flow-sized stream on a rank's side
+connection); and ``detach()``, ``break_()``, task kills (``shutdown()`` +
+the application's interrupt) and harvest -> kill -> flush ->
+adopt-into-a-fresh-job at arbitrary instants — so mid-freeze, mid-hop and
+mid-handshake.  An operation runs at a tick, rides an
 application packet (and runs inside the receive path), or rides a side
 connection read by a process.
 
@@ -34,24 +37,21 @@ delete its termination and interrupt wakeups and whatever a send of a
 rank that is already down still pops.
 """
 
-from collections import defaultdict
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.mpi import FtSockChannel, NemesisChannel, Request
+from repro.mpi import FtSockChannel, NemesisChannel
 from repro.mpi.channels.base import HEADER_BYTES, SendChain
 from repro.mpi.channels.ch_v import ChVChannel
-from repro.mpi.context import SKIPPED, RankContext
+from repro.mpi.context import RankContext
 from repro.net.connection import _INLINE_BYTES
-from repro.sim.events import URGENT
-from repro.sim.primitives import Store
 from repro.sim.process import Process
 
-from tests.races import (MAX_RANKS, TICK, ChainEndpoint, GeneratorSend,
-                         JobRig, RANK, Rules, SendEachEndpoint, drop, lone,
-                         pair, programs, push, race, recording, rename)
+from tests.races import (MAX_RANKS, TICK, ChainEndpoint, DeferredStart,
+                         DeferredStartContext, GeneratorSend, JobRig,
+                         PusherContext, RANK, Rules, SendEachEndpoint, drop,
+                         lone, pair, programs, race, recording, rename)
 
 # the protocol monitors assume a real protocol; these programs kill, detach
 # and flush at will, and the pop stream is compared directly
@@ -69,7 +69,7 @@ class AbortingHandshake:
     its end whoever asked; a pusher or the mesh builder never was
     interrupted, so only this one case moves."""
 
-    def _establish(self, dst):
+    def _establish(self, dst, packet=None):
         job, a, b = self.job, self.rank, dst
         key = (a, b) if a < b else (b, a)
         ready = job._links.get(key)
@@ -107,36 +107,6 @@ class AbortingHandshake:
         return end
 
 
-class PusherContext(RankContext):
-    """``send`` / ``isend`` as they were: the slow path of a blocking send
-    runs inside the application process, an ``isend`` that misses the
-    inline path spawns a pusher process."""
-
-    __slots__ = ()
-
-    def send(self, dst, tag=0, data=None, nbytes=0.0):
-        op_id = self._begin()
-        if op_id is None:
-            return SKIPPED
-        sent = self.channel.try_fast_send(dst, tag, data, nbytes)
-        if sent is None:
-            sent = yield from self.channel.post_send(dst, tag, data, nbytes)
-        self._commit(op_id)
-        yield sent
-        return None
-
-    def isend(self, dst, tag=0, data=None, nbytes=0.0):
-        op_id = self._begin()
-        if op_id is None:
-            return Request(None)
-        sent = self.channel.try_fast_send(dst, tag, data, nbytes)
-        if sent is not None:
-            self._commit(op_id)
-            return Request(sent)
-        return Request(push(self.channel, dst, tag, data, nbytes,
-                            lambda: self._commit(op_id)))
-
-
 # ---------------------------------------------------------------- recording
 class LoggingCommit:
     """Logs every commit with its op id and instant (a shipped send
@@ -170,20 +140,7 @@ RULES = Rules(
     # a process bootstrap is the start step that replaced it
     rename("bootstrap", "init:", "start:"),
     rename("fan-out start", "fan-out:", "start:"),
-    rename("deferred send start", "isend:", "start:isend:", priority=URGENT),
 )
-
-
-def app(ctx):
-    """A rank's application: blocking sends, in the order they are
-    posted to its mailbox."""
-    rig = ctx.sim.rig
-    box = rig.boxes[ctx.job.name][ctx.rank]
-    while True:
-        dst, nbytes, data = yield box.get()
-        yield from ctx.send(dst, 0, data, nbytes)
-        rig.log.append(("returned", ctx.sim.now, ctx.job.name, ctx.rank,
-                        data[0]))
 
 
 class SendRig(JobRig):
@@ -191,42 +148,22 @@ class SendRig(JobRig):
     from their mailboxes.  Pops without a name are labelled by type: a
     waiter is a pusher on one side and a chain on the other."""
 
-    app = staticmethod(app)
     KILL = "kill"
     DESCRIBE = False
-
-    def __init__(self, *design):
-        self.boxes = defaultdict(lambda: [Store(self.sim, name=f"box:r{rank}")
-                                          for rank in range(self.n_ranks)])
-        super().__init__(*design)
 
     def who(self, channel):
         return channel.job.name, channel.rank
 
     def do_send(self, a, b, nbytes, carried):
         self.serial += 1
-        self.boxes[self.job.name][a].put((b, nbytes, (self.serial, carried)))
+        self.boxes[self.job.name][a].put(
+            (b, nbytes, (self.serial, carried), None))
 
     def do_isend(self, a, b, nbytes, carried):
         self.serial += 1
-        serial = self.serial
-        if self.job.channels[a].down:
-            return
-        context = self.job.contexts[a]
-        try:
-            request = context.isend(b, 0, (serial, carried), nbytes)
-        except ConnectionError:
-            self.log.append(("refused", self.sim.now, serial))
-            return
-        event = request.event
-        self.owners[id(event)] = (event, context.channel)
-
-        def completed(done):
-            if not context.channel.down:  # else the rank is gone with it
-                self.log.append(("isend-done", self.sim.now, serial,
-                                 done._ok))
-
-        event.callbacks.append(completed)
+        if not self.job.channels[a].down:
+            self.isend(self.job.contexts[a], b, nbytes,
+                       (self.serial, carried))
 
     def do_tax(self, a, nbytes):
         """A checkpoint image streaming out of rank ``a``."""
@@ -286,7 +223,7 @@ SIZES = (0.0, 96.0, _INLINE_BYTES - HEADER_BYTES,
 _programs = programs(
     SIZES, 40, [pair("recv", "freeze"), lone("resume", "fanout", "detach"),
                 st.tuples(st.just("tax"), RANK, st.sampled_from([2e5, 2e6]))],
-    kill="kill", sends=("send", "isend"), weight=2)
+    kill="kill", sends=("send", "isend", "isend_send"), weight=2)
 
 
 #: ft-sock: rank 0 freezes its sends to rank 1 and posts a blocking send
@@ -319,11 +256,21 @@ STOPPER = [
 ]
 
 
+#: rank 0's application posts an isend and then a blocking send to rank 1,
+#: back to back: before the link is up (and, on ch_v, with it up, where
+#: each waits for its daemon hop) both wait, in the order posted
+ISEND_THEN_SEND = [
+    (0, [("isend_send", 0, 1, 96.0, None)]),
+    (20, [("isend_send", 0, 1, 96.0, None)]),
+]
+
+
 @given(program=_programs, n_ranks=st.integers(3, MAX_RANKS),
        device=st.sampled_from([FtSockChannel, NemesisChannel, ChVChannel]))
 @example(program=GATES_AND_HANDSHAKE, n_ranks=3, device=FtSockChannel)
 @example(program=HOP_AND_HARVEST, n_ranks=3, device=ChVChannel)
 @example(program=STOPPER, n_ranks=3, device=NemesisChannel)
+@example(program=ISEND_THEN_SEND, n_ranks=3, device=ChVChannel)
 @settings(max_examples=150, deadline=None)
 def test_send_chain_equals_process_sends(program, n_ranks, device):
     race(*rigs(n_ranks, device), program, RULES)
@@ -353,7 +300,8 @@ def witness_races():
                             (HOP_AND_HARVEST, ChVChannel),
                             (STOPPER, NemesisChannel),
                             (KILL_MID_HANDSHAKE, FtSockChannel),
-                            (BROKEN_AT_GATE, FtSockChannel)]:
+                            (BROKEN_AT_GATE, FtSockChannel),
+                            (ISEND_THEN_SEND, NemesisChannel)]:
         yield (*rigs(3, device), program)
 
 
@@ -459,3 +407,34 @@ def test_a_chain_that_shutdown_does_not_stop_is_caught():
              and entry[2] == "job1" and entry[4] == 0]
     assert stale and not [entry for entry in good if entry[0] == "packet"
                           and entry[2] == "job1" and entry[4] == 0]
+
+
+class DeferredContext(LoggingCommit, DeferredStartContext):
+    __slots__ = ()
+
+
+def commits(log, rank):
+    """The op ids job0's rank ``rank`` committed, in commit order."""
+    return [entry[4] for entry in log
+            if entry[0] == "commit" and entry[2:4] == ("job0", rank)]
+
+
+@pytest.mark.parametrize("device", [FtSockChannel, NemesisChannel,
+                                    ChVChannel])
+def test_a_channel_that_defers_an_isend_is_caught(device):
+    """The start rule as it was: an isend that has to wait takes its
+    sequence number and its first step one URGENT step late, and the
+    blocking send posted behind it leaves first."""
+    good = race(*rigs(3, device), ISEND_THEN_SEND, RULES)
+    bad, _, _, _ = run_program(
+        (recording(device, DeferredStart), ChainEndpoint, DeferredContext),
+        3, ISEND_THEN_SEND)
+    assert bad != good
+    # rank 1 handles rank 0's packets in sequence order either way ...
+    for log in (good, bad):
+        assert [entry[5] for entry in log if entry[0] == "packet"
+                and entry[2:4] == ("job0", 1)] == [1, 2, 3, 4]
+    # ... but the first isend (op 0) is numbered and committed after the
+    # send posted behind it (op 1)
+    assert commits(good, 0) == [0, 1, 2, 3]
+    assert commits(bad, 0)[:2] == [1, 0]

@@ -17,7 +17,10 @@ holds then is pinned too (docs/PERF.md "A wave's per-pair state"): during
 a Pcl wave on ft-sock and on ch_v no busy pipe's ``egress`` or inbox
 holds a ``deque`` (lists, given back when drained), no per-destination
 ``Gate`` exists (a channel keeps its frozen destinations as a set), and
-no gate, reader or inbox name is stored until it is read.  A deferred
+no gate, reader or inbox name is stored until it is read; once a held
+send was woken, no ft-sock or ch_v channel holds a ``Gate`` (the send
+waited on its destination's freeze alone — before, on a second,
+always-open gate each woken sender's channel allocated).  A deferred
 ``isend``'s ``SendChain`` is freed by reference counting once it settled
 (before: a cycle with its ``done`` event, left to the collector).
 
@@ -63,6 +66,7 @@ import repro
 import repro.mpi.channels.base
 import repro.mpi.context
 from repro.apps.synthetic import token_ring
+from repro.mpi import ChVChannel, FtSockChannel, NemesisChannel
 from repro.mpi.channels.base import SendChain
 from repro.net.connection import _INLINE_BYTES, Connection
 from repro.net.flows import FlowScheduler
@@ -215,8 +219,11 @@ def test_names_read_as_they_always_were():
     assert job.name == "names#1"
     assert job.app_processes[3].name == "names#1:r3"
     channel = job.channels[3]
-    assert channel.global_send_gate.name == "g:r3"
-    assert channel.global_send_gate.wait().name == "gate:g:r3"
+    nemesis = NemesisChannel(job, 3)
+    nemesis.freeze_sends([4])
+    stopper = nemesis.stopper
+    assert stopper.name == "g:r3"
+    assert stopper.wait().name == "gate:g:r3"
     channel.freeze_sends([4])
     assert channel.dst_open(4).name == "gate:g:r3->r4"
     assert channel.matching.post_recv(0, 0).name == "recv:r3"
@@ -354,7 +361,6 @@ def _stencil_job(context_cls=None, channel_cls=None):
     once the links are up, run until its next ``isend`` to rank 1 waits
     at the gate."""
     from repro.apps.stencil import Stencil
-    from repro.mpi import FtSockChannel
     from tests.mpi.conftest import make_job
 
     sim = make_simulator(seed=5)
@@ -382,7 +388,8 @@ def _pusher_of(owner, job):
 
 
 def _isend_processes(job):
-    return [process for process in _live(Process) if _pusher_of(process, job)]
+    return [process for process in _live_events(Process)
+            if _pusher_of(process, job)]
 
 
 def test_an_isend_held_at_a_gate_owns_no_process():
@@ -394,7 +401,6 @@ def test_an_isend_held_at_a_gate_owns_no_process():
 def test_isend_process_detector_sees_the_pusher():
     """The positive control: the process send path kept as the spec parks
     a pusher process at the gate."""
-    from repro.mpi import FtSockChannel
     from repro.mpi.context import RankContext
     from tests.mpi.test_send_reference import GeneratorSend, PusherContext
 
@@ -426,8 +432,19 @@ def _live_events(kind):
     return [obj for obj in gc.get_objects() if isinstance(obj, kind)]
 
 
+def _held(channel):
+    """What a channel's held sends wait on: the Nemesis stopper, or each
+    frozen destination."""
+    stopper = getattr(channel, "stopper", None)
+    if stopper is not None:
+        return list(stopper._waiters)
+    return [waiter for waiters in dict(channel._frozen_dsts).values()
+            for waiter in waiters]
+
+
 @pytest.mark.unmonitored  # a bare kill, no recovery: the wave never closes
-def test_a_killed_job_leaves_no_send_behind():
+@pytest.mark.parametrize("channel_cls", [FtSockChannel, NemesisChannel])
+def test_a_killed_job_leaves_no_send_behind(channel_cls):
     """Kill a Pcl job while an ``isend`` waits at a closed gate: nothing
     pending — no gate waiter, no hop in a daemon queue — still holds a
     send of that job."""
@@ -436,15 +453,13 @@ def test_a_killed_job_leaves_no_send_behind():
     sim = make_simulator(seed=2)
     run, _ = build_ft_run(sim, ring_app_factory(iters=40, work=0.01,
                                                 nbytes=50_000),
-                          size=4, protocol="pcl", period=0.05)
+                          size=4, protocol="pcl", period=0.05,
+                          channel_cls=channel_cls)
     run.start()
 
     def parked():
-        return any(waiter.callbacks
-                   for channel in run.job.channels
-                   for waiters in (channel.global_send_gate._waiters,
-                                   *dict(channel._frozen_dsts).values())
-                   for waiter in waiters)
+        return any(waiter.callbacks for channel in run.job.channels
+                   for waiter in _held(channel))
 
     while not parked():
         sim.step()
@@ -547,6 +562,53 @@ def test_a_rank_parked_in_recv_holds_one_generator():
         gen.gi_code.co_name for gen in _live(types.GeneratorType, known)
         if gen.gi_code.co_filename.endswith(os.path.join("mpi", "context.py")))
     assert names == {"recv": N_RANKS - 1, "send": 1}
+
+
+# ------------------------------------------------------------ one freeze
+def _gates_held(channels):
+    """The ranks whose channel holds a ``Gate``."""
+    return [channel.rank for channel in channels
+            if any(isinstance(value, Gate)
+                   for value in _fields(channel).values())]
+
+
+@pytest.mark.parametrize("channel_cls", [FtSockChannel, ChVChannel])
+def test_a_woken_send_leaves_no_gate_behind(channel_cls):
+    """A send held by a Pcl wave waits on its destination's freeze alone:
+    once woken it allocates no stopper-like ``Gate`` on its channel (there
+    was one per woken sender's channel, open and never closed)."""
+    from tests.ft.conftest import build_ft_run, ring_app_factory
+    from tests.ft.test_pcl_delayed_fifo_property import _run_stream
+
+    # the delayed-receive property's example schedule: rank 0's sends are
+    # held by two waves
+    run = _run_stream(channel_cls, [(0.01953125, 10.0), (0.0078125, 10.0),
+                                    (0.01171875, 10.0), (0.0, 351225.0)],
+                      [0.046875, 0.0390625])
+    assert run.stats.waves_completed >= 1
+    assert _gates_held(run.job.channels) == []
+
+    sim = make_simulator(seed=2)
+    held = []
+
+    class Counted(channel_cls):
+        """Counts the sends a freeze holds."""
+
+        __slots__ = ()
+
+        def dst_open(self, dst):
+            held.append(dst in self._frozen_dsts)
+            return super().dst_open(dst)
+
+    run, _ = build_ft_run(sim, ring_app_factory(iters=400, work=0.01,
+                                                nbytes=50_000),
+                          size=8, protocol="pcl", period=0.05,
+                          channel_cls=Counted)
+    run.start()
+    while run.stats.waves_completed < 4:
+        sim.step()
+    assert sum(held) >= 8  # sends were held, and woken
+    assert _gates_held(run.job.channels) == []
 
 
 # ---------------------------------------------------------- a wave's pairs

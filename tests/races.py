@@ -6,25 +6,32 @@ streams once each rig's table of named :class:`Rule` s normalised the
 spec's bookkeeping away.  Each rule counts the pops it touched per side;
 :data:`TALLY` sums them over a session, which prints them.  The process
 specs two rigs share live here too: :class:`ProcessRx` (receive, ch_v),
-:class:`GeneratorSend` and :class:`SendEachEndpoint` (ch_v, send).
-Not collected; the rig modules import it.
+:class:`GeneratorSend`, :class:`PusherContext` and
+:class:`SendEachEndpoint` (ch_v, send), and the negative those two rigs
+share, :class:`DeferredStart`.  Not collected; the rig modules import it.
 """
 
 from collections import Counter, defaultdict
+from functools import partial
 from typing import Callable, List, NamedTuple, Optional
 
 from hypothesis import strategies as st
 
 from repro.ft.protocol import BaseEndpoint, FTStats
 from repro.mpi import MPIJob
-from repro.mpi.channels.base import HEADER_BYTES, ChannelDownError, SendChain
+from repro.mpi.channels.base import (_START, HEADER_BYTES, ChannelDownError,
+                                     SendChain)
 from repro.mpi.channels.ch_v import ChVChannel
 from repro.mpi.consts import ANY_TAG
+from repro.mpi.context import SKIPPED, RankContext
 from repro.mpi.message import AppPacket, MarkerPacket
+from repro.mpi.request import Request
 from repro.net import ClusterNetwork
 from repro.net.connection import _Pipe
 from repro.net.topology import Endpoint
 from repro.sim import Simulator, Watchdog
+from repro.sim.events import Event
+from repro.sim.primitives import Store
 from repro.sim.process import Interrupt, Process
 
 TICK = 1e-4
@@ -172,8 +179,19 @@ class Rig:
         return self.log, self.state(), pops, self.recorder.pops
 
 
-def parked(ctx):
-    yield ctx.sim.event(name="parked")  # ranks only react: the rig drives
+def mailbox(ctx):
+    """A rank's application: the blocking sends posted to its mailbox, in
+    order, each just behind the ``isend`` it may bring (the rig drives
+    everything else)."""
+    rig = ctx.sim.rig
+    box = rig.boxes[ctx.job.name][ctx.rank]
+    while True:
+        dst, nbytes, data, first = yield box.get()
+        if first is not None:
+            rig.isend(ctx, dst, nbytes, first)
+        yield from ctx.send(dst, 0, data, nbytes)
+        rig.log.append(("returned", ctx.sim.now, ctx.job.name, ctx.rank,
+                        data[0]))
 
 
 def ids(packets):
@@ -181,9 +199,10 @@ def ids(packets):
 
 
 def gates(channel):
-    """The stopper's state, and each frozen destination with the sends
-    still waiting for it, in the order they were frozen."""
-    return (channel.global_send_gate.is_open,
+    """Whether the stopper (Nemesis) is open, and each frozen destination
+    with the sends still waiting for it, in the order they were frozen."""
+    stopper = getattr(channel, "stopper", None)
+    return (stopper is None or stopper.is_open,
             [(dst, sum(1 for waiter in waiters if waiter.callbacks))
              for dst, waiters in dict(channel._frozen_dsts).items()])
 
@@ -265,9 +284,11 @@ class JobRig(Rig):
     rank ``context`` class, if given) and a service node with one side
     connection per rank: a process runs what it reads, the other way
     carries the rank's transfer-tax stream.  An op ``(verb, rank, ...)``
-    runs ``do_<verb>``; one carried by a packet runs when it is handled."""
+    runs ``do_<verb>``; one carried by a packet runs when it is handled.
+    Each rank's application makes the blocking sends posted to its
+    mailbox."""
 
-    app = staticmethod(parked)
+    app = staticmethod(mailbox)
     HOPS = False  # log ch_v's daemon hops: the rig is the metrics registry
     ENDS = (ConnectionError,)  # a rank shut down under its job's mesh builder
     #: what a reincarnation carried by a packet folds to
@@ -305,6 +326,8 @@ class JobRig(Rig):
         self.stillborn = []
         self.serial = self.wave = 0
         self.adopting = False
+        self.boxes = defaultdict(lambda: [Store(self.sim, name=f"box:r{rank}")
+                                          for rank in range(n_ranks)])
         self._launch({})
         self.side, self.tax = [], []
         for rank, endpoint in enumerate(self.endpoints):
@@ -406,14 +429,39 @@ class JobRig(Rig):
 
     def _isend(self, channel, dst, data, nbytes):
         if not hasattr(channel, "try_fast_send"):
-            chain = channel.post(dst, 0, data, nbytes, defer=True)
-            event = chain.done if isinstance(chain, SendChain) else None
+            chain = channel.post(dst, 0, data, nbytes)
+            event = chain.as_isend() if isinstance(chain, SendChain) else None
         elif channel.try_fast_send(dst, 0, data, nbytes) is None:
             event = push(channel, dst, 0, data, nbytes)
         else:
             return
         if event is not None:
             self.owners[id(event)] = (event, channel)
+
+    def do_isend_send(self, a, b, nbytes, carried):
+        """Rank ``a``'s application posts an ``isend`` and then a blocking
+        send to ``b``, back to back; the send carries the op."""
+        self.serial += 2
+        self.boxes[self.job.name][a].put(
+            (b, nbytes, (self.serial, carried), (self.serial - 1, None)))
+
+    def isend(self, context, dst, nbytes, data):
+        """``context.isend``; its completion is logged while its rank
+        lives."""
+        try:
+            request = context.isend(dst, 0, data, nbytes)
+        except ConnectionError:
+            self.log.append(("refused", self.sim.now, data[0]))
+            return
+        event = request.event
+        self.owners[id(event)] = (event, context.channel)
+
+        def completed(done):
+            if not context.channel.down:  # else the rank is gone with it
+                self.log.append(("isend-done", self.sim.now, data[0],
+                                 done._ok))
+
+        event.callbacks.append(completed)
 
     def do_side(self, a, b, nbytes, carried):
         self.serial += 1
@@ -503,9 +551,10 @@ def fit(program, n_ranks, kill="shutdown"):
         if op is None:
             return None
         verb, a, b = op[0], op[1] % n_ranks, op[2]
-        if verb in ("send", "isend", "freeze", "recv", "flush", "break"):
+        if verb in ("send", "isend", "isend_send", "freeze", "recv", "flush",
+                    "break"):
             b %= n_ranks
-        if verb in ("send", "isend"):
+        if verb in ("send", "isend", "isend_send"):
             return (verb, a, b, op[3], fold(op[4], runs_on=b))
         if verb == "side":
             return (verb, a, b, op[3], fold(op[4]))
@@ -593,41 +642,43 @@ class ProcessRx:
 
 class GeneratorSend:
     """The channel's send family as generators, as it was (its commit
-    accounting written once, :meth:`_account`) but for the one call that
-    connects (:meth:`_establish`) and a :meth:`shutdown` that stops the
-    rank's sends."""
+    step is the channel's ``_commit_send``: the connection takes the
+    packet, then it is accounted) but for the one call that connects
+    (:meth:`_establish`) and a :meth:`shutdown` that stops the rank's
+    sends.  A held send waits on the one thing that holds it
+    (``dst_open``, or its link), and a send posted while an earlier one to
+    its destination is held waits on the same event (:meth:`_hold`)."""
 
     def post_send(self, dst, tag, data, nbytes):
         if self.down:
             raise ChannelDownError(f"rank {self.rank} channel is down")
         packet = self._number(tag, data, nbytes)
-        sent = yield from self._send_packet(dst, packet, gated=True)
-        self._account(packet, dst, nbytes)
-        return sent
-
-    def _account(self, packet, dst, nbytes):
-        self.sim.trace.count("mpi.messages")
-        self.sim.trace.count("mpi.bytes", nbytes)
-        self._trace_send(packet, dst)
-        if self.sim.metrics is not None:
-            self._metrics_sent(packet, dst)
-        if self.protocol is not None:
-            self.protocol.on_app_sent(packet, dst)
+        end, overhead = yield from self._send_packet(dst, packet, gated=True)
+        return self._commit_send(end, packet, dst, nbytes, overhead)
 
     def send_control(self, dst, packet):
         if self.down:
             raise ChannelDownError(f"rank {self.rank} channel is down")
-        yield from self._send_packet(dst, packet, gated=False)
+        end, overhead = yield from self._send_packet(dst, packet,
+                                                     gated=False)
+        end.send(packet, HEADER_BYTES, extra_latency=overhead, notify=False)
 
     def _send_packet(self, dst, packet, gated):
+        """Wait until ``packet`` may go: ``(end, extra latency)``."""
+        ahead = self._held_to(dst) if gated else None
+        if ahead is not None:
+            _, _, event, link = ahead
+            yield from self._hold(dst, packet, event, link)
+            if link and dst not in self.conns:
+                raise ConnectionResetError(f"link to r{dst} gone")
         while True:
-            if gated and not self._gates_open(dst):
-                yield self.dst_open(dst)
-                yield self.global_send_gate.wait()
+            if gated and not self.send_open(dst):
+                yield from self._hold(dst, packet, self.dst_open(dst), False)
                 continue
             end = self.conns.get(dst)
             if end is None:
-                end = yield from self._establish(dst)
+                end = yield from self._establish(dst,
+                                                 packet if gated else None)
                 if self.down:
                     raise ChannelDownError(f"rank {self.rank} channel is down")
                 continue
@@ -643,21 +694,41 @@ class GeneratorSend:
             overhead = 0.0
             if self.down:
                 raise ChannelDownError(f"rank {self.rank} channel is down")
-        return end.send(packet, nbytes, extra_latency=overhead, notify=gated)
+        return end, overhead
+
+    def _hold(self, dst, packet, event, link):
+        """Wait for ``event`` as a send its link (``link``) or a freeze
+        holds: a send posted to ``dst`` meanwhile waits behind it."""
+        entry = (packet.seq, dst, event, link)
+        held = self.__dict__.setdefault("held", [])
+        held.append(entry)
+        try:
+            yield event
+        finally:
+            held.remove(entry)
+
+    def _held_to(self, dst):
+        """The last posted send to ``dst`` a send posted now must wait
+        behind, as ``(seq, dst, event, link)``: one waiting for its link,
+        or one a lifted freeze has woken; or None."""
+        return max((entry for entry in self.__dict__.get("held", ())
+                    if entry[1] == dst
+                    and (entry[3] or entry[2].triggered)), default=None,
+                   key=lambda entry: entry[0])
 
     def try_fast_send(self, dst, tag, data, nbytes):
         if self.down:
             raise ChannelDownError(f"rank {self.rank} channel is down")
         end = self.conns.get(dst)
-        if end is None or not self._gates_open(dst):
+        if (end is None or not self.send_open(dst)
+                or self._held_to(dst) is not None):
             return None
-        wire_bytes = nbytes + HEADER_BYTES
-        overhead = self.send_overhead(wire_bytes) + self.transfer_tax()
+        overhead = self.send_overhead(nbytes + HEADER_BYTES) \
+            + self.transfer_tax()
         if overhead > 0.0 and not self.defer_send_overhead:
             return None
         packet = self._number(tag, data, nbytes)
-        self._account(packet, dst, nbytes)
-        return end.send(packet, wire_bytes, extra_latency=overhead)
+        return self._commit_send(end, packet, dst, nbytes, overhead)
 
     def _host_cost(self, seconds):
         hop = self.host_hop(seconds)
@@ -681,13 +752,16 @@ class GeneratorSend:
                     sender.interrupt("channel shut down")
         super().shutdown(error)
 
-    def _establish(self, dst):
+    def _establish(self, dst, packet=None):
         """Connect through ``MPIJob.establish``: the handshake is the
         job's (see ``AbortingHandshake`` in the send rig for how it
-        was)."""
+        was); an application ``packet`` is held there."""
         link = self.job.establish(self.rank, dst)
         if link is not None:
-            yield link
+            if packet is None:
+                yield link
+            else:
+                yield from self._hold(dst, packet, link, True)
         end = self.conns.get(dst)
         if end is None:
             raise ConnectionResetError(
@@ -695,10 +769,25 @@ class GeneratorSend:
         return end
 
 
+class Posted(Process):
+    """A process whose first step runs inside the call that makes it (a
+    :class:`Process` takes it one URGENT step later): a send started where
+    it is posted."""
+
+    def __init__(self, sim, generator, name):
+        Event.__init__(self, sim, name=name)
+        self.generator = generator
+        self._target = None
+        go = Event(sim)
+        go._ok, go._value = True, None
+        self._resume(go)
+
+
 def push(channel, dst, tag, data, nbytes, commit=None):
-    """The spec's ``isend`` pusher process: the process send path, the
-    send's ``commit``, then the wait for the wire; a failure it meets is
-    reported as a socket closure."""
+    """The spec's ``isend`` pusher process, started inside its post: the
+    process send path (so its packet is numbered and its first wait joined
+    there, as a blocking send's), the send's ``commit``, then the wait for
+    the wire; a failure it meets is reported as a socket closure."""
     def pusher():
         try:
             sent = yield from channel.post_send(dst, tag, data, nbytes)
@@ -709,10 +798,90 @@ def push(channel, dst, tag, data, nbytes, commit=None):
             if not channel.down:
                 channel.job.notify_socket_closed(channel.rank, dst)
 
-    process = channel.sim.process(pusher(),
-                                  name=f"isend:r{channel.rank}->r{dst}")
-    channel.__dict__.setdefault("pushers", []).append(process)
+    channel.__dict__.setdefault("pushers", [])
+    process = Posted(channel.sim, pusher(),
+                     name=f"isend:r{channel.rank}->r{dst}")
+    channel.pushers.append(process)
     return process
+
+
+class PusherContext(RankContext):
+    """``send`` / ``isend`` as they were: the slow path of a blocking send
+    runs inside the application process, an ``isend`` that misses the
+    inline path is a pusher process."""
+
+    __slots__ = ()
+
+    def send(self, dst, tag=0, data=None, nbytes=0.0):
+        op_id = self._begin()
+        if op_id is None:
+            return SKIPPED
+        sent = self.channel.try_fast_send(dst, tag, data, nbytes)
+        if sent is None:
+            sent = yield from self.channel.post_send(dst, tag, data, nbytes)
+        self._commit(op_id)
+        yield sent
+        return None
+
+    def isend(self, dst, tag=0, data=None, nbytes=0.0):
+        op_id = self._begin()
+        if op_id is None:
+            return Request(None)
+        sent = self.channel.try_fast_send(dst, tag, data, nbytes)
+        if sent is not None:
+            self._commit(op_id)
+            return Request(sent)
+        return Request(push(self.channel, dst, tag, data, nbytes,
+                            lambda: self._commit(op_id)))
+
+
+# ---------------------------------------------------------------- negatives
+class DeferredStart:
+    """Broken on purpose: the start rule as it was.  An ``isend`` (a post
+    with ``defer``, which :class:`DeferredStartContext` makes) that has to
+    wait takes its sequence number and its first step one URGENT step
+    after the post, so a send posted behind it can leave first."""
+
+    class _Chain(SendChain):
+        __slots__ = ()
+
+        def _step(self, event=None):
+            if self._stage != _START:
+                return super()._step(event)
+            self.waiting = None
+            self._packet = self.channel._number(*self._packet, self.nbytes)
+            try:
+                self._go()
+            except ConnectionError as error:
+                self._fail(error)
+
+    def post(self, dst, tag, data, nbytes, defer=False):
+        if not defer or (dst in self.conns and self.defer_send_overhead
+                         and self.send_open(dst)):
+            return super().post(dst, tag, data, nbytes)
+        if self.down:
+            raise ChannelDownError(f"rank {self.rank} channel is down")
+        chain = self._Chain(self, "send", None)
+        chain._dst, chain._packet, chain.nbytes = dst, (tag, data), nbytes
+        chain._defer()
+        return chain
+
+
+class DeferredStartContext(RankContext):
+    """The ``isend`` that asks :class:`DeferredStart` for its old rule."""
+
+    __slots__ = ()
+
+    def isend(self, dst, tag=0, data=None, nbytes=0.0):
+        op_id = self._begin()
+        if op_id is None:
+            return Request(None)
+        sent = self.channel.post(dst, tag, data, nbytes, defer=True)
+        if isinstance(sent, SendChain):
+            sent.on_commit = partial(self._sent, op_id)
+            return Request(sent.as_isend())
+        self._commit(op_id)
+        return Request(sent)
 
 
 class SendEachEndpoint(ChainEndpoint):
