@@ -216,8 +216,9 @@ class BaseChannel:
         there is one — or puts its packet and returns the transmit-complete
         event like an inline send.  The chain is returned while it waits,
         so its ``on_commit(dst, packet)``, set by the caller on return, runs
-        at its commit point (the payload is on the connection), and when it
-        failed before its first wait, with ``error`` set.
+        at its commit point (the payload is on the connection).  A send
+        that fails inside this call raises ``ConnectionError`` here, inline
+        or chained; one that fails later ends its chain with ``error`` set.
         """
         if self.down:
             raise ChannelDownError(f"rank {self.rank} channel is down")
@@ -234,18 +235,16 @@ class BaseChannel:
             # goes on in the pop where the send ahead of it does, after it
             chain._wait(ahead.waiting, ahead._stage)
             return chain
-        try:
-            chain._go()
-        except ConnectionError as error:
-            chain._fail(error)
-        return chain.sent or chain  # no packet sent: it waits, or failed
+        chain._go()
+        return chain.sent or chain  # no packet sent: it waits
 
     def _held_to(self, dst: int) -> Optional["SendChain"]:
         """The last posted application send to ``dst`` that a send posted
         now must wait behind: one waiting for its link, or one a lifted
         freeze has woken that has not gone on yet.  (Behind one still
-        frozen, a send's own freeze wait lines it up; in a daemon hop, the
-        daemon's queue does.)"""
+        frozen, a send's own freeze wait lines it up; in a daemon hop, or
+        frozen after it, the daemon's queue does: a send posted behind it
+        takes its own hop first.)"""
         ahead = None
         for chain in self._chains:  # in post order: each waits from its post
             if (chain._dst == dst and chain._packets is None
@@ -437,8 +436,9 @@ class BaseChannel:
 
 
 #: what a send chain waits on: its start step (a control chain), the
-#: application packet's freeze, the link, a host hop
-_START, _FREEZE, _LINK, _HOP = range(4)
+#: application packet's freeze, the link, a host hop, a freeze that came
+#: while the application packet was in its hop
+_START, _FREEZE, _LINK, _HOP, _HOPPED = range(5)
 
 
 class SendChain:
@@ -463,13 +463,14 @@ class SendChain:
     (:meth:`interrupt`): a stopped chain drops its wait, abandons its hop
     and sends nothing more, so no send outlives its incarnation.
 
-    ``waiting`` is the event the chain waits on.  A blocking send's
-    application process waits on the same event, behind the chain's
-    callback, so it goes on in the pop where its send commits or fails.
-    A failure ends the chain with ``error`` set.
+    ``waiting`` is the event the chain waits on.  The application process
+    of a send, blocking or waited later (:func:`repro.mpi.request.
+    wait_posted`), waits on the same event, behind the chain's callback,
+    so it goes on in the pop where its send commits or fails.  A failure
+    ends the chain with ``error`` set.
     """
 
-    __slots__ = ("channel", "_label", "on_commit", "nbytes", "_packets",
+    __slots__ = ("channel", "label", "on_commit", "nbytes", "_packets",
                  "_dst", "_packet", "_stage", "waiting", "sent", "error",
                  "done")
 
@@ -477,8 +478,8 @@ class SendChain:
                  on_commit: Optional[OnCommit], packets=None) -> None:
         self.channel = channel
         #: a control chain's name; an application send's kind (``send`` or
-        #: ``isend``), which its name completes
-        self._label = label
+        #: ``isend``, set by the rank context), which its name completes
+        self.label = label
         self.on_commit = on_commit
         #: an application send's payload size (without the envelope)
         self.nbytes = 0.0
@@ -494,9 +495,9 @@ class SendChain:
         #: the application packet's transmit-complete event
         self.sent: Optional[Event] = None
         self.error: Optional[BaseException] = None
-        #: an ``isend``'s completion (:meth:`as_isend`): succeeds one step
-        #: after its packet left, or when it failed; dropped then, so the
-        #: chain, which names it, is freed with it
+        #: an ``isend``'s completion, made at its put: succeeds (or fails
+        #: with its pipe) one step after the packet left, and is dropped
+        #: once popped
         self.done: Optional[Event] = None
 
     @property
@@ -504,21 +505,10 @@ class SendChain:
         """What ``Event.describe()`` names as the waiter (and its start
         and done events, when read)."""
         if self._packets is not None:
-            return self._label
-        return f"{self._label}:r{self.channel.rank}->r{self._dst}"
+            return self.label
+        return f"{self.label}:r{self.channel.rank}->r{self._dst}"
 
     event_name = name
-
-    def as_isend(self) -> Event:
-        """Make this application send, as :meth:`BaseChannel.post` returned
-        it, an ``isend``'s: the returned ``done`` succeeds one step after
-        its packet left, or when it failed — a failure has nobody to throw
-        into, so it is reported as a socket closure."""
-        self._label = "isend"
-        done = self.done = Event(self.channel.sim, self)
-        if self.error is not None:  # it failed inside post()
-            self._settle(None)
-        return done
 
     # -------------------------------------------------------------- control
     def stop(self, _cause: Any = None) -> None:
@@ -571,9 +561,10 @@ class SendChain:
                     raise event._value
                 if self._dst not in channel.conns:
                     raise ConnectionResetError(f"link to r{self._dst} gone")
-            elif stage == _HOP:
-                self._put(event._value, 0.0)
-                if not self._next():
+            elif stage >= _HOP:  # the hop is over: no second one
+                end = (event._value if stage == _HOP
+                       else channel.conns.get(self._dst))
+                if not self._put_or_wait(end) or not self._next():
                     return
             elif stage == _START and not self._next():
                 return
@@ -596,14 +587,21 @@ class SendChain:
         self._dst, self._packet = item
         return True
 
-    def _put_or_wait(self) -> bool:
-        """Put the packet in hand, or start the wait it needs first."""
+    def _put_or_wait(self, hopped: Optional[ConnectionEnd] = None) -> bool:
+        """Put the packet in hand, or start the wait it needs first.
+        ``hopped`` is the end a host hop that is over was taken for: a
+        wave may have frozen the destination meanwhile, and no second hop
+        is taken."""
         channel = self.channel
         dst = self._dst
         app = self._packets is None
         if app and not channel.send_open(dst):
-            self._wait(channel.dst_open(dst), _FREEZE)
+            self._wait(channel.dst_open(dst),
+                       _FREEZE if hopped is None else _HOPPED)
             return False
+        if hopped is not None:
+            self._put(hopped, 0.0)
+            return True
         end = channel.conns.get(dst)
         if end is None:
             self._wait(channel.job.establish(channel.rank, dst), _LINK)
@@ -628,27 +626,30 @@ class SendChain:
         if self._packets is None:
             self.sent = self.channel._commit_send(end, packet, dst,
                                                   self.nbytes, extra_latency)
+            if self.label == "isend":
+                done = self.done = Event(self.channel.sim, self)
+                # popped, it is dropped (a later wait relays the popped
+                # transmit-complete event instead, the same way), so the
+                # chain, which names it, is freed with its request
+                done.callbacks.append(lambda _: setattr(self, "done", None))
+                self.sent.callbacks.append(self._left)
         else:
             end.send(packet, HEADER_BYTES, extra_latency, notify=False)
         if self.on_commit is not None:
             self.on_commit(dst, packet)
-        if self.done is not None:
-            self.sent.callbacks.append(self._settle)
 
-    # -------------------------------------------------------------- endings
+    def _left(self, sent: Event) -> None:
+        """An ``isend``'s packet left, or its pipe broke: it completes one
+        step later, where the process the chain replaced ended (its waiter
+        goes on there: an earlier step moves Vcl's daemon order)."""
+        if sent._ok:
+            self.done.succeed()
+        else:
+            self.done.defused = True  # raised where the isend is waited for
+            self.done.fail(sent._value)
+
     def _fail(self, error: BaseException) -> None:
+        """End the chain: ``error`` is raised where its send is waited
+        for."""
         self.error = error
         self._leave()
-        if self.done is not None:
-            self._settle(None)
-
-    def _settle(self, sent: Optional[Event]) -> None:
-        """An ``isend``'s packet left, or it failed (before the wire, or
-        its pipe broke first).  A failure has nobody to throw into: report
-        the closure the way the receive path does and let recovery roll
-        the op back."""
-        channel = self.channel
-        if (sent is None or not sent._ok) and not channel.down:
-            channel.job.notify_socket_closed(channel.rank, self._dst)
-        done, self.done = self.done, None
-        done.succeed()

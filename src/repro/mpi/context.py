@@ -16,9 +16,11 @@ send      payload enqueued on the connection (bytes will arrive or be
           :meth:`~repro.mpi.channels.base.BaseChannel.post`'s return, a
           send that has to wait in the step of its send chain that hands
           it over, after whatever freeze, link or daemon hop it waited for
-isend     as send: ``send`` and ``isend`` are one post, numbered and
-          started where posted, so a rank's sends to one peer leave in
-          the order it posted them
+isend     as send: an ``isend`` is a send waited later — one post,
+          numbered and started where posted (so a rank's sends to one
+          peer leave in the order it posted them), and one wait, run by
+          ``Request.wait()``; one that had to wait completes one step
+          after its packet left
 recv      message matched to the posted receive: the pop of the receive's
           event, which resumes the application (commit and consume are
           one step)
@@ -27,11 +29,12 @@ update    immediately (synchronous mutation of the snapshot state)
 ========  ==========================================================
 
 Both sends make the same call,
-:meth:`~repro.mpi.channels.base.BaseChannel.post`; a send that has to wait
-is a send chain there (an ``isend``'s is made its request's with
-:meth:`~repro.mpi.channels.base.SendChain.as_isend`), an ``isend`` owns no
-process, and a send of a rank that dies dies with it (the op is simply not
-completed, so the restart re-sends it).
+:meth:`~repro.mpi.channels.base.BaseChannel.post`, and wait the same way,
+:func:`~repro.mpi.request.wait_posted` (a blocking send at once, an
+``isend`` in ``Request.wait()``); a send that has to wait is a send chain
+there, an ``isend`` owns no process, and a send of a rank that dies dies
+with it (the op is simply not completed, so the restart re-sends it).  A
+send that fails raises ``ConnectionError`` at its post or at its wait.
 
 A checkpoint snapshot records the completed-op set, the application state
 dict and the matching engine's unexpected queue.  On rollback, the
@@ -63,7 +66,7 @@ from typing import Any, Callable, Dict, Optional, Set, Tuple, Union
 from repro.mpi import collectives as _collectives
 from repro.mpi.channels.base import SendChain
 from repro.mpi.consts import ANY_SOURCE, ANY_TAG, COLLECTIVE_TAG_BASE
-from repro.mpi.request import Request
+from repro.mpi.request import Request, wait_posted
 from repro.sim.primitives import EMPTY
 
 __all__ = ["RankContext", "Snapshot", "SKIPPED", "CompletedSet"]
@@ -247,33 +250,29 @@ class RankContext:
         op_id = self._begin()
         if op_id is None:
             return SKIPPED
-        posted = self.channel.post(dst, tag, data, nbytes)
-        if isinstance(posted, SendChain):
-            # It waits or failed (post returns a chain only then): wait on
-            # whatever the chain waits on, behind its callback, so this
-            # process goes on in the pop where the send commits or fails.
-            posted.on_commit = partial(self._sent, op_id)
-            while posted.waiting is not None:
-                yield posted.waiting
-            if posted.error is not None:
-                raise posted.error
-            posted = posted.sent  # hold no chain while the bytes leave
-        else:
-            self._commit(op_id)  # it is on the connection
-        yield posted
+        yield from wait_posted(self._post(op_id, dst, tag, data, nbytes))
         return None
 
     def isend(self, dst: int, tag: int = 0, data: Any = None, nbytes: float = 0.0) -> Request:
-        """Non-blocking send; ``yield from req.wait()`` for completion."""
+        """Non-blocking send: a send whose wait comes later, in
+        ``yield from req.wait()``."""
         op_id = self._begin()
         if op_id is None:
             return Request(None)
-        sent = self.channel.post(dst, tag, data, nbytes)
-        if isinstance(sent, SendChain):
-            sent.on_commit = partial(self._sent, op_id)
-            return Request(sent.as_isend())
-        self._commit(op_id)  # it is on the connection
-        return Request(sent)
+        return Request(self._post(op_id, dst, tag, data, nbytes, "isend"))
+
+    def _post(self, op_id: int, dst: int, tag: int, data: Any, nbytes: float,
+              kind: str = "send") -> Union["Event", SendChain]:
+        """Post send ``op_id``: its transmit-complete event (it is on the
+        connection, and committed), or its waiting chain, named ``kind``,
+        which commits it at its commit point."""
+        posted = self.channel.post(dst, tag, data, nbytes)
+        if isinstance(posted, SendChain):
+            posted.label = kind
+            posted.on_commit = partial(self._sent, op_id)
+        else:
+            self._commit(op_id)  # it is on the connection
+        return posted
 
     def _sent(self, op_id: int, _dst: int, _packet: "AppPacket") -> None:
         """A chained send's commit point: its payload is on the

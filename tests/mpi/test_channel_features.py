@@ -4,6 +4,7 @@ send freezing, receive freezing, the Nemesis stopper, failure propagation."""
 import pytest
 
 from repro.mpi import ChVChannel, FtSockChannel, NemesisChannel
+from repro.mpi.channels.base import _HOPPED, HEADER_BYTES, SendChain
 from repro.mpi.message import MarkerPacket
 
 from tests.mpi.conftest import make_job, run_job
@@ -195,3 +196,48 @@ def test_lazy_connect_builds_nothing_without_traffic(sim):
     job, _ = make_job(sim, app, size=4, channel_cls=FtSockChannel)
     run_job(sim, job)
     assert all(not ch.conns for ch in job.channels)
+
+
+def test_a_send_frozen_in_its_daemon_hop_waits_for_the_wave(monkeypatch):
+    """On ch_v a send takes a daemon hop before the wire.  A Pcl wave that
+    freezes its destination while it is in that hop holds it: it waits
+    for the freeze and then goes out without a second hop (the pcl-flush
+    monitor rejects a packet put on the wire while the wave checkpoints)."""
+    from repro.sim import Simulator
+
+    from tests.ft.conftest import build_ft_run
+
+    hops = []  # application sends' overheads worked out on rank 2
+    overhead = ChVChannel.send_overhead
+
+    def counted(channel, nbytes):
+        if channel.rank == 2 and nbytes > HEADER_BYTES:
+            hops.append(nbytes)
+        return overhead(channel, nbytes)
+
+    stages = []  # what rank 2's sends waited on
+    wait = SendChain._wait
+
+    def recorded(chain, event, stage):
+        if chain.channel.rank == 2 and chain.label == "send":
+            stages.append(stage)
+        wait(chain, event, stage)
+
+    monkeypatch.setattr(ChVChannel, "send_overhead", counted)
+    monkeypatch.setattr(SendChain, "_wait", recorded)
+
+    def app(ctx):
+        if ctx.rank == 2:
+            for index in range(6):
+                yield from ctx.send(0, 1, index, 8.0)
+        elif ctx.rank == 0:
+            for index in range(6):
+                assert (yield from ctx.recv(2, 1)) == index
+
+    sim = Simulator(seed=1)
+    run, _ = build_ft_run(sim, app, 3, protocol="pcl", channel_cls=ChVChannel)
+    run.start()
+    sim.call_at(0.0, run.protocol.request_wave)
+    sim.run_until_complete(run.completed, limit=100.0)
+    assert _HOPPED in stages  # the wave froze rank 0 during a hop
+    assert len(hops) == 6

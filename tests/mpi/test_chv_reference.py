@@ -308,7 +308,7 @@ def test_the_old_daemon_deadlocks_where_the_spec_serves_on():
 
     old = recording(ChVChannel, VerbatimHostCost, ProcessDaemon,
                     GeneratorSend)
-    old_log, (channels, _, _), _, _ = run_program(
+    old_log, (channels, *_), _, _ = run_program(
         old, SendEachEndpoint, 3, DETACH_AT_GRANT)
     assert not [entry for entry in old_log if entry[0] == "packet"]
     # the daemon is held by nobody, and the packet's hop waits behind it

@@ -16,8 +16,9 @@ Programs are Hypothesis-drawn: each of three ranks posts ``send`` s and
 compute gaps, on lazily connected ft-sock and Nemesis under a Pcl wave
 requested at drawn instants (it freezes destinations: ft-sock per
 destination, Nemesis with its stopper), and on ch_v's eager mesh under
-Vcl's (MPICH-V's protocol: it logs, and freezes nothing).  Every rank then
-receives what was sent to it, in arrival order.
+Vcl's (MPICH-V's protocol: it logs, and freezes nothing) and Pcl's (a send
+in its daemon hop when the wave freezes its destination waits for the
+freeze).  Every rank then receives what was sent to it, in arrival order.
 """
 
 from hypothesis import example, given, settings
@@ -30,8 +31,9 @@ from repro.sim import Simulator
 from tests.ft.conftest import build_ft_run
 
 SIZE = 3
-#: each device's checkpoint protocol
-PROTOCOL = {FtSockChannel: "pcl", NemesisChannel: "pcl", ChVChannel: "vcl"}
+#: the devices and checkpoint protocols the programs run on
+SETUPS = [(FtSockChannel, "pcl"), (NemesisChannel, "pcl"),
+          (ChVChannel, "vcl"), (ChVChannel, "pcl")]
 
 _op = st.tuples(st.sampled_from(["send", "isend"]),
                 st.integers(1, SIZE - 1),             # destination offset
@@ -81,19 +83,26 @@ ISEND_THEN_SEND_LATER = [[("isend", 1, 1, 1e-3, 8.0),
                           ("send", 1, 1, 0.0, 8.0)], [], []]
 
 
+#: rank 2's six small sends to rank 0 under a Pcl wave requested at once:
+#: on ch_v, the wave freezes rank 0 while one of them is in its daemon hop
+SIX_SENDS = [[], [], [("send", 1, 0, 0.0, 8.0)] * 6]
+
+
 @given(program=_programs, wave_times=_wave_times,
-       device=st.sampled_from([FtSockChannel, NemesisChannel, ChVChannel]))
-@example(program=ISEND_THEN_SEND, wave_times=[], device=FtSockChannel)
-@example(program=ISEND_THEN_SEND, wave_times=[], device=NemesisChannel)
-@example(program=ISEND_THEN_SEND, wave_times=[], device=ChVChannel)
-@example(program=ISEND_THEN_SEND_LATER, wave_times=[], device=ChVChannel)
+       setup=st.sampled_from(SETUPS))
+@example(program=ISEND_THEN_SEND, wave_times=[], setup=SETUPS[0])
+@example(program=ISEND_THEN_SEND, wave_times=[], setup=SETUPS[1])
+@example(program=ISEND_THEN_SEND, wave_times=[], setup=SETUPS[2])
+@example(program=ISEND_THEN_SEND_LATER, wave_times=[], setup=SETUPS[2])
+@example(program=SIX_SENDS, wave_times=[0.0], setup=SETUPS[3])
 @settings(max_examples=60, deadline=None)
 def test_a_ranks_messages_to_a_peer_arrive_in_post_order(program, wave_times,
-                                                        device):
+                                                        setup):
+    device, protocol = setup
     sim = Simulator(seed=5)
     received = [[] for _ in range(SIZE)]
     run, _ = build_ft_run(sim, _app(program, received), size=SIZE,
-                          protocol=PROTOCOL[device], channel_cls=device,
+                          protocol=protocol, channel_cls=device,
                           period=60.0, image_bytes=2e5, fork_latency=0.002)
     run.start()
     for at in wave_times:

@@ -49,9 +49,10 @@ from repro.net.connection import _INLINE_BYTES
 from repro.sim.process import Process
 
 from tests.races import (MAX_RANKS, TICK, ChainEndpoint, DeferredStart,
-                         DeferredStartContext, GeneratorSend, JobRig,
-                         PusherContext, RANK, Rules, SendEachEndpoint, drop,
-                         lone, pair, programs, race, recording, rename)
+                         DeferredStartContext, EarlyIsend, GeneratorSend,
+                         JobRig, PusherContext, RANK, Rules,
+                         SendEachEndpoint, drop, lone, pair, programs, race,
+                         recording, rename)
 
 # the protocol monitors assume a real protocol; these programs kill, detach
 # and flush at will, and the pop stream is compared directly
@@ -319,7 +320,7 @@ def test_the_old_handshake_died_with_its_first_asker():
     log = race(*rigs(3, FtSockChannel), KILL_MID_HANDSHAKE, RULES)
     assert [entry[3] for entry in log if entry[0] == "isend-done"] == [True]
 
-    old_log, (channels, _, _), _, _ = run_program(
+    old_log, (channels, *_), _, _ = run_program(
         aborting(FtSockChannel), 3, KILL_MID_HANDSHAKE)
     assert [entry[3] for entry in old_log if entry[0] == "isend-done"] \
         == [False]
@@ -379,7 +380,7 @@ def test_witnesses_reach_the_situations_they_name():
     log, _, _, rig = run_program(shipped, 3, BROKEN_AT_GATE)
     assert ("closed", 12 * TICK, "job0", 0, None) in log
     shipped, _ = designs(ChVChannel)
-    log, (channels, _, _), _, _ = run_program(shipped, 3,
+    log, (channels, *_), _, _ = run_program(shipped, 3,
                                               HOP_AND_HARVEST)
     assert channels[0][2] and 1 in channels[3][6]  # job1 adopted 0<->1
 
@@ -438,3 +439,41 @@ def test_a_channel_that_defers_an_isend_is_caught(device):
     # send posted behind it (op 1)
     assert commits(good, 0) == [0, 1, 2, 3]
     assert commits(bad, 0)[:2] == [1, 0]
+
+
+class EarlyContext(LoggingCommit, EarlyIsend):
+    __slots__ = ()
+
+
+@pytest.mark.parametrize("device, chained", [(FtSockChannel, 1),
+                                             (NemesisChannel, 1),
+                                             (ChVChannel, 2)])
+def test_an_isend_that_completes_when_its_packet_left_is_caught(device,
+                                                                chained):
+    """An isend that had to wait (the first one, before the link was up;
+    on ch_v both, each behind its daemon hop) completes one step after its
+    packet left, where the pusher ended, not in the pop of its
+    transmit-complete event: that step orders what its waiter does next
+    among the instant's other events (Vcl's daemon order on ch_v)."""
+    good = race(*rigs(3, device), ISEND_THEN_SEND, RULES)
+    shipped, _ = designs(device)
+    _, _, pops, _ = run_program(shipped, 3, ISEND_THEN_SEND)
+    bad, _, bad_pops, _ = run_program(
+        (recording(device), ChainEndpoint, EarlyContext), 3, ISEND_THEN_SEND)
+    # its done event is the one pop it lacks
+    done = [pop for pop in pops if pop[2] == "isend:r0->r1"]
+    assert len(done) == chained
+    assert [pop for pop in pops if pop not in done] == bad_pops
+    if device is not ChVChannel:
+        # the first isend completes behind the send posted after it, which
+        # returns in the pop of its own transmit-complete event; early,
+        # ahead of it
+        assert done_order(good)[:2] == ["returned", "isend-done"]
+        assert done_order(bad)[:2] == ["isend-done", "returned"]
+
+
+def done_order(log):
+    """The isends' completions and the blocking sends' returns, in the
+    order they happened."""
+    return [entry[0] for entry in log if entry[0] in ("isend-done",
+                                                      "returned")]

@@ -7,8 +7,9 @@ spec's bookkeeping away.  Each rule counts the pops it touched per side;
 :data:`TALLY` sums them over a session, which prints them.  The process
 specs two rigs share live here too: :class:`ProcessRx` (receive, ch_v),
 :class:`GeneratorSend`, :class:`PusherContext` and
-:class:`SendEachEndpoint` (ch_v, send), and the negative those two rigs
-share, :class:`DeferredStart`.  Not collected; the rig modules import it.
+:class:`SendEachEndpoint` (ch_v, send), the negative those two rigs
+share, :class:`DeferredStart`, and the send rig's :class:`EarlyIsend`.
+Not collected; the rig modules import it.
 """
 
 from collections import Counter, defaultdict
@@ -322,6 +323,8 @@ class JobRig(Rig):
         #: ``(request event, channel)`` by the event's id: the channel
         #: behind every request and pusher process
         self.owners = {}
+        #: ``(serial, what the post returned)`` of every isend made
+        self.isends = []
         #: the bootstraps of fan-outs a rank that was already down asked for
         self.stillborn = []
         self.serial = self.wave = 0
@@ -395,8 +398,11 @@ class JobRig(Rig):
             return "gone:" + label
         if label.startswith("vdaemon:") and not self._waited(item):
             return "dead:" + label  # a hop whose waiter left: runs nothing
-        if label.startswith("isend:") and self.owner_down(item):
-            return "gone:" + label  # a request of a rank that is down
+        if label.startswith("isend:") and (
+                self.owner_down(item) or getattr(item, "error", None)):
+            # a request of a rank that is down, or a pusher whose send
+            # failed before it left (a chain makes no done event then)
+            return "gone:" + label
         return label
 
     def owner_down(self, item):
@@ -415,8 +421,9 @@ class JobRig(Rig):
 
     # ------------------------------------------------------------- verbs
     def do_send(self, a, b, nbytes, carried):
-        """An ``isend``: inline, else a send chain (the spec: a pusher); a
-        failure it meets is reported as a socket closure."""
+        """An ``isend`` nobody waits for: inline, else a send chain (the
+        spec: a pusher); a failure inside the post is logged, a later one
+        is kept where a wait would raise it."""
         self.serial += 1
         data = (self.serial, carried)
         channel = self.job.channels[a]
@@ -429,14 +436,15 @@ class JobRig(Rig):
 
     def _isend(self, channel, dst, data, nbytes):
         if not hasattr(channel, "try_fast_send"):
-            chain = channel.post(dst, 0, data, nbytes)
-            event = chain.as_isend() if isinstance(chain, SendChain) else None
-        elif channel.try_fast_send(dst, 0, data, nbytes) is None:
-            event = push(channel, dst, 0, data, nbytes)
+            posted = channel.post(dst, 0, data, nbytes)
+            if isinstance(posted, SendChain):
+                posted.label = "isend"
         else:
-            return
-        if event is not None:
-            self.owners[id(event)] = (event, channel)
+            posted = channel.try_fast_send(dst, 0, data, nbytes)
+            if posted is None:
+                posted = push(channel, dst, 0, data, nbytes)
+        self.isends.append((data[0], posted))
+        self.when_done(posted, channel)
 
     def do_isend_send(self, a, b, nbytes, carried):
         """Rank ``a``'s application posts an ``isend`` and then a blocking
@@ -453,15 +461,39 @@ class JobRig(Rig):
         except ConnectionError:
             self.log.append(("refused", self.sim.now, data[0]))
             return
-        event = request.event
-        self.owners[id(event)] = (event, context.channel)
+        self.isends.append((data[0], request.posted))
 
         def completed(done):
-            if not context.channel.down:  # else the rank is gone with it
+            # else the rank is gone with it, or (a pusher) its send failed
+            # before it left
+            if (not context.channel.down
+                    and getattr(done, "error", None) is None):
                 self.log.append(("isend-done", self.sim.now, data[0],
                                  done._ok))
 
-        event.callbacks.append(completed)
+        self.when_done(request.posted, context.channel, completed)
+
+    def when_done(self, posted, channel, callback=None):
+        """Note the event that completes the ``isend`` a post returned
+        ``posted`` for (its transmit-complete event, a chain's ``done``
+        once made, a pusher) as ``channel``'s, and run ``callback`` in its
+        pop."""
+        def note(event):
+            self.owners[id(event)] = (event, channel)
+            if callback is not None:
+                event.callbacks.append(callback)
+
+        if isinstance(posted, SendChain):
+            commit = posted.on_commit
+
+            def committed(dst, packet):
+                if commit is not None:
+                    commit(dst, packet)
+                note(posted.sent if posted.done is None else posted.done)
+
+            posted.on_commit = committed
+        else:
+            note(posted)
 
     def do_side(self, a, b, nbytes, carried):
         self.serial += 1
@@ -535,7 +567,11 @@ class JobRig(Rig):
                   len(p.inbox), p.pumping)
                  for connection in self.connections
                  for p in connection.pipes]
-        return channels, markers, pipes
+        # what a wait on each isend would raise
+        failed = [(serial, type(posted.error).__name__)
+                  for serial, posted in self.isends
+                  if getattr(posted, "error", None) is not None]
+        return channels, markers, pipes, failed
 
     def extra(self, channel):
         """The rig's own columns of a channel's state row."""
@@ -647,7 +683,9 @@ class GeneratorSend:
     (:meth:`_establish`) and a :meth:`shutdown` that stops the rank's
     sends.  A held send waits on the one thing that holds it
     (``dst_open``, or its link), and a send posted while an earlier one to
-    its destination is held waits on the same event (:meth:`_hold`)."""
+    its destination is held waits on the same event (:meth:`_hold`).  A
+    send whose destination froze during its daemon hop waits for the
+    freeze and takes no second hop."""
 
     def post_send(self, dst, tag, data, nbytes):
         if self.down:
@@ -694,6 +732,9 @@ class GeneratorSend:
             overhead = 0.0
             if self.down:
                 raise ChannelDownError(f"rank {self.rank} channel is down")
+            while gated and not self.send_open(dst):
+                # frozen during the hop: wait, and take no second hop
+                yield self.dst_open(dst)
         return end, overhead
 
     def _hold(self, dst, packet, event, link):
@@ -772,12 +813,15 @@ class GeneratorSend:
 class Posted(Process):
     """A process whose first step runs inside the call that makes it (a
     :class:`Process` takes it one URGENT step later): a send started where
-    it is posted."""
+    it is posted.  Its failure, and the ``error`` of a send that failed
+    before it left, are raised where it is waited for."""
 
     def __init__(self, sim, generator, name):
         Event.__init__(self, sim, name=name)
         self.generator = generator
         self._target = None
+        self.defused = True
+        self.error = None
         go = Event(sim)
         go._ok, go._value = True, None
         self._resume(go)
@@ -787,20 +831,24 @@ def push(channel, dst, tag, data, nbytes, commit=None):
     """The spec's ``isend`` pusher process, started inside its post: the
     process send path (so its packet is numbered and its first wait joined
     there, as a blocking send's), the send's ``commit``, then the wait for
-    the wire; a failure it meets is reported as a socket closure."""
+    the wire; it ends one step after the packet left, or fails with its
+    pipe.  A failure before the wire is raised here when it happens inside
+    the post, else kept in the pusher's ``error``."""
     def pusher():
         try:
             sent = yield from channel.post_send(dst, tag, data, nbytes)
-            if commit is not None:
-                commit()
-            yield sent
-        except ConnectionError:
-            if not channel.down:
-                channel.job.notify_socket_closed(channel.rank, dst)
+        except ConnectionError as error:
+            process.error = error
+            return
+        if commit is not None:
+            commit()
+        yield sent
 
     channel.__dict__.setdefault("pushers", [])
     process = Posted(channel.sim, pusher(),
                      name=f"isend:r{channel.rank}->r{dst}")
+    if process.error is not None:
+        raise process.error
     channel.pushers.append(process)
     return process
 
@@ -876,12 +924,27 @@ class DeferredStartContext(RankContext):
         op_id = self._begin()
         if op_id is None:
             return Request(None)
-        sent = self.channel.post(dst, tag, data, nbytes, defer=True)
-        if isinstance(sent, SendChain):
-            sent.on_commit = partial(self._sent, op_id)
-            return Request(sent.as_isend())
-        self._commit(op_id)
-        return Request(sent)
+        posted = self.channel.post(dst, tag, data, nbytes, defer=True)
+        if isinstance(posted, SendChain):
+            posted.label = "isend"
+            posted.on_commit = partial(self._sent, op_id)
+        else:
+            self._commit(op_id)
+        return Request(posted)
+
+
+class EarlyIsend(RankContext):
+    """Broken on purpose: an ``isend`` that has to wait completes in the
+    pop of its packet's transmit-complete event, as a blocking send
+    returns, not one step later where the pusher ends."""
+
+    __slots__ = ()
+
+    def isend(self, dst, tag=0, data=None, nbytes=0.0):
+        request = super().isend(dst, tag, data, nbytes)
+        if isinstance(request.posted, SendChain):
+            request.posted.label = "early"  # makes no done event
+        return request
 
 
 class SendEachEndpoint(ChainEndpoint):
