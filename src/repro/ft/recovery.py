@@ -33,6 +33,7 @@ processes with no cost, for unit tests.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from repro.ft import shrink, spare
@@ -155,11 +156,6 @@ class FTRun:
         self.protocol_factory = protocol_factory
         self.servers = list(servers)
         self.replication = replication
-        #: rank -> ordered K replica servers; index 0 is the rank's primary
-        self.replica_map: Dict[int, List[CheckpointServer]] = (
-            assign_replicas(len(self.endpoints), self.servers, replication)
-            if self.servers else {}
-        )
         self.launcher = launcher if launcher is not None else InstantLauncher()
         self.image_bytes = image_bytes
         self.name = name
@@ -188,6 +184,15 @@ class FTRun:
         #: the failed set; later socket-closure signals fold into it
         self._membership: Optional[MembershipTracker] = None
         self._next_ballot = 1
+
+    @cached_property
+    def replica_map(self) -> Dict[int, List[CheckpointServer]]:
+        """Rank -> ordered K replica servers; index 0 is the rank's primary.
+        Built by :func:`assign_replicas` on first read (an assignment, by
+        :meth:`use_site_primaries` or a shrink, replaces it): a run that
+        neither checkpoints nor restores keeps no per-rank table."""
+        return (assign_replicas(len(self.endpoints), self.servers,
+                                self.replication) if self.servers else {})
 
     def use_site_primaries(self, mapping: Dict[int, CheckpointServer]) -> None:
         """Override the round-robin primary assignment (e.g. Grid'5000 site

@@ -103,7 +103,7 @@ class BaseChannel:
 
     __slots__ = ("job", "sim", "rank", "matching", "conns", "_frozen_dsts",
                  "_frozen_sources", "delayed_queue",
-                 "protocol", "down", "_seq", "_attached",
+                 "protocol", "down", "_seq", "_attached", "_lost",
                  "active_transfer_end", "_chains")
 
     def __init__(self, job: "MPIJob", rank: int) -> None:
@@ -127,6 +127,9 @@ class BaseChannel:
         #: every end this channel sinks, including ends no longer (or, for
         #: a self-connection's first end, never alone) in ``conns``
         self._attached: List[ConnectionEnd] = []
+        #: peers whose end ``conns`` held and no longer does (harvested,
+        #: or dropped at shutdown): a link that was up and is gone
+        self._lost: Tuple[int, ...] = EMPTY
         #: the connection end streaming this rank's checkpoint image, set by
         #: the protocol endpoint for the duration of the transfer
         self.active_transfer_end = None
@@ -347,6 +350,14 @@ class BaseChannel:
         self.conns[peer] = end
         self._start_receiving(peer, end)
 
+    def detach(self, peer: int) -> Optional[ConnectionEnd]:
+        """Take ``peer``'s end out of ``conns`` (a harvest), if it has
+        one; the link is lost to this channel."""
+        end = self.conns.pop(peer, None)
+        if end is not None:
+            self._lost += (peer,)
+        return end
+
     def _start_receiving(self, peer: int, end: ConnectionEnd) -> None:
         """Become ``end``'s sink, one URGENT step from now.
 
@@ -429,6 +440,7 @@ class BaseChannel:
         error = error or ChannelDownError(f"rank {self.rank} shut down")
         for end in self.conns.values():
             end.connection.break_()
+        self._lost += tuple(self.conns)
         self.conns.clear()
         self.matching.fail_all(error)
         self._stop_receiving()

@@ -29,16 +29,6 @@ __all__ = ["MPIJob"]
 _HANDSHAKE_RTTS = 2.0
 
 
-class _Up:
-    """What ``MPIJob._links`` keeps of a pair's ready event once it was
-    popped: all a later asker reads of it."""
-
-    processed = triggered = True
-
-
-_UP = _Up()
-
-
 declare("app.rank_done", __name__, job=str, rank=int)
 declare("job.killed", __name__, job=int, name=str)
 declare("job.socket_closed", __name__, job=str, rank=int, peer=Optional[int])
@@ -82,8 +72,9 @@ class MPIJob:
         self.app_processes: List["Process"] = []
         self.completed = sim.event(name=f"{name}:completed")
         self.failure_listener: Optional[Callable[[int, Optional[int]], None]] = None
-        #: a pair's ready event until it is popped, then ``_UP``
-        self._links: Dict[Tuple[int, int], Any] = {}
+        #: a pair's ready event until it is popped; then the pair is
+        #: recorded only by the ends in its ranks' channels' ``conns``
+        self._links: Dict[Tuple[int, int], "Event"] = {}
         self._finished = 0
         self._started = False
         self.killed = False
@@ -217,12 +208,12 @@ class MPIJob:
         ``inherited_links``.
         """
         alive = set(survivors)
+        pairs = {(min(rank, peer), max(rank, peer)) for rank in alive
+                 for peer in self.channels[rank].conns if peer in alive}
         links: Dict[Tuple[int, int], Tuple[Any, Any]] = {}
-        for lo, hi in sorted(self._links):
-            if lo not in alive or hi not in alive:
-                continue
-            end_lo = self.channels[lo].conns.pop(hi, None)
-            end_hi = self.channels[hi].conns.pop(lo, None)
+        for lo, hi in sorted(pairs):
+            end_lo = self.channels[lo].detach(hi)
+            end_hi = self.channels[hi].detach(lo)
             if end_lo is None or end_hi is None or end_lo.connection.broken:
                 continue
             links[(lo, hi)] = (end_lo, end_hi)
@@ -237,30 +228,34 @@ class MPIJob:
         — so the asker goes on in the pop that connected it — and for any
         other the link's ready event, which fails if the handshake did not
         complete.  Raises ConnectionError when the connect is refused or
-        the link is known but its end is gone (harvested).
+        the link was up but its end is gone (``a``'s channel lost it: a
+        harvest, or its shutdown).
         """
         key = (a, b) if a < b else (b, a)
         ready = self._links.get(key)
-        if ready is None:
-            ready = self.sim.event(name=f"{self.name}:link{key}")
-            self._links[key] = ready
-            lo, hi = key
-            try:
-                connection = self.net.connect(self.endpoints[lo],
-                                              self.endpoints[hi])
-            except Exception as error:
-                self._link_failed(key, ready, error)
-                raise
-            handshake = self.sim.timeout(
-                _HANDSHAKE_RTTS * connection.end_a.latency)
-            handshake.callbacks.append(
-                lambda _event: self._connected(key, ready, connection))
-            return handshake
-        if not ready.processed:
+        if ready is not None and not ready.processed:
             return ready
-        if b not in self.channels[a].conns:
-            raise ConnectionResetError(f"link {a}<->{b} vanished during establish")
-        return None
+        channel = self.channels[a]
+        if b in channel.conns:
+            return None
+        # a ready event still held was popped in this very step: up
+        if ready is not None or b in channel._lost:
+            raise ConnectionResetError(
+                f"link {a}<->{b} vanished during establish")
+        ready = self.sim.event(name=f"{self.name}:link{key}")
+        self._links[key] = ready
+        lo, hi = key
+        try:
+            connection = self.net.connect(self.endpoints[lo],
+                                          self.endpoints[hi])
+        except Exception as error:
+            self._link_failed(key, ready, error)
+            raise
+        handshake = self.sim.timeout(
+            _HANDSHAKE_RTTS * connection.end_a.latency)
+        handshake.callbacks.append(
+            lambda _event: self._connected(key, ready, connection))
+        return handshake
 
     def _connected(self, key: Tuple[int, int], ready: "Event",
                    connection: Any) -> None:
@@ -278,9 +273,9 @@ class MPIJob:
         ready.succeed()
 
     def _link_up(self, key: Tuple[int, int]) -> Callable[[Any], None]:
-        """The callback that leaves a pair only ``_UP`` once its ready event
-        is popped (a plain function: a watchdog names no waiter)."""
-        return lambda _ready: self._links.__setitem__(key, _UP)
+        """The callback that forgets a pair's ready event once it is popped
+        (a plain function: a watchdog names no waiter)."""
+        return lambda _ready: self._links.__delitem__(key)
 
     def _link_failed(self, key: Tuple[int, int], ready: "Event",
                      error: Exception) -> None:

@@ -482,6 +482,8 @@ class ConnectionEnd:
 class Connection:
     """A full-duplex FIFO stream between two endpoints."""
 
+    __slots__ = ("id", "sim", "pipes", "end_a", "end_b")
+
     def __init__(
         self,
         sim: "Simulator",

@@ -10,7 +10,7 @@ Fig. 6).  :meth:`ClusterNetwork.place` implements exactly that policy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.net.connection import Connection
 from repro.net.fabrics import Fabric, GIGABIT_ETHERNET, SHARED_MEMORY
@@ -63,8 +63,6 @@ class BaseNetwork:
         self.scheduler = FlowScheduler(sim)
         self.shm_fabric = shm_fabric
         self.connections: List[Connection] = []
-        #: endpoints recorded per connection for failure teardown
-        self._conn_endpoints: Dict[int, Tuple[Endpoint, Endpoint]] = {}
 
     # ------------------------------------------------------------- placement
     def place(self, n_procs: int, procs_per_node: Optional[int] = None) -> List[Endpoint]:
@@ -113,7 +111,6 @@ class BaseNetwork:
             a=a, b=b, queue_bytes=queue_bytes,
         )
         self.connections.append(connection)
-        self._conn_endpoints[connection.id] = (a, b)
         return connection
 
     # --------------------------------------------------------------- failure
@@ -126,22 +123,14 @@ class BaseNetwork:
         node.fail()
         broken = []
         for connection in self.connections:
-            if connection.broken:
-                continue
-            a, b = self._conn_endpoints[connection.id]
-            if a.node is node or b.node is node:
+            if not connection.broken and node in (
+                    connection.end_a.local.node, connection.end_b.local.node):
                 connection.break_()
                 broken.append(connection)
-        self._gc_connections()
-        return broken
-
-    def _gc_connections(self) -> None:
         alive = [c for c in self.connections if not c.broken]
         if len(alive) != len(self.connections):
-            dead = {c.id for c in self.connections} - {c.id for c in alive}
-            for cid in dead:
-                self._conn_endpoints.pop(cid, None)
             self.connections = alive
+        return broken
 
     def _intra_path(
         self, a: Endpoint, b: Endpoint, fabric: Fabric

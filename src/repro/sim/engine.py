@@ -288,7 +288,10 @@ class Watchdog:
 
     # ------------------------------------------------------------- observing
     def observe(self, sim: "Simulator", now: float, event: Event) -> None:
-        """Called by :meth:`Simulator.step` once per popped event."""
+        """Called once per popped event, before its callbacks run: by the
+        hot loop :meth:`Simulator._loop` (``run`` and
+        ``run_until_complete``) and by :meth:`Simulator._fire`, through
+        which :meth:`Simulator.step` and the reference kernel pop."""
         if now != self._time:
             self._time = now
             if self._streak > self._max_cascade:

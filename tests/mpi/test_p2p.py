@@ -187,3 +187,36 @@ def test_job_double_start_rejected(sim):
     with pytest.raises(RuntimeError):
         job.start()
     sim.run()
+
+
+def test_establish_on_a_harvested_link_raises(sim):
+    """A pair whose link was up and was harvested has lost its ends: asking
+    for it again raises, while a pair that is still up is connected and a
+    pair never connected starts a handshake.  A channel that was shut down
+    has lost its ends too."""
+
+    def ring(ctx):  # on four ranks: pairs (0, 1), (1, 2), (2, 3), (0, 3)
+        right, left = (ctx.rank + 1) % ctx.size, (ctx.rank - 1) % ctx.size
+        request = ctx.isend(right, 0, None, 8.0)
+        yield from ctx.recv(left, 0)
+        yield from request.wait()
+
+    job, _ = make_job(sim, ring, size=4)
+    run_job(sim, job)
+    assert job._links == {}  # every pair is recorded by its ends alone
+    assert sorted(job.harvest_links([0, 1, 2])) == [(0, 1), (1, 2)]
+    for a, b in ((0, 1), (1, 0), (2, 1)):
+        with pytest.raises(ConnectionResetError,
+                           match=f"link {a}<->{b} vanished during establish"):
+            job.establish(a, b)
+    assert job.establish(2, 3) is None
+    handshake = job.establish(0, 2)
+    assert handshake is not None and job.establish(2, 0) is job._links[(0, 2)]
+    sim.run()
+    assert job._links == {} and job.establish(0, 2) is None
+
+    job.channels[3].shutdown()
+    with pytest.raises(ConnectionResetError, match="vanished"):
+        job.establish(3, 2)
+    assert job.establish(2, 3) is None  # rank 2 still holds its end
+    assert job.establish(3, 1) is not None  # never up: a handshake

@@ -139,6 +139,9 @@ def test_break_is_idempotent():
 
 
 def test_fail_node_breaks_its_connections_only():
+    """A dead node breaks exactly the connections with an end on it, in
+    ``connections`` order, whichever end that is, and the network keeps
+    only the rest."""
     sim, net = small_net(n_nodes=4)
     eps = net.place(4)
     c01 = net.connect(eps[0], eps[1])
@@ -147,6 +150,26 @@ def test_fail_node_breaks_its_connections_only():
     assert c01 in broken
     assert c01.broken and not c23.broken
     assert not eps[0].node.alive
+
+    # the node of a connection's b end (and of another's a end)
+    sim, net = small_net(n_nodes=4)
+    eps = net.place(4)
+    c01 = net.connect(eps[0], eps[1])
+    c23 = net.connect(eps[2], eps[3])
+    c12 = net.connect(eps[1], eps[2])
+    assert net.fail_node(eps[2].node) == [c23, c12]
+    assert net.connections == [c01] and not c01.broken
+
+    # a two-slot node carrying an intra-node (shared-memory) connection
+    sim, net = small_net(n_nodes=2)
+    eps = net.place(4, procs_per_node=2)
+    assert eps[0].node is eps[2].node and eps[1].node is eps[3].node
+    shm0 = net.connect(eps[0], eps[2])
+    cross = net.connect(eps[1], eps[2])
+    shm1 = net.connect(eps[1], eps[3])
+    assert shm0.pipes[0].links == (eps[0].node.mem,)  # really intra-node
+    assert net.fail_node(eps[0].node) == [shm0, cross]
+    assert net.connections == [shm1] and not shm1.broken
 
 
 def test_connect_to_dead_node_refused():

@@ -43,6 +43,13 @@ nobody watches stores none of them (before: 181k live strings, 11.4 MB at
 inbox, and its channels and contexts keep no ``__dict__``.  Every name,
 once read, is the string it always was.
 
+A link is recorded once, by its ends in the channels' ``conns``
+(docs/PERF.md "One record per link"): once the ring round has run the job
+holds no per-pair entry, the network no per-connection endpoint tuple (a
+connection's ends carry their endpoints), and no connection a
+``__dict__``; and a run with no protocol never builds its rank -> replica
+table, which is built by the same rule on first read.
+
 And it pins what a message costs that can go at once: a ring round over
 links that are up builds no ``SendChain`` and no per-send ``partial``
 (before: one of each per send), while a send held at a closed gate does;
@@ -66,11 +73,13 @@ import repro
 import repro.mpi.channels.base
 import repro.mpi.context
 from repro.apps.synthetic import token_ring
+from repro.ft.server import assign_replicas
 from repro.mpi import ChVChannel, FtSockChannel, NemesisChannel
 from repro.mpi.channels.base import SendChain
 from repro.net.connection import _INLINE_BYTES, Connection
 from repro.net.flows import FlowScheduler
 from repro.net.link import Link
+from repro.net.topology import Endpoint
 from repro.runtime import CHANNELS, DeploymentSpec, build_run
 from repro.sim import make_simulator
 from repro.sim.events import Event
@@ -112,6 +121,19 @@ def _fields(obj):
     fields = {slot: getattr(obj, slot) for slot in slots if hasattr(obj, slot)}
     fields.update(getattr(obj, "__dict__", {}))
     return fields
+
+
+def _endpoint_pairs(known=frozenset()):
+    """Live tuples of two endpoints: what a per-connection endpoint record
+    keeps."""
+    return [pair for pair in _live(tuple, known)
+            if len(pair) == 2 and all(type(end) is Endpoint for end in pair)]
+
+
+def _rank_tables(run):
+    """The run's attributes that are tables with one entry per rank."""
+    return [name for name, value in vars(run).items()
+            if isinstance(value, dict) and len(value) == N_RANKS]
 
 
 def _empty_sets(job):
@@ -156,6 +178,7 @@ def test_idle_and_drained_queues_own_no_deque():
     known_generators = frozenset(
         id(obj) for obj in _live(types.GeneratorType))
     known_stores = frozenset(id(obj) for obj in _live(Store))
+    known_tuples = frozenset(id(obj) for obj in _live(tuple))
     known_names = _stored_names()
     sim = make_simulator(seed=3)
     go = sim.event(name="go")
@@ -182,14 +205,20 @@ def test_idle_and_drained_queues_own_no_deque():
 
     def assert_names_derived():
         assert _stored_names() - known_names == set()
-        assert not any(isinstance(ready, Event)
-                       for ready in run.job._links.values())
         assert _live(Store, known_stores) == []
         assert not any(hasattr(obj, "__dict__")
                        for obj in (*run.job.channels, *run.job.contexts))
 
+    def assert_links_recorded_once():
+        assert run.job._links == {}
+        assert _endpoint_pairs(known_tuples) == []
+        assert not any(hasattr(conn, "__dict__")
+                       for conn in run.net.connections)
+        assert _rank_tables(run) == []  # its replica map is unread
+
     assert_no_receive_process()
     assert_names_derived()
+    assert_links_recorded_once()
 
     go.succeed()
     sim.run_until_complete(run.completed, limit=1e8)
@@ -199,8 +228,16 @@ def test_idle_and_drained_queues_own_no_deque():
     assert _live(collections.deque, known) == []
     assert_no_receive_process()  # connected, and every end has received
     assert_names_derived()
-    # the positive control: a name that was read is kept where it is hot
+    assert_links_recorded_once()
+    # the positive controls: a name that was read is kept where it is hot,
+    # the detector sees a pair of endpoints, and the replica map, read, is
+    # the table the rule builds
     assert pipes[0].name in _stored_names() - known_names
+    pair = (run.job.endpoints[0], run.job.endpoints[1])
+    assert _endpoint_pairs(known_tuples) == [pair]
+    assert run.servers and run.replica_map == assign_replicas(
+        N_RANKS, run.servers, run.replication)
+    assert _rank_tables(run) == ["replica_map"]
 
 
 def test_names_read_as_they_always_were():
