@@ -148,12 +148,12 @@ class BaseEndpoint:
     :meth:`enter_wave` and, as needed, :meth:`on_marker`, :meth:`_after_fork`
     and :meth:`_after_store`; everything else is shared.
 
-    With ``ckpt_replication == 1`` a rank talks to exactly one server and
-    the code path is byte-for-byte the unreplicated protocol.  With K > 1
-    the rank streams its image to all K assigned replicas concurrently
+    Every replication degree K takes one storage path: the rank streams
+    its image to each of its K assigned replicas that is reachable
     (each stream is a real connection, so the extra NIC/uplink contention
     the replication costs is modelled, keeping Fig. 5 honest) and proceeds
-    once a majority of the reachable replicas acknowledged.
+    once a majority of them acknowledged.  K=1 is a quorum of one: the
+    rank waits on its one server's ack.
     """
 
     #: whether the image message alone completes this protocol's upload
@@ -264,7 +264,7 @@ class BaseEndpoint:
                 defer=False))
 
     # ------------------------------------------------------ server plumbing
-    def _server_connection(self, index: int = 0):
+    def _server_connection(self, index: int):
         if self._server_ends[index] is None:
             end = self.replicas[index].open_connection(self.endpoint)
             self._server_ends[index] = end
@@ -273,14 +273,15 @@ class BaseEndpoint:
             self.protocol._connections.append(end.connection)
         return self._server_ends[index]
 
-    def _ack_loop(self, index: int = 0):
+    def _ack_loop(self, index: int):
         end = self._server_ends[index]
         while True:
             try:
                 message = yield end.recv()
             except ConnectionError:
                 # The replica (or our own node) went away: fail this
-                # replica's pending acks so quorum gates can re-count.
+                # replica's pending acks, so a quorum gate re-counts and a
+                # send waiting on this one ack raises.
                 for key in [k for k in self._ack_waiters if k[0] == index]:
                     waiter = self._ack_waiters.pop(key)
                     if not waiter.triggered:
@@ -293,7 +294,7 @@ class BaseEndpoint:
                 if waiter is not None and not waiter.triggered:
                     waiter.succeed()
 
-    def _await_ack(self, what: str, wave: int, index: int = 0) -> "Event":
+    def _await_ack(self, what: str, wave: int, index: int) -> "Event":
         suffix = "" if index == 0 else f":s{index}"
         event = self.sim.event(name=f"ack:{what}:{wave}:r{self.rank}{suffix}")
         self._ack_waiters[(index, what, wave)] = event
@@ -301,14 +302,29 @@ class BaseEndpoint:
 
     # --------------------------------------------------------- image storage
     def _store_image(self, image: CheckpointImage):
-        """Generator: fork, then pipeline the image to local disk and to the
-        checkpoint server replicas; completes when acknowledged (K=1) or
-        when a majority of reachable replicas acknowledged (K>1)."""
+        """Generator: fork, then pipeline the image to local disk and to every
+        live checkpoint replica; completes once a majority of them
+        acknowledged (with one live replica, its own ack)."""
         yield self.sim.timeout(self.protocol.fork_latency)
-        if len(self.replicas) == 1:
-            yield from self._upload_single(image)
-        else:
-            yield from self._upload_replicated(image)
+        ends = self._live_replica_ends()
+        if not ends:
+            raise ConnectionError("no reachable checkpoint replica")
+        disk_write = self.endpoint.node.disk.write(image.nbytes)
+        gate = self._replicated_send(
+            "image", image.wave, ends,
+            ("image", self.rank, image.wave, image, self.image_final),
+            nbytes=image.nbytes,
+            on_ok=self._acked_replicas.setdefault(image.wave, set()).add)
+        # While the image streams, the channel taxes application messages
+        # (progress-engine coupling; see BaseChannel.transfer_tax).  All the
+        # streams contend on this rank's uplink; the tax is charged once,
+        # keyed off the first live replica's stream.
+        self.channel.active_transfer_end = ends[0][1]
+        try:
+            yield gate
+        finally:
+            self.channel.active_transfer_end = None
+        yield disk_write
         self.protocol.local_images.put(self.endpoint.node.name, self.rank, image)
         self.protocol.stats.image_bytes_stored += image.nbytes
         self.sim.trace.record(
@@ -316,22 +332,6 @@ class BaseEndpoint:
             rank=self.rank, wave=image.wave, nbytes=image.nbytes,
         )
         self.protocol.note_phase("stored", image.wave)
-
-    def _upload_single(self, image: CheckpointImage):
-        end = self._server_connection()
-        disk_write = self.endpoint.node.disk.write(image.nbytes)
-        ack = self._await_ack("image", image.wave)
-        end.send(("image", self.rank, image.wave, image, self.image_final),
-                 nbytes=image.nbytes)
-        # While the image streams, the channel taxes application messages
-        # (progress-engine coupling; see BaseChannel.transfer_tax).
-        self.channel.active_transfer_end = end
-        try:
-            yield ack
-        finally:
-            self.channel.active_transfer_end = None
-        self._acked_replicas.setdefault(image.wave, set()).add(0)
-        yield disk_write
 
     def _live_replica_ends(self, indices=None) -> List[Tuple[int, "ConnectionEnd"]]:
         """(index, connection end) for every reachable replica.
@@ -354,63 +354,51 @@ class BaseEndpoint:
 
     def _replicated_send(self, what: str, wave: int, targets, message,
                          nbytes: float, on_ok=None) -> "Event":
-        """Send ``message`` to every target replica; the returned gate event
+        """Send ``message`` to every target replica; the returned event
         succeeds once a majority of the targets acknowledged and fails when
         enough replicas became unreachable that a majority is impossible.
+        ``on_ok(index)`` runs for every target that acknowledged.
 
         Majority of the replicas reachable *now*: a healthy K-replica set
         proceeds only with ceil((K+1)/2) copies — enough that any single
         server failure leaves the wave restorable — while an already
-        degraded replica set can still make progress on what is left.
+        degraded replica set can still make progress on what is left.  One
+        target (K=1, or a set degraded to one live server) is a quorum of
+        one: the returned event is that target's ack itself.
         """
-        need = len(targets) // 2 + 1
+        acks = []
+        for index, end in targets:
+            ack = self._await_ack(what, wave, index)
+            if on_ok is not None:
+                ack.callbacks.append(
+                    lambda event, index=index: event.ok and on_ok(index))
+            end.send(message, nbytes=nbytes)
+            acks.append(ack)
+        if len(acks) == 1:
+            return acks[0]
+        need = len(acks) // 2 + 1
         gate = self.sim.event(name=f"quorum:{what}:{wave}:r{self.rank}")
         state = {"ok": 0, "done": 0}
 
-        def _on_ack(index: int):
-            def callback(event: "Event") -> None:
-                state["done"] += 1
-                if event.ok:
-                    state["ok"] += 1
-                    if on_ok is not None:
-                        on_ok(index)
-                else:
-                    # the gate is this transfer's consumer; a per-replica
-                    # failure must not escape to the engine
-                    event.defused = True
-                if gate.triggered:
-                    return
-                if state["ok"] >= need:
-                    gate.succeed()
-                elif state["done"] == len(targets):
-                    gate.fail(ConnectionError(
-                        f"checkpoint replica quorum unreachable ({what})"))
-            return callback
+        def count(event: "Event") -> None:
+            state["done"] += 1
+            if event.ok:
+                state["ok"] += 1
+            else:
+                # the gate is this transfer's consumer; a per-replica
+                # failure must not escape to the engine
+                event.defused = True
+            if gate.triggered:
+                return
+            if state["ok"] >= need:
+                gate.succeed()
+            elif state["done"] == len(acks):
+                gate.fail(ConnectionError(
+                    f"checkpoint replica quorum unreachable ({what})"))
 
-        for index, end in targets:
-            ack = self._await_ack(what, wave, index)
-            ack.callbacks.append(_on_ack(index))
-            end.send(message, nbytes=nbytes)
+        for ack in acks:
+            ack.callbacks.append(count)
         return gate
-
-    def _upload_replicated(self, image: CheckpointImage):
-        ends = self._live_replica_ends()
-        if not ends:
-            raise ConnectionError("no reachable checkpoint replica")
-        disk_write = self.endpoint.node.disk.write(image.nbytes)
-        acked = self._acked_replicas.setdefault(image.wave, set())
-        gate = self._replicated_send(
-            "image", image.wave, ends,
-            ("image", self.rank, image.wave, image, self.image_final),
-            nbytes=image.nbytes, on_ok=acked.add)
-        # All K streams contend on this rank's uplink; the progress-engine
-        # tax is charged once, keyed off the primary stream.
-        self.channel.active_transfer_end = ends[0][1]
-        try:
-            yield gate
-        finally:
-            self.channel.active_transfer_end = None
-        yield disk_write
 
     def break_server_links(self) -> None:
         """The task died: its sockets to the checkpoint servers close."""

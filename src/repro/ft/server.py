@@ -11,7 +11,6 @@ Both implementations (Vcl and Pcl) share this server, as in the paper.
 Wire protocol (payloads on the rank<->server connection):
 
 * ``("image", rank, wave, image, final)``  rank -> server, sized ``image.nbytes``
-  (legacy 4-tuples without ``final`` are accepted as ``final=True``)
 * ``("log", rank, wave, packets, nbytes)`` rank -> server, sized logged bytes
 * ``("fetch", rank, wave)``                rank -> server (restart)
 * ``("image_data", image, status)``        server -> rank, sized ``image.nbytes``
@@ -103,11 +102,7 @@ class CheckpointServer:
                 return
             kind = message[0]
             if kind == "image":
-                if len(message) == 5:
-                    _kind, rank, wave, image, final = message
-                else:  # legacy sender: the image message is the whole upload
-                    _kind, rank, wave, image = message
-                    final = True
+                _kind, rank, wave, image, final = message
                 record = image.replica()
                 record.stored_at = self.sim.now
                 self.storage.setdefault(wave, {})[rank] = record

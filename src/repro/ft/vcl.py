@@ -153,34 +153,21 @@ class VclEndpoint(BaseEndpoint):
     def _ship_logs_and_ack(self):
         wave = self.wave
         if self._log:
-            if len(self.replicas) == 1:
-                end = self._server_connection()
-                ack = self._await_ack("log", wave)
-                try:
-                    end.send(("log", self.rank, wave, list(self._log),
-                              self._log_bytes), nbytes=self._log_bytes)
-                except ConnectionError:
-                    return
-                try:
-                    yield ack
-                except ConnectionError:
-                    return
-            else:
-                # Ship the channel state to the replicas that hold this
-                # wave's image; a majority of them must attach (and seal)
-                # the log before the wave may be acknowledged.
-                targets = self._live_replica_ends(
-                    sorted(self._acked_replicas.get(wave, ())))
-                if not targets:
-                    return
-                gate = self._replicated_send(
-                    "log", wave, targets,
-                    ("log", self.rank, wave, list(self._log), self._log_bytes),
-                    nbytes=self._log_bytes)
-                try:
-                    yield gate
-                except ConnectionError:
-                    return
+            # Ship the channel state to the live replicas that hold this
+            # wave's image; a majority of them must attach (and seal) the
+            # log before the wave may be acknowledged.
+            targets = self._live_replica_ends(
+                sorted(self._acked_replicas.get(wave, ())))
+            if not targets:
+                return
+            gate = self._replicated_send(
+                "log", wave, targets,
+                ("log", self.rank, wave, list(self._log), self._log_bytes),
+                nbytes=self._log_bytes)
+            try:
+                yield gate
+            except ConnectionError:
+                return
             # keep the image's log reference locally too (same-node restarts)
             self._image.logged_messages = list(self._log)
             self._image.logged_bytes = self._log_bytes

@@ -124,8 +124,11 @@ class BaseChannel:
         self.protocol: Optional[Any] = None
         self.down = False
         self._seq = 0
-        #: every end this channel sinks, including ends no longer (or, for
-        #: a self-connection's first end, never alone) in ``conns``
+        #: every end the default :meth:`_start_receiving` made (or is about
+        #: to make) this channel the sink of since the last shutdown,
+        #: including ends no longer (or, for a self-connection's first end,
+        #: never alone) in ``conns``; ch_v overrides both receiving hooks
+        #: and keeps its readers instead, so there it stays empty
         self._attached: List[ConnectionEnd] = []
         #: peers whose end ``conns`` held and no longer does (harvested,
         #: or dropped at shutdown): a link that was up and is gone

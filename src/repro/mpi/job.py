@@ -127,11 +127,13 @@ class MPIJob:
                     if self.killed:
                         return
                     # A refused connect is itself failure detection: one
-                    # endpoint's machine is gone but the job outlives it
-                    # (survivor policies agree on membership before the
-                    # kill).  Report the dead side and park the builder.
+                    # endpoint's machine or task is gone but the job
+                    # outlives it (survivor policies agree on membership
+                    # before the kill).  Report the dead side and park the
+                    # builder.
                     dead = [r for r in (a, b)
-                            if not self.endpoints[r].node.alive]
+                            if not self.endpoints[r].node.alive
+                            or self.channels[r].down]
                     if not dead:
                         raise
                     for r in dead:

@@ -53,20 +53,6 @@ def test_store_image_and_ack(setup):
     assert server.bytes_received == 1e6
 
 
-def test_legacy_four_tuple_image_is_final(setup):
-    sim, net, server, rank_ep = setup
-    end = server.open_connection(rank_ep)
-
-    def sender():
-        end.send(("image", 0, 1, image()), nbytes=1e6)
-        ack = yield end.recv()
-        return ack
-
-    ack = sim.run_until_complete(sim.process(sender()))
-    assert ack == ("ack", "image", 0, 1)
-    assert server.storage[1][0].sealed
-
-
 def test_log_attaches_to_image(setup):
     sim, net, server, rank_ep = setup
     end = server.open_connection(rank_ep)

@@ -115,3 +115,27 @@ def test_fetch_retries_back_off_deterministically():
     for _, round_no, delay in delays[0]:
         low = BACKOFF_BASE * BACKOFF_FACTOR ** round_no
         assert low <= delay <= low * (1 + JITTER)
+
+
+@pytest.mark.parametrize("protocol", ["pcl", "vcl", "dcl"])
+@pytest.mark.parametrize("replication", [1, 2])
+def test_upload_with_no_live_server_writes_no_local_image(protocol,
+                                                          replication):
+    """Every server of the replica set dies between waves 1 and 2: the
+    wave-2 uploads fail before their local disk write starts, at K=1 (a
+    quorum of one) as at K=2, and the run completes on wave 1."""
+    sim = Simulator(seed=7, trace=Tracer(categories=["ft.image_stored"]))
+    run, _ = _build(sim, protocol=protocol, n_servers=replication,
+                    replication=replication)
+    run.start()
+    for server in range(replication):
+        run.schedule(Fault("server_kill", server, 0.7))
+    sim.run_until_complete(run.completed, limit=1e5)
+    assert_ring_result(run, ITERS)
+    assert {server.committed_wave for server in run.servers} == {1}
+    stored = [0] * 4
+    for record in sim.trace.select("ft.image_stored"):
+        stored[record.get("rank")] += 1
+    assert stored == [1] * 4
+    for rank, endpoint in enumerate(run.endpoints):
+        assert endpoint.node.disk.bytes_written == 2e5 * stored[rank]

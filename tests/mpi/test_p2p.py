@@ -220,3 +220,30 @@ def test_establish_on_a_harvested_link_raises(sim):
         job.establish(3, 2)
     assert job.establish(2, 3) is None  # rank 2 still holds its end
     assert job.establish(3, 1) is not None  # never up: a handshake
+
+
+def test_mesh_builder_reports_a_task_killed_under_it(sim):
+    """A rank whose task dies (its channel shut down, its node alive) while
+    the ch_v mesh builder still has to reach a pair it had connected
+    lazily is reported like a dead node's rank, and the builder parks
+    instead of raising out of the run."""
+
+    def app(ctx):
+        if ctx.rank == 0:
+            yield from ctx.send(3, 0, None, 8.0)
+        elif ctx.rank == 3:
+            yield from ctx.recv(0, 0)
+
+    job, _ = make_job(sim, app, size=4, channel_cls=ChVChannel)
+    reports = []
+    job.failure_listener = lambda rank, peer: reports.append((rank, peer))
+    job.start()
+
+    def killer():
+        while 3 not in job.channels[0].conns:
+            yield sim.timeout(1e-6)
+        job.channels[0].shutdown()
+
+    sim.process(killer())
+    sim.run(until=5.0)
+    assert (0, None) in reports  # beside the peers that saw 0 close
