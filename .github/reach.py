@@ -73,7 +73,8 @@ COMMANDS = [
                        "--save-dir", "{tmp}/metrics"]),
     ("repro.harness.experiments_md", ["--results", "{tmp}/results",
                                       "--out", "{tmp}/EXPERIMENTS.md"]),
-    ("repro.tools.compare", ["{tmp}/results", "results"]),
+    ("repro.tools.compare", ["{tmp}/results", "results",
+                             "--allow", "*_quick.json:"]),
     *[("repro.chaos", [f"--{name}", "--out", f"{{tmp}}/{name}"])
       for name in ("smoke", "storage", "dcl", "recovery")],
     ("repro.chaos", ["--recovery", "--list", "--filter", "pcl",

@@ -175,7 +175,9 @@ class BaseEndpoint:
         self.wave = 0
         self._server_ends: List[Optional["ConnectionEnd"]] = [None] * len(self.replicas)
         self._ack_waiters: Dict[Tuple[int, str, int], "Event"] = {}
-        #: wave -> replica indices whose image upload was acknowledged
+        #: newest stored wave -> replica indices whose image upload was
+        #: acknowledged (only that wave's set is ever read, so it is the
+        #: only one kept)
         self._acked_replicas: Dict[int, set] = {}
         #: helper processes and send chains; detach interrupts them all
         self._helpers: List[Any] = []
@@ -310,11 +312,12 @@ class BaseEndpoint:
         if not ends:
             raise ConnectionError("no reachable checkpoint replica")
         disk_write = self.endpoint.node.disk.write(image.nbytes)
+        self._acked_replicas = {image.wave: set()}  # one store per wave
         gate = self._replicated_send(
             "image", image.wave, ends,
             ("image", self.rank, image.wave, image, self.image_final),
             nbytes=image.nbytes,
-            on_ok=self._acked_replicas.setdefault(image.wave, set()).add)
+            on_ok=self._acked_replicas[image.wave].add)
         # While the image streams, the channel taxes application messages
         # (progress-engine coupling; see BaseChannel.transfer_tax).  All the
         # streams contend on this rank's uplink; the tax is charged once,

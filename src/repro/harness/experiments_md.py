@@ -13,12 +13,26 @@ hand-edited.
 from __future__ import annotations
 
 import argparse
-from typing import List
+import glob
+import json
+import os
+from typing import Dict, List
 
 from repro.harness.figures import EXPERIMENT_IDS, figure_module
-from repro.tools.compare import load_results
 
-__all__ = ["build_markdown", "main"]
+__all__ = ["build_markdown", "load_results", "main"]
+
+
+def load_results(directory: str) -> Dict[str, dict]:
+    """Load one result per figure id from a directory of harness JSONs:
+    the biggest profile's (paper over quick over smoke)."""
+    rank = {"smoke": 0, "quick": 1, "paper": 2}
+    documents = []
+    for path in sorted(glob.glob(os.path.join(directory, "*.json"))):
+        with open(path) as handle:
+            documents.append(json.load(handle))
+    documents.sort(key=lambda data: rank.get(data.get("profile"), 0))
+    return {data["figure"]: data for data in documents}
 
 
 def _series_table(series: List[dict]) -> List[str]:

@@ -294,13 +294,14 @@ class _Pipe:
             self._last_delivery = delivery
             self.sim.call_at(delivery - self.sim.now, self._deliver, payload,
                              msg_id, self._flush_gen)
-        elif not self.broken and sent is not None and not sent.triggered:
-            # Cancelled by flush(): this message is dropped, but the pipe
-            # lives on — keep draining whatever was enqueued since.  (After
-            # break_() the queued messages are already dropped and
-            # _start_next just goes idle.)
+        elif sent is not None and not sent.triggered:
+            # Cancelled by flush() or break_(): this message is dropped.  A
+            # flushed pipe lives on — keep draining whatever was enqueued
+            # since; after break_() the queued messages are already dropped
+            # and _start_next just goes idle.
             sent.defused = True
-            sent.fail(BrokenConnectionError(f"pipe {self.name} flushed"))
+            sent.fail(BrokenConnectionError(
+                f"pipe {self.name} {'broken' if self.broken else 'flushed'}"))
         self._start_next()
 
     def _deliver(self, payload: Any, msg_id: int = 0, gen: int = 0) -> None:

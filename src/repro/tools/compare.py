@@ -1,145 +1,150 @@
-"""Compare two saved result sets (regression / profile diffing).
+"""Diff two saved JSON documents, or two directories of them, leaf by leaf.
 
-``python -m repro.tools.compare results_a results_b`` prints, per experiment
-present in both directories, the relative change of every shared series
-point (the absolute one where the old value is 0 or not a number), the
-series and points only one side has, and whether any shape check flipped —
-the tool to run after touching a model constant to see exactly which
-figures moved.
+``python -m repro.tools.compare OLD NEW`` takes two files or two
+directories, whose ``*.json`` files pair by name: harness results, the
+``*_quick.json`` documents and chaos ``--out`` reports alike.  It knows no
+schema.  Every differing leaf, every key or list item only one side has and
+every file only one side has is a difference, named
+``<file>:<dotted.path[i]>`` (a one-sided file with an empty path).
+
+* ``--allow GLOB`` (repeatable) summarises once per glob the differences
+  whose name it matches (the first that does): how many paths, how many
+  went lower, how many higher, and the largest relative move.  Only ``*``
+  (any run of characters) and ``?`` (one) are special, so ``series[*]``
+  means what it says;
+* ``--rel-tol T`` absorbs every other numeric move within ``T`` relative
+  (``|new - old| / |old|``; a move off 0 is never absorbed) and reports,
+  per file, how many it absorbed and the largest.
+
+Every other difference is printed as ``name: old -> new``, and any makes
+the exit status 1.
 """
 
 from __future__ import annotations
 
 import argparse
-import glob
 import json
+import math
 import os
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+import re
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-__all__ = ["ExperimentDiff", "compare_dirs", "load_results", "main"]
-
-
-@dataclass
-class ExperimentDiff:
-    """The differences of one experiment between two result sets."""
-
-    figure_id: str
-    #: (series label, x, old y, new y, relative change); the change is None
-    #: where no ratio rates it (the old y is 0 or not a number)
-    point_changes: List[Tuple[str, float, Any, Any, Optional[float]]] = field(
-        default_factory=list)
-    #: (series label, x or None for the whole series, "old" or "new"): what
-    #: only that side has
-    one_sided: List[Tuple[str, Optional[float], str]] = field(
-        default_factory=list)
-    #: check name -> (old, new), only where they differ
-    check_flips: Dict[str, Tuple[bool, bool]] = field(default_factory=dict)
-
-    @property
-    def regressed(self) -> bool:
-        return any(old and not new for old, new in self.check_flips.values())
+__all__ = ["ABSENT", "compare", "diff", "diff_paths", "main"]
 
 
-def load_results(directory: str) -> Dict[str, dict]:
-    """Load one result per figure id from a directory of harness JSONs:
-    the biggest profile's (paper over quick over smoke)."""
-    by_id: Dict[str, dict] = {}
-    rank = {"smoke": 0, "quick": 1, "paper": 2}
-    for path in sorted(glob.glob(os.path.join(directory, "*.json"))):
-        with open(path) as handle:
-            data = json.load(handle)
-        current = by_id.get(data["figure"])
-        if current is None or rank.get(data.get("profile"), 0) >= rank.get(
-                current.get("profile"), 0):
-            by_id[data["figure"]] = data
-    return by_id
+#: the side of a difference that has no such key, list item or file
+ABSENT = type("Absent", (), {"__repr__": lambda self: "absent"})()
 
 
-def _diff_one(old: dict, new: dict) -> ExperimentDiff:
-    diff = ExperimentDiff(figure_id=old["figure"])
-    old_series = {s["label"]: s for s in old.get("series", [])}
-    new_labels = {s["label"] for s in new.get("series", [])}
-    diff.one_sided += [(label, None, "old") for label in old_series
-                       if label not in new_labels]
-    for entry in new.get("series", []):
-        label = entry["label"]
-        base = old_series.get(label)
-        if base is None:
-            diff.one_sided.append((label, None, "new"))
-            continue
-        old_points = dict(zip(base["xs"], base["ys"]))
-        new_points = dict(zip(entry["xs"], entry["ys"]))
-        diff.one_sided += [(label, x, "old") for x in old_points
-                           if x not in new_points]
-        for x, y in new_points.items():
-            if x not in old_points:
-                diff.one_sided.append((label, x, "new"))
-                continue
-            previous = old_points[x]
-            if y == previous:
-                continue
-            rated = (isinstance(previous, (int, float)) and previous != 0
-                     and isinstance(y, (int, float)))
-            change = (y - previous) / abs(previous) if rated else None
-            if change is None or abs(change) > 1e-12:
-                diff.point_changes.append((label, x, previous, y, change))
-    old_checks = old.get("checks", {})
-    for name, new_state in new.get("checks", {}).items():
-        if name in old_checks and old_checks[name] != new_state:
-            diff.check_flips[name] = (old_checks[name], new_state)
-    return diff
+def diff(old: Any, new: Any, name: str = "") -> Iterator[Tuple[str, Any, Any]]:
+    """Every difference ``(name, old, new)`` between two JSON values, in
+    document order.  Keys join with ``.``, list items are ``[i]``; a leaf
+    differs unless both sides are equal values of one type (so ``1`` vs
+    ``1.0`` differs)."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        prefix = f"{name}." if name and not name.endswith(":") else name
+        for key, value in old.items():
+            yield from diff(value, new.get(key, ABSENT), f"{prefix}{key}")
+        for key, value in new.items():
+            if key not in old:
+                yield f"{prefix}{key}", ABSENT, value
+    elif isinstance(old, list) and isinstance(new, list):
+        for index in range(max(len(old), len(new))):
+            yield from diff(old[index] if index < len(old) else ABSENT,
+                            new[index] if index < len(new) else ABSENT,
+                            f"{name}[{index}]")
+    elif type(old) is not type(new) or old != new:
+        yield name, old, new
 
 
-def compare_dirs(dir_a: str, dir_b: str) -> List[ExperimentDiff]:
-    """Diff every experiment present in both directories."""
-    results_a = load_results(dir_a)
-    results_b = load_results(dir_b)
-    return [
-        _diff_one(results_a[figure_id], results_b[figure_id])
-        for figure_id in sorted(set(results_a) & set(results_b))
-    ]
+def _load(path: str) -> Any:
+    with open(path) as handle:
+        return json.load(handle)
 
 
-def render_diff(diff: ExperimentDiff, threshold: float = 0.01) -> str:
-    lines = [f"== {diff.figure_id} =="]
-    notable = [c for c in diff.point_changes
-               if c[4] is None or abs(c[4]) >= threshold]
-    if not notable and not diff.check_flips and not diff.one_sided:
-        lines.append("  unchanged")
-    for label, x, old, new, change in notable:
-        if change is None:  # no ratio rates it: say what it was and is
-            lines.append(f"  {label} @ x={x:g}: {old} -> {new}")
+def diff_paths(old: str, new: str) -> Iterator[Tuple[str, Any, Any]]:
+    """:func:`diff` two JSON files (named by the new one), or every
+    ``*.json`` of two directories, paired by name (a file one side lacks
+    is :data:`ABSENT` there)."""
+    if os.path.isdir(old):
+        pairs = [(entry, os.path.join(old, entry), os.path.join(new, entry))
+                 for entry in sorted({entry for directory in (old, new)
+                                      for entry in os.listdir(directory)
+                                      if entry.endswith(".json")})]
+    else:
+        pairs = [(os.path.basename(new), old, new)]
+    for entry, *sides in pairs:
+        yield from diff(*(_load(side) if os.path.exists(side) else ABSENT
+                          for side in sides), f"{entry}:")
+
+
+def relative_move(old: Any, new: Any) -> Optional[float]:
+    """``(new - old) / |old|`` for two numbers (bools are not), infinite
+    off 0; None where no ratio rates the move."""
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in (old, new)):
+        return None
+    return (new - old) / abs(old) if old else math.copysign(math.inf, new)
+
+
+def _show(value: Any, width: int = 72) -> str:
+    text = repr(value) if value is ABSENT else json.dumps(value)
+    return text if len(text) <= width else text[:width - 3] + "..."
+
+
+def compare(old: str, new: str, rel_tol: float = 0.0,
+            allow: Sequence[str] = ()) -> Tuple[List[str], int]:
+    """The report of :func:`diff_paths` under ``--rel-tol`` / ``--allow``,
+    as lines, and how many differences neither absorbed nor allowed."""
+    lines: List[str] = []
+    absorbed: Dict[str, List[Tuple[float, str]]] = {}  # file -> moves
+    allowed: Dict[str, List[Optional[float]]] = {glob: [] for glob in allow}
+    globs = [(glob, re.compile(re.escape(glob).replace(r"\*", ".*").replace(
+        r"\?", ".") + r"\Z", re.DOTALL)) for glob in allow]
+    for name, before, after in diff_paths(old, new):
+        move = relative_move(before, after)
+        glob = next((glob for glob, rx in globs if rx.match(name)), None)
+        if glob is not None:
+            allowed[glob].append(move)
+        elif move is not None and rel_tol and abs(move) <= rel_tol:
+            absorbed.setdefault(name.split(":")[0], []).append(
+                (abs(move), name))
         else:
-            lines.append(f"  {label} @ x={x:g}: {old:.3f} -> {new:.3f} "
-                         f"({change:+.1%})")
-    for label, x, side in diff.one_sided:
-        where = label if x is None else f"{label} @ x={x:g}"
-        lines.append(f"  {where}: only in {side}")
-    for name, (old_state, new_state) in diff.check_flips.items():
-        arrow = "PASS->FAIL" if old_state else "FAIL->PASS"
-        lines.append(f"  check {arrow}: {name}")
-    return "\n".join(lines)
+            rated = f" ({move:+.3g})" if move is not None and math.isfinite(
+                move) else ""
+            lines.append(f"{name}: {_show(before)} -> {_show(after)}{rated}")
+    unexplained = len(lines)
+    for file, moves in sorted(absorbed.items()):
+        largest, name = max(moves)
+        lines.append(f"{file}: {len(moves)} move(s) within --rel-tol "
+                     f"{rel_tol:g}, largest {largest:.3g} at {name}")
+    for glob, moves in allowed.items():
+        rated = [move for move in moves if move is not None]
+        lines.append(
+            f"--allow {glob!r}: {len(moves)} path(s), "
+            f"{sum(move < 0 for move in rated)} lower, "
+            f"{sum(move > 0 for move in rated)} higher, largest relative "
+            f"move {max(map(abs, rated), default=0):.3g}")
+    lines.append(f"{unexplained} difference(s)" if unexplained
+                 else "no differences")
+    return lines, unexplained
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser()
-    parser.add_argument("dir_a")
-    parser.add_argument("dir_b")
-    parser.add_argument("--threshold", type=float, default=0.01,
-                        help="minimum relative change to report")
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("old")
+    parser.add_argument("new")
+    parser.add_argument("--rel-tol", type=float, default=0.0,
+                        help="absorb numeric moves within this relative tol")
+    parser.add_argument("--allow", action="append", default=[],
+                        metavar="GLOB", help="summarise matches (repeatable)")
     args = parser.parse_args(argv)
-    diffs = compare_dirs(args.dir_a, args.dir_b)
-    if not diffs:
-        print("no experiments in common")
-        return 1
-    regressions = 0
-    for diff in diffs:
-        print(render_diff(diff, args.threshold))
-        regressions += diff.regressed
-    if regressions:
-        print(f"{regressions} experiment(s) regressed (checks flipped to FAIL)")
-    return 1 if regressions else 0
+    if not (os.path.exists(args.old) and os.path.exists(args.new)
+            and os.path.isdir(args.old) == os.path.isdir(args.new)):
+        parser.error("give two existing files or two existing directories")
+    lines, unexplained = compare(args.old, args.new, args.rel_tol, args.allow)
+    print("\n".join(lines))
+    return 1 if unexplained else 0
 
 
 if __name__ == "__main__":

@@ -133,3 +133,15 @@ def test_vcl_wave_rate_tracks_period():
         run_to_completion(sim, run)
         waves[period] = run.stats.waves_completed
     assert waves[0.4] > waves[1.5] >= 1
+
+
+def test_an_endpoint_keeps_only_the_newest_waves_acked_replicas(sim):
+    """Only the current wave's acknowledged replicas are ever read, so a
+    long run holds one wave's set per rank, not one per wave."""
+    run, _ = build_ft_run(sim, ring_app_factory(iters=220, work=0.05),
+                          size=4, protocol="vcl", period=0.3)
+    run_to_completion(sim, run)
+    assert run.stats.waves_completed >= 33
+    for endpoint in run.protocol.endpoints:
+        assert list(endpoint._acked_replicas) == [endpoint.wave]
+        assert endpoint._acked_replicas[endpoint.wave] == {0}

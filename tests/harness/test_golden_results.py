@@ -18,6 +18,7 @@ import os
 import pytest
 
 from repro.harness import get_experiment, get_profile
+from repro.tools.compare import diff
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "results")
 GOLDEN_PATHS = sorted(glob.glob(os.path.join(RESULTS_DIR, "*_smoke.json")))
@@ -48,5 +49,31 @@ def test_smoke_result_is_byte_identical(path, monkeypatch):
     assert regenerated == golden_text, (
         f"{golden['figure']}: regenerated document differs from the "
         f"committed golden — if the simulation change is intentional, "
-        f"regenerate results/ (see the module docstring)"
+        f"regenerate results/ (see the module docstring):\n"
+        + moved(golden, json.loads(regenerated))
     )
+
+
+def moved(golden, regenerated, limit=20):
+    """The paths at which two documents differ, old -> new, one a line
+    (``repro.tools.compare``'s diff; at most ``limit`` of them)."""
+    lines = [f"  {name}: {old!r} -> {new!r}"
+             for name, old, new in diff(golden, regenerated)]
+    if len(lines) > limit:
+        lines[limit:] = [f"  ... and {len(lines) - limit} more"]
+    return "\n".join(lines) or "  (no path differs: the bytes do)"
+
+
+def test_a_failed_sweep_names_the_moved_paths():
+    with open(GOLDEN_PATHS[0]) as handle:
+        golden = json.load(handle)
+    edited = json.loads(json.dumps(golden))
+    before = golden["series"][0]["ys"][0]
+    edited["series"][0]["ys"][0] = before * 2
+    del edited["notes"]
+    assert moved(golden, edited).splitlines() == [
+        f"  series[0].ys[0]: {before!r} -> {before * 2!r}",
+        f"  notes: {golden['notes']!r} -> absent",
+    ]
+    assert moved(golden, edited, limit=1).splitlines()[1:] == [
+        "  ... and 1 more"]

@@ -14,7 +14,7 @@ from repro.harness import (
     render,
     save_json,
 )
-from repro.harness.experiments_md import build_markdown
+from repro.harness.experiments_md import build_markdown, load_results
 from repro.harness.figures import figure_module
 
 
@@ -164,6 +164,16 @@ def test_build_markdown_prefers_larger_profile(tmp_path):
     save_json(big, directory=str(tmp_path))
     markdown = build_markdown(str(tmp_path))
     assert "profile `quick`" in markdown
+
+
+def test_load_results_prefers_bigger_profile(tmp_path):
+    for profile, ys in (("smoke", [1.0] * 3), ("quick", [2.0] * 3)):
+        result = _result()
+        result.figure_id = "fig5"
+        result.profile = profile
+        result.series[0].ys = ys
+        save_json(result, directory=str(tmp_path))
+    assert load_results(str(tmp_path))["fig5"]["series"][0]["ys"] == [2.0] * 3
 
 
 # -------------------------------------------------------------- ascii plot

@@ -14,7 +14,9 @@ Rank 0 makes one send to rank 1 in each way it can fail:
   breaks, and fails once the freeze lifts;
 * later, after the wire: its pipe is flushed while the message is in
   flight (what a recovery does to a survivor link), so its
-  transmit-complete event fails.
+  transmit-complete event fails;
+* later, after the wire: its pipe breaks while the message is in flight,
+  and its transmit-complete event fails the same way.
 
 Only rank 0's outgoing pipe breaks, so the closure rank 1 observes is
 rank 1's, and rank 0 has exactly the one report its application makes.
@@ -32,6 +34,7 @@ CASES = {
     "refused-connect": (8.0, "post"),
     "broken-at-freeze": (8.0, "wait"),
     "flushed-in-flight": (4e6, "wait"),
+    "broken-in-flight": (4e6, "wait"),
 }
 
 
@@ -48,6 +51,8 @@ def _run(sim, kind, case):
         yield from ctx.compute(1.0)
         if case == "flushed-in-flight":  # once the post put it on the wire
             ctx.sim.call_at(1e-5, lambda: out().flush())
+        elif case == "broken-in-flight":
+            ctx.sim.call_at(1e-5, lambda: out().break_())
         pops = ctx.sim.events_processed
         try:
             if kind == "isend":

@@ -50,14 +50,14 @@ class GeneratorPumpPipe(_Pipe):
             try:
                 yield flow.done
             except ConnectionError:
-                if self.broken:
-                    break  # break_() already dropped the queued messages
-                # flush(): this message is dropped, the pipe lives on
+                # flush() or break_(): this message is dropped
                 if not sent.triggered:
                     sent.defused = True
-                    sent.fail(BrokenConnectionError(
-                        f"pipe {self.name} flushed"))
-                continue
+                    sent.fail(BrokenConnectionError(f"pipe {self.name} "
+                        f"{'broken' if self.broken else 'flushed'}"))
+                if self.broken:
+                    break  # break_() already dropped the queued messages
+                continue  # flush(): the pipe lives on
             finally:
                 self._current_flow = None
             self.bytes_sent += nbytes
